@@ -1065,6 +1065,48 @@ def bench_replica_read(rng: random.Random, quick: bool) -> BenchResult:
     return _time_repeats("replica_read", run, reads_per_repeat, repeats)
 
 
+def bench_frame_roundtrip(rng: random.Random, quick: bool) -> BenchResult:
+    """One hop of a put acknowledgement: frame, unframe, digest.
+
+    A 100-entry ``AppendBatchResponse`` goes through ``encode_frame`` →
+    ``decode_payload`` → ``Block.digest()`` — what an edge pays to send a
+    block and a client pays to receive and check it.  The sender is
+    memo-warm as a real edge is: it digested the block and signed the
+    receipt before framing.  The receiver starts from bytes every time.
+    Reported as round trips per second.
+    """
+
+    from ..common.identifiers import OperationId
+    from ..messages import AppendBatchResponse
+    from ..service.framing import decode_payload, encode_frame
+
+    num_responses = 4 if quick else 16
+    repeats = 5 if quick else 10
+    registry, _cloud, edge = _certification_registry()
+    client = client_id("bench-client")
+    responses = []
+    for block in _make_blocks(rng, num_responses, 100):
+        block.digest()
+        responses.append(
+            AppendBatchResponse(
+                edge=edge,
+                operation_id=OperationId(client=client, sequence=block.block_id),
+                block_id=block.block_id,
+                receipt=issue_phase_one_receipt(registry, edge, block, block.created_at),
+                block=block,
+            )
+        )
+
+    def run() -> None:
+        for response in responses:
+            frame = encode_frame(edge, response)
+            _sender, received = decode_payload(frame[4:])
+            assert received.block.digest() == response.block.digest()
+
+    run()  # the decoders of these classes compile on first use
+    return _time_repeats("frame_roundtrip", run, num_responses, repeats)
+
+
 def bench_live_put_p99(rng: random.Random, quick: bool) -> BenchResult:
     """Open-loop Poisson puts against a live 1-edge asyncio fleet.
 
@@ -1144,6 +1186,7 @@ BENCHMARKS = (
     bench_recovery_replay,
     bench_obs_overhead,
     bench_replica_read,
+    bench_frame_roundtrip,
     bench_live_put_p99,
 )
 

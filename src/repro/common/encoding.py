@@ -8,34 +8,59 @@ serialized with sorted keys and no whitespace.  The encoding is intentionally
 simple and human-inspectable; it is a stand-in for the protobuf/CBOR encoding
 a production deployment would use.
 
-The encoder has two implementations that produce byte-identical output:
+The same canonical text is the wire and disk format: a frame payload and a
+stored record are exactly these bytes (:mod:`repro.storage.codec`), so a
+value is serialized once per hop and hashed from that one serialization.
 
-* :func:`to_jsonable` + ``json.dumps`` — the reference path, kept for
-  decoding, debugging, and as the oracle in equivalence tests;
-* a fragment encoder that serializes each value directly to its canonical
-  JSON text through a **per-class precompiled template** (one C-level ``%``
-  interpolation per dataclass instead of per-field joins) and **memoizes the
-  fragment on frozen dataclass instances**.
-  Records, pages, blocks, and messages are frozen and deeply immutable, but
-  their encodings are requested over and over (digests, signatures,
-  ``wire_size`` accounting), so the memo turns repeated full-tree walks into
-  a dictionary lookup.  A fragment is only cached when everything beneath it
-  is immutable (scalars, bytes, tuples, enums, other frozen dataclasses);
-  values containing lists, dicts, sets, or non-frozen dataclasses are
-  re-encoded on every call, exactly like the reference path.
+Three functions produce byte-identical output:
+
+* a fragment encoder (:func:`canonical_encode`) that serializes each value
+  directly to its canonical JSON text through a **per-class precompiled
+  layout** (one C-level ``%`` interpolation per dataclass instead of
+  per-field joins) and **memoizes the fragment on frozen dataclass
+  instances**.  Records, pages, blocks, and messages are frozen and deeply
+  immutable, but their encodings are requested over and over (digests,
+  signatures, ``wire_size`` accounting), so the memo turns repeated
+  full-tree walks into a dictionary lookup.  A fragment is only cached when
+  everything beneath it is immutable (scalars, bytes, tuples, enums, other
+  frozen dataclasses); values containing lists, dicts, sets, or non-frozen
+  dataclasses are re-encoded on every call, exactly like the reference
+  path;
+* a flat encoder (:func:`flat_encode`) for frames and records, which reads
+  those memos, writes none, and assembles the text with a single join;
+* :func:`to_jsonable` + ``json.dumps`` (:func:`reference_encode`) — the
+  memo-free oracle every test compares the other two against, and the tool
+  for debugging what was signed.
 
 Because ``json.dumps`` is used with ``ensure_ascii=True``, canonical text is
 pure ASCII and the encoded byte length equals the fragment string length —
 which makes :func:`encoded_size` O(1) for memoized values.
 
-Trust-model note: the simulator delivers messages by reference, so an
-instance memo is technically state the sender could have attached (this has
-always been true of ``Block.digest()``'s cache, which verifiers consult).
-The modeled adversaries (:mod:`repro.nodes.malicious`) tamper with *content*,
-never with caches — a real deployment would deserialize received bytes and
-no attached memo would survive the wire.  Code that must not rely on this
-simulation artifact (e.g. forensic tooling) should use
-:func:`reference_encode`, which ignores all memos.
+Trust-model note: a fragment memo is consulted by every digest and signature
+check, so where a memo can come from is part of the trust argument.
+
+* Memos **do** survive the wire.  The strict decoder
+  (:func:`repro.storage.codec.decode_record`) attaches to the objects a
+  receiver hashes the very span of received bytes each was decoded from.
+  That is sound because the decoder accepts a span for an object only if it
+  is *the* canonical encoding of that object — fixed key order, no
+  whitespace, one spelling per string, number and byte string, every field
+  present — and refuses the frame otherwise.  Accepted texts and decoded
+  values correspond one to one, so ``H(memo) = d`` implies the object is
+  the unique preimage of ``d``: hashing the span and hashing a fresh
+  re-encoding give the same verdict on every input, the span just costs
+  one pass instead of two.  An honest sender always emits canonical text;
+  a dishonest one can only get its own frame rejected and its connection
+  dropped.  The one value whose received text is not its encoding — a
+  page, rebuilt under a fresh process-local ``page_id`` — never gets a
+  span, and neither does anything that contains one.
+* The simulator delivers messages by reference, so there a memo is state
+  the sender could have attached (this has always been true of
+  ``Block.digest()``'s cache, which verifiers consult).  The modeled
+  adversaries (:mod:`repro.nodes.malicious`) tamper with *content*, never
+  with caches.  Code that must not rely on this simulation artifact (e.g.
+  forensic tooling) should use :func:`reference_encode`, which ignores all
+  memos.
 """
 
 from __future__ import annotations
@@ -50,44 +75,54 @@ from .errors import SerializationError
 #: Attribute name used to memoize canonical fragments on frozen dataclass
 #: instances (set via ``object.__setattr__``; invisible to ``fields()``,
 #: equality, and the encoding itself).
-_FRAGMENT_ATTR = "_canonical_fragment"
+FRAGMENT_ATTR = "_canonical_fragment"
 
 #: Canonical JSON text of scalars: identical to how ``json.dumps`` renders
 #: them inside a larger document (separators only affect containers).
 _scalar_text = json.dumps
 
-#: Per-dataclass precompiled encoder: a single ``%``-template whose literal
-#: segments (braces, sorted keys, the ``__type__`` tag) were assembled once,
-#: plus the field names feeding its ``%s`` slots in canonical order.  One
-#: C-level interpolation replaces the per-field prefix concatenations and
-#: the final join of the naive plan — the "single precompiled fast path" of
-#: the canonical block-digest encoding.
-_CLASS_TEMPLATES: dict[type, tuple[str, tuple[str, ...]]] = {}
+#: Per-dataclass precompiled layout: the literal text between the field
+#: slots in canonical (sorted-key) order — braces, keys, the ``__type__`` tag,
+#: assembled once — the field names feeding those slots, and the same
+#: literals as one ``%``-template.  One C-level interpolation replaces the
+#: per-field prefix concatenations and the final join of the naive plan (the
+#: "single precompiled fast path" of the canonical block-digest encoding);
+#: the literals drive the flat encoder below and the strict decoder in
+#: :mod:`repro.storage.codec`, so one layout defines both directions.
+_CLASS_LAYOUTS: dict[type, tuple[str, tuple[str, ...], tuple[str, ...]]] = {}
 
 #: Canonical fragments of enum members (enum members are singletons).
 _ENUM_FRAGMENTS: dict[Enum, str] = {}
 
 
-def _class_template(cls: type) -> tuple[str, tuple[str, ...]]:
-    compiled = _CLASS_TEMPLATES.get(cls)
+def class_layout(cls: type) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    """``(template, field_names, literals)`` of dataclass *cls*.
+
+    ``literals`` has one more element than ``field_names``: the canonical
+    text of an instance is ``literals[0] + f0 + literals[1] + f1 + ... +
+    literals[-1]`` with ``fi`` the canonical text of field ``i``.
+    """
+
+    compiled = _CLASS_LAYOUTS.get(cls)
     if compiled is None:
-        entries: list[tuple[str, Any]] = [
-            (field.name, field.name) for field in dataclasses.fields(cls)
-        ]
-        entries.append(("__type__", None))
-        entries.sort(key=lambda entry: entry[0])
-        parts: list[str] = []
+        names = sorted([field.name for field in dataclasses.fields(cls)] + ["__type__"])
+        literals: list[str] = []
         field_names: list[str] = []
-        for name, field_name in entries:
-            if field_name is None:
-                literal = _scalar_text(name) + ":" + _scalar_text(cls.__name__)
-                parts.append(literal.replace("%", "%%"))
+        pending = "{"
+        for index, name in enumerate(names):
+            if index:
+                pending += ","
+            pending += _scalar_text(name) + ":"
+            if name == "__type__":
+                pending += _scalar_text(cls.__name__)
             else:
-                parts.append(_scalar_text(name).replace("%", "%%") + ":%s")
-                field_names.append(field_name)
-        template = "{" + ",".join(parts) + "}"
-        compiled = (template, tuple(field_names))
-        _CLASS_TEMPLATES[cls] = compiled
+                literals.append(pending)
+                field_names.append(name)
+                pending = ""
+        literals.append(pending + "}")
+        template = "%s".join(literal.replace("%", "%%") for literal in literals)
+        compiled = (template, tuple(field_names), tuple(literals))
+        _CLASS_LAYOUTS[cls] = compiled
     return compiled
 
 
@@ -121,10 +156,10 @@ def _fragment(value: Any) -> tuple[str, bool]:
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         frozen = type(value).__dataclass_params__.frozen
         if frozen:
-            cached = getattr(value, _FRAGMENT_ATTR, None)
+            cached = getattr(value, FRAGMENT_ATTR, None)
             if cached is not None:
                 return cached, True
-        template, field_names = _class_template(type(value))
+        template, field_names, _ = class_layout(type(value))
         cacheable = frozen
         fragments: list[str] = []
         for field_name in field_names:
@@ -134,7 +169,7 @@ def _fragment(value: Any) -> tuple[str, bool]:
         text = template % tuple(fragments)
         if cacheable:
             try:
-                object.__setattr__(value, _FRAGMENT_ATTR, text)
+                object.__setattr__(value, FRAGMENT_ATTR, text)
             except AttributeError:
                 # Slotted dataclasses have nowhere to stash the memo.
                 cacheable = False
@@ -162,19 +197,74 @@ def _fragment(value: Any) -> tuple[str, bool]:
         )
         return "[" + ",".join(parts) + "]", cacheable
     if isinstance(value, dict):
-        # Coercing through a dict mirrors the reference path's key-collision
-        # semantics (later duplicates of a coerced key win).
-        coerced: dict[str, Any] = {}
-        for key, item in value.items():
-            if not isinstance(key, (str, int, float, bool)):
-                key = str(key)
-            coerced[str(key)] = item
+        coerced = _string_keyed(value)
         parts = [
             _scalar_text(key) + ":" + _fragment(coerced[key])[0]
             for key in sorted(coerced)
         ]
         return "{" + ",".join(parts) + "}", False
     raise SerializationError(f"cannot canonically encode value of type {type(value)!r}")
+
+
+def _string_keyed(value: dict) -> dict[str, Any]:
+    """*value* with its keys coerced to strings.
+
+    Coercing through a dict mirrors the reference path's key-collision
+    semantics (later duplicates of a coerced key win).
+    """
+
+    coerced: dict[str, Any] = {}
+    for key, item in value.items():
+        if not isinstance(key, (str, int, float, bool)):
+            key = str(key)
+        coerced[str(key)] = item
+    return coerced
+
+
+def _emit(value: Any, out: list[str]) -> None:
+    """Append the canonical text of *value* to *out* as flat chunks.
+
+    Reads every fragment memo and writes none: a container that carries no
+    memo contributes its layout literals around its children's chunks, so
+    the caller's single ``join`` is the only place the text of a large
+    message is assembled (nested ``%`` interpolation would build one
+    full-size transient string per nesting level), and no level of the tree
+    retains a copy of the text beneath it that nothing will hash.
+    """
+
+    compiled = _CLASS_LAYOUTS.get(type(value))
+    if compiled is None and (
+        dataclasses.is_dataclass(value)
+        and not isinstance(value, (type, bool, int, float, str, bytes, Enum))
+    ):
+        compiled = class_layout(type(value))
+    if compiled is not None:
+        cached = getattr(value, FRAGMENT_ATTR, None)
+        if cached is not None:
+            out.append(cached)
+            return
+        _, field_names, literals = compiled
+        for literal, field_name in zip(literals, field_names):
+            out.append(literal)
+            _emit(getattr(value, field_name), out)
+        out.append(literals[-1])
+    elif isinstance(value, (list, tuple)):
+        separator = "["
+        for item in value:
+            out.append(separator)
+            _emit(item, out)
+            separator = ","
+        out.append("[]" if separator == "[" else "]")
+    elif isinstance(value, dict):
+        coerced = _string_keyed(value)
+        separator = "{"
+        for key in sorted(coerced):
+            out.append(separator + _scalar_text(key) + ":")
+            _emit(coerced[key], out)
+            separator = ","
+        out.append("{}" if separator == "{" else "}")
+    else:
+        out.append(_fragment(value)[0])
 
 
 def to_jsonable(value: Any) -> Any:
@@ -221,6 +311,23 @@ def canonical_encode(value: Any) -> bytes:
     except (TypeError, ValueError) as exc:
         raise SerializationError(str(exc)) from exc
     return text.encode("utf-8")
+
+
+def flat_encode(value: Any) -> bytes:
+    """Canonical bytes of *value* for a frame or a disk record.
+
+    Byte-identical to :func:`canonical_encode`, with the other cost
+    profile: memos are read wherever a signer, digester or the strict
+    decoder left them and none are created, and the text is assembled by
+    one ``join`` over flat chunks (see :func:`_emit`).
+    """
+
+    out: list[str] = []
+    try:
+        _emit(value, out)
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(str(exc)) from exc
+    return "".join(out).encode("ascii")
 
 
 def reference_encode(value: Any) -> bytes:

@@ -1,16 +1,21 @@
 """Length-prefixed framing of canonical codec records.
 
 A frame is ``4-byte big-endian length || payload`` where the payload is the
-:func:`repro.storage.codec.encode_record` bytes of the envelope
+canonical text (:func:`repro.storage.codec.encode_record`) of the envelope
 ``{"sender": NodeId, "message": <wire message>}``.  The destination is
 implied by the socket the frame arrives on (each node owns one server), so
 the envelope carries only what the receiver cannot infer.
 
-Decoding reuses the storage codec's strict validating round-trip: a frame
-whose payload names an unknown type, fails a constructor's validation, or
-is not canonical JSON raises — the live path inherits exactly the
-"storage never hands back an object the constructors would refuse"
-guarantee, now applied to the network.
+One serialization pass per hop.  Framing joins the fragment memos the
+sender's own signing and digesting left on the message — it walks only the
+levels above them — and unframing is the storage codec's strict positional
+decoder, which hands the receiver the spans it will hash as warm memos.  A
+payload that is not byte for byte the canonical encoding of what it decodes
+to — whitespace, reordered or duplicated keys, a lenient escape or number,
+an unknown type, a value a constructor refuses — is a :class:`FrameError`
+and the connection is dropped: bytes from a socket are hostile, and the
+live path inherits "storage never hands back an object the constructors
+would refuse" together with "no memo that is not canonical text".
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import asyncio
 import struct
 from typing import Any, Tuple
 
-from ..common.errors import TransportError
+from ..common.errors import StorageCorruptionError, TransportError
 from ..common.identifiers import NodeId
 from ..storage.codec import decode_record, encode_record
 
@@ -50,7 +55,10 @@ def encode_frame(sender: NodeId, message: Any) -> bytes:
 def decode_payload(payload: bytes) -> Tuple[NodeId, Any]:
     """Decode a frame payload back into ``(sender, message)``."""
 
-    envelope = decode_record(payload)
+    try:
+        envelope = decode_record(payload)
+    except StorageCorruptionError as exc:
+        raise FrameError(f"undecodable frame payload: {exc}") from exc
     if not isinstance(envelope, dict) or set(envelope) != {"sender", "message"}:
         raise FrameError(f"malformed frame envelope: {type(envelope).__name__}")
     sender = envelope["sender"]

@@ -66,6 +66,37 @@ class LiveTimerHandle:
         self._env._timers.discard(self)
 
 
+class _PeriodicTimer:
+    """A self-rescheduling timer that can let go of its callback.
+
+    The node that owns the callback usually keeps :meth:`stop`; once
+    stopped (by the node, or by the environment stopping) the timer forgets
+    the callback, so the two do not keep each other alive.
+    """
+
+    def __init__(
+        self,
+        env: "LiveEnvironment",
+        interval: float,
+        callback: Callable[[], None],
+        label: str,
+    ) -> None:
+        self._env = env
+        self._interval = interval
+        self._callback: Optional[Callable[[], None]] = callback
+        self._label = label
+
+    def tick(self) -> None:
+        if self._callback is None or self._env._stopped:
+            return
+        self._callback()
+        self._env.schedule(self._interval, self.tick, self._label)
+
+    def stop(self) -> None:
+        self._callback = None
+        self._env._periodic.discard(self)
+
+
 class _LiveNodeAdapter:
     """Endpoint adapter inserting the per-node FIFO inbox before handling."""
 
@@ -123,6 +154,7 @@ class LiveEnvironment:
         self._adapters: Dict[NodeId, _LiveNodeAdapter] = {}
         self._pending_timers: List[Tuple[float, Callable[[], None], LiveTimerHandle]] = []
         self._timers: set[LiveTimerHandle] = set()
+        self._periodic: set[_PeriodicTimer] = set()
         self._started = False
         self._stopped = False
 
@@ -194,6 +226,9 @@ class LiveEnvironment:
     ) -> None:
         def fire() -> None:
             self._timers.discard(handle)
+            # A fired loop handle keeps this closure, and through it the
+            # callback's node; the node usually keeps *handle*.
+            handle._loop_handle = None
             if handle.cancelled or self._stopped:
                 return
             try:
@@ -209,20 +244,10 @@ class LiveEnvironment:
     ) -> Callable[[], None]:
         if interval <= 0:
             raise SimulationError("periodic interval must be positive")
-        stopped = {"value": False}
-
-        def tick() -> None:
-            if stopped["value"] or self._stopped:
-                return
-            callback()
-            self.schedule(interval, tick, label)
-
-        self.schedule(interval, tick, label)
-
-        def stop() -> None:
-            stopped["value"] = True
-
-        return stop
+        timer = _PeriodicTimer(self, interval, callback, label)
+        self._periodic.add(timer)
+        self.schedule(interval, timer.tick, label)
+        return timer.stop
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -242,11 +267,21 @@ class LiveEnvironment:
                 self._arm(delay, callback, handle)
 
     async def stop(self) -> None:
-        """Cancel timers and workers, then tear the transport down."""
+        """Cancel timers and workers, then tear the transport down.
+
+        A stopped environment forgets its nodes: they keep pointing at it
+        (their stats, logs and indexes stay inspectable, and so do the
+        registry and the transport's counters), but nothing here points
+        back, so dropping the last outside reference frees the whole fleet
+        by reference count instead of leaving it for a cyclic collection.
+        """
 
         self._stopped = True
         for handle in tuple(self._timers):
             handle.cancel()
+        self._pending_timers.clear()
+        for timer in tuple(self._periodic):
+            timer.stop()
         workers = [
             adapter.worker
             for adapter in self._adapters.values()
@@ -260,6 +295,7 @@ class LiveEnvironment:
             except (asyncio.CancelledError, Exception):
                 pass
         await self.transport.stop()
+        self._adapters.clear()
 
     async def drain_inboxes(self, timeout_s: float = 5.0) -> bool:
         """Wait until every node inbox is empty (best-effort quiescence)."""

@@ -162,6 +162,9 @@ class AsyncioTransport:
                 except OSError:
                     pass
         self._addresses.clear()
+        # The endpoints point at the runtime that owns this transport; see
+        # LiveEnvironment.stop for why a stopped fleet must hold no cycle.
+        self._nodes.clear()
         self._started = False
         self._stopping = False
 

@@ -74,6 +74,10 @@ def _manifest_tree(manifest: Manifest) -> dict:
 
 
 def _tree_bytes(tree: dict) -> bytes:
+    """Sorted keys, no whitespace: for a tree that came from canonical text
+    (the embedded signed root) this *is* that canonical text again, which is
+    why the strict decoder takes it back in :func:`load_manifest`."""
+
     return json.dumps(tree, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 

@@ -12,7 +12,9 @@ of hanging the suite.
 from __future__ import annotations
 
 import asyncio
+import gc
 import struct
+import weakref
 
 import pytest
 
@@ -151,6 +153,40 @@ class TestLiveFleetSmoke:
                 assert phase is CommitPhase.PHASE_TWO
 
         run_async(scenario())
+
+
+class TestStoppedFleetIsFreed:
+    def test_a_stopped_fleet_is_freed_by_reference_count(self):
+        """A stopped fleet holds no reference cycle: with the cyclic
+        collector off, dropping the fleet frees the environment, the
+        transport and every node — a process that builds fleet after fleet
+        does not carry the dead ones until a full collection happens by."""
+
+        async def scenario():
+            fleet = LiveFleet(num_edges=2, num_clients=2, enable_gossip=True)
+            await fleet.start()
+            for index, client in enumerate(fleet.clients):
+                operation = client.put_batch([("free-%d" % index, b"v")])
+                await fleet.wait_for(client, operation, CommitPhase.PHASE_TWO, timeout_s=15)
+                read = client.get("free-%d" % index)
+                await fleet.wait_for(client, read, CommitPhase.PHASE_ONE, timeout_s=15)
+            await fleet.stop()
+            # Inspection after stop keeps working.
+            assert fleet.stats().phase_two_commits == 4  # two puts, two gets
+            assert fleet.edges[0].stats["blocks_formed"] >= 1
+            assert fleet.env.failures == []
+            return fleet
+
+        gc.collect()
+        gc.disable()
+        try:
+            fleet = run_async(scenario())
+            watched = [fleet.env, fleet.env.transport, fleet.cloud, *fleet.edges, *fleet.clients]
+            references = [weakref.ref(item) for item in watched]
+            del fleet, watched
+            assert [reference() for reference in references] == [None] * len(references)
+        finally:
+            gc.enable()
 
 
 class TestShardedFleetLive:

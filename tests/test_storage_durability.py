@@ -20,8 +20,12 @@ Three layers of coverage for ``repro/storage``:
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import os
 import random
+import re
+import shutil
 
 import pytest
 
@@ -278,6 +282,92 @@ class TestCodec:
         with pytest.raises(StorageCorruptionError):
             # A known type whose constructor rejects the fields.
             decode_record(b'{"__type__": "Block", "bogus": 1}')
+
+
+# ----------------------------------------------------------------------
+# A store written by the commit before the canonical text became the disk
+# format: same bytes out, and it recovers.
+# ----------------------------------------------------------------------
+_DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+_PARENT_STORE = os.path.join(_DATA_DIR, "store_written_by_parent")
+_PAGE_ID = re.compile(rb'"page_id":\d+')
+
+
+def _fixture_writer():
+    """The script that wrote the fixture (see its docstring)."""
+
+    spec = importlib.util.spec_from_file_location(
+        "make_parent_store", os.path.join(_DATA_DIR, "make_parent_store.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _files_of(directory: str) -> dict[str, bytes]:
+    found = {}
+    for root, _dirs, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as handle:
+                found[os.path.relpath(path, directory)] = handle.read()
+    return found
+
+
+class TestParentWrittenStore:
+    def test_same_inputs_write_the_same_bytes(self, tmp_path):
+        _fixture_writer().write_store(str(tmp_path))
+        ours, theirs = _files_of(str(tmp_path)), _files_of(_PARENT_STORE)
+        assert sorted(ours) == sorted(theirs) and len(ours) == 4
+        for name in ours:
+            if name.startswith(PAGES_DIR):
+                # page_id is a process-local counter inside the page file.
+                assert _PAGE_ID.sub(b"", ours[name]) == _PAGE_ID.sub(b"", theirs[name])
+                assert _PAGE_ID.search(ours[name])
+            else:
+                assert ours[name] == theirs[name], name
+
+    def test_every_stored_record_is_canonical_text(self):
+        log = SegmentLog(_PARENT_STORE, fsync="never", segment_max_bytes=1 << 20)
+        payloads = [payload for _, payload in log.replay()]
+        log.close()
+        assert len(payloads) == 7
+        for payload in payloads:
+            assert encode_record(decode_record(payload)) == payload
+
+    def test_it_recovers(self, tmp_path):
+        writer = _fixture_writer()
+        directory = str(tmp_path / "store")
+        shutil.copytree(_PARENT_STORE, directory)
+        store = PartitionStore(directory, disk_storage(tmp_path))
+        state = PartitionState(owner=writer.EDGE, config=SystemConfig(), shard_id=None)
+        report = recover_partition(state, store, writer.fixture_registry(), writer.CLOUD)
+        assert report.ok, report.quarantined
+        assert (report.blocks_replayed, report.proofs_replayed) == (4, 3)
+        assert report.root_verified and report.root_version == 1
+        assert state.level_zero_blocks == [2, 3]
+        assert state.log.next_block_id == 4
+        found = state.index.get("key-00")
+        assert found is not None and found.record.value.startswith(b"value \"")
+        for block in writer.fixture_blocks(writer.fixture_registry()):
+            assert state.log.block(block.block_id).digest() == block.digest()
+        store.close()
+
+    def test_manifest_embeds_the_signed_root_as_canonical_text(self, tmp_path):
+        # The manifest carries the signed root as a JSON subtree
+        # (json.loads of its record) and reads it back by re-serializing
+        # that subtree with sorted keys and no whitespace — which is the
+        # canonical text, so the strict decoder accepts it.
+        with open(os.path.join(_PARENT_STORE, MANIFEST_NAME), "rb") as handle:
+            tree = json.loads(handle.read())
+        subtree = json.dumps(
+            tree["signed_root"], sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+        signed_root = decode_record(subtree)
+        assert encode_record(signed_root) == subtree
+        assert load_manifest(_PARENT_STORE).signed_root == signed_root
+        writer = _fixture_writer()
+        assert signed_root.verify(writer.fixture_registry(), writer.CLOUD)
 
 
 # ----------------------------------------------------------------------
