@@ -114,18 +114,17 @@ class TestCompare:
         assert regressions[0].startswith("cert_pipeline_d8:")
 
     def test_committed_baseline_gates_every_tracked_row(self):
-        """The committed BENCH_hotpath.json's non-gating list holds the
+        """The committed BENCH_hotpath.json's non-gating list holds only the
         wall-clock open-loop put p99 (parked there by ROADMAP until a
-        capacity-relative row replaces it) and the row added this PR, the
-        frame round trip; everything that predates them gates.  Next PR:
-        graduate ``frame_roundtrip``."""
+        capacity-relative row replaces it); everything else gates, the
+        frame round trip included since it graduated."""
 
         import pathlib
 
         baseline = pathlib.Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
         non_gating = load_non_gating(str(baseline))
         results = load_results(str(baseline))
-        assert non_gating == frozenset({"live_put_p99", "frame_roundtrip"})
+        assert non_gating == frozenset({"live_put_p99"})
         assert "live_put_p99" in results and "frame_roundtrip" in results
         assert "replica_read" in results
         assert "obs_overhead" in results

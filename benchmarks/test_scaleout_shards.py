@@ -27,12 +27,12 @@ from repro.common.config import (
 )
 from repro.log.proofs import CommitPhase
 from repro.sharding import (
-    ShardedClosedLoopDriver,
     ShardedEdgeNode,
     ShardedWedgeSystem,
     TamperingHandoffEdgeNode,
 )
 from repro.sim.environment import local_environment
+from repro.workloads.driver import ClosedLoopDriver
 
 #: Fleet sizes swept by the scaling experiment.
 FLEET_SIZES = (1, 4, 16)
@@ -62,7 +62,7 @@ def _run_fleet(num_edges: int, operations_per_client: int, seed: int = 7):
     system = ShardedWedgeSystem.build(
         config=_fleet_config(num_edges), num_clients=NUM_CLIENTS, seed=seed
     )
-    driver = ShardedClosedLoopDriver(system, workload)
+    driver = ClosedLoopDriver(system, workload)
     result = driver.run(max_time_s=3600)
     assert result.all_finished
     return system, result

@@ -9,7 +9,7 @@ non-Merkle) LSM index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..common.config import SystemConfig
 from ..common.errors import ConfigurationError
@@ -33,6 +33,7 @@ from ..lsmerkle.codec import encode_put, page_from_block
 from ..log.entry import make_entry
 from ..messages.kv_messages import GetRequest
 from ..messages.log_messages import AppendBatchRequest, ReadRequest
+from ..nodes.dispatch import DispatchTable, TableDispatchNode
 from ..sim.environment import Environment
 from ..sim.parameters import SimulationParameters
 from ..sim.topology import Topology
@@ -75,8 +76,16 @@ class CloudGetResponse:
         return 48 + len(self.key) + (len(self.value) if self.value is not None else 0)
 
 
-class CloudStoreNode:
+class CloudStoreNode(TableDispatchNode):
     """The trusted cloud store serving every request directly."""
+
+    HANDLERS = DispatchTable(
+        {
+            AppendBatchRequest: "_handle_append",
+            ReadRequest: "_handle_read",
+            GetRequest: "_handle_get",
+        }
+    )
 
     def __init__(
         self,
@@ -97,14 +106,6 @@ class CloudStoreNode:
         )
         self.stats = {"blocks_formed": 0, "entries_logged": 0, "reads": 0, "gets": 0}
         env.attach(self)
-
-    def on_message(self, sender: NodeId, message: Any) -> None:
-        if isinstance(message, AppendBatchRequest):
-            self._handle_append(sender, message)
-        elif isinstance(message, ReadRequest):
-            self._handle_read(sender, message)
-        elif isinstance(message, GetRequest):
-            self._handle_get(sender, message)
 
     # ------------------------------------------------------------------
     def _handle_append(self, sender: NodeId, request: AppendBatchRequest) -> None:
@@ -194,8 +195,16 @@ class CloudStoreNode:
         )
 
 
-class CloudOnlyClient:
+class CloudOnlyClient(TableDispatchNode):
     """A client of the cloud-only baseline (no edge node, no verification)."""
+
+    HANDLERS = DispatchTable(
+        {
+            CloudWriteResponse: "_handle_write_response",
+            CloudReadResponse: "_handle_read_response",
+            CloudGetResponse: "_handle_get_response",
+        }
+    )
 
     def __init__(
         self,
@@ -281,34 +290,42 @@ class CloudOnlyClient:
         return OperationId(client=self.node_id, sequence=self._operation_seq.next())
 
     # ------------------------------------------------------------------
-    def on_message(self, sender: NodeId, message: Any) -> None:
+    def _handle_write_response(
+        self, sender: NodeId, message: CloudWriteResponse
+    ) -> None:
+        if message.operation_id not in self.tracker:
+            return
         now = self.env.now()
-        if isinstance(message, CloudWriteResponse):
-            if message.operation_id in self.tracker:
-                self.tracker.mark_phase_one(
-                    message.operation_id, now, block_id=message.block_id
-                )
-                self.tracker.mark_phase_two(message.operation_id, now)
-        elif isinstance(message, CloudReadResponse):
-            if message.operation_id in self.tracker:
-                record = self.tracker.get(message.operation_id)
-                record.details["found"] = message.found
-                if message.block is not None:
-                    record.details["num_entries"] = message.block.num_entries
-                if message.found:
-                    self.tracker.mark_phase_one(
-                        message.operation_id, now, block_id=message.block_id
-                    )
-                    self.tracker.mark_phase_two(message.operation_id, now)
-                else:
-                    self.tracker.mark_failed(message.operation_id, now, "not found")
-        elif isinstance(message, CloudGetResponse):
-            if message.operation_id in self.tracker:
-                record = self.tracker.get(message.operation_id)
-                record.details["found"] = message.found
-                record.details["value"] = message.value
-                self.tracker.mark_phase_one(message.operation_id, now)
-                self.tracker.mark_phase_two(message.operation_id, now)
+        self.tracker.mark_phase_one(
+            message.operation_id, now, block_id=message.block_id
+        )
+        self.tracker.mark_phase_two(message.operation_id, now)
+
+    def _handle_read_response(self, sender: NodeId, message: CloudReadResponse) -> None:
+        if message.operation_id not in self.tracker:
+            return
+        now = self.env.now()
+        record = self.tracker.get(message.operation_id)
+        record.details["found"] = message.found
+        if message.block is not None:
+            record.details["num_entries"] = message.block.num_entries
+        if message.found:
+            self.tracker.mark_phase_one(
+                message.operation_id, now, block_id=message.block_id
+            )
+            self.tracker.mark_phase_two(message.operation_id, now)
+        else:
+            self.tracker.mark_failed(message.operation_id, now, "not found")
+
+    def _handle_get_response(self, sender: NodeId, message: CloudGetResponse) -> None:
+        if message.operation_id not in self.tracker:
+            return
+        now = self.env.now()
+        record = self.tracker.get(message.operation_id)
+        record.details["found"] = message.found
+        record.details["value"] = message.value
+        self.tracker.mark_phase_one(message.operation_id, now)
+        self.tracker.mark_phase_two(message.operation_id, now)
 
     def value_of(self, operation_id: OperationId) -> Optional[bytes]:
         return self.tracker.get(operation_id).details.get("value")

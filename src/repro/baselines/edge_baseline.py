@@ -12,21 +12,14 @@ and the cloud-side processing sit on the critical path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
 
-from ..common.config import SystemConfig
-from ..common.errors import ConfigurationError
 from ..common.identifiers import NodeId, OperationId
-from ..core.commit import CommitTracker
+from ..core.system import WedgeChainSystem
 from ..log.block import Block, compute_block_digest
-from ..log.proofs import CommitPhase, issue_block_proof
+from ..log.proofs import issue_block_proof
 from ..messages.log_messages import AppendBatchResponse, BlockProofMessage
-from ..nodes.client import Client
 from ..nodes.cloud import CloudNode
 from ..nodes.edge import EdgeNode
-from ..sim.environment import Environment
-from ..sim.parameters import SimulationParameters
-from ..sim.topology import Topology
 
 
 @dataclass(frozen=True)
@@ -64,11 +57,9 @@ class CertifiedStateResponse(BlockProofMessage):
 class EdgeBaselineCloudNode(CloudNode):
     """A cloud node that additionally certifies full-data blocks."""
 
-    def on_message(self, sender: NodeId, message) -> None:
-        if isinstance(message, FullBlockCertifyRequest):
-            self._handle_full_certify(sender, message)
-        else:
-            super().on_message(sender, message)
+    HANDLERS = CloudNode.HANDLERS.extended(
+        {FullBlockCertifyRequest: "_handle_full_certify"}
+    )
 
     def _handle_full_certify(
         self, sender: NodeId, request: FullBlockCertifyRequest
@@ -155,100 +146,10 @@ class EdgeBaselineEdgeNode(EdgeNode):
             self.env.send(self.node_id, requester, response)
 
 
-class EdgeBaselineSystem:
-    """Deployment facade for the edge-baseline."""
+class EdgeBaselineSystem(WedgeChainSystem):
+    """Deployment facade for the edge-baseline: the WedgeChain wiring and
+    run/wait helpers over the two synchronous-certification node classes."""
 
     name = "edge-baseline"
-
-    def __init__(
-        self,
-        env: Environment,
-        config: SystemConfig,
-        cloud: EdgeBaselineCloudNode,
-        edges: Sequence[EdgeBaselineEdgeNode],
-        clients: Sequence[Client],
-    ) -> None:
-        self.env = env
-        self.config = config
-        self.cloud = cloud
-        self.edges = list(edges)
-        self.clients = list(clients)
-
-    @classmethod
-    def build(
-        cls,
-        config: Optional[SystemConfig] = None,
-        num_clients: int = 1,
-        env: Optional[Environment] = None,
-        topology: Optional[Topology] = None,
-        params: Optional[SimulationParameters] = None,
-        seed: int = 7,
-    ) -> "EdgeBaselineSystem":
-        config = config if config is not None else SystemConfig.paper_default()
-        if num_clients <= 0:
-            raise ConfigurationError("num_clients must be positive")
-        if env is None:
-            env = Environment(
-                topology=topology,
-                params=params,
-                signature_scheme=config.security.signature_scheme,
-                seed=seed,
-            )
-        cloud = EdgeBaselineCloudNode(env=env, config=config, name="cloud-0")
-        edges = [
-            EdgeBaselineEdgeNode(
-                env=env,
-                cloud=cloud.node_id,
-                config=config,
-                name=f"edge-{index}",
-                region=config.placement.edge_region,
-            )
-            for index in range(config.num_edge_nodes)
-        ]
-        clients = []
-        for index in range(num_clients):
-            edge = edges[index % len(edges)]
-            clients.append(
-                Client(
-                    env=env,
-                    edge=edge.node_id,
-                    cloud=cloud.node_id,
-                    config=config,
-                    name=f"client-{index}",
-                    region=config.placement.client_region,
-                )
-            )
-        return cls(env=env, config=config, cloud=cloud, edges=edges, clients=clients)
-
-    # ------------------------------------------------------------------
-    def client(self, index: int = 0) -> Client:
-        return self.clients[index]
-
-    def edge(self, index: int = 0) -> EdgeBaselineEdgeNode:
-        return self.edges[index]
-
-    def trackers(self) -> list[CommitTracker]:
-        return [client.tracker for client in self.clients]
-
-    def run(self, max_events: Optional[int] = None) -> int:
-        return self.env.run(max_events)
-
-    def run_for(self, duration_s: float) -> int:
-        return self.env.run_until(self.env.now() + duration_s)
-
-    def wait_for_all(
-        self,
-        operations: Iterable[tuple[Client, OperationId]],
-        phase: CommitPhase = CommitPhase.PHASE_TWO,
-        max_time_s: float = 300.0,
-    ) -> bool:
-        pairs = list(operations)
-
-        def done() -> bool:
-            for client, operation_id in pairs:
-                current = client.tracker.get(operation_id).phase
-                if current not in (CommitPhase.PHASE_TWO, CommitPhase.FAILED):
-                    return False
-            return True
-
-        return self.env.run_until_condition(done, self.env.now() + max_time_s)
+    cloud_class = EdgeBaselineCloudNode
+    edge_class = EdgeBaselineEdgeNode

@@ -4,12 +4,17 @@
 set of clients onto a shared simulated environment, and offers the small
 convenience API (issue operations, run the simulation, wait for commit
 phases, collect statistics) that the examples and the benchmark harness use.
+
+What every deployment of this shape shares is written once here and reused
+by the wall-clock :class:`repro.service.harness.LiveFleet` and the
+edge-baseline: :func:`wire_fleet` (cloud → edges → round-robin clients),
+:func:`edge_factory_for`, and the :func:`settled` wait predicate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..common.config import SystemConfig
 from ..common.errors import ConfigurationError
@@ -29,14 +34,70 @@ from .commit import CommitTracker
 EdgeFactory = Callable[[Environment, NodeId, SystemConfig, str, Region], EdgeNode]
 
 
-def _default_edge_factory(
-    env: Environment,
-    cloud: NodeId,
+def edge_factory_for(edge_class: type) -> EdgeFactory:
+    """The factory that builds plain *edge_class* nodes."""
+
+    def factory(env, cloud: NodeId, config: SystemConfig, name: str, region: Region):
+        return edge_class(env=env, cloud=cloud, config=config, name=name, region=region)
+
+    return factory
+
+
+def wire_fleet(
+    env: Any,
     config: SystemConfig,
-    name: str,
-    region: Region,
-) -> EdgeNode:
-    return EdgeNode(env=env, cloud=cloud, config=config, name=name, region=region)
+    num_clients: int,
+    edge_factory: EdgeFactory,
+    cloud_class: type = CloudNode,
+) -> tuple[CloudNode, list[EdgeNode], list[Client]]:
+    """Build one cloud, ``config.num_edge_nodes`` edges and *num_clients*
+    clients on *env* (either substrate).
+
+    Clients are placed in ``config.placement.client_region``, assigned to
+    edge nodes round-robin (each client belongs to exactly one partition,
+    Section III), and registered as the cloud's gossip targets.
+    """
+
+    cloud = cloud_class(env=env, config=config, name="cloud-0")
+    edges = [
+        edge_factory(
+            env,
+            cloud.node_id,
+            config,
+            f"edge-{index}",
+            config.placement.edge_region,
+        )
+        for index in range(config.num_edge_nodes)
+    ]
+    clients = []
+    for index in range(num_clients):
+        edge = edges[index % len(edges)]
+        client = Client(
+            env=env,
+            edge=edge.node_id,
+            cloud=cloud.node_id,
+            config=config,
+            name=f"client-{index}",
+            region=config.placement.client_region,
+        )
+        clients.append(client)
+        cloud.register_gossip_target(client.node_id)
+    return cloud, edges, clients
+
+
+_PHASE_RANK = {
+    CommitPhase.PENDING: 0,
+    CommitPhase.FAILED: 0,
+    CommitPhase.PHASE_ONE: 1,
+    CommitPhase.PHASE_TWO: 2,
+}
+
+
+def settled(client: Client, operation_id: OperationId, phase: CommitPhase) -> bool:
+    """Whether an operation reached *phase* — or failed, which is final."""
+
+    current = client.tracker.get(operation_id).phase
+    return _PHASE_RANK[current] >= _PHASE_RANK[phase] or current is CommitPhase.FAILED
 
 
 @dataclass
@@ -58,6 +119,10 @@ class SystemStats:
 
 class WedgeChainSystem:
     """A full WedgeChain deployment: cloud + edge nodes + clients."""
+
+    #: The node classes :meth:`build` wires (the edge-baseline swaps both).
+    cloud_class = CloudNode
+    edge_class = EdgeNode
 
     def __init__(
         self,
@@ -88,12 +153,7 @@ class WedgeChainSystem:
         seed: int = 7,
         enable_gossip: bool = False,
     ) -> "WedgeChainSystem":
-        """Create a deployment according to *config*.
-
-        Clients are placed in ``config.placement.client_region`` and assigned
-        to edge nodes round-robin (each client belongs to exactly one
-        partition, Section III).
-        """
+        """Create a deployment according to *config* (see :func:`wire_fleet`)."""
 
         config = config if config is not None else SystemConfig.paper_default()
         if num_clients <= 0:
@@ -105,32 +165,11 @@ class WedgeChainSystem:
                 signature_scheme=config.security.signature_scheme,
                 seed=seed,
             )
-        factory = edge_factory if edge_factory is not None else _default_edge_factory
-
-        cloud = CloudNode(env=env, config=config, name="cloud-0")
-        edges = [
-            factory(
-                env,
-                cloud.node_id,
-                config,
-                f"edge-{index}",
-                config.placement.edge_region,
-            )
-            for index in range(config.num_edge_nodes)
-        ]
-        clients = []
-        for index in range(num_clients):
-            edge = edges[index % len(edges)]
-            client = Client(
-                env=env,
-                edge=edge.node_id,
-                cloud=cloud.node_id,
-                config=config,
-                name=f"client-{index}",
-                region=config.placement.client_region,
-            )
-            clients.append(client)
-            cloud.register_gossip_target(client.node_id)
+        if edge_factory is None:
+            edge_factory = edge_factory_for(cls.edge_class)
+        cloud, edges, clients = wire_fleet(
+            env, config, num_clients, edge_factory, cls.cloud_class
+        )
         system = cls(env=env, config=config, cloud=cloud, edges=edges, clients=clients)
         if enable_gossip:
             cloud.start_gossip()
@@ -170,13 +209,9 @@ class WedgeChainSystem:
     ) -> CommitPhase:
         """Run the simulation until an operation reaches *phase* (or times out)."""
 
-        target_rank = _phase_rank(phase)
-
-        def done() -> bool:
-            current = client.tracker.get(operation_id).phase
-            return _phase_rank(current) >= target_rank or current is CommitPhase.FAILED
-
-        self.env.run_until_condition(done, self.env.now() + max_time_s)
+        self.env.run_until_condition(
+            lambda: settled(client, operation_id, phase), self.env.now() + max_time_s
+        )
         return client.tracker.get(operation_id).phase
 
     def wait_for_all(
@@ -188,18 +223,10 @@ class WedgeChainSystem:
         """Run until every listed operation reaches *phase*; returns success."""
 
         pairs = list(operations)
-        target_rank = _phase_rank(phase)
-
-        def done() -> bool:
-            for client, operation_id in pairs:
-                current = client.tracker.get(operation_id).phase
-                if current is CommitPhase.FAILED:
-                    continue
-                if _phase_rank(current) < target_rank:
-                    return False
-            return True
-
-        return self.env.run_until_condition(done, self.env.now() + max_time_s)
+        return self.env.run_until_condition(
+            lambda: all(settled(client, op, phase) for client, op in pairs),
+            self.env.now() + max_time_s,
+        )
 
     # ------------------------------------------------------------------
     # Statistics
@@ -224,13 +251,3 @@ class WedgeChainSystem:
             wan_bytes=self.env.network.stats.wan_bytes,
             lan_bytes=self.env.network.stats.lan_bytes,
         )
-
-
-def _phase_rank(phase: CommitPhase) -> int:
-    order = {
-        CommitPhase.PENDING: 0,
-        CommitPhase.FAILED: 0,
-        CommitPhase.PHASE_ONE: 1,
-        CommitPhase.PHASE_TWO: 2,
-    }
-    return order[phase]

@@ -44,10 +44,24 @@ from ..messages.log_messages import (
     ReadResponse,
 )
 from ..sim.environment import Environment
+from .dispatch import DispatchTable, TableDispatchNode
 
 
-class Client:
+class Client(TableDispatchNode):
     """One authenticated client bound to a single edge node (its partition)."""
+
+    HANDLERS = DispatchTable(
+        {
+            AppendBatchResponse: "_handle_append_response",
+            BlockProofMessage: "_handle_block_proof",
+            ReadResponse: "_handle_read_response",
+            GetResponse: "_handle_get_response",
+            GossipMessage: "_handle_gossip",
+            GossipBatchMessage: "_handle_gossip",
+            DisputeVerdict: "_handle_verdict",
+            DegradedModeNotice: "_handle_degraded_notice",
+        }
+    )
 
     def __init__(
         self,
@@ -300,23 +314,10 @@ class Client:
         return self.tracker.get(operation_id).details.get("value")
 
     # ------------------------------------------------------------------
-    # Message dispatch
+    # Message handlers (dispatched through ``HANDLERS``)
     # ------------------------------------------------------------------
-    def on_message(self, sender: NodeId, message: Any) -> None:
-        if isinstance(message, AppendBatchResponse):
-            self._handle_append_response(sender, message)
-        elif isinstance(message, BlockProofMessage):
-            self._handle_block_proof(sender, message)
-        elif isinstance(message, ReadResponse):
-            self._handle_read_response(sender, message)
-        elif isinstance(message, GetResponse):
-            self._handle_get_response(sender, message)
-        elif isinstance(message, (GossipMessage, GossipBatchMessage)):
-            self._handle_gossip(sender, message)
-        elif isinstance(message, DisputeVerdict):
-            self.verdicts.append(message)
-        elif isinstance(message, DegradedModeNotice):
-            self._handle_degraded_notice(sender, message)
+    def _handle_verdict(self, sender: NodeId, verdict: DisputeVerdict) -> None:
+        self.verdicts.append(verdict)
 
     def _handle_degraded_notice(
         self, sender: NodeId, notice: DegradedModeNotice

@@ -10,17 +10,25 @@ jobs are (Section III & IV):
 * judge disputes raised by clients and punish proven misbehaviour;
 * periodically gossip the certified log size of each edge so clients can
   detect omission attacks.
+
+``CloudNode.HANDLERS`` is the class-level
+:class:`~repro.nodes.dispatch.DispatchTable` of those four exchanges and the
+inherited ``on_message`` is the only dispatcher.  The shard-map authority of
+a sharded fleet (handoff countersigning, leases, failover, shard and 2PC
+disputes) is :class:`repro.sharding.cloud.ShardedCloudNode`, which extends
+the table with its own rows; this module knows nothing of it beyond one
+hook, :meth:`CloudNode._owns_shard`, the ownership pin merges and root
+refreshes are checked against.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..common.config import ShardingConfig, SystemConfig
+from ..common.config import SystemConfig
 from ..common.identifiers import BlockId, NodeId, ShardId, cloud_id
 from ..common.regions import Region
 from ..lsmerkle.merge import CloudIndexMirror
-from ..lsmerkle.mlsm import sign_global_root
 from ..messages.kv_messages import (
     MergeRejection,
     MergeRequest,
@@ -39,36 +47,9 @@ from ..messages.log_messages import (
     DisputeRequest,
     DisputeVerdict,
 )
-from ..messages.shard_messages import (
-    HandoffGrantStatement,
-    ReplicaLease,
-    ReplicaLeaseStatement,
-    ReplicaPromotionGrant,
-    ReplicaPromotionOffer,
-    ReplicaPromotionOrder,
-    ReplicaShipmentAck,
-    ShardDispute,
-    ShardDisputeVerdict,
-    ShardHandoffCertificate,
-    ShardHandoffGrant,
-    ShardHandoffOrder,
-    ShardHandoffRejection,
-    ShardHandoffRequest,
-    ShardInstallAck,
-    ShardMapMessage,
-    ShardQuarantineNotice,
-    WriterHeartbeat,
-)
-from ..messages.txn_messages import TxnDispute, TxnDisputeVerdict
-from ..common.errors import ConfigurationError, MergeProtocolError
+from ..common.errors import MergeProtocolError
 from ..core.certify_engine import ParallelCertifyEngine
-from ..core.dispute import (
-    PunishmentLedger,
-    judge_dispute,
-    judge_shard_dispute,
-    judge_stale_replica_dispute,
-    judge_txn_dispute,
-)
+from ..core.dispute import PunishmentLedger, judge_dispute
 from ..core.gossip import build_gossip, build_gossip_batch
 from ..log.proofs import (
     AnyBlockProof,
@@ -76,10 +57,22 @@ from ..log.proofs import (
     issue_block_proof,
 )
 from ..sim.environment import Environment
+from .dispatch import DispatchTable, TableDispatchNode
 
 
-class CloudNode:
+class CloudNode(TableDispatchNode):
     """Trusted certifier, merger, judge, and gossip source."""
+
+    HANDLERS = DispatchTable(
+        {
+            BlockCertifyRequest: "_handle_certify",
+            CertifyBatchRequest: "_handle_certify_batch",
+            CertifyWindowRequest: "_handle_certify_batch",
+            MergeRequest: "_handle_merge",
+            RootRefreshRequest: "_handle_root_refresh",
+            DisputeRequest: "_handle_dispute",
+        }
+    )
 
     def __init__(
         self,
@@ -93,11 +86,7 @@ class CloudNode:
         self.config = config if config is not None else SystemConfig.paper_default()
         self.node_id = cloud_id(name)
         self.region = region if region is not None else self.config.placement.cloud_region
-        self.obs = env.ensure_observability(self.config.observability)
-        self._metrics = (
-            self.obs.registry_for(str(self.node_id)) if self.obs is not None else None
-        )
-        self._obs_tracer = self.obs.tracer if self.obs is not None else None
+        self._attach_observability()
         self.ledger = PunishmentLedger(self.config.security.punishment_score)
         #: Crypto engine behind the batch-certify path.  The simulated
         #: message handler feeds it windows of one (the event loop is
@@ -128,48 +117,6 @@ class CloudNode:
         self._gossip_targets: list[NodeId] = []
         self._gossip_stopper = None
 
-        #: Authoritative shard map (sharded fleets only; see
-        #: :meth:`install_shard_map`).
-        self.shard_registry = None
-        #: Key → shard mapping shared with the fleet (set with the registry).
-        self._partitioner = None
-        #: Countersigned handoffs: (shard id, map version) -> certificate.
-        self._handoff_certificates: dict[
-            tuple[ShardId, int], ShardHandoffCertificate
-        ] = {}
-        #: Handoffs this cloud has ordered and not yet granted: shard -> dest.
-        #: An offer is only countersigned against a matching outstanding
-        #: order — an owning edge cannot unilaterally dump its shard onto an
-        #: arbitrary (or nonexistent) destination.
-        self._ordered_handoffs: dict[ShardId, NodeId] = {}
-        #: Grants already issued, keyed by the exact offer they answered
-        #: ``(shard id, source, dest, state digest)``.  A retransmitted
-        #: offer (its grant was lost on the WAN) is answered with the stored
-        #: grant instead of tripping the ownership check — ownership already
-        #: moved when the first grant was cut.
-        self._granted_offers: dict[
-            tuple[ShardId, NodeId, NodeId, str], ShardHandoffGrant
-        ] = {}
-        #: Install acks already counted: (dest, shard id, state digest).
-        #: Duplicate deliveries must not inflate ``shard_installs``.
-        self._install_acks_seen: set[tuple[NodeId, ShardId, str]] = set()
-        #: Replica groups: when any shard is replicated the cloud tracks
-        #: liveness (last message time per node), per-replica shipping
-        #: watermarks (the freshness record promotion picks by), the expiry
-        #: of every serving lease it issued, quarantine notices, and which
-        #: promotions are in flight (shard -> ordered destination replica).
-        self._last_seen: dict[NodeId, float] = {}
-        self._replica_acks: dict[tuple[ShardId, NodeId], int] = {}
-        self._issued_lease_expiry: dict[tuple[ShardId, NodeId], float] = {}
-        self._quarantined_shards: set[ShardId] = set()
-        self._promotions_inflight: dict[ShardId, NodeId] = {}
-        #: Promotion grants already countersigned, keyed by the exact offer
-        #: they answered (shard id, replica, state digest) — duplicate
-        #: offers are answered with the stored grant, like handoff regrants.
-        self._promotion_grants: dict[
-            tuple[ShardId, NodeId, str], ReplicaPromotionGrant
-        ] = {}
-        self._replication_stopper = None
         #: Executed merge outcomes keyed by the proposal's content
         #: fingerprint.  A duplicated (at-least-once delivered) proposal is
         #: answered with the stored response: re-executing it against the
@@ -202,16 +149,6 @@ class CloudNode:
         }
         self.stats = self._make_stats(stats_init)
         env.attach(self)
-
-    def _make_stats(self, initial: dict) -> dict:
-        """The node's stat surface: a plain dict by default, a registry-mirrored
-        :class:`~repro.obs.metrics.StatsDict` when observability is on."""
-
-        if self._metrics is None:
-            return dict(initial)
-        from ..obs.metrics import StatsDict
-
-        return StatsDict(self._metrics, initial)
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -274,15 +211,6 @@ class CloudNode:
 
     def _emit_gossip(self) -> None:
         now = self.env.now()
-        if self.shard_registry is not None and self._gossip_targets:
-            # Shard-membership gossip rides the same interval: one signed
-            # map snapshot per tick keeps every client's ownership view at
-            # most one gossip interval stale.
-            map_message = self.shard_registry.sign(self.env.registry, self.node_id, now)
-            self.stats["shard_maps_published"] += 1
-            for client in self._gossip_targets:
-                self.env.send(self.node_id, client, map_message)
-                self.stats["gossip_messages"] += 1
         if self.config.security.gossip_batch:
             if not self._certified:
                 return
@@ -307,138 +235,81 @@ class CloudNode:
                 self.env.send(self.node_id, client, message)
                 self.stats["gossip_messages"] += 1
 
-    # ------------------------------------------------------------------
-    # Message handling
-    # ------------------------------------------------------------------
-    def on_message(self, sender: NodeId, message: Any) -> None:
-        if self.shard_registry is not None:
-            # Liveness for failover detection: *any* message from a node
-            # counts as a heartbeat (appending writers certify constantly;
-            # the explicit WriterHeartbeat covers idle ones).
-            self._last_seen[sender] = self.env.now()
-        if isinstance(message, BlockCertifyRequest):
-            self._handle_certify(sender, message)
-        elif isinstance(message, (CertifyBatchRequest, CertifyWindowRequest)):
-            self._handle_certify_batch(sender, message)
-        elif isinstance(message, MergeRequest):
-            self._handle_merge(sender, message)
-        elif isinstance(message, RootRefreshRequest):
-            self._handle_root_refresh(sender, message)
-        elif isinstance(message, DisputeRequest):
-            self._handle_dispute(sender, message)
-        elif isinstance(message, ShardHandoffRequest):
-            self._handle_shard_handoff_request(sender, message)
-        elif isinstance(message, ShardInstallAck):
-            self._handle_shard_install_ack(sender, message)
-        elif isinstance(message, ReplicaPromotionOffer):
-            self._handle_promotion_offer(sender, message)
-        elif isinstance(message, ReplicaShipmentAck):
-            self._handle_replica_ack(sender, message)
-        elif isinstance(message, WriterHeartbeat):
-            self._handle_writer_heartbeat(sender, message)
-        elif isinstance(message, ShardQuarantineNotice):
-            self._handle_quarantine_notice(sender, message)
-        elif isinstance(message, ShardDispute):
-            self._handle_shard_dispute(sender, message)
-        elif isinstance(message, TxnDispute):
-            self._handle_txn_dispute(sender, message)
-        # Unknown messages are ignored (the cloud is conservative).
-
     # -------------------------------------------------------- certification
     def _handle_certify(self, sender: NodeId, request: BlockCertifyRequest) -> None:
-        tracer = self._obs_tracer
-        if tracer is None:
-            self._process_certify(sender, request)
-            return
         # Parent is the edge's certify.dispatch span (delivery sidecar).
-        with tracer.span("certify.cloud", node=str(self.node_id), blocks=1):
-            self._process_certify(sender, request)
-
-    def _process_certify(self, sender: NodeId, request: BlockCertifyRequest) -> None:
-        params = self.env.params
-        cost = params.certification_cost()
-        self.env.charge(cost)
-        self.stats["certify_cpu_seconds"] = (
-            self.stats.get("certify_cpu_seconds", 0.0) + cost
-        )
-
-        statement = request.statement
-        if statement.edge != sender or not self.env.registry.verify(
-            request.signature, statement
-        ):
-            # Unsigned or mis-attributed requests are dropped.
-            return
-
-        edge_digests = self._certified.setdefault(statement.edge, {})
-        existing = edge_digests.get(statement.block_id)
-        if existing is None:
-            edge_digests[statement.block_id] = statement.block_digest
-            proof = issue_block_proof(
-                registry=self.env.registry,
-                cloud=self.node_id,
-                edge=statement.edge,
-                block_id=statement.block_id,
-                block_digest=statement.block_digest,
-                certified_at=self.env.now(),
+        with self._span("certify.cloud", blocks=1):
+            params = self.env.params
+            cost = params.certification_cost()
+            self.env.charge(cost)
+            self.stats["certify_cpu_seconds"] = (
+                self.stats.get("certify_cpu_seconds", 0.0) + cost
             )
-            self._proofs[(statement.edge, statement.block_id)] = proof
-            self.stats["certifications"] += 1
-            self.env.send(self.node_id, sender, BlockProofMessage(proof=proof))
-        elif existing == statement.block_digest:
-            # Idempotent retry: resend the proof already issued.
-            proof = self._proofs[(statement.edge, statement.block_id)]
-            self.env.send(self.node_id, sender, BlockProofMessage(proof=proof))
-        else:
-            # Two different digests for the same block id: malicious.
-            self.stats["certify_conflicts"] += 1
-            self._punish(
-                statement.edge,
-                reason="attempted to certify two different digests for block "
-                f"{statement.block_id}",
-                block_id=statement.block_id,
-            )
-            rejection = CertifyRejection(
-                cloud=self.node_id,
-                edge=statement.edge,
-                block_id=statement.block_id,
-                existing_digest=existing,
-                offending_digest=statement.block_digest,
-                reason="conflicting digest for an already certified block id",
-            )
-            self.env.send(self.node_id, sender, rejection)
+
+            statement = request.statement
+            if statement.edge != sender or not self.env.registry.verify(
+                request.signature, statement
+            ):
+                # Unsigned or mis-attributed requests are dropped.
+                return
+
+            edge_digests = self._certified.setdefault(statement.edge, {})
+            existing = edge_digests.get(statement.block_id)
+            if existing is None:
+                edge_digests[statement.block_id] = statement.block_digest
+                proof = issue_block_proof(
+                    registry=self.env.registry,
+                    cloud=self.node_id,
+                    edge=statement.edge,
+                    block_id=statement.block_id,
+                    block_digest=statement.block_digest,
+                    certified_at=self.env.now(),
+                )
+                self._proofs[(statement.edge, statement.block_id)] = proof
+                self.stats["certifications"] += 1
+                self.env.send(self.node_id, sender, BlockProofMessage(proof=proof))
+            elif existing == statement.block_digest:
+                # Idempotent retry: resend the proof already issued.
+                proof = self._proofs[(statement.edge, statement.block_id)]
+                self.env.send(self.node_id, sender, BlockProofMessage(proof=proof))
+            else:
+                # Two different digests for the same block id: malicious.
+                self.stats["certify_conflicts"] += 1
+                self._punish(
+                    statement.edge,
+                    reason="attempted to certify two different digests for block "
+                    f"{statement.block_id}",
+                    block_id=statement.block_id,
+                )
+                rejection = CertifyRejection(
+                    cloud=self.node_id,
+                    edge=statement.edge,
+                    block_id=statement.block_id,
+                    existing_digest=existing,
+                    offending_digest=statement.block_digest,
+                    reason="conflicting digest for an already certified block id",
+                )
+                self.env.send(self.node_id, sender, rejection)
 
     def _handle_certify_batch(
-        self, sender: NodeId, request: "CertifyBatchRequest | CertifyWindowRequest"
-    ) -> None:
-        tracer = self._obs_tracer
-        if tracer is None:
-            self._process_certify_batch(sender, request)
-            return
-        if isinstance(request, CertifyWindowRequest):
-            num_blocks = request.num_blocks
-        else:
-            num_blocks = len(request.statement.items)
-        with tracer.span("certify.cloud", node=str(self.node_id), blocks=num_blocks):
-            self._process_certify_batch(sender, request)
-
-    def _process_certify_batch(
         self, sender: NodeId, request: "CertifyBatchRequest | CertifyWindowRequest"
     ) -> None:
         params = self.env.params
         if isinstance(request, CertifyWindowRequest):
             # One envelope signature to verify, but one certificate to sign
             # per inner batch: charge every signature the window costs.
-            cost = params.window_certification_cost(
-                len(request.batches), request.num_blocks
-            )
+            num_blocks = request.num_blocks
+            cost = params.window_certification_cost(len(request.batches), num_blocks)
         else:
-            cost = params.batch_certification_cost(len(request.statement.items))
-        self.env.charge(cost)
-        self.stats["certify_cpu_seconds"] = (
-            self.stats.get("certify_cpu_seconds", 0.0) + cost
-        )
-        for target, message in self.certify_batch_window(((sender, request),)):
-            self.env.send(self.node_id, target, message)
+            num_blocks = len(request.statement.items)
+            cost = params.batch_certification_cost(num_blocks)
+        with self._span("certify.cloud", blocks=num_blocks):
+            self.env.charge(cost)
+            self.stats["certify_cpu_seconds"] = (
+                self.stats.get("certify_cpu_seconds", 0.0) + cost
+            )
+            for target, message in self.certify_batch_window(((sender, request),)):
+                self.env.send(self.node_id, target, message)
 
     def certify_batch_window(
         self,
@@ -559,37 +430,33 @@ class CloudNode:
         return responses
 
     # ---------------------------------------------------------------- merges
+    def _owns_shard(self, edge: NodeId, shard_id: Optional[ShardId]) -> bool:
+        """Whether *edge* may merge into and refresh roots of *shard_id*.
+
+        Always true here: the paper's cloud knows no shard map.  The sharded
+        fleet's cloud pins both to the shard's current owner.
+        """
+
+        return True
+
     def _handle_merge(self, sender: NodeId, request: MergeRequest) -> None:
-        tracer = self._obs_tracer
-        if tracer is None:
-            self._process_merge(sender, request)
-            return
         # Parent is the edge's merge.propose span (delivery sidecar).
-        with tracer.span(
-            "merge.cloud",
-            node=str(self.node_id),
-            level=request.proposal.level_index,
-        ):
-            self._process_merge(sender, request)
+        with self._span("merge.cloud", level=request.proposal.level_index):
+            params = self.env.params
+            proposal = request.proposal
+            records_in = sum(block.num_entries for block in proposal.source_blocks)
+            records_in += sum(page.num_records for page in proposal.source_pages)
+            records_in += sum(page.num_records for page in proposal.target_pages)
+            self.env.charge(
+                params.request_overhead_seconds
+                + params.verify_seconds
+                + params.merge_seconds_per_entry * records_in
+                + params.sign_seconds
+            )
 
-    def _process_merge(self, sender: NodeId, request: MergeRequest) -> None:
-        params = self.env.params
-        proposal = request.proposal
-        records_in = sum(block.num_entries for block in proposal.source_blocks)
-        records_in += sum(page.num_records for page in proposal.source_pages)
-        records_in += sum(page.num_records for page in proposal.target_pages)
-        self.env.charge(
-            params.request_overhead_seconds
-            + params.verify_seconds
-            + params.merge_seconds_per_entry * records_in
-            + params.sign_seconds
-        )
-
-        if proposal.edge != sender:
-            return
-        if proposal.shard_id is not None and self.shard_registry is not None:
-            owner = self.shard_registry.owner_of(proposal.shard_id)
-            if owner != proposal.edge:
+            if proposal.edge != sender:
+                return
+            if not self._owns_shard(proposal.edge, proposal.shard_id):
                 self.stats["merge_rejections"] += 1
                 self.env.send(
                     self.node_id,
@@ -603,63 +470,65 @@ class CloudNode:
                     ),
                 )
                 return
-        fingerprint = (
-            proposal.edge,
-            proposal.shard_id,
-            proposal.level_index,
-            tuple((block.block_id, block.digest()) for block in proposal.source_blocks),
-            tuple(page.digest() for page in proposal.source_pages),
-            tuple(page.digest() for page in proposal.target_pages),
-        )
-        answered = self._merge_responses.get(fingerprint)
-        if answered is not None:
-            self.stats.setdefault("merge_duplicate_requests", 0)
-            self.stats["merge_duplicate_requests"] += 1
-            self.env.send(self.node_id, sender, answered)
-            return
-        mirror = self.mirror_for(proposal.edge, proposal.shard_id)
-        certified = self._certified.get(proposal.edge, {})
-        try:
-            outcome = mirror.execute_merge(
-                proposal=proposal,
-                certified_digests=certified,
-                registry=self.env.registry,
-                cloud=self.node_id,
-                now=self.env.now(),
-            )
-        except MergeProtocolError as exc:
-            self.stats["merge_rejections"] += 1
-            self._punish(
+            fingerprint = (
                 proposal.edge,
-                reason=f"invalid merge proposal: {exc}",
-                block_id=None,
-            )
-            self.env.send(
-                self.node_id,
-                sender,
-                MergeRejection(
-                    cloud=self.node_id,
-                    edge=proposal.edge,
-                    level_index=proposal.level_index,
-                    reason=str(exc),
-                    shard_id=proposal.shard_id,
+                proposal.shard_id,
+                proposal.level_index,
+                tuple(
+                    (block.block_id, block.digest())
+                    for block in proposal.source_blocks
                 ),
+                tuple(page.digest() for page in proposal.source_pages),
+                tuple(page.digest() for page in proposal.target_pages),
             )
-            return
-        self.stats["merges"] += 1
-        response = MergeResponse(cloud=self.node_id, outcome=outcome)
-        self._merge_responses[fingerprint] = response
-        self.env.send(self.node_id, sender, response)
+            answered = self._merge_responses.get(fingerprint)
+            if answered is not None:
+                self.stats.setdefault("merge_duplicate_requests", 0)
+                self.stats["merge_duplicate_requests"] += 1
+                self.env.send(self.node_id, sender, answered)
+                return
+            mirror = self.mirror_for(proposal.edge, proposal.shard_id)
+            certified = self._certified.get(proposal.edge, {})
+            try:
+                outcome = mirror.execute_merge(
+                    proposal=proposal,
+                    certified_digests=certified,
+                    registry=self.env.registry,
+                    cloud=self.node_id,
+                    now=self.env.now(),
+                )
+            except MergeProtocolError as exc:
+                self.stats["merge_rejections"] += 1
+                self._punish(
+                    proposal.edge,
+                    reason=f"invalid merge proposal: {exc}",
+                    block_id=None,
+                )
+                self.env.send(
+                    self.node_id,
+                    sender,
+                    MergeRejection(
+                        cloud=self.node_id,
+                        edge=proposal.edge,
+                        level_index=proposal.level_index,
+                        reason=str(exc),
+                        shard_id=proposal.shard_id,
+                    ),
+                )
+                return
+            self.stats["merges"] += 1
+            response = MergeResponse(cloud=self.node_id, outcome=outcome)
+            self._merge_responses[fingerprint] = response
+            self.env.send(self.node_id, sender, response)
 
     def _handle_root_refresh(self, sender: NodeId, request: RootRefreshRequest) -> None:
         if request.edge != sender:
             return
-        if request.shard_id is not None and self.shard_registry is not None:
+        if not self._owns_shard(request.edge, request.shard_id):
             # Same ownership pin as merges: a former owner must not obtain
             # fresh-timestamped (empty-mirror) roots it could use to serve
             # verifiable absence proofs for a shard it handed off.
-            if self.shard_registry.owner_of(request.shard_id) != request.edge:
-                return
+            return
         self.env.charge(self.env.params.sign_seconds)
         mirror = self.mirror_for(request.edge, request.shard_id)
         signed_root = mirror.sign_current_root(
@@ -708,728 +577,6 @@ class CloudNode:
             proof=self.proof_for(dispute.edge, dispute.block_id),
         )
         self.env.send(self.node_id, sender, verdict)
-
-    # ------------------------------------------------------------------
-    # Shard fleet management (repro.sharding)
-    # ------------------------------------------------------------------
-    def install_shard_map(
-        self,
-        num_shards: int,
-        partitioner_name: str,
-        assignments: dict[ShardId, NodeId],
-        key_space: Optional[int] = None,
-        replicas: Optional[dict[ShardId, tuple[NodeId, ...]]] = None,
-    ) -> ShardMapMessage:
-        """Become the shard-map authority for a fleet; returns the signed map.
-
-        Called once at fleet construction.  Subsequent ownership changes go
-        through the certified handoff protocol, which bumps the map version
-        and republishes.  ``replicas`` names each shard's read replicas
-        (``replication_factor > 1`` fleets); any replicated shard starts the
-        cloud's lease/failover tick.
-        """
-
-        from ..sharding.partitioner import make_partitioner
-        from ..sharding.shard_map import ShardRegistry
-
-        if self.shard_registry is not None:
-            raise ConfigurationError("shard map already installed")
-        now = self.env.now()
-        self.shard_registry = ShardRegistry(
-            num_shards=num_shards,
-            partitioner=partitioner_name,
-            assignments=assignments,
-            now=now,
-            replicas=replicas,
-        )
-        if key_space is not None:
-            self._partitioner = make_partitioner(
-                partitioner_name, num_shards, key_space=key_space
-            )
-        else:
-            self._partitioner = make_partitioner(partitioner_name, num_shards)
-        self.stats["shard_maps_published"] += 1
-        self._start_replication()
-        return self.shard_registry.sign(self.env.registry, self.node_id, now)
-
-    def current_shard_map(self) -> ShardMapMessage:
-        """The current map as a cloud-signed snapshot."""
-
-        if self.shard_registry is None:
-            raise ConfigurationError("no shard map installed")
-        return self.shard_registry.sign(
-            self.env.registry, self.node_id, self.env.now()
-        )
-
-    def request_shard_handoff(self, shard_id: ShardId, dest: NodeId) -> None:
-        """Order the current owner to migrate *shard_id* to *dest*."""
-
-        if self.shard_registry is None:
-            raise ConfigurationError("no shard map installed")
-        source = self.shard_registry.owner_of(shard_id)
-        if source is None:
-            raise ConfigurationError(f"shard {shard_id} has no owner")
-        if source == dest:
-            return
-        self._ordered_handoffs[shard_id] = dest
-        self.stats["shard_handoffs_ordered"] += 1
-        self.env.send(
-            self.node_id,
-            source,
-            ShardHandoffOrder(
-                cloud=self.node_id, shard_id=shard_id, source=source, dest=dest
-            ),
-        )
-
-    def _reject_handoff(self, sender: NodeId, request: ShardHandoffRequest, reason: str) -> None:
-        self.stats["shard_handoffs_rejected"] += 1
-        self.env.send(
-            self.node_id,
-            sender,
-            ShardHandoffRejection(
-                cloud=self.node_id,
-                edge=request.edge,
-                shard_id=request.shard_id,
-                reason=reason,
-            ),
-        )
-
-    def _handle_shard_handoff_request(
-        self, sender: NodeId, request: ShardHandoffRequest
-    ) -> None:
-        """Verify a handoff offer against certified state and countersign it.
-
-        The offer is data-free (digests only): each listed block must match
-        the digest this cloud certified for the source edge, and the state
-        digest must match what the cloud recomputes from its own digest
-        mirror of the shard's index.  The cloud cannot verify *completeness*
-        of the listed prefix (it does not know which certified blocks carry
-        which shard's keys) — an omitted block surfaces later exactly like
-        any other omission, through gossip-backed client disputes.
-        """
-
-        from ..sharding.handoff import shard_state_digest
-
-        params = self.env.params
-        statement = request.statement
-        self.env.charge(params.handoff_countersign_cost(len(statement.blocks)))
-        if self.shard_registry is None:
-            return
-        if statement.edge != sender or not self.env.registry.verify(
-            request.signature, statement
-        ):
-            return
-        shard_id = statement.shard_id
-        granted = self._granted_offers.get(
-            (shard_id, statement.edge, statement.dest, statement.state_digest)
-        )
-        if granted is not None:
-            # The offer was already countersigned and the grant (or its
-            # delivery) was lost: ownership has moved, so falling through
-            # to the ownership check would misread this retransmission as a
-            # stale owner's offer.  Re-send the stored grant verbatim — the
-            # source absorbs duplicate grants idempotently.
-            self.stats.setdefault("shard_handoff_regrants", 0)
-            self.stats["shard_handoff_regrants"] += 1
-            self.env.send(self.node_id, sender, granted)
-            return
-        if self.shard_registry.owner_of(shard_id) != statement.edge:
-            self._reject_handoff(sender, request, "offering edge does not own the shard")
-            return
-        if self._ordered_handoffs.get(shard_id) != statement.dest:
-            self._reject_handoff(
-                sender,
-                request,
-                "no outstanding handoff order for this shard and destination",
-            )
-            return
-
-        certified = self._certified.get(statement.edge, {})
-        for block_id, digest in statement.blocks:
-            existing = certified.get(block_id)
-            if existing is None:
-                self._reject_handoff(
-                    sender, request, f"block {block_id} was never certified"
-                )
-                return
-            if existing != digest:
-                # The source signed a digest that contradicts what it had
-                # certified: a provable lie, punished directly.
-                self._punish(
-                    statement.edge,
-                    reason="handoff offer lists a digest that differs from the "
-                    f"certified one for block {block_id}",
-                    block_id=block_id,
-                )
-                self._reject_handoff(sender, request, "digest mismatch in offer")
-                return
-
-        mirror = self.mirror_for(statement.edge, shard_id)
-        expected_digest = shard_state_digest(
-            shard_id, mirror.level_roots(), statement.blocks
-        )
-        if expected_digest != statement.state_digest:
-            self._punish(
-                statement.edge,
-                reason="handoff offer's state digest differs from the cloud's "
-                f"mirror of shard {shard_id}",
-                block_id=None,
-            )
-            self._reject_handoff(sender, request, "state digest mismatch")
-            return
-
-        # Reassign ownership and move the mirror to the destination edge.
-        now = self.env.now()
-        dest = statement.dest
-        new_version = self.shard_registry.reassign(shard_id, dest, now)
-        # The destination's mirror adopts the page digests but NOT the
-        # source's merged_block_ids: block ids are per-edge, so the source's
-        # consumed ids would collide with the destination's own future
-        # blocks and permanently reject its level-0 merges.  Replay of the
-        # source's blocks into a destination merge is impossible anyway —
-        # they are certified under the source's name, not the destination's.
-        dest_mirror = CloudIndexMirror(
-            edge=dest,
-            config=self.config.lsmerkle,
-            page_capacity=self.config.logging.block_size,
-            level_page_digests=[list(level) for level in mirror.level_page_digests],
-            version=mirror.version + 1,
-        )
-        self._mirrors[(dest, shard_id)] = dest_mirror
-        self._mirrors.pop((statement.edge, shard_id), None)
-        signed_root = sign_global_root(
-            registry=self.env.registry,
-            cloud=self.node_id,
-            edge=dest,
-            level_roots=dest_mirror.level_roots(),
-            version=dest_mirror.version,
-            timestamp=now,
-        )
-
-        grant_statement = HandoffGrantStatement(
-            cloud=self.node_id,
-            source=statement.edge,
-            dest=dest,
-            shard_id=shard_id,
-            map_version=new_version,
-            state_digest=statement.state_digest,
-            num_blocks=len(statement.blocks),
-            issued_at=now,
-        )
-        certificate = ShardHandoffCertificate(
-            statement=grant_statement,
-            signature=self.env.registry.sign(self.node_id, grant_statement),
-        )
-        self._handoff_certificates[(shard_id, new_version)] = certificate
-
-        self._ordered_handoffs.pop(shard_id, None)
-        map_message = self.shard_registry.sign(self.env.registry, self.node_id, now)
-        self.stats["shard_handoffs_granted"] += 1
-        self.stats["shard_maps_published"] += 1
-        grant = ShardHandoffGrant(
-            certificate=certificate,
-            shard_map=map_message,
-            signed_root=signed_root,
-        )
-        self._granted_offers[
-            (shard_id, statement.edge, dest, statement.state_digest)
-        ] = grant
-        self.env.send(self.node_id, sender, grant)
-        # Mid-interval membership change: push the new map immediately to
-        # the destination and to every gossip target instead of waiting for
-        # the next gossip tick.
-        self.env.send(self.node_id, dest, map_message)
-        for client in self._gossip_targets:
-            self.env.send(self.node_id, client, map_message)
-            self.stats["gossip_messages"] += 1
-
-    def handoff_certificate(
-        self, shard_id: ShardId, map_version: int
-    ) -> Optional[ShardHandoffCertificate]:
-        return self._handoff_certificates.get((shard_id, map_version))
-
-    def _handle_shard_install_ack(self, sender: NodeId, ack: ShardInstallAck) -> None:
-        if ack.dest != sender:
-            return
-        key = (sender, ack.shard_id, ack.state_digest)
-        if key in self._install_acks_seen:
-            # Duplicate delivery (the destination re-acks retransmitted
-            # transfers): counting it again would inflate the install stat.
-            self.stats.setdefault("shard_install_ack_duplicates", 0)
-            self.stats["shard_install_ack_duplicates"] += 1
-            return
-        self._install_acks_seen.add(key)
-        self.stats["shard_installs"] += 1
-
-    # ------------------------------------------------------------------
-    # Replica groups: leases, liveness, and certified failover
-    # ------------------------------------------------------------------
-    def _sharding_config(self) -> ShardingConfig:
-        return (
-            self.config.sharding
-            if self.config.sharding is not None
-            else ShardingConfig()
-        )
-
-    def add_replica(self, shard_id: ShardId, replica: NodeId) -> ShardMapMessage:
-        """Bootstrap *replica* as a read replica of *shard_id*.
-
-        Data-free like every membership change: the new member installs
-        state only from the writer's certified shipments (its first ack is
-        the ``-1`` watermark, which requests the full certified prefix).
-        Returns the republished signed map.
-        """
-
-        if self.shard_registry is None:
-            raise ConfigurationError("no shard map installed")
-        owner = self.shard_registry.owner_of(shard_id)
-        if owner is None:
-            raise ConfigurationError(f"shard {shard_id} has no owner")
-        if replica == owner:
-            raise ConfigurationError("a shard's writer cannot be its replica")
-        current = self.shard_registry.replicas_of(shard_id)
-        if replica in current:
-            return self.current_shard_map()
-        now = self.env.now()
-        self.shard_registry.set_replicas(shard_id, current + (replica,), now)
-        map_message = self.shard_registry.sign(self.env.registry, self.node_id, now)
-        self.stats["shard_maps_published"] += 1
-        self.env.send(self.node_id, owner, map_message)
-        self.env.send(self.node_id, replica, map_message)
-        for client in self._gossip_targets:
-            self.env.send(self.node_id, client, map_message)
-            self.stats["gossip_messages"] += 1
-        self._start_replication()
-        return map_message
-
-    def _start_replication(self) -> None:
-        """Start the lease/failover tick once any shard is replicated.
-
-        Idempotent, and a no-op for ``replication_factor=1`` fleets: the
-        unreplicated deployment runs byte-identically to the historical
-        one.  The tick runs at the gossip interval but never slower than
-        half the lease duration, so honest leases are renewed before they
-        lapse; an immediate first tick issues the fleet's initial leases.
-        """
-
-        if self._replication_stopper is not None:
-            return
-        if self.shard_registry is None or not self.shard_registry.replicated_shards():
-            return
-        interval = min(
-            self.config.security.gossip_interval_s,
-            self._sharding_config().replica_lease_s / 2.0,
-        )
-        self._replication_stopper = self.env.schedule_periodic(
-            interval, self._replication_tick, "cloud-replication"
-        )
-        self.env.schedule(0.0, self._replication_tick, "cloud-replication-start")
-
-    def _replication_tick(self) -> None:
-        """Renew serving leases and detect lost writers.
-
-        A writer is *suspect* when its shard was quarantined by durable
-        recovery or when it has been silent past ``failover_timeout_s``.
-        Suspicion withholds the writer's lease renewal; promotion of the
-        freshest replica starts only once the writer's last issued lease
-        has expired (immediately for quarantine — a quarantined partition
-        refuses all service, so no two-writers window is possible).
-        """
-
-        registry = self.shard_registry
-        if registry is None:
-            return
-        now = self.env.now()
-        cfg = self._sharding_config()
-        for shard_id in registry.replicated_shards():
-            writer = registry.owner_of(shard_id)
-            replicas = registry.replicas_of(shard_id)
-            if writer is None or not replicas:
-                continue
-            inflight = self._promotions_inflight.get(shard_id)
-            quarantined = shard_id in self._quarantined_shards
-            last = self._last_seen.setdefault(writer, now)
-            suspect = (
-                inflight is not None
-                or quarantined
-                or now - last > cfg.failover_timeout_s
-            )
-            for node in (writer, *replicas):
-                if node == writer and suspect:
-                    continue
-                self._issue_lease(shard_id, node, now, cfg.replica_lease_s)
-            if inflight is not None:
-                # The order (or the offer/grant behind it) may have been
-                # lost: re-order every tick.  Offers are idempotent and a
-                # duplicate offer is answered with the stored grant.
-                self._send_promotion_order(shard_id, writer, inflight)
-                continue
-            if not suspect:
-                continue
-            if not quarantined and now < self._issued_lease_expiry.get(
-                (shard_id, writer), 0.0
-            ):
-                continue
-            dest = min(
-                replicas,
-                key=lambda replica: (
-                    -self._replica_acks.get((shard_id, replica), -1),
-                    str(replica),
-                ),
-            )
-            self._promotions_inflight[shard_id] = dest
-            self.stats["shard_failovers_started"] += 1
-            tracer = self._obs_tracer
-            if tracer is None:
-                self._send_promotion_order(shard_id, writer, dest)
-                continue
-            with tracer.span(
-                "failover.detect",
-                node=str(self.node_id),
-                shard=str(shard_id),
-                writer=str(writer),
-            ):
-                self._send_promotion_order(shard_id, writer, dest)
-
-    def _issue_lease(
-        self, shard_id: ShardId, node: NodeId, now: float, lease_s: float
-    ) -> None:
-        self.env.charge(self.env.params.sign_seconds)
-        statement = ReplicaLeaseStatement(
-            cloud=self.node_id,
-            replica=node,
-            shard_id=shard_id,
-            map_version=self.shard_registry.version,
-            issued_at=now,
-            expires_at=now + lease_s,
-        )
-        lease = ReplicaLease(
-            statement=statement,
-            signature=self.env.registry.sign(self.node_id, statement),
-        )
-        self._issued_lease_expiry[(shard_id, node)] = statement.expires_at
-        self.stats["replica_leases_issued"] += 1
-        self.env.send(self.node_id, node, lease)
-
-    def _send_promotion_order(
-        self, shard_id: ShardId, source: NodeId, dest: NodeId
-    ) -> None:
-        self.env.charge(self.env.params.request_overhead_seconds)
-        self.env.send(
-            self.node_id,
-            dest,
-            ReplicaPromotionOrder(
-                cloud=self.node_id, shard_id=shard_id, source=source, dest=dest
-            ),
-        )
-
-    def _handle_writer_heartbeat(
-        self, sender: NodeId, heartbeat: WriterHeartbeat
-    ) -> None:
-        # Liveness was already recorded in on_message; the heartbeat exists
-        # so an idle (not-certifying) writer still counts as alive.
-        del heartbeat
-
-    def _handle_replica_ack(self, sender: NodeId, ack: ReplicaShipmentAck) -> None:
-        if ack.replica != sender or self.shard_registry is None:
-            return
-        if sender not in self.shard_registry.replicas_of(ack.shard_id):
-            return
-        # Last ack wins (not max): a restarted mirror reports ``-1`` until
-        # the full certified prefix is re-shipped.
-        self._replica_acks[(ack.shard_id, sender)] = ack.watermark
-
-    def _handle_quarantine_notice(
-        self, sender: NodeId, notice: ShardQuarantineNotice
-    ) -> None:
-        if notice.edge != sender or self.shard_registry is None:
-            return
-        if self.shard_registry.owner_of(notice.shard_id) != sender:
-            return
-        if not self.shard_registry.replicas_of(notice.shard_id):
-            return  # unreplicated quarantine stays the PR 7 dead-end
-        self._quarantined_shards.add(notice.shard_id)
-        self.stats["shard_quarantine_notices"] += 1
-
-    def _reject_promotion_offer(
-        self, sender: NodeId, offer: ReplicaPromotionOffer, reason: str
-    ) -> None:
-        self.stats["promotion_offers_rejected"] += 1
-        self.env.send(
-            self.node_id,
-            sender,
-            ShardHandoffRejection(
-                cloud=self.node_id,
-                edge=offer.edge,
-                shard_id=offer.shard_id,
-                reason=reason,
-            ),
-        )
-
-    def _handle_promotion_offer(
-        self, sender: NodeId, offer: ReplicaPromotionOffer
-    ) -> None:
-        tracer = self._obs_tracer
-        if tracer is None:
-            self._process_promotion_offer(sender, offer)
-            return
-        with tracer.span(
-            "failover.grant", node=str(self.node_id), shard=str(offer.shard_id)
-        ):
-            self._process_promotion_offer(sender, offer)
-
-    def _process_promotion_offer(
-        self, sender: NodeId, offer: ReplicaPromotionOffer
-    ) -> None:
-        """Verify a promotion offer against certified state and countersign.
-
-        Like a handoff offer the promotion offer is data-free: every listed
-        block must match a digest this cloud certified for the deposed
-        writer (or a provenance writer before it), and the level pages must
-        hash to the level roots of a root this cloud itself signed.  The
-        promoted state is therefore never newer than what certification
-        already vouches for — the only possible loss is the deposed
-        writer's uncertified backlog, which it could repudiate anyway.
-        """
-
-        from ..sharding.handoff import shard_state_digest
-
-        statement = offer.statement
-        self.env.charge(self.env.params.handoff_countersign_cost(len(statement.blocks)))
-        if self.shard_registry is None:
-            return
-        if statement.edge != sender or statement.dest != sender:
-            return
-        if not self.env.registry.verify(offer.signature, statement):
-            return
-        shard_id = statement.shard_id
-        stored = self._promotion_grants.get(
-            (shard_id, sender, statement.state_digest)
-        )
-        if stored is not None:
-            self.stats.setdefault("replica_promotion_regrants", 0)
-            self.stats["replica_promotion_regrants"] += 1
-            self.env.send(self.node_id, sender, stored)
-            return
-        if self._promotions_inflight.get(shard_id) != sender:
-            self._reject_promotion_offer(
-                sender, offer, "no outstanding promotion order for this replica"
-            )
-            return
-        source = self.shard_registry.owner_of(shard_id)
-        allowed = {source, *self.shard_registry.provenance_of(shard_id)}
-        for block_id, digest in statement.blocks:
-            if not any(
-                self._certified.get(writer, {}).get(block_id) == digest
-                for writer in allowed
-            ):
-                # An honest replica only installs blocks that carry this
-                # cloud's certificates, so a non-certified digest in its
-                # signed offer is a provable lie.
-                self._punish(
-                    sender,
-                    reason="promotion offer lists a digest that was never "
-                    f"certified for block {block_id} of shard {shard_id}",
-                    block_id=block_id,
-                )
-                self._reject_promotion_offer(sender, offer, "uncertified block in offer")
-                return
-
-        rebuilt = CloudIndexMirror(
-            edge=sender,
-            config=self.config.lsmerkle,
-            page_capacity=self.config.logging.block_size,
-        )
-        for level_index, digests in offer.level_page_digests:
-            if not 1 <= level_index < len(rebuilt.level_page_digests):
-                self._reject_promotion_offer(sender, offer, "level index out of range")
-                return
-            rebuilt.level_page_digests[level_index] = list(digests)
-        signed_root = offer.signed_root
-        if signed_root is None:
-            if offer.level_page_digests:
-                self._reject_promotion_offer(
-                    sender, offer, "level pages presented without a signed root"
-                )
-                return
-            base_version = 0
-        else:
-            if not signed_root.verify(
-                self.env.registry, self.node_id
-            ) or signed_root.statement.edge not in allowed:
-                self._reject_promotion_offer(sender, offer, "signed root invalid")
-                return
-            if tuple(signed_root.statement.level_roots) != rebuilt.level_roots():
-                self._reject_promotion_offer(
-                    sender, offer, "level pages do not match the signed root"
-                )
-                return
-            base_version = signed_root.statement.version
-        expected_digest = shard_state_digest(
-            shard_id, rebuilt.level_roots(), statement.blocks
-        )
-        if expected_digest != statement.state_digest:
-            self._punish(
-                sender,
-                reason="promotion offer's state digest differs from the one "
-                f"recomputed from its own evidence for shard {shard_id}",
-                block_id=None,
-            )
-            self._reject_promotion_offer(sender, offer, "state digest mismatch")
-            return
-
-        # Promote: deposed writer joins the provenance chain, the replica
-        # leaves the replica set and takes ownership, the shard's mirror is
-        # re-keyed to the new writer, and the root is re-signed in its name.
-        now = self.env.now()
-        rebuilt.version = base_version + 1
-        new_version = self.shard_registry.promote_replica(shard_id, sender, now)
-        self._mirrors[(sender, shard_id)] = rebuilt
-        self._mirrors.pop((source, shard_id), None)
-        new_root = None
-        if signed_root is not None:
-            new_root = sign_global_root(
-                registry=self.env.registry,
-                cloud=self.node_id,
-                edge=sender,
-                level_roots=rebuilt.level_roots(),
-                version=rebuilt.version,
-                timestamp=now,
-            )
-        grant_statement = HandoffGrantStatement(
-            cloud=self.node_id,
-            source=source,
-            dest=sender,
-            shard_id=shard_id,
-            map_version=new_version,
-            state_digest=statement.state_digest,
-            num_blocks=len(statement.blocks),
-            issued_at=now,
-        )
-        certificate = ShardHandoffCertificate(
-            statement=grant_statement,
-            signature=self.env.registry.sign(self.node_id, grant_statement),
-        )
-        self._handoff_certificates[(shard_id, new_version)] = certificate
-        map_message = self.shard_registry.sign(self.env.registry, self.node_id, now)
-        grant = ReplicaPromotionGrant(
-            certificate=certificate, shard_map=map_message, signed_root=new_root
-        )
-        self._promotion_grants[(shard_id, sender, statement.state_digest)] = grant
-        self._promotions_inflight.pop(shard_id, None)
-        self._quarantined_shards.discard(shard_id)
-        self._replica_acks.pop((shard_id, sender), None)
-        self.stats["replica_promotions"] += 1
-        self.stats["shard_maps_published"] += 1
-        self.env.send(self.node_id, sender, grant)
-        # The promoted writer serves immediately under a fresh lease (the
-        # shard may still have surviving replicas keeping the gate on).
-        if self.shard_registry.replicas_of(shard_id):
-            self._issue_lease(
-                shard_id, sender, now, self._sharding_config().replica_lease_s
-            )
-        # Mid-interval membership change: push the new map to the whole
-        # fleet (the deposed writer's send simply fails while it is down —
-        # it catches up from gossip or retirement when it returns).
-        recipients = set(self.shard_registry.assignments().values())
-        for other in self.shard_registry.replicated_shards():
-            recipients.update(self.shard_registry.replicas_of(other))
-        recipients.add(source)
-        recipients.discard(sender)
-        for node in sorted(recipients, key=str):
-            self.env.send(self.node_id, node, map_message)
-        for client in self._gossip_targets:
-            self.env.send(self.node_id, client, map_message)
-            self.stats["gossip_messages"] += 1
-
-    def _handle_shard_dispute(self, sender: NodeId, dispute: ShardDispute) -> None:
-        params = self.env.params
-        self.env.charge(params.request_overhead_seconds + 2 * params.verify_seconds)
-        self.stats["shard_disputes"] += 1
-        if self.shard_registry is None or dispute.reporter != sender:
-            return
-
-        if dispute.kind == "stale-replica-serve":
-            judgement = judge_stale_replica_dispute(
-                dispute=dispute,
-                registry=self.env.registry,
-                owner_at=self.shard_registry.owner_at,
-                cloud=self.node_id,
-                shard_of=self._partitioner.shard_of if self._partitioner else None,
-            )
-        else:
-            granted_digest = None
-            if dispute.transfer_statement is not None:
-                certificate = self._handoff_certificates.get(
-                    (dispute.shard_id, dispute.transfer_statement.map_version)
-                )
-                granted_digest = certificate.state_digest if certificate else None
-            judgement = judge_shard_dispute(
-                dispute=dispute,
-                registry=self.env.registry,
-                owner_at=self.shard_registry.owner_at,
-                granted_state_digest=granted_digest,
-                shard_of=self._partitioner.shard_of if self._partitioner else None,
-            )
-        if judgement.punished:
-            self._punish(
-                dispute.accused,
-                reason=judgement.reason,
-                block_id=None,
-                reported_by=dispute.reporter,
-            )
-        self.env.send(
-            self.node_id,
-            sender,
-            ShardDisputeVerdict(
-                cloud=self.node_id,
-                reporter=dispute.reporter,
-                accused=dispute.accused,
-                shard_id=dispute.shard_id,
-                punished=judgement.punished,
-                reason=judgement.reason,
-            ),
-        )
-
-    def _handle_txn_dispute(self, sender: NodeId, dispute: TxnDispute) -> None:
-        """Judge a 2PC dispute from its signed artifacts (no server state).
-
-        The accused may be an *edge* (a lying or abort-ignoring
-        participant) or a *client* (an equivocating coordinator) — the
-        punishment ledger records both.
-        """
-
-        params = self.env.params
-        self.env.charge(params.request_overhead_seconds + 3 * params.verify_seconds)
-        self.stats.setdefault("txn_disputes", 0)
-        self.stats["txn_disputes"] += 1
-        if dispute.reporter != sender:
-            return
-        judgement = judge_txn_dispute(dispute, self.env.registry, cloud=self.node_id)
-        if judgement.punished:
-            self._punish(
-                dispute.accused,
-                reason=judgement.reason,
-                block_id=None,
-                reported_by=dispute.reporter,
-            )
-        verdict = TxnDisputeVerdict(
-            cloud=self.node_id,
-            reporter=dispute.reporter,
-            accused=dispute.accused,
-            txn_id=dispute.txn_id,
-            punished=judgement.punished,
-            reason=judgement.reason,
-            kind=dispute.kind,
-            decision=dispute.decision,
-        )
-        self.env.send(self.node_id, sender, verdict)
-        if judgement.punished and dispute.kind == "staged-abort-serve":
-            # Tell the convicted edge which signed abort convicted it: an
-            # edge that applied this transaction under a coordinator-signed
-            # *commit* now holds contradictory signed decisions and can
-            # counter-dispute the equivocating coordinator.
-            self.env.send(self.node_id, dispute.accused, verdict)
 
     # ------------------------------------------------------------------
     # Punishment

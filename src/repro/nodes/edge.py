@@ -11,9 +11,20 @@ All mutable per-partition state (log, buffer, certifier, LSMerkle index,
 merge bookkeeping) lives in a :class:`PartitionState`.  The honest edge node
 of the paper owns exactly one partition; the sharded fleet
 (:mod:`repro.sharding`) subclasses this node with one ``PartitionState`` per
-owned shard and routes each message to the right one — every handler below
-reads and writes partition state through ``self``-level properties that
-resolve to the *active* partition, so the protocol logic is written once.
+owned shard.
+
+How a message reaches its handler: ``EdgeNode.HANDLERS`` is the class-level
+:class:`~repro.nodes.dispatch.DispatchTable` of ``message type → (handler,
+route)`` rows and :meth:`EdgeNode.on_message` is the only dispatcher.  It
+looks the row up, asks the row's *route* which partition the message
+concerns (this node's single route answers "the default partition" for
+every message; the sharded subclass re-routes rows per shard and adds
+node-level rows that have no partition), refuses service if that partition
+is quarantined, and runs the handler with the partition *active* — every
+handler below reads and writes partition state through ``self``-level
+properties that resolve to the active partition, so the protocol logic is
+written once.  Traced steps open their span through the one ``_span``
+helper, which is a shared no-op context while observability is off.
 
 Malicious behaviours are implemented as subclasses in
 :mod:`repro.nodes.malicious`; the hooks they override are small and explicit
@@ -99,6 +110,7 @@ from ..messages.txn_messages import (
 from ..sim.environment import Environment
 from ..storage.recovery import RecoveryReport, recover_partition
 from ..storage.store import PartitionStore
+from .dispatch import DispatchTable, TableDispatchNode
 
 
 @dataclass
@@ -171,8 +183,27 @@ class PartitionState:
         )
 
 
-class EdgeNode:
+class EdgeNode(TableDispatchNode):
     """An honest edge node serving one partition of clients."""
+
+    #: Every row — and every unknown message type, so the quarantine gate
+    #: sees all traffic — resolves to the one default partition.
+    HANDLERS = DispatchTable(
+        {
+            AppendBatchRequest: "_handle_append",
+            ReadRequest: "_handle_read",
+            GetRequest: "_handle_get",
+            BlockProofMessage: "_handle_block_proof",
+            BatchCertificateMessage: "_handle_batch_certificate",
+            MergeResponse: "_handle_merge_response",
+            MergeRejection: "_handle_merge_rejection",
+            RootRefreshResponse: "_handle_root_refresh_response",
+            CertifyRejection: "_handle_certify_rejection",
+            TxnPrepareRequest: "_handle_txn_prepare",
+            TxnDecisionMessage: "_handle_txn_decision",
+        },
+        route="_route_default",
+    )
 
     def __init__(
         self,
@@ -188,14 +219,7 @@ class EdgeNode:
         self.region = region if region is not None else self.config.placement.edge_region
         self.cloud = cloud
 
-        #: Observability (``None`` with the paper-default config).  The
-        #: tracer alias is the single-attribute-check guard every
-        #: instrumented hot path tests before doing any tracing work.
-        self.obs = env.ensure_observability(self.config.observability)
-        self._metrics = (
-            self.obs.registry_for(str(self.node_id)) if self.obs is not None else None
-        )
-        self._obs_tracer = self.obs.tracer if self.obs is not None else None
+        self._attach_observability()
         #: Phase I span contexts by block id, so the Phase II absorption
         #: span can link the certificate back to the put that formed the
         #: block (popped on absorption; bounded by uncertified blocks).
@@ -230,18 +254,6 @@ class EdgeNode:
         #: Reports from the last durable restart recovery (diagnostics).
         self.last_recovery_reports: list[RecoveryReport] = []
         env.attach(self)
-
-    # ------------------------------------------------------------------
-    # Observability plumbing (no-ops with the paper-default config)
-    # ------------------------------------------------------------------
-    def _make_stats(self, initial: dict, prefix: str = "") -> dict:
-        """A plain dict, or a registry-mirroring one when metrics are on."""
-
-        if self._metrics is None:
-            return initial
-        from ..obs.metrics import StatsDict
-
-        return StatsDict(self._metrics, initial, prefix=prefix)
 
     def _obs_phase1_links(self, block_ids) -> list:
         """Phase I span contexts for *block_ids* (those still tracked)."""
@@ -286,14 +298,8 @@ class EdgeNode:
 
         return (self._default_partition,)
 
-    def _partition_for_message(
-        self, sender: NodeId, message: Any
-    ) -> Optional[PartitionState]:
-        """Resolve which partition a message concerns.
-
-        Returning ``None`` means the message was fully handled during
-        resolution (e.g. answered with a redirect) and dispatch should stop.
-        """
+    def _route_default(self, sender: NodeId, message: Any) -> PartitionState:
+        """The route of every message that concerns no particular shard."""
 
         return self._default_partition
 
@@ -354,8 +360,16 @@ class EdgeNode:
     # Message dispatch
     # ------------------------------------------------------------------
     def on_message(self, sender: NodeId, message: Any) -> None:
-        state = self._partition_for_message(sender, message)
+        handler, route = self.HANDLERS.lookup(type(message))
+        if route is None:
+            # A node-level message (or a fan-out the handler spreads over
+            # several partitions itself): no partition, no quarantine gate.
+            getattr(self, handler)(sender, message)
+            return
+        state = getattr(self, route)(sender, message)
         if state is None:
+            # Fully handled during resolution (redirected, parked) or a
+            # stray for a partition this edge no longer holds.
             return
         if state.quarantined is not None:
             # The partition's store failed verification at recovery: refusing
@@ -364,32 +378,9 @@ class EdgeNode:
             self.stats.setdefault("quarantined_refusals", 0)
             self.stats["quarantined_refusals"] += 1
             return
-        with self._as_active(state):
-            self._dispatch(sender, message)
-
-    def _dispatch(self, sender: NodeId, message: Any) -> None:
-        if isinstance(message, AppendBatchRequest):
-            self._handle_append(sender, message)
-        elif isinstance(message, ReadRequest):
-            self._handle_read(sender, message)
-        elif isinstance(message, GetRequest):
-            self._handle_get(sender, message)
-        elif isinstance(message, BlockProofMessage):
-            self._handle_block_proof(sender, message)
-        elif isinstance(message, BatchCertificateMessage):
-            self._handle_batch_certificate(sender, message)
-        elif isinstance(message, MergeResponse):
-            self._handle_merge_response(sender, message)
-        elif isinstance(message, MergeRejection):
-            self._handle_merge_rejection(sender, message)
-        elif isinstance(message, RootRefreshResponse):
-            self._handle_root_refresh_response(sender, message)
-        elif isinstance(message, CertifyRejection):
-            self._handle_certify_rejection(sender, message)
-        elif isinstance(message, TxnPrepareRequest):
-            self._handle_txn_prepare(sender, message)
-        elif isinstance(message, TxnDecisionMessage):
-            self._handle_txn_decision(sender, message)
+        if handler is not None:
+            with self._as_active(state):
+                getattr(self, handler)(sender, message)
 
     # ------------------------------------------------------------------
     # Appending (add / put)
@@ -493,55 +484,53 @@ class EdgeNode:
     def _form_block(self, batch: PendingBatch) -> None:
         """Build a block from a full batch, Phase I commit it, start Phase II."""
 
+        params = self.env.params
         now = self.env.now()
         block_id = self._allocate_block_id()
-        tracer = self._obs_tracer
-        if tracer is None:
-            self._commit_block(batch, block_id, now)
-            return
         # Root span of this put's trace: the certify dispatch below, the
         # cloud's verification, the absorption of the certificate, and any
         # merge it triggers all hang off (or link back to) this context.
-        with tracer.span(
-            "phase1.commit", node=str(self.node_id), block_id=str(block_id)
-        ) as span:
-            self._obs_phase1[block_id] = span.context
-            self._commit_block(batch, block_id, now)
+        with self._span("phase1.commit", block_id=str(block_id)) as span:
+            if span is not None:
+                self._obs_phase1[block_id] = span.context
+            block = self._build_block_for(batch, block_id, now)
+            self.env.charge(
+                params.block_build_cost(block.num_entries, block.wire_size)
+            )
 
-    def _commit_block(self, batch: PendingBatch, block_id: BlockId, now: float) -> None:
-        params = self.env.params
-        block = self._build_block_for(batch, block_id, now)
-        self.env.charge(params.block_build_cost(block.num_entries, block.wire_size))
+            self.log.append(block)
+            self.stats["blocks_formed"] += 1
+            self.stats["entries_logged"] += block.num_entries
 
-        self.log.append(block)
-        self.stats["blocks_formed"] += 1
-        self.stats["entries_logged"] += block.num_entries
+            receipt = issue_phase_one_receipt(
+                self.env.registry, self.node_id, block, now
+            )
+            digest = self._digest_to_certify(block)
+            self.certifier.track(block.block_id, digest, now)
+            self._active.receipts[block.block_id] = receipt
+            self._persist_block(block, receipt)
+            locations = self._active.entry_locations
+            for entry in block.entries:
+                locations[(entry.producer, entry.sequence)] = block.block_id
 
-        receipt = issue_phase_one_receipt(self.env.registry, self.node_id, block, now)
-        digest = self._digest_to_certify(block)
-        self.certifier.track(block.block_id, digest, now)
-        self._active.receipts[block.block_id] = receipt
-        self._persist_block(block, receipt)
-        for entry in block.entries:
-            self._active.entry_locations[(entry.producer, entry.sequence)] = block.block_id
+            # Respond to every distinct (requester, operation) in the batch and
+            # subscribe them to the eventual block proof.
+            requesters = self._batch_requesters(batch)
+            for requester, operation_id in requesters:
+                self.certifier.subscribe(block.block_id, requester, operation_id)
+            self._dispatch_phase_one_responses(requesters, block, receipt)
+            self._signal_degraded_mode([requester for requester, _op in requesters])
 
-        # Respond to every distinct (requester, operation) in the batch and
-        # subscribe them to the eventual block proof.
-        requesters = self._batch_requesters(batch)
-        for requester, operation_id in requesters:
-            self.certifier.subscribe(block.block_id, requester, operation_id)
-        self._dispatch_phase_one_responses(requesters, block, receipt)
-        self._signal_degraded_mode([requester for requester, _op in requesters])
+            # Index the block's put operations into LSMerkle level 0.
+            page = page_from_block(block)
+            if page is not None:
+                self.index.add_level_zero_page(page)
+                self.level_zero_blocks.append(block.block_id)
 
-        # Index the block's put operations into LSMerkle level 0.
-        page = page_from_block(block)
-        if page is not None:
-            self.index.add_level_zero_page(page)
-            self.level_zero_blocks.append(block.block_id)
-
-        # Lazy certification: data-free digest to the cloud, off the critical path.
-        self._send_certify_request(block, digest)
-        self._maybe_start_merge()
+            # Lazy certification: data-free digest to the cloud, off the
+            # critical path.
+            self._send_certify_request(block, digest)
+            self._maybe_start_merge()
 
     @staticmethod
     def _batch_requesters(batch: PendingBatch) -> list[tuple[NodeId, OperationId]]:
@@ -684,15 +673,8 @@ class EdgeNode:
         signature = self.env.registry.sign(self.node_id, statement)
         self.stats["certify_requests"] += 1
         message = BlockCertifyRequest(statement=statement, signature=signature)
-        tracer = self._obs_tracer
-        if tracer is None:
-            self.env.send(self.node_id, self.cloud, message)
-            return
-        with tracer.span(
-            "certify.dispatch",
-            node=str(self.node_id),
-            links=self._obs_phase1_links((block_id,)),
-            blocks=1,
+        with self._span(
+            "certify.dispatch", links=self._obs_phase1_links((block_id,)), blocks=1
         ):
             self.env.send(self.node_id, self.cloud, message)
 
@@ -737,13 +719,8 @@ class EdgeNode:
         self.stats["certify_requests"] += 1
         self.stats["certify_batches"] += 1
         message = CertifyBatchRequest(statement=statement, signature=signature)
-        tracer = self._obs_tracer
-        if tracer is None:
-            self.env.send(self.node_id, self.cloud, message)
-            return
-        with tracer.span(
+        with self._span(
             "certify.dispatch",
-            node=str(self.node_id),
             links=self._obs_phase1_links([task.block_id for task in tasks]),
             blocks=len(tasks),
         ):
@@ -770,13 +747,8 @@ class EdgeNode:
         self.stats.setdefault("certify_windows", 0)
         self.stats["certify_windows"] += 1
         message = CertifyWindowRequest(statement=statement, signature=signature)
-        tracer = self._obs_tracer
-        if tracer is None:
-            self.env.send(self.node_id, self.cloud, message)
-            return
-        with tracer.span(
+        with self._span(
             "certify.dispatch",
-            node=str(self.node_id),
             links=self._obs_phase1_links(
                 [task.block_id for tasks in groups for task in tasks]
             ),
@@ -1070,44 +1042,35 @@ class EdgeNode:
     def _accept_certified_proof(self, proof: AnyBlockProof) -> None:
         """Record a verified proof and forward it to waiting subscribers."""
 
-        tracer = self._obs_tracer
-        if tracer is None:
-            self._absorb_certified_proof(proof)
-            return
         # The acceptance linkage of the whole trace: this span's parent is
         # the cloud's certify span (via the delivery sidecar) and its link
         # is the Phase I span of the block being certified — so a Phase II
         # certificate always resolves back to the put that caused it.
         links = self._obs_phase1_links((proof.block_id,))
-        with tracer.span(
-            "certify.absorb",
-            node=str(self.node_id),
-            links=links,
-            block_id=str(proof.block_id),
-        ):
-            if self._metrics is not None and links:
-                origin = tracer.find(links[0].span_id)
-                if origin is not None:
-                    self._metrics.histogram("certify_latency_s").observe(
-                        self.env.now() - origin.start
-                    )
-            self._obs_phase1.pop(proof.block_id, None)
-            self._absorb_certified_proof(proof)
-
-    def _absorb_certified_proof(self, proof: AnyBlockProof) -> None:
-        record = self.log.try_get(proof.block_id)
-        if record is not None and record.block.digest() == proof.block_digest:
-            self.log.attach_proof(proof)
-            self._persist_proof(proof)
-        self.stats["proofs_received"] += 1
-        try:
-            subscribers = self.certifier.complete(proof)
-        except ProtocolError:
-            subscribers = []
-        for client, _operation in subscribers:
-            self.env.send(self.node_id, client, BlockProofMessage(proof=proof))
-            self.stats["proofs_forwarded"] += 1
-        self._signal_degraded_mode(())
+        with self._span(
+            "certify.absorb", links=links, block_id=str(proof.block_id)
+        ) as span:
+            if span is not None:
+                if self._metrics is not None and links:
+                    origin = self._obs_tracer.find(links[0].span_id)
+                    if origin is not None:
+                        self._metrics.histogram("certify_latency_s").observe(
+                            self.env.now() - origin.start
+                        )
+                self._obs_phase1.pop(proof.block_id, None)
+            record = self.log.try_get(proof.block_id)
+            if record is not None and record.block.digest() == proof.block_digest:
+                self.log.attach_proof(proof)
+                self._persist_proof(proof)
+            self.stats["proofs_received"] += 1
+            try:
+                subscribers = self.certifier.complete(proof)
+            except ProtocolError:
+                subscribers = []
+            for client, _operation in subscribers:
+                self.env.send(self.node_id, client, BlockProofMessage(proof=proof))
+                self.stats["proofs_forwarded"] += 1
+            self._signal_degraded_mode(())
 
     def _handle_batch_certificate(
         self, sender: NodeId, message: BatchCertificateMessage
@@ -1272,84 +1235,73 @@ class EdgeNode:
         """
 
     def _handle_txn_prepare(self, sender: NodeId, request: TxnPrepareRequest) -> None:
-        tracer = self._obs_tracer
-        if tracer is None:
-            self._process_txn_prepare(sender, request)
-            return
-        with tracer.span(
-            "txn.prepare",
-            node=str(self.node_id),
-            txn=str(request.statement.txn_id),
-        ):
-            self._process_txn_prepare(sender, request)
+        with self._span("txn.prepare", txn=str(request.statement.txn_id)):
+            params = self.env.params
+            self.stats.setdefault("txn_prepares", 0)
+            self.stats["txn_prepares"] += 1
+            statement = request.statement
+            self.env.charge(params.txn_prepare_cost(len(request.entries)))
+            if (
+                statement.coordinator != sender
+                or statement.txn_id.coordinator != sender
+                or not self.env.registry.verify(request.signature, statement)
+            ):
+                return
+            state = self._active
+            txn_id = statement.txn_id
+            decided = state.decided_txns.get(txn_id)
+            if decided is not None:
+                # The transaction was already decided here (e.g. an abort raced
+                # ahead of a redirected prepare): answer with the outcome.
+                decision, block_id, shard_id, _message = decided
+                self._send_txn_ack(
+                    txn_id,
+                    shard_id if shard_id is not None else statement.shard_id,
+                    decision,
+                    block_id,
+                )
+                return
+            staged = state.staged_txns.get(txn_id)
+            if staged is not None:
+                # Duplicate prepare (a redirect loop or retry): idempotently
+                # re-send the original signed receipt.
+                self.env.send(self.node_id, sender, staged.receipt)
+                return
+            reason = self._validate_txn_writes(sender, statement, request.entries)
+            if reason is not None:
+                self.stats.setdefault("txn_prepare_rejections", 0)
+                self.stats["txn_prepare_rejections"] += 1
+                self.env.send(
+                    self.node_id,
+                    sender,
+                    TxnPrepareRejection(
+                        edge=self.node_id,
+                        txn_id=txn_id,
+                        shard_id=statement.shard_id,
+                        reason=reason,
+                    ),
+                )
+                return
 
-    def _process_txn_prepare(self, sender: NodeId, request: TxnPrepareRequest) -> None:
-        params = self.env.params
-        self.stats.setdefault("txn_prepares", 0)
-        self.stats["txn_prepares"] += 1
-        statement = request.statement
-        self.env.charge(params.txn_prepare_cost(len(request.entries)))
-        if (
-            statement.coordinator != sender
-            or statement.txn_id.coordinator != sender
-            or not self.env.registry.verify(request.signature, statement)
-        ):
-            return
-        state = self._active
-        txn_id = statement.txn_id
-        decided = state.decided_txns.get(txn_id)
-        if decided is not None:
-            # The transaction was already decided here (e.g. an abort raced
-            # ahead of a redirected prepare): answer with the outcome.
-            decision, block_id, shard_id, _message = decided
-            self._send_txn_ack(
-                txn_id,
-                shard_id if shard_id is not None else statement.shard_id,
-                decision,
-                block_id,
+            from ..sharding.transactions import StagedTxn
+
+            now = self.env.now()
+            expires_at = now + self._txn_prepare_timeout()
+            receipt = self._build_prepare_receipt(statement, now, expires_at)
+            state.staged_txns[txn_id] = StagedTxn(
+                txn_id=txn_id,
+                shard_id=statement.shard_id,
+                coordinator=sender,
+                requester=sender,
+                operation_id=request.operation_id,
+                entries=request.entries,
+                writes=statement.writes,
+                staged_at=now,
+                expires_at=expires_at,
+                receipt=receipt,
             )
-            return
-        staged = state.staged_txns.get(txn_id)
-        if staged is not None:
-            # Duplicate prepare (a redirect loop or retry): idempotently
-            # re-send the original signed receipt.
-            self.env.send(self.node_id, sender, staged.receipt)
-            return
-        reason = self._validate_txn_writes(sender, statement, request.entries)
-        if reason is not None:
-            self.stats.setdefault("txn_prepare_rejections", 0)
-            self.stats["txn_prepare_rejections"] += 1
-            self.env.send(
-                self.node_id,
-                sender,
-                TxnPrepareRejection(
-                    edge=self.node_id,
-                    txn_id=txn_id,
-                    shard_id=statement.shard_id,
-                    reason=reason,
-                ),
-            )
-            return
-
-        from ..sharding.transactions import StagedTxn
-
-        now = self.env.now()
-        expires_at = now + self._txn_prepare_timeout()
-        receipt = self._build_prepare_receipt(statement, now, expires_at)
-        state.staged_txns[txn_id] = StagedTxn(
-            txn_id=txn_id,
-            shard_id=statement.shard_id,
-            coordinator=sender,
-            requester=sender,
-            operation_id=request.operation_id,
-            entries=request.entries,
-            writes=statement.writes,
-            staged_at=now,
-            expires_at=expires_at,
-            receipt=receipt,
-        )
-        self._arm_txn_expiry(state, txn_id, expires_at - now)
-        self.env.send(self.node_id, sender, receipt)
+            self._arm_txn_expiry(state, txn_id, expires_at - now)
+            self.env.send(self.node_id, sender, receipt)
 
     def _validate_txn_writes(
         self,
@@ -1495,76 +1447,66 @@ class EdgeNode:
     def _apply_txn_decision(self, message: TxnDecisionMessage) -> None:
         """Apply an already-verified decision to the active partition."""
 
-        tracer = self._obs_tracer
-        if tracer is None:
-            self._apply_txn_decision_inner(message)
-            return
-        with tracer.span(
-            "txn.apply",
-            node=str(self.node_id),
-            txn=str(message.statement.txn_id),
-            decision=message.statement.decision,
-        ):
-            self._apply_txn_decision_inner(message)
-
-    def _apply_txn_decision_inner(self, message: TxnDecisionMessage) -> None:
         statement = message.statement
-        state = self._active
-        staged = state.staged_txns.get(statement.txn_id)
-        txn_id = statement.txn_id
-        decided = state.decided_txns.get(txn_id)
-        if decided is not None:
-            # Duplicate decision: absorbed idempotently, original outcome
-            # re-acknowledged, staged state untouched (there is none).
-            self.stats.setdefault("txn_duplicate_decisions", 0)
-            self.stats["txn_duplicate_decisions"] += 1
-            decision, block_id, shard_id, _message = decided
-            self._send_txn_ack(
-                txn_id,
-                shard_id if shard_id is not None else state.shard_id,
-                decision,
-                block_id,
-            )
-            return
-        if staged is None:
-            if statement.decision == TXN_ABORT:
-                # Abort for a transaction never staged here (its prepare may
-                # still be parked or in flight): tombstone it so a late
-                # prepare cannot orphan-stage writes that already aborted.
+        with self._span(
+            "txn.apply", txn=str(statement.txn_id), decision=statement.decision
+        ):
+            state = self._active
+            staged = state.staged_txns.get(statement.txn_id)
+            txn_id = statement.txn_id
+            decided = state.decided_txns.get(txn_id)
+            if decided is not None:
+                # Duplicate decision: absorbed idempotently, original outcome
+                # re-acknowledged, staged state untouched (there is none).
+                self.stats.setdefault("txn_duplicate_decisions", 0)
+                self.stats["txn_duplicate_decisions"] += 1
+                decision, block_id, shard_id, _message = decided
+                self._send_txn_ack(
+                    txn_id,
+                    shard_id if shard_id is not None else state.shard_id,
+                    decision,
+                    block_id,
+                )
+                return
+            if staged is None:
+                if statement.decision == TXN_ABORT:
+                    # Abort for a transaction never staged here (its prepare may
+                    # still be parked or in flight): tombstone it so a late
+                    # prepare cannot orphan-stage writes that already aborted.
+                    self._record_txn_decision(
+                        state, txn_id, TXN_ABORT, None, state.shard_id, message
+                    )
+                    self.stats.setdefault("txn_aborts_applied", 0)
+                    self.stats["txn_aborts_applied"] += 1
+                    self._send_txn_ack(txn_id, state.shard_id, TXN_ABORT, None)
+                else:
+                    # A commit with nothing staged is unanswerable: this edge
+                    # holds no writes to apply (e.g. its stage already expired
+                    # and presumed abort).  The abort record is already in the
+                    # certified log for the coordinator to audit.
+                    self.stats.setdefault("txn_stale_commits", 0)
+                    self.stats["txn_stale_commits"] += 1
+                return
+            del state.staged_txns[txn_id]
+            if statement.decision == TXN_COMMIT:
+                block_id = self._apply_staged_txn(staged)
+                self.stats.setdefault("txn_commits_applied", 0)
+                self.stats["txn_commits_applied"] += 1
                 self._record_txn_decision(
-                    state, txn_id, TXN_ABORT, None, state.shard_id, message
+                    state, txn_id, TXN_COMMIT, block_id, staged.shard_id, message
+                )
+                self._send_txn_ack(txn_id, staged.shard_id, TXN_COMMIT, block_id)
+            else:
+                block_id = self._log_txn_decision(
+                    txn_id, TXN_ABORT, reason="coordinator-abort"
                 )
                 self.stats.setdefault("txn_aborts_applied", 0)
                 self.stats["txn_aborts_applied"] += 1
-                self._send_txn_ack(txn_id, state.shard_id, TXN_ABORT, None)
-            else:
-                # A commit with nothing staged is unanswerable: this edge
-                # holds no writes to apply (e.g. its stage already expired
-                # and presumed abort).  The abort record is already in the
-                # certified log for the coordinator to audit.
-                self.stats.setdefault("txn_stale_commits", 0)
-                self.stats["txn_stale_commits"] += 1
-            return
-        del state.staged_txns[txn_id]
-        if statement.decision == TXN_COMMIT:
-            block_id = self._apply_staged_txn(staged)
-            self.stats.setdefault("txn_commits_applied", 0)
-            self.stats["txn_commits_applied"] += 1
-            self._record_txn_decision(
-                state, txn_id, TXN_COMMIT, block_id, staged.shard_id, message
-            )
-            self._send_txn_ack(txn_id, staged.shard_id, TXN_COMMIT, block_id)
-        else:
-            block_id = self._log_txn_decision(
-                txn_id, TXN_ABORT, reason="coordinator-abort"
-            )
-            self.stats.setdefault("txn_aborts_applied", 0)
-            self.stats["txn_aborts_applied"] += 1
-            self._record_txn_decision(
-                state, txn_id, TXN_ABORT, block_id, staged.shard_id, message
-            )
-            self._send_txn_ack(txn_id, staged.shard_id, TXN_ABORT, block_id)
-        self._after_txn_resolved(state.shard_id)
+                self._record_txn_decision(
+                    state, txn_id, TXN_ABORT, block_id, staged.shard_id, message
+                )
+                self._send_txn_ack(txn_id, staged.shard_id, TXN_ABORT, block_id)
+            self._after_txn_resolved(state.shard_id)
 
     def _apply_staged_txn(self, staged) -> BlockId:
         """Atomically apply a committed transaction's staged writes.
@@ -1790,13 +1732,7 @@ class EdgeNode:
         self._active.merge_in_flight = True
         self.stats["merges_started"] += 1
         request = MergeRequest(edge=self.node_id, proposal=proposal)
-        tracer = self._obs_tracer
-        if tracer is None:
-            self.env.send(self.node_id, self.cloud, request)
-            return
-        with tracer.span(
-            "merge.propose", node=str(self.node_id), level=proposal.level_index
-        ):
+        with self._span("merge.propose", level=proposal.level_index):
             self.env.send(self.node_id, self.cloud, request)
 
     def _build_merge_proposal(self, level_index: int) -> Optional[MergeProposal]:
@@ -1827,65 +1763,59 @@ class EdgeNode:
         )
 
     def _handle_merge_response(self, sender: NodeId, message: MergeResponse) -> None:
-        tracer = self._obs_tracer
-        if tracer is None:
-            self._install_merge_response(sender, message)
-            return
-        with tracer.span("merge.install", node=str(self.node_id)):
-            self._install_merge_response(sender, message)
-
-    def _install_merge_response(self, sender: NodeId, message: MergeResponse) -> None:
-        params = self.env.params
-        outcome = message.outcome
-        self.env.charge(
-            params.verify_seconds
-            + params.append_seconds_per_op * sum(
-                page.num_records for page in outcome.merged_pages
+        with self._span("merge.install"):
+            params = self.env.params
+            outcome = message.outcome
+            self.env.charge(
+                params.verify_seconds
+                + params.append_seconds_per_op * sum(
+                    page.num_records for page in outcome.merged_pages
+                )
             )
-        )
-        if not outcome.signed_root.verify(self.env.registry, self.cloud):
+            if not outcome.signed_root.verify(self.env.registry, self.cloud):
+                self._active.merge_in_flight = False
+                return
+            if not self._active.merge_in_flight:
+                # No merge outstanding: a duplicate delivery of an outcome that
+                # already cleared the flag.  ``merge_source_bids`` was consumed
+                # by the first apply, so re-running the level-0 filter would
+                # re-install the merged pages on top of themselves.
+                self.stats.setdefault("merge_duplicates", 0)
+                self.stats["merge_duplicates"] += 1
+                return
+            version = outcome.signed_root.statement.version
+            if version <= self._active.merge_installed_version:
+                # A stale outcome (duplicate of an older merge racing a newer
+                # request): already installed.  Root versions increase with
+                # every merge, so the comparison is exact; the flag stays set —
+                # the *current* merge's answer is still owed.
+                self.stats.setdefault("merge_duplicates", 0)
+                self.stats["merge_duplicates"] += 1
+                return
+
+            if outcome.level_index == 0:
+                merged_bids = set(self._active.merge_source_bids)
+                self._active.merge_source_bids = ()
+                remaining_pages = [
+                    page
+                    for page in self.index.tree.levels[0].pages
+                    if page.source_block_id not in merged_bids
+                ]
+                self.index.install_merge(0, outcome.merged_pages, remaining_pages)
+                self.level_zero_blocks = [
+                    block_id
+                    for block_id in self.level_zero_blocks
+                    if block_id not in merged_bids
+                ]
+            else:
+                self.index.install_merge(outcome.level_index, outcome.merged_pages, ())
+
+            self.signed_root = outcome.signed_root
+            self._active.merge_installed_version = version
+            self.stats["merges_completed"] += 1
             self._active.merge_in_flight = False
-            return
-        if not self._active.merge_in_flight:
-            # No merge outstanding: a duplicate delivery of an outcome that
-            # already cleared the flag.  ``merge_source_bids`` was consumed
-            # by the first apply, so re-running the level-0 filter would
-            # re-install the merged pages on top of themselves.
-            self.stats.setdefault("merge_duplicates", 0)
-            self.stats["merge_duplicates"] += 1
-            return
-        if outcome.signed_root.statement.version <= self._active.merge_installed_version:
-            # A stale outcome (duplicate of an older merge racing a newer
-            # request): already installed.  Root versions increase with
-            # every merge, so the comparison is exact; the flag stays set —
-            # the *current* merge's answer is still owed.
-            self.stats.setdefault("merge_duplicates", 0)
-            self.stats["merge_duplicates"] += 1
-            return
-
-        if outcome.level_index == 0:
-            merged_bids = set(self._active.merge_source_bids)
-            self._active.merge_source_bids = ()
-            remaining_pages = [
-                page
-                for page in self.index.tree.levels[0].pages
-                if page.source_block_id not in merged_bids
-            ]
-            self.index.install_merge(0, outcome.merged_pages, remaining_pages)
-            self.level_zero_blocks = [
-                block_id
-                for block_id in self.level_zero_blocks
-                if block_id not in merged_bids
-            ]
-        else:
-            self.index.install_merge(outcome.level_index, outcome.merged_pages, ())
-
-        self.signed_root = outcome.signed_root
-        self._active.merge_installed_version = outcome.signed_root.statement.version
-        self.stats["merges_completed"] += 1
-        self._active.merge_in_flight = False
-        self._persist_manifest()
-        self._maybe_start_merge()
+            self._persist_manifest()
+            self._maybe_start_merge()
 
     def _handle_merge_rejection(self, sender: NodeId, message: MergeRejection) -> None:
         self.stats["merges_rejected"] += 1

@@ -3,8 +3,9 @@
 :class:`LiveFleet` is the wall-clock twin of
 :class:`repro.core.system.WedgeChainSystem`: the same wiring (clients
 assigned to edges round-robin, gossip targets registered on the cloud, an
-``edge_factory`` hook for sharded or adversarial edge variants), but nodes
-exchange frames over real sockets and timers fire on real time.
+``edge_factory`` hook for sharded or adversarial edge variants — literally
+the same :func:`repro.core.system.wire_fleet`), but nodes exchange frames
+over real sockets and timers fire on real time.
 
 Usage is a start → load → report → clean-shutdown story::
 
@@ -28,6 +29,7 @@ from ..common.config import SystemConfig
 from ..common.errors import ConfigurationError
 from ..common.identifiers import NodeId, OperationId
 from ..common.regions import Region
+from ..core.system import edge_factory_for, settled, wire_fleet
 from ..log.proofs import CommitPhase
 from ..nodes.client import Client
 from ..nodes.cloud import CloudNode
@@ -41,16 +43,6 @@ from .transport import AsyncioTransport
 LiveEdgeFactory = Callable[[LiveEnvironment, NodeId, SystemConfig, str, Region], EdgeNode]
 
 _POLL_S = 0.002
-
-
-def _default_edge_factory(
-    env: LiveEnvironment,
-    cloud: NodeId,
-    config: SystemConfig,
-    name: str,
-    region: Region,
-) -> EdgeNode:
-    return EdgeNode(env=env, cloud=cloud, config=config, name=name, region=region)
 
 
 @dataclass
@@ -95,7 +87,7 @@ class LiveFleet:
         self._num_clients = num_clients
         self._params = params
         self._edge_factory = (
-            edge_factory if edge_factory is not None else _default_edge_factory
+            edge_factory if edge_factory is not None else edge_factory_for(EdgeNode)
         )
         self._seed = seed
         self._enable_gossip = enable_gossip
@@ -127,30 +119,9 @@ class LiveFleet:
             signature_scheme=self.config.security.signature_scheme,
             seed=self._seed,
         )
-        self.cloud = CloudNode(env=self.env, config=self.config, name="cloud-0")
-        self.edges = [
-            self._edge_factory(
-                self.env,
-                self.cloud.node_id,
-                self.config,
-                f"edge-{index}",
-                self.config.placement.edge_region,
-            )
-            for index in range(self.config.num_edge_nodes)
-        ]
-        self.clients = []
-        for index in range(self._num_clients):
-            edge = self.edges[index % len(self.edges)]
-            client = Client(
-                env=self.env,
-                edge=edge.node_id,
-                cloud=self.cloud.node_id,
-                config=self.config,
-                name=f"client-{index}",
-                region=self.config.placement.client_region,
-            )
-            self.clients.append(client)
-            self.cloud.register_gossip_target(client.node_id)
+        self.cloud, self.edges, self.clients = wire_fleet(
+            self.env, self.config, self._num_clients, self._edge_factory
+        )
         await self.env.start()
         if self._enable_gossip:
             self.cloud.start_gossip()
@@ -199,13 +170,9 @@ class LiveFleet:
         phase: CommitPhase = CommitPhase.PHASE_TWO,
         timeout_s: float = 30.0,
     ) -> CommitPhase:
-        target = _phase_rank(phase)
-
-        def done() -> bool:
-            current = client.tracker.get(operation_id).phase
-            return _phase_rank(current) >= target or current is CommitPhase.FAILED
-
-        await self.await_condition(done, timeout_s)
+        await self.await_condition(
+            lambda: settled(client, operation_id, phase), timeout_s
+        )
         return client.tracker.get(operation_id).phase
 
     async def wait_for_all(
@@ -215,18 +182,9 @@ class LiveFleet:
         timeout_s: float = 60.0,
     ) -> bool:
         pairs = list(operations)
-        target = _phase_rank(phase)
-
-        def done() -> bool:
-            for client, operation_id in pairs:
-                current = client.tracker.get(operation_id).phase
-                if current is CommitPhase.FAILED:
-                    continue
-                if _phase_rank(current) < target:
-                    return False
-            return True
-
-        return await self.await_condition(done, timeout_s)
+        return await self.await_condition(
+            lambda: all(settled(client, op, phase) for client, op in pairs), timeout_s
+        )
 
     # ------------------------------------------------------------------
     # Statistics
@@ -256,13 +214,3 @@ class LiveFleet:
             frames_sent=transport.frames_sent,
             frame_bytes_sent=transport.frame_bytes_sent,
         )
-
-
-def _phase_rank(phase: CommitPhase) -> int:
-    order = {
-        CommitPhase.PENDING: 0,
-        CommitPhase.FAILED: 0,
-        CommitPhase.PHASE_ONE: 1,
-        CommitPhase.PHASE_TWO: 2,
-    }
-    return order[phase]

@@ -3,12 +3,16 @@
 :class:`LiveEnvironment` exposes the exact environment surface node code is
 written against (``send`` / ``schedule`` / ``schedule_periodic`` / ``now`` /
 ``charge`` / ``attach`` / ``ensure_observability`` / ``registry`` /
-``params`` / ``obs``) on top of a running asyncio event loop:
+``params`` / ``obs``) on top of a running asyncio event loop.  Node
+management, observability attachment and the ``charge`` validation are
+:class:`~repro.transport.BaseRuntime`'s, shared with the simulator's
+:class:`~repro.sim.environment.Environment`; this module adds what only a
+wall-clock substrate has:
 
 * time is an :class:`~repro.sim.clock.AnchoredWallClock` — real seconds,
   re-based to zero at construction so lease expiries, dispute deadlines and
   gossip ages keep their seconds-since-start semantics;
-* ``charge`` validates and discards — live handlers pay real CPU;
+* ``charge`` is the base's validate-and-discard — live handlers pay real CPU;
 * timers are ``loop.call_later`` behind handles with the same ``cancel()``
   surface as the simulator's :class:`~repro.sim.events.EventHandle`.
   Timers scheduled before :meth:`LiveEnvironment.start` (nodes arm some in
@@ -25,15 +29,15 @@ work identically to the sim.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-from ..common.errors import SimulationError, TransportError
+from ..common.errors import SimulationError
 from ..common.identifiers import NodeId
-from ..crypto.signatures import KeyRegistry
 from ..sim.clock import AnchoredWallClock
 from ..sim.environment import EnvironmentNode
 from ..sim.parameters import SimulationParameters
 from ..sim.rng import DeterministicRng
+from ..transport import BaseRuntime
 from .transport import AsyncioTransport
 
 
@@ -130,7 +134,7 @@ class _LiveNodeAdapter:
                 self._env.failures.append((self.node_id, exc))
 
 
-class LiveEnvironment:
+class LiveEnvironment(BaseRuntime):
     """Wall-clock runtime: transport + key registry + timers, in one place."""
 
     def __init__(
@@ -140,65 +144,35 @@ class LiveEnvironment:
         signature_scheme: str = "hmac",
         seed: int = 7,
     ) -> None:
+        super().__init__(
+            transport if transport is not None else AsyncioTransport(),
+            signature_scheme,
+        )
         self.params = params if params is not None else SimulationParameters()
         self.clock = AnchoredWallClock()
-        self.transport = transport if transport is not None else AsyncioTransport()
-        #: Alias so code written against ``env.network.stats`` keeps working.
-        self.network = self.transport
-        self.registry = KeyRegistry(signature_scheme)
+        #: The same object as ``network``, under the name live callers use
+        #: for what only a socket transport has (``frames_sent``, ``start``).
+        self.transport = self.network
         self.rng = DeterministicRng(seed)
-        self.obs = None
         #: ``(node_id, exception)`` pairs from crashed handlers; timer
         #: callbacks record ``(None, exception)``.
         self.failures: List[Tuple[Optional[NodeId], Exception]] = []
-        self._adapters: Dict[NodeId, _LiveNodeAdapter] = {}
         self._pending_timers: List[Tuple[float, Callable[[], None], LiveTimerHandle]] = []
         self._timers: set[LiveTimerHandle] = set()
         self._periodic: set[_PeriodicTimer] = set()
         self._started = False
         self._stopped = False
 
-    # ------------------------------------------------------------------
-    # Node management (NodeRuntime surface)
-    # ------------------------------------------------------------------
-    def attach(self, node: EnvironmentNode) -> None:
-        adapter = _LiveNodeAdapter(self, node)
-        self.transport.register(adapter)
-        self._adapters[node.node_id] = adapter
-        self.registry.register(node.node_id)
-        if self._started:
-            adapter.start_worker()
-
-    def ensure_observability(self, config) -> Optional[Any]:
-        if config is None or not config.enabled:
-            return None
-        if self.obs is None:
-            from ..obs import Observability
-
-            self.obs = Observability(config, clock=self.now)
-            self.transport.attach_observability(self.obs)
-        return self.obs
-
-    def node(self, node_id: NodeId) -> EnvironmentNode:
-        try:
-            return self._adapters[node_id].node
-        except KeyError as exc:
-            raise TransportError(f"unknown node {node_id}") from exc
-
-    def node_ids(self) -> tuple:
-        return tuple(self._adapters)
+    def _adapter_for(self, node: EnvironmentNode) -> _LiveNodeAdapter:
+        # Nodes attach before ``start`` (the transport refuses endpoints
+        # afterwards), so the adapter's worker is always started there.
+        return _LiveNodeAdapter(self, node)
 
     # ------------------------------------------------------------------
-    # Time and CPU
+    # Time
     # ------------------------------------------------------------------
     def now(self) -> float:
         return self.clock.now()
-
-    def charge(self, seconds: float) -> None:
-        """Validate and discard: live handlers pay real CPU time."""
-
-        if seconds < 0:
-            raise SimulationError("cannot charge negative CPU time")
 
     # ------------------------------------------------------------------
     # Communication and timers

@@ -8,8 +8,10 @@ FIFO delivery matches the simulator's single uplink lane.  ``send`` itself
 is synchronous — node handlers run inside the event loop and never await —
 which is what lets the exact same protocol code drive both substrates.
 
-Semantics mirror :class:`repro.sim.network.SimNetwork` where the boundary
-demands it:
+Where the boundary fixes the semantics they are not mirrored from
+:class:`repro.sim.network.SimNetwork` but inherited, with it, from
+:class:`repro.transport.BaseTransport` (registration, named hooks, the
+offline set, the send preamble):
 
 * send hooks run in registration order before any bytes move; a veto counts
   a ``dropped_send`` and the send reports ``inf``;
@@ -33,7 +35,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..common.errors import TransportError
 from ..common.identifiers import NodeId
-from ..transport import NetworkEndpoint, NetworkStats, SendHook, message_wire_size
+from ..transport import BaseTransport, NetworkEndpoint
 from .framing import FrameError, encode_frame, read_frame
 
 #: How long a writer pump keeps retrying to reach a destination server
@@ -50,7 +52,7 @@ class _Link:
     task: Optional[asyncio.Task] = None
 
 
-class AsyncioTransport:
+class AsyncioTransport(BaseTransport):
     """Socket-backed implementation of :class:`repro.transport.Transport`."""
 
     def __init__(
@@ -61,46 +63,31 @@ class AsyncioTransport:
     ) -> None:
         if mode not in ("unix", "tcp"):
             raise TransportError(f"unknown transport mode {mode!r}")
+        super().__init__()
         self._mode = mode
         self._host = host
         self._socket_dir = socket_dir
         self._owns_socket_dir = False
-        self._nodes: Dict[NodeId, NetworkEndpoint] = {}
         self._addresses: Dict[NodeId, Any] = {}
         self._servers: Dict[NodeId, asyncio.AbstractServer] = {}
         self._links: Dict[Tuple[NodeId, NodeId], _Link] = {}
         self._conn_tasks: set[asyncio.Task] = set()
-        self._send_hooks: Dict[str, SendHook] = {}
-        self._offline: set[NodeId] = set()
         self._started = False
         self._stopping = False
-        self.stats = NetworkStats()
         #: Real framed bytes written to sockets (prefix + payload); the
         #: ``stats`` counters carry the modeled ``wire_size`` for parity
         #: with the simulator's accounting.
         self.frames_sent = 0
         self.frame_bytes_sent = 0
-        self._obs = None
-        self._obs_registry = None
 
     # ------------------------------------------------------------------
     # Registration and lifecycle
     # ------------------------------------------------------------------
     def register(self, node: NetworkEndpoint) -> None:
+        # Servers are bound once, at start: a later endpoint would have none.
         if self._started:
             raise TransportError("register before the transport is started")
-        if node.node_id in self._nodes:
-            raise TransportError(f"node {node.node_id} already registered")
-        self._nodes[node.node_id] = node
-
-    def node(self, node_id: NodeId) -> NetworkEndpoint:
-        try:
-            return self._nodes[node_id]
-        except KeyError as exc:
-            raise TransportError(f"unknown node {node_id}") from exc
-
-    def knows(self, node_id: NodeId) -> bool:
-        return node_id in self._nodes
+        super().register(node)
 
     async def start(self) -> None:
         """Bind one server per registered node; must run inside the loop."""
@@ -177,45 +164,6 @@ class AsyncioTransport:
             raise TransportError(f"no address for {node_id}") from exc
 
     # ------------------------------------------------------------------
-    # Observability (same surface SimNetwork offers the environment)
-    # ------------------------------------------------------------------
-    def attach_observability(self, obs) -> None:
-        self._obs = obs
-        self._obs_registry = obs.registry_for("network")
-
-    def _obs_traffic(self, message: Any, size: int, wan: bool) -> None:
-        registry = self._obs_registry
-        if registry is None:
-            return
-        link = "wan" if wan else "lan"
-        mtype = type(message).__name__
-        registry.counter("net_bytes", link=link, type=mtype).inc(size)
-        registry.counter("net_messages", link=link, type=mtype).inc()
-
-    # ------------------------------------------------------------------
-    # Send hooks and liveness (fault-injection parity with the sim)
-    # ------------------------------------------------------------------
-    def add_send_hook(self, name: str, hook: SendHook) -> None:
-        if not name:
-            raise TransportError("send hook name must be non-empty")
-        if name in self._send_hooks:
-            raise TransportError(f"send hook {name!r} already registered")
-        self._send_hooks[name] = hook
-
-    def remove_send_hook(self, name: str) -> None:
-        self._send_hooks.pop(name, None)
-
-    def set_offline(self, node_id: NodeId, offline: bool = True) -> None:
-        self.node(node_id)
-        if offline:
-            self._offline.add(node_id)
-        else:
-            self._offline.discard(node_id)
-
-    def is_offline(self, node_id: NodeId) -> bool:
-        return node_id in self._offline
-
-    # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
     def send(
@@ -233,24 +181,10 @@ class AsyncioTransport:
         CPU time has already elapsed by the time the handler sends.
         """
 
-        src = self.node(src_id)
-        dst = self.node(dst_id)
         if not self._started:
             raise TransportError("transport not started")
-        if self._offline and src_id in self._offline:
-            self.stats.dropped_sends += 1
+        if self._admit(src_id, dst_id, message) is None:
             return float("inf")
-        if self._send_hooks:
-            for hook in tuple(self._send_hooks.values()):
-                if not hook(src_id, dst_id, message):
-                    self.stats.dropped_sends += 1
-                    return float("inf")
-
-        size = message_wire_size(message)
-        wan = src.region != dst.region
-        self.stats.record(src_id, dst_id, size, wan)
-        if self._obs is not None:
-            self._obs_traffic(message, size, wan)
 
         frame = encode_frame(src_id, message)
         link = self._links.get((src_id, dst_id))

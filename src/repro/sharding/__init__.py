@@ -12,11 +12,15 @@ This subsystem turns the paper's single-edge deployment into a fleet:
   redirects, stale-owner detection, per-shard session consistency);
 * :mod:`~repro.sharding.edge` — the sharded edge node (one partition of
   log/LSMerkle state per owned shard) and its malicious variants;
+* :mod:`~repro.sharding.cloud` — the sharded cloud node (the paper's cloud
+  plus shard-map authority: handoff countersigning, leases, failover,
+  shard and 2PC disputes);
 * :mod:`~repro.sharding.handoff` — the certified shard-handoff digests;
-* :mod:`~repro.sharding.system` — the fleet facade and closed-loop driver.
+* :mod:`~repro.sharding.system` — the fleet facade.
 """
 
 from .client import ShardedClient
+from .cloud import ShardedCloudNode
 from .edge import (
     AbortIgnoringEdgeNode,
     DeposedWriterEdgeNode,
@@ -42,11 +46,7 @@ from .shard_map import (
     build_shard_map_message,
     verify_shard_map,
 )
-from .system import (
-    RebalanceAction,
-    ShardedClosedLoopDriver,
-    ShardedWedgeSystem,
-)
+from .system import RebalanceAction, ShardedWedgeSystem
 from .transactions import (
     StagedTxn,
     TxnCoordinator,
@@ -70,7 +70,7 @@ __all__ = [
     "ShardRegistry",
     "ShardRouter",
     "ShardedClient",
-    "ShardedClosedLoopDriver",
+    "ShardedCloudNode",
     "ShardedEdgeNode",
     "ShardedWedgeSystem",
     "StagedTxn",

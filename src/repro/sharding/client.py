@@ -62,6 +62,18 @@ from .transactions import TxnCoordinator
 class ShardedClient(Client):
     """One authenticated client that can read and write any shard."""
 
+    HANDLERS = Client.HANDLERS.extended(
+        {
+            ShardMapMessage: "_handle_shard_map",
+            NotOwnerRedirect: "_handle_not_owner",
+            ShardDisputeVerdict: "_handle_shard_verdict",
+            TxnPrepareReceipt: "_handle_txn_receipt",
+            TxnPrepareRejection: "_handle_txn_rejection",
+            TxnDecisionAck: "_handle_txn_ack",
+            TxnDisputeVerdict: "_handle_txn_verdict",
+        }
+    )
+
     def __init__(
         self,
         env: Environment,
@@ -269,31 +281,29 @@ class ShardedClient(Client):
         )
 
     # ------------------------------------------------------------------
-    # Message dispatch
+    # Message handlers (dispatched through ``HANDLERS``)
     # ------------------------------------------------------------------
-    def on_message(self, sender: NodeId, message: Any) -> None:
-        if isinstance(message, ShardMapMessage):
-            self.fleet_view.shard_map.update(self.env.registry, message)
-            return
-        if isinstance(message, NotOwnerRedirect):
-            self._handle_not_owner(sender, message)
-            return
-        if isinstance(message, ShardDisputeVerdict):
-            self.shard_verdicts.append(message)
-            return
-        if isinstance(message, TxnPrepareReceipt):
-            self.txns.on_receipt(sender, message)
-            return
-        if isinstance(message, TxnPrepareRejection):
-            self.txns.on_rejection(sender, message)
-            return
-        if isinstance(message, TxnDecisionAck):
-            self.txns.on_ack(sender, message)
-            return
-        if isinstance(message, TxnDisputeVerdict):
-            self.txn_verdicts.append(message)
-            return
-        super().on_message(sender, message)
+    def _handle_shard_map(self, sender: NodeId, message: ShardMapMessage) -> None:
+        self.fleet_view.shard_map.update(self.env.registry, message)
+
+    def _handle_shard_verdict(
+        self, sender: NodeId, verdict: ShardDisputeVerdict
+    ) -> None:
+        self.shard_verdicts.append(verdict)
+
+    def _handle_txn_receipt(self, sender: NodeId, receipt: TxnPrepareReceipt) -> None:
+        self.txns.on_receipt(sender, receipt)
+
+    def _handle_txn_rejection(
+        self, sender: NodeId, rejection: TxnPrepareRejection
+    ) -> None:
+        self.txns.on_rejection(sender, rejection)
+
+    def _handle_txn_ack(self, sender: NodeId, ack: TxnDecisionAck) -> None:
+        self.txns.on_ack(sender, ack)
+
+    def _handle_txn_verdict(self, sender: NodeId, verdict: TxnDisputeVerdict) -> None:
+        self.txn_verdicts.append(verdict)
 
     def _handle_gossip(
         self, sender: NodeId, message: "GossipMessage | GossipBatchMessage"

@@ -8,8 +8,19 @@ shared edge-wide allocator; a side table remembers which shard each block
 belongs to so proofs, certificates, and merge outcomes route back to the
 right partition.
 
-Requests for shards the edge does not own are answered with a signed
-``NotOwnerRedirect`` carrying the edge's latest cloud-signed shard map.
+Dispatch is the parent's: ``ShardedEdgeNode.HANDLERS`` extends
+``EdgeNode.HANDLERS`` and :meth:`EdgeNode.on_message` stays the only
+dispatcher.  The parent's rows are *re-routed* — each names the
+``_route_*`` method that resolves its message to a shard's partition (by
+key, by the block side table, or by the message's shard field) — and the
+fleet's own protocols (shard map, handoff, replica shipping and leases,
+failover, verdicts, and the 2PC decision fan-out) are added as node-level
+rows that run against no partition.  A route returning ``None`` ends
+dispatch: requests for shards the edge does not own are answered with a
+signed ``NotOwnerRedirect`` carrying the edge's latest cloud-signed shard
+map, and requests it cannot serve *yet* are parked and later replayed
+through ``on_message``.
+
 Rebalancing runs the certified handoff protocol of
 :mod:`repro.sharding.handoff`: drain, offer (digests only), cloud
 countersign, transfer, destination-side verification — with a shard dispute
@@ -25,11 +36,12 @@ convicts it from any signed response).
 from __future__ import annotations
 
 import copy
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from ..common.config import SystemConfig
 from ..common.identifiers import BlockId, NodeId, OperationId, ShardId
 from ..common.regions import Region
+from ..log.block import Block
 from ..log.wedge_log import LogRecord, WedgeLog
 from ..lsmerkle.mlsm import MerkleizedLSM
 from ..lsmerkle.codec import decode_put, is_put_payload, page_from_block
@@ -92,6 +104,22 @@ from .partitioner import KeyPartitioner
 from .shard_map import ShardMapView
 
 
+def _block_digests(blocks: Iterable[Block]) -> tuple[tuple[BlockId, str], ...]:
+    """The ``(block id, digest)`` listing handoff statements sign over."""
+
+    return tuple((block.block_id, block.digest()) for block in blocks)
+
+
+def _merged_level_pages(state: PartitionState) -> tuple:
+    """``(level index, pages)`` of every non-empty merged level (1 and up)."""
+
+    return tuple(
+        (level.index, tuple(level.pages))
+        for level in state.index.tree.levels[1:]
+        if level.pages
+    )
+
+
 class ShardedEdgeNode(EdgeNode):
     """An honest edge node serving one ``PartitionState`` per owned shard."""
 
@@ -100,6 +128,44 @@ class ShardedEdgeNode(EdgeNode):
     #: cloud re-issues a stored grant for a duplicate offer and the dest
     #: re-acks a duplicate transfer — so blind retries are safe.
     HANDOFF_RETRY_POLICY = RetryPolicy(base_s=1.0, factor=2.0, cap_s=8.0, max_attempts=4)
+
+    #: The parent's rows re-routed per shard, plus the fleet's node-level
+    #: rows (no partition, so no quarantine gate and no active swap).
+    HANDLERS = EdgeNode.HANDLERS.extended(
+        {
+            # One decision may cover several shards this edge owns, so the
+            # handler fans it out over every owned participant partition
+            # itself.  Decisions bypass the serving resolution on purpose —
+            # a shard mid-handoff must still be able to resolve its staged
+            # prepares, that is exactly what the drain is waiting for.
+            TxnDecisionMessage: "_handle_txn_decision_fleet",
+            ShardMapMessage: "_handle_shard_map",
+            ShardHandoffOrder: "_handle_handoff_order",
+            ShardHandoffGrant: "_handle_handoff_grant",
+            ShardHandoffRejection: "_handle_handoff_rejection",
+            ShardTransferMessage: "_handle_shard_transfer",
+            ShardInstallAck: "_handle_install_ack_from_dest",
+            ReplicaLease: "_handle_replica_lease",
+            ReplicaLogShipment: "_handle_replica_shipment",
+            ReplicaShipmentAck: "_handle_replica_shipment_ack",
+            ReplicaPromotionOrder: "_handle_promotion_order",
+            ReplicaPromotionGrant: "_handle_promotion_grant",
+            ShardDisputeVerdict: "_handle_shard_verdict",
+            TxnDisputeVerdict: "_handle_txn_verdict",
+        },
+        routes={
+            AppendBatchRequest: "_route_append",
+            GetRequest: "_route_get",
+            TxnPrepareRequest: "_route_txn_prepare",
+            ReadRequest: "_route_read",
+            BlockProofMessage: "_route_block_proof",
+            CertifyRejection: "_route_certify_rejection",
+            BatchCertificateMessage: "_route_batch_certificate",
+            MergeResponse: "_route_merge_response",
+            MergeRejection: "_route_shard_field",
+            RootRefreshResponse: "_route_shard_field",
+        },
+    )
 
     def __init__(
         self,
@@ -316,8 +382,7 @@ class ShardedEdgeNode(EdgeNode):
         self.stats["shard_depositions"] += 1
         # Requests parked behind the writer's lease gate now resolve to
         # truthful signed redirects under the new map.
-        for parked_sender, parked_message in self._parked_requests.pop(shard_id, []):
-            self.on_message(parked_sender, parked_message)
+        self._replay_parked(shard_id)
 
     def _new_replica_state(self, shard_id: ShardId, writer: NodeId) -> PartitionState:
         # Constructed directly rather than via ``_new_partition``: a mirror
@@ -335,45 +400,6 @@ class ShardedEdgeNode(EdgeNode):
     # ------------------------------------------------------------------
     # Message dispatch / partition resolution
     # ------------------------------------------------------------------
-    def on_message(self, sender: NodeId, message: Any) -> None:
-        if isinstance(message, TxnDecisionMessage):
-            # One decision may cover several shards this edge owns: apply it
-            # to every owned participant partition (each keeps its own
-            # staged/decided state).  Decisions bypass the serving
-            # resolution on purpose — a shard mid-handoff must still be
-            # able to resolve its staged prepares, that is exactly what the
-            # drain is waiting for.
-            self._handle_txn_decision_fleet(sender, message)
-            return
-        if isinstance(message, ShardMapMessage):
-            self._handle_shard_map(sender, message)
-        elif isinstance(message, ShardHandoffOrder):
-            self._handle_handoff_order(sender, message)
-        elif isinstance(message, ShardHandoffGrant):
-            self._handle_handoff_grant(sender, message)
-        elif isinstance(message, ShardHandoffRejection):
-            self._handle_handoff_rejection(sender, message)
-        elif isinstance(message, ShardTransferMessage):
-            self._handle_shard_transfer(sender, message)
-        elif isinstance(message, ShardInstallAck):
-            self._handle_install_ack_from_dest(sender, message)
-        elif isinstance(message, ReplicaLease):
-            self._handle_replica_lease(sender, message)
-        elif isinstance(message, ReplicaLogShipment):
-            self._handle_replica_shipment(sender, message)
-        elif isinstance(message, ReplicaShipmentAck):
-            self._handle_replica_shipment_ack(sender, message)
-        elif isinstance(message, ReplicaPromotionOrder):
-            self._handle_promotion_order(sender, message)
-        elif isinstance(message, ReplicaPromotionGrant):
-            self._handle_promotion_grant(sender, message)
-        elif isinstance(message, ShardDisputeVerdict):
-            self.shard_verdicts.append(message)
-        elif isinstance(message, TxnDisputeVerdict):
-            self._handle_txn_verdict(sender, message)
-        else:
-            super().on_message(sender, message)
-
     def _partition_states(self):
         return (self._default_partition, *self._shard_states.values())
 
@@ -387,45 +413,66 @@ class ShardedEdgeNode(EdgeNode):
         # Pure logging batches (no keys) stay on the default partition.
         return None
 
-    def _partition_for_message(
-        self, sender: NodeId, message: Any
+    # Routes: which partition a routed row's message concerns.  ``None``
+    # ends dispatch — the request was answered with a redirect or parked
+    # during resolution, or it is a stray for a shard handed off since.
+    def _route_append(
+        self, sender: NodeId, message: AppendBatchRequest
     ) -> Optional[PartitionState]:
-        if isinstance(message, AppendBatchRequest):
-            shard_id = self._shard_of_append(message)
-            if shard_id is None:
-                return self._default_partition
-            return self._resolve_serving(sender, message, shard_id, message.operation_id)
-        if isinstance(message, GetRequest):
-            shard_id = self.partitioner.shard_of(message.key)
-            return self._resolve_serving(sender, message, shard_id, message.operation_id)
-        if isinstance(message, TxnPrepareRequest):
-            # Prepares resolve like client writes: redirect when this edge
-            # is not the owner, park mid-migration (after the grant the
-            # replay becomes a truthful redirect under the new map).
-            return self._resolve_serving(
-                sender, message, message.shard_id, message.operation_id
-            )
-        if isinstance(message, ReadRequest):
-            shard_id = self._block_shards.get(message.block_id)
-            state = self._shard_states.get(shard_id) if shard_id is not None else None
-            # Unknown and archived blocks are answered from the default
-            # partition; ``_read_record`` falls back to the archive.
-            return state if state is not None else self._default_partition
-        if isinstance(message, BlockProofMessage):
-            return self._partition_for_block(message.proof.block_id)
-        if isinstance(message, CertifyRejection):
-            return self._partition_for_block(message.block_id)
-        if isinstance(message, BatchCertificateMessage):
-            if not message.blocks:
-                return None
-            return self._partition_for_block(message.blocks[0][0])
-        if isinstance(message, MergeResponse):
-            return self._partition_for_shard_field(message.outcome.shard_id)
-        if isinstance(message, MergeRejection):
-            return self._partition_for_shard_field(message.shard_id)
-        if isinstance(message, RootRefreshResponse):
-            return self._partition_for_shard_field(message.shard_id)
-        return self._default_partition
+        shard_id = self._shard_of_append(message)
+        if shard_id is None:
+            return self._default_partition
+        return self._resolve_serving(sender, message, shard_id, message.operation_id)
+
+    def _route_get(
+        self, sender: NodeId, message: GetRequest
+    ) -> Optional[PartitionState]:
+        shard_id = self.partitioner.shard_of(message.key)
+        return self._resolve_serving(sender, message, shard_id, message.operation_id)
+
+    def _route_txn_prepare(
+        self, sender: NodeId, message: TxnPrepareRequest
+    ) -> Optional[PartitionState]:
+        # Prepares resolve like client writes: redirect when this edge is
+        # not the owner, park mid-migration (after the grant the replay
+        # becomes a truthful redirect under the new map).
+        return self._resolve_serving(
+            sender, message, message.shard_id, message.operation_id
+        )
+
+    def _route_read(self, sender: NodeId, message: ReadRequest) -> PartitionState:
+        shard_id = self._block_shards.get(message.block_id)
+        state = self._shard_states.get(shard_id) if shard_id is not None else None
+        # Unknown and archived blocks are answered from the default
+        # partition; ``_read_record`` falls back to the archive.
+        return state if state is not None else self._default_partition
+
+    def _route_block_proof(
+        self, sender: NodeId, message: BlockProofMessage
+    ) -> Optional[PartitionState]:
+        return self._partition_for_block(message.proof.block_id)
+
+    def _route_certify_rejection(
+        self, sender: NodeId, message: CertifyRejection
+    ) -> Optional[PartitionState]:
+        return self._partition_for_block(message.block_id)
+
+    def _route_batch_certificate(
+        self, sender: NodeId, message: BatchCertificateMessage
+    ) -> Optional[PartitionState]:
+        if not message.blocks:
+            return None
+        return self._partition_for_block(message.blocks[0][0])
+
+    def _route_merge_response(
+        self, sender: NodeId, message: MergeResponse
+    ) -> Optional[PartitionState]:
+        return self._partition_for_shard_field(message.outcome.shard_id)
+
+    def _route_shard_field(
+        self, sender: NodeId, message: "MergeRejection | RootRefreshResponse"
+    ) -> Optional[PartitionState]:
+        return self._partition_for_shard_field(message.shard_id)
 
     def _partition_for_block(self, block_id: BlockId) -> Optional[PartitionState]:
         shard_id = self._block_shards.get(block_id)
@@ -455,18 +502,12 @@ class ShardedEdgeNode(EdgeNode):
                 # Mid-drain nobody can serve the shard truthfully (the map
                 # still names this edge, the destination has no state):
                 # park the request until the grant republishes the map.
-                self._parked_requests.setdefault(shard_id, []).append(
-                    (sender, message)
-                )
-                return None
+                return self._park(shard_id, sender, message)
             state = self._shard_states.get(shard_id)
             if state is None:
                 # Owned per the map but the certified transfer has not
                 # arrived: park and replay once the shard is installed.
-                self._parked_requests.setdefault(shard_id, []).append(
-                    (sender, message)
-                )
-                return None
+                return self._park(shard_id, sender, message)
             if self.map_view.replicas_of(shard_id) and not self._writer_lease_valid(
                 shard_id
             ):
@@ -477,10 +518,7 @@ class ShardedEdgeNode(EdgeNode):
                 # any new signatures: by the time the cloud promotes a
                 # replica, an honest deposed writer has provably stopped.
                 self.stats["writer_lease_waits"] += 1
-                self._parked_requests.setdefault(shard_id, []).append(
-                    (sender, message)
-                )
-                return None
+                return self._park(shard_id, sender, message)
             return state
         if isinstance(message, GetRequest) and shard_id in self._replica_states:
             lease = self._shard_leases.get(shard_id)
@@ -494,6 +532,17 @@ class ShardedEdgeNode(EdgeNode):
                 return self._replica_states[shard_id]
         self._send_not_owner_redirect(sender, operation_id, shard_id)
         return None
+
+    def _park(self, shard_id: ShardId, sender: NodeId, message: Any) -> None:
+        """Hold a request this edge cannot serve *yet*; ends its dispatch."""
+
+        self._parked_requests.setdefault(shard_id, []).append((sender, message))
+
+    def _replay_parked(self, shard_id: ShardId) -> None:
+        """Re-enter every request parked behind *shard_id*, in arrival order."""
+
+        for sender, message in self._parked_requests.pop(shard_id, []):
+            self.on_message(sender, message)
 
     def _writer_lease_valid(self, shard_id: ShardId) -> bool:
         lease = self._shard_leases.get(shard_id)
@@ -569,6 +618,11 @@ class ShardedEdgeNode(EdgeNode):
         for state in owned:
             with self._as_active(state):
                 self._apply_txn_decision(message)
+
+    def _handle_shard_verdict(
+        self, sender: NodeId, verdict: ShardDisputeVerdict
+    ) -> None:
+        self.shard_verdicts.append(verdict)
 
     def _handle_txn_verdict(
         self, sender: NodeId, verdict: TxnDisputeVerdict
@@ -707,20 +761,13 @@ class ShardedEdgeNode(EdgeNode):
         if self.map_view.owner_of(shard_id) != self.node_id:
             return
         self._migrating[shard_id] = order.dest
-        tracer = self._obs_tracer
-        if tracer is None:
-            self._begin_handoff_drain(state, shard_id)
-            return
         # Root span of this handoff's trace: offer, transfer, and install
         # spans (on both edges) link back to the drain that started it.
-        with tracer.span(
-            "handoff.drain", parent=None, node=str(self.node_id), shard=str(shard_id)
-        ) as span:
-            self._obs_handoff[shard_id] = span.context
-            self._begin_handoff_drain(state, shard_id)
-
-    def _begin_handoff_drain(self, state: PartitionState, shard_id: ShardId) -> None:
-        with self._as_active(state):
+        with self._span(
+            "handoff.drain", parent=None, shard=str(shard_id)
+        ) as span, self._as_active(state):
+            if span is not None:
+                self._obs_handoff[shard_id] = span.context
             if state.staged_txns:
                 # Staged cross-shard prepares must resolve (decision or
                 # expiry) before the shard can be offered away: their
@@ -786,9 +833,7 @@ class ShardedEdgeNode(EdgeNode):
     def _send_handoff_offer(
         self, shard_id: ShardId, state: PartitionState, dest: NodeId
     ) -> None:
-        blocks = tuple(
-            (record.block.block_id, record.block.digest()) for record in state.log
-        )
+        blocks = _block_digests(record.block for record in state.log)
         state_digest = shard_state_digest(
             shard_id, state.index.level_roots(), blocks
         )
@@ -805,18 +850,13 @@ class ShardedEdgeNode(EdgeNode):
             signature=self.env.registry.sign(self.node_id, statement),
         )
         self.stats["shard_handoffs_offered"] += 1
-        tracer = self._obs_tracer
-        if tracer is None:
+        with self._span(
+            "handoff.offer",
+            parent=self._obs_handoff.get(shard_id),
+            shard=str(shard_id),
+            blocks=len(blocks),
+        ):
             self._ship_handoff_offer(request)
-        else:
-            with tracer.span(
-                "handoff.offer",
-                parent=self._obs_handoff.get(shard_id),
-                node=str(self.node_id),
-                shard=str(shard_id),
-                blocks=len(blocks),
-            ):
-                self._ship_handoff_offer(request)
 
         def resend() -> bool:
             # Superseded: the grant (or a crash) retired the drained state,
@@ -886,14 +926,8 @@ class ShardedEdgeNode(EdgeNode):
         blocks = tuple(record.block for record in state.log)
         proofs = tuple(record.proof for record in state.log)
         ship_blocks = self._transfer_blocks(blocks)
-        level_pages = tuple(
-            (level.index, tuple(level.pages))
-            for level in state.index.tree.levels[1:]
-            if level.pages
-        )
-        digest_list = tuple(
-            (block.block_id, block.digest()) for block in ship_blocks
-        )
+        level_pages = _merged_level_pages(state)
+        digest_list = _block_digests(ship_blocks)
         roots = level_roots_from_pages(level_pages, self.config.lsmerkle.num_levels)
         statement = ShardTransferStatement(
             source=self.node_id,
@@ -915,18 +949,13 @@ class ShardedEdgeNode(EdgeNode):
         self.env.charge(
             self.env.params.handoff_offer_cost(len(ship_blocks))
         )
-        tracer = self._obs_tracer
-        if tracer is None:
+        with self._span(
+            "handoff.transfer",
+            parent=self._obs_handoff.get(shard_id),
+            shard=str(shard_id),
+            blocks=len(ship_blocks),
+        ):
             self.env.send(self.node_id, certificate.dest, transfer)
-        else:
-            with tracer.span(
-                "handoff.transfer",
-                parent=self._obs_handoff.get(shard_id),
-                node=str(self.node_id),
-                shard=str(shard_id),
-                blocks=len(ship_blocks),
-            ):
-                self.env.send(self.node_id, certificate.dest, transfer)
         if state.store is not None:
             # The durable state travels with the shard: retire this
             # incarnation's store so a later re-adoption of the shard starts
@@ -954,8 +983,7 @@ class ShardedEdgeNode(EdgeNode):
         self._arm_handoff_retry("transfer", shard_id, 1, resend)
         # Requests parked during the drain now resolve to truthful signed
         # redirects under the republished map.
-        for parked_sender, parked_message in self._parked_requests.pop(shard_id, []):
-            self.on_message(parked_sender, parked_message)
+        self._replay_parked(shard_id)
 
     # Hook overridden by the tampering variant ------------------------------
     def _transfer_blocks(self, blocks: tuple) -> tuple:
@@ -967,155 +995,143 @@ class ShardedEdgeNode(EdgeNode):
     def _handle_shard_transfer(
         self, sender: NodeId, message: ShardTransferMessage
     ) -> None:
-        tracer = self._obs_tracer
-        if tracer is None:
-            self._install_shard_transfer(sender, message)
-            return
         # Parent is the source's handoff.transfer span (delivery sidecar).
-        with tracer.span(
-            "handoff.install",
-            node=str(self.node_id),
-            shard=str(message.certificate.shard_id),
-        ):
-            self._install_shard_transfer(sender, message)
-
-    def _install_shard_transfer(
-        self, sender: NodeId, message: ShardTransferMessage
-    ) -> None:
-        params = self.env.params
-        certificate = message.certificate
-        num_pages = sum(len(pages) for _, pages in message.level_pages)
-        self.env.charge(
-            params.handoff_install_cost(len(message.blocks), num_pages)
-        )
-        if (
-            certificate.cloud != self.cloud
-            or certificate.dest != self.node_id
-            or not certificate.verify(self.env.registry)
-        ):
-            return
-        if certificate.shard_id in self._shard_states:
-            # Already installed (a replayed or duplicated transfer): the
-            # live partition has accumulated state since — never overwrite.
-            # Re-ack so a source whose first ack was lost stops
-            # retransmitting (the cloud deduplicates install acks).
-            self.stats.setdefault("shard_transfer_duplicates", 0)
-            self.stats["shard_transfer_duplicates"] += 1
-            self._send_install_ack(
-                certificate.shard_id, certificate.state_digest, sender
+        with self._span("handoff.install", shard=str(message.certificate.shard_id)):
+            params = self.env.params
+            certificate = message.certificate
+            num_pages = sum(len(pages) for _, pages in message.level_pages)
+            self.env.charge(
+                params.handoff_install_cost(len(message.blocks), num_pages)
             )
-            return
-        refusal_key = (sender, certificate.shard_id, certificate.state_digest)
-        if refusal_key in self._refused_transfers:
-            self.stats.setdefault("shard_transfer_duplicates", 0)
-            self.stats["shard_transfer_duplicates"] += 1
-            return
-        statement = message.statement
-        shard_id = certificate.shard_id
-        if (
-            statement.source != sender
-            or statement.dest != self.node_id
-            or statement.shard_id != shard_id
-            or not self.env.registry.verify(message.signature, statement)
-        ):
-            self._refused_transfers.add(refusal_key)
-            return
-        if statement.map_version != certificate.statement.map_version:
-            # The statement must bind to the exact countersigned handoff:
-            # a lied-about version would otherwise point the dispute path
-            # at a certificate the cloud never issued, acquitting the liar.
-            self.stats["shard_transfer_invalid"] += 1
-            self._refused_transfers.add(refusal_key)
-            return
-        if len(message.proofs) != len(message.blocks):
-            # One proof per block, strictly: a short proofs tuple would let
-            # the zipped verification loop below silently skip blocks.
-            self.stats["shard_transfer_invalid"] += 1
-            self._refused_transfers.add(refusal_key)
-            return
-
-        # Recompute the state digest from the bytes actually received.
-        actual_digests = tuple(
-            (block.block_id, block.digest()) for block in message.blocks
-        )
-        roots = level_roots_from_pages(
-            message.level_pages, self.config.lsmerkle.num_levels
-        )
-        recomputed = shard_state_digest(shard_id, roots, actual_digests)
-        if actual_digests != statement.blocks or recomputed != statement.state_digest:
-            # The payload disagrees with what the source *signed*: nothing
-            # provable either way — refuse the install and wait for a
-            # retransmit (the shard stays pending, requests stay parked).
-            self.stats["shard_transfer_invalid"] += 1
-            self._refused_transfers.add(refusal_key)
-            return
-        if statement.state_digest != certificate.state_digest:
-            # The source signed state that differs from what the cloud
-            # countersigned: provable tampering — dispute it (once: a
-            # retransmitted copy of the same signed transfer is deduped).
-            self._refused_transfers.add(refusal_key)
-            self.stats["shard_disputes_sent"] += 1
-            self.env.send(
-                self.node_id,
-                self.cloud,
-                ShardDispute(
-                    reporter=self.node_id,
-                    accused=statement.source,
-                    shard_id=shard_id,
-                    kind="handoff-digest-mismatch",
-                    transfer_statement=statement,
-                    transfer_signature=message.signature,
-                ),
-            )
-            return
-        if not message.signed_root.verify(self.env.registry, self.cloud):
-            self.stats["shard_transfer_invalid"] += 1
-            self._refused_transfers.add(refusal_key)
-            return
-        root_statement = message.signed_root.statement
-        if (
-            root_statement.edge != self.node_id
-            or tuple(root_statement.level_roots) != roots
-        ):
-            self.stats["shard_transfer_invalid"] += 1
-            self._refused_transfers.add(refusal_key)
-            return
-        for block, proof in zip(message.blocks, message.proofs):
             if (
-                proof is None
-                or proof.cloud != self.cloud
-                or not proof.certifies(block)
-                or not proof.verify(self.env.registry)
+                certificate.cloud != self.cloud
+                or certificate.dest != self.node_id
+                or not certificate.verify(self.env.registry)
             ):
-                self.stats["shard_transfer_invalid"] += 1
+                return
+            if certificate.shard_id in self._shard_states:
+                # Already installed (a replayed or duplicated transfer): the
+                # live partition has accumulated state since — never overwrite.
+                # Re-ack so a source whose first ack was lost stops
+                # retransmitting (the cloud deduplicates install acks).
+                self.stats.setdefault("shard_transfer_duplicates", 0)
+                self.stats["shard_transfer_duplicates"] += 1
+                self._send_install_ack(
+                    certificate.shard_id, certificate.state_digest, sender
+                )
+                return
+            refusal_key = (sender, certificate.shard_id, certificate.state_digest)
+            if refusal_key in self._refused_transfers:
+                self.stats.setdefault("shard_transfer_duplicates", 0)
+                self.stats["shard_transfer_duplicates"] += 1
+                return
+            statement = message.statement
+            shard_id = certificate.shard_id
+            if (
+                statement.source != sender
+                or statement.dest != self.node_id
+                or statement.shard_id != shard_id
+                or not self.env.registry.verify(message.signature, statement)
+            ):
                 self._refused_transfers.add(refusal_key)
                 return
+            if statement.map_version != certificate.statement.map_version:
+                # The statement must bind to the exact countersigned handoff:
+                # a lied-about version would otherwise point the dispute path
+                # at a certificate the cloud never issued, acquitting the liar.
+                return self._refuse_transfer(refusal_key)
+            if len(message.proofs) != len(message.blocks):
+                # One proof per block, strictly: a short proofs tuple would let
+                # the zipped verification loop below silently skip blocks.
+                return self._refuse_transfer(refusal_key)
 
-        # Verified end to end: install and start serving.
-        state = self._new_partition(shard_id)
-        for level_index, pages in message.level_pages:
-            state.index.install_level_pages(level_index, pages)
-        state.signed_root = message.signed_root
-        if state.store is not None:
-            # Seed the durable backend with what was just verified, so a
-            # crash after the install recovers the shard to this exact
-            # signed state instead of an empty partition.
-            try:
-                seed_partition_store(
-                    state.store,
-                    level_pages=message.level_pages,
-                    signed_root=message.signed_root,
-                    next_block_id=state.log.next_block_id,
+            # Recompute the state digest from the bytes actually received.
+            actual_digests = _block_digests(message.blocks)
+            roots = level_roots_from_pages(
+                message.level_pages, self.config.lsmerkle.num_levels
+            )
+            recomputed = shard_state_digest(shard_id, roots, actual_digests)
+            if (
+                actual_digests != statement.blocks
+                or recomputed != statement.state_digest
+            ):
+                # The payload disagrees with what the source *signed*: nothing
+                # provable either way — refuse the install and wait for a
+                # retransmit (the shard stays pending, requests stay parked).
+                return self._refuse_transfer(refusal_key)
+            if statement.state_digest != certificate.state_digest:
+                # The source signed state that differs from what the cloud
+                # countersigned: provable tampering — dispute it (once: a
+                # retransmitted copy of the same signed transfer is deduped).
+                self._refused_transfers.add(refusal_key)
+                self.stats["shard_disputes_sent"] += 1
+                self.env.send(
+                    self.node_id,
+                    self.cloud,
+                    ShardDispute(
+                        reporter=self.node_id,
+                        accused=statement.source,
+                        shard_id=shard_id,
+                        kind="handoff-digest-mismatch",
+                        transfer_statement=statement,
+                        transfer_signature=message.signature,
+                    ),
                 )
-            except StorageError:
-                self._storage_degraded()
-        self._shard_states[shard_id] = state
-        for block, proof in zip(message.blocks, message.proofs):
-            self._imported_blocks[(statement.source, block.block_id)] = (block, proof)
-        self.stats["shard_handoffs_in"] += 1
-        self._send_install_ack(shard_id, statement.state_digest, statement.source)
-        for queued_sender, queued_message in self._parked_requests.pop(shard_id, []):
-            self.on_message(queued_sender, queued_message)
+                return
+            if not message.signed_root.verify(self.env.registry, self.cloud):
+                return self._refuse_transfer(refusal_key)
+            root_statement = message.signed_root.statement
+            if (
+                root_statement.edge != self.node_id
+                or tuple(root_statement.level_roots) != roots
+            ):
+                return self._refuse_transfer(refusal_key)
+            for block, proof in zip(message.blocks, message.proofs):
+                if not self._proof_certifies(block, proof):
+                    return self._refuse_transfer(refusal_key)
+
+            # Verified end to end: install and start serving.
+            state = self._new_partition(shard_id)
+            for level_index, pages in message.level_pages:
+                state.index.install_level_pages(level_index, pages)
+            state.signed_root = message.signed_root
+            if state.store is not None:
+                # Seed the durable backend with what was just verified, so a
+                # crash after the install recovers the shard to this exact
+                # signed state instead of an empty partition.
+                try:
+                    seed_partition_store(
+                        state.store,
+                        level_pages=message.level_pages,
+                        signed_root=message.signed_root,
+                        next_block_id=state.log.next_block_id,
+                    )
+                except StorageError:
+                    self._storage_degraded()
+            self._shard_states[shard_id] = state
+            for block, proof in zip(message.blocks, message.proofs):
+                key = (statement.source, block.block_id)
+                self._imported_blocks[key] = (block, proof)
+            self.stats["shard_handoffs_in"] += 1
+            self._send_install_ack(shard_id, statement.state_digest, statement.source)
+            self._replay_parked(shard_id)
+
+    def _refuse_transfer(self, refusal_key: tuple[NodeId, ShardId, str]) -> None:
+        """Count an invalid transfer and remember its certificate: one
+        certificate gets one trial (see ``_refused_transfers``)."""
+
+        self.stats["shard_transfer_invalid"] += 1
+        self._refused_transfers.add(refusal_key)
+
+    def _proof_certifies(self, block: Block, proof: Any) -> bool:
+        """Whether *proof* is this cloud's valid certificate of *block*."""
+
+        return (
+            proof is not None
+            and proof.cloud == self.cloud
+            and proof.certifies(block)
+            and proof.verify(self.env.registry)
+        )
 
     def _send_install_ack(
         self, shard_id: ShardId, state_digest: str, source: NodeId
@@ -1169,10 +1185,7 @@ class ShardedEdgeNode(EdgeNode):
         if self.map_view.owner_of(lease.shard_id) == self.node_id:
             # Writes parked behind the writer's lease gate replay under the
             # renewed lease.
-            for parked_sender, parked_message in self._parked_requests.pop(
-                lease.shard_id, []
-            ):
-                self.on_message(parked_sender, parked_message)
+            self._replay_parked(lease.shard_id)
 
     # ------------------------------------------------------------------
     # Replica groups: certified log shipping (writer side)
@@ -1222,11 +1235,7 @@ class ShardedEdgeNode(EdgeNode):
                 for block_id in state.level_zero_blocks
                 if block_id in certified_ids
             )
-            level_pages = tuple(
-                (level.index, tuple(level.pages))
-                for level in state.index.tree.levels[1:]
-                if level.pages
-            )
+            level_pages = _merged_level_pages(state)
             for replica in replicas:
                 self._ship_to_replica(
                     shard_id, state, replica, records, level_zero_ids, level_pages
@@ -1327,13 +1336,7 @@ class ShardedEdgeNode(EdgeNode):
             return
         allowed = {sender, *self.map_view.provenance_of(shard_id)}
         for block, proof in zip(message.blocks, message.proofs):
-            if (
-                block.edge not in allowed
-                or proof is None
-                or proof.cloud != self.cloud
-                or not proof.certifies(block)
-                or not proof.verify(self.env.registry)
-            ):
+            if block.edge not in allowed or not self._proof_certifies(block, proof):
                 self.stats["replica_shipments_rejected"] += 1
                 return
         signed_root = message.signed_root
@@ -1422,10 +1425,7 @@ class ShardedEdgeNode(EdgeNode):
         if state is None:
             state = self._new_replica_state(shard_id, order.source)
             self._replica_states[shard_id] = state
-        blocks = tuple(
-            (record.block.block_id, record.block.digest())
-            for record in state.log
-        )
+        blocks = _block_digests(record.block for record in state.log)
         statement = ShardHandoffStatement(
             edge=self.node_id,
             dest=self.node_id,
@@ -1451,21 +1451,22 @@ class ShardedEdgeNode(EdgeNode):
         )
         self.stats["promotion_offers"] += 1
         self.env.charge(self.env.params.handoff_offer_cost(len(blocks)))
-        tracer = self._obs_tracer
-        if tracer is None:
-            self.env.send(self.node_id, self.cloud, offer)
-            return
-        with tracer.span(
-            "failover.offer",
-            node=str(self.node_id),
-            shard=str(shard_id),
-            blocks=len(blocks),
-        ):
+        with self._span("failover.offer", shard=str(shard_id), blocks=len(blocks)):
             self.env.send(self.node_id, self.cloud, offer)
 
     def _handle_promotion_grant(
         self, sender: NodeId, grant: ReplicaPromotionGrant
     ) -> None:
+        """Convert the mirror into the serving partition under the new map.
+
+        The promoted log is owned by *this* edge with the shard's
+        provenance chain as co-owners: the deposed writer's certified
+        blocks keep their original ``edge`` field (their certificates bind
+        it) while new appends carry this edge's.  Imported block ids live
+        in the prior writers' id spaces — the edge-wide allocator skips
+        past them but ``_block_shards`` routes only locally formed blocks.
+        """
+
         if sender != self.cloud:
             return
         certificate = grant.certificate
@@ -1478,72 +1479,46 @@ class ShardedEdgeNode(EdgeNode):
         shard_id = certificate.shard_id
         if shard_id in self._shard_states:
             return  # duplicate grant: already promoted
-        tracer = self._obs_tracer
-        if tracer is None:
-            self._promote_from_mirror(sender, shard_id, grant)
-            return
-        with tracer.span(
-            "failover.promote", node=str(self.node_id), shard=str(shard_id)
-        ):
-            self._promote_from_mirror(sender, shard_id, grant)
-
-    def _promote_from_mirror(
-        self, sender: NodeId, shard_id: ShardId, grant: ReplicaPromotionGrant
-    ) -> None:
-        """Convert the mirror into the serving partition under the new map.
-
-        The promoted log is owned by *this* edge with the shard's
-        provenance chain as co-owners: the deposed writer's certified
-        blocks keep their original ``edge`` field (their certificates bind
-        it) while new appends carry this edge's.  Imported block ids live
-        in the prior writers' id spaces — the edge-wide allocator skips
-        past them but ``_block_shards`` routes only locally formed blocks.
-        """
-
-        self._handle_shard_map(sender, grant.shard_map)
-        mirror = self._replica_states.pop(shard_id, None)
-        if mirror is None:
-            return
-        state = self._new_partition(shard_id)
-        state.log = WedgeLog(
-            self.node_id, co_owners=self.map_view.provenance_of(shard_id)
-        )
-        for record in mirror.log:
-            state.log.append(record.block)
-            if record.proof is not None:
-                state.log.attach_proof(record.proof)
-            self._imported_blocks[(record.block.edge, record.block.block_id)] = (
-                record.block,
-                record.proof,
+        with self._span("failover.promote", shard=str(shard_id)):
+            self._handle_shard_map(sender, grant.shard_map)
+            mirror = self._replica_states.pop(shard_id, None)
+            if mirror is None:
+                return
+            state = self._new_partition(shard_id)
+            state.log = WedgeLog(
+                self.node_id, co_owners=self.map_view.provenance_of(shard_id)
             )
-        state.index = mirror.index
-        state.level_zero_blocks = list(mirror.level_zero_blocks)
-        state.signed_root = grant.signed_root
-        if state.store is not None:
-            # Seed the durable backend with the merged levels and the
-            # re-signed root.  Imported level-0 records stay volatile until
-            # the next merge folds them into manifest-covered pages — the
-            # same window the in-memory crash model already accepts.
-            level_pages = tuple(
-                (level.index, tuple(level.pages))
-                for level in state.index.tree.levels[1:]
-                if level.pages
-            )
-            try:
-                seed_partition_store(
-                    state.store,
-                    level_pages=level_pages,
-                    signed_root=grant.signed_root,
-                    next_block_id=state.log.next_block_id,
+            for record in mirror.log:
+                state.log.append(record.block)
+                if record.proof is not None:
+                    state.log.attach_proof(record.proof)
+                self._imported_blocks[(record.block.edge, record.block.block_id)] = (
+                    record.block,
+                    record.proof,
                 )
-            except StorageError:
-                self._storage_degraded()
-        self._shard_states[shard_id] = state
-        self._next_block_id = max(self._next_block_id, state.log.next_block_id)
-        self.stats["shard_promotions"] += 1
-        self._maybe_start_replication()
-        for parked_sender, parked_message in self._parked_requests.pop(shard_id, []):
-            self.on_message(parked_sender, parked_message)
+            state.index = mirror.index
+            state.level_zero_blocks = list(mirror.level_zero_blocks)
+            state.signed_root = grant.signed_root
+            if state.store is not None:
+                # Seed the durable backend with the merged levels and the
+                # re-signed root.  Imported level-0 records stay volatile until
+                # the next merge folds them into manifest-covered pages — the
+                # same window the in-memory crash model already accepts.
+                level_pages = _merged_level_pages(state)
+                try:
+                    seed_partition_store(
+                        state.store,
+                        level_pages=level_pages,
+                        signed_root=grant.signed_root,
+                        next_block_id=state.log.next_block_id,
+                    )
+                except StorageError:
+                    self._storage_degraded()
+            self._shard_states[shard_id] = state
+            self._next_block_id = max(self._next_block_id, state.log.next_block_id)
+            self.stats["shard_promotions"] += 1
+            self._maybe_start_replication()
+            self._replay_parked(shard_id)
 
     # ------------------------------------------------------------------
     # Crash model (fault injection)
@@ -1633,32 +1608,6 @@ class ShardedEdgeNode(EdgeNode):
         with self._as_active(state):
             self.request_root_refresh()
 
-    def certify_pipeline_snapshot(self) -> dict:
-        """Per-partition certification-pipeline state, for fleet telemetry.
-
-        Keys are shard ids (``"default"`` for the default partition); values
-        report the in-flight window occupancy, the queued-but-undispatched
-        digests, the retired batch count, and the uncertified block count.
-
-        .. deprecated:: PR 8
-            Kept as a thin view for existing callers.  With observability
-            enabled the same occupancy numbers live on the metrics registry
-            (``certify_in_flight`` / ``certify_queued`` gauges, per-shard
-            labels) and render in ``python -m repro.obs.report``.
-        """
-
-        snapshot: dict = {}
-        for state in self._partition_states():
-            key = "default" if state.shard_id is None else state.shard_id
-            certifier = state.certifier
-            snapshot[key] = {
-                "in_flight": certifier.in_flight_count,
-                "queued": certifier.pending_dispatch_count,
-                "retired_batches": certifier.retired_batch_count,
-                "uncertified": len(certifier.outstanding()),
-            }
-        return snapshot
-
 
 class TamperingHandoffEdgeNode(ShardedEdgeNode):
     """Ships tampered block content during a shard handoff.
@@ -1671,7 +1620,6 @@ class TamperingHandoffEdgeNode(ShardedEdgeNode):
     """
 
     def _transfer_blocks(self, blocks: tuple) -> tuple:
-        from ..log.block import Block
         from ..nodes.malicious import _tamper_entries
 
         if not blocks:

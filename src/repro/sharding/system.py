@@ -7,10 +7,10 @@ shard map, hands every client a router, and exposes rebalancing (manual
 ``rebalance_shard`` and the load-triggered ``maybe_rebalance``) on top of
 the certified handoff protocol.
 
-:class:`ShardedClosedLoopDriver` drives the fleet the same way the paper's
-closed-loop clients drive one edge — one outstanding *batch* per client —
-except a batch that spans shards fans out into one append per owning edge
-and completes when the last sub-operation commits.
+The paper's :class:`~repro.workloads.driver.ClosedLoopDriver` drives the
+fleet as it drives one edge — one outstanding *batch* per client; it already
+tracks the set of operations a batch that spans shards fans out into (one
+append per owning edge) and issues the next batch when the last commits.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from typing import Callable, Optional, Sequence
 
 from ..common.config import ShardingConfig, SystemConfig
 from ..common.errors import ConfigurationError
-from ..common.identifiers import NodeId, ShardId
+from ..common.identifiers import NodeId, ShardId, edge_id
 from ..core.system import WedgeChainSystem
-from ..nodes.cloud import CloudNode
 from ..sim.environment import Environment
 from ..sim.parameters import SimulationParameters
 from ..sim.topology import Topology
-from ..workloads.driver import ClosedLoopDriver
 from .client import ShardedClient
+from .cloud import ShardedCloudNode
 from .edge import ShardedEdgeNode
 from .partitioner import KeyPartitioner, make_partitioner
 
@@ -53,7 +52,7 @@ class ShardedWedgeSystem(WedgeChainSystem):
         self,
         env: Environment,
         config: SystemConfig,
-        cloud: CloudNode,
+        cloud: ShardedCloudNode,
         edges: Sequence[ShardedEdgeNode],
         clients: Sequence[ShardedClient],
         partitioner: KeyPartitioner,
@@ -108,47 +107,52 @@ class ShardedWedgeSystem(WedgeChainSystem):
         )
         factory = edge_factory if edge_factory is not None else ShardedEdgeNode
 
-        cloud = CloudNode(env=env, config=config, name="cloud-0")
-        edges = [
-            factory(
-                env=env,
-                cloud=cloud.node_id,
-                config=config,
-                name=f"edge-{index}",
-                region=config.placement.edge_region,
-                partitioner=partitioner,
-            )
-            for index in range(config.num_edge_nodes)
-        ]
+        # The cloud is the map's authority from construction, so ownership is
+        # laid out over the edges' ids before the edges themselves exist.
+        edge_names = [f"edge-{index}" for index in range(config.num_edge_nodes)]
+        edge_ids = [edge_id(name) for name in edge_names]
         assignments = {
-            shard_id: edges[shard_id % len(edges)].node_id
+            shard_id: edge_ids[shard_id % len(edge_ids)]
             for shard_id in range(sharding.num_shards)
         }
         # replication_factor - 1 read replicas per shard, round-robin over
         # the edges after the writer.  The paper-default factor of 1 leaves
         # the map (and its signed bytes) exactly as the unreplicated fleet.
         replicas = None
-        extra = min(sharding.replication_factor - 1, len(edges) - 1)
+        extra = min(sharding.replication_factor - 1, len(edge_ids) - 1)
         if extra > 0:
             replicas = {
                 shard_id: tuple(
-                    edges[(shard_id + offset) % len(edges)].node_id
+                    edge_ids[(shard_id + offset) % len(edge_ids)]
                     for offset in range(1, extra + 1)
                 )
                 for shard_id in range(sharding.num_shards)
             }
-        map_message = cloud.install_shard_map(
-            num_shards=sharding.num_shards,
-            partitioner_name=sharding.partitioner,
+        cloud = ShardedCloudNode(
+            env=env,
+            config=config,
+            partitioner=partitioner,
             assignments=assignments,
-            key_space=sharding.key_space,
             replicas=replicas,
         )
+        edges = [
+            factory(
+                env=env,
+                cloud=cloud.node_id,
+                config=config,
+                name=name,
+                region=config.placement.edge_region,
+                partitioner=partitioner,
+            )
+            for name in edge_names
+        ]
+        if [edge.node_id for edge in edges] != edge_ids:
+            raise ConfigurationError("edge_factory must name each edge as asked")
+        map_message = cloud.current_shard_map()
         for edge in edges:
             edge.adopt_shard_map(map_message)
 
         clients = []
-        edge_ids = [edge.node_id for edge in edges]
         for index in range(num_clients):
             client = ShardedClient(
                 env=env,
@@ -180,8 +184,7 @@ class ShardedWedgeSystem(WedgeChainSystem):
     def shard_owner(self, shard_id: ShardId) -> Optional[NodeId]:
         """The authoritative current owner (cloud registry)."""
 
-        registry = self.cloud.shard_registry
-        return registry.owner_of(shard_id) if registry is not None else None
+        return self.cloud.shard_registry.owner_of(shard_id)
 
     def edge_by_id(self, node_id: NodeId) -> ShardedEdgeNode:
         for edge in self.edges:
@@ -256,11 +259,7 @@ class ShardedWedgeSystem(WedgeChainSystem):
             "handoffs_granted": self.cloud.stats["shard_handoffs_granted"],
             "handoffs_completed": self.cloud.stats["shard_installs"],
             "shard_disputes": self.cloud.stats["shard_disputes"],
-            "map_version": (
-                self.cloud.shard_registry.version
-                if self.cloud.shard_registry is not None
-                else 0
-            ),
+            "map_version": self.cloud.shard_registry.version,
             "entries_per_edge": {
                 str(edge.node_id): edge.stats["entries_logged"] for edge in self.edges
             },
@@ -272,48 +271,3 @@ class ShardedWedgeSystem(WedgeChainSystem):
                 default=0,
             ),
         }
-
-    def certify_pipeline_stats(self) -> dict:
-        """Fleet-wide view of every edge's certification pipeline.
-
-        One entry per edge (see
-        :meth:`~repro.sharding.edge.ShardedEdgeNode.certify_pipeline_snapshot`),
-        plus aggregate in-flight and retired-batch totals — the dashboard
-        surface for "is Phase II keeping up with Phase I" at fleet scale.
-
-        .. deprecated:: PR 8
-            Kept as a thin view for existing callers.  With observability
-            enabled the same numbers live on the per-node metrics
-            registries (``certify_in_flight`` / ``certify_queued`` gauges)
-            and aggregate in the ``python -m repro.obs.report`` fleet
-            health report.
-        """
-
-        per_edge = {
-            str(edge.node_id): edge.certify_pipeline_snapshot()
-            for edge in self.edges
-        }
-        return {
-            "per_edge": per_edge,
-            "in_flight_total": sum(
-                shard["in_flight"]
-                for snapshot in per_edge.values()
-                for shard in snapshot.values()
-            ),
-            "retired_batches_total": sum(
-                shard["retired_batches"]
-                for snapshot in per_edge.values()
-                for shard in snapshot.values()
-            ),
-        }
-
-
-class ShardedClosedLoopDriver(ClosedLoopDriver):
-    """Closed-loop driver over shard-aware clients.
-
-    Identical to :class:`~repro.workloads.driver.ClosedLoopDriver` — the
-    base driver already tracks the set of operations a batch fans out into
-    (one append per owning edge) and issues the next logical batch when the
-    last of them commits.  The subclass exists as the fleet-facing name and
-    for sharding-specific extensions.
-    """

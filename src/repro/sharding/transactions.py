@@ -83,6 +83,7 @@ from ..messages.txn_messages import (
     TxnPrepareStatement,
     TxnWrite,
 )
+from ..nodes.dispatch import open_span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .client import ShardedClient
@@ -232,11 +233,12 @@ class TxnCoordinator:
         #: (observability only); evicted with the record.
         self._obs_txn: dict[TxnId, object] = {}
 
-    def _tracer(self):
-        """The shared tracer, or ``None`` when observability is off."""
+    def _span(self, name: str, **attrs):
+        """A span on the deployment's shared tracer (no-op when it has none)."""
 
         obs = self.client.env.obs
-        return obs.tracer if obs is not None else None
+        tracer = obs.tracer if obs is not None else None
+        return open_span(tracer, self.client.node_id, name, **attrs)
 
     # ------------------------------------------------------------------
     # Configuration
@@ -387,23 +389,15 @@ class TxnCoordinator:
         client.stats["entries_sent"] += sum(
             len(p.entries) for p in participants.values()
         )
-        tracer = self._tracer()
-        if tracer is None:
+        # Root span of the transaction's trace: the prepares carry its
+        # context to the participants, and txn.decide parents off it.
+        with self._span(
+            "txn.begin", parent=None, txn=str(txn_id), shards=len(participants)
+        ) as span:
+            if span is not None:
+                self._obs_txn[txn_id] = span.context
             for participant in participants.values():
                 self._send_prepare(participant)
-        else:
-            # Root span of the transaction's trace: the prepares carry its
-            # context to the participants, and txn.decide parents off it.
-            with tracer.span(
-                "txn.begin",
-                parent=None,
-                node=str(client.node_id),
-                txn=str(txn_id),
-                shards=len(participants),
-            ) as span:
-                self._obs_txn[txn_id] = span.context
-                for participant in participants.values():
-                    self._send_prepare(participant)
         env.schedule(
             self._sharding().txn_receipt_timeout_s,
             lambda: self._receipt_timeout(txn_id),
@@ -571,20 +565,14 @@ class TxnCoordinator:
         # Every participant gets the decision — including ones whose receipt
         # never arrived: if they staged late (parked request, slow link) the
         # decision cleans the orphan stage instead of leaving it to expire.
-        tracer = self._tracer()
-        if tracer is None:
+        with self._span(
+            "txn.decide",
+            parent=self._obs_txn.get(txn.txn_id),
+            txn=str(txn.txn_id),
+            decision=decision,
+        ):
             for participant in txn.participants.values():
                 env.send(client.node_id, participant.owner, message)
-        else:
-            with tracer.span(
-                "txn.decide",
-                parent=self._obs_txn.get(txn.txn_id),
-                node=str(client.node_id),
-                txn=str(txn.txn_id),
-                decision=decision,
-            ):
-                for participant in txn.participants.values():
-                    env.send(client.node_id, participant.owner, message)
         self._arm_decision_retry(txn, attempt=1)
         for participant in txn.participants.values():
             # The signed entries exist to re-send prepares; after the

@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Protocol
 
-from ..common.errors import SimulationError, TransportError
 from ..common.identifiers import NodeId
 from ..common.regions import Region
-from ..crypto.signatures import KeyRegistry
+from ..transport import BaseRuntime
 from .events import EventHandle, EventScheduler
 from .network import SimNetwork
 from .parameters import SimulationParameters
@@ -60,8 +59,15 @@ class _EndpointAdapter:
         self._env._enqueue_handling(self.node, sender, message)
 
 
-class Environment:
-    """Scheduler + network + crypto registry + calibration, in one place."""
+class Environment(BaseRuntime):
+    """Scheduler + network + crypto registry + calibration, in one place.
+
+    The simulated :class:`~repro.transport.NodeRuntime`: node management and
+    observability attachment are :class:`~repro.transport.BaseRuntime`'s;
+    this class adds the simulated clock, the event-queue timers, and the
+    CPU/queueing model (:class:`_EndpointAdapter`, and the ``_current``
+    invocation record the base's ``charge`` accrues into).
+    """
 
     def __init__(
         self,
@@ -75,58 +81,16 @@ class Environment:
         self.params = params if params is not None else SimulationParameters()
         self.scheduler = EventScheduler(start_time)
         self.rng = DeterministicRng(seed)
-        self.network = SimNetwork(self.scheduler, self.topology, self.params, self.rng)
-        self.registry = KeyRegistry(signature_scheme)
-        self._adapters: Dict[NodeId, _EndpointAdapter] = {}
+        super().__init__(
+            SimNetwork(self.scheduler, self.topology, self.params, self.rng),
+            signature_scheme,
+        )
+        #: Simulated time until which each node is busy (absent = idle).
         self._busy_until: Dict[NodeId, float] = {}
         self._current: Optional[_Invocation] = None
-        #: Shared observability bundle; ``None`` until a node is built with
-        #: an enabled :class:`~repro.common.config.ObservabilityConfig`
-        #: (the paper-default deployment never sets it).
-        self.obs = None
 
-    # ------------------------------------------------------------------
-    # Node management
-    # ------------------------------------------------------------------
-    def attach(self, node: EnvironmentNode) -> None:
-        """Register *node* with the network and the key registry."""
-
-        adapter = _EndpointAdapter(self, node)
-        self.network.register(adapter)
-        self._adapters[node.node_id] = adapter
-        self._busy_until[node.node_id] = 0.0
-        self.registry.register(node.node_id)
-
-    def ensure_observability(self, config) -> Optional[Any]:
-        """The shared :class:`~repro.obs.Observability` bundle, or ``None``.
-
-        Nodes call this from their constructors with their
-        ``config.observability``.  A disabled (or absent) config returns
-        ``None`` — that node carries no instrumentation.  The first enabled
-        config lazily creates the bundle, hands it to the network (which
-        starts carrying trace-context sidecars and per-message-type byte
-        counters), and every later caller shares it.
-        """
-
-        if config is None or not config.enabled:
-            return None
-        if self.obs is None:
-            from ..obs import Observability
-
-            self.obs = Observability(config, clock=self.now)
-            self.network.attach_observability(self.obs)
-        return self.obs
-
-    def node(self, node_id: NodeId) -> EnvironmentNode:
-        try:
-            return self._adapters[node_id].node
-        except KeyError as exc:
-            raise TransportError(f"unknown node {node_id}") from exc
-
-    def node_ids(self) -> tuple:
-        """Every attached node id, in attachment order."""
-
-        return tuple(self._adapters)
+    def _adapter_for(self, node: EnvironmentNode) -> _EndpointAdapter:
+        return _EndpointAdapter(self, node)
 
     # ------------------------------------------------------------------
     # Time
@@ -135,20 +99,8 @@ class Environment:
         return self.scheduler.now()
 
     # ------------------------------------------------------------------
-    # CPU model
+    # CPU model (``charge`` itself is the base's: it accrues into ``_current``)
     # ------------------------------------------------------------------
-    def charge(self, seconds: float) -> None:
-        """Charge simulated CPU time to the node whose handler is running.
-
-        Outside a handler invocation (e.g. workload setup code) the charge is
-        silently ignored, which keeps harness code simple.
-        """
-
-        if seconds < 0:
-            raise SimulationError("cannot charge negative CPU time")
-        if self._current is not None:
-            self._current.charged += seconds
-
     def _enqueue_handling(
         self, node: EnvironmentNode, sender: NodeId, message: Any
     ) -> None:

@@ -19,18 +19,19 @@ Message sizes come from the message's ``wire_size`` attribute when present
 (protocol messages compute a realistic payload size cheaply) and otherwise
 from the canonical encoding.
 
-Fault injection composes on the network through two public surfaces:
+Fault injection composes on the network through two public surfaces, both
+inherited from :class:`repro.transport.BaseTransport` so the wall-clock
+transport cannot drift from them:
 
-* **Send hooks** (:meth:`SimNetwork.add_send_hook`): named, composable
+* **Send hooks** (``add_send_hook``): named, composable
   predicates consulted for every send *before* any latency or bandwidth
   accounting.  A hook returning ``False`` vetoes the delivery (the send
   reports an infinite delivery time and the message is never scheduled);
   the message travels normally only when every hook approves it.  Hooks
   run in registration order and must be deterministic — the fault
   subsystem (:mod:`repro.faults`) derives all its randomness from seeded
-  streams.  The legacy single-slot ``send_interceptor`` attribute is kept
-  as a property aliasing a reserved hook name.
-* **Offline nodes** (:meth:`SimNetwork.set_offline`): a crashed node
+  streams.
+* **Offline nodes** (``set_offline``): a crashed node
   neither receives traffic already in flight (deliveries scheduled before
   the crash are dropped at delivery time) nor emits new traffic (sends
   from an offline node are vetoed at the source).  Restarting clears the
@@ -43,11 +44,11 @@ empty dict and one empty set.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from typing import Any, Dict
 
-from ..common.errors import TransportError
 from ..common.identifiers import NodeId, NodeRole
 from ..transport import (
+    BaseTransport,
     NetworkEndpoint,
     NetworkStats,
     SendHook,
@@ -66,11 +67,7 @@ __all__ = [
     "message_wire_size",
 ]
 
-#: Reserved hook name backing the legacy ``send_interceptor`` attribute.
-_LEGACY_INTERCEPTOR = "legacy-send-interceptor"
-
-
-class SimNetwork:
+class SimNetwork(BaseTransport):
     """Latency- and bandwidth-aware message delivery between registered nodes.
 
     The simulated implementation of the :class:`repro.transport.Transport`
@@ -85,114 +82,19 @@ class SimNetwork:
         params: SimulationParameters,
         rng: DeterministicRng,
     ) -> None:
+        super().__init__()
         self._scheduler = scheduler
         self._topology = topology
         self._params = params
         self._rng = rng
-        self._nodes: Dict[NodeId, NetworkEndpoint] = {}
         #: Time until which each of a sender's uplink lanes is busy
-        #: serializing data (one slot per ``params.uplink_channels``).
+        #: serializing data (one slot per ``params.uplink_channels``),
+        #: created on a sender's first send.
         self._uplink_busy: Dict[NodeId, list[float]] = {}
-        self.stats = NetworkStats()
-        #: Named send hooks, consulted in registration order for every send.
-        self._send_hooks: Dict[str, SendHook] = {}
-        #: Nodes currently crashed: sends from them are vetoed and pending
-        #: deliveries to them are dropped at delivery time.
-        self._offline: set[NodeId] = set()
-        #: Observability bundle (set by the environment when enabled).  While
-        #: ``None`` — the default — the send path pays one attribute check.
-        self._obs = None
-        self._obs_registry = None
-
-    def attach_observability(self, obs) -> None:
-        """Start recording per-message-type traffic and carrying trace
-        context sidecars on deliveries.  Called once by
-        :meth:`repro.sim.environment.Environment.ensure_observability`."""
-
-        self._obs = obs
-        self._obs_registry = obs.registry_for("network")
-
-    # ------------------------------------------------------------------
-    # Send hooks (public fault-injection surface)
-    # ------------------------------------------------------------------
-    def add_send_hook(self, name: str, hook: SendHook) -> None:
-        """Register a named send hook; rejects duplicate names.
-
-        Hooks compose by conjunction: a message is delivered only when every
-        registered hook approves it.  They run in registration order, before
-        any bandwidth or latency accounting, so a vetoed message consumes no
-        simulated network resources.
-        """
-
-        if not name:
-            raise TransportError("send hook name must be non-empty")
-        if name in self._send_hooks:
-            raise TransportError(f"send hook {name!r} already registered")
-        self._send_hooks[name] = hook
-
-    def remove_send_hook(self, name: str) -> None:
-        """Unregister a hook by name (idempotent)."""
-
-        self._send_hooks.pop(name, None)
-
-    def send_hook_names(self) -> tuple[str, ...]:
-        return tuple(self._send_hooks)
-
-    @property
-    def send_interceptor(self) -> Callable[[NodeId, NodeId, Any], bool] | None:
-        """Legacy single-slot interceptor, aliased onto the named-hook API."""
-
-        return self._send_hooks.get(_LEGACY_INTERCEPTOR)
-
-    @send_interceptor.setter
-    def send_interceptor(
-        self, hook: Callable[[NodeId, NodeId, Any], bool] | None
-    ) -> None:
-        self._send_hooks.pop(_LEGACY_INTERCEPTOR, None)
-        if hook is not None:
-            self._send_hooks[_LEGACY_INTERCEPTOR] = hook
-
-    # ------------------------------------------------------------------
-    # Node liveness (crash / restart support)
-    # ------------------------------------------------------------------
-    def set_offline(self, node_id: NodeId, offline: bool = True) -> None:
-        """Mark a node crashed (or back up).  Offline nodes lose all traffic:
-        sends from them are vetoed and in-flight deliveries to them are
-        dropped when their delivery event fires."""
-
-        self.node(node_id)  # raising on unknown nodes keeps plans honest
-        if offline:
-            self._offline.add(node_id)
-        else:
-            self._offline.discard(node_id)
-
-    def is_offline(self, node_id: NodeId) -> bool:
-        return node_id in self._offline
-
-    # ------------------------------------------------------------------
-    # Registration
-    # ------------------------------------------------------------------
-    def register(self, node: NetworkEndpoint) -> None:
-        if node.node_id in self._nodes:
-            raise TransportError(f"node {node.node_id} already registered")
-        self._nodes[node.node_id] = node
-        self._uplink_busy[node.node_id] = [0.0] * max(self._params.uplink_channels, 1)
-
-    def node(self, node_id: NodeId) -> NetworkEndpoint:
-        try:
-            return self._nodes[node_id]
-        except KeyError as exc:
-            raise TransportError(f"unknown node {node_id}") from exc
-
-    def knows(self, node_id: NodeId) -> bool:
-        return node_id in self._nodes
 
     # ------------------------------------------------------------------
     # Latency model
     # ------------------------------------------------------------------
-    def _is_wan(self, src: NetworkEndpoint, dst: NetworkEndpoint) -> bool:
-        return src.region != dst.region
-
     def _propagation_delay(self, src: NetworkEndpoint, dst: NetworkEndpoint) -> float:
         if src.region != dst.region:
             base = self._topology.one_way_latency_s(src.region, dst.region)
@@ -232,51 +134,31 @@ class SimNetwork:
         to "now").
         """
 
-        src = self.node(src_id)
-        dst = self.node(dst_id)
-        if self._offline and src_id in self._offline:
-            # A crashed node emits nothing (stray timers may still fire).
-            self.stats.dropped_sends += 1
+        admitted = self._admit(src_id, dst_id, message)
+        if admitted is None:
             return float("inf")
-        if self._send_hooks:
-            for hook in tuple(self._send_hooks.values()):
-                if not hook(src_id, dst_id, message):
-                    # Hook vetoed the message (partition / fault injection).
-                    self.stats.dropped_sends += 1
-                    return float("inf")
+        src, dst, size, wan = admitted
 
         now = self._scheduler.now()
         depart = max(now, depart_at if depart_at is not None else now)
-        size = message_wire_size(message)
-        wan = self._is_wan(src, dst)
-        self.stats.record(src_id, dst_id, size, wan)
-        ctx = None
-        if self._obs is not None:
-            self._obs_traffic(message, size, wan)
-            if self._obs.tracer is not None:
-                ctx = self._obs.tracer.current_context()
 
         # Uplink serialization: transfers from the same sender queue up per
         # lane; the message takes the lane that frees up first.
         transfer = self._params.transfer_time(size, wan)
-        lanes = self._uplink_busy[src_id]
+        try:
+            lanes = self._uplink_busy[src_id]
+        except KeyError:
+            lanes = self._uplink_busy[src_id] = [0.0] * max(
+                self._params.uplink_channels, 1
+            )
         lane = min(range(len(lanes)), key=lanes.__getitem__)
         uplink_free = max(depart, lanes[lane])
         serialization_done = uplink_free + transfer
         lanes[lane] = serialization_done
 
         delivery_time = serialization_done + self._propagation_delay(src, dst)
-        self._schedule_delivery(src_id, dst, message, delivery_time, ctx)
+        self._schedule_delivery(src_id, dst, message, delivery_time)
         return delivery_time
-
-    def _obs_traffic(self, message: Any, size: int, wan: bool) -> None:
-        registry = self._obs_registry
-        if registry is None:
-            return
-        link = "wan" if wan else "lan"
-        mtype = type(message).__name__
-        registry.counter("net_bytes", link=link, type=mtype).inc(size)
-        registry.counter("net_messages", link=link, type=mtype).inc()
 
     def _schedule_delivery(
         self,
@@ -284,8 +166,15 @@ class SimNetwork:
         dst: NetworkEndpoint,
         message: Any,
         when: float,
-        ctx: Any = None,
     ) -> None:
+        # The sender's active trace context, captured now: a send runs inside
+        # the sender's span, and the injector's hook runs while the original
+        # sender's span is still active, so delayed/duplicated/reordered
+        # messages keep their causal context too.
+        ctx = None
+        if self._obs is not None and self._obs.tracer is not None:
+            ctx = self._obs.tracer.current_context()
+
         def deliver() -> None:
             if self._offline and dst.node_id in self._offline:
                 # The destination crashed while the message was in flight.
@@ -325,19 +214,8 @@ class SimNetwork:
         and the offline gate still applies at delivery time.
         """
 
-        src = self.node(src_id)
         dst = self.node(dst_id)
-        size = message_wire_size(message)
-        wan = self._is_wan(src, dst)
-        self.stats.record(src_id, dst_id, size, wan)
-        ctx = None
-        if self._obs is not None:
-            self._obs_traffic(message, size, wan)
-            if self._obs.tracer is not None:
-                # The injector's hook runs while the original sender's span
-                # is still active, so delayed/duplicated/reordered messages
-                # keep their causal context.
-                ctx = self._obs.tracer.current_context()
+        self._account(self.node(src_id), dst, message)
         when = max(at, self._scheduler.now())
-        self._schedule_delivery(src_id, dst, message, when, ctx)
+        self._schedule_delivery(src_id, dst, message, when)
         return when

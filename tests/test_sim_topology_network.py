@@ -154,7 +154,7 @@ class TestSimNetwork:
         cloud = _Recorder(cloud_id("c"), Region.VIRGINIA)
         env.attach(edge)
         env.attach(cloud)
-        env.network.send_interceptor = lambda src, dst, msg: False
+        env.network.add_send_hook("drop-all", lambda src, dst, msg: False)
         env.send(edge.node_id, cloud.node_id, "dropped")
         env.run()
         assert cloud.received == []
