@@ -103,7 +103,7 @@ class TestCompare:
 
     def test_rows_off_the_list_gate_normally(self):
         """The flip: a row that left non_gating regresses the build again —
-        the cert_pipeline_* rows are enforced this way from this PR on."""
+        how the cert_pipeline_* rows are enforced once they graduate."""
 
         baseline = metrics(a=100.0, b=100.0, cert_pipeline_d8=100.0)
         current = metrics(a=100.0, b=100.0, cert_pipeline_d8=40.0)
@@ -114,17 +114,21 @@ class TestCompare:
         assert regressions[0].startswith("cert_pipeline_d8:")
 
     def test_committed_baseline_gates_every_tracked_row(self):
-        """The committed BENCH_hotpath.json's non-gating list holds only the
+        """The committed BENCH_hotpath.json's non-gating list holds the
         wall-clock open-loop put p99 (parked there by ROADMAP until a
-        capacity-relative row replaces it); everything else gates, the
-        frame round trip included since it graduated."""
+        capacity-relative row replaces it) and the two ``cert_pipeline_*``
+        rows, re-recorded when they were re-pointed from a private driver at
+        the nodes a fleet runs — they graduate in the next PR.  Everything
+        else gates, the frame round trip included since it graduated."""
 
         import pathlib
 
         baseline = pathlib.Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
         non_gating = load_non_gating(str(baseline))
         results = load_results(str(baseline))
-        assert non_gating == frozenset({"live_put_p99"})
+        assert non_gating == frozenset(
+            {"live_put_p99", "cert_pipeline_d1", "cert_pipeline_d8"}
+        )
         assert "live_put_p99" in results and "frame_roundtrip" in results
         assert "replica_read" in results
         assert "obs_overhead" in results

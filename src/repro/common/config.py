@@ -88,7 +88,9 @@ class LoggingConfig:
     certify_flush_timeout_s: float = 0.050
     #: Certification pipeline depth: how many
     #: :class:`~repro.messages.log_messages.CertifyBatchRequest`\\ s may be
-    #: in flight per (edge, shard) at once.  ``1`` (the default) means one
+    #: in flight per (edge, shard) at once — every partition of an edge, the
+    #: default one and each shard alike, has its own window of this depth.
+    #: ``1`` (the default) means one
     #: outstanding batch — under batched certification this is a *bound*
     #: the pre-pipeline dispatch did not have, so a batched deployment
     #: whose blocks form faster than one certification round-trip should
@@ -203,12 +205,6 @@ class ShardingConfig:
     #: Maximum times a client re-routes one operation after signed
     #: ``NotOwnerRedirect`` responses before failing it.
     max_redirects: int = 3
-    #: Per-shard certification pipeline depth override.  ``None`` inherits
-    #: :attr:`LoggingConfig.certify_pipeline_depth`; a value applies to
-    #: shard partitions only (the default partition keeps the logging-level
-    #: depth), letting a fleet run deep per-shard windows while a
-    #: single-partition deployment stays paper-exact.
-    certify_pipeline_depth: "int | None" = None
     #: How long (simulated seconds) a transaction coordinator waits for the
     #: participants' prepare receipts before deciding abort.
     txn_receipt_timeout_s: float = 1.0
@@ -252,8 +248,6 @@ class ShardingConfig:
             raise ConfigurationError("rebalance_hot_factor must exceed 1.0")
         if self.max_redirects < 0:
             raise ConfigurationError("max_redirects must be non-negative")
-        if self.certify_pipeline_depth is not None and self.certify_pipeline_depth <= 0:
-            raise ConfigurationError("certify_pipeline_depth must be positive")
         if self.txn_receipt_timeout_s <= 0:
             raise ConfigurationError("txn_receipt_timeout_s must be positive")
         if self.txn_prepare_timeout_s <= self.txn_receipt_timeout_s:
@@ -375,13 +369,6 @@ class WorkloadConfig:
     key_distribution: str = "uniform"
     #: Zipfian skew parameter (only used when key_distribution == "zipfian").
     zipf_theta: float = 0.99
-    #: When ``True``, Zipfian popularity ranks are spread over the key space
-    #: through a deterministic permutation instead of clustering at the low
-    #: indices.  Matters for *range*-partitioned fleets: unshuffled Zipfian
-    #: load piles onto the first shard (the rebalancing hotspot case), while
-    #: shuffled load exercises every shard.  ``False`` preserves the exact
-    #: key streams of the paper's experiments.
-    zipf_rank_shuffle: bool = False
     #: Total number of operations each client issues.
     operations_per_client: int = 1_000
     #: Seed for deterministic workload generation.

@@ -1,8 +1,6 @@
 """Core WedgeChain machinery: lazy certification, commits, disputes, gossip."""
 
 from .certification import CertificationTask, InFlightBatch, LazyCertifier
-from .certify_engine import ParallelCertifyEngine
-from .certify_pipeline import EdgeCertifyPipeline, run_certify_pipeline
 from .commit import CommitTracker, OperationRecord
 from .dispute import DisputeJudgement, PunishmentLedger, PunishmentRecord, judge_dispute
 from .gossip import (
@@ -19,14 +17,12 @@ __all__ = [
     "AnyGossipMessage",
     "CertificationTask",
     "CommitTracker",
-    "EdgeCertifyPipeline",
     "DisputeJudgement",
     "GossipSchedule",
     "GossipView",
     "InFlightBatch",
     "LazyCertifier",
     "OperationRecord",
-    "ParallelCertifyEngine",
     "PunishmentLedger",
     "PunishmentRecord",
     "SystemStats",
@@ -34,6 +30,5 @@ __all__ = [
     "build_gossip",
     "build_gossip_batch",
     "judge_dispute",
-    "run_certify_pipeline",
     "verify_gossip",
 ]

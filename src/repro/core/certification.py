@@ -22,7 +22,9 @@ certificate before the next batch ships.  Batch ids are purely local
 bookkeeping (nothing about them is on the wire; certificates are matched
 back to their batch through the block ids they certify), certificates are
 absorbed out of order, and an overdue batch is retried *selectively* — only
-the lost batch is re-sent, never the whole overdue set.
+the lost batch is re-sent, never the whole overdue set.  The certifier is
+pure bookkeeping: ``EdgeNode._pump_certify_pipeline`` is what signs, sends
+and retries, on the simulated and the live substrate alike.
 """
 
 from __future__ import annotations
@@ -237,9 +239,9 @@ class LazyCertifier:
     ) -> list[tuple[CertificationTask, ...]]:
         """Pull dispatchable batches off the queue while the window has room.
 
-        The one window-pump policy shared by the simulated edge node and the
-        wall-clock :class:`~repro.core.certify_pipeline.EdgeCertifyPipeline`:
-        full ``batch_size`` chunks ship while ``in_flight_count < depth``; a
+        The window-pump policy of ``EdgeNode._pump_certify_pipeline``, the
+        one driver of windowed certification on both substrates: full
+        ``batch_size`` chunks ship while ``in_flight_count < depth``; a
         trailing partial batch ships only when *allow_partial* (timeout
         flushes and drains).  Every returned group is already registered in
         flight via :meth:`begin_batch`; the caller only builds and sends the
@@ -317,28 +319,6 @@ class LazyCertifier:
             task.requested_at = now
             tasks.append(task)
         return tuple(tasks)
-
-    def cancel_batch(self, batch_id: int) -> tuple[BlockId, ...]:
-        """Withdraw an in-flight batch and re-queue its uncertified blocks.
-
-        Used when a window must be torn down cleanly (e.g. a shard handoff
-        that prefers re-dispatching under fresh conditions over waiting):
-        the members return to the *front* of the dispatch queue in batch
-        order, so a later flush re-requests them first.
-        """
-
-        batch = self._in_flight.pop(batch_id, None)
-        if batch is None:
-            raise ProtocolError(f"batch {batch_id} is not in flight")
-        requeued = []
-        for block_id in batch.block_ids:
-            self._block_batch.pop(block_id, None)
-            if not self._tasks[block_id].is_certified and (
-                block_id not in self._dispatch_queue
-            ):
-                requeued.append(block_id)
-        self._dispatch_queue[:0] = requeued
-        return tuple(requeued)
 
     def reset_window(self) -> tuple[BlockId, ...]:
         """Forget every dispatch-queue entry and in-flight batch.

@@ -232,53 +232,6 @@ class SchnorrSignatureScheme:
         right = (commitment * pow(public, challenge, _MODP_2048_PRIME)) % _MODP_2048_PRIME
         return left == right
 
-    def batch_verify(
-        self, public_key: bytes, pairs: Sequence[tuple[Signature, Any]]
-    ) -> bool:
-        """Verify many signatures from ONE signer in ~2 full exponentiations.
-
-        Small-exponent batch test: with independent random 128-bit odd
-        ``z_i`` the individual equations ``g^{s_i} == R_i · P^{c_i}`` are
-        combined into
-
-            g^{Σ z_i s_i} == (Π R_i^{z_i}) · P^{Σ z_i c_i}   (mod p)
-
-        Because the signer is the same, the ``P`` factors collapse into one
-        exponentiation; each signature costs only a 128-bit exponentiation
-        of its commitment.  A passing batch accepts every signature (forging
-        through the random combination succeeds with probability ~2^-127);
-        a failing batch tells the caller *some* signature is invalid — fall
-        back to :meth:`verify` per item to pinpoint it.  The ``z_i`` are
-        forced odd so a commitment smuggled outside the prime-order subgroup
-        (its order-2 component) cannot be cancelled by the exponent.
-        """
-
-        if not pairs:
-            return True
-        public = int.from_bytes(public_key, "big")
-        response_exp = 0
-        challenge_exp = 0
-        commitment_product = 1
-        for signature, message in pairs:
-            if signature.scheme != self.name or len(signature.value) != 512:
-                return False
-            commitment = int.from_bytes(signature.value[:256], "big")
-            if not 1 <= commitment < _MODP_2048_PRIME:
-                return False
-            response = int.from_bytes(signature.value[256:], "big")
-            challenge = self._challenge(commitment, public, canonical_encode(message))
-            scale = secrets.randbits(128) | 1
-            response_exp = (response_exp + scale * response) % _MODP_ORDER
-            challenge_exp = (challenge_exp + scale * challenge) % _MODP_ORDER
-            commitment_product = (
-                commitment_product * pow(commitment, scale, _MODP_2048_PRIME)
-            ) % _MODP_2048_PRIME
-        left = _pow_generator(response_exp)
-        right = (
-            commitment_product * pow(public, challenge_exp, _MODP_2048_PRIME)
-        ) % _MODP_2048_PRIME
-        return left == right
-
 
 _SCHEMES: dict[str, SignatureScheme] = {
     HmacSignatureScheme.name: HmacSignatureScheme(),
@@ -371,45 +324,6 @@ class KeyRegistry:
                 keypair.private_key, signature, message
             )
         return self._scheme.verify(keypair.public_key, signature, message)
-
-    def verify_many(self, pairs: Sequence[tuple[Signature, Any]]) -> list[bool]:
-        """Verify a burst of ``(signature, message)`` pairs, amortized.
-
-        Pairs are grouped by claimed signer; a same-signer Schnorr group of
-        two or more goes through :meth:`SchnorrSignatureScheme.batch_verify`
-        (~2 full exponentiations for the whole group), falling back to
-        per-item :meth:`verify` to pinpoint failures when the batch test
-        fails.  HMAC pairs and singleton groups verify individually — for
-        HMAC an individual check is already one cheap MAC.  Verdict order
-        matches the input order.  This is the crypto substrate of the
-        pipelined certification path: a window of in-flight batches yields
-        bursts of same-signer requests (at the cloud) and certificates (at
-        the edge).
-        """
-
-        verdicts: list[bool] = [False] * len(pairs)
-        groups: dict[NodeId, list[int]] = {}
-        for index, (signature, _message) in enumerate(pairs):
-            groups.setdefault(signature.signer, []).append(index)
-        for signer, indices in groups.items():
-            keypair = self._keys.get(signer)
-            if keypair is None:
-                raise UnknownSignerError(f"no key registered for {signer}")
-            scheme = self._scheme
-            if (
-                len(indices) > 1
-                and isinstance(scheme, SchnorrSignatureScheme)
-                and all(pairs[i][0].scheme == scheme.name for i in indices)
-                and scheme.batch_verify(
-                    keypair.public_key, [pairs[i] for i in indices]
-                )
-            ):
-                for i in indices:
-                    verdicts[i] = True
-                continue
-            for i in indices:
-                verdicts[i] = self.verify(pairs[i][0], pairs[i][1])
-        return verdicts
 
     def require_valid(self, signature: Signature, message: Any) -> None:
         """Raise :class:`SignatureError` unless *signature* verifies."""

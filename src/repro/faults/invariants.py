@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..common.identifiers import NodeId
-from ..sharding.transactions import decode_txn_decision, is_txn_decision_payload
 
 
 class InvariantViolation(AssertionError):
@@ -51,6 +50,11 @@ def txn_decisions(edges: Sequence) -> Dict[Tuple[str, int], List[Tuple[str, str]
 
     Returns ``{(coordinator, sequence): [(edge, decision), ...]}``.
     """
+
+    # Function-level, like the edge's own 2PC imports: ``nodes.edge`` imports
+    # ``faults.retry``, so this package must load without ``sharding``
+    # (whose edge subclasses ``nodes.edge``) whichever is imported first.
+    from ..sharding.transactions import decode_txn_decision, is_txn_decision_payload
 
     decisions: Dict[Tuple[str, int], List[Tuple[str, str]]] = {}
     for edge in edges:

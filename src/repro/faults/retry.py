@@ -2,19 +2,19 @@
 
 Before this module, each subsystem grew its own ad-hoc timer: the edge's
 overdue-certification rescan used one flat timeout however often a batch
-had already been re-sent, the wall-clock :class:`~repro.core.certify_pipeline.
-EdgeCertifyPipeline` mirrored that flat timeout, the 2PC coordinator spread
-its decision retries at a fixed interval, and the shard-handoff drain had no
-retransmission at all (a lost offer or transfer wedged the handoff forever).
+had already been re-sent, the 2PC coordinator spread its decision retries at
+a fixed interval, and the shard-handoff drain had no retransmission at all
+(a lost offer or transfer wedged the handoff forever).
 :class:`RetryPolicy` unifies them: capped exponential backoff with optional
 seeded jitter and a bounded attempt budget.
 
 The policy itself is *clockless* — it maps an attempt number to a delay (or
 an already-recorded retry count to the timeout guarding the next attempt);
-callers measure elapsed time on whatever clock they already trust.  The
-simulator measures on simulated time and the wall-clock pipeline measures on
-``time.monotonic()`` — never ``time.time()``, so a system-clock step cannot
-mass-trigger or suppress retries.
+callers measure elapsed time on their environment's clock.  The simulator
+measures on simulated time and the live service on
+:class:`~repro.sim.clock.AnchoredWallClock`, which reads ``time.monotonic()``
+— never ``time.time()``, so a system-clock step cannot mass-trigger or
+suppress retries.
 
 Jitter draws come from an explicitly seeded
 :class:`~repro.sim.rng.DeterministicRng`, so a jittered schedule is exactly

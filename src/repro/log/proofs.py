@@ -380,50 +380,6 @@ class BatchedBlockProof:
 AnyBlockProof = Union[BlockProof, BatchedBlockProof]
 
 
-def verify_batch_certificates(
-    registry: KeyRegistry,
-    certificates: Sequence[BatchCertificate],
-    expected_cloud: Optional[NodeId] = None,
-) -> list[bool]:
-    """Verify a burst of batch certificates with one amortized crypto pass.
-
-    A pipelined edge absorbing a deep in-flight window receives several
-    :class:`BatchCertificate`\\ s back to back, all signed by the same cloud.
-    This helper verifies their root signatures together through
-    :meth:`~repro.crypto.signatures.KeyRegistry.verify_many` (same-signer
-    Schnorr groups cost ~2 exponentiations total) and seeds the per-
-    certificate verdict memos, so the subsequent per-block
-    :meth:`BatchedBlockProof.verify` calls cost only hashing.  Verdict order
-    matches the input order; a certificate naming the wrong cloud fails
-    without touching the crypto.
-    """
-
-    verdicts: list[Optional[bool]] = []
-    pending: list[tuple[int, BatchRootStatement, Signature]] = []
-    for certificate in certificates:
-        statement, signature = certificate.statement, certificate.signature
-        if signature.signer != statement.signer or (
-            expected_cloud is not None and statement.signer != expected_cloud
-        ):
-            verdicts.append(False)
-            continue
-        memo = registry.verdict_memo(statement)
-        verdict = memo.get(signature)
-        if verdict is None:
-            verdicts.append(None)
-            pending.append((len(verdicts) - 1, statement, signature))
-        else:
-            verdicts.append(verdict)
-    if pending:
-        outcomes = registry.verify_many(
-            [(signature, statement) for _, statement, signature in pending]
-        )
-        for (index, statement, signature), outcome in zip(pending, outcomes):
-            registry.verdict_memo(statement)[signature] = outcome
-            verdicts[index] = outcome
-    return [bool(verdict) for verdict in verdicts]
-
-
 def build_certify_batch_tree(
     blocks: Sequence[tuple[BlockId, str]]
 ) -> MerkleTree:

@@ -41,19 +41,19 @@ from ..messages.log_messages import (
     BlockCertifyRequest,
     BlockProofMessage,
     CertifyBatchRequest,
-    CertifyBatchStatement,
     CertifyRejection,
     CertifyWindowRequest,
     DisputeRequest,
     DisputeVerdict,
 )
 from ..common.errors import MergeProtocolError
-from ..core.certify_engine import ParallelCertifyEngine
 from ..core.dispute import PunishmentLedger, judge_dispute
 from ..core.gossip import build_gossip, build_gossip_batch
 from ..log.proofs import (
     AnyBlockProof,
+    build_certify_batch_tree,
     derive_batched_proofs,
+    issue_batch_certificate,
     issue_block_proof,
 )
 from ..sim.environment import Environment
@@ -80,7 +80,6 @@ class CloudNode(TableDispatchNode):
         config: Optional[SystemConfig] = None,
         name: str = "cloud-0",
         region: Optional[Region] = None,
-        certify_workers: int = 1,
     ) -> None:
         self.env = env
         self.config = config if config is not None else SystemConfig.paper_default()
@@ -88,14 +87,6 @@ class CloudNode(TableDispatchNode):
         self.region = region if region is not None else self.config.placement.cloud_region
         self._attach_observability()
         self.ledger = PunishmentLedger(self.config.security.punishment_score)
-        #: Crypto engine behind the batch-certify path.  The simulated
-        #: message handler feeds it windows of one (the event loop is
-        #: deterministic and single-threaded); real deployments and the
-        #: pipelined benchmarks call :meth:`certify_batch_window` with whole
-        #: windows and may run it with ``certify_workers > 1``.
-        self.certify_engine = ParallelCertifyEngine(
-            registry=env.registry, cloud=self.node_id, workers=certify_workers
-        )
 
         #: Certified digests: edge -> block id -> digest.
         self._certified: dict[NodeId, dict[BlockId, str]] = {}
@@ -236,6 +227,46 @@ class CloudNode(TableDispatchNode):
                 self.stats["gossip_messages"] += 1
 
     # -------------------------------------------------------- certification
+    # Lazy certification is data-free: the cloud sees digests only.  Every
+    # wire format — one block, one batch, a window of batches under one
+    # envelope signature — verifies its single request signature, runs each
+    # digest through :meth:`_order_digest` in arrival order, and signs what
+    # stood.  The edge's pump (``EdgeNode._pump_certify_pipeline``) is the
+    # only driver of the windowed formats.
+    def _order_digest(
+        self, edge: NodeId, block_id: BlockId, block_digest: str
+    ) -> Optional[CertifyRejection]:
+        """The conflict rule, decided in arrival order.
+
+        The first digest an edge submits for a block id wins; the same
+        digest again is an idempotent retry; a different digest is the
+        paper's equivocation — punished, and refused with the returned
+        :class:`CertifyRejection`.  ``None`` means the digest stands.
+        """
+
+        edge_digests = self._certified.setdefault(edge, {})
+        existing = edge_digests.get(block_id)
+        if existing is None:
+            edge_digests[block_id] = block_digest
+            self.stats["certifications"] += 1
+            return None
+        if existing == block_digest:
+            return None
+        self.stats["certify_conflicts"] += 1
+        self._punish(
+            edge,
+            reason=f"attempted to certify two different digests for block {block_id}",
+            block_id=block_id,
+        )
+        return CertifyRejection(
+            cloud=self.node_id,
+            edge=edge,
+            block_id=block_id,
+            existing_digest=existing,
+            offending_digest=block_digest,
+            reason="conflicting digest for an already certified block id",
+        )
+
     def _handle_certify(self, sender: NodeId, request: BlockCertifyRequest) -> None:
         # Parent is the edge's certify.dispatch span (delivery sidecar).
         with self._span("certify.cloud", blocks=1):
@@ -253,11 +284,17 @@ class CloudNode(TableDispatchNode):
                 # Unsigned or mis-attributed requests are dropped.
                 return
 
-            edge_digests = self._certified.setdefault(statement.edge, {})
-            existing = edge_digests.get(statement.block_id)
-            if existing is None:
-                edge_digests[statement.block_id] = statement.block_digest
-                proof = issue_block_proof(
+            rejection = self._order_digest(
+                statement.edge, statement.block_id, statement.block_digest
+            )
+            if rejection is not None:
+                self.env.send(self.node_id, sender, rejection)
+                return
+            # An idempotent retry resends the proof already issued.
+            key = (statement.edge, statement.block_id)
+            proof = self._proofs.get(key)
+            if proof is None:
+                proof = self._proofs[key] = issue_block_proof(
                     registry=self.env.registry,
                     cloud=self.node_id,
                     edge=statement.edge,
@@ -265,169 +302,92 @@ class CloudNode(TableDispatchNode):
                     block_digest=statement.block_digest,
                     certified_at=self.env.now(),
                 )
-                self._proofs[(statement.edge, statement.block_id)] = proof
-                self.stats["certifications"] += 1
-                self.env.send(self.node_id, sender, BlockProofMessage(proof=proof))
-            elif existing == statement.block_digest:
-                # Idempotent retry: resend the proof already issued.
-                proof = self._proofs[(statement.edge, statement.block_id)]
-                self.env.send(self.node_id, sender, BlockProofMessage(proof=proof))
-            else:
-                # Two different digests for the same block id: malicious.
-                self.stats["certify_conflicts"] += 1
-                self._punish(
-                    statement.edge,
-                    reason="attempted to certify two different digests for block "
-                    f"{statement.block_id}",
-                    block_id=statement.block_id,
-                )
-                rejection = CertifyRejection(
-                    cloud=self.node_id,
-                    edge=statement.edge,
-                    block_id=statement.block_id,
-                    existing_digest=existing,
-                    offending_digest=statement.block_digest,
-                    reason="conflicting digest for an already certified block id",
-                )
-                self.env.send(self.node_id, sender, rejection)
+            self.env.send(self.node_id, sender, BlockProofMessage(proof=proof))
 
     def _handle_certify_batch(
         self, sender: NodeId, request: "CertifyBatchRequest | CertifyWindowRequest"
     ) -> None:
+        """Certify one batch, or a window of batches under one signature.
+
+        Digests are ordered batch by batch in the order the edge listed
+        them — a conflict decision depends on what was accepted before it.
+        A conflicting item is refused individually without sinking its
+        batch; items smuggled in for another edge are dropped (the signature
+        only attests the sending edge's own blocks).  Refusals leave first,
+        then one :class:`BatchCertificate` per accepted batch — window slots
+        retire independently at the edge.
+        """
+
         params = self.env.params
+        statement = request.statement
         if isinstance(request, CertifyWindowRequest):
             # One envelope signature to verify, but one certificate to sign
             # per inner batch: charge every signature the window costs.
+            batches = statement.batches
             num_blocks = request.num_blocks
-            cost = params.window_certification_cost(len(request.batches), num_blocks)
+            cost = params.window_certification_cost(len(batches), num_blocks)
         else:
-            num_blocks = len(request.statement.items)
+            batches = (statement,)
+            num_blocks = len(statement.items)
             cost = params.batch_certification_cost(num_blocks)
         with self._span("certify.cloud", blocks=num_blocks):
             self.env.charge(cost)
             self.stats["certify_cpu_seconds"] = (
                 self.stats.get("certify_cpu_seconds", 0.0) + cost
             )
-            for target, message in self.certify_batch_window(((sender, request),)):
-                self.env.send(self.node_id, target, message)
-
-    def certify_batch_window(
-        self,
-        requests: "tuple[tuple[NodeId, CertifyBatchRequest | CertifyWindowRequest], ...]",
-    ) -> list[tuple[NodeId, Any]]:
-        """Certify a whole *window* of batch requests: the parallel path.
-
-        Accepts plain :class:`CertifyBatchRequest`\\ s and
-        :class:`CertifyWindowRequest` envelopes (several batches under one
-        edge signature) interchangeably.  Three phases, preserving
-        per-shard conflict ordering throughout:
-
-        1. **Verify (amortized/parallel)** — every request signature in the
-           window is checked by the :class:`ParallelCertifyEngine`;
-           same-edge requests collapse into one Schnorr batch verification,
-           and a window envelope is one signature however many batches it
-           carries.
-        2. **Order (serial)** — conflict decisions against the certified
-           digest map are applied in arrival order, batch by batch:
-           whether a digest conflicts depends on what was accepted before
-           it, so this phase never runs concurrently.  Conflicting items
-           are punished and rejected individually without sinking their
-           batch; items smuggled in for another edge are dropped (the
-           signature only attests the sending edge's own blocks).
-        3. **Sign (parallel)** — one :class:`BatchCertificate` per accepted
-           batch (window slots retire independently at the edge), fanned
-           out across the engine's workers when it has any.
-
-        Returns the ``(recipient, message)`` responses instead of sending
-        them, so the simulated handler, the wall-clock pipeline benchmark,
-        and a real deployment shim can all transport them their own way.
-        """
-
-        verdicts = self.certify_engine.verify_requests(
-            [request for _sender, request in requests]
-        )
-        batches: list[tuple[NodeId, CertifyBatchStatement]] = []
-        for (sender, request), valid in zip(requests, verdicts):
-            statement = request.statement
             if (
                 statement.edge != sender
                 or request.signature.signer != statement.edge
-                or not valid
+                or not self.env.registry.verify(request.signature, statement)
             ):
                 # Unsigned or mis-attributed requests are dropped — the
                 # signer pin also rejects a valid signature from the *wrong*
                 # node riding an honestly-named statement.
-                continue
-            if isinstance(request, CertifyWindowRequest):
-                for batch in statement.batches:
-                    if batch.edge == statement.edge and batch.items:
-                        batches.append((sender, batch))
-            elif statement.items:
-                batches.append((sender, statement))
-        return self._certify_verified_batches(batches)
+                return
 
-    def _certify_verified_batches(
-        self, batches: "list[tuple[NodeId, CertifyBatchStatement]]"
-    ) -> list[tuple[NodeId, Any]]:
-        """Serial conflict ordering + parallel certificate issuance."""
-
-        responses: list[tuple[NodeId, Any]] = []
-        jobs: list[tuple[NodeId, NodeId, tuple[tuple[BlockId, str], ...]]] = []
-        now = self.env.now()
-        for sender, statement in batches:
-            edge_digests = self._certified.setdefault(statement.edge, {})
-            accepted: list[tuple[BlockId, str]] = []
-            for item in statement.items:
-                if item.edge != statement.edge:
+            accepted_batches: list[tuple[tuple[BlockId, str], ...]] = []
+            for batch in batches:
+                if batch.edge != statement.edge:
                     continue
-                existing = edge_digests.get(item.block_id)
-                if existing is None:
-                    edge_digests[item.block_id] = item.block_digest
-                    self.stats["certifications"] += 1
-                    accepted.append((item.block_id, item.block_digest))
-                elif existing == item.block_digest:
-                    # Idempotent retry: re-certify under the new batch root.
-                    accepted.append((item.block_id, item.block_digest))
-                else:
-                    self.stats["certify_conflicts"] += 1
-                    self._punish(
-                        statement.edge,
-                        reason="attempted to certify two different digests for "
-                        f"block {item.block_id}",
-                        block_id=item.block_id,
+                accepted: list[tuple[BlockId, str]] = []
+                for item in batch.items:
+                    if item.edge != statement.edge:
+                        continue
+                    rejection = self._order_digest(
+                        item.edge, item.block_id, item.block_digest
                     )
-                    responses.append(
-                        (
-                            sender,
-                            CertifyRejection(
-                                cloud=self.node_id,
-                                edge=statement.edge,
-                                block_id=item.block_id,
-                                existing_digest=existing,
-                                offending_digest=item.block_digest,
-                                reason="conflicting digest for an already "
-                                "certified block id",
-                            ),
-                        )
-                    )
-            if accepted:
-                jobs.append((sender, statement.edge, tuple(accepted)))
+                    if rejection is None:
+                        accepted.append((item.block_id, item.block_digest))
+                    else:
+                        self.env.send(self.node_id, sender, rejection)
+                if accepted:
+                    accepted_batches.append(tuple(accepted))
 
-        certificates = self.certify_engine.issue_certificates(
-            [(edge, blocks, now) for _sender, edge, blocks in jobs]
-        )
-        for (sender, edge, blocks), certificate in zip(jobs, certificates):
-            # Record the certificate as the lazily derivable dispute
-            # evidence for every covered block (proof_for derives per-block
-            # membership proofs on demand); the requesting edge rebuilds its
-            # own tree from the returned list.
-            for block_id, _digest in blocks:
-                self._batch_proof_sources[(edge, block_id)] = (certificate, blocks)
-            self.stats["certify_batches"] += 1
-            responses.append(
-                (sender, BatchCertificateMessage(certificate=certificate, blocks=blocks))
-            )
-        return responses
+            now = self.env.now()
+            for blocks in accepted_batches:
+                certificate = issue_batch_certificate(
+                    registry=self.env.registry,
+                    cloud=self.node_id,
+                    edge=statement.edge,
+                    batch_root=build_certify_batch_tree(blocks).root,
+                    num_blocks=len(blocks),
+                    certified_at=now,
+                )
+                # Record the certificate as the lazily derivable dispute
+                # evidence for every covered block (proof_for derives per-block
+                # membership proofs on demand); the requesting edge rebuilds its
+                # own tree from the returned list.
+                for block_id, _digest in blocks:
+                    self._batch_proof_sources[(statement.edge, block_id)] = (
+                        certificate,
+                        blocks,
+                    )
+                self.stats["certify_batches"] += 1
+                self.env.send(
+                    self.node_id,
+                    sender,
+                    BatchCertificateMessage(certificate=certificate, blocks=blocks),
+                )
 
     # ---------------------------------------------------------------- merges
     def _owns_shard(self, edge: NodeId, shard_id: Optional[ShardId]) -> bool:

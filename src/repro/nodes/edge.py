@@ -575,23 +575,6 @@ class EdgeNode(TableDispatchNode):
     def _digest_to_certify(self, block: Block) -> str:
         return block.digest()
 
-    def _certify_pipeline_depth(self) -> int:
-        """In-flight window bound for the active partition's certifier.
-
-        Shard partitions may override the logging-level depth through
-        ``ShardingConfig.certify_pipeline_depth``; the default partition
-        always uses ``LoggingConfig.certify_pipeline_depth``.
-        """
-
-        sharding = self.config.sharding
-        if (
-            self._active.shard_id is not None
-            and sharding is not None
-            and sharding.certify_pipeline_depth is not None
-        ):
-            return sharding.certify_pipeline_depth
-        return self.config.logging.certify_pipeline_depth
-
     def _send_certify_request(self, block: Block, digest: str) -> None:
         batch_size = self.config.logging.certify_batch_size
         if batch_size <= 1:
@@ -625,7 +608,7 @@ class EdgeNode(TableDispatchNode):
         again — batch formation overlaps the outstanding round-trips.
         """
 
-        depth = self._certify_pipeline_depth()
+        depth = self.config.logging.certify_pipeline_depth
         groups = self.certifier.drain_window_groups(
             depth=depth,
             batch_size=self.config.logging.certify_batch_size,
@@ -1196,11 +1179,18 @@ class EdgeNode(TableDispatchNode):
     def _handle_certify_rejection(
         self, sender: NodeId, message: CertifyRejection
     ) -> None:
+        # Only this edge's cloud can refuse this edge's blocks: a rejection
+        # from anyone else, or naming another pair, moves neither the
+        # diagnostic nor the window.
+        if (
+            sender != self.cloud
+            or message.cloud != self.cloud
+            or message.edge != self.node_id
+        ):
+            return
         # An honest edge should never be rejected; record it for diagnostics.
         self.stats.setdefault("certify_rejections", 0)
         self.stats["certify_rejections"] += 1
-        if sender != self.cloud:
-            return
         # A definitively refused block will never produce a certificate:
         # release its in-flight batch slot so the window cannot wedge on it,
         # and let the freed slot pull the next queued batch forward.

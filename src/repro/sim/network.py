@@ -8,12 +8,10 @@ Messages between nodes experience:
   where the WAN bandwidth (edge ↔ cloud) is far smaller than the metro
   bandwidth (client ↔ edge) — this is what makes *data-free* certification
   matter and what degrades the synchronous edge-baseline at large batches;
-* FIFO ordering per sender uplink lane (transfers on the same lane queue
-  behind each other).  ``SimulationParameters.uplink_channels`` sets how
-  many lanes a sender has: one (the default) reproduces the single-FIFO
-  uplink the figures were calibrated with; more lanes model multiplexed
-  streams, letting the overlapped WAN round-trips of a pipelined
-  certification window serialize concurrently.
+* FIFO ordering per sender uplink: a sender's transfers queue behind each
+  other on the single uplink the figures were calibrated with, so the
+  batches of a pipelined certification window overlap their propagation
+  delays but not their serialization.
 
 Message sizes come from the message's ``wire_size`` attribute when present
 (protocol messages compute a realistic payload size cheaply) and otherwise
@@ -87,10 +85,8 @@ class SimNetwork(BaseTransport):
         self._topology = topology
         self._params = params
         self._rng = rng
-        #: Time until which each of a sender's uplink lanes is busy
-        #: serializing data (one slot per ``params.uplink_channels``),
-        #: created on a sender's first send.
-        self._uplink_busy: Dict[NodeId, list[float]] = {}
+        #: Time until which each sender's uplink is busy serializing data.
+        self._uplink_busy: Dict[NodeId, float] = {}
 
     # ------------------------------------------------------------------
     # Latency model
@@ -142,19 +138,11 @@ class SimNetwork(BaseTransport):
         now = self._scheduler.now()
         depart = max(now, depart_at if depart_at is not None else now)
 
-        # Uplink serialization: transfers from the same sender queue up per
-        # lane; the message takes the lane that frees up first.
+        # Uplink serialization: transfers from the same sender queue up.
         transfer = self._params.transfer_time(size, wan)
-        try:
-            lanes = self._uplink_busy[src_id]
-        except KeyError:
-            lanes = self._uplink_busy[src_id] = [0.0] * max(
-                self._params.uplink_channels, 1
-            )
-        lane = min(range(len(lanes)), key=lanes.__getitem__)
-        uplink_free = max(depart, lanes[lane])
+        uplink_free = max(depart, self._uplink_busy.get(src_id, 0.0))
         serialization_done = uplink_free + transfer
-        lanes[lane] = serialization_done
+        self._uplink_busy[src_id] = serialization_done
 
         delivery_time = serialization_done + self._propagation_delay(src, dst)
         self._schedule_delivery(src_id, dst, message, delivery_time)

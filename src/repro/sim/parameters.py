@@ -33,13 +33,6 @@ class SimulationParameters:
     per_message_overhead_bytes: int = 256
     #: Random jitter applied to one-way latencies, as a fraction (0.05 = ±5%).
     latency_jitter_fraction: float = 0.02
-    #: Concurrent serialization lanes per sender uplink (multiplexed streams
-    #: / parallel TCP connections).  ``1`` keeps the single-FIFO uplink the
-    #: paper's figures were calibrated with; more lanes let the in-flight
-    #: batches of a pipelined certification window serialize concurrently
-    #: instead of queueing behind each other, which is what makes the
-    #: overlapped WAN round-trips actually overlap on a busy uplink.
-    uplink_channels: int = 1
 
     # ------------------------------------------------------------ CPU costs
     #: Time to hash one byte of payload (≈1 GB/s SHA-256 on the paper's VMs).
@@ -61,15 +54,6 @@ class SimulationParameters:
     #: structure for full-data (edge-baseline) certification.
     merkle_rebuild_seconds_per_entry: float = 3e-6
 
-    # ------------------------------------------------- pipelined certification
-    #: Worker lanes of the cloud's parallel certify engine the cost model
-    #: assumes: the per-block marginal cost of a batch certification charge
-    #: divides by this (verification/signing of independent shards' batches
-    #: proceeds concurrently); the fixed per-request overhead and signature
-    #: costs stay serial.  ``1`` (default) keeps the committed figures
-    #: byte-identical.
-    cloud_certify_workers: int = 1
-
     # --------------------------------------------- cross-shard transactions
     #: Per-write CPU cost of staging (or applying) one transactional write
     #: at a participant edge, on top of the signature charges the 2PC
@@ -85,20 +69,11 @@ class SimulationParameters:
     #: received shard snapshot at the destination edge.
     shard_verify_seconds_per_page: float = 3e-6
 
-    # ------------------------------------------------------------- workload
-    #: Interval at which a closed-loop client can produce operations: used to
-    #: model client-side pacing in the commit-rate experiment (Figure 6).
-    client_think_time_s: float = 0.0
-
     def __post_init__(self) -> None:
         if self.wan_bandwidth_bytes_per_s <= 0 or self.lan_bandwidth_bytes_per_s <= 0:
             raise ConfigurationError("bandwidths must be positive")
         if self.latency_jitter_fraction < 0 or self.latency_jitter_fraction >= 1:
             raise ConfigurationError("latency_jitter_fraction must be in [0, 1)")
-        if self.uplink_channels <= 0:
-            raise ConfigurationError("uplink_channels must be positive")
-        if self.cloud_certify_workers <= 0:
-            raise ConfigurationError("cloud_certify_workers must be positive")
         for name in (
             "hash_seconds_per_byte",
             "sign_seconds",
@@ -111,7 +86,6 @@ class SimulationParameters:
             "txn_stage_seconds_per_write",
             "shard_transfer_seconds_per_block",
             "shard_verify_seconds_per_page",
-            "client_think_time_s",
         ):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be non-negative")
@@ -151,46 +125,34 @@ class SimulationParameters:
 
         return self.request_overhead_seconds + self.verify_seconds + self.sign_seconds
 
-    def batch_certification_cost(
-        self, num_blocks: int, workers: "int | None" = None
-    ) -> float:
+    def batch_certification_cost(self, num_blocks: int) -> float:
         """CPU time for the cloud to certify a whole digest batch at once.
 
         One request overhead, one signature verification (the edge's batch
         signature), and one signature (the batch root) regardless of the
         batch size; each block adds only a digest lookup and the Merkle leaf
         hashing — this is where batching beats ``num_blocks`` separate
-        :meth:`certification_cost` charges.  The per-block marginal term
-        divides by the certify-engine worker count (*workers*, defaulting to
-        :attr:`cloud_certify_workers`): independent batches' leaf hashing
-        and digest lookups proceed on parallel lanes, while the serial
-        per-request overhead and signatures do not.
+        :meth:`certification_cost` charges.
         """
 
-        lanes = max(workers if workers is not None else self.cloud_certify_workers, 1)
         return self.certification_cost() + self.lookup_seconds_per_op * max(
             num_blocks, 0
-        ) / lanes
+        )
 
-    def window_certification_cost(
-        self, num_batches: int, num_blocks: int, workers: "int | None" = None
-    ) -> float:
+    def window_certification_cost(self, num_batches: int, num_blocks: int) -> float:
         """CPU time for the cloud to certify a whole window envelope.
 
         One request overhead and one verification (the envelope signature
         covers every batch), but one batch-root *signature per inner batch*
         — window slots retire independently, so the cloud cannot collapse
-        them into one certificate.  Signing and the per-block marginal work
-        are independent across batches, so both divide by the certify-engine
-        worker count.
+        them into one certificate.
         """
 
-        lanes = max(workers if workers is not None else self.cloud_certify_workers, 1)
         return (
             self.request_overhead_seconds
             + self.verify_seconds
-            + self.sign_seconds * max(num_batches, 1) / lanes
-            + self.lookup_seconds_per_op * max(num_blocks, 0) / lanes
+            + self.sign_seconds * max(num_batches, 1)
+            + self.lookup_seconds_per_op * max(num_blocks, 0)
         )
 
     def batch_proof_derivation_cost(self, num_blocks: int) -> float:

@@ -22,21 +22,6 @@ def format_key(index: int) -> str:
     return f"key{index:012d}"
 
 
-#: Odd multiplier (2^32 / golden ratio) seeding the rank-shuffle stride.
-_RANK_SHUFFLE_SEED = 0x9E3779B1
-
-
-def _coprime_stride(size: int) -> int:
-    """Smallest stride at or above the golden-ratio seed coprime to *size*."""
-
-    from math import gcd
-
-    stride = (_RANK_SHUFFLE_SEED % size) or 1
-    while gcd(stride, size) != 1:
-        stride += 1
-    return stride
-
-
 class KeySpace:
     """A bounded, deterministically sampled key population."""
 
@@ -45,7 +30,6 @@ class KeySpace:
         size: int,
         distribution: str = "uniform",
         zipf_theta: float = 0.99,
-        rank_shuffle: bool = False,
     ):
         if size <= 0:
             raise ConfigurationError("key space size must be positive")
@@ -54,25 +38,12 @@ class KeySpace:
         self.size = size
         self.distribution = distribution
         self.zipf_theta = zipf_theta
-        #: Spread Zipfian popularity ranks over the whole key space via a
-        #: fixed affine permutation (rank → (rank * stride) mod size).
-        #: Without it the hottest keys are the lowest indices, which under
-        #: range partitioning all land in shard 0.
-        self.rank_shuffle = rank_shuffle
-        self._stride = _coprime_stride(size) if rank_shuffle else 1
-
-    def permute_rank(self, rank: int) -> int:
-        """Deterministic position of a popularity rank in the key space."""
-
-        if not self.rank_shuffle:
-            return rank
-        return (rank * self._stride) % self.size
 
     def sample(self, rng: DeterministicRng) -> str:
         if self.distribution == "uniform":
             index = rng.randint(0, self.size - 1)
         else:
-            index = self.permute_rank(rng.zipf_index(self.size, self.zipf_theta))
+            index = rng.zipf_index(self.size, self.zipf_theta)
         return format_key(index)
 
     def sequential(self, start: int = 0) -> Iterator[str]:
@@ -119,7 +90,6 @@ class KeyValueWorkload:
             size=config.key_space,
             distribution=config.key_distribution,
             zipf_theta=config.zipf_theta,
-            rank_shuffle=getattr(config, "zipf_rank_shuffle", False),
         )
         self._value_counter = 0
 

@@ -18,6 +18,7 @@ import weakref
 
 import pytest
 
+from repro.common.config import LoggingConfig, SystemConfig
 from repro.common.errors import SimulationError, TransportError
 from repro.common.identifiers import client_id, edge_id
 from repro.log.proofs import CommitPhase
@@ -151,6 +152,37 @@ class TestLiveFleetSmoke:
                     client, operation, CommitPhase.PHASE_TWO, timeout_s=15
                 )
                 assert phase is CommitPhase.PHASE_TWO
+
+        run_async(scenario())
+
+    def test_windowed_certification_runs_over_a_socket(self):
+        """Batched, pipelined Phase II on the live substrate: the edge's pump
+        keeps several certify batches in flight over a real link and every
+        put still reaches Phase II."""
+
+        config = SystemConfig.paper_default().with_overrides(
+            logging=LoggingConfig(
+                block_size=2, certify_batch_size=2, certify_pipeline_depth=4
+            )
+        )
+
+        async def scenario():
+            async with LiveFleet(config=config, num_edges=1, num_clients=1) as fleet:
+                client, edge = fleet.client(0), fleet.edge(0)
+                operations = [
+                    client.put_batch([(f"w{i}-a", b"v"), (f"w{i}-b", b"v")])
+                    for i in range(16)
+                ]
+                for operation in operations:
+                    phase = await fleet.wait_for(
+                        client, operation, CommitPhase.PHASE_TWO, timeout_s=15
+                    )
+                    assert phase is CommitPhase.PHASE_TWO
+                assert edge.stats["certify_inflight_peak"] > 1
+                assert edge.stats["certify_batches"] >= 8
+                assert fleet.cloud.stats["certify_batches"] >= 8
+                assert edge.certifier.in_flight_count == 0
+                assert fleet.env.failures == []
 
         run_async(scenario())
 

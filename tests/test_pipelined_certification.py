@@ -1,13 +1,15 @@
-"""Tests for the pipelined (windowed) certification engine.
+"""Tests for pipelined (windowed) certification.
 
 Covers the LazyCertifier in-flight window (batch ids, out-of-order
-retirement, selective retry, cancellation), the edge's windowed dispatch and
+retirement, selective retry), the edge's windowed dispatch and
 window-envelope requests, adversarial cases at depth ≥ 4 (out-of-order and
 duplicate certificates, a malicious cloud signing a reordered batch, a lost
-request retried selectively with its late duplicate absorbed idempotently),
-the mid-handoff drain with an in-flight window, the same-signer Schnorr
-batch verification substrate, and the wall-clock pipeline engine the
-``cert_pipeline_*`` benchmark rows measure.
+request retried selectively with its late duplicate absorbed idempotently,
+rejections real and forged), the mid-handoff drain with an in-flight window,
+and the node's overdue-retry arm: elapsed-time horizons on both substrates
+and a :class:`RetryPolicy` through a sustained cloud outage.  Everything
+runs through ``EdgeNode`` and ``CloudNode`` — the one driver of windowed
+Phase II.
 """
 
 from __future__ import annotations
@@ -26,9 +28,6 @@ from repro.common.config import (
 from repro.common.identifiers import client_id, cloud_id, edge_id
 from repro.common.regions import Region
 from repro.core.certification import LazyCertifier
-from repro.core.certify_engine import ParallelCertifyEngine
-from repro.core.certify_pipeline import EdgeCertifyPipeline, run_certify_pipeline
-from repro.crypto.signatures import KeyRegistry
 from repro.faults import RetryPolicy
 from repro.log.block import build_block
 from repro.log.entry import make_entry
@@ -36,11 +35,11 @@ from repro.log.proofs import (
     build_certify_batch_tree,
     issue_batch_certificate,
     issue_block_proof,
-    verify_batch_certificates,
 )
 from repro.messages.log_messages import (
     BatchCertificateMessage,
     CertifyBatchRequest,
+    CertifyRejection,
     CertifyWindowRequest,
 )
 from repro.nodes.cloud import CloudNode
@@ -90,6 +89,45 @@ def make_pipelined_edge(num_blocks, batch_size=3, depth=4):
         edge.certifier.track(index, block.digest(), requested_at=0.0)
         edge.certifier.enqueue_for_dispatch(index)
     return env, cloud, edge
+
+
+def record_sends(env, keep=lambda message: True):
+    """Every message the network is asked to carry from now on, in order.
+
+    *keep* decides which of them actually travel; the rest are lost.
+    """
+
+    sent = []
+
+    def hook(src, dst, message):
+        sent.append(message)
+        return keep(message)
+
+    env.network.add_send_hook("test:record-sends", hook)
+    return sent
+
+
+def cloud_answers(env, cloud, sender, request):
+    """Hand *request* to the cloud as *sender*; returns what it answered.
+
+    The answers are held back from the network so the test decides which
+    of them reach the edge, and when.
+    """
+
+    answers = []
+
+    def hold(src, dst, message):
+        if src == cloud.node_id:
+            answers.append(message)
+            return False
+        return True
+
+    env.network.add_send_hook("test:cloud-answers", hold)
+    try:
+        cloud.on_message(sender, request)
+    finally:
+        env.network.remove_send_hook("test:cloud-answers")
+    return answers
 
 
 # ----------------------------------------------------------------------
@@ -152,18 +190,6 @@ class TestInFlightWindow:
         # per-task overdue scan (their clocks were reset with the batch).
         assert certifier.overdue(now=5.5, timeout_s=2.0) == ()
 
-    def test_cancel_batch_requeues_uncertified_members_in_front(self, registry):
-        certifier = self.make(4)
-        certifier.enqueue_for_dispatch(3)
-        batch = certifier.begin_batch([0, 1, 2], now=1.0)
-        certifier.complete(self.proof(registry, 1))
-        requeued = certifier.cancel_batch(batch.batch_id)
-        assert requeued == (0, 2)
-        assert certifier.in_flight_count == 0
-        assert not certifier.in_flight(0)
-        drained = certifier.drain_dispatch_queue()
-        assert [task.block_id for task in drained] == [0, 2, 3]
-
     def test_duplicate_completion_is_idempotent(self, registry):
         certifier = self.make(2)
         certifier.begin_batch([0, 1], now=1.0)
@@ -204,14 +230,7 @@ class TestWindowedDispatch:
 
     def test_multi_batch_pump_ships_one_window_envelope(self):
         env, cloud, edge = make_pipelined_edge(9, batch_size=3, depth=4)
-        sent = []
-        original_send = env.send
-
-        def recording_send(src, dst, message):
-            sent.append(message)
-            return original_send(src, dst, message)
-
-        env.send = recording_send
+        sent = record_sends(env)
         edge._pump_certify_pipeline()
         windows = [m for m in sent if isinstance(m, CertifyWindowRequest)]
         batches = [m for m in sent if isinstance(m, CertifyBatchRequest)]
@@ -229,14 +248,7 @@ class TestWindowedDispatch:
 
     def test_single_batch_pump_keeps_plain_wire_format(self):
         env, cloud, edge = make_pipelined_edge(3, batch_size=3, depth=4)
-        sent = []
-        original_send = env.send
-
-        def recording_send(src, dst, message):
-            sent.append(message)
-            return original_send(src, dst, message)
-
-        env.send = recording_send
+        sent = record_sends(env)
         edge._pump_certify_pipeline()
         assert [type(m) for m in sent] == [CertifyBatchRequest]
 
@@ -244,25 +256,22 @@ class TestWindowedDispatch:
         env, cloud, edge = make_pipelined_edge(6, batch_size=3, depth=4)
         mallory = edge_id("edge-mallory")
         env.registry.register(mallory)
-        sent = []
-        original_send = env.send
-
-        def recording_send(src, dst, message):
-            sent.append(message)
-            return original_send(src, dst, message)
-
-        env.send = recording_send
+        sent = record_sends(env, keep=lambda message: False)
         edge._pump_certify_pipeline()
-        (window,) = [m for m in sent if isinstance(m, CertifyWindowRequest)]
+        env.network.remove_send_hook("test:record-sends")
+        (window,) = sent
+        assert isinstance(window, CertifyWindowRequest)
         # Mallory replays the edge's window under its own name.
-        responses = cloud.certify_batch_window(((mallory, window),))
-        assert responses == []
+        assert cloud_answers(env, cloud, mallory, window) == []
         # And a forged signature over the same statement is dropped too.
         forged = CertifyWindowRequest(
             statement=window.statement,
             signature=env.registry.sign(mallory, window.statement),
         )
-        assert cloud.certify_batch_window(((edge.node_id, forged),)) == []
+        assert cloud_answers(env, cloud, edge.node_id, forged) == []
+        assert cloud.stats["certifications"] == 0
+        # The genuine envelope from its genuine sender is what certifies.
+        assert len(cloud_answers(env, cloud, edge.node_id, window)) == 2
 
 
 # ----------------------------------------------------------------------
@@ -390,11 +399,10 @@ class TestPipelineAdversarial:
             m for m in dropped if isinstance(m, CertifyWindowRequest)
         ] or [None]
         assert window is not None
-        for target, message in cloud.certify_batch_window(
-            ((edge.node_id, window),)
-        ):
-            if isinstance(message, BatchCertificateMessage):
-                edge.on_message(cloud.node_id, message)
+        late = cloud_answers(env, cloud, edge.node_id, window)
+        assert [type(message) for message in late] == [BatchCertificateMessage] * 2
+        for message in late:
+            edge.on_message(cloud.node_id, message)
         assert edge.certifier.certified_count == 6  # idempotent
         assert cloud.stats["certify_conflicts"] == 0
         assert cloud.ledger.is_punished(edge.node_id) is False
@@ -410,6 +418,39 @@ class TestPipelineAdversarial:
         assert edge.stats["certify_rejections"] == 1
         assert edge.certifier.in_flight_count == 0
 
+    def test_unauthenticated_rejection_moves_neither_counter_nor_window(self):
+        """Only this edge's cloud, naming this pair, can refuse a block: a
+        rejection from a client, or from the cloud but about another edge,
+        is not the "an honest edge should never see this" event and must not
+        release a window slot the real certificate still needs."""
+
+        env, cloud, edge = make_pipelined_edge(3, batch_size=3, depth=4)
+        record_sends(env, keep=lambda message: False)  # hold the window open
+        edge._pump_certify_pipeline()
+        assert edge.certifier.in_flight_count == 1
+
+        def rejection(cloud_name, edge_name):
+            return CertifyRejection(
+                cloud=cloud_name,
+                edge=edge_name,
+                block_id=0,
+                existing_digest="f" * 64,
+                offending_digest=edge.certifier.task(0).block_digest,
+                reason="forged refusal",
+            )
+
+        other_edge = edge_id("edge-other")
+        edge.on_message(ALICE, rejection(cloud.node_id, edge.node_id))
+        edge.on_message(cloud.node_id, rejection(cloud.node_id, other_edge))
+        edge.on_message(cloud.node_id, rejection(cloud_id("cloud-x"), edge.node_id))
+        assert "certify_rejections" not in edge.stats
+        assert edge.certifier.in_flight(0)
+        assert edge.certifier.in_flight_batches()[0].remaining == {0, 1, 2}
+        # The same refusal from the real cloud about this pair does both.
+        edge.on_message(cloud.node_id, rejection(cloud.node_id, edge.node_id))
+        assert edge.stats["certify_rejections"] == 1
+        assert not edge.certifier.in_flight(0)
+
 
 # ----------------------------------------------------------------------
 # Mid-handoff shard with an in-flight window
@@ -420,12 +461,13 @@ class TestMidHandoffWindow:
 
         config = SystemConfig.paper_default().with_overrides(
             num_edge_nodes=2,
-            sharding=ShardingConfig(num_shards=4, certify_pipeline_depth=4),
+            sharding=ShardingConfig(num_shards=4),
             logging=LoggingConfig(
                 block_size=5,
                 block_timeout_s=0.02,
                 certify_batch_size=2,
                 certify_flush_timeout_s=0.02,
+                certify_pipeline_depth=4,
             ),
             lsmerkle=LSMerkleConfig(level_thresholds=(2, 2, 4, 8)),
         )
@@ -499,7 +541,6 @@ class TestMidHandoffWindow:
         still complete once the block's real certificate is recovered."""
 
         from repro.log.proofs import CommitPhase
-        from repro.messages.log_messages import CertifyRejection
         from repro.workloads.generator import format_key
 
         system = self.build_fleet(seed=41)
@@ -575,161 +616,50 @@ class TestMidHandoffWindow:
 
 
 # ----------------------------------------------------------------------
-# Per-shard depth override
+# Depth validation
 # ----------------------------------------------------------------------
 class TestShardDepthOverride:
-    def test_sharding_config_overrides_logging_depth(self):
-        config = pipeline_config(depth=1).with_overrides(
-            sharding=ShardingConfig(certify_pipeline_depth=8)
-        )
-        env = local_environment(seed=19)
-        cloud = CloudNode(env=env, config=config, region=Region.CALIFORNIA)
-        edge = EdgeNode(env=env, cloud=cloud.node_id, config=config)
-        assert edge._certify_pipeline_depth() == 1  # default partition
-        shard_state = edge._new_partition(shard_id=3)
-        with edge._as_active(shard_state):
-            assert edge._certify_pipeline_depth() == 8
-
     def test_invalid_depths_rejected(self):
         with pytest.raises(ConfigurationError):
             LoggingConfig(certify_pipeline_depth=0)
-        with pytest.raises(ConfigurationError):
-            ShardingConfig(certify_pipeline_depth=-1)
 
 
 # ----------------------------------------------------------------------
-# Crypto substrate: same-signer batch verification
-# ----------------------------------------------------------------------
-class TestBatchVerification:
-    def make_signed(self, registry, signer, count):
-        messages = [f"message-{index}" for index in range(count)]
-        return [(registry.sign(signer, m), m) for m in messages]
-
-    def test_schnorr_group_verifies_and_pinpoints_forgery(self):
-        registry = KeyRegistry("schnorr")
-        registry.register(CLOUD)
-        pairs = self.make_signed(registry, CLOUD, 5)
-        assert registry.verify_many(pairs) == [True] * 5
-        from dataclasses import replace
-
-        forged = (replace(pairs[2][0], value=b"\x01" * 512), pairs[2][1])
-        tampered = pairs[:2] + [forged] + pairs[3:]
-        assert registry.verify_many(tampered) == [True, True, False, True, True]
-
-    def test_mixed_signers_group_independently(self):
-        registry = KeyRegistry("schnorr")
-        registry.register(CLOUD)
-        registry.register(EDGE)
-        pairs = self.make_signed(registry, CLOUD, 2) + self.make_signed(
-            registry, EDGE, 2
-        )
-        assert registry.verify_many(pairs) == [True] * 4
-
-    def test_hmac_falls_back_to_individual(self):
-        registry = KeyRegistry("hmac")
-        registry.register(CLOUD)
-        pairs = self.make_signed(registry, CLOUD, 3)
-        assert registry.verify_many(pairs) == [True] * 3
-
-    def test_batch_certificates_group_verify_and_seed_memo(self):
-        registry = KeyRegistry("schnorr")
-        registry.register(CLOUD)
-        registry.register(EDGE)
-        certificates = []
-        for start in (0, 8):
-            blocks = tuple((start + i, f"{start + i:064x}") for i in range(4))
-            tree = build_certify_batch_tree(blocks)
-            certificates.append(
-                issue_batch_certificate(
-                    registry=registry,
-                    cloud=CLOUD,
-                    edge=EDGE,
-                    batch_root=tree.root,
-                    num_blocks=4,
-                    certified_at=1.0,
-                )
-            )
-        assert verify_batch_certificates(registry, certificates, CLOUD) == [
-            True,
-            True,
-        ]
-        # Memo seeded: individual verification is now a cache hit.
-        assert all(c.verify(registry) for c in certificates)
-        assert verify_batch_certificates(registry, certificates, EDGE) == [
-            False,
-            False,
-        ]
-
-
-# ----------------------------------------------------------------------
-# Parallel certify engine + wall-clock pipeline harness
+# Whole windows through the nodes
 # ----------------------------------------------------------------------
 class TestCertifyEngineAndHarness:
     def test_pipeline_harness_depths_certify_everything(self):
-        env = local_environment(seed=23)
-        cloud = CloudNode(env=env, region=Region.CALIFORNIA)
-        edge = edge_id("edge-h")
-        env.registry.register(edge)
-        pairs = [(i, f"{i:064x}") for i in range(24)]
-        for depth, expected_rounds in ((1, 6), (4, 2)):
-            pipeline = EdgeCertifyPipeline(
-                registry=env.registry,
-                edge=edge,
-                cloud=cloud.node_id,
-                depth=depth,
-                batch_size=4,
-            )
-            offset = depth * 1000
-            shifted = [(offset + i, d) for i, d in pairs]
-            rounds = run_certify_pipeline(pipeline, cloud, shifted)
-            assert pipeline.absorbed == 24
-            assert pipeline.drained
-            assert rounds == expected_rounds
-
-    def test_engine_worker_pool_matches_inline(self):
-        env = local_environment(seed=29)
-        cloud = CloudNode(env=env, region=Region.CALIFORNIA)
-        engine = ParallelCertifyEngine(
-            registry=env.registry, cloud=cloud.node_id, workers=2
-        )
-        try:
-            jobs = [
-                (EDGE, tuple((start + i, f"{start + i:064x}") for i in range(3)), 1.0)
-                for start in (0, 10, 20)
-            ]
-            env.registry.register(EDGE)
-            pooled = engine.issue_certificates(jobs)
-            assert len(pooled) == 3
-            for certificate, (edge, blocks, _now) in zip(pooled, jobs):
-                assert certificate.edge == edge
-                assert certificate.num_blocks == 3
-                assert certificate.verify(env.registry)
-                assert certificate.batch_root == build_certify_batch_tree(blocks).root
-        finally:
-            engine.close()
+        # Depth 1 is six serial exchanges; depth 4 ships a four-batch window
+        # and two refills (the first retirement finds a full batch queued,
+        # the second the last one).
+        for depth, requests in ((1, 6), (4, 3)):
+            env, cloud, edge = make_pipelined_edge(24, batch_size=4, depth=depth)
+            edge._pump_certify_pipeline()
+            env.run()
+            assert edge.certifier.certified_count == 24
+            assert edge.certifier.retired_batch_count == 6
+            assert edge.certifier.in_flight_count == 0
+            assert edge.stats["certify_inflight_peak"] == depth
+            assert edge.stats["certify_requests"] == requests
+            assert cloud.stats["certify_batches"] == 6
+            assert cloud.stats["certifications"] == 24
 
     def test_harness_handles_conflict_rejections_without_stalling(self):
-        """A definitively refused block must release its slot and count as
-        terminal — the driver completes instead of raising 'stalled'."""
+        """A definitively refused block must release its slot — the window
+        drains and every other block certifies instead of wedging on it."""
 
-        env = local_environment(seed=37)
-        cloud = CloudNode(env=env, region=Region.CALIFORNIA)
-        edge = edge_id("edge-r")
-        env.registry.register(edge)
+        env, cloud, edge = make_pipelined_edge(4, batch_size=2, depth=4)
         # The cloud already holds a conflicting digest for block 1.
-        cloud._certified.setdefault(edge, {})[1] = "f" * 64
-        pipeline = EdgeCertifyPipeline(
-            registry=env.registry, edge=edge, cloud=cloud.node_id, depth=4, batch_size=2
-        )
-        rounds = run_certify_pipeline(
-            pipeline, cloud, [(i, f"{i:064x}") for i in range(4)], max_rounds=8
-        )
-        assert rounds >= 1
-        assert pipeline.absorbed == 3
-        assert pipeline.rejected == 1
-        assert pipeline.abandoned == {1}
-        assert pipeline.drained
-        assert pipeline.certifier.in_flight_count == 0
+        cloud._certified.setdefault(edge.node_id, {})[1] = "f" * 64
+        edge._pump_certify_pipeline()
+        env.run()
+        assert edge.certifier.certified_count == 3
+        assert [task.block_id for task in edge.certifier.outstanding()] == [1]
+        assert edge.stats["certify_rejections"] == 1
+        assert cloud.stats["certify_conflicts"] == 1
+        assert edge.certifier.in_flight_count == 0
+        assert edge.certifier.pending_dispatch_count == 0
+        assert edge.certifier.retired_batch_count == 2
 
     def test_lazy_dispute_proofs_derived_on_demand(self):
         env, cloud, edge = make_pipelined_edge(3, batch_size=3, depth=4)
@@ -743,72 +673,9 @@ class TestCertifyEngineAndHarness:
 
 
 # ----------------------------------------------------------------------
-# Sim parameters for overlapped RTTs
+# Sim parameters for windowed certification
 # ----------------------------------------------------------------------
 class TestOverlapParameters:
-    def test_uplink_channels_overlap_serialization(self):
-        slow = SimulationParameters(
-            latency_jitter_fraction=0.0, wan_bandwidth_bytes_per_s=10_000
-        )
-        multi = slow.with_overrides(uplink_channels=4)
-
-        class _Probe:
-            def __init__(self, name, region):
-                from repro.common.identifiers import edge_id as eid
-
-                self.node_id = eid(name)
-                self.region = region
-                self.received = []
-
-            def deliver(self, sender, message):
-                self.received.append(message)
-
-        class _Payload:
-            wire_size = 50_000
-
-        def delivery_times(params):
-            from repro.sim.events import EventScheduler
-            from repro.sim.network import SimNetwork
-            from repro.sim.rng import DeterministicRng
-            from repro.sim.topology import Topology
-
-            scheduler = EventScheduler(0.0)
-            network = SimNetwork(
-                scheduler, Topology(), params, DeterministicRng(7)
-            )
-            src = _Probe("edge-src", Region.CALIFORNIA)
-            dst = _Probe("edge-dst", Region.VIRGINIA)
-            network.register(src)
-            network.register(dst)
-            return [
-                network.send(src.node_id, dst.node_id, _Payload())
-                for _ in range(4)
-            ]
-
-        serial = delivery_times(slow)
-        overlapped = delivery_times(multi)
-        # One lane: each transfer queues behind the previous (~5s each).
-        assert serial[3] - serial[0] == pytest.approx(3 * 5.025, rel=0.01)
-        # Four lanes: all four serialize concurrently.
-        assert max(overlapped) == pytest.approx(overlapped[0], rel=0.01)
-        with pytest.raises(ConfigurationError):
-            SimulationParameters(uplink_channels=0)
-
-    def test_cloud_certify_workers_divide_marginal_cost(self):
-        serial = SimulationParameters()
-        parallel = serial.with_overrides(cloud_certify_workers=4)
-        base = serial.batch_certification_cost(0)
-        assert parallel.batch_certification_cost(0) == base
-        marginal_serial = serial.batch_certification_cost(32) - base
-        marginal_parallel = parallel.batch_certification_cost(32) - base
-        assert marginal_parallel == pytest.approx(marginal_serial / 4)
-        # Explicit worker argument wins over the configured default.
-        assert serial.batch_certification_cost(
-            32, workers=4
-        ) == parallel.batch_certification_cost(32)
-        with pytest.raises(ConfigurationError):
-            SimulationParameters(cloud_certify_workers=0)
-
     def test_window_cost_charges_one_signature_per_inner_batch(self):
         params = SimulationParameters()
         one_batch = params.window_certification_cost(1, 32)
@@ -820,172 +687,163 @@ class TestOverlapParameters:
             + 7 * params.sign_seconds
             + 7 * 32 * params.lookup_seconds_per_op
         )
-        # Worker lanes divide the per-batch signing and per-block work but
-        # never the serial request overhead + envelope verification.
-        pooled = params.window_certification_cost(8, 8 * 32, workers=8)
-        serial_part = params.request_overhead_seconds + params.verify_seconds
-        assert pooled == pytest.approx(serial_part + (eight - serial_part) / 8)
 
 
 # ----------------------------------------------------------------------
-# Monotonic elapsed-time bookkeeping (wall-clock deployments)
+# Elapsed-time retry horizons on both substrates
 # ----------------------------------------------------------------------
 class TestMonotonicRetryClock:
     """The overdue-retry clock must be *elapsed* time, never wall-clock: a
     system clock step (NTP correction, manual adjustment) would otherwise
-    mass-trigger — or indefinitely suppress — every pending retry at once."""
-
-    def make_pipeline(self, clock=None):
-        registry = KeyRegistry("hmac")
-        registry.register(EDGE)
-        registry.register(CLOUD)
-        return EdgeCertifyPipeline(
-            registry=registry, edge=EDGE, cloud=CLOUD, depth=2, batch_size=2,
-            clock=clock,
-        )
-
-    def test_default_clock_is_time_monotonic(self):
-        import time
-
-        pipeline = self.make_pipeline()
-        assert pipeline.clock is time.monotonic
-        # And the no-argument API actually uses it.
-        pipeline.submit(0, "0" * 64)
-        pipeline.submit(1, "1" * 64)
-        assert len(pipeline.dispatch_ready(allow_partial=False)) == 1
+    mass-trigger — or indefinitely suppress — every pending retry at once.
+    The node measures on its environment's clock: simulated time, or the
+    live service's :class:`~repro.sim.clock.AnchoredWallClock`."""
 
     def test_wall_clock_step_cannot_mass_trigger_retries(self, monkeypatch):
+        import asyncio
         import time as time_module
 
-        mono = {"now": 100.0}
-        pipeline = self.make_pipeline(clock=lambda: mono["now"])
-        for block_id in range(4):
-            pipeline.submit(block_id, f"{block_id:064x}")
-        assert pipeline.dispatch_ready(allow_partial=False)
-        assert pipeline.certifier.in_flight_count == 2
+        from repro.service import LiveFleet
 
-        # The system clock leaps an hour forward and then a day back — the
-        # monotonic elapsed time has barely moved, so nothing is overdue.
-        for step in (3600.0, -86400.0):
-            monkeypatch.setattr(
-                time_module, "time", lambda step=step: 1_700_000_000.0 + step
-            )
-            assert pipeline.retry_overdue(timeout_s=10.0) == []
+        async def scenario():
+            fleet = LiveFleet(config=pipeline_config(batch_size=2, depth=2), num_edges=1)
+            async with fleet:
+                env, edge = fleet.env, fleet.edge(0)
+                # A lossy uplink: no certify request ever reaches the cloud.
+                record_sends(
+                    env,
+                    keep=lambda message: not isinstance(
+                        message, (CertifyBatchRequest, CertifyWindowRequest)
+                    ),
+                )
+                for block_id in range(4):
+                    edge.certifier.track(
+                        block_id, f"{block_id:064x}", requested_at=env.now()
+                    )
+                    edge.certifier.enqueue_for_dispatch(block_id)
+                edge._pump_certify_pipeline()
+                assert edge.certifier.in_flight_count == 2
 
-        # Genuine elapsed time past the deadline: both lost batches retry,
-        # each as exactly that batch under a fresh signature.
-        mono["now"] += 11.0
-        retries = pipeline.retry_overdue(timeout_s=10.0)
-        assert len(retries) == 2
-        assert [len(request.items) for request in retries] == [2, 2]
-        # The retry reset the overdue clock: nothing re-triggers at once.
-        assert pipeline.retry_overdue(timeout_s=10.0) == []
+                # The system clock leaps an hour forward and then a day back
+                # — monotonic elapsed time has barely moved, so nothing is
+                # overdue.
+                for step in (3600.0, -86400.0):
+                    monkeypatch.setattr(
+                        time_module, "time", lambda step=step: 1_700_000_000.0 + step
+                    )
+                    assert edge.retry_overdue_certifications(10.0) == 0
+
+                # Genuine elapsed time past a (short) deadline: both lost
+                # batches retry, each as exactly that batch.
+                await asyncio.sleep(0.6)
+                assert edge.retry_overdue_certifications(0.5) == 4
+                assert edge.stats["certify_batch_retries"] == 2
+                # The retry reset the overdue clock: nothing re-triggers.
+                assert edge.retry_overdue_certifications(0.5) == 0
+                assert env.failures == []
+
+        asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
 
     def test_sim_time_injection_still_works(self):
-        pipeline = self.make_pipeline()
-        pipeline.submit(0, "0" * 64, now=5.0)
-        pipeline.submit(1, "1" * 64, now=5.0)
-        assert pipeline.dispatch_ready(now=5.0, allow_partial=False)
-        assert pipeline.retry_overdue(timeout_s=2.0, now=6.0) == []
-        assert len(pipeline.retry_overdue(timeout_s=2.0, now=8.0)) == 1
+        """On the simulator the same horizons are simulated seconds."""
+
+        env, cloud, edge = make_pipelined_edge(2, batch_size=2, depth=2)
+        env.network.set_offline(cloud.node_id)
+        env.scheduler.run_until(5.0)
+        edge._pump_certify_pipeline()
+        env.scheduler.run_until(6.0)
+        assert edge.retry_overdue_certifications(2.0) == 0
+        env.scheduler.run_until(8.0)
+        assert edge.retry_overdue_certifications(2.0) == 2
+        assert edge.stats["certify_batch_retries"] == 1
 
 
 # ----------------------------------------------------------------------
 # Sustained cloud unavailability under a RetryPolicy
 # ----------------------------------------------------------------------
 class TestRetryPolicyUnderOutage:
-    """A configured :class:`RetryPolicy` drives overdue retries through a
-    sustained cloud outage: the per-batch horizon grows along the backoff
-    schedule, batches whose attempt budget is spent stop re-dispatching,
-    the in-flight window stays bounded however long the outage lasts, and
-    the backlog drains completely once the cloud answers again."""
+    """A :class:`RetryPolicy` handed to the edge's overdue scan drives it
+    through a sustained cloud outage: the per-batch horizon grows along the
+    backoff schedule, batches whose attempt budget is spent stop
+    re-dispatching, the in-flight window stays bounded however long the
+    outage lasts, and the backlog drains completely once the cloud answers
+    again."""
 
     POLICY = RetryPolicy(base_s=1.0, factor=2.0, cap_s=8.0, max_attempts=3)
 
-    def make_pipeline(self, depth=2, batch_size=2, policy=POLICY):
-        env = local_environment(seed=41)
-        cloud = CloudNode(env=env, region=Region.CALIFORNIA)
-        edge = edge_id("edge-outage")
-        env.registry.register(edge)
-        pipeline = EdgeCertifyPipeline(
-            registry=env.registry,
-            edge=edge,
-            cloud=cloud.node_id,
-            depth=depth,
-            batch_size=batch_size,
-            retry_policy=policy,
-        )
-        return pipeline, cloud, edge
+    def make_outage(self, num_blocks):
+        env, cloud, edge = make_pipelined_edge(num_blocks, batch_size=2, depth=2)
+        env.network.set_offline(cloud.node_id)
+        return env, cloud, edge
 
-    @staticmethod
-    def certify(cloud, edge, requests):
-        """Run *requests* through the cloud and return its certificates."""
-
-        pairs = tuple((edge, request) for request in requests)
-        return [message for _target, message in cloud.certify_batch_window(pairs)]
-
-    def test_no_policy_and_no_timeout_is_an_error(self):
-        pipeline, _cloud, _edge = self.make_pipeline(policy=None)
-        with pytest.raises(ValueError):
-            pipeline.retry_overdue(now=1.0)
+    def retry_at(self, env, edge, now, horizon=POLICY):
+        env.scheduler.run_until(now)
+        return edge.retry_overdue_certifications(horizon)
 
     def test_backoff_grows_then_budget_exhausts(self):
-        pipeline, _cloud, _edge = self.make_pipeline()
-        pipeline.submit(0, "0" * 64, now=0.0)
-        pipeline.submit(1, "1" * 64, now=0.0)
-        assert len(pipeline.dispatch_ready(now=0.0, allow_partial=False)) == 1
+        env, _cloud, edge = self.make_outage(2)
+        assert edge._pump_certify_pipeline() == 1
+        (batch,) = edge.certifier.in_flight_batches()
 
         # First horizon is delay(1) = 1.0 s: not yet overdue at 0.5 s.
-        assert pipeline.retry_overdue(now=0.5) == []
-        assert len(pipeline.retry_overdue(now=1.5)) == 1  # retry #1
+        assert self.retry_at(env, edge, 0.5) == 0
+        assert self.retry_at(env, edge, 1.5) == 2  # retry #1 (both blocks)
 
         # After one retry the horizon is delay(2) = 2.0 s, measured from
-        # the retry itself — 1.0 s later is quiet, 2.1 s later fires.
-        assert pipeline.retry_overdue(now=2.5) == []
-        assert len(pipeline.retry_overdue(now=3.7)) == 1  # retry #2
+        # the retry itself — 1.0 s later is quiet, 2.2 s later fires.
+        assert self.retry_at(env, edge, 2.5) == 0
+        assert self.retry_at(env, edge, 3.7) == 2  # retry #2
 
         # Horizon now delay(3) = 4.0 s.
-        assert pipeline.retry_overdue(now=7.0) == []
-        assert len(pipeline.retry_overdue(now=7.8)) == 1  # retry #3
+        assert self.retry_at(env, edge, 7.0) == 0
+        assert self.retry_at(env, edge, 7.8) == 2  # retry #3
+        assert batch.retries == 3 and self.POLICY.exhausted(batch.retries)
 
         # max_attempts=3 is spent: the batch never re-dispatches on the
-        # policy path, no matter how stale it gets.
-        assert pipeline.retry_overdue(now=1_000.0) == []
+        # policy path, no matter how stale it gets — it stays in flight for
+        # a late certificate.
+        assert self.retry_at(env, edge, 1_000.0) == 0
+        assert edge.certifier.in_flight_batches() == (batch,)
+        assert edge.stats["certify_batch_retries"] == 3
         # An explicit timeout bypasses the budget (operator override).
-        assert len(pipeline.retry_overdue(timeout_s=1.0, now=2_000.0)) == 1
+        assert self.retry_at(env, edge, 2_000.0, horizon=1.0) == 2
 
     def test_window_stays_bounded_and_drains_after_recovery(self):
-        pipeline, cloud, edge = self.make_pipeline(depth=2, batch_size=2)
-        for block_id in range(8):
-            pipeline.submit(block_id, f"{block_id:064x}", now=0.0)
+        env, cloud, edge = self.make_outage(8)
+        sent = record_sends(env)
 
         # Only depth=2 batches ship; the other four blocks stay queued.
-        first_wave = pipeline.dispatch_ready(now=0.0, allow_partial=False)
-        assert pipeline.certifier.in_flight_count == 2
+        edge._pump_certify_pipeline()
+        (first_wave,) = sent
+        assert isinstance(first_wave, CertifyWindowRequest)
+        assert edge.certifier.in_flight_count == 2
 
-        # A long outage: every policy step fires, yet the window never
-        # grows — retries re-sign the same two lost batches.
-        retried = []
-        for now in (1.5, 4.0, 9.0, 30.0):
-            retried.extend(pipeline.retry_overdue(now=now))
-            assert pipeline.certifier.in_flight_count == 2
-            assert pipeline.dispatch_ready(now=now, allow_partial=False) == []
-        assert retried  # the outage did trigger re-sends
-        assert pipeline.absorbed == 0
+        # A long outage: every policy step fires, then the budget is spent,
+        # yet the window never grows — retries re-sign the same two lost
+        # batches and the queue stays parked behind them.
+        retried = [self.retry_at(env, edge, now) for now in (1.5, 4.0, 9.0, 30.0)]
+        assert retried == [4, 4, 4, 0]
+        assert edge._pump_certify_pipeline() == 0
+        assert edge.certifier.in_flight_count == 2
+        assert edge.certifier.pending_dispatch_count == 4
+        assert edge.certifier.certified_count == 0
+        assert [type(message) for message in sent[1:]] == [CertifyBatchRequest] * 6
 
-        # Recovery: the cloud finally answers the latest retransmissions,
-        # then the freed window slots pump the remaining backlog through.
-        pipeline.absorb(self.certify(cloud, edge, retried[-2:]))
-        now = 31.0
-        while not pipeline.drained:
-            requests = pipeline.dispatch_ready(now=now, allow_partial=True)
-            assert len(requests) <= 2
-            pipeline.absorb(self.certify(cloud, edge, requests))
-            now += 1.0
-        assert pipeline.absorbed == 8
-        assert pipeline.certifier.in_flight_count == 0
+        # Recovery: the cloud is back and the two lost batches are re-sent
+        # once more; their retirements pump the remaining backlog through.
+        env.network.set_offline(cloud.node_id, offline=False)
+        assert self.retry_at(env, edge, 31.0, horizon=1.0) == 4
+        env.run()
+        assert edge.certifier.certified_count == 8
+        assert edge.certifier.in_flight_count == 0
+        assert edge.certifier.pending_dispatch_count == 0
+        assert edge.stats["certify_inflight_peak"] == 2
 
         # Late duplicates from the first (lost) wave are absorbed
-        # idempotently — certified counts do not double.
-        pipeline.absorb(self.certify(cloud, edge, first_wave))
-        assert pipeline.absorbed == 8
+        # idempotently — certified counts do not double, nobody is punished.
+        cloud.on_message(edge.node_id, first_wave)
+        env.run()
+        assert edge.certifier.certified_count == 8
+        assert edge.stats["batch_cert_mismatches"] == 0
+        assert cloud.stats["certify_conflicts"] == 0
+        assert cloud.ledger.is_punished(edge.node_id) is False
