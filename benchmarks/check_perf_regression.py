@@ -23,10 +23,14 @@ a row enters the baseline and that list in the PR that adds it (its first
 number is measured on one machine, with no history to ratchet against) and
 leaves the list in the next PR, becoming gated.  Non-gating rows are
 reported, excluded from the machine-speed median, and never fail the gate.
-Usage::
 
-    PYTHONPATH=src python benchmarks/perf_baseline.py --mode quick --output /tmp/BENCH_current.json
-    python benchmarks/check_perf_regression.py --baseline BENCH_hotpath.json --current /tmp/BENCH_current.json
+``--current`` takes one result file or several.  With several the gate
+judges each row by its **median** ``ops_per_s`` across them, so one run in
+which a host stall halved a single row cannot fail the build (CI passes
+three); a row missing from any of the files is missing.  Usage::
+
+    for i in 1 2 3; do python benchmarks/perf_baseline.py --mode quick --output /tmp/BENCH_$i.json; done
+    python benchmarks/check_perf_regression.py --baseline BENCH_hotpath.json --current /tmp/BENCH_1.json /tmp/BENCH_2.json /tmp/BENCH_3.json
 """
 
 from __future__ import annotations
@@ -58,6 +62,21 @@ def _non_gating_of(summary: dict, path: str) -> frozenset[str]:
 
 def load_results(path: str) -> dict[str, dict]:
     return _results_of(_read_summary(path), path)
+
+
+def load_median_results(paths: list[str]) -> dict[str, dict]:
+    """Every row's median ``ops_per_s`` across the runs in *paths*.
+
+    A row without a number in any one run is left out, which the gate
+    reports as missing.
+    """
+
+    runs = [load_results(path) for path in paths]
+    return {
+        name: {"ops_per_s": statistics.median(run[name]["ops_per_s"] for run in runs)}
+        for name in runs[0]
+        if all(run.get(name, {}).get("ops_per_s") for run in runs)
+    }
 
 
 def load_non_gating(path: str) -> frozenset[str]:
@@ -136,7 +155,12 @@ def compare(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", default="BENCH_hotpath.json")
-    parser.add_argument("--current", required=True)
+    parser.add_argument(
+        "--current",
+        required=True,
+        nargs="+",
+        help="one or several result files; several are gated on the per-row median",
+    )
     parser.add_argument(
         "--threshold",
         type=float,
@@ -153,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     baseline_summary = _read_summary(args.baseline)
     baseline = _results_of(baseline_summary, args.baseline)
     non_gating = _non_gating_of(baseline_summary, args.baseline)
-    current = load_results(args.current)
+    current = load_median_results(args.current)
     lines, regressions = compare(
         baseline,
         current,

@@ -5,11 +5,6 @@ Runs the seeded micro-benchmark suite in :mod:`repro.bench.perf` and writes
 trajectory later PRs ratchet against.  Usage::
 
     PYTHONPATH=src python benchmarks/perf_baseline.py --mode quick
-
-``--capture-seed`` rewrites ``benchmarks/BENCH_seed_reference.json`` instead;
-it exists so the reference can be re-recorded from a checkout of the seed
-implementation on new hardware (the committed file was measured on the
-machine that produced the committed ``BENCH_hotpath.json``).
 """
 
 from __future__ import annotations
@@ -24,10 +19,7 @@ sys.path.insert(
 )
 
 from repro.bench.perf import (  # noqa: E402  (path bootstrap above)
-    SEED_REFERENCE_PATH,
-    attach_speedups,
     format_summary,
-    load_seed_reference,
     run_perf_suite,
 )
 
@@ -37,26 +29,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--mode", choices=("quick", "full"), default="quick")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--output", default="BENCH_hotpath.json")
-    parser.add_argument("--reference", default=SEED_REFERENCE_PATH)
-    parser.add_argument(
-        "--capture-seed",
-        action="store_true",
-        help="write the results as the seed reference instead of the baseline",
-    )
     args = parser.parse_args(argv)
 
     summary = run_perf_suite(mode=args.mode, seed=args.seed)
-    if args.capture_seed:
-        output = args.reference
-    else:
-        output = args.output
-        attach_speedups(summary, load_seed_reference(args.reference))
-
-    with open(output, "w", encoding="utf-8") as handle:
+    with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=1, sort_keys=True)
         handle.write("\n")
     print(format_summary(summary))
-    print(f"wrote {output}")
+    print(f"wrote {args.output}")
     return 0
 
 

@@ -114,21 +114,18 @@ class TestCompare:
         assert regressions[0].startswith("cert_pipeline_d8:")
 
     def test_committed_baseline_gates_every_tracked_row(self):
-        """The committed BENCH_hotpath.json's non-gating list holds the
+        """The committed BENCH_hotpath.json's non-gating list holds only the
         wall-clock open-loop put p99 (parked there by ROADMAP until a
-        capacity-relative row replaces it) and the two ``cert_pipeline_*``
-        rows, re-recorded when they were re-pointed from a private driver at
-        the nodes a fleet runs — they graduate in the next PR.  Everything
-        else gates, the frame round trip included since it graduated."""
+        capacity-relative row replaces it).  Everything else gates, the
+        frame round trip and the two ``cert_pipeline_*`` rows included
+        since they graduated."""
 
         import pathlib
 
         baseline = pathlib.Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
         non_gating = load_non_gating(str(baseline))
         results = load_results(str(baseline))
-        assert non_gating == frozenset(
-            {"live_put_p99", "cert_pipeline_d1", "cert_pipeline_d8"}
-        )
+        assert non_gating == frozenset({"live_put_p99"})
         assert "live_put_p99" in results and "frame_roundtrip" in results
         assert "replica_read" in results
         assert "obs_overhead" in results
@@ -153,6 +150,35 @@ class TestCli:
         assert main(["--baseline", baseline, "--current", bad]) == 1
         output = capsys.readouterr().out
         assert "REGRESSION" in output
+
+    def test_several_current_files_gate_on_the_per_row_median(self, tmp_path, capsys):
+        """One noisy run of three cannot fail the build; a row that is low
+        in every run still does."""
+
+        baseline = self.write(
+            tmp_path / "baseline.json", metrics(a=100.0, b=100.0, c=100.0)
+        )
+        steady = metrics(a=100.0, b=100.0, c=100.0)
+        low = metrics(a=60.0, b=100.0, c=100.0)
+        runs = [
+            self.write(tmp_path / f"run{i}.json", results)
+            for i, results in enumerate([steady, low, steady])
+        ]
+        assert main(["--baseline", baseline, "--current", runs[1]]) == 1
+        assert main(["--baseline", baseline, "--current", *runs]) == 0
+        capsys.readouterr()
+        runs = [
+            self.write(tmp_path / f"low{i}.json", low) for i in range(3)
+        ]
+        assert main(["--baseline", baseline, "--current", *runs]) == 1
+        assert "a: 60 ops/s" in capsys.readouterr().out
+
+    def test_row_missing_from_any_current_file_is_missing(self, tmp_path, capsys):
+        baseline = self.write(tmp_path / "baseline.json", metrics(a=100.0, b=100.0))
+        full = self.write(tmp_path / "full.json", metrics(a=100.0, b=100.0))
+        partial = self.write(tmp_path / "partial.json", metrics(a=100.0))
+        assert main(["--baseline", baseline, "--current", full, partial, full]) == 1
+        assert "b: missing from the current run" in capsys.readouterr().out
 
     def test_malformed_summary_rejected(self, tmp_path):
         empty = tmp_path / "empty.json"

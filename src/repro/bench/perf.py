@@ -8,9 +8,7 @@ and reports throughput plus per-repeat latency percentiles (the reporting
 shape follows the seeded-percentile harness idiom of faas-offloading-sim).
 
 Results are written as ``BENCH_hotpath.json`` so later PRs can diff against
-the recorded trajectory; ``benchmarks/BENCH_seed_reference.json`` holds the
-numbers measured on the unoptimized seed implementation and is used to
-compute the ``speedup_vs_seed`` section.
+the recorded trajectory (the git history of that file).
 
 Run via::
 
@@ -21,7 +19,6 @@ or programmatically through :func:`run_perf_suite`.
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import random
@@ -29,7 +26,7 @@ import shutil
 import tempfile
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from ..common.config import LSMerkleConfig, StorageConfig, SystemConfig
 from ..common.encoding import encoded_size
@@ -57,10 +54,6 @@ from ..messages.log_messages import CertifyBatchStatement, CertifyStatement
 
 #: Percentiles reported for per-repeat wall times.
 PERCENTILES = (0.50, 0.90, 0.99)
-
-#: Default location of the recorded seed measurement (relative to the repo
-#: root); captured once from the unoptimized seed implementation.
-SEED_REFERENCE_PATH = "benchmarks/BENCH_seed_reference.json"
 
 
 @dataclass(frozen=True)
@@ -1213,32 +1206,6 @@ def run_perf_suite(mode: str = "quick", seed: int = 7) -> dict:
     }
 
 
-def load_seed_reference(path: str = SEED_REFERENCE_PATH) -> Optional[dict]:
-    """Load the recorded seed measurement, or ``None`` when absent."""
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
-
-
-def attach_speedups(summary: dict, reference: Optional[dict]) -> dict:
-    """Add a ``speedup_vs_seed`` section comparing against *reference*."""
-
-    if not reference or reference.get("mode") != summary.get("mode"):
-        summary["speedup_vs_seed"] = None
-        return summary
-    speedups: dict[str, float] = {}
-    for name, result in summary["results"].items():
-        ref = reference.get("results", {}).get(name)
-        if not ref or not ref.get("ops_per_s"):
-            continue
-        speedups[name] = round(result["ops_per_s"] / ref["ops_per_s"], 2)
-    summary["speedup_vs_seed"] = speedups
-    return summary
-
-
 def format_summary(summary: dict) -> str:
     """Render the suite summary as an aligned text table."""
 
@@ -1246,14 +1213,11 @@ def format_summary(summary: dict) -> str:
         f"hot-path perf suite — mode={summary['mode']} seed={summary['seed']} "
         f"python={summary['python']}",
         f"{'benchmark':<16}{'ops/s':>14}{'p50 ms':>10}{'p90 ms':>10}"
-        f"{'p99 ms':>10}{'vs seed':>10}",
+        f"{'p99 ms':>10}",
     ]
-    speedups = summary.get("speedup_vs_seed") or {}
     for name, result in summary["results"].items():
-        speedup = speedups.get(name)
         lines.append(
             f"{name:<16}{result['ops_per_s']:>14,.0f}{result['p50_ms']:>10.3f}"
             f"{result['p90_ms']:>10.3f}{result['p99_ms']:>10.3f}"
-            f"{(f'{speedup:.2f}x' if speedup is not None else '—'):>10}"
         )
     return "\n".join(lines)

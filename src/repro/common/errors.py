@@ -35,10 +35,6 @@ class UnknownSignerError(CryptoError):
     """A signature referenced a key that is not in the registry."""
 
 
-class DigestMismatchError(CryptoError):
-    """A recomputed digest does not match the digest carried in a message."""
-
-
 class ProtocolError(WedgeChainError):
     """Base class for violations of the WedgeChain protocols."""
 
@@ -47,25 +43,8 @@ class InvalidMessageError(ProtocolError):
     """A message is malformed, unsigned, or signed by the wrong party."""
 
 
-class CertificationConflictError(ProtocolError):
-    """The cloud node observed two different digests for the same block id.
-
-    This is the event that flags an edge node as malicious (Section IV-D of
-    the paper): an edge node may never certify two different blocks under the
-    same block id.
-    """
-
-
-class MaliciousBehaviourDetected(ProtocolError):
-    """Raised (or recorded) when a client or the cloud proves an edge lied."""
-
-
 class BlockNotFoundError(ProtocolError):
     """A read referenced a block id the edge node does not have."""
-
-
-class KeyNotFoundError(ProtocolError):
-    """A get referenced a key that is not present in the LSMerkle index."""
 
 
 class FreshnessViolationError(ProtocolError):
@@ -78,10 +57,6 @@ class ProofVerificationError(ProtocolError):
 
 class MergeProtocolError(ProtocolError):
     """The cloud rejected a merge request (bad proofs, stale pages, ...)."""
-
-
-class DisputeRejectedError(ProtocolError):
-    """A dispute was judged to be unfounded by the cloud node."""
 
 
 class StorageError(WedgeChainError):

@@ -10,7 +10,7 @@ Phase II events for the same logical request.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -42,18 +42,6 @@ class NodeId:
 
     def __str__(self) -> str:
         return f"{self.role.value}:{self.name}"
-
-    @property
-    def is_cloud(self) -> bool:
-        return self.role is NodeRole.CLOUD
-
-    @property
-    def is_edge(self) -> bool:
-        return self.role is NodeRole.EDGE
-
-    @property
-    def is_client(self) -> bool:
-        return self.role is NodeRole.CLIENT
 
 
 def cloud_id(name: str = "cloud-0") -> NodeId:
@@ -122,13 +110,3 @@ class SequenceGenerator:
         """Return the next value in the sequence."""
 
         return next(self._counter)
-
-
-@dataclass
-class OperationRef:
-    """A mutable reference handle returned to callers issuing operations."""
-
-    operation_id: OperationId
-    kind: OperationKind
-    issued_at: float = 0.0
-    metadata: dict = field(default_factory=dict)

@@ -5,7 +5,6 @@ from .commit import CommitTracker, OperationRecord
 from .dispute import DisputeJudgement, PunishmentLedger, PunishmentRecord, judge_dispute
 from .gossip import (
     AnyGossipMessage,
-    GossipSchedule,
     GossipView,
     build_gossip,
     build_gossip_batch,
@@ -18,7 +17,6 @@ __all__ = [
     "CertificationTask",
     "CommitTracker",
     "DisputeJudgement",
-    "GossipSchedule",
     "GossipView",
     "InFlightBatch",
     "LazyCertifier",

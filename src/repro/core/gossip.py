@@ -10,7 +10,7 @@ vulnerability for fresh blocks equals the gossip interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from ..common.identifiers import NodeId
 from ..crypto.signatures import KeyRegistry
@@ -120,32 +120,3 @@ class GossipView:
 
         return block_id < self.certified_log_size
 
-
-class GossipSchedule:
-    """Helper the cloud uses to periodically emit gossip for each edge."""
-
-    def __init__(
-        self,
-        interval_s: float,
-        emit: Callable[[], None],
-        schedule_periodic: Callable[[float, Callable[[], None], str], Callable[[], None]],
-    ) -> None:
-        self._interval_s = interval_s
-        self._stop: Optional[Callable[[], None]] = None
-        self._emit = emit
-        self._schedule_periodic = schedule_periodic
-
-    @property
-    def interval_s(self) -> float:
-        return self._interval_s
-
-    def start(self) -> None:
-        if self._stop is None:
-            self._stop = self._schedule_periodic(
-                self._interval_s, self._emit, "cloud-gossip"
-            )
-
-    def stop(self) -> None:
-        if self._stop is not None:
-            self._stop()
-            self._stop = None

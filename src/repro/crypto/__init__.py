@@ -1,6 +1,5 @@
-"""Cryptographic substrate: hashing, signatures, key registry, envelopes."""
+"""Cryptographic substrate: hashing, signatures, key registry."""
 
-from .envelopes import Envelope, SignedChannel, seal_envelope, verify_envelope
 from .hashing import (
     DIGEST_HEX_LENGTH,
     EMPTY_DIGEST,
@@ -20,7 +19,6 @@ from .signatures import (
     Signature,
     SignatureScheme,
     batch_item_leaf,
-    batch_leaves,
     get_scheme,
     sign_batch_root,
     verify_batch_root,
@@ -30,16 +28,13 @@ __all__ = [
     "BatchRootStatement",
     "DIGEST_HEX_LENGTH",
     "EMPTY_DIGEST",
-    "Envelope",
     "HmacSignatureScheme",
     "KeyPair",
     "KeyRegistry",
     "SchnorrSignatureScheme",
     "Signature",
     "SignatureScheme",
-    "SignedChannel",
     "batch_item_leaf",
-    "batch_leaves",
     "sign_batch_root",
     "verify_batch_root",
     "digest_chain",
@@ -48,7 +43,5 @@ __all__ = [
     "digest_value",
     "get_scheme",
     "is_hex_digest",
-    "seal_envelope",
     "sha256_hex",
-    "verify_envelope",
 ]

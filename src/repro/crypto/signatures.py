@@ -27,7 +27,7 @@ import hashlib
 import hmac
 import secrets
 from dataclasses import dataclass
-from typing import Any, Optional, Protocol, Sequence
+from typing import Any, Optional, Protocol
 from weakref import WeakKeyDictionary
 
 from ..common.encoding import canonical_encode
@@ -293,9 +293,6 @@ class KeyRegistry:
             self._keys[node] = self._scheme.generate_keypair(node)
         return self._keys[node]
 
-    def is_registered(self, node: NodeId) -> bool:
-        return node in self._keys
-
     def public_key(self, node: NodeId) -> bytes:
         try:
             return self._keys[node].public_key
@@ -432,9 +429,3 @@ def verify_batch_root(
         verdict = registry.verify(signature, statement)
         memo[signature] = verdict
     return verdict
-
-
-def batch_leaves(items: Sequence[Any]) -> list[str]:
-    """Leaf digests for an ordered batch of items."""
-
-    return [batch_item_leaf(item) for item in items]

@@ -51,9 +51,9 @@ def txn_decisions(edges: Sequence) -> Dict[Tuple[str, int], List[Tuple[str, str]
     Returns ``{(coordinator, sequence): [(edge, decision), ...]}``.
     """
 
-    # Function-level, like the edge's own 2PC imports: ``nodes.edge`` imports
-    # ``faults.retry``, so this package must load without ``sharding``
-    # (whose edge subclasses ``nodes.edge``) whichever is imported first.
+    # Function-level: ``nodes.edge`` imports ``faults.retry``, so this package
+    # must load without ``sharding`` (whose edge subclasses ``nodes.edge``)
+    # whichever is imported first.
     from ..sharding.transactions import decode_txn_decision, is_txn_decision_payload
 
     decisions: Dict[Tuple[str, int], List[Tuple[str, str]]] = {}

@@ -12,7 +12,6 @@ from .proofs import (
     CommitPhase,
     PhaseOneReceipt,
     PhaseOneStatement,
-    ReadProof,
     build_certify_batch_tree,
     certify_batch_leaf,
     derive_batched_proofs,
@@ -39,7 +38,6 @@ __all__ = [
     "PendingBatch",
     "PhaseOneReceipt",
     "PhaseOneStatement",
-    "ReadProof",
     "WedgeLog",
     "build_block",
     "build_certify_batch_tree",

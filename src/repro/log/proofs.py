@@ -425,20 +425,3 @@ def derive_batched_proofs(
         for index, (block_id, digest) in enumerate(blocks)
     )
 
-
-@dataclass(frozen=True)
-class ReadProof:
-    """Proof attached to a log read response.
-
-    A read can be answered in Phase II (``block_proof`` present) or in
-    Phase I (``block_proof`` is ``None`` and the client must wait for the
-    cloud certification; the signed response itself is the client's evidence
-    in case of a dispute).
-    """
-
-    phase: CommitPhase
-    block_proof: Optional[AnyBlockProof] = None
-
-    @property
-    def is_final(self) -> bool:
-        return self.phase is CommitPhase.PHASE_TWO and self.block_proof is not None

@@ -28,7 +28,6 @@ class LogRecord:
 
     block: Block
     proof: Optional[AnyBlockProof] = None
-    certify_requested_at: Optional[float] = None
 
     @property
     def is_certified(self) -> bool:
@@ -135,9 +134,6 @@ class WedgeLog:
     # ------------------------------------------------------------------
     # Certification bookkeeping
     # ------------------------------------------------------------------
-    def mark_certify_requested(self, block_id: BlockId, at: float) -> None:
-        self.get(block_id).certify_requested_at = at
-
     def attach_proof(self, proof: AnyBlockProof) -> LogRecord:
         """Store the cloud's block proof next to the block it certifies."""
 

@@ -40,12 +40,6 @@ class GlobalRootStatement:
     version: int
     timestamp: float
 
-    @property
-    def num_indexed_levels(self) -> int:
-        """Number of Merkle-tracked levels (levels 1..n of the LSM tree)."""
-
-        return len(self.level_roots)
-
 
 @dataclass(frozen=True)
 class SignedGlobalRoot:

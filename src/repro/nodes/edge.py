@@ -11,7 +11,8 @@ All mutable per-partition state (log, buffer, certifier, LSMerkle index,
 merge bookkeeping) lives in a :class:`PartitionState`.  The honest edge node
 of the paper owns exactly one partition; the sharded fleet
 (:mod:`repro.sharding`) subclasses this node with one ``PartitionState`` per
-owned shard.
+owned shard and adds every fleet protocol as rows of its own table — no
+module under ``repro.nodes`` imports ``repro.sharding`` or its messages.
 
 How a message reaches its handler: ``EdgeNode.HANDLERS`` is the class-level
 :class:`~repro.nodes.dispatch.DispatchTable` of ``message type → (handler,
@@ -45,14 +46,7 @@ from ..common.errors import (
     ProtocolError,
     StorageError,
 )
-from ..common.identifiers import (
-    BlockId,
-    NodeId,
-    OperationId,
-    SequenceGenerator,
-    ShardId,
-    edge_id,
-)
+from ..common.identifiers import BlockId, NodeId, OperationId, ShardId, edge_id
 from ..common.regions import Region
 from ..core.certification import LazyCertifier
 from ..crypto.hashing import digest_value
@@ -60,9 +54,8 @@ from ..faults.retry import RetryPolicy
 from ..log.block import Block, build_block
 from ..log.buffer import BlockBuffer, PendingBatch
 from ..log.proofs import issue_phase_one_receipt
-from ..log.entry import LogEntry, make_entry
 from ..log.wedge_log import WedgeLog
-from ..lsmerkle.codec import decode_put, is_put_payload, page_from_block
+from ..lsmerkle.codec import page_from_block
 from ..lsmerkle.merge import MergeProposal
 from ..lsmerkle.mlsm import MerkleizedLSM, SignedGlobalRoot
 from ..lsmerkle.read_proof import build_get_proof
@@ -93,19 +86,6 @@ from ..messages.log_messages import (
     ReadRequest,
     ReadResponse,
     ReadResponseStatement,
-)
-from ..messages.txn_messages import (
-    TXN_ABORT,
-    TXN_COMMIT,
-    TxnDecisionAck,
-    TxnDecisionMessage,
-    TxnId,
-    TxnPrepareReceipt,
-    TxnPrepareReceiptStatement,
-    TxnPrepareRejection,
-    TxnPrepareRequest,
-    TxnPrepareStatement,
-    TxnWrite,
 )
 from ..sim.environment import Environment
 from ..storage.recovery import RecoveryReport, recover_partition
@@ -143,20 +123,6 @@ class PartitionState:
     merge_installed_version: int = -1
     flush_timer_active: bool = False
     certify_flush_timer: Optional[Any] = None
-    #: Prepared-but-undecided cross-shard transactions
-    #: (:mod:`repro.sharding.transactions`): txn id → ``StagedTxn``.  The
-    #: client-signed entries wait here — outside the log, the buffer, and
-    #: the index — until the coordinator's signed decision applies or
-    #: discards them (or the staged prepare expires).
-    staged_txns: dict = field(default_factory=dict)
-    #: Decided transactions: txn id → ``(decision, block id of the decision
-    #: record, shard id)``.  Duplicate prepares and decisions resolve
-    #: against this tombstone idempotently, and a late prepare for an
-    #: already-aborted transaction can never orphan-stage writes.
-    #: Tombstones are evicted once the transaction's signed timing window
-    #: is long past (see ``EdgeNode._record_txn_decision``), so the table
-    #: stays bounded by in-window transactions, not lifetime count.
-    decided_txns: dict = field(default_factory=dict)
     #: Degraded-mode signal (cloud outage backpressure): whether this
     #: partition's uncertified backlog currently exceeds
     #: ``LoggingConfig.max_uncertified_backlog``, and which clients were
@@ -186,6 +152,9 @@ class PartitionState:
 class EdgeNode(TableDispatchNode):
     """An honest edge node serving one partition of clients."""
 
+    #: What ``_new_partition`` builds; a subclass may name a richer state.
+    PARTITION_STATE = PartitionState
+
     #: Every row — and every unknown message type, so the quarantine gate
     #: sees all traffic — resolves to the one default partition.
     HANDLERS = DispatchTable(
@@ -199,8 +168,6 @@ class EdgeNode(TableDispatchNode):
             MergeRejection: "_handle_merge_rejection",
             RootRefreshResponse: "_handle_root_refresh_response",
             CertifyRejection: "_handle_certify_rejection",
-            TxnPrepareRequest: "_handle_txn_prepare",
-            TxnDecisionMessage: "_handle_txn_decision",
         },
         route="_route_default",
     )
@@ -249,8 +216,6 @@ class EdgeNode(TableDispatchNode):
             "timeout_flushes": 0,
         }
         self.stats = self._make_stats(stats_init)
-        #: Sequence numbers for edge-produced transaction decision records.
-        self._txn_record_seq = SequenceGenerator()
         #: Reports from the last durable restart recovery (diagnostics).
         self.last_recovery_reports: list[RecoveryReport] = []
         env.attach(self)
@@ -269,7 +234,7 @@ class EdgeNode(TableDispatchNode):
         shard_id: Optional[ShardId],
         store: Optional[PartitionStore] = None,
     ) -> PartitionState:
-        state = PartitionState(
+        state = self.PARTITION_STATE(
             owner=self.node_id, config=self.config, shard_id=shard_id
         )
         state.store = store if store is not None else self._open_partition_store(shard_id)
@@ -951,10 +916,10 @@ class EdgeNode(TableDispatchNode):
         its proofs, the LSMerkle index and signed root, Phase I receipts,
         and the replay-protection entry locations — all reconstructible
         from (or equal to) what a real edge fsyncs.  Lost: the append
-        buffer, the certifier's dispatch queue and in-flight window, staged
-        and decided 2PC transaction state, and merge bookkeeping.  The wipe
-        happens at *crash* time so timers that were armed before the crash
-        fire against fresh, empty state and no-op harmlessly.
+        buffer, the certifier's dispatch queue and in-flight window, and merge
+        bookkeeping.  The wipe happens at *crash* time so timers that were
+        armed before the crash fire against fresh, empty state and no-op
+        harmlessly.
         """
 
         self.stats.setdefault("crashes", 0)
@@ -963,8 +928,6 @@ class EdgeNode(TableDispatchNode):
             with self._as_active(state):
                 state.buffer = BlockBuffer(self.config.logging.block_size)
                 state.certifier.reset_window()
-                state.staged_txns.clear()
-                state.decided_txns.clear()
                 state.merge_in_flight = False
                 state.merge_source_bids = ()
                 state.flush_timer_active = False
@@ -1196,387 +1159,6 @@ class EdgeNode(TableDispatchNode):
         # and let the freed slot pull the next queued batch forward.
         self.certifier.abandon_in_flight(message.block_id)
         self._pump_certify_pipeline()
-
-    # ------------------------------------------------------------------
-    # Cross-shard transactions: the participant side
-    # (:mod:`repro.sharding.transactions` holds the coordinator and the
-    # protocol rationale; the staged state lives on ``PartitionState``.)
-    # ------------------------------------------------------------------
-    def _txn_prepare_timeout(self) -> float:
-        """The staged-prepare expiry horizon advertised in receipts."""
-
-        return self.config.sharding_or_default().txn_prepare_timeout_s
-
-    def _txn_shard_ok(self, shard_id: ShardId, key: str) -> bool:
-        """Whether *key* belongs to *shard_id* (partitioner-aware subclasses)."""
-
-        return True
-
-    def _peek_next_block_id(self) -> BlockId:
-        """The Phase I log position a prepare receipt binds to (no allocation)."""
-
-        return self.log.next_block_id
-
-    def _after_txn_resolved(self, shard_id: Optional[ShardId]) -> None:
-        """Hook: a staged transaction was decided or expired.
-
-        The sharded edge uses this to re-advance a handoff drain that was
-        waiting for the shard's staged prepares to resolve.
-        """
-
-    def _handle_txn_prepare(self, sender: NodeId, request: TxnPrepareRequest) -> None:
-        with self._span("txn.prepare", txn=str(request.statement.txn_id)):
-            params = self.env.params
-            self.stats.setdefault("txn_prepares", 0)
-            self.stats["txn_prepares"] += 1
-            statement = request.statement
-            self.env.charge(params.txn_prepare_cost(len(request.entries)))
-            if (
-                statement.coordinator != sender
-                or statement.txn_id.coordinator != sender
-                or not self.env.registry.verify(request.signature, statement)
-            ):
-                return
-            state = self._active
-            txn_id = statement.txn_id
-            decided = state.decided_txns.get(txn_id)
-            if decided is not None:
-                # The transaction was already decided here (e.g. an abort raced
-                # ahead of a redirected prepare): answer with the outcome.
-                decision, block_id, shard_id, _message = decided
-                self._send_txn_ack(
-                    txn_id,
-                    shard_id if shard_id is not None else statement.shard_id,
-                    decision,
-                    block_id,
-                )
-                return
-            staged = state.staged_txns.get(txn_id)
-            if staged is not None:
-                # Duplicate prepare (a redirect loop or retry): idempotently
-                # re-send the original signed receipt.
-                self.env.send(self.node_id, sender, staged.receipt)
-                return
-            reason = self._validate_txn_writes(sender, statement, request.entries)
-            if reason is not None:
-                self.stats.setdefault("txn_prepare_rejections", 0)
-                self.stats["txn_prepare_rejections"] += 1
-                self.env.send(
-                    self.node_id,
-                    sender,
-                    TxnPrepareRejection(
-                        edge=self.node_id,
-                        txn_id=txn_id,
-                        shard_id=statement.shard_id,
-                        reason=reason,
-                    ),
-                )
-                return
-
-            from ..sharding.transactions import StagedTxn
-
-            now = self.env.now()
-            expires_at = now + self._txn_prepare_timeout()
-            receipt = self._build_prepare_receipt(statement, now, expires_at)
-            state.staged_txns[txn_id] = StagedTxn(
-                txn_id=txn_id,
-                shard_id=statement.shard_id,
-                coordinator=sender,
-                requester=sender,
-                operation_id=request.operation_id,
-                entries=request.entries,
-                writes=statement.writes,
-                staged_at=now,
-                expires_at=expires_at,
-                receipt=receipt,
-            )
-            self._arm_txn_expiry(state, txn_id, expires_at - now)
-            self.env.send(self.node_id, sender, receipt)
-
-    def _validate_txn_writes(
-        self,
-        sender: NodeId,
-        statement: TxnPrepareStatement,
-        entries: tuple[LogEntry, ...],
-    ) -> Optional[str]:
-        """Why the prepare cannot be staged, or ``None`` when it can.
-
-        Every entry must be a coordinator-produced put whose ``(key, value
-        digest)`` matches the signed write summary, and every key must
-        belong to the prepared shard — a write smuggled onto the wrong
-        shard would escape that shard's decision record.
-
-        Two self-protection rules guard the *edge* against a malicious
-        coordinator's dispute machinery: the coordinator-signed
-        ``staged_floor`` must not exceed the partition's actual log
-        position (an absurd floor could only exist to skew later
-        adjudication), and no staged write may duplicate a ``(key, value)``
-        already committed in the partition — serving the pre-existing value
-        would be indistinguishable from serving staged state.
-        """
-
-        if not entries or len(entries) != len(statement.writes):
-            return "write-set-mismatch"
-        if statement.staged_floor > self._peek_next_block_id():
-            return "staged floor beyond the partition's log position"
-        for entry, write in zip(entries, statement.writes):
-            if entry.producer != sender:
-                return "entries not produced by the coordinator"
-            if not is_put_payload(entry.payload):
-                return "non-put payload in a transactional write"
-            key, value = decode_put(entry.payload)
-            if key != write.key or digest_value(value) != write.value_digest:
-                return "write-set-mismatch"
-            if not self._txn_shard_ok(statement.shard_id, key):
-                return "key outside the prepared shard"
-            result = self._index_lookup(key)
-            if result.found and digest_value(result.record.value) == write.value_digest:
-                return "write already committed in the partition"
-        return None
-
-    # Hook overridden by the malicious tampering variant --------------------
-    def _receipt_writes(
-        self, writes: tuple[TxnWrite, ...]
-    ) -> tuple[TxnWrite, ...]:
-        return writes
-
-    def _build_prepare_receipt(
-        self, statement: TxnPrepareStatement, now: float, expires_at: float
-    ) -> TxnPrepareReceipt:
-        receipt_statement = TxnPrepareReceiptStatement(
-            edge=self.node_id,
-            txn_id=statement.txn_id,
-            shard_id=statement.shard_id,
-            log_position=self._peek_next_block_id(),
-            writes=self._receipt_writes(statement.writes),
-            prepare_digest=digest_value(statement),
-            prepared_at=now,
-            expires_at=expires_at,
-        )
-        return TxnPrepareReceipt(
-            statement=receipt_statement,
-            signature=self.env.registry.sign(self.node_id, receipt_statement),
-        )
-
-    def _arm_txn_expiry(
-        self, state: PartitionState, txn_id: TxnId, delay: float
-    ) -> None:
-        """Presumed abort: an undecided stage is discarded at its deadline.
-
-        The deadline is the ``expires_at`` the receipt *signed*, so the
-        coordinator (which only commits while every receipt is unexpired)
-        and the participant can never disagree about the horizon.
-        """
-
-        def expire() -> None:
-            with self._as_active(state):
-                staged = state.staged_txns.pop(txn_id, None)
-                if staged is None:
-                    return  # decided in time
-                self.stats.setdefault("txn_prepares_expired", 0)
-                self.stats["txn_prepares_expired"] += 1
-                block_id = self._log_txn_decision(
-                    txn_id, TXN_ABORT, reason="prepare-expired"
-                )
-                self._record_txn_decision(
-                    state, txn_id, TXN_ABORT, block_id, staged.shard_id
-                )
-                self._after_txn_resolved(state.shard_id)
-
-        self.env.schedule(delay, expire, label=f"{self.node_id}:txn-expiry")
-
-    def _record_txn_decision(
-        self,
-        state: PartitionState,
-        txn_id: TxnId,
-        decision: str,
-        block_id: Optional[BlockId],
-        shard_id: Optional[ShardId],
-        message: Optional[TxnDecisionMessage] = None,
-    ) -> None:
-        """Tombstone a decided transaction and schedule the tombstone away.
-
-        The tombstone only matters while a duplicate decision or a late
-        prepare could still arrive — both are bounded by the transaction's
-        signed timing window.  Evicting well past that horizon keeps
-        ``decided_txns`` proportional to in-window transactions instead of
-        growing with every transaction the partition ever decided.
-        ``message`` keeps the coordinator-signed decision this partition
-        acted on — the edge's half of an equivocation counter-dispute.
-        """
-
-        state.decided_txns[txn_id] = (decision, block_id, shard_id, message)
-
-        def evict() -> None:
-            state.decided_txns.pop(txn_id, None)
-
-        self.env.schedule(
-            4 * self._txn_prepare_timeout(),
-            evict,
-            label=f"{self.node_id}:txn-tombstone-evict",
-        )
-
-    def _handle_txn_decision(
-        self, sender: NodeId, message: TxnDecisionMessage
-    ) -> None:
-        params = self.env.params
-        statement = message.statement
-        staged = self._active.staged_txns.get(statement.txn_id)
-        self.env.charge(
-            params.txn_decision_cost(len(staged.entries) if staged else 0)
-        )
-        if statement.decision not in (TXN_COMMIT, TXN_ABORT):
-            return
-        # The signed statement is self-certifying (the signer must be the
-        # transaction's coordinator), so relayed decisions are as good as
-        # direct ones — what matters is the signature, not the bearer.
-        if not message.verify(self.env.registry):
-            return
-        self._apply_txn_decision(message)
-
-    def _apply_txn_decision(self, message: TxnDecisionMessage) -> None:
-        """Apply an already-verified decision to the active partition."""
-
-        statement = message.statement
-        with self._span(
-            "txn.apply", txn=str(statement.txn_id), decision=statement.decision
-        ):
-            state = self._active
-            staged = state.staged_txns.get(statement.txn_id)
-            txn_id = statement.txn_id
-            decided = state.decided_txns.get(txn_id)
-            if decided is not None:
-                # Duplicate decision: absorbed idempotently, original outcome
-                # re-acknowledged, staged state untouched (there is none).
-                self.stats.setdefault("txn_duplicate_decisions", 0)
-                self.stats["txn_duplicate_decisions"] += 1
-                decision, block_id, shard_id, _message = decided
-                self._send_txn_ack(
-                    txn_id,
-                    shard_id if shard_id is not None else state.shard_id,
-                    decision,
-                    block_id,
-                )
-                return
-            if staged is None:
-                if statement.decision == TXN_ABORT:
-                    # Abort for a transaction never staged here (its prepare may
-                    # still be parked or in flight): tombstone it so a late
-                    # prepare cannot orphan-stage writes that already aborted.
-                    self._record_txn_decision(
-                        state, txn_id, TXN_ABORT, None, state.shard_id, message
-                    )
-                    self.stats.setdefault("txn_aborts_applied", 0)
-                    self.stats["txn_aborts_applied"] += 1
-                    self._send_txn_ack(txn_id, state.shard_id, TXN_ABORT, None)
-                else:
-                    # A commit with nothing staged is unanswerable: this edge
-                    # holds no writes to apply (e.g. its stage already expired
-                    # and presumed abort).  The abort record is already in the
-                    # certified log for the coordinator to audit.
-                    self.stats.setdefault("txn_stale_commits", 0)
-                    self.stats["txn_stale_commits"] += 1
-                return
-            del state.staged_txns[txn_id]
-            if statement.decision == TXN_COMMIT:
-                block_id = self._apply_staged_txn(staged)
-                self.stats.setdefault("txn_commits_applied", 0)
-                self.stats["txn_commits_applied"] += 1
-                self._record_txn_decision(
-                    state, txn_id, TXN_COMMIT, block_id, staged.shard_id, message
-                )
-                self._send_txn_ack(txn_id, staged.shard_id, TXN_COMMIT, block_id)
-            else:
-                block_id = self._log_txn_decision(
-                    txn_id, TXN_ABORT, reason="coordinator-abort"
-                )
-                self.stats.setdefault("txn_aborts_applied", 0)
-                self.stats["txn_aborts_applied"] += 1
-                self._record_txn_decision(
-                    state, txn_id, TXN_ABORT, block_id, staged.shard_id, message
-                )
-                self._send_txn_ack(txn_id, staged.shard_id, TXN_ABORT, block_id)
-            self._after_txn_resolved(state.shard_id)
-
-    def _apply_staged_txn(self, staged) -> BlockId:
-        """Atomically apply a committed transaction's staged writes.
-
-        The staged client-signed entries and the commit decision record
-        enter the partition buffer together and the buffer is flushed
-        immediately, so they Phase I commit as one block (plus any
-        co-buffered entries), flow through the ordinary certification /
-        index / merge machinery, and the coordinator receives the standard
-        signed ``AppendBatchResponse`` for its tracked prepare operation —
-        Phase I and Phase II commitment of the transaction reuse the
-        paper's receipts and proofs unchanged.
-        """
-
-        params = self.env.params
-        now = self.env.now()
-        payload_bytes = sum(len(entry.payload) for entry in staged.entries)
-        self.env.charge(
-            params.append_seconds_per_op * len(staged.entries)
-            + params.hash_cost(payload_bytes)
-        )
-        for entry in staged.entries:
-            batch = self.buffer.append(
-                entry,
-                now=now,
-                operation_id=staged.operation_id,
-                requester=staged.requester,
-            )
-            if batch is not None:
-                self._form_block(batch)
-        return self._log_txn_decision(staged.txn_id, TXN_COMMIT, reason="")
-
-    def _log_txn_decision(self, txn_id: TxnId, decision: str, reason: str) -> BlockId:
-        """Append the decision record and flush it into a Phase I block.
-
-        Returns the id of the block carrying the record.  The record enters
-        the *certified log* (lazy certification covers it like any block)
-        but not the index — its payload prefix is invisible to the LSMerkle
-        page codec.
-        """
-
-        from ..sharding.transactions import encode_txn_decision
-
-        params = self.env.params
-        now = self.env.now()
-        self.env.charge(params.sign_seconds)
-        entry = make_entry(
-            registry=self.env.registry,
-            producer=self.node_id,
-            sequence=self._txn_record_seq.next(),
-            payload=encode_txn_decision(txn_id, decision, reason),
-            produced_at=now,
-        )
-        batch = self.buffer.append(entry, now=now)
-        if batch is not None:
-            self._form_block(batch)
-        batch = self.buffer.flush()
-        if batch is not None:
-            self._form_block(batch)
-        return self.log.next_block_id - 1
-
-    def _send_txn_ack(
-        self,
-        txn_id: TxnId,
-        shard_id: Optional[ShardId],
-        decision: str,
-        block_id: Optional[BlockId],
-    ) -> None:
-        self.env.send(
-            self.node_id,
-            txn_id.coordinator,
-            TxnDecisionAck(
-                edge=self.node_id,
-                txn_id=txn_id,
-                shard_id=shard_id,
-                applied=decision == TXN_COMMIT,
-                status="committed" if decision == TXN_COMMIT else "aborted",
-                block_id=block_id,
-            ),
-        )
 
     # ------------------------------------------------------------------
     # Log reads

@@ -75,9 +75,6 @@ class Gauge:
     def inc(self, amount: float = 1) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
-
 
 #: Default histogram bounds (seconds): spans sub-millisecond LAN hops to
 #: tens of seconds of outage-widened certification latency.

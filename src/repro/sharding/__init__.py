@@ -12,6 +12,8 @@ This subsystem turns the paper's single-edge deployment into a fleet:
   redirects, stale-owner detection, per-shard session consistency);
 * :mod:`~repro.sharding.edge` — the sharded edge node (one partition of
   log/LSMerkle state per owned shard) and its malicious variants;
+* :mod:`~repro.sharding.participant` — the 2PC participant role that edge
+  lists as a base (:mod:`~repro.sharding.transactions` has the coordinator);
 * :mod:`~repro.sharding.cloud` — the sharded cloud node (the paper's cloud
   plus shard-map authority: handoff countersigning, leases, failover,
   shard and 2PC disputes);

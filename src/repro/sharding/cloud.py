@@ -363,11 +363,6 @@ class ShardedCloudNode(CloudNode):
             self.env.send(self.node_id, client, map_message)
             self.stats["gossip_messages"] += 1
 
-    def handoff_certificate(
-        self, shard_id: ShardId, map_version: int
-    ) -> Optional[ShardHandoffCertificate]:
-        return self._handoff_certificates.get((shard_id, map_version))
-
     def _handle_shard_install_ack(self, sender: NodeId, ack: ShardInstallAck) -> None:
         if ack.dest != sender:
             return
@@ -384,35 +379,6 @@ class ShardedCloudNode(CloudNode):
     # ------------------------------------------------------------------
     # Replica groups: leases, liveness, and certified failover
     # ------------------------------------------------------------------
-    def add_replica(self, shard_id: ShardId, replica: NodeId) -> ShardMapMessage:
-        """Bootstrap *replica* as a read replica of *shard_id*.
-
-        Data-free like every membership change: the new member installs
-        state only from the writer's certified shipments (its first ack is
-        the ``-1`` watermark, which requests the full certified prefix).
-        Returns the republished signed map.
-        """
-
-        owner = self.shard_registry.owner_of(shard_id)
-        if owner is None:
-            raise ConfigurationError(f"shard {shard_id} has no owner")
-        if replica == owner:
-            raise ConfigurationError("a shard's writer cannot be its replica")
-        current = self.shard_registry.replicas_of(shard_id)
-        if replica in current:
-            return self.current_shard_map()
-        now = self.env.now()
-        self.shard_registry.set_replicas(shard_id, current + (replica,), now)
-        map_message = self.shard_registry.sign(self.env.registry, self.node_id, now)
-        self.stats["shard_maps_published"] += 1
-        self.env.send(self.node_id, owner, map_message)
-        self.env.send(self.node_id, replica, map_message)
-        for client in self._gossip_targets:
-            self.env.send(self.node_id, client, map_message)
-            self.stats["gossip_messages"] += 1
-        self._start_replication()
-        return map_message
-
     def _start_replication(self) -> None:
         """Start the lease/failover tick once any shard is replicated.
 

@@ -14,12 +14,13 @@ dispatcher.  The parent's rows are *re-routed* — each names the
 ``_route_*`` method that resolves its message to a shard's partition (by
 key, by the block side table, or by the message's shard field) — and the
 fleet's own protocols (shard map, handoff, replica shipping and leases,
-failover, verdicts, and the 2PC decision fan-out) are added as node-level
-rows that run against no partition.  A route returning ``None`` ends
-dispatch: requests for shards the edge does not own are answered with a
-signed ``NotOwnerRedirect`` carrying the edge's latest cloud-signed shard
-map, and requests it cannot serve *yet* are parked and later replayed
-through ``on_message``.
+failover, verdicts) are added as node-level rows that run against no
+partition; the 2PC participant (:mod:`repro.sharding.participant`, listed as
+a base) contributes its prepare and decision rows the same way.  A route
+returning ``None`` ends dispatch: requests for shards the edge does not own
+are answered with a signed ``NotOwnerRedirect`` carrying the edge's latest
+cloud-signed shard map, and requests it cannot serve *yet* are parked and
+later replayed through ``on_message``.
 
 Rebalancing runs the certified handoff protocol of
 :mod:`repro.sharding.handoff`: drain, offer (digests only), cloud
@@ -39,7 +40,13 @@ import copy
 from typing import Any, Iterable, Optional
 
 from ..common.config import SystemConfig
-from ..common.identifiers import BlockId, NodeId, OperationId, ShardId
+from ..common.identifiers import (
+    BlockId,
+    NodeId,
+    OperationId,
+    SequenceGenerator,
+    ShardId,
+)
 from ..common.regions import Region
 from ..log.block import Block
 from ..log.wedge_log import LogRecord, WedgeLog
@@ -61,9 +68,7 @@ from ..messages.log_messages import (
 )
 from ..messages.txn_messages import (
     TXN_ABORT,
-    TXN_COMMIT,
     TxnDecisionMessage,
-    TxnDispute,
     TxnDisputeVerdict,
     TxnPrepareRequest,
     TxnWrite,
@@ -96,10 +101,12 @@ from ..faults.retry import RetryPolicy
 from ..nodes.edge import EdgeNode, PartitionState
 from ..sim.environment import Environment
 from .handoff import (
+    level_pages_match_root,
     level_roots_from_pages,
     seed_partition_store,
     shard_state_digest,
 )
+from .participant import TxnParticipantRole, TxnPartitionState
 from .partitioner import KeyPartitioner
 from .shard_map import ShardMapView
 
@@ -120,8 +127,10 @@ def _merged_level_pages(state: PartitionState) -> tuple:
     )
 
 
-class ShardedEdgeNode(EdgeNode):
+class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
     """An honest edge node serving one ``PartitionState`` per owned shard."""
+
+    PARTITION_STATE = TxnPartitionState
 
     #: Retransmission schedule for lost handoff offers and state transfers.
     #: Both messages carry (or lead to) idempotently-handled state — the
@@ -133,12 +142,13 @@ class ShardedEdgeNode(EdgeNode):
     #: rows (no partition, so no quarantine gate and no active swap).
     HANDLERS = EdgeNode.HANDLERS.extended(
         {
-            # One decision may cover several shards this edge owns, so the
-            # handler fans it out over every owned participant partition
-            # itself.  Decisions bypass the serving resolution on purpose —
-            # a shard mid-handoff must still be able to resolve its staged
-            # prepares, that is exactly what the drain is waiting for.
-            TxnDecisionMessage: "_handle_txn_decision_fleet",
+            # The 2PC participant (``participant.py``).  One decision may
+            # cover several shards this edge owns, so its handler fans out
+            # over every owned participant partition itself.  Decisions
+            # bypass the serving resolution on purpose — a shard mid-handoff
+            # must still resolve its staged prepares: the drain waits on it.
+            TxnPrepareRequest: "_handle_txn_prepare",
+            TxnDecisionMessage: "_handle_txn_decision",
             ShardMapMessage: "_handle_shard_map",
             ShardHandoffOrder: "_handle_handoff_order",
             ShardHandoffGrant: "_handle_handoff_grant",
@@ -208,6 +218,8 @@ class ShardedEdgeNode(EdgeNode):
         self.shard_verdicts: list[ShardDisputeVerdict] = []
         #: Transaction-dispute verdicts delivered to this edge (as accused).
         self.txn_verdicts: list[TxnDisputeVerdict] = []
+        #: Sequence numbers for edge-produced transaction decision records.
+        self._txn_record_seq = SequenceGenerator()
         #: Armed handoff retransmission timers, keyed (kind, shard id) with
         #: ``kind`` in {"offer", "transfer"}.  Volatile: a crash drops them
         #: (the peer's own retry or the cloud's re-order recovers).
@@ -298,9 +310,6 @@ class ShardedEdgeNode(EdgeNode):
 
     def shard_state(self, shard_id: ShardId) -> Optional[PartitionState]:
         return self._shard_states.get(shard_id)
-
-    def replica_state(self, shard_id: ShardId) -> Optional[PartitionState]:
-        return self._replica_states.get(shard_id)
 
     def _handle_shard_map(self, sender: NodeId, message: ShardMapMessage) -> None:
         if self.map_view.update(self.env.registry, message):
@@ -584,102 +593,10 @@ class ShardedEdgeNode(EdgeNode):
             ),
         )
 
-    # ------------------------------------------------------------------
-    # Cross-shard transactions (participant side, fleet-specific plumbing)
-    # ------------------------------------------------------------------
-    def _handle_txn_decision_fleet(
-        self, sender: NodeId, message: TxnDecisionMessage
-    ) -> None:
-        statement = message.statement
-        owned = [
-            state
-            for shard_id in statement.participant_shards
-            if (state := self._shard_states.get(shard_id)) is not None
-        ]
-        if not owned:
-            # No owned participant shard (e.g. the shard was handed off
-            # after its stage resolved): nothing to decide here.
-            self.stats.setdefault("txn_decisions_unowned", 0)
-            self.stats["txn_decisions_unowned"] += 1
-            return
-        # One delivered message costs one request overhead and one signature
-        # verification however many co-located participant shards apply it;
-        # only the staging work scales with the shards' staged writes.
-        staged_writes = sum(
-            len(state.staged_txns[statement.txn_id].entries)
-            for state in owned
-            if statement.txn_id in state.staged_txns
-        )
-        self.env.charge(self.env.params.txn_decision_cost(staged_writes))
-        if statement.decision not in (TXN_COMMIT, TXN_ABORT):
-            return
-        if not message.verify(self.env.registry):
-            return
-        for state in owned:
-            with self._as_active(state):
-                self._apply_txn_decision(message)
-
     def _handle_shard_verdict(
         self, sender: NodeId, verdict: ShardDisputeVerdict
     ) -> None:
         self.shard_verdicts.append(verdict)
-
-    def _handle_txn_verdict(
-        self, sender: NodeId, verdict: TxnDisputeVerdict
-    ) -> None:
-        """A conviction naming this edge may prove the coordinator forked.
-
-        The cloud forwards a punishing ``staged-abort-serve`` verdict to
-        the accused with the coordinator-signed abort that convicted it.
-        If this edge applied the same transaction under a coordinator-
-        signed *commit* (kept in the decided-transaction tombstone), it now
-        holds two contradictory signed decisions — self-contained evidence
-        that convicts the equivocating coordinator.
-        """
-
-        if sender != self.cloud:
-            return
-        self.txn_verdicts.append(verdict)
-        if (
-            not verdict.punished
-            or verdict.accused != self.node_id
-            or verdict.decision is None
-        ):
-            return
-        for state in self._shard_states.values():
-            decided = state.decided_txns.get(verdict.txn_id)
-            if decided is None:
-                continue
-            _decision, _block_id, _shard_id, acted_on = decided
-            if (
-                acted_on is not None
-                and acted_on.decision != verdict.decision.decision
-            ):
-                self.stats.setdefault("txn_equivocation_disputes", 0)
-                self.stats["txn_equivocation_disputes"] += 1
-                self.env.send(
-                    self.node_id,
-                    self.cloud,
-                    TxnDispute(
-                        reporter=self.node_id,
-                        accused=verdict.txn_id.coordinator,
-                        txn_id=verdict.txn_id,
-                        kind="coordinator-equivocation",
-                        decision=acted_on,
-                        second_decision=verdict.decision,
-                    ),
-                )
-                return
-
-    def _txn_shard_ok(self, shard_id: ShardId, key: str) -> bool:
-        return self.partitioner.shard_of(key) == shard_id
-
-    def _peek_next_block_id(self) -> BlockId:
-        return self._next_block_id
-
-    def _after_txn_resolved(self, shard_id) -> None:
-        if shard_id is not None and shard_id in self._migrating:
-            self._advance_handoff(shard_id)
 
     # ------------------------------------------------------------------
     # Block bookkeeping
@@ -1080,10 +997,12 @@ class ShardedEdgeNode(EdgeNode):
                 return
             if not message.signed_root.verify(self.env.registry, self.cloud):
                 return self._refuse_transfer(refusal_key)
-            root_statement = message.signed_root.statement
-            if (
-                root_statement.edge != self.node_id
-                or tuple(root_statement.level_roots) != roots
+            if message.signed_root.statement.edge != self.node_id or not (
+                level_pages_match_root(
+                    message.level_pages,
+                    message.signed_root,
+                    self.config.lsmerkle.num_levels,
+                )
             ):
                 return self._refuse_transfer(refusal_key)
             for block, proof in zip(message.blocks, message.proofs):
@@ -1346,7 +1265,28 @@ class ShardedEdgeNode(EdgeNode):
         ):
             self.stats["replica_shipments_rejected"] += 1
             return
+        if signed_root is None:
+            # An honest writer never holds merged pages without a root.
+            pages_certified = not message.level_pages
+        else:
+            pages_certified = level_pages_match_root(
+                message.level_pages, signed_root, self.config.lsmerkle.num_levels
+            )
+        if not pages_certified:
+            # No ack: the writer's watermark stays put and it re-ships next tick.
+            self.stats["replica_shipments_rejected"] += 1
+            return
 
+        # Rebuild the index as one consistent snapshot of the shipment, its
+        # merged levels before the mirror is touched (installed whole or not
+        # at all): they are the pages just verified against the cloud-signed
+        # root; level 0 re-derives from the shipped blocks themselves.
+        rebuilt = MerkleizedLSM(
+            config=self.config.lsmerkle,
+            page_capacity=self.config.logging.block_size,
+        )
+        for level_index, pages in message.level_pages:
+            rebuilt.install_level_pages(level_index, pages)
         for block, proof in zip(message.blocks, message.proofs):
             if state.log.try_get(block.block_id) is None:
                 state.log.append(block)
@@ -1362,15 +1302,6 @@ class ShardedEdgeNode(EdgeNode):
             # tick re-ships the full certified prefix.
             self._ack_shipment(shard_id, -1, 0)
             return
-        # Rebuild the index as one consistent snapshot of the shipment:
-        # merged levels come as pages verified against the cloud-signed
-        # root, level 0 re-derives from the shipped blocks themselves.
-        rebuilt = MerkleizedLSM(
-            config=self.config.lsmerkle,
-            page_capacity=self.config.logging.block_size,
-        )
-        for level_index, pages in message.level_pages:
-            rebuilt.install_level_pages(level_index, pages)
         for block_id in message.level_zero_ids:
             page = page_from_block(state.log.block(block_id))
             if page is not None:
@@ -1524,17 +1455,20 @@ class ShardedEdgeNode(EdgeNode):
     # Crash model (fault injection)
     # ------------------------------------------------------------------
     def on_crash(self) -> None:
-        """Drop the sharded node's volatile handoff bookkeeping too.
+        """Drop the sharded node's volatile 2PC and handoff bookkeeping too.
 
-        Parked requests, drain markers, pending outgoing transfers, and
-        retry timers are all volatile.  Losing an outgoing transfer is an
-        accepted gap: the archived records survive (reads keep working)
-        and the cloud can re-order the handoff; losing a drain marker
-        leaves the shard owned and serving, which is safe — the cloud's
-        ownership map never moved.
+        Staged and decided transactions, parked requests, drain markers,
+        pending outgoing transfers, and retry timers are all volatile.
+        Losing an outgoing transfer is an accepted gap: the archived records
+        survive (reads keep working) and the cloud can re-order the handoff;
+        losing a drain marker leaves the shard owned and serving, which is
+        safe — the cloud's ownership map never moved.
         """
 
         super().on_crash()
+        for state in self._partition_states():
+            state.staged_txns.clear()
+            state.decided_txns.clear()
         self._parked_requests.clear()
         self._migrating.clear()
         self._outgoing_transfers.clear()
@@ -1599,14 +1533,6 @@ class ShardedEdgeNode(EdgeNode):
                     reason=state.quarantined,
                 ),
             )
-
-    # ------------------------------------------------------------------
-    # Per-shard maintenance helpers
-    # ------------------------------------------------------------------
-    def request_shard_root_refresh(self, shard_id: ShardId) -> None:
-        state = self._shard_states[shard_id]
-        with self._as_active(state):
-            self.request_root_refresh()
 
 
 class TamperingHandoffEdgeNode(ShardedEdgeNode):

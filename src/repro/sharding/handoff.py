@@ -91,6 +91,30 @@ def level_roots_from_pages(
     return tuple(roots)
 
 
+def level_pages_match_root(
+    level_pages: Sequence[tuple[int, tuple[Page, ...]]],
+    signed_root,
+    num_levels: int,
+) -> bool:
+    """Whether untrusted *level_pages* are exactly what *signed_root* commits to.
+
+    The one check both installers of shipped pages make (the handoff
+    destination and a read replica) before ``install_level_pages``: every
+    listed level is a distinct merged level 1..n-1 and the pages hash to
+    the cloud-signed level roots.  The signed root covers levels 1..n only,
+    so a non-empty level 0 does not disturb it.  Pages that pass are the
+    cloud's own merge output, so installing them cannot fail.
+    """
+
+    levels = {level_index for level_index, _ in level_pages}
+    if len(levels) != len(level_pages) or not all(
+        1 <= level_index < num_levels for level_index in levels
+    ):
+        return False
+    roots = level_roots_from_pages(level_pages, num_levels)
+    return roots == tuple(signed_root.statement.level_roots)
+
+
 def seed_partition_store(
     store,
     level_pages: Iterable[tuple[int, tuple[Page, ...]]],
@@ -133,6 +157,7 @@ def transfer_fingerprint(blocks: Sequence[tuple[BlockId, str]]) -> str:
 __all__ = [
     "shard_state_digest",
     "level_roots_from_pages",
+    "level_pages_match_root",
     "seed_partition_store",
     "transfer_fingerprint",
     "sha256_hex",

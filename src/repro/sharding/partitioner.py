@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left, bisect_right
-from typing import Iterable
 
 from ..common.errors import ConfigurationError
 from ..common.identifiers import ShardId
@@ -60,14 +59,6 @@ class KeyPartitioner:
         """Every shard id, in order."""
 
         return range(self.num_shards)
-
-    def group_keys(self, keys: Iterable[str]) -> dict[ShardId, list[str]]:
-        """Bucket keys by owning shard (used by batch-splitting clients)."""
-
-        grouped: dict[ShardId, list[str]] = {}
-        for key in keys:
-            grouped.setdefault(self.shard_of(key), []).append(key)
-        return grouped
 
 
 def _ring_point(label: str) -> int:

@@ -185,26 +185,6 @@ class ShardRegistry:
         )
         return self.version
 
-    def set_replicas(
-        self, shard_id: ShardId, replicas: tuple[NodeId, ...], now: float
-    ) -> int:
-        """Replace a shard's replica set; returns the new map version."""
-
-        self.version += 1
-        if replicas:
-            self._replicas[shard_id] = tuple(replicas)
-        else:
-            self._replicas.pop(shard_id, None)
-        # Replica-set changes don't move ownership, but the new version
-        # still needs a history anchor so owner_at stays total.
-        owner = self._owners[shard_id]
-        self._history.append(
-            OwnershipEpoch(
-                shard_id=shard_id, owner=owner, version=self.version, since=now
-            )
-        )
-        return self.version
-
     def promote_replica(
         self, shard_id: ShardId, replica: NodeId, now: float
     ) -> int:
@@ -274,10 +254,6 @@ class ShardMapView:
     @property
     def num_shards(self) -> Optional[int]:
         return self.message.statement.num_shards if self.message is not None else None
-
-    @property
-    def partitioner_name(self) -> Optional[str]:
-        return self.message.statement.partitioner if self.message is not None else None
 
     def owner_of(self, shard_id: ShardId) -> Optional[NodeId]:
         return self._owners.get(shard_id)

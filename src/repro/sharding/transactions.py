@@ -4,8 +4,9 @@ Phase I receipts.
 The sharded fleet (:mod:`repro.sharding`) routes every operation to one
 shard's owning edge, so a multi-key write spanning partitions has no
 atomicity story of its own — each owner Phase I commits independently.
-This module layers a two-phase commit on the existing certified machinery
-without adding any new trusted party:
+This module (the coordinator and the decision-record codec; the edge's half
+is :mod:`repro.sharding.participant`) layers a two-phase commit on the
+existing certified machinery without adding any new trusted party:
 
 * **Phase 1 — prepare.**  The coordinating *client* splits the write set
   per shard (redirect-aware, through the same verified shard map puts use)
@@ -129,7 +130,7 @@ def decode_txn_decision(payload: bytes) -> tuple[str, str, int, str]:
 
 
 # ----------------------------------------------------------------------
-# Participant-side staging state (lives on PartitionState)
+# Participant-side staging state (lives on ``participant.TxnPartitionState``)
 # ----------------------------------------------------------------------
 @dataclass
 class StagedTxn:

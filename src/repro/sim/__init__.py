@@ -4,7 +4,7 @@ from .clock import Clock, ManualClock, SimulatedClock, WallClock
 from .environment import Environment, EnvironmentNode, local_environment
 from .events import EventHandle, EventScheduler
 from .network import NetworkStats, SimNetwork, message_wire_size
-from .parameters import SimulationParameters, paper_parameters
+from .parameters import SimulationParameters
 from .rng import DeterministicRng
 from .topology import (
     DEFAULT_CLIENT_EDGE_RTT_MS,
@@ -33,6 +33,5 @@ __all__ = [
     "WallClock",
     "local_environment",
     "message_wire_size",
-    "paper_parameters",
     "paper_topology",
 ]

@@ -225,9 +225,3 @@ class SimulationParameters:
             + self.hash_cost(num_bytes)
             + self.merkle_rebuild_seconds_per_entry * num_entries
         )
-
-
-def paper_parameters() -> SimulationParameters:
-    """Default calibration used for every reproduced experiment."""
-
-    return SimulationParameters()

@@ -93,10 +93,6 @@ class KeyValueWorkload:
         )
         self._value_counter = 0
 
-    @property
-    def keyspace(self) -> KeySpace:
-        return self._keyspace
-
     # ------------------------------------------------------------------
     # Primitive draws
     # ------------------------------------------------------------------

@@ -27,6 +27,10 @@ determinism scenario itself runs one plan twice and compares traces.
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
+
 from repro.common.config import (
     LoggingConfig,
     LSMerkleConfig,
@@ -53,6 +57,9 @@ from repro.faults import (
     assert_replicated_reads_served,
 )
 from repro.log.proofs import CommitPhase
+from repro.lsm.page import Page
+from repro.lsm.records import KeyFence
+from repro.messages.shard_messages import ReplicaLogShipment
 from repro.nodes.edge import EdgeNode
 from repro.nodes.malicious import EquivocatingCertifierEdgeNode
 from repro.sharding import (
@@ -1032,3 +1039,88 @@ class TestFailoverMisbehaviorConvicted:
             system.cloud,
             [system.edges[0].node_id, system.edges[2].node_id],
         )
+
+
+# ----------------------------------------------------------------------
+# 14. A lying writer cannot poison a replica's mirror
+# ----------------------------------------------------------------------
+def _with_first_page(shipment, forge):
+    """*shipment* with the first page of its first shipped level replaced."""
+
+    (level_index, pages), *rest = shipment.level_pages
+    pages = (forge(pages[0]), *pages[1:])
+    return dataclasses.replace(shipment, level_pages=((level_index, pages), *rest))
+
+
+def _forged_value(page):
+    # Same keys, same fence: only the page digest (hence the level root)
+    # gives the forged record away.
+    records = (dataclasses.replace(page.records[0], value=b"forged"), *page.records[1:])
+    return Page(records=records, fence=page.fence, created_at=page.created_at)
+
+
+def _narrowed_fence(page):
+    # The level no longer starts at the minimum key: not contiguous.
+    fence = KeyFence(lower=page.records[0].key, upper=page.fence.upper)
+    return Page(records=page.records, fence=fence, created_at=page.created_at)
+
+
+SHIPMENT_LIES = {
+    "forged-level-page": lambda s: _with_first_page(s, _forged_value),
+    "pages-without-signed-root": lambda s: dataclasses.replace(s, signed_root=None),
+    "broken-contiguity": lambda s: _with_first_page(s, _narrowed_fence),
+    "level-out-of-range": lambda s: dataclasses.replace(
+        s, level_pages=(*s.level_pages, (99, s.level_pages[0][1]))
+    ),
+}
+
+
+class TestLyingWriterShipmentRefused:
+    """Shipped level pages are untrusted until they hash to the cloud-signed
+    root: a shipment whose pages do not is refused whole — counted, not
+    acked, the mirror untouched, nothing raised out of the handler — and
+    the next honest shipment installs."""
+
+    @pytest.mark.parametrize("lie", sorted(SHIPMENT_LIES))
+    def test_lie_is_refused_and_the_next_honest_shipment_installs(self, lie):
+        system = build_replicated(11)
+        stop_pump = start_certify_pump(system)
+        shipments = []
+
+        def capture(src, dst, message):
+            if isinstance(message, ReplicaLogShipment) and message.level_pages:
+                shipments.append(message)
+            return True
+
+        system.env.network.add_send_hook("capture-shipments", capture)
+        put_blocks(system.clients[0], 8, prefix="pre")
+        system.run_for(3.0)
+        stop_pump()
+        system.env.network.remove_send_hook("capture-shipments")
+
+        honest = shipments[-1]
+        replica = system.edge_by_id(honest.replica)
+        mirror = replica._replica_states[honest.shard_id]
+        index, signed_root = mirror.index, mirror.signed_root
+        assert signed_root is not None and index.roots_match(signed_root)
+        before = dict(replica.stats)
+        sent = system.env.network.stats.messages_sent
+
+        replica.on_message(honest.writer, SHIPMENT_LIES[lie](honest))
+
+        assert replica.stats["replica_shipments_rejected"] == (
+            before["replica_shipments_rejected"] + 1
+        )
+        assert replica.stats["replica_shipments_installed"] == (
+            before["replica_shipments_installed"]
+        )
+        assert mirror.index is index and mirror.signed_root is signed_root
+        assert system.env.network.stats.messages_sent == sent  # no ack
+
+        replica.on_message(honest.writer, honest)
+
+        assert replica.stats["replica_shipments_installed"] == (
+            before["replica_shipments_installed"] + 1
+        )
+        assert mirror.index is not index
+        assert mirror.index.roots_match(mirror.signed_root)

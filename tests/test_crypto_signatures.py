@@ -1,12 +1,11 @@
-"""Unit tests for the signature schemes, key registry, and envelopes."""
+"""Unit tests for the signature schemes and the key registry."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.common import InvalidMessageError, SignatureError, UnknownSignerError
+from repro.common import SignatureError, UnknownSignerError
 from repro.common.identifiers import client_id, edge_id
-from repro.crypto.envelopes import SignedChannel, seal_envelope, verify_envelope
 from repro.crypto.signatures import (
     HmacSignatureScheme,
     KeyRegistry,
@@ -124,49 +123,3 @@ class TestKeyRegistry:
         with pytest.raises(SignatureError):
             Signature(signer=client_id("alice"), scheme="hmac", value=b"")
 
-
-class TestEnvelopes:
-    def test_seal_and_verify_roundtrip(self):
-        registry = KeyRegistry("hmac")
-        alice = client_id("alice")
-        registry.register(alice)
-        envelope = seal_envelope(registry, alice, {"hello": "world"})
-        assert verify_envelope(registry, envelope) == {"hello": "world"}
-
-    def test_sender_signer_mismatch_rejected(self):
-        registry = KeyRegistry("hmac")
-        alice, bob = client_id("alice"), client_id("bob")
-        registry.register(alice)
-        registry.register(bob)
-        envelope = seal_envelope(registry, alice, "data")
-        with pytest.raises(InvalidMessageError):
-            type(envelope)(sender=bob, payload="data", signature=envelope.signature)
-
-    def test_tampered_payload_rejected(self):
-        registry = KeyRegistry("hmac")
-        alice = client_id("alice")
-        registry.register(alice)
-        envelope = seal_envelope(registry, alice, "data")
-        tampered = type(envelope)(
-            sender=alice, payload="other", signature=envelope.signature
-        )
-        with pytest.raises(InvalidMessageError):
-            verify_envelope(registry, tampered)
-
-    def test_signed_channel_detached_signatures(self):
-        registry = KeyRegistry("hmac")
-        channel = SignedChannel(registry, edge_id("edge-0"))
-        signature = channel.sign_value({"root": "abc"})
-        assert channel.verify_value(signature, {"root": "abc"})
-        assert not channel.verify_value(signature, {"root": "xyz"})
-
-    def test_signed_channel_open_rejects_forgery(self):
-        registry = KeyRegistry("hmac")
-        alice_channel = SignedChannel(registry, client_id("alice"))
-        bob_channel = SignedChannel(registry, client_id("bob"))
-        envelope = alice_channel.seal("payload")
-        tampered = type(envelope)(
-            sender=envelope.sender, payload="evil", signature=envelope.signature
-        )
-        with pytest.raises(InvalidMessageError):
-            bob_channel.open(tampered)

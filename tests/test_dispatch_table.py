@@ -10,7 +10,9 @@ override needs no row, unknown types are ignored but still pass the
 pre-dispatch side effects.  (c) *Trace parity*: seeded observability-enabled
 runs reproduce, byte for byte, the exports the parent commit produced (see
 ``tests/data/make_trace_parity.py``).  (d) Ladders cannot grow back: no
-function under the node packages chains ``isinstance`` tests on one name.
+function under the node packages chains ``isinstance`` tests on one name —
+and the paper's nodes stay the paper's: no module under ``repro.nodes``
+imports the fleet (``repro.sharding`` or its message modules) at any level.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ from repro.messages.txn_messages import (
 )
 from repro.nodes.client import Client
 from repro.nodes.cloud import CloudNode
-from repro.nodes.edge import EdgeNode
+from repro.nodes.edge import EdgeNode, PartitionState
 from repro.nodes.variants import FullDataCertifyRequest
 from repro.sharding import ShardedClient, ShardedCloudNode, ShardedEdgeNode
 from repro.sharding import ShardedWedgeSystem
@@ -115,12 +117,12 @@ EDGE = {
     MergeRejection: "_handle_merge_rejection",
     RootRefreshResponse: "_handle_root_refresh_response",
     CertifyRejection: "_handle_certify_rejection",
-    TxnPrepareRequest: "_handle_txn_prepare",
-    TxnDecisionMessage: "_handle_txn_decision",
 }
 SHARDED_EDGE = {
     **EDGE,
-    TxnDecisionMessage: "_handle_txn_decision_fleet",
+    # The 2PC participant's rows: the paper's edge has none.
+    TxnPrepareRequest: "_handle_txn_prepare",
+    TxnDecisionMessage: "_handle_txn_decision",
     ShardMapMessage: "_handle_shard_map",
     ShardHandoffOrder: "_handle_handoff_order",
     ShardHandoffGrant: "_handle_handoff_grant",
@@ -242,6 +244,8 @@ class TestTableCompleteness:
 
     def test_subclass_tables_do_not_leak_into_their_parents(self):
         assert ShardMapMessage not in EdgeNode.HANDLERS.handler_names()
+        assert TxnPrepareRequest not in EdgeNode.HANDLERS.handler_names()
+        assert TxnDecisionMessage not in EdgeNode.HANDLERS.handler_names()
         assert ShardDispute not in CloudNode.HANDLERS.handler_names()
         assert NotOwnerRedirect not in Client.HANDLERS.handler_names()
         assert FullBlockCertifyRequest not in CloudNode.HANDLERS.handler_names()
@@ -367,6 +371,28 @@ class TestLookupRules:
         cloud.on_message(cloud.node_id, _Unknown())
         assert dict(cloud.stats) == before
 
+    def test_paper_default_edge_carries_no_txn_state(self):
+        system = single_system()
+        edge = system.edge(0)
+        assert type(edge) is EdgeNode
+        assert type(edge._default_partition) is PartitionState
+        for holder in (edge, edge._default_partition):
+            for name in ("staged_txns", "decided_txns", "_txn_record_seq"):
+                assert not hasattr(holder, name), name
+        # The 2PC messages are unknown types to it: ignored, still gated.
+        for message_type in (TxnPrepareRequest, TxnDecisionMessage):
+            assert EdgeNode.HANDLERS.lookup(message_type) == (None, "_route_default")
+        before = dict(edge.stats)
+        prepare = object.__new__(TxnPrepareRequest)
+        decision = object.__new__(TxnDecisionMessage)
+        edge.on_message(system.client(0).node_id, prepare)
+        edge.on_message(system.client(0).node_id, decision)
+        assert dict(edge.stats) == before
+        edge._default_partition.quarantined = "checksum mismatch (test)"
+        edge.on_message(system.client(0).node_id, prepare)
+        edge.on_message(system.client(0).node_id, decision)
+        assert edge.stats["quarantined_refusals"] == 2
+
     def test_clients_ignore_unknown_types(self):
         system = single_system()
         client = system.client(0)
@@ -445,6 +471,51 @@ def _isinstance_chains(tree: ast.AST):
         for name, count in counts.items():
             if count >= 3:
                 yield function.name, name, count
+
+
+def _imported_modules(path: pathlib.Path):
+    """Absolute dotted name of every module *path* imports, at any depth
+    (module level or inside a function), with relative imports resolved."""
+
+    package = path.relative_to(REPO / "src").with_suffix("").parts[:-1]
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else ()
+            module = ".".join((*base, *filter(None, [node.module])))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+class TestPaperNodesImportNoFleetProtocol:
+    """``repro.nodes`` is the paper's system: the fleet's protocols reach a
+    node only as rows a ``repro.sharding`` subclass adds to its own table."""
+
+    FORBIDDEN = (
+        "repro.sharding",
+        "repro.messages.txn_messages",
+        "repro.messages.shard_messages",
+    )
+
+    def test_detector_resolves_relative_and_function_level_imports(self):
+        found = set(_imported_modules(REPO / "src/repro/sharding/participant.py"))
+        assert "repro.messages.txn_messages" in found  # ``from ..messages.x``
+        assert "repro.sharding.transactions" in found  # ``from .transactions``
+        found = set(_imported_modules(REPO / "src/repro/faults/invariants.py"))
+        assert "repro.sharding.transactions" in found  # inside a function
+
+    def test_no_module_under_nodes_imports_sharding_or_its_messages(self):
+        offenders = [
+            f"{path.name} imports {module}"
+            for path in sorted((REPO / "src/repro/nodes").glob("*.py"))
+            for module in _imported_modules(path)
+            if any(
+                module == name or module.startswith(name + ".")
+                for name in self.FORBIDDEN
+            )
+        ]
+        assert not offenders, offenders
 
 
 class TestNoLadders:

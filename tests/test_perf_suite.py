@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from repro.bench import attach_speedups, format_summary, run_perf_suite
+from repro.bench import format_summary, run_perf_suite
 from repro.bench.perf import (
     BENCHMARKS,
     CERTIFY_BENCH_BATCH_SIZE,
@@ -27,25 +27,8 @@ class TestPerfSuite:
             assert result["ops"] > 0
             assert result["ops_per_s"] > 0
             assert result["p50_ms"] <= result["p90_ms"] <= result["p99_ms"]
-
-    def test_attach_speedups_against_matching_reference(self):
-        summary = run_perf_suite(mode="quick", seed=3)
-        reference = {
-            "mode": "quick",
-            "results": {
-                name: {"ops_per_s": result["ops_per_s"] / 2}
-                for name, result in summary["results"].items()
-            },
-        }
-        attach_speedups(summary, reference)
-        assert all(speedup > 1 for speedup in summary["speedup_vs_seed"].values())
         rendered = format_summary(summary)
-        assert "digest_encode" in rendered and "vs seed" in rendered
-
-    def test_attach_speedups_mode_mismatch_yields_none(self):
-        summary = run_perf_suite(mode="quick", seed=3)
-        attach_speedups(summary, {"mode": "full", "results": {}})
-        assert summary["speedup_vs_seed"] is None
+        assert all(name in rendered for name in summary["results"])
 
 
 class TestBatchAmortizationTargets:
