@@ -1,24 +1,26 @@
-"""Hot-path micro-benchmarks with seeded inputs and percentile reporting.
+"""Seeded micro-benchmarks with percentile reporting, one row per hot path.
 
-Every simulated experiment spends the bulk of its wall-clock time in a
-handful of hot paths: canonical encoding (digests, signatures, ``wire_size``),
-Merkle tree (re)builds, page lookups, merges, and read-proof verification.
-This module times those paths in isolation with deterministic, seeded inputs
-and reports throughput plus per-repeat latency percentiles (the reporting
-shape follows the seeded-percentile harness idiom of faas-offloading-sim).
+One harness (:func:`_time_repeats`: ops/s plus p50/p90/p99 of the
+per-repeat wall times, the seeded-percentile shape of faas-offloading-sim)
+serves two kinds of row.  *Function rows* time library calls on inputs
+built from the seed.  *Real-node rows* (``certify_per_block``,
+``cert_pipeline_*``, ``shard_handoff``, ``txn_cross_shard``,
+``replica_read``, ``obs_overhead``) time a protocol exchange on the nodes a
+fleet runs: fleets are built and preloaded on ``local_environment`` as
+set-up, one per repeat, and the timed region is the row's ``drive(fleet)``
+plus the fleet's event loop up to the protocol outcome, which must be
+reached.  No row signs, verifies or routes anything itself, so a change to
+the node code a row is named for moves that row.  ``live_put_p99`` is the
+one wall-clock row (an asyncio fleet over sockets).
 
-Results are written as ``BENCH_hotpath.json`` so later PRs can diff against
-the recorded trajectory (the git history of that file).
-
-Run via::
-
-    python benchmarks/perf_baseline.py --mode quick
-
-or programmatically through :func:`run_perf_suite`.
+Results are written as ``BENCH_hotpath.json``, whose git history is the
+trajectory ``benchmarks/check_perf_regression.py`` gates against.  Run via
+``python benchmarks/perf_baseline.py --mode quick`` or :func:`run_perf_suite`.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import platform
 import random
@@ -26,22 +28,24 @@ import shutil
 import tempfile
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Any, Callable
 
-from ..common.config import LSMerkleConfig, StorageConfig, SystemConfig
+from ..common.config import (
+    LoggingConfig,
+    LSMerkleConfig,
+    ObservabilityConfig,
+    ShardingConfig,
+    StorageConfig,
+    SystemConfig,
+)
 from ..common.encoding import encoded_size
 from ..common.identifiers import client_id, cloud_id, edge_id
 from ..core.gossip import GossipView, build_gossip, build_gossip_batch, verify_gossip
+from ..core.system import WedgeChainSystem
 from ..crypto.signatures import KeyRegistry, Signature
 from ..log.block import build_block, compute_block_digest
 from ..log.entry import EntryBody, LogEntry
-from ..log.proofs import (
-    build_certify_batch_tree,
-    derive_batched_proofs,
-    issue_batch_certificate,
-    issue_block_proof,
-    issue_phase_one_receipt,
-)
+from ..log.proofs import CommitPhase, issue_block_proof, issue_phase_one_receipt
 from ..lsm.compaction import merge_levels, newest_versions, partition_into_pages
 from ..lsm.lsm_tree import LSMTree
 from ..lsm.page import build_page
@@ -50,7 +54,10 @@ from ..lsmerkle.merge import CloudIndexMirror
 from ..lsmerkle.mlsm import MerkleizedLSM, sign_global_root
 from ..lsmerkle.read_proof import build_get_proof, verify_get_proof
 from ..merkle.tree import MerkleTree
-from ..messages.log_messages import CertifyBatchStatement, CertifyStatement
+from ..sim.environment import local_environment
+from ..sim.rng import DeterministicRng
+from ..workloads.generator import KeySpace, format_key
+from .runner import config_for_batch
 
 #: Percentiles reported for per-repeat wall times.
 PERCENTILES = (0.50, 0.90, 0.99)
@@ -146,8 +153,26 @@ def _make_records(rng: random.Random, count: int, key_space: int) -> list[KVReco
     ]
 
 
+def _certification_registry() -> tuple[KeyRegistry, object, object]:
+    registry = KeyRegistry()
+    cloud = cloud_id("bench-cloud")
+    edge = edge_id("bench-edge")
+    registry.register(cloud)
+    registry.register(edge)
+    return registry, cloud, edge
+
+
+def _sharded_fleet(num_edges: int, sharding: ShardingConfig, **logging):
+    from ..sharding.system import ShardedWedgeSystem  # only the fleet rows load it
+
+    config = SystemConfig.paper_default().with_overrides(
+        num_edge_nodes=num_edges, sharding=sharding, logging=LoggingConfig(**logging)
+    )
+    return ShardedWedgeSystem.build(config, env=local_environment())
+
+
 # ----------------------------------------------------------------------
-# Individual micro-benchmarks
+# Function rows: library calls on seeded inputs
 # ----------------------------------------------------------------------
 def bench_digest_encode(rng: random.Random, quick: bool) -> BenchResult:
     """Digest + ``encoded_size`` over blocks: the canonical-encoder hot path.
@@ -201,30 +226,17 @@ def bench_merkle_roots(rng: random.Random, quick: bool) -> BenchResult:
 
 
 def bench_merkle_update(rng: random.Random, quick: bool) -> BenchResult:
-    """Replace a few leaves of a large tree and read the new root.
-
-    Uses the incremental ``replace_leaf`` API when available and falls back
-    to a full rebuild (the seed behaviour) otherwise, so the same workload is
-    comparable across implementations.
-    """
+    """Replace a few leaves of a large tree and read the new root."""
 
     num_leaves = 512 if quick else 2048
     updates_per_repeat = 8
     repeats = 60 if quick else 200
-    leaves = [f"{rng.getrandbits(256):064x}" for _ in range(num_leaves)]
-    state = {"tree": MerkleTree(leaves), "leaves": list(leaves)}
-    incremental = hasattr(MerkleTree, "replace_leaf")
+    tree = MerkleTree([f"{rng.getrandbits(256):064x}" for _ in range(num_leaves)])
 
     def run() -> None:
         for _ in range(updates_per_repeat):
-            slot = rng.randrange(num_leaves)
-            digest = f"{rng.getrandbits(256):064x}"
-            state["leaves"][slot] = digest
-            if incremental:
-                state["tree"].replace_leaf(slot, digest)
-            else:
-                state["tree"] = MerkleTree(state["leaves"])
-        assert state["tree"].root
+            tree.replace_leaf(rng.randrange(num_leaves), f"{rng.getrandbits(256):064x}")
+        assert tree.root
 
     return _time_repeats("merkle_update", run, updates_per_repeat, repeats)
 
@@ -299,11 +311,7 @@ def bench_get_verify(rng: random.Random, quick: bool) -> BenchResult:
 
     gets_per_repeat = 30 if quick else 60
     repeats = 10 if quick else 25
-    registry = KeyRegistry()
-    cloud = cloud_id("bench-cloud")
-    edge = edge_id("bench-edge")
-    registry.register(cloud)
-    registry.register(edge)
+    registry, cloud, edge = _certification_registry()
 
     index = MerkleizedLSM(
         config=LSMerkleConfig(level_thresholds=(4, 8, 64, 512)), page_capacity=50
@@ -355,200 +363,6 @@ def bench_get_verify(rng: random.Random, quick: bool) -> BenchResult:
             assert verified.found == result.found
 
     return _time_repeats("get_verify", run, gets_per_repeat, repeats)
-
-
-#: Batch size used by the batched-certification micro-benchmark (the
-#: acceptance target compares certified-blocks/s at this batch size).
-CERTIFY_BENCH_BATCH_SIZE = 32
-
-
-def _certification_registry(scheme: str = "hmac") -> tuple[KeyRegistry, object, object]:
-    registry = KeyRegistry(scheme)
-    cloud = cloud_id("bench-cloud")
-    edge = edge_id("bench-edge")
-    registry.register(cloud)
-    registry.register(edge)
-    return registry, cloud, edge
-
-
-def _make_digest_pairs(rng: random.Random, count: int) -> list[tuple[int, str]]:
-    return [
-        (block_id, f"{rng.getrandbits(256):064x}") for block_id in range(count)
-    ]
-
-
-def bench_certify_per_block(rng: random.Random, quick: bool) -> BenchResult:
-    """The unbatched certification round: one signature per block each way.
-
-    Per block: the edge signs a ``CertifyStatement``, the cloud verifies it
-    and signs a ``BlockProof``, and the edge verifies the proof — four
-    signature operations per certified block.  Uses the Schnorr scheme: the
-    point of batch certification is amortizing genuinely asymmetric
-    signatures on the WAN path (a real deployment cannot use the HMAC
-    oracle), so the signature-bound rows are measured with the scheme whose
-    cost batching actually amortizes.  Reported as certified-blocks/s.
-    """
-
-    num_blocks = 8 if quick else 16
-    repeats = 3 if quick else 5
-    registry, cloud, edge = _certification_registry("schnorr")
-    pairs = _make_digest_pairs(rng, num_blocks)
-    counter = {"repeat": 0}
-
-    def run() -> None:
-        counter["repeat"] += 1
-        now = float(counter["repeat"])
-        for block_id, digest in pairs:
-            statement = CertifyStatement(
-                edge=edge, block_id=block_id, block_digest=digest, num_entries=100
-            )
-            signature = registry.sign(edge, statement)
-            assert registry.verify(signature, statement)
-            proof = issue_block_proof(
-                registry=registry,
-                cloud=cloud,
-                edge=edge,
-                block_id=block_id,
-                block_digest=digest,
-                certified_at=now,
-            )
-            assert proof.verify(registry)
-
-    return _time_repeats("certify_per_block", run, num_blocks, repeats)
-
-
-def bench_certify_batch(rng: random.Random, quick: bool) -> BenchResult:
-    """Batched certification: one signature per batch amortized over N blocks.
-
-    Per batch of ``CERTIFY_BENCH_BATCH_SIZE``: the edge signs one
-    ``CertifyBatchStatement``, the cloud verifies it, builds the Merkle tree
-    over the block digests and signs the single batch root, and the edge
-    derives every per-block proof locally and verifies each one (leaf digest
-    + membership path; the root signature is checked once and memoized).
-    Same Schnorr scheme and reporting unit (certified-blocks/s) as
-    ``certify_per_block``, so the two rows compare directly.
-    """
-
-    batch_size = CERTIFY_BENCH_BATCH_SIZE
-    num_blocks = batch_size if quick else batch_size * 2
-    repeats = 3 if quick else 5
-    registry, cloud, edge = _certification_registry("schnorr")
-    pairs = _make_digest_pairs(rng, num_blocks)
-    counter = {"repeat": 0}
-
-    def run() -> None:
-        counter["repeat"] += 1
-        now = float(counter["repeat"])
-        for start in range(0, len(pairs), batch_size):
-            chunk = tuple(pairs[start : start + batch_size])
-            items = tuple(
-                CertifyStatement(
-                    edge=edge, block_id=bid, block_digest=d, num_entries=100
-                )
-                for bid, d in chunk
-            )
-            batch_statement = CertifyBatchStatement(edge=edge, items=items)
-            signature = registry.sign(edge, batch_statement)
-            assert registry.verify(signature, batch_statement)
-            tree = build_certify_batch_tree(chunk)
-            certificate = issue_batch_certificate(
-                registry=registry,
-                cloud=cloud,
-                edge=edge,
-                batch_root=tree.root,
-                num_blocks=len(chunk),
-                certified_at=now,
-            )
-            for proof in derive_batched_proofs(certificate, chunk):
-                assert proof.verify(registry)
-
-    return _time_repeats("certify_batch", run, num_blocks, repeats)
-
-
-def _make_pipeline_pair(depth: int, pairs):
-    """A real EdgeNode + CloudNode with *pairs* queued for certification.
-
-    The pipeline rows time the windowed certify protocol a fleet runs — the
-    edge's pump signing requests, the cloud's handler verifying, ordering and
-    signing, the edge absorbing certificates — so they need genuine
-    asymmetric signatures and the nodes themselves, co-located so the event
-    loop adds no modelled delay.  *pairs* are ``(block id, digest)``: tracked
-    and enqueued on the edge's certifier here, outside any timed region,
-    exactly where a formed block's digest sits before the pump runs.
-    """
-
-    from ..common.config import LoggingConfig
-    from ..nodes.cloud import CloudNode
-    from ..nodes.edge import EdgeNode
-    from ..sim.environment import local_environment
-
-    env = local_environment(signature_scheme="schnorr", seed=7)
-    config = SystemConfig.paper_default().with_overrides(
-        logging=LoggingConfig(
-            certify_batch_size=CERTIFY_BENCH_BATCH_SIZE,
-            certify_pipeline_depth=depth,
-        )
-    )
-    cloud = CloudNode(env=env, config=config, name="bench-cloud")
-    edge = EdgeNode(env=env, cloud=cloud.node_id, config=config, name="bench-edge")
-    for block_id, digest in pairs:
-        edge.certifier.track(block_id, digest, requested_at=env.now())
-        edge.certifier.enqueue_for_dispatch(block_id)
-    return env, cloud, edge
-
-
-def _bench_cert_pipeline(
-    rng: random.Random, quick: bool, depth: int, name: str
-) -> BenchResult:
-    num_blocks = depth * CERTIFY_BENCH_BATCH_SIZE
-    repeats = (3 if quick else 5) if depth == 1 else (2 if quick else 4)
-    # One fresh pair per repeat, built outside the timed region: the cloud's
-    # certified-digest map is append-only, so a second window over the same
-    # pair would need new ids, and key generation is not what the row times.
-    fleets = iter(
-        [
-            _make_pipeline_pair(depth, _make_digest_pairs(rng, num_blocks))
-            for _ in range(repeats)
-        ]
-    )
-
-    def run() -> None:
-        env, _cloud, edge = next(fleets)
-        edge._pump_certify_pipeline()
-        env.run()
-        assert edge.certifier.certified_count == num_blocks
-
-    return _time_repeats(name, run, num_blocks, repeats)
-
-
-def bench_cert_pipeline_d1(rng: random.Random, quick: bool) -> BenchResult:
-    """Windowed certification through the nodes at depth 1: the serial path.
-
-    One ``EdgeNode._pump_certify_pipeline()`` ships one 32-block
-    ``CertifyBatchRequest``; the ``CloudNode`` verifies it, orders the
-    digests and signs the batch root; the edge verifies the certificate and
-    derives every proof.  That is the per-batch exchange of
-    ``certify_batch`` plus message dispatch, so this row must track
-    ``certify_batch`` within noise.  Reported as certified-blocks/s.
-    """
-
-    return _bench_cert_pipeline(rng, quick, depth=1, name="cert_pipeline_d1")
-
-
-def bench_cert_pipeline_d8(rng: random.Random, quick: bool) -> BenchResult:
-    """Windowed certification through the nodes at depth 8: a full window.
-
-    One pump fills all eight slots and ships them as one
-    ``CertifyWindowRequest``: the edge signs once and the cloud verifies
-    once for the whole window (2 signature operations instead of 16), while
-    the cloud still signs — and the edge still verifies — one certificate
-    per batch, because window slots retire independently.  That is 18
-    signature operations per 256 blocks against depth 1's 32, and the
-    committed baseline records ≈1.7× ``cert_pipeline_d1``.  Same reporting
-    unit.
-    """
-
-    return _bench_cert_pipeline(rng, quick, depth=8, name="cert_pipeline_d8")
 
 
 def bench_gossip_per_edge(rng: random.Random, quick: bool) -> BenchResult:
@@ -611,25 +425,9 @@ def bench_shard_route(rng: random.Random, quick: bool) -> BenchResult:
     keys/s.
     """
 
-    from ..sharding.partitioner import HashRingPartitioner
-    from ..sharding.router import ShardRouter
-    from ..sharding.shard_map import ShardMapView, build_shard_map_message
-
-    num_shards = 16
-    num_edges = 4
     routes_per_repeat = 2000 if quick else 8000
     repeats = 15 if quick else 40
-    registry, cloud, _ = _certification_registry()
-    edges = [edge_id(f"bench-edge-{index}") for index in range(num_edges)]
-    assignments = {
-        shard_id: edges[shard_id % num_edges] for shard_id in range(num_shards)
-    }
-    message = build_shard_map_message(
-        registry, cloud, 1, num_shards, "hash-ring", assignments, 1.0
-    )
-    view = ShardMapView(cloud=cloud)
-    assert view.update(registry, message)
-    router = ShardRouter(HashRingPartitioner(num_shards), view)
+    router = _sharded_fleet(4, ShardingConfig(num_shards=16)).clients[0].router
     keys = [f"key{rng.randrange(10**8):012d}" for _ in range(routes_per_repeat)]
 
     def run() -> None:
@@ -638,187 +436,6 @@ def bench_shard_route(rng: random.Random, quick: bool) -> BenchResult:
             assert route.owner is not None
 
     return _time_repeats("shard_route", run, routes_per_repeat, repeats)
-
-
-def bench_shard_handoff(rng: random.Random, quick: bool) -> BenchResult:
-    """The certified shard-handoff crypto pipeline, end to end.
-
-    Per handoff of a 32-block shard: the source signs the offer (certified
-    log prefix + state digest), the cloud verifies it, recomputes the state
-    digest from its mirror digests, and countersigns the grant plus the
-    refreshed shard map, and the destination verifies the certificate and
-    recomputes the state digest from the transferred digests.  Reported as
-    handoffs/s.
-    """
-
-    from ..messages.shard_messages import (
-        HandoffGrantStatement,
-        ShardHandoffCertificate,
-        ShardHandoffStatement,
-    )
-    from ..sharding.handoff import shard_state_digest
-    from ..sharding.shard_map import build_shard_map_message
-
-    num_blocks = 32
-    repeats = 30 if quick else 100
-    registry, cloud, source = _certification_registry()
-    dest = edge_id("bench-edge-dest")
-    registry.register(dest)
-    blocks = tuple(_make_digest_pairs(rng, num_blocks))
-    level_roots = tuple(f"{rng.getrandbits(256):064x}" for _ in range(3))
-    assignments = {0: source, 1: dest}
-    counter = {"repeat": 0}
-
-    def run() -> None:
-        counter["repeat"] += 1
-        now = float(counter["repeat"])
-        digest = shard_state_digest(0, level_roots, blocks)
-        offer = ShardHandoffStatement(
-            edge=source,
-            dest=dest,
-            shard_id=0,
-            blocks=blocks,
-            state_digest=digest,
-            issued_at=now,
-        )
-        offer_sig = registry.sign(source, offer)
-        # Cloud side: verify the offer, recompute, countersign, re-sign map.
-        assert registry.verify(offer_sig, offer)
-        assert shard_state_digest(0, level_roots, offer.blocks) == offer.state_digest
-        grant = HandoffGrantStatement(
-            cloud=cloud,
-            source=source,
-            dest=dest,
-            shard_id=0,
-            map_version=counter["repeat"] + 1,
-            state_digest=digest,
-            num_blocks=num_blocks,
-            issued_at=now,
-        )
-        certificate = ShardHandoffCertificate(
-            statement=grant, signature=registry.sign(cloud, grant)
-        )
-        build_shard_map_message(
-            registry, cloud, counter["repeat"] + 1, 2, "hash-ring", assignments, now
-        )
-        # Destination side: verify the certificate and the received digests.
-        assert certificate.verify(registry)
-        assert shard_state_digest(0, level_roots, blocks) == certificate.state_digest
-
-    return _time_repeats("shard_handoff", run, 1, repeats)
-
-
-def bench_txn_cross_shard(rng: random.Random, quick: bool) -> BenchResult:
-    """The cross-shard 2PC crypto pipeline, end to end (HMAC substrate).
-
-    Per transaction spanning 2 participant shards: the coordinator signs
-    the client entries and one prepare statement per shard, each
-    participant verifies the statement and signs a prepare receipt bound to
-    the staged write set, the coordinator verifies both receipts and signs
-    the commit decision, and each participant verifies the decision.  That
-    is every signature the protocol adds on top of the ordinary put path
-    (the commit block's Phase I receipt and certification are charged to
-    the existing rows).  Reported as transactions/s.
-    """
-
-    from ..crypto.hashing import digest_value
-    from ..log.entry import make_entry
-    from ..lsmerkle.codec import encode_put
-    from ..messages.txn_messages import (
-        TXN_COMMIT,
-        TxnDecisionMessage,
-        TxnDecisionStatement,
-        TxnId,
-        TxnPrepareReceipt,
-        TxnPrepareReceiptStatement,
-        TxnPrepareStatement,
-        TxnWrite,
-    )
-
-    num_shards = 2
-    writes_per_shard = 4
-    repeats = 40 if quick else 150
-    txns_per_repeat = 5
-    registry, cloud, edge_a = _certification_registry()
-    edge_b = edge_id("bench-edge-b")
-    coordinator = client_id("bench-coordinator")
-    registry.register(edge_b)
-    registry.register(coordinator)
-    edges = (edge_a, edge_b)
-    items = [
-        [
-            (f"key{rng.randrange(10**8):012d}", bytes(rng.getrandbits(8) for _ in range(64)))
-            for _ in range(writes_per_shard)
-        ]
-        for _ in range(num_shards)
-    ]
-    counter = {"txn": 0, "entry": 0}
-
-    def run() -> None:
-        for _ in range(txns_per_repeat):
-            counter["txn"] += 1
-            txn_id = TxnId(coordinator=coordinator, sequence=counter["txn"])
-            now = float(counter["txn"])
-            receipts: list[TxnPrepareReceipt] = []
-            for shard_id, edge in enumerate(edges):
-                entries = []
-                writes = []
-                for key, value in items[shard_id]:
-                    counter["entry"] += 1
-                    entries.append(
-                        make_entry(
-                            registry, coordinator, counter["entry"],
-                            encode_put(key, value), now,
-                        )
-                    )
-                    writes.append(TxnWrite(key=key, value_digest=digest_value(value)))
-                statement = TxnPrepareStatement(
-                    coordinator=coordinator,
-                    txn_id=txn_id,
-                    shard_id=shard_id,
-                    writes=tuple(writes),
-                    participant_shards=(0, 1),
-                    staged_floor=counter["txn"],
-                    issued_at=now,
-                )
-                signature = registry.sign(coordinator, statement)
-                # Participant side: verify the prepare, sign the receipt.
-                assert registry.verify(signature, statement)
-                receipt_statement = TxnPrepareReceiptStatement(
-                    edge=edge,
-                    txn_id=txn_id,
-                    shard_id=shard_id,
-                    log_position=counter["txn"],
-                    writes=statement.writes,
-                    prepare_digest=digest_value(statement),
-                    prepared_at=now,
-                    expires_at=now + 5.0,
-                )
-                receipts.append(
-                    TxnPrepareReceipt(
-                        statement=receipt_statement,
-                        signature=registry.sign(edge, receipt_statement),
-                    )
-                )
-            # Coordinator side: verify every receipt, sign the decision.
-            for receipt in receipts:
-                assert receipt.verify(registry)
-            decision_statement = TxnDecisionStatement(
-                coordinator=coordinator,
-                txn_id=txn_id,
-                decision=TXN_COMMIT,
-                participant_shards=(0, 1),
-                decided_at=now,
-            )
-            decision = TxnDecisionMessage(
-                statement=decision_statement,
-                signature=registry.sign(coordinator, decision_statement),
-            )
-            # Each participant verifies the decision before applying.
-            for _edge in edges:
-                assert decision.verify(registry)
-
-    return _time_repeats("txn_cross_shard", run, txns_per_repeat, repeats)
 
 
 def bench_durable_put(rng: random.Random, quick: bool) -> BenchResult:
@@ -932,132 +549,6 @@ def bench_recovery_replay(rng: random.Random, quick: bool) -> BenchResult:
         shutil.rmtree(root, ignore_errors=True)
 
 
-def bench_obs_overhead(rng: random.Random, quick: bool) -> BenchResult:
-    """The ``put_pipeline`` workload with live observability bookkeeping.
-
-    Same record batches and LSM compaction as ``put_pipeline``, plus the
-    per-batch work an observability-enabled edge performs: registry-mirrored
-    :class:`~repro.obs.metrics.StatsDict` counter updates, a pipeline gauge
-    set, and one histogram observation.  Read the instrumentation overhead
-    by comparing ops/s against the ``put_pipeline`` row; the chaos suite
-    separately asserts the enabled overhead stays under 5% and that
-    disabled observability adds zero work to the hot path.
-    """
-
-    from ..obs.metrics import MetricsRegistry, StatsDict
-
-    batches = 40 if quick else 120
-    batch_size = 100
-    repeats = 6 if quick else 12
-    batches_of_records = [
-        _make_records(rng, batch_size, key_space=batch_size * batches)
-        for _ in range(batches)
-    ]
-
-    def run() -> None:
-        registry = MetricsRegistry("bench-edge")
-        stats = StatsDict(registry, {"entries_logged": 0, "blocks_formed": 0})
-        latency = registry.histogram("certify_latency_s")
-        in_flight = registry.gauge("certify_in_flight", shard="default")
-        tree = LSMTree(config=LSMerkleConfig(level_thresholds=(4, 8, 64, 512)))
-        for index, records in enumerate(batches_of_records):
-            page = build_page(records, created_at=float(index))
-            stats["entries_logged"] += len(records)
-            stats["blocks_formed"] += 1
-            in_flight.set(index % 8)
-            latency.observe(0.001 * (index % 50))
-            if tree.add_level_zero_page(page):
-                tree.compact_all(created_at=float(index))
-        assert registry.snapshot()["counters"]["entries_logged"] == batches * batch_size
-
-    return _time_repeats("obs_overhead", run, batches * batch_size, repeats)
-
-
-def bench_replica_read(rng: random.Random, quick: bool) -> BenchResult:
-    """Leased replica reads: route, sticky member pick, lease validation.
-
-    A ``replication_factor=3`` shard map (one certifying writer plus k=2
-    read replicas per shard) serves a Zipfian(0.99) read stream.  Per
-    read: the client routes the key, picks its sticky replica-set member
-    (the crc32 spread that pins a session to one member), and — when the
-    pick is a replica — validates the member's freshness lease: the cloud
-    signature plus the replica/shard/expiry pins.  That is exactly the
-    work a replica read adds on top of the ``get_verify`` proof path; the
-    k=0 cost of the same stream is the ``shard_route`` row (route only,
-    no member pick, no lease), so the replica-set overhead is the ratio
-    of the two.  Reported as reads/s.
-    """
-
-    import zlib
-
-    from ..messages.shard_messages import ReplicaLease, ReplicaLeaseStatement
-    from ..sharding.partitioner import HashRingPartitioner
-    from ..sharding.router import ShardRouter
-    from ..sharding.shard_map import ShardMapView, build_shard_map_message
-    from ..sim.rng import DeterministicRng
-    from ..workloads.generator import KeySpace
-
-    num_shards = 16
-    num_edges = 4
-    reads_per_repeat = 2000 if quick else 8000
-    repeats = 15 if quick else 40
-    registry, cloud, _ = _certification_registry()
-    client = client_id("bench-client")
-    edges = [edge_id(f"bench-edge-{index}") for index in range(num_edges)]
-    assignments = {
-        shard_id: edges[shard_id % num_edges] for shard_id in range(num_shards)
-    }
-    replicas = {
-        shard_id: (
-            edges[(shard_id + 1) % num_edges],
-            edges[(shard_id + 2) % num_edges],
-        )
-        for shard_id in range(num_shards)
-    }
-    message = build_shard_map_message(
-        registry, cloud, 1, num_shards, "hash-ring", assignments, 1.0,
-        replicas=replicas,
-    )
-    view = ShardMapView(cloud=cloud)
-    assert view.update(registry, message)
-    router = ShardRouter(HashRingPartitioner(num_shards), view)
-    leases = {}
-    for shard_id in range(num_shards):
-        for member in (assignments[shard_id], *replicas[shard_id]):
-            statement = ReplicaLeaseStatement(
-                cloud=cloud,
-                replica=member,
-                shard_id=shard_id,
-                map_version=1,
-                issued_at=1.0,
-                expires_at=10.0,
-            )
-            leases[(shard_id, member)] = ReplicaLease(
-                statement=statement, signature=registry.sign(cloud, statement)
-            )
-    key_space = KeySpace(10_000, distribution="zipfian", zipf_theta=0.99)
-    sampler = DeterministicRng(rng.randrange(2**31))
-    keys = [key_space.sample(sampler) for _ in range(reads_per_repeat)]
-
-    def run() -> None:
-        for key in keys:
-            route = router.route(key)
-            members = (route.owner, *view.replicas_of(route.shard_id))
-            pick = members[
-                zlib.crc32(f"{client}:{route.shard_id}".encode())
-                % len(members)
-            ]
-            if pick != route.owner:
-                lease = leases[(route.shard_id, pick)]
-                assert lease.verify(registry)
-                assert lease.statement.cloud == cloud
-                assert lease.statement.replica == pick
-                assert lease.statement.shard_id == route.shard_id
-                assert lease.statement.issued_at <= lease.statement.expires_at
-
-    return _time_repeats("replica_read", run, reads_per_repeat, repeats)
-
-
 def bench_frame_roundtrip(rng: random.Random, quick: bool) -> BenchResult:
     """One hop of a put acknowledgement: frame, unframe, digest.
 
@@ -1100,6 +591,289 @@ def bench_frame_roundtrip(rng: random.Random, quick: bool) -> BenchResult:
     return _time_repeats("frame_roundtrip", run, num_responses, repeats)
 
 
+# ----------------------------------------------------------------------
+# Real-node rows: fleets are set-up, one protocol exchange is timed
+# ----------------------------------------------------------------------
+def _run_to_outcome(fleet, drive: Callable[[Any], Callable[[], bool]]) -> None:
+    """Start an exchange on *fleet* and run its event loop until it is done.
+
+    ``drive(fleet)`` issues the requests and returns the predicate of the
+    protocol outcome they must reach.  The loop cannot simply drain (a
+    replicated fleet's lease and shipping ticks never stop); 120 simulated
+    seconds cost nothing and turn an exchange that never finishes into a
+    failed assertion instead of a hang.
+    """
+
+    done = drive(fleet)
+    assert fleet.env.run_until_condition(done, fleet.env.now() + 120.0), "no outcome"
+
+
+def _time_fleet_runs(name: str, fleets: list, drive, ops_per_repeat: int) -> BenchResult:
+    """Time :func:`_run_to_outcome`, one fresh fleet per repeat.
+
+    A fleet is used once — certified digests, shard ownership and log
+    positions are append-only, so a second exchange would not repeat the
+    first — and building and preloading it is the caller's set-up.
+    """
+
+    pending = iter(fleets)
+    return _time_repeats(
+        name, lambda: _run_to_outcome(next(pending), drive), ops_per_repeat, len(fleets)
+    )
+
+
+def _all_phase_two(client, operations) -> Callable[[], bool]:
+    return lambda: all(
+        client.phase_of(operation) is CommitPhase.PHASE_TWO for operation in operations
+    )
+
+
+#: Batch size of the windowed-certification rows (the amortization target
+#: compares certified-blocks/s at this batch size against the per-block row).
+CERTIFY_BENCH_BATCH_SIZE = 32
+
+
+def _make_certify_fleet(rng: random.Random, batch_size: int, depth: int, num_blocks: int):
+    """A 1-edge Schnorr fleet whose edge holds digests awaiting Phase II.
+
+    Batching exists to amortize genuinely asymmetric signatures (a
+    deployment cannot use the HMAC oracle), so the certification rows run
+    Schnorr.  The digests are tracked on the edge's certifier — and queued
+    for the pump when batching is on — exactly where a formed block's digest
+    sits before the edge asks for certification.
+    """
+
+    config = SystemConfig.paper_default().with_overrides(
+        logging=LoggingConfig(certify_batch_size=batch_size, certify_pipeline_depth=depth)
+    )
+    fleet = WedgeChainSystem.build(config, env=local_environment(signature_scheme="schnorr"))
+    certifier = fleet.edge().certifier
+    for block_id in range(num_blocks):
+        certifier.track(block_id, f"{rng.getrandbits(256):064x}", fleet.env.now())
+        if batch_size > 1:
+            certifier.enqueue_for_dispatch(block_id)
+    return fleet
+
+
+def bench_certify_per_block(rng: random.Random, quick: bool) -> BenchResult:
+    """The paper's unbatched Phase II exchange, eight blocks per repeat.
+
+    Timed, per block: ``EdgeNode._send_single_certify_request`` signs a
+    ``BlockCertifyRequest``, the ``CloudNode`` verifies it, orders the digest
+    and signs a ``BlockProofMessage``, the edge verifies the proof and
+    retires the block — four Schnorr operations and two dispatches.  Set-up:
+    the fleet at ``certify_batch_size=1`` with its tracked digests.  Reported
+    as certified-blocks/s.
+    """
+
+    num_blocks = 8
+
+    def drive(fleet):
+        edge = fleet.edge()
+        for task in edge.certifier.outstanding():
+            edge._send_single_certify_request(task.block_id, task.block_digest, 100)
+        return lambda: edge.certifier.certified_count == num_blocks
+
+    fleets = [_make_certify_fleet(rng, 1, 1, num_blocks) for _ in range(3 if quick else 5)]
+    return _time_fleet_runs("certify_per_block", fleets, drive, num_blocks)
+
+
+def _bench_cert_pipeline(name: str, rng: random.Random, depth: int, repeats: int):
+    num_blocks = depth * CERTIFY_BENCH_BATCH_SIZE
+
+    def drive(fleet):
+        edge = fleet.edge()
+        edge._pump_certify_pipeline()
+        return lambda: edge.certifier.certified_count == num_blocks
+
+    fleets = [
+        _make_certify_fleet(rng, CERTIFY_BENCH_BATCH_SIZE, depth, num_blocks)
+        for _ in range(repeats)
+    ]
+    return _time_fleet_runs(name, fleets, drive, num_blocks)
+
+
+def bench_cert_pipeline_d1(rng: random.Random, quick: bool) -> BenchResult:
+    """Windowed certification through the nodes at depth 1: the serial path.
+
+    One ``EdgeNode._pump_certify_pipeline()`` ships one 32-block
+    ``CertifyBatchRequest``; the ``CloudNode`` verifies it, orders the
+    digests and signs the batch root; the edge verifies the certificate and
+    derives every proof — four Schnorr operations per 32 blocks where
+    ``certify_per_block`` pays four per block.  Reported as
+    certified-blocks/s.
+    """
+
+    return _bench_cert_pipeline("cert_pipeline_d1", rng, 1, 3 if quick else 5)
+
+
+def bench_cert_pipeline_d8(rng: random.Random, quick: bool) -> BenchResult:
+    """Windowed certification through the nodes at depth 8: a full window.
+
+    One pump fills all eight slots and ships them as one
+    ``CertifyWindowRequest``: the edge signs once and the cloud verifies
+    once for the whole window (2 signature operations instead of 16), while
+    the cloud still signs — and the edge still verifies — one certificate
+    per batch, because window slots retire independently.  That is 18
+    signature operations per 256 blocks against depth 1's 32, and the
+    committed baseline records ≈1.7× ``cert_pipeline_d1``.  Same reporting
+    unit.
+    """
+
+    return _bench_cert_pipeline("cert_pipeline_d8", rng, 8, 2 if quick else 4)
+
+
+def _keys_in_shard(client, shard_id: int, count: int) -> list[str]:
+    """The first *count* workload keys the fleet's partitioner puts in a shard."""
+
+    keys = (format_key(index) for index in itertools.count())
+    owned = (key for key in keys if client.partitioner.shard_of(key) == shard_id)
+    return list(itertools.islice(owned, count))
+
+
+def bench_shard_handoff(rng: random.Random, quick: bool) -> BenchResult:
+    """One certified handoff of a 32-block shard between two edges.
+
+    Timed: ``ShardedWedgeSystem.rebalance_shard`` and all it sets off — the
+    cloud's order, the source's drain and signed offer, the cloud's check
+    against its certified digests, its countersigned grant and new map, the
+    transfer of blocks, proofs and pages, the destination's verification of
+    each, and the install ack reaching the cloud.  Set-up: a 2-edge fleet
+    whose shard 0 holds 32 four-put blocks, certified and merged.  Reported
+    as handoffs/s (HMAC).
+    """
+
+    num_blocks, block_size = 32, 4
+
+    def build():
+        fleet = _sharded_fleet(2, ShardingConfig(num_shards=2), block_size=block_size)
+        client = fleet.clients[0]
+        keys = _keys_in_shard(client, 0, num_blocks * block_size)
+        for start in range(0, len(keys), block_size):
+            block = keys[start : start + block_size]
+            client.put_batch([(key, rng.randbytes(32)) for key in block])
+        fleet.run()  # every block certified, every merge absorbed
+        assert len(fleet.edges[0].shard_state(0).log) == num_blocks
+        return fleet
+
+    def drive(fleet):
+        fleet.rebalance_shard(0, dest=1)
+        return lambda: fleet.cloud.stats["shard_installs"] == 1
+
+    fleets = [build() for _ in range(20 if quick else 60)]
+    return _time_fleet_runs("shard_handoff", fleets, drive, 1)
+
+
+def bench_txn_cross_shard(rng: random.Random, quick: bool) -> BenchResult:
+    """Cross-shard 2PC through the coordinator and both participant edges.
+
+    Timed, per transaction of 2 shards x 4 writes: ``ShardedClient.txn_put``
+    signs the entries and one prepare per shard; each edge verifies, stages
+    and signs a receipt; the coordinator verifies both and signs the commit
+    decision; each edge verifies it, forms the commit block, answers with a
+    Phase I receipt and an ack, and the cloud certifies the block.  Five
+    transactions run at once per repeat, until every commit block is at
+    Phase II.  Set-up: an empty 2-edge fleet.  Reported as transactions/s
+    (HMAC).
+    """
+
+    txns_per_repeat, writes_per_shard = 5, 4
+    fleets = [
+        _sharded_fleet(2, ShardingConfig(num_shards=2)) for _ in range(40 if quick else 150)
+    ]
+    shard_keys = [
+        _keys_in_shard(fleets[0].clients[0], shard_id, txns_per_repeat * writes_per_shard)
+        for shard_id in (0, 1)
+    ]
+    txns = [
+        [(key, rng.randbytes(64)) for keys in shard_keys for key in keys[index::txns_per_repeat]]
+        for index in range(txns_per_repeat)
+    ]
+
+    def drive(fleet):
+        client = fleet.clients[0]
+        records = [client.txns.record(client.txn_put(items)) for items in txns]
+        prepares = [p.operation_id for record in records for p in record.participants.values()]
+        return _all_phase_two(client, prepares)
+
+    return _time_fleet_runs("txn_cross_shard", fleets, drive, txns_per_repeat)
+
+
+def bench_replica_read(rng: random.Random, quick: bool) -> BenchResult:
+    """Verified gets served by a shard's writer and its two read replicas.
+
+    Timed, per get of a 200-key Zipfian(0.99) stream: ``ShardedClient.get``
+    routes the key and picks its sticky replica-set member; that edge builds
+    the read proof from its (mirrored) index and, if a replica, attaches its
+    cloud-signed lease; the client checks the lease covers the response and
+    verifies the proof to Phase II.  Set-up: a 4-edge, 16-shard
+    ``replication_factor=3`` fleet with 64 certified keys mirrored to every
+    replica.  Reported as reads/s; ``get_verify`` is the same proof path
+    without fleet, routing or lease.
+    """
+
+    num_keys, reads_per_repeat = 64, 200
+    items = [(format_key(index), rng.randbytes(32)) for index in range(num_keys)]
+    key_space = KeySpace(num_keys, distribution="zipfian", zipf_theta=0.99)
+    sampler = DeterministicRng(rng.randrange(2**31))
+    keys = [key_space.sample(sampler) for _ in range(reads_per_repeat)]
+
+    def build():
+        fleet = _sharded_fleet(4, ShardingConfig(num_shards=16, replication_factor=3))
+        client = fleet.clients[0]
+        _run_to_outcome(fleet, lambda _: _all_phase_two(client, client.put_batch(items)))
+        # Two shipping ticks: every replica mirrors the certified log and
+        # holds a live lease before the first read is issued.
+        fleet.run_for(2 * fleet.config.security.gossip_interval_s)
+        return fleet
+
+    def drive(fleet):
+        client = fleet.clients[0]
+        return _all_phase_two(client, [client.get(key) for key in keys])
+
+    fleets = [build() for _ in range(5 if quick else 10)]
+    return _time_fleet_runs("replica_read", fleets, drive, reads_per_repeat)
+
+
+def _bench_put_fleet(name: str, rng: random.Random, quick: bool, observability: bool):
+    """Ten 100-put batches to Phase II on a 1-edge fleet, observability on or off."""
+
+    batches, batch_size = 10, 100
+    config = config_for_batch(batch_size).with_overrides(
+        observability=ObservabilityConfig(enabled=observability)
+    )
+    items = [
+        [(format_key(batch * batch_size + i), rng.randbytes(32)) for i in range(batch_size)]
+        for batch in range(batches)
+    ]
+
+    def drive(fleet):
+        client = fleet.client()
+        return _all_phase_two(client, [client.put_batch(batch) for batch in items])
+
+    fleets = [
+        WedgeChainSystem.build(config, env=local_environment())
+        for _ in range(6 if quick else 12)
+    ]
+    return _time_fleet_runs(name, fleets, drive, batches * batch_size)
+
+
+def bench_obs_overhead(rng: random.Random, quick: bool) -> BenchResult:
+    """The put path of a 1-edge fleet with observability switched on.
+
+    Timed: ``Client.put_batch`` x 10 to Phase II — entry signing, block
+    formation, Phase I receipts, lazy certification, the level-0 merge the
+    tenth block triggers — under ``ObservabilityConfig(enabled=True)``:
+    every handler in its span, every ``stats`` write mirrored into the
+    metrics registry, every message carrying a trace sidecar.  Set-up: the
+    fleet.  Reported as puts/s.  The overhead is this row against the same
+    helper with observability off; one suite run cannot resolve it, so
+    ``tests/test_chaos_scenarios.py`` takes a median of adjacent pair ratios.
+    """
+
+    return _bench_put_fleet("obs_overhead", rng, quick, observability=True)
+
+
 def bench_live_put_p99(rng: random.Random, quick: bool) -> BenchResult:
     """Open-loop Poisson puts against a live 1-edge asyncio fleet.
 
@@ -1119,7 +893,6 @@ def bench_live_put_p99(rng: random.Random, quick: bool) -> BenchResult:
     from ..common.config import WorkloadConfig
     from ..service import LiveFleet
     from ..workloads.openloop import OpenLoopSpec, run_open_loop
-    from .runner import config_for_batch
 
     # ~40 req/s of 100-put batches saturates the single edge on a typical
     # host; offer well below that so the row tracks the service-time tail
@@ -1167,7 +940,6 @@ BENCHMARKS = (
     bench_put_pipeline,
     bench_get_verify,
     bench_certify_per_block,
-    bench_certify_batch,
     bench_cert_pipeline_d1,
     bench_cert_pipeline_d8,
     bench_gossip_per_edge,

@@ -518,6 +518,22 @@ class TestPaperNodesImportNoFleetProtocol:
         assert not offenders, offenders
 
 
+class TestPerfSuiteImportsNoProtocolVocabulary:
+    """``repro.bench.perf`` times nodes; a row that imports a fleet message
+    module or a certify statement is spelling the protocol itself again."""
+
+    def test_perf_imports_no_fleet_message_or_certify_statement(self):
+        offenders = [
+            module
+            for module in _imported_modules(REPO / "src/repro/bench/perf.py")
+            if module.startswith(
+                ("repro.messages.shard_messages", "repro.messages.txn_messages")
+            )
+            or module.endswith((".CertifyStatement", ".CertifyBatchStatement"))
+        ]
+        assert not offenders, offenders
+
+
 class TestNoLadders:
     def test_detector_sees_a_ladder(self):
         ladder = (

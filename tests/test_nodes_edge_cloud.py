@@ -253,3 +253,47 @@ class TestFullDataLazyVariant:
         assert isinstance(request, BlockCertifyRequest)
         assert request.wire_size > block.wire_size
         assert request.block_digest == block.digest()
+
+
+class TestDroppedCertifyRequestIsNeverResent:
+    """ROADMAP direction 3(a), pinned: no fleet arms
+    ``EdgeNode.retry_overdue_certifications``, so one certify request lost on
+    the uplink leaves its block at Phase I for good.  The PR that arms the
+    retry removes the ``xfail`` marker and nothing else."""
+
+    @staticmethod
+    def fleet_after_a_minute_without_the_first_certify_request():
+        """A 1-edge sim fleet at paper defaults whose first
+        ``BlockCertifyRequest`` a send hook vetoes, run 60 simulated seconds."""
+
+        system = WedgeChainSystem.build()
+        dropped = []
+
+        def veto_first_certify_request(src, dst, message) -> bool:
+            if isinstance(message, BlockCertifyRequest) and not dropped:
+                dropped.append(message)
+                return False
+            return True
+
+        system.env.network.add_send_hook("test:drop-certify", veto_first_certify_request)
+        block_size = system.config.logging.block_size
+        system.client().put_batch([(f"key-{i}", b"v") for i in range(block_size)])
+        system.run_for(60.0)
+        return system, dropped
+
+    @pytest.mark.xfail(
+        strict=True, reason="no fleet arms retry_overdue_certifications (ROADMAP 3a)"
+    )
+    def test_block_reaches_phase_two_on_its_own(self):
+        system, _dropped = self.fleet_after_a_minute_without_the_first_certify_request()
+        assert system.edge().log.uncertified_block_ids() == ()
+
+    def test_block_reaches_phase_two_once_the_retry_is_called_by_hand(self):
+        system, dropped = self.fleet_after_a_minute_without_the_first_certify_request()
+        edge = system.edge()
+        assert len(dropped) == 1 and edge.stats["blocks_formed"] == 1
+        assert edge.log.uncertified_block_ids() == (dropped[0].statement.block_id,)
+        assert edge.retry_overdue_certifications(1.0) == 1
+        system.run_for(5.0)
+        assert edge.log.uncertified_block_ids() == ()
+        assert system.cloud.stats["certifications"] == 1
