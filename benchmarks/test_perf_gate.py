@@ -118,7 +118,7 @@ class TestCompare:
         added or deleted in one place and not the others fails here without
         running the suite.  Everything gates except the wall-clock open-loop
         put p99 (parked by ROADMAP until a capacity-relative row replaces
-        it) and the five rows re-pointed at real nodes."""
+        it); the five rows PR 21 re-pointed at real nodes graduated in PR 23."""
 
         import pathlib
 
@@ -129,16 +129,7 @@ class TestCompare:
         full = str(root / "benchmarks" / "BENCH_hotpath_full.json")
         rows = {bench.__name__[len("bench_"):] for bench in BENCHMARKS}
         assert set(load_results(quick)) == set(load_results(full)) == rows
-        assert load_non_gating(quick) == {
-            "live_put_p99",
-            # Re-recorded on real nodes in PR 21; they graduate (leave this
-            # set) in the first PR after it.
-            "certify_per_block",
-            "shard_handoff",
-            "txn_cross_shard",
-            "replica_read",
-            "obs_overhead",
-        }
+        assert load_non_gating(quick) == {"live_put_p99"}
 
 
 class TestCli:

@@ -6,7 +6,9 @@ had already been re-sent, the 2PC coordinator spread its decision retries at
 a fixed interval, and the shard-handoff drain had no retransmission at all
 (a lost offer or transfer wedged the handoff forever).
 :class:`RetryPolicy` unifies them: capped exponential backoff with optional
-seeded jitter and a bounded attempt budget.
+seeded jitter and a bounded attempt budget.  :class:`Retransmission` is the
+one timer chain that walks a policy for the steps that re-send a stored
+message (handoff offers and transfers, 2PC decisions).
 
 The policy itself is *clockless* — it maps an attempt number to a delay (or
 an already-recorded retry count to the timeout guarding the next attempt);
@@ -26,7 +28,7 @@ caller opts into backoff.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from ..common.errors import ConfigurationError
 from ..sim.rng import DeterministicRng
@@ -118,3 +120,41 @@ class RetryPolicy:
         """Whether ``retries`` already spent the whole attempt budget."""
 
         return self.max_attempts is not None and retries >= self.max_attempts
+
+
+class Retransmission:
+    """One retransmission chain: re-send on *policy*'s schedule until told to stop.
+
+    Arms ``policy.delay(1)`` on *schedule* (an environment's own
+    ``schedule``, simulated or wall-clock); when the timer fires,
+    ``resend()`` re-ships the message and returns whether to keep going —
+    ``False`` once the step completed or was superseded.  The chain also
+    ends on :meth:`cancel` and when the attempt budget is spent: recovery is
+    then the peer's or an operator's, never a retry loop against a dead peer.
+    """
+
+    def __init__(
+        self,
+        schedule: Callable[..., Any],
+        policy: RetryPolicy,
+        resend: Callable[[], bool],
+        label: str = "",
+    ) -> None:
+        self._handle: Optional[Any] = None
+
+        def arm(attempt: int) -> None:
+            def fire() -> None:
+                self._handle = None  # an ended chain keeps nothing alive
+                if resend():
+                    arm(attempt + 1)
+
+            if policy.allows(attempt):
+                self._handle = schedule(policy.delay(attempt), fire, label=label)
+
+        arm(1)
+
+    def cancel(self) -> None:
+        """End the chain: a pending timer never fires."""
+
+        if self._handle is not None:
+            self._handle.cancel()

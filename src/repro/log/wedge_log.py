@@ -110,9 +110,24 @@ class WedgeLog:
         self._records[block.block_id] = record
         return record
 
+    def adopt(self, block: Block, proof: Optional[AnyBlockProof]) -> LogRecord:
+        """Append a block formed elsewhere (a mirror's or a promoted replica's
+        copy) with the cloud proof it came with, if it has one yet."""
+
+        record = self.append(block)
+        if proof is not None:
+            self.attach_proof(proof)
+        return record
+
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
+    @property
+    def highest_block_id(self) -> BlockId:
+        """The largest block id held, ``-1`` when empty (a shipping watermark)."""
+
+        return max(self._records, default=-1)
+
     def get(self, block_id: BlockId) -> LogRecord:
         try:
             return self._records[block_id]

@@ -138,53 +138,8 @@ WIRE_MESSAGE_TYPES: tuple[type, ...] = (
     TxnDisputeVerdict,
 )
 
-__all__ = [
-    "AppendBatchRequest",
-    "AppendBatchResponse",
-    "BatchCertificateMessage",
-    "BlockCertifyRequest",
-    "BlockProofMessage",
-    "CertifyBatchRequest",
-    "CertifyWindowRequest",
-    "CertifyWindowStatement",
-    "CertifyBatchStatement",
-    "CertifyRejection",
-    "DegradedModeNotice",
-    "CertifyStatement",
-    "DisputeRequest",
-    "DisputeVerdict",
-    "GetRequest",
-    "GetResponse",
-    "GetResponseStatement",
-    "GossipBatchMessage",
-    "GossipBatchStatement",
-    "GossipEntry",
-    "GossipMessage",
-    "GossipStatement",
-    "HandoffGrantStatement",
-    "MergeRejection",
-    "MergeRequest",
-    "MergeResponse",
-    "NotOwnerRedirect",
-    "NotOwnerStatement",
-    "ReadRequest",
-    "ReadResponse",
-    "ReadResponseStatement",
-    "RootRefreshRequest",
-    "RootRefreshResponse",
-    "ShardAssignment",
-    "ShardDispute",
-    "ShardDisputeVerdict",
-    "ShardHandoffCertificate",
-    "ShardHandoffGrant",
-    "ShardHandoffOrder",
-    "ShardHandoffRejection",
-    "ShardHandoffRequest",
-    "ShardHandoffStatement",
-    "ShardInstallAck",
-    "ShardMapMessage",
-    "ShardMapStatement",
-    "ShardTransferMessage",
-    "ShardTransferStatement",
-    "WIRE_MESSAGE_TYPES",
-]
+#: Every class imported above plus the wire listing — computed, so a message
+#: added to the imports cannot go missing from ``from repro.messages import *``.
+__all__ = sorted(
+    name for name, value in globals().items() if isinstance(value, type)
+) + ["WIRE_MESSAGE_TYPES"]

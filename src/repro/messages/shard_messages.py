@@ -380,7 +380,7 @@ class ReplicaLeaseStatement:
     clients while ``expires_at`` has not passed.  The lease is the offline
     authority chain for replica reads: a replica attaches its current lease
     to every response, and serving without a covering lease is convictable
-    via :func:`repro.core.dispute.judge_stale_replica_dispute`.
+    via :func:`repro.sharding.judges.judge_stale_replica_dispute`.
     """
 
     cloud: NodeId
@@ -606,7 +606,7 @@ class ShardDispute:
       with whatever lease the replica attached (``lease``, possibly
       ``None``); the cloud convicts unless the lease covers the statement's
       ``issued_at`` (see
-      :func:`repro.core.dispute.judge_stale_replica_dispute`).
+      :func:`repro.sharding.judges.judge_stale_replica_dispute`).
     """
 
     reporter: NodeId

@@ -20,7 +20,7 @@ certified machinery (``repro.sharding.transactions``):
 Every artifact is signed by the party it binds: prepare statements and
 decisions by the coordinator, receipts by the participant edge.  That is
 what makes misbehaviour *provable* (see
-:func:`repro.core.dispute.judge_txn_dispute`): a receipt that misquotes the
+:func:`repro.sharding.judges.judge_txn_dispute`): a receipt that misquotes the
 client-signed write set convicts the edge, an edge serving a staged write
 after a signed abort convicts the edge, and two contradictory signed
 decisions for one transaction convict the coordinator.
@@ -282,7 +282,7 @@ class TxnDecisionAck:
 class TxnDispute:
     """An accusation of 2PC misbehaviour, with the signed artifacts attached.
 
-    Kinds (see :func:`repro.core.dispute.judge_txn_dispute`):
+    Kinds (see :func:`repro.sharding.judges.judge_txn_dispute`):
 
     * ``prepare-receipt-mismatch`` — the coordinator presents its own signed
       prepare statement plus the edge-signed receipt whose write set

@@ -11,29 +11,30 @@ This subsystem turns the paper's single-edge deployment into a fleet:
 * :mod:`~repro.sharding.client` — the shard-aware client (routing, signed
   redirects, stale-owner detection, per-shard session consistency);
 * :mod:`~repro.sharding.edge` — the sharded edge node (one partition of
-  log/LSMerkle state per owned shard) and its malicious variants;
+  log/LSMerkle state per owned shard), with its malicious variants in
+  :mod:`~repro.sharding.malicious`;
 * :mod:`~repro.sharding.participant` — the 2PC participant role that edge
   lists as a base (:mod:`~repro.sharding.transactions` has the coordinator);
 * :mod:`~repro.sharding.cloud` — the sharded cloud node (the paper's cloud
   plus shard-map authority: handoff countersigning, leases, failover,
-  shard and 2PC disputes);
+  shard and 2PC disputes, judged by :mod:`~repro.sharding.judges`);
 * :mod:`~repro.sharding.handoff` — the certified shard-handoff digests;
 * :mod:`~repro.sharding.system` — the fleet facade.
 """
 
 from .client import ShardedClient
 from .cloud import ShardedCloudNode
-from .edge import (
+from .edge import ShardedEdgeNode
+from .handoff import level_roots_from_pages, shard_state_digest
+from .malicious import (
     AbortIgnoringEdgeNode,
     DeposedWriterEdgeNode,
     ExpiredLeaseReplicaEdgeNode,
-    ShardedEdgeNode,
     StaleShardOwnerEdgeNode,
     TamperingHandoffEdgeNode,
     TamperingPrepareEdgeNode,
     UnresponsivePrepareEdgeNode,
 )
-from .handoff import level_roots_from_pages, shard_state_digest
 from .partitioner import (
     HashRingPartitioner,
     KeyPartitioner,

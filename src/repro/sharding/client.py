@@ -440,11 +440,10 @@ class ShardedClient(Client):
                             self._record_suspicion(
                                 "stale-replica-serve", None, record.operation_id
                             )
-                            self._send_stale_replica_dispute(
-                                statement.edge,
+                            self._send_shard_dispute(
+                                "stale-replica-serve",
                                 shard_id,
-                                statement,
-                                response.signature,
+                                response,
                                 response.lease,
                             )
                             self.tracker.mark_failed(
@@ -461,9 +460,7 @@ class ShardedClient(Client):
                     self._record_suspicion(
                         "stale-owner-serve", None, record.operation_id
                     )
-                    self._send_shard_dispute(
-                        statement.edge, shard_id, statement, response.signature
-                    )
+                    self._send_shard_dispute("stale-owner-serve", shard_id, response)
                     self.tracker.mark_failed(
                         record.operation_id,
                         self.env.now(),
@@ -520,9 +517,9 @@ class ShardedClient(Client):
         """Whether the attached lease authorized this replica's response.
 
         The lease must be cloud-signed for exactly this replica and shard,
-        and its expiry must cover the statement's ``issued_at`` — the same
-        rule :func:`repro.core.dispute.judge_stale_replica_dispute` applies,
-        so a response this check rejects is a conviction, never a guess.
+        and its expiry must cover the statement's ``issued_at`` — the rule
+        :func:`repro.sharding.judges.judge_stale_replica_dispute` applies, so
+        a response this check rejects is a conviction, never a guess.
         """
 
         if lease is None:
@@ -545,42 +542,26 @@ class ShardedClient(Client):
         writers.discard(self._expected_edge(record))
         return tuple(sorted(writers, key=str))
 
-    def _send_stale_replica_dispute(
-        self,
-        accused: NodeId,
-        shard_id: ShardId,
-        statement,
-        signature,
-        lease: Optional[ReplicaLease],
-    ) -> None:
-        self.stats["shard_disputes_sent"] += 1
-        self.env.send(
-            self.node_id,
-            self.cloud,
-            ShardDispute(
-                reporter=self.node_id,
-                accused=accused,
-                shard_id=shard_id,
-                kind="stale-replica-serve",
-                serve_statement=statement,
-                serve_signature=signature,
-                lease=lease,
-            ),
-        )
-
     def _send_shard_dispute(
-        self, accused: NodeId, shard_id: ShardId, statement, signature
+        self,
+        kind: str,
+        shard_id: ShardId,
+        response: GetResponse,
+        lease: Optional[ReplicaLease] = None,
     ) -> None:
+        """Forward the serving edge's own signed *response* as evidence."""
+
         self.stats["shard_disputes_sent"] += 1
         self.env.send(
             self.node_id,
             self.cloud,
             ShardDispute(
                 reporter=self.node_id,
-                accused=accused,
+                accused=response.statement.edge,
                 shard_id=shard_id,
-                kind="stale-owner-serve",
-                serve_statement=statement,
-                serve_signature=signature,
+                kind=kind,
+                serve_statement=response.statement,
+                serve_signature=response.signature,
+                lease=lease,
             ),
         )

@@ -23,16 +23,12 @@ authority never runs without one.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Optional
 
 from ..common.config import SystemConfig
 from ..common.errors import ConfigurationError
 from ..common.identifiers import NodeId, ShardId
-from ..core.dispute import (
-    judge_shard_dispute,
-    judge_stale_replica_dispute,
-    judge_txn_dispute,
-)
 from ..lsmerkle.merge import CloudIndexMirror
 from ..lsmerkle.mlsm import sign_global_root
 from ..messages.shard_messages import (
@@ -50,6 +46,7 @@ from ..messages.shard_messages import (
     ShardHandoffOrder,
     ShardHandoffRejection,
     ShardHandoffRequest,
+    ShardHandoffStatement,
     ShardInstallAck,
     ShardMapMessage,
     ShardQuarantineNotice,
@@ -59,6 +56,11 @@ from ..messages.txn_messages import TxnDispute, TxnDisputeVerdict
 from ..nodes.cloud import CloudNode
 from ..sim.environment import Environment
 from .handoff import shard_state_digest
+from .judges import (
+    judge_shard_dispute,
+    judge_stale_replica_dispute,
+    judge_txn_dispute,
+)
 from .partitioner import KeyPartitioner
 from .shard_map import ShardRegistry
 
@@ -168,11 +170,7 @@ class ShardedCloudNode(CloudNode):
             # Shard-membership gossip rides the same interval: one signed
             # map snapshot per tick keeps every client's ownership view at
             # most one gossip interval stale.
-            map_message = self.current_shard_map()
-            self.stats["shard_maps_published"] += 1
-            for client in self._gossip_targets:
-                self.env.send(self.node_id, client, map_message)
-                self.stats["gossip_messages"] += 1
+            self._gossip_shard_map(self._publish_shard_map())
         super()._emit_gossip()
 
     # ------------------------------------------------------------------
@@ -184,6 +182,19 @@ class ShardedCloudNode(CloudNode):
         return self.shard_registry.sign(
             self.env.registry, self.node_id, self.env.now()
         )
+
+    def _publish_shard_map(self) -> ShardMapMessage:
+        """Sign the current map as one more published version of it."""
+
+        self.stats["shard_maps_published"] += 1
+        return self.current_shard_map()
+
+    def _gossip_shard_map(self, map_message: ShardMapMessage) -> None:
+        """Push a signed map to every gossip target (the fleet's clients)."""
+
+        for client in self._gossip_targets:
+            self.env.send(self.node_id, client, map_message)
+            self.stats["gossip_messages"] += 1
 
     def request_shard_handoff(self, shard_id: ShardId, dest: NodeId) -> None:
         """Order the current owner to migrate *shard_id* to *dest*."""
@@ -203,20 +214,55 @@ class ShardedCloudNode(CloudNode):
             ),
         )
 
-    def _reject_handoff(
-        self, sender: NodeId, request: ShardHandoffRequest, reason: str
+    def _reject_offer(
+        self,
+        stat: str,
+        sender: NodeId,
+        offer: "ShardHandoffRequest | ReplicaPromotionOffer",
+        reason: str,
     ) -> None:
-        self.stats["shard_handoffs_rejected"] += 1
+        """Refuse to countersign *offer*, counting the refusal under *stat*."""
+
+        self.stats[stat] += 1
         self.env.send(
             self.node_id,
             sender,
             ShardHandoffRejection(
                 cloud=self.node_id,
-                edge=request.edge,
-                shard_id=request.shard_id,
+                edge=offer.edge,
+                shard_id=offer.shard_id,
                 reason=reason,
             ),
         )
+
+    def _countersign(
+        self,
+        source: NodeId,
+        dest: NodeId,
+        statement: ShardHandoffStatement,
+        new_version: int,
+        now: float,
+    ) -> ShardHandoffCertificate:
+        """Countersign *statement*'s state as moved from *source* to *dest*
+        under map version *new_version*, and keep the certificate on record
+        for the disputes that may cite it."""
+
+        grant_statement = HandoffGrantStatement(
+            cloud=self.node_id,
+            source=source,
+            dest=dest,
+            shard_id=statement.shard_id,
+            map_version=new_version,
+            state_digest=statement.state_digest,
+            num_blocks=len(statement.blocks),
+            issued_at=now,
+        )
+        certificate = ShardHandoffCertificate(
+            statement=grant_statement,
+            signature=self.env.registry.sign(self.node_id, grant_statement),
+        )
+        self._handoff_certificates[(statement.shard_id, new_version)] = certificate
+        return certificate
 
     def _handle_shard_handoff_request(
         self, sender: NodeId, request: ShardHandoffRequest
@@ -253,25 +299,21 @@ class ShardedCloudNode(CloudNode):
             self.stats["shard_handoff_regrants"] += 1
             self.env.send(self.node_id, sender, granted)
             return
+        reject = partial(
+            self._reject_offer, "shard_handoffs_rejected", sender, request
+        )
         if self.shard_registry.owner_of(shard_id) != statement.edge:
-            self._reject_handoff(sender, request, "offering edge does not own the shard")
-            return
+            return reject("offering edge does not own the shard")
         if self._ordered_handoffs.get(shard_id) != statement.dest:
-            self._reject_handoff(
-                sender,
-                request,
-                "no outstanding handoff order for this shard and destination",
+            return reject(
+                "no outstanding handoff order for this shard and destination"
             )
-            return
 
         certified = self._certified.get(statement.edge, {})
         for block_id, digest in statement.blocks:
             existing = certified.get(block_id)
             if existing is None:
-                self._reject_handoff(
-                    sender, request, f"block {block_id} was never certified"
-                )
-                return
+                return reject(f"block {block_id} was never certified")
             if existing != digest:
                 # The source signed a digest that contradicts what it had
                 # certified: a provable lie, punished directly.
@@ -281,8 +323,7 @@ class ShardedCloudNode(CloudNode):
                     f"certified one for block {block_id}",
                     block_id=block_id,
                 )
-                self._reject_handoff(sender, request, "digest mismatch in offer")
-                return
+                return reject("digest mismatch in offer")
 
         mirror = self.mirror_for(statement.edge, shard_id)
         expected_digest = shard_state_digest(
@@ -295,8 +336,7 @@ class ShardedCloudNode(CloudNode):
                 f"mirror of shard {shard_id}",
                 block_id=None,
             )
-            self._reject_handoff(sender, request, "state digest mismatch")
-            return
+            return reject("state digest mismatch")
 
         # Reassign ownership and move the mirror to the destination edge.
         now = self.env.now()
@@ -313,42 +353,22 @@ class ShardedCloudNode(CloudNode):
             config=self.config.lsmerkle,
             page_capacity=self.config.logging.block_size,
             level_page_digests=[list(level) for level in mirror.level_page_digests],
-            version=mirror.version + 1,
+            version=mirror.version,
         )
         self._mirrors[(dest, shard_id)] = dest_mirror
         self._mirrors.pop((statement.edge, shard_id), None)
-        signed_root = sign_global_root(
-            registry=self.env.registry,
-            cloud=self.node_id,
-            edge=dest,
-            level_roots=dest_mirror.level_roots(),
-            version=dest_mirror.version,
-            timestamp=now,
+        signed_root = dest_mirror.sign_current_root(
+            self.env.registry, self.node_id, now
         )
-
-        grant_statement = HandoffGrantStatement(
-            cloud=self.node_id,
-            source=statement.edge,
-            dest=dest,
-            shard_id=shard_id,
-            map_version=new_version,
-            state_digest=statement.state_digest,
-            num_blocks=len(statement.blocks),
-            issued_at=now,
+        certificate = self._countersign(
+            statement.edge, dest, statement, new_version, now
         )
-        certificate = ShardHandoffCertificate(
-            statement=grant_statement,
-            signature=self.env.registry.sign(self.node_id, grant_statement),
-        )
-        self._handoff_certificates[(shard_id, new_version)] = certificate
 
         self._ordered_handoffs.pop(shard_id, None)
-        map_message = self.shard_registry.sign(self.env.registry, self.node_id, now)
         self.stats["shard_handoffs_granted"] += 1
-        self.stats["shard_maps_published"] += 1
         grant = ShardHandoffGrant(
             certificate=certificate,
-            shard_map=map_message,
+            shard_map=self._publish_shard_map(),
             signed_root=signed_root,
         )
         self._granted_offers[
@@ -358,10 +378,8 @@ class ShardedCloudNode(CloudNode):
         # Mid-interval membership change: push the new map immediately to
         # the destination and to every gossip target instead of waiting for
         # the next gossip tick.
-        self.env.send(self.node_id, dest, map_message)
-        for client in self._gossip_targets:
-            self.env.send(self.node_id, client, map_message)
-            self.stats["gossip_messages"] += 1
+        self.env.send(self.node_id, dest, grant.shard_map)
+        self._gossip_shard_map(grant.shard_map)
 
     def _handle_shard_install_ack(self, sender: NodeId, ack: ShardInstallAck) -> None:
         if ack.dest != sender:
@@ -512,21 +530,6 @@ class ShardedCloudNode(CloudNode):
         self._quarantined_shards.add(notice.shard_id)
         self.stats["shard_quarantine_notices"] += 1
 
-    def _reject_promotion_offer(
-        self, sender: NodeId, offer: ReplicaPromotionOffer, reason: str
-    ) -> None:
-        self.stats["promotion_offers_rejected"] += 1
-        self.env.send(
-            self.node_id,
-            sender,
-            ShardHandoffRejection(
-                cloud=self.node_id,
-                edge=offer.edge,
-                shard_id=offer.shard_id,
-                reason=reason,
-            ),
-        )
-
     def _handle_promotion_offer(
         self, sender: NodeId, offer: ReplicaPromotionOffer
     ) -> None:
@@ -559,11 +562,11 @@ class ShardedCloudNode(CloudNode):
                 self.stats["replica_promotion_regrants"] += 1
                 self.env.send(self.node_id, sender, stored)
                 return
+            reject = partial(
+                self._reject_offer, "promotion_offers_rejected", sender, offer
+            )
             if self._promotions_inflight.get(shard_id) != sender:
-                self._reject_promotion_offer(
-                    sender, offer, "no outstanding promotion order for this replica"
-                )
-                return
+                return reject("no outstanding promotion order for this replica")
             source = self.shard_registry.owner_of(shard_id)
             allowed = {source, *self.shard_registry.provenance_of(shard_id)}
             for block_id, digest in statement.blocks:
@@ -580,10 +583,7 @@ class ShardedCloudNode(CloudNode):
                         f"certified for block {block_id} of shard {shard_id}",
                         block_id=block_id,
                     )
-                    self._reject_promotion_offer(
-                        sender, offer, "uncertified block in offer"
-                    )
-                    return
+                    return reject("uncertified block in offer")
 
             rebuilt = CloudIndexMirror(
                 edge=sender,
@@ -592,30 +592,20 @@ class ShardedCloudNode(CloudNode):
             )
             for level_index, digests in offer.level_page_digests:
                 if not 1 <= level_index < len(rebuilt.level_page_digests):
-                    self._reject_promotion_offer(
-                        sender, offer, "level index out of range"
-                    )
-                    return
+                    return reject("level index out of range")
                 rebuilt.level_page_digests[level_index] = list(digests)
             signed_root = offer.signed_root
             if signed_root is None:
                 if offer.level_page_digests:
-                    self._reject_promotion_offer(
-                        sender, offer, "level pages presented without a signed root"
-                    )
-                    return
+                    return reject("level pages presented without a signed root")
                 base_version = 0
             else:
                 if not signed_root.verify(
                     self.env.registry, self.node_id
                 ) or signed_root.statement.edge not in allowed:
-                    self._reject_promotion_offer(sender, offer, "signed root invalid")
-                    return
+                    return reject("signed root invalid")
                 if tuple(signed_root.statement.level_roots) != rebuilt.level_roots():
-                    self._reject_promotion_offer(
-                        sender, offer, "level pages do not match the signed root"
-                    )
-                    return
+                    return reject("level pages do not match the signed root")
                 base_version = signed_root.statement.version
             expected_digest = shard_state_digest(
                 shard_id, rebuilt.level_roots(), statement.blocks
@@ -627,8 +617,7 @@ class ShardedCloudNode(CloudNode):
                     f"recomputed from its own evidence for shard {shard_id}",
                     block_id=None,
                 )
-                self._reject_promotion_offer(sender, offer, "state digest mismatch")
-                return
+                return reject("state digest mismatch")
 
             # Promote: deposed writer joins the provenance chain, the replica
             # leaves the replica set and takes ownership, the shard's mirror is
@@ -648,22 +637,8 @@ class ShardedCloudNode(CloudNode):
                     version=rebuilt.version,
                     timestamp=now,
                 )
-            grant_statement = HandoffGrantStatement(
-                cloud=self.node_id,
-                source=source,
-                dest=sender,
-                shard_id=shard_id,
-                map_version=new_version,
-                state_digest=statement.state_digest,
-                num_blocks=len(statement.blocks),
-                issued_at=now,
-            )
-            certificate = ShardHandoffCertificate(
-                statement=grant_statement,
-                signature=self.env.registry.sign(self.node_id, grant_statement),
-            )
-            self._handoff_certificates[(shard_id, new_version)] = certificate
-            map_message = self.shard_registry.sign(self.env.registry, self.node_id, now)
+            certificate = self._countersign(source, sender, statement, new_version, now)
+            map_message = self._publish_shard_map()
             grant = ReplicaPromotionGrant(
                 certificate=certificate, shard_map=map_message, signed_root=new_root
             )
@@ -672,7 +647,6 @@ class ShardedCloudNode(CloudNode):
             self._quarantined_shards.discard(shard_id)
             self._replica_acks.pop((shard_id, sender), None)
             self.stats["replica_promotions"] += 1
-            self.stats["shard_maps_published"] += 1
             self.env.send(self.node_id, sender, grant)
             # The promoted writer serves immediately under a fresh lease (the
             # shard may still have surviving replicas keeping the gate on).
@@ -689,9 +663,7 @@ class ShardedCloudNode(CloudNode):
             recipients.discard(sender)
             for node in sorted(recipients, key=str):
                 self.env.send(self.node_id, node, map_message)
-            for client in self._gossip_targets:
-                self.env.send(self.node_id, client, map_message)
-                self.stats["gossip_messages"] += 1
+            self._gossip_shard_map(map_message)
 
     def _handle_shard_dispute(self, sender: NodeId, dispute: ShardDispute) -> None:
         params = self.env.params

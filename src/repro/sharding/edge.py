@@ -26,17 +26,12 @@ Rebalancing runs the certified handoff protocol of
 :mod:`repro.sharding.handoff`: drain, offer (digests only), cloud
 countersign, transfer, destination-side verification — with a shard dispute
 raised when the transferred bytes contradict the countersigned state digest.
-
-Two malicious variants exercise the fleet's detection paths:
-``TamperingHandoffEdgeNode`` ships tampered blocks during a handoff (its own
-signed transfer statement convicts it), and ``StaleShardOwnerEdgeNode``
-keeps serving a shard after handing it off (the cloud's ownership history
-convicts it from any signed response).
+The adversaries that exercise the detection paths override this node's
+handlers and hooks from :mod:`repro.sharding.malicious`.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Iterable, Optional
 
 from ..common.config import SystemConfig
@@ -67,11 +62,9 @@ from ..messages.log_messages import (
     ReadRequest,
 )
 from ..messages.txn_messages import (
-    TXN_ABORT,
     TxnDecisionMessage,
     TxnDisputeVerdict,
     TxnPrepareRequest,
-    TxnWrite,
 )
 from ..messages.shard_messages import (
     NotOwnerRedirect,
@@ -84,6 +77,7 @@ from ..messages.shard_messages import (
     ReplicaShipmentAck,
     ShardDispute,
     ShardDisputeVerdict,
+    ShardHandoffCertificate,
     ShardHandoffGrant,
     ShardHandoffOrder,
     ShardHandoffRejection,
@@ -97,14 +91,15 @@ from ..messages.shard_messages import (
     WriterHeartbeat,
 )
 from ..common.errors import StorageError
-from ..faults.retry import RetryPolicy
+from ..crypto.signatures import Signature
+from ..faults.retry import Retransmission, RetryPolicy
 from ..nodes.edge import EdgeNode, PartitionState
 from ..sim.environment import Environment
 from .handoff import (
-    level_pages_match_root,
     level_roots_from_pages,
     seed_partition_store,
     shard_state_digest,
+    shipped_state_is_certified,
 )
 from .participant import TxnParticipantRole, TxnPartitionState
 from .partitioner import KeyPartitioner
@@ -220,10 +215,10 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
         self.txn_verdicts: list[TxnDisputeVerdict] = []
         #: Sequence numbers for edge-produced transaction decision records.
         self._txn_record_seq = SequenceGenerator()
-        #: Armed handoff retransmission timers, keyed (kind, shard id) with
+        #: Handoff retransmission chains, keyed (kind, shard id) with
         #: ``kind`` in {"offer", "transfer"}.  Volatile: a crash drops them
         #: (the peer's own retry or the cloud's re-order recovers).
-        self._handoff_retries: dict[tuple[str, ShardId], Any] = {}
+        self._handoff_retries: dict[tuple[str, ShardId], Retransmission] = {}
         #: Handoffs this edge already refused, keyed by the countersigned
         #: certificate ``(source, shard id, state digest)``: one certificate
         #: gets one trial, so a retransmitted or re-signed transfer under a
@@ -358,9 +353,7 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
                 # replaces the index snapshot wholesale anyway).
                 fresh = self._new_replica_state(shard_id, writer)
                 for record in state.log:
-                    fresh.log.append(record.block)
-                    if record.proof is not None:
-                        fresh.log.attach_proof(record.proof)
+                    fresh.log.adopt(record.block, record.proof)
                 fresh.index = state.index
                 fresh.level_zero_blocks = state.level_zero_blocks
                 fresh.signed_root = state.signed_root
@@ -379,12 +372,24 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
             self._shard_leases.pop(shard_id, None)
         self._maybe_start_replication()
 
-    def _retire_deposed_state(self, shard_id: ShardId) -> None:
+    def _retire_partition(self, shard_id: ShardId) -> None:
+        """Stop serving *shard_id*: archive its blocks and drop the partition.
+
+        The blocks stay certified under this edge's name, so log reads must
+        keep resolving (denying them would look like an omission).  The
+        durable state now lives with the shard's next writer: retire this
+        incarnation's store so a later re-adoption starts from a fresh
+        certified transfer, never from stale segments.
+        """
+
         state = self._shard_states.pop(shard_id)
         for record in state.log:
             self._archived_records[record.block.block_id] = record
         if state.store is not None:
             state.store.retire()
+
+    def _retire_deposed_state(self, shard_id: ShardId) -> None:
+        self._retire_partition(shard_id)
         self._shard_leases.pop(shard_id, None)
         for key in [k for k in self._replica_watermarks if k[0] == shard_id]:
             del self._replica_watermarks[key]
@@ -631,39 +636,26 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
     # ------------------------------------------------------------------
     # Handoff retransmission timers
     # ------------------------------------------------------------------
-    def _arm_handoff_retry(self, kind: str, shard_id: ShardId, attempt: int, resend) -> None:
-        """Arm one retransmission timer for a lossy handoff step.
+    def _arm_handoff_retry(self, kind: str, shard_id: ShardId, resend) -> None:
+        """Start the retransmission chain of a lossy handoff step.
 
-        ``resend`` re-ships the message and returns ``True`` to keep the
-        retry chain alive; returning ``False`` (the step completed or was
-        superseded while the timer was pending) ends it.  Exhausting the
-        policy leaves the shard for operator/cloud-driven recovery rather
-        than retrying forever against a dead peer.
+        ``resend`` re-ships the message and returns whether to keep going;
+        exhausting the policy leaves the shard for operator/cloud-driven
+        recovery.  A chain already armed for the step is superseded.
         """
 
-        policy = self.HANDOFF_RETRY_POLICY
-        if not policy.allows(attempt):
-            return
-        key = (kind, shard_id)
-
-        def fire() -> None:
-            # A cancelled or superseded timer: ``_cancel_handoff_retry``
-            # popped the key, or a newer arm replaced the handle.
-            if self._handoff_retries.get(key) is not handle:
-                return
-            del self._handoff_retries[key]
-            if resend():
-                self._arm_handoff_retry(kind, shard_id, attempt + 1, resend)
-
-        handle = self.env.schedule(
-            policy.delay(attempt), fire, label=f"{self.node_id}:handoff-{kind}-retry"
+        self._cancel_handoff_retry(kind, shard_id)
+        self._handoff_retries[(kind, shard_id)] = Retransmission(
+            self.env.schedule,
+            self.HANDOFF_RETRY_POLICY,
+            resend,
+            label=f"{self.node_id}:handoff-{kind}-retry",
         )
-        self._handoff_retries[key] = handle
 
     def _cancel_handoff_retry(self, kind: str, shard_id: ShardId) -> None:
-        handle = self._handoff_retries.pop((kind, shard_id), None)
-        if handle is not None:
-            handle.cancel()
+        chain = self._handoff_retries.pop((kind, shard_id), None)
+        if chain is not None:
+            chain.cancel()
 
     # ------------------------------------------------------------------
     # Handoff: source side
@@ -750,28 +742,14 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
     def _send_handoff_offer(
         self, shard_id: ShardId, state: PartitionState, dest: NodeId
     ) -> None:
-        blocks = _block_digests(record.block for record in state.log)
-        state_digest = shard_state_digest(
-            shard_id, state.index.level_roots(), blocks
-        )
-        statement = ShardHandoffStatement(
-            edge=self.node_id,
-            dest=dest,
-            shard_id=shard_id,
-            blocks=blocks,
-            state_digest=state_digest,
-            issued_at=self.env.now(),
-        )
-        request = ShardHandoffRequest(
-            statement=statement,
-            signature=self.env.registry.sign(self.node_id, statement),
-        )
+        statement, signature = self._sign_log_prefix(shard_id, state, dest)
+        request = ShardHandoffRequest(statement=statement, signature=signature)
         self.stats["shard_handoffs_offered"] += 1
         with self._span(
             "handoff.offer",
             parent=self._obs_handoff.get(shard_id),
             shard=str(shard_id),
-            blocks=len(blocks),
+            blocks=len(statement.blocks),
         ):
             self._ship_handoff_offer(request)
 
@@ -787,7 +765,27 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
             self._ship_handoff_offer(request)
             return True
 
-        self._arm_handoff_retry("offer", shard_id, 1, resend)
+        self._arm_handoff_retry("offer", shard_id, resend)
+
+    def _sign_log_prefix(
+        self, shard_id: ShardId, state: PartitionState, dest: NodeId
+    ) -> tuple[ShardHandoffStatement, Signature]:
+        """Sign *state*'s log — every ``(block id, digest)`` in id order —
+        bound to its level roots, as the data-free offer of the shard to
+        *dest* that the cloud re-verifies against what it certified."""
+
+        blocks = _block_digests(record.block for record in state.log)
+        statement = ShardHandoffStatement(
+            edge=self.node_id,
+            dest=dest,
+            shard_id=shard_id,
+            blocks=blocks,
+            state_digest=shard_state_digest(
+                shard_id, state.index.level_roots(), blocks
+            ),
+            issued_at=self.env.now(),
+        )
+        return statement, self.env.registry.sign(self.node_id, statement)
 
     def _ship_handoff_offer(self, request: ShardHandoffRequest) -> None:
         self.env.charge(
@@ -822,11 +820,7 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
         if sender != self.cloud:
             return
         certificate = grant.certificate
-        if (
-            certificate.cloud != self.cloud
-            or certificate.source != self.node_id
-            or not certificate.verify(self.env.registry)
-        ):
+        if not self._certificate_names_me(certificate, certificate.source):
             return
         shard_id = certificate.shard_id
         state = self._shard_states.get(shard_id)
@@ -834,11 +828,6 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
             return
         self._cancel_handoff_retry("offer", shard_id)
         self._handle_shard_map(sender, grant.shard_map)
-
-        # Archive the shard's blocks: they remain certified under this
-        # edge's name, so log reads must keep working after the handoff.
-        for record in state.log:
-            self._archived_records[record.block.block_id] = record
 
         blocks = tuple(record.block for record in state.log)
         proofs = tuple(record.proof for record in state.log)
@@ -873,18 +862,13 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
             blocks=len(ship_blocks),
         ):
             self.env.send(self.node_id, certificate.dest, transfer)
-        if state.store is not None:
-            # The durable state travels with the shard: retire this
-            # incarnation's store so a later re-adoption of the shard starts
-            # from a fresh certified transfer, never from stale segments.
-            state.store.retire()
-        del self._shard_states[shard_id]
+        self._retire_partition(shard_id)
         self._migrating.pop(shard_id, None)
         self._obs_handoff.pop(shard_id, None)
         self.stats["shard_handoffs_out"] += 1
         # Keep the transfer for retransmission until the destination's
-        # install ack: the live partition is gone as of the line above, so
-        # a lost transfer would leave the shard with no owner able to serve.
+        # install ack: the live partition was just retired, so a lost
+        # transfer would leave the shard with no owner able to serve.
         self._outgoing_transfers[shard_id] = (transfer, certificate.dest)
 
         def resend() -> bool:
@@ -897,7 +881,7 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
             self.env.send(self.node_id, certificate.dest, transfer)
             return True
 
-        self._arm_handoff_retry("transfer", shard_id, 1, resend)
+        self._arm_handoff_retry("transfer", shard_id, resend)
         # Requests parked during the drain now resolve to truthful signed
         # redirects under the republished map.
         self._replay_parked(shard_id)
@@ -920,11 +904,7 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
             self.env.charge(
                 params.handoff_install_cost(len(message.blocks), num_pages)
             )
-            if (
-                certificate.cloud != self.cloud
-                or certificate.dest != self.node_id
-                or not certificate.verify(self.env.registry)
-            ):
+            if not self._certificate_names_me(certificate, certificate.dest):
                 return
             if certificate.shard_id in self._shard_states:
                 # Already installed (a replayed or duplicated transfer): the
@@ -956,10 +936,6 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
                 # The statement must bind to the exact countersigned handoff:
                 # a lied-about version would otherwise point the dispute path
                 # at a certificate the cloud never issued, acquitting the liar.
-                return self._refuse_transfer(refusal_key)
-            if len(message.proofs) != len(message.blocks):
-                # One proof per block, strictly: a short proofs tuple would let
-                # the zipped verification loop below silently skip blocks.
                 return self._refuse_transfer(refusal_key)
 
             # Recompute the state digest from the bytes actually received.
@@ -995,38 +971,30 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
                     ),
                 )
                 return
-            if not message.signed_root.verify(self.env.registry, self.cloud):
-                return self._refuse_transfer(refusal_key)
-            if message.signed_root.statement.edge != self.node_id or not (
-                level_pages_match_root(
+            # A handoff always ships the root the cloud re-signed for this
+            # edge when it countersigned — merged pages or not.
+            signed_root = message.signed_root
+            if (
+                signed_root is None
+                or signed_root.statement.edge != self.node_id
+                or not shipped_state_is_certified(
+                    self.env.registry,
+                    self.cloud,
+                    message.blocks,
+                    message.proofs,
                     message.level_pages,
-                    message.signed_root,
+                    signed_root,
                     self.config.lsmerkle.num_levels,
                 )
             ):
                 return self._refuse_transfer(refusal_key)
-            for block, proof in zip(message.blocks, message.proofs):
-                if not self._proof_certifies(block, proof):
-                    return self._refuse_transfer(refusal_key)
 
             # Verified end to end: install and start serving.
             state = self._new_partition(shard_id)
             for level_index, pages in message.level_pages:
                 state.index.install_level_pages(level_index, pages)
             state.signed_root = message.signed_root
-            if state.store is not None:
-                # Seed the durable backend with what was just verified, so a
-                # crash after the install recovers the shard to this exact
-                # signed state instead of an empty partition.
-                try:
-                    seed_partition_store(
-                        state.store,
-                        level_pages=message.level_pages,
-                        signed_root=message.signed_root,
-                        next_block_id=state.log.next_block_id,
-                    )
-                except StorageError:
-                    self._storage_degraded()
+            self._seed_store(state, message.level_pages, message.signed_root)
             self._shard_states[shard_id] = state
             for block, proof in zip(message.blocks, message.proofs):
                 key = (statement.source, block.block_id)
@@ -1035,22 +1003,43 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
             self._send_install_ack(shard_id, statement.state_digest, statement.source)
             self._replay_parked(shard_id)
 
+    def _certificate_names_me(
+        self, certificate: ShardHandoffCertificate, party: NodeId
+    ) -> bool:
+        """Whether *certificate* is this cloud's valid countersignature and
+        *party* — the source or destination it names — is this edge."""
+
+        return (
+            certificate.cloud == self.cloud
+            and party == self.node_id
+            and certificate.verify(self.env.registry)
+        )
+
+    def _seed_store(
+        self, state: PartitionState, level_pages: tuple, signed_root: Any
+    ) -> None:
+        """Seed *state*'s durable backend (if any) with verified merged levels
+        and their cloud-signed root, so a crash after the install recovers
+        the shard to this exact signed state instead of an empty partition."""
+
+        if state.store is None:
+            return
+        try:
+            seed_partition_store(
+                state.store,
+                level_pages=level_pages,
+                signed_root=signed_root,
+                next_block_id=state.log.next_block_id,
+            )
+        except StorageError:
+            self._storage_degraded()
+
     def _refuse_transfer(self, refusal_key: tuple[NodeId, ShardId, str]) -> None:
         """Count an invalid transfer and remember its certificate: one
         certificate gets one trial (see ``_refused_transfers``)."""
 
         self.stats["shard_transfer_invalid"] += 1
         self._refused_transfers.add(refusal_key)
-
-    def _proof_certifies(self, block: Block, proof: Any) -> bool:
-        """Whether *proof* is this cloud's valid certificate of *block*."""
-
-        return (
-            proof is not None
-            and proof.cloud == self.cloud
-            and proof.certifies(block)
-            and proof.verify(self.env.registry)
-        )
 
     def _send_install_ack(
         self, shard_id: ShardId, state_digest: str, source: NodeId
@@ -1250,29 +1239,24 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
         self.env.charge(
             self.env.params.handoff_install_cost(len(message.blocks), num_pages)
         )
-        if len(message.proofs) != len(message.blocks):
-            self.stats["replica_shipments_rejected"] += 1
-            return
+        # Blocks and root may be any writer's in the shard's provenance
+        # chain, and a never-merged shard legitimately ships without a root
+        # (an honest writer never holds merged pages without one).
         allowed = {sender, *self.map_view.provenance_of(shard_id)}
-        for block, proof in zip(message.blocks, message.proofs):
-            if block.edge not in allowed or not self._proof_certifies(block, proof):
-                self.stats["replica_shipments_rejected"] += 1
-                return
         signed_root = message.signed_root
-        if signed_root is not None and (
-            not signed_root.verify(self.env.registry, self.cloud)
-            or signed_root.statement.edge not in allowed
-        ):
-            self.stats["replica_shipments_rejected"] += 1
-            return
-        if signed_root is None:
-            # An honest writer never holds merged pages without a root.
-            pages_certified = not message.level_pages
-        else:
-            pages_certified = level_pages_match_root(
-                message.level_pages, signed_root, self.config.lsmerkle.num_levels
+        if (
+            any(block.edge not in allowed for block in message.blocks)
+            or (signed_root is not None and signed_root.statement.edge not in allowed)
+            or not shipped_state_is_certified(
+                self.env.registry,
+                self.cloud,
+                message.blocks,
+                message.proofs,
+                message.level_pages,
+                signed_root,
+                self.config.lsmerkle.num_levels,
             )
-        if not pages_certified:
+        ):
             # No ack: the writer's watermark stays put and it re-ships next tick.
             self.stats["replica_shipments_rejected"] += 1
             return
@@ -1289,8 +1273,7 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
             rebuilt.install_level_pages(level_index, pages)
         for block, proof in zip(message.blocks, message.proofs):
             if state.log.try_get(block.block_id) is None:
-                state.log.append(block)
-                state.log.attach_proof(proof)
+                state.log.adopt(block, proof)
         missing = [
             block_id
             for block_id in message.level_zero_ids
@@ -1311,13 +1294,10 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
         if signed_root is not None:
             state.signed_root = signed_root
         self.stats["replica_shipments_installed"] += 1
-        watermark = max(
-            (record.block.block_id for record in state.log), default=-1
-        )
         root_version = (
             signed_root.statement.version if signed_root is not None else 0
         )
-        self._ack_shipment(shard_id, watermark, root_version)
+        self._ack_shipment(shard_id, state.log.highest_block_id, root_version)
 
     def _ack_shipment(
         self, shard_id: ShardId, watermark: int, root_version: int
@@ -1356,33 +1336,21 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
         if state is None:
             state = self._new_replica_state(shard_id, order.source)
             self._replica_states[shard_id] = state
-        blocks = _block_digests(record.block for record in state.log)
-        statement = ShardHandoffStatement(
-            edge=self.node_id,
-            dest=self.node_id,
-            shard_id=shard_id,
-            blocks=blocks,
-            state_digest=shard_state_digest(
-                shard_id, state.index.level_roots(), blocks
-            ),
-            issued_at=self.env.now(),
-        )
+        statement, signature = self._sign_log_prefix(shard_id, state, self.node_id)
         offer = ReplicaPromotionOffer(
             statement=statement,
-            signature=self.env.registry.sign(self.node_id, statement),
+            signature=signature,
             level_page_digests=tuple(
-                (level.index, tuple(page.digest() for page in level.pages))
-                for level in state.index.tree.levels[1:]
-                if level.pages
+                (level_index, tuple(page.digest() for page in pages))
+                for level_index, pages in _merged_level_pages(state)
             ),
             signed_root=state.signed_root,
-            watermark=max(
-                (record.block.block_id for record in state.log), default=-1
-            ),
+            watermark=state.log.highest_block_id,
         )
         self.stats["promotion_offers"] += 1
-        self.env.charge(self.env.params.handoff_offer_cost(len(blocks)))
-        with self._span("failover.offer", shard=str(shard_id), blocks=len(blocks)):
+        num_blocks = len(statement.blocks)
+        self.env.charge(self.env.params.handoff_offer_cost(num_blocks))
+        with self._span("failover.offer", shard=str(shard_id), blocks=num_blocks):
             self.env.send(self.node_id, self.cloud, offer)
 
     def _handle_promotion_grant(
@@ -1401,11 +1369,7 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
         if sender != self.cloud:
             return
         certificate = grant.certificate
-        if (
-            certificate.cloud != self.cloud
-            or certificate.dest != self.node_id
-            or not certificate.verify(self.env.registry)
-        ):
+        if not self._certificate_names_me(certificate, certificate.dest):
             return
         shard_id = certificate.shard_id
         if shard_id in self._shard_states:
@@ -1420,9 +1384,7 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
                 self.node_id, co_owners=self.map_view.provenance_of(shard_id)
             )
             for record in mirror.log:
-                state.log.append(record.block)
-                if record.proof is not None:
-                    state.log.attach_proof(record.proof)
+                state.log.adopt(record.block, record.proof)
                 self._imported_blocks[(record.block.edge, record.block.block_id)] = (
                     record.block,
                     record.proof,
@@ -1430,21 +1392,10 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
             state.index = mirror.index
             state.level_zero_blocks = list(mirror.level_zero_blocks)
             state.signed_root = grant.signed_root
-            if state.store is not None:
-                # Seed the durable backend with the merged levels and the
-                # re-signed root.  Imported level-0 records stay volatile until
-                # the next merge folds them into manifest-covered pages — the
-                # same window the in-memory crash model already accepts.
-                level_pages = _merged_level_pages(state)
-                try:
-                    seed_partition_store(
-                        state.store,
-                        level_pages=level_pages,
-                        signed_root=grant.signed_root,
-                        next_block_id=state.log.next_block_id,
-                    )
-                except StorageError:
-                    self._storage_degraded()
+            # Imported level-0 records stay volatile until the next merge
+            # folds them into manifest-covered pages — the same window the
+            # in-memory crash model already accepts.
+            self._seed_store(state, _merged_level_pages(state), grant.signed_root)
             self._shard_states[shard_id] = state
             self._next_block_id = max(self._next_block_id, state.log.next_block_id)
             self.stats["shard_promotions"] += 1
@@ -1472,8 +1423,8 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
         self._parked_requests.clear()
         self._migrating.clear()
         self._outgoing_transfers.clear()
-        for handle in self._handoff_retries.values():
-            handle.cancel()
+        for chain in self._handoff_retries.values():
+            chain.cancel()
         self._handoff_retries.clear()
         # Replication soft state: leases and shipping watermarks are
         # volatile (the cloud re-issues leases every tick; replicas dedupe
@@ -1533,174 +1484,3 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
                     reason=state.quarantined,
                 ),
             )
-
-
-class TamperingHandoffEdgeNode(ShardedEdgeNode):
-    """Ships tampered block content during a shard handoff.
-
-    The tampering is *self-consistent* — the signed transfer statement lists
-    the digests of the blocks actually shipped — so the destination's
-    payload check passes and the mismatch surfaces exactly where the
-    protocol wants it: the signed statement contradicts the cloud's
-    countersigned certificate, handing the destination provable evidence.
-    """
-
-    def _transfer_blocks(self, blocks: tuple) -> tuple:
-        from ..nodes.malicious import _tamper_entries
-
-        if not blocks:
-            return blocks
-        first = blocks[0]
-        tampered = Block(
-            edge=first.edge,
-            block_id=first.block_id,
-            entries=_tamper_entries(first.entries),
-            created_at=first.created_at,
-        )
-        return (tampered,) + tuple(blocks[1:])
-
-
-class TamperingPrepareEdgeNode(ShardedEdgeNode):
-    """Signs prepare receipts that misquote the staged write set.
-
-    The coordinator compares the receipt's write list against the statement
-    it signed itself: the mismatch is two contradictory signed artifacts —
-    the client-signed prepare and the edge-signed receipt — which is
-    exactly the evidence pair the ``prepare-receipt-mismatch`` dispute
-    needs.  The coordinator aborts the transaction and the cloud convicts
-    the edge.
-    """
-
-    def _receipt_writes(
-        self, writes: tuple[TxnWrite, ...]
-    ) -> tuple[TxnWrite, ...]:
-        if not writes:
-            return writes
-        first = writes[0]
-        return (TxnWrite(key=first.key, value_digest="0" * 64),) + tuple(writes[1:])
-
-
-class UnresponsivePrepareEdgeNode(ShardedEdgeNode):
-    """Swallows transaction prepares: a crashed or partitioned participant.
-
-    Everything else (puts, gets, certification) keeps working, so the
-    coordinator's receipt timer — not some global failure detector — is
-    what aborts the transaction on every responsive participant.
-    """
-
-    def _handle_txn_prepare(self, sender, request) -> None:
-        self.stats.setdefault("txn_prepares_dropped", 0)
-        self.stats["txn_prepares_dropped"] += 1
-
-
-class AbortIgnoringEdgeNode(ShardedEdgeNode):
-    """Applies staged writes despite a signed abort, then serves them.
-
-    The node acknowledges the abort (to look honest) but installs the
-    staged writes as if the transaction had committed.  Any client that
-    later reads one of those keys holds the conviction triple: the edge's
-    signed prepare receipt, the coordinator's signed abort, and the edge's
-    own signed get response serving the staged value — the
-    ``staged-abort-serve`` dispute.
-    """
-
-    def _apply_txn_decision(self, message) -> None:
-        statement = message.statement
-        if statement.decision == TXN_ABORT:
-            state = self._active
-            staged = state.staged_txns.pop(statement.txn_id, None)
-            if staged is not None:
-                block_id = self._apply_staged_txn(staged)  # commits anyway
-                self._record_txn_decision(
-                    state, statement.txn_id, TXN_ABORT, block_id,
-                    staged.shard_id, message,
-                )
-                self._send_txn_ack(
-                    statement.txn_id, staged.shard_id, TXN_ABORT, block_id
-                )
-                self._after_txn_resolved(state.shard_id)
-                return
-        super()._apply_txn_decision(message)
-
-
-class StaleShardOwnerEdgeNode(ShardedEdgeNode):
-    """Keeps serving a shard from a retained snapshot after handing it off.
-
-    The handoff itself runs honestly (the certified transfer reaches the
-    destination untampered), but the node squirrels away a deep copy of the
-    partition and keeps answering gets for the shard as if nothing
-    happened.  Clients holding the new shard map detect the non-owner
-    response; the cloud's ownership history makes the signed response
-    provable evidence.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._stale_states: dict[ShardId, PartitionState] = {}
-
-    def _handle_handoff_grant(self, sender: NodeId, grant: ShardHandoffGrant) -> None:
-        shard_id = grant.certificate.shard_id
-        state = self._shard_states.get(shard_id)
-        if state is not None:
-            self._stale_states[shard_id] = copy.deepcopy(state)
-        super()._handle_handoff_grant(sender, grant)
-
-    def _resolve_serving(
-        self,
-        sender: NodeId,
-        message: Any,
-        shard_id: ShardId,
-        operation_id: OperationId,
-    ) -> Optional[PartitionState]:
-        stale = self._stale_states.get(shard_id)
-        if stale is not None:
-            return stale  # serve the shard it no longer owns
-        return super()._resolve_serving(sender, message, shard_id, operation_id)
-
-
-class DeposedWriterEdgeNode(ShardedEdgeNode):
-    """Ignores its own deposition after a failover promotion.
-
-    An honest writer of a replicated shard parks requests the moment its
-    serving lease expires and retires the shard when the republished map
-    deposes it.  This variant does neither: it pretends its lease never
-    expires and discards any map that would take a shard away from it.
-    Every signed get response it issues after the promotion is
-    self-contained evidence — the cloud's ownership history says someone
-    else owned the shard at ``issued_at`` (the ``stale-owner-serve``
-    judge, unchanged from plain handoffs, convicts it).
-    """
-
-    def _writer_lease_valid(self, shard_id: ShardId) -> bool:
-        return True  # serve as if the lease never expired
-
-    def _handle_shard_map(self, sender: NodeId, message: ShardMapMessage) -> None:
-        for assignment in message.statement.assignments:
-            if (
-                assignment.owner != self.node_id
-                and assignment.shard_id in self._shard_states
-                and assignment.shard_id not in self._migrating
-                and assignment.shard_id not in self._outgoing_transfers
-            ):
-                # The map deposes this edge: pretend it never arrived.
-                self.stats.setdefault("maps_ignored", 0)
-                self.stats["maps_ignored"] += 1
-                return
-        super()._handle_shard_map(sender, message)
-
-
-class ExpiredLeaseReplicaEdgeNode(ShardedEdgeNode):
-    """A read replica that keeps serving after its lease expired.
-
-    An honest replica cut off from the cloud redirects reads to the writer
-    once its lease runs out.  This variant keeps answering, attaching the
-    stale lease it still holds — and that attached lease is exactly what
-    convicts it: the client forwards the signed response plus the lease as
-    a ``stale-replica-serve`` dispute, and the judge sees a serve
-    timestamp past the lease's expiry.
-    """
-
-    def _replica_lease_valid(
-        self, lease: Optional[ReplicaLease], now: float
-    ) -> bool:
-        return lease is not None  # expired is good enough to keep serving

@@ -28,7 +28,7 @@ cloud's lazy-certification invariants across the move:
 
 This module holds the pure helpers shared by all three parties; the
 message flow lives in :mod:`repro.sharding.edge` and
-:mod:`repro.nodes.cloud`.
+:mod:`repro.sharding.cloud`.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Sequence
 
-from ..common.identifiers import BlockId, ShardId
-from ..crypto.hashing import sha256_hex
+from ..common.identifiers import BlockId, NodeId, ShardId
+from ..crypto.signatures import KeyRegistry
+from ..log.block import Block
 from ..lsm.page import Page
 from ..merkle.tree import MerkleTree
 
@@ -98,10 +99,9 @@ def level_pages_match_root(
 ) -> bool:
     """Whether untrusted *level_pages* are exactly what *signed_root* commits to.
 
-    The one check both installers of shipped pages make (the handoff
-    destination and a read replica) before ``install_level_pages``: every
-    listed level is a distinct merged level 1..n-1 and the pages hash to
-    the cloud-signed level roots.  The signed root covers levels 1..n only,
+    The page half of :func:`shipped_state_is_certified`: every listed level
+    is a distinct merged level 1..n-1 and the pages hash to the cloud-signed
+    level roots.  The signed root covers levels 1..n only,
     so a non-empty level 0 does not disturb it.  Pages that pass are the
     cloud's own merge output, so installing them cannot fail.
     """
@@ -113,6 +113,44 @@ def level_pages_match_root(
         return False
     roots = level_roots_from_pages(level_pages, num_levels)
     return roots == tuple(signed_root.statement.level_roots)
+
+
+def shipped_state_is_certified(
+    registry: KeyRegistry,
+    cloud: NodeId,
+    blocks: Sequence[Block],
+    proofs: Sequence,
+    level_pages: Sequence[tuple[int, tuple[Page, ...]]],
+    signed_root,
+    num_levels: int,
+) -> bool:
+    """Whether shipped shard state carries *cloud*'s word for all of it.
+
+    The checks both installers make (the handoff destination on a transfer,
+    a read replica on a log shipment) before installing a byte: exactly one
+    proof per block (a short tuple would let the zipped loop skip blocks),
+    each proof *cloud*'s valid certificate of its block, and the merged
+    pages exactly what a root signed by *cloud* commits to.  A rootless
+    shipment passes only without pages (a never-merged shard); whether one
+    is acceptable at all, which edges may have written the blocks and whom
+    the root must name differ per protocol and stay with the callers.
+    """
+
+    if len(proofs) != len(blocks):
+        return False
+    for block, proof in zip(blocks, proofs):
+        if (
+            proof is None
+            or proof.cloud != cloud
+            or not proof.certifies(block)
+            or not proof.verify(registry)
+        ):
+            return False
+    if signed_root is None:
+        return not level_pages
+    return signed_root.verify(registry, cloud) and level_pages_match_root(
+        level_pages, signed_root, num_levels
+    )
 
 
 def seed_partition_store(
@@ -145,20 +183,10 @@ def seed_partition_store(
     )
 
 
-def transfer_fingerprint(blocks: Sequence[tuple[BlockId, str]]) -> str:
-    """Order-sensitive fingerprint of a certified log prefix (debug aid)."""
-
-    hasher = hashlib.sha256(b"prefix:")
-    for block_id, digest in blocks:
-        hasher.update(f"{block_id}:{digest}|".encode("ascii"))
-    return hasher.hexdigest()
-
-
 __all__ = [
     "shard_state_digest",
     "level_roots_from_pages",
     "level_pages_match_root",
+    "shipped_state_is_certified",
     "seed_partition_store",
-    "transfer_fingerprint",
-    "sha256_hex",
 ]

@@ -67,7 +67,7 @@ from ..common.identifiers import (
     ShardId,
 )
 from ..crypto.hashing import digest_value
-from ..faults.retry import RetryPolicy
+from ..faults.retry import Retransmission, RetryPolicy
 from ..log.entry import LogEntry, make_entry
 from ..lsmerkle.codec import SEQUENCE_STRIDE, decode_put, encode_put, is_put_payload
 from ..messages.txn_messages import (
@@ -574,7 +574,7 @@ class TxnCoordinator:
         ):
             for participant in txn.participants.values():
                 env.send(client.node_id, participant.owner, message)
-        self._arm_decision_retry(txn, attempt=1)
+        self._arm_decision_retry(txn)
         for participant in txn.participants.values():
             # The signed entries exist to re-send prepares; after the
             # decision they are dead weight — drop them so long-running
@@ -625,7 +625,7 @@ class TxnCoordinator:
             max_attempts=self.DECISION_RETRY_LIMIT,
         )
 
-    def _arm_decision_retry(self, txn: TxnRecord, attempt: int) -> None:
+    def _arm_decision_retry(self, txn: TxnRecord) -> None:
         """Re-send the signed decision until every participant acknowledged.
 
         A decision lost on the wire must not split the transaction: without
@@ -634,25 +634,23 @@ class TxnCoordinator:
         participants absorb them idempotently off the decided tombstone.
         """
 
-        policy = self._decision_retry_policy()
-        if not policy.allows(attempt) or txn.all_acked:
-            return
         client = self.client
 
-        def retry() -> None:
+        def resend() -> bool:
             if txn.all_acked or txn.decision is None:
-                return
+                return False
             for participant in txn.participants.values():
                 if participant.ack is None:
                     client.stats["txn_decision_retries"] += 1
                     client.env.send(
                         client.node_id, participant.owner, txn.decision
                     )
-            self._arm_decision_retry(txn, attempt + 1)
+            return True
 
-        client.env.schedule(
-            policy.delay(attempt),
-            retry,
+        Retransmission(
+            client.env.schedule,
+            self._decision_retry_policy(),
+            resend,
             label=f"{client.node_id}:txn-decision-retry",
         )
 

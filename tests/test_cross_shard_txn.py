@@ -23,7 +23,6 @@ from repro.common.config import (
     SystemConfig,
 )
 from repro.common.identifiers import OperationId, client_id, edge_id
-from repro.core.dispute import judge_txn_dispute
 from repro.crypto.hashing import digest_value
 from repro.crypto.signatures import KeyRegistry
 from repro.log.proofs import CommitPhase
@@ -51,6 +50,7 @@ from repro.sharding import (
     decode_txn_decision,
     is_txn_decision_payload,
 )
+from repro.sharding.judges import judge_txn_dispute
 from repro.sim.environment import local_environment
 
 

@@ -11,8 +11,9 @@ pre-dispatch side effects.  (c) *Trace parity*: seeded observability-enabled
 runs reproduce, byte for byte, the exports the parent commit produced (see
 ``tests/data/make_trace_parity.py``).  (d) Ladders cannot grow back: no
 function under the node packages chains ``isinstance`` tests on one name —
-and the paper's nodes stay the paper's: no module under ``repro.nodes``
-imports the fleet (``repro.sharding`` or its message modules) at any level.
+and the paper's packages stay the paper's: no module under ``repro.nodes``
+or ``repro.core`` imports the fleet (``repro.sharding`` or its message
+modules) at any level.
 """
 
 from __future__ import annotations
@@ -489,8 +490,9 @@ def _imported_modules(path: pathlib.Path):
 
 
 class TestPaperNodesImportNoFleetProtocol:
-    """``repro.nodes`` is the paper's system: the fleet's protocols reach a
-    node only as rows a ``repro.sharding`` subclass adds to its own table."""
+    """``repro.nodes`` and ``repro.core`` are the paper's system: the fleet's
+    protocols reach a node only as rows a ``repro.sharding`` subclass adds to
+    its own table, and its judges live beside that subclass."""
 
     FORBIDDEN = (
         "repro.sharding",
@@ -505,17 +507,30 @@ class TestPaperNodesImportNoFleetProtocol:
         found = set(_imported_modules(REPO / "src/repro/faults/invariants.py"))
         assert "repro.sharding.transactions" in found  # inside a function
 
-    def test_no_module_under_nodes_imports_sharding_or_its_messages(self):
-        offenders = [
+    def _offenders(self, package: str) -> list[str]:
+        return [
             f"{path.name} imports {module}"
-            for path in sorted((REPO / "src/repro/nodes").glob("*.py"))
+            for path in sorted((REPO / "src/repro" / package).glob("*.py"))
             for module in _imported_modules(path)
             if any(
                 module == name or module.startswith(name + ".")
                 for name in self.FORBIDDEN
             )
         ]
-        assert not offenders, offenders
+
+    def test_no_module_under_nodes_imports_sharding_or_its_messages(self):
+        assert not self._offenders("nodes")
+
+    def test_no_module_under_core_imports_sharding_or_its_messages(self):
+        # Holds since the fleet's judges left ``core/dispute.py`` (PR 23).
+        assert not self._offenders("core")
+
+    def test_sharded_edge_module_defines_exactly_one_class(self):
+        # The adversaries live in ``sharding/malicious.py``, the way
+        # ``nodes/malicious.py`` sits beside ``nodes/edge.py``.
+        tree = ast.parse((REPO / "src/repro/sharding/edge.py").read_text())
+        classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+        assert classes == ["ShardedEdgeNode"]
 
 
 class TestPerfSuiteImportsNoProtocolVocabulary:

@@ -12,10 +12,17 @@ exist to contain:
 * a stale shard map injected mid-interval — the version-monotone view
   rejects it, so membership can be delayed but never rolled back;
 * honest races (an in-flight response crossing an ownership change) are
-  disputed but acquitted.
+  disputed but acquitted;
+* shipped shard state that lacks the cloud's word for any part of it — one
+  hostile matrix through both installers (handoff transfer, replica
+  shipment), which share one verifier.
 """
 
 from __future__ import annotations
+
+import dataclasses
+
+import pytest
 
 from repro.common.config import (
     LoggingConfig,
@@ -23,9 +30,15 @@ from repro.common.config import (
     ShardingConfig,
     SystemConfig,
 )
-from repro.core.dispute import judge_shard_dispute
-from repro.log.proofs import CommitPhase
-from repro.messages.shard_messages import ShardDispute
+from repro.log.proofs import CommitPhase, issue_block_proof
+from repro.lsm.page import Page
+from repro.lsmerkle.mlsm import sign_global_root
+from repro.messages.shard_messages import (
+    ReplicaLogShipment,
+    ReplicaShipmentAck,
+    ShardDispute,
+    ShardTransferMessage,
+)
 from repro.sharding import (
     ShardedEdgeNode,
     ShardedWedgeSystem,
@@ -33,14 +46,19 @@ from repro.sharding import (
     TamperingHandoffEdgeNode,
     build_shard_map_message,
 )
+from repro.sharding.judges import judge_shard_dispute
 from repro.sim.environment import local_environment
 from repro.workloads.generator import format_key
 
 
-def build_fleet(bad_edge_cls=None, num_edges=2, num_shards=4, seed=13):
+def build_fleet(
+    bad_edge_cls=None, num_edges=2, num_shards=4, seed=13, replication_factor=1
+):
     config = SystemConfig.paper_default().with_overrides(
         num_edge_nodes=num_edges,
-        sharding=ShardingConfig(num_shards=num_shards),
+        sharding=ShardingConfig(
+            num_shards=num_shards, replication_factor=replication_factor
+        ),
         logging=LoggingConfig(block_size=5, block_timeout_s=0.02),
         lsmerkle=LSMerkleConfig(level_thresholds=(2, 2, 4, 8)),
     )
@@ -59,13 +77,18 @@ def build_fleet(bad_edge_cls=None, num_edges=2, num_shards=4, seed=13):
     )
 
 
-def populate_and_pick_shard(system, count=40):
+def populate(system, count=40):
     client = system.clients[0]
     operations = [
         (client, client.put(format_key(index), b"v%d" % index))
         for index in range(count)
     ]
     assert system.wait_for_all(operations, CommitPhase.PHASE_TWO, max_time_s=300)
+    return client
+
+
+def populate_and_pick_shard(system, count=40):
+    client = populate(system, count)
     system.run()
     source = system.edges[0]
     shard = max(source.shard_entry_counts, key=source.shard_entry_counts.get)
@@ -396,3 +419,202 @@ class TestMembershipChangeMidInterval:
         # signed redirect (from the migrating source) was followed.
         assert source.stats["shard_redirects"] > redirects_before
         assert client.stats["redirects_followed"] >= 1
+
+
+# ----------------------------------------------------------------------
+# One verifier, one hostile matrix: shipped state through both installers
+# ----------------------------------------------------------------------
+def _held_back(system, message_type, run):
+    """Run *run* with every *message_type* send vetoed; returns those held."""
+
+    held = []
+
+    def hold(src, dst, message):
+        if isinstance(message, message_type):
+            held.append(message)
+            return False
+        return True
+
+    system.env.network.add_send_hook("hold-back", hold)
+    try:
+        run()
+    finally:
+        system.env.network.remove_send_hook("hold-back")
+    return held
+
+
+def replicated_fleet():
+    """A populated honest 2-edge fleet where each edge mirrors the other's
+    shards; returns it with edge 0's busiest shard.  Settles with
+    ``run_for``: the replication ticks never let a bare ``run()`` drain."""
+
+    system = build_fleet(replication_factor=2)
+    populate(system)
+    system.run_for(3.0)
+    counts = system.edges[0].shard_entry_counts
+    return system, max(counts, key=counts.get)
+
+
+def honest_transfer():
+    """A real ``ShardTransferMessage`` that never reached its destination.
+
+    Returns ``(system, sender, receiver, message, installed)`` where
+    ``installed()`` is what the receiver holds of the shard.
+    """
+
+    system, shard = replicated_fleet()
+    source, dest = system.edges
+
+    def hand_off():
+        system.rebalance_shard(shard, dest.node_id)
+        system.run_for(0.5)
+
+    (message,) = _held_back(system, ShardTransferMessage, hand_off)
+    return system, source, dest, message, lambda: dest.shard_state(shard)
+
+
+def honest_shipment():
+    """A real full ``ReplicaLogShipment`` (blocks, proofs, pages, root) the
+    writer re-ships after its replica acked ``-1``, as a restarted mirror
+    does; ``installed()`` is the mirror's index, root and log length."""
+
+    system, shard = replicated_fleet()
+    writer, replica = system.edges
+    mirror = replica._replica_states[shard]
+
+    def reship():
+        writer.on_message(
+            replica.node_id,
+            ReplicaShipmentAck(
+                replica=replica.node_id, shard_id=shard, watermark=-1, root_version=0
+            ),
+        )
+        system.run_for(2 * system.config.security.gossip_interval_s)
+
+    held = _held_back(system, ReplicaLogShipment, reship)
+    message = next(m for m in held if m.shard_id == shard and m.blocks)
+    return (
+        system,
+        writer,
+        replica,
+        message,
+        lambda: (mirror.index, mirror.signed_root, len(mirror.log)),
+    )
+
+
+INSTALLERS = {
+    # installer -> (capture, the one counter a refusal bumps)
+    "transfer": (honest_transfer, "shard_transfer_invalid"),
+    "shipment": (honest_shipment, "replica_shipments_rejected"),
+}
+
+
+def _resigned_root(system, message, signer=None, edge=None):
+    statement = message.signed_root.statement
+    return sign_global_root(
+        registry=system.env.registry,
+        cloud=signer if signer is not None else system.cloud.node_id,
+        edge=edge if edge is not None else statement.edge,
+        level_roots=statement.level_roots,
+        version=statement.version,
+        timestamp=statement.timestamp,
+    )
+
+
+def _edge_signed_proof(system, sender, message):
+    block = message.blocks[0]
+    return issue_block_proof(
+        system.env.registry,
+        cloud=sender.node_id,  # a valid signature, just not the cloud's
+        edge=block.edge,
+        block_id=block.block_id,
+        block_digest=block.digest(),
+        certified_at=message.proofs[0].certified_at,
+    )
+
+
+def _forged_first_page(message):
+    (level_index, (page, *pages)), *levels = message.level_pages
+    records = (dataclasses.replace(page.records[0], value=b"forged"), *page.records[1:])
+    forged = Page(records=records, fence=page.fence, created_at=page.created_at)
+    return ((level_index, (forged, *pages)), *levels)
+
+
+#: lie -> (system, sender, message) -> the fields to replace.
+SHIPPED_STATE_LIES = {
+    "proofs-one-short": lambda system, sender, m: dict(proofs=m.proofs[:-1]),
+    "proof-for-a-different-block": lambda system, sender, m: dict(
+        proofs=(m.proofs[1], m.proofs[0], *m.proofs[2:])
+    ),
+    "proof-not-by-this-cloud": lambda system, sender, m: dict(
+        proofs=(_edge_signed_proof(system, sender, m), *m.proofs[1:])
+    ),
+    "root-signed-for-another-node": lambda system, sender, m: dict(
+        signed_root=_resigned_root(system, m, edge=system.clients[0].node_id)
+    ),
+    "root-not-signed-by-this-cloud": lambda system, sender, m: dict(
+        signed_root=_resigned_root(system, m, signer=sender.node_id)
+    ),
+    "pages-do-not-hash-to-the-root": lambda system, sender, m: dict(
+        level_pages=_forged_first_page(m)
+    ),
+    "duplicated-level-index": lambda system, sender, m: dict(
+        level_pages=(*m.level_pages, m.level_pages[0])
+    ),
+    "level-index-zero": lambda system, sender, m: dict(
+        level_pages=((0, m.level_pages[0][1]), *m.level_pages)
+    ),
+    "level-index-num-levels": lambda system, sender, m: dict(
+        level_pages=(
+            *m.level_pages,
+            (system.config.lsmerkle.num_levels, m.level_pages[0][1]),
+        )
+    ),
+}
+
+
+def _deliver(system, sender, receiver, message):
+    """Hand *message* to *receiver*; returns (stat deltas, what it sent)."""
+
+    before = dict(receiver.stats)
+    sent = _held_back(
+        system, object, lambda: receiver.on_message(sender.node_id, message)
+    )
+    deltas = {
+        key: value - before.get(key, 0)
+        for key, value in receiver.stats.items()
+        if value != before.get(key, 0)
+    }
+    return deltas, sent
+
+
+class TestShippedStateHostileMatrix:
+    """The same tampered payloads through both installers of shipped shard
+    state: each is refused whole — nothing installed, one counter bumped,
+    nothing sent (no install ack, no positive shipment ack, and no dispute:
+    the source-signed digest never contradicts the certificate here)."""
+
+    @pytest.mark.parametrize("installer", sorted(INSTALLERS))
+    def test_the_untampered_capture_installs(self, installer):
+        capture, _ = INSTALLERS[installer]
+        system, sender, receiver, message, installed = capture()
+        assert len(message.blocks) >= 2 and message.level_pages
+        assert len(message.proofs) == len(message.blocks)
+        before = installed()
+        deltas, sent = _deliver(system, sender, receiver, message)
+        assert installed() != before and sent
+        assert not set(deltas) & {counter for _, counter in INSTALLERS.values()}
+
+    @pytest.mark.parametrize("lie", sorted(SHIPPED_STATE_LIES))
+    @pytest.mark.parametrize("installer", sorted(INSTALLERS))
+    def test_lie_is_refused_whole(self, installer, lie):
+        capture, counter = INSTALLERS[installer]
+        system, sender, receiver, message, installed = capture()
+        before = installed()
+        tampered = dataclasses.replace(
+            message, **SHIPPED_STATE_LIES[lie](system, sender, message)
+        )
+        deltas, sent = _deliver(system, sender, receiver, tampered)
+        assert installed() == before
+        assert deltas == {counter: 1}
+        assert sent == []
