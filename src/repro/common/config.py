@@ -11,7 +11,7 @@ certification (``certify_batch_size``), gossip batching (``gossip_batch``),
 pipelined Phase II (``certify_pipeline_depth``), durable storage
 (``StorageConfig``), observability (``ObservabilityConfig``) — defaults OFF
 so that the figure-4/5 metrics stay byte-identical to the paper-calibrated
-protocol under ``PYTHONHASHSEED=0``.
+protocol (under any hash seed: a seed is the whole experiment).
 Deployments opt in per knob.  The stance is pinned by
 ``tests/test_paper_default_stance.py``; changing any of these defaults is a
 figure recalibration, not a tweak.

@@ -31,8 +31,11 @@ class OperationRecord:
     phase_two_at: Optional[float] = None
     failed_at: Optional[float] = None
     failure_reason: Optional[str] = None
-    #: For get operations: block ids whose proofs are still outstanding.
+    #: Block ids whose proofs are still outstanding.
     awaiting_blocks: set[BlockId] = field(default_factory=set)
+    #: The digest the edge promised (write receipt) or served (read / get
+    #: evidence) for every block this operation has awaited a proof of.
+    promised_digests: dict[BlockId, Optional[str]] = field(default_factory=dict)
     #: Free-form details (key, value digest, number of entries, ...).
     details: dict = field(default_factory=dict)
 
@@ -61,7 +64,9 @@ class CommitTracker:
 
     def __init__(self) -> None:
         self._records: dict[OperationId, OperationRecord] = {}
-        self._by_block: dict[BlockId, set[OperationId]] = {}
+        #: Operations per block in registration order (a dict, not a set:
+        #: the order proofs settle operations in feeds event order).
+        self._by_block: dict[BlockId, dict[OperationId, None]] = {}
         #: Optional hook ``f(record, phase)`` invoked on every phase change;
         #: used by closed-loop workload drivers to issue the next operation.
         self.on_phase_change = None
@@ -106,7 +111,7 @@ class CommitTracker:
     # Phase transitions
     # ------------------------------------------------------------------
     def _index_block(self, operation_id: OperationId, block_id: BlockId) -> None:
-        self._by_block.setdefault(block_id, set()).add(operation_id)
+        self._by_block.setdefault(block_id, {})[operation_id] = None
 
     def mark_phase_one(
         self,
@@ -165,18 +170,20 @@ class CommitTracker:
     # Block-indexed access (used when block proofs arrive)
     # ------------------------------------------------------------------
     def operations_waiting_on_block(self, block_id: BlockId) -> tuple[OperationRecord, ...]:
-        op_ids = self._by_block.get(block_id, set())
         return tuple(
             self._records[op_id]
-            for op_id in op_ids
+            for op_id in self._by_block.get(block_id, ())
             if self._records[op_id].phase is not CommitPhase.PHASE_TWO
         )
 
-    def watch_block(self, operation_id: OperationId, block_id: BlockId) -> None:
+    def watch_block(
+        self, operation_id: OperationId, block_id: BlockId, digest: Optional[str] = None
+    ) -> None:
         """Associate an operation with a block whose proof it is waiting for."""
 
         record = self.get(operation_id)
         record.awaiting_blocks.add(block_id)
+        record.promised_digests[block_id] = digest
         self._index_block(operation_id, block_id)
 
     def resolve_block(self, operation_id: OperationId, block_id: BlockId) -> bool:

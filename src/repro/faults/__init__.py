@@ -27,6 +27,7 @@ from .invariants import (
     assert_full_certification,
     assert_monotone,
     assert_no_false_convictions,
+    assert_no_honest_disputes,
     assert_no_lost_atomicity,
     assert_no_quarantines,
     assert_replicated_reads_served,
@@ -57,6 +58,7 @@ __all__ = [
     "assert_full_certification",
     "assert_monotone",
     "assert_no_false_convictions",
+    "assert_no_honest_disputes",
     "assert_no_lost_atomicity",
     "assert_no_quarantines",
     "assert_replicated_reads_served",

@@ -24,8 +24,7 @@ injected deliveries bypass hooks, so a deferred message is not
 re-intercepted by the rule that deferred it.
 
 Determinism: the injector seeds its own :class:`~repro.sim.rng.
-DeterministicRng` **directly** from ``plan.seed`` (not via ``fork``, whose
-label hashing depends on ``PYTHONHASHSEED``), and consumes draws only for
+DeterministicRng` directly from ``plan.seed`` and consumes draws only for
 probabilistic rules and reorder spreads, in rule order.  Same plan + same
 workload ⇒ byte-identical fault trace, which the chaos suite asserts.
 """

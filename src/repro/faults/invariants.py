@@ -5,7 +5,7 @@ evidence — certified logs, signed decision records, the cloud's punishment
 ledger — never transient in-memory protocol state, so a passing check means
 the property holds in the auditable record, not merely in this process.
 
-The three pass criteria from ROADMAP direction 5:
+The pass criteria:
 
 * **No lost atomicity** (:func:`assert_no_lost_atomicity`): scanning every
   edge's logs (live partitions *and* records archived by shard handoffs)
@@ -17,6 +17,9 @@ The three pass criteria from ROADMAP direction 5:
 * **Every planted fault convicted** (:func:`assert_convicted`): each edge
   the scenario made misbehave is punished in the cloud's ledger, and
   (:func:`assert_no_false_convictions`) no honest edge is.
+* **An honest edge is never accused** (:func:`assert_no_honest_disputes`):
+  lazy trust's other half — no client files a ``DisputeRequest`` unless
+  an edge that served it ends up convicted.
 
 :func:`assert_monotone` is the recovery-shape helper: sampled progress
 series (certified counts, committed transactions) must never move
@@ -127,6 +130,29 @@ def assert_no_false_convictions(cloud, honest: Iterable[NodeId]) -> None:
         if cloud.ledger.is_punished(edge_id):
             raise InvariantViolation(
                 f"honest edge {edge_id} was convicted during a fault-only run"
+            )
+
+
+def assert_no_honest_disputes(system) -> None:
+    """No client disputed unless an edge that served it was convicted.
+
+    Every lie is eventually convicted *and* an honest edge is never
+    accused: a dispute with no conviction behind it means the client's
+    Phase II wait gave up on (or missed) a certificate that did arrive.
+    """
+
+    ledger = system.cloud.ledger
+    for client in system.clients:
+        if not client.stats["disputes_sent"]:
+            continue
+        served_by = {
+            client._expected_edge(record) for record in client.tracker.records()
+        }
+        if not any(ledger.is_punished(edge) for edge in served_by):
+            raise InvariantViolation(
+                f"{client.node_id} sent {client.stats['disputes_sent']} dispute(s) "
+                f"against never-convicted edges {sorted(map(str, served_by))}: "
+                f"{client.malicious_events}"
             )
 
 

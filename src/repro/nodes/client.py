@@ -50,6 +50,9 @@ from .dispatch import DispatchTable, TableDispatchNode
 class Client(TableDispatchNode):
     """One authenticated client bound to a single edge node (its partition)."""
 
+    #: How many received block proofs ``_early_proofs`` retains.
+    EARLY_PROOF_WINDOW = 256
+
     HANDLERS = DispatchTable(
         {
             AppendBatchResponse: "_handle_append_response",
@@ -98,9 +101,12 @@ class Client(TableDispatchNode):
         self.malicious_events: list[dict] = []
         #: Verdicts received from the cloud for disputes this client raised.
         self.verdicts: list[DisputeVerdict] = []
-        #: Block proofs that arrived before the operation they certify was
-        #: Phase I committed locally (possible under message reordering).
-        #: Keyed by (edge, block id) — block ids are only unique per edge.
+        #: Block proofs that may arrive before the response that makes an
+        #: operation wait for them (no link is ordered), by (edge, block id)
+        #: — block ids are only unique per edge.  Bounded: only the
+        #: ``EARLY_PROOF_WINDOW`` most recently received proofs are kept (a
+        #: proof races its response by a transmission time, not by hundreds
+        #: of certificates).
         self._early_proofs: dict[tuple[NodeId, int], Any] = {}
         #: Session consistency (Section V-D alternative): the highest signed
         #: global-root version this client has observed, per root sequence
@@ -353,6 +359,7 @@ class Client(TableDispatchNode):
             self.tracker.mark_failed(response.operation_id, now, "invalid receipt")
             return
 
+        fully_acked = True
         if response.block is not None:
             self.env.charge(params.hash_cost(response.block.wire_size))
             if not receipt.matches_block(response.block):
@@ -370,69 +377,85 @@ class Client(TableDispatchNode):
                 if entry.producer == self.node_id
             }
             newly_acked = expected & present
-            if not self._split_batch_acks:
-                # Paper-exact policy: the whole batch must land in one block
-                # (the evaluation always aligns batch and block size).
-                if not expected.issubset(present):
-                    self._record_suspicion(
-                        "missing-entries", response.block_id, response.operation_id
-                    )
-                    self.tracker.mark_failed(
-                        response.operation_id, now, "entries missing from block"
-                    )
-                    return
-            else:
-                if expected and not newly_acked:
-                    # The edge acknowledged this operation with a block
-                    # holding none of its entries: a broken promise, not a
-                    # split batch.
-                    self._record_suspicion(
-                        "missing-entries", response.block_id, response.operation_id
-                    )
-                    self.tracker.mark_failed(
-                        response.operation_id, now, "entries missing from block"
-                    )
-                    return
+            if self._split_batch_acks:
                 # A batch larger than the edge's block size (or split across
                 # a block boundary by co-batched entries from other clients)
                 # is acknowledged one block at a time: track cumulative
-                # coverage and the per-block receipts, and only Phase I
-                # commit once every entry has been promised in some block.
+                # coverage, and only Phase I commit once every entry has
+                # been promised in some block.  A block holding none of the
+                # operation's entries is a broken promise, not a split batch.
                 acked = record.details.setdefault("acked_sequences", set())
                 acked |= newly_acked
-                record.details.setdefault("block_receipts", {})[
-                    response.block_id
-                ] = receipt
-                self.tracker.watch_block(response.operation_id, response.block_id)
-                if not expected <= acked:
-                    self._arm_dispute_timer(response.operation_id)
-                    return
+                fully_acked = expected <= acked
+                missing = bool(expected) and not newly_acked
+            else:
+                # Paper-exact policy: the whole batch must land in one block
+                # (the evaluation always aligns batch and block size).
+                missing = not expected <= present
+            if missing:
+                self._record_suspicion(
+                    "missing-entries", response.block_id, response.operation_id
+                )
+                self.tracker.mark_failed(
+                    response.operation_id, now, "entries missing from block"
+                )
+                return
 
-        record.details["block_digest"] = receipt.block_digest
-        self.tracker.mark_phase_one(
-            response.operation_id, now, block_id=response.block_id, receipt=receipt
+        if fully_acked:
+            record.details["block_digest"] = receipt.block_digest
+            self.tracker.mark_phase_one(
+                response.operation_id, now, block_id=response.block_id, receipt=receipt
+            )
+        self._await_certificates(
+            record, {response.block_id: receipt.block_digest}, now
         )
-        block_receipts = record.details.get("block_receipts")
-        if block_receipts:
-            # Resolve any blocks whose proofs raced ahead of the ack.
-            all_resolved = False
-            matched_proof = None
-            for block_id, block_receipt in block_receipts.items():
-                early = self._early_proofs.get((expected_edge, block_id))
-                if early is not None and early.block_digest == block_receipt.block_digest:
-                    all_resolved = self.tracker.resolve_block(
-                        response.operation_id, block_id
-                    )
-                    matched_proof = early
-            if all_resolved and matched_proof is not None:
-                self.tracker.mark_phase_two(response.operation_id, now, matched_proof)
-                return
-        else:
-            early = self._early_proofs.get((expected_edge, response.block_id))
-            if early is not None and early.block_digest == receipt.block_digest:
-                self.tracker.mark_phase_two(response.operation_id, now, early)
-                return
-        self._arm_dispute_timer(response.operation_id)
+
+    # ------------------------------------------------------ awaiting Phase II
+    def _await_certificates(
+        self, record: OperationRecord, promised: dict[int, str], now: float
+    ) -> None:
+        """A verified response promised these blocks: wait for their proofs.
+
+        The one place an operation starts waiting for Phase II — for puts,
+        log reads and gets alike.  Each promised digest is remembered on the
+        record, held against any proof that raced ahead of the response, and
+        the dispute timer is armed only if something is still outstanding.
+        """
+
+        edge = self._expected_edge(record)
+        for block_id, digest in promised.items():
+            self.tracker.watch_block(record.operation_id, block_id, digest)
+        for block_id in promised:
+            early = self._early_proofs.get((edge, block_id))
+            if early is not None:
+                self._settle_block(record, early, now)
+        if record.phase is CommitPhase.PHASE_ONE and not record.awaiting_blocks:
+            # Nothing was promised uncertified (a get over certified state).
+            self.tracker.mark_phase_two(record.operation_id, now)
+        elif record.phase is not CommitPhase.PHASE_TWO:
+            self._arm_dispute_timer(record.operation_id)
+
+    def _settle_block(self, record: OperationRecord, proof: Any, now: float) -> None:
+        """Hold a verified block proof against the digest *record* was promised."""
+
+        promised = record.promised_digests.get(proof.block_id)
+        if promised is not None and promised != proof.block_digest:
+            # The edge promised (or served) one digest, the cloud certified another.
+            suspicion = (
+                "certified-digest-mismatch" if record.is_write else "read-content-mismatch"
+            )
+            self.stats["proof_mismatches"] += 1
+            self._record_suspicion(suspicion, proof.block_id, record.operation_id)
+            self._send_dispute(record)
+            return
+        # A split batch still PENDING has entries no receipt covers yet: it
+        # cannot be durably committed however fast this block's proof
+        # arrived.  Resolve the block; Phase II waits for full Phase I.
+        if (
+            self.tracker.resolve_block(record.operation_id, proof.block_id)
+            and record.phase is not CommitPhase.PENDING
+        ):
+            self.tracker.mark_phase_two(record.operation_id, now, proof)
 
     # ---------------------------------------------------------- block proofs
     def _handle_block_proof(self, sender: NodeId, message: BlockProofMessage) -> None:
@@ -445,52 +468,15 @@ class Client(TableDispatchNode):
         if not self._accepts_proof(proof) or not proof.verify(self.env.registry):
             return
         now = self.env.now()
+        self._early_proofs.pop((proof.edge, proof.block_id), None)
         self._early_proofs[(proof.edge, proof.block_id)] = proof
+        if len(self._early_proofs) > self.EARLY_PROOF_WINDOW:
+            del self._early_proofs[next(iter(self._early_proofs))]
         for record in self.tracker.operations_waiting_on_block(proof.block_id):
-            if self._expected_edge(record) != proof.edge:
-                # Block ids are edge-local: the same id from another edge is
-                # a different block entirely.
-                continue
-            if record.is_write:
-                # The digest promised for *this* block: the per-block receipt
-                # when the batch spanned several blocks, else the single one.
-                block_receipt = record.details.get("block_receipts", {}).get(
-                    proof.block_id
-                )
-                if block_receipt is not None:
-                    promised = block_receipt.block_digest
-                elif record.receipt is not None and record.block_id == proof.block_id:
-                    promised = record.receipt.block_digest
-                else:
-                    promised = None
-                if promised is not None and promised != proof.block_digest:
-                    # The edge promised one digest but the cloud certified another.
-                    self.stats["proof_mismatches"] += 1
-                    self._record_suspicion(
-                        "certified-digest-mismatch", proof.block_id, record.operation_id
-                    )
-                    self._send_dispute(record, kind="missing-proof")
-                    continue
-                if record.phase is CommitPhase.PENDING:
-                    # Partial ack coverage (split batch): some entries have
-                    # no receipt yet, so the operation cannot be durably
-                    # committed however fast this block's proof arrived.
-                    # Resolve the block; Phase II waits for full Phase I.
-                    self.tracker.resolve_block(record.operation_id, proof.block_id)
-                    continue
-                if self.tracker.resolve_block(record.operation_id, proof.block_id):
-                    self.tracker.mark_phase_two(record.operation_id, now, proof)
-            else:
-                served_digest = record.details.get("block_digest")
-                if served_digest is not None and served_digest != proof.block_digest:
-                    self.stats["proof_mismatches"] += 1
-                    self._record_suspicion(
-                        "read-content-mismatch", proof.block_id, record.operation_id
-                    )
-                    self._send_dispute(record, kind="read-mismatch")
-                    continue
-                if self.tracker.resolve_block(record.operation_id, proof.block_id):
-                    self.tracker.mark_phase_two(record.operation_id, now, proof)
+            # Block ids are edge-local: the same id from another edge is a
+            # different block entirely.
+            if self._expected_edge(record) == proof.edge:
+                self._settle_block(record, proof, now)
 
     # ---------------------------------------------------------------- reads
     def _handle_read_response(self, sender: NodeId, response: ReadResponse) -> None:
@@ -537,19 +523,17 @@ class Client(TableDispatchNode):
 
         record.details["block_digest"] = recomputed
         record.details["num_entries"] = block.num_entries
+        self.tracker.mark_phase_one(record.operation_id, now, statement.block_id)
         if (
             response.proof is not None
             and response.proof.cloud == self.cloud
             and response.proof.certifies(block)
+            and response.proof.verify(self.env.registry)
         ):
-            if response.proof.verify(self.env.registry):
-                self.tracker.mark_phase_one(record.operation_id, now, statement.block_id)
-                self.tracker.mark_phase_two(record.operation_id, now, response.proof)
-                return
+            self.tracker.mark_phase_two(record.operation_id, now, response.proof)
+            return
         # Phase I read: wait for the block proof, keep the evidence.
-        self.tracker.mark_phase_one(record.operation_id, now, statement.block_id)
-        self.tracker.watch_block(record.operation_id, statement.block_id)
-        self._arm_dispute_timer(record.operation_id)
+        self._await_certificates(record, {statement.block_id: recomputed}, now)
 
     # ----------------------------------------------------------------- gets
     def _handle_get_response(self, sender: NodeId, response: GetResponse) -> None:
@@ -643,12 +627,10 @@ class Client(TableDispatchNode):
         record.details["root_timestamp"] = verified.root_timestamp
         record.details["root_version"] = verified.root_version
         self.tracker.mark_phase_one(record.operation_id, now)
-        if verified.phase is CommitPhase.PHASE_TWO:
-            self.tracker.mark_phase_two(record.operation_id, now)
-            return
-        for block_id in verified.uncertified_block_ids:
-            self.tracker.watch_block(record.operation_id, block_id)
-        self._arm_dispute_timer(record.operation_id)
+        uncertified = (item for item in response.proof.level_zero if not item.is_certified)
+        self._await_certificates(
+            record, {item.block_id: item.block.digest() for item in uncertified}, now
+        )
 
     # --------------------------------------------------------------- gossip
     def _handle_gossip(
@@ -670,13 +652,15 @@ class Client(TableDispatchNode):
             record = self.tracker.get(operation_id)
             if record.phase in (CommitPhase.PHASE_TWO, CommitPhase.FAILED):
                 return
-            kind = "missing-proof" if record.is_write else "read-mismatch"
             self._record_suspicion("proof-timeout", record.block_id, operation_id)
-            self._send_dispute(record, kind=kind)
+            self._send_dispute(record)
 
         self.env.schedule(timeout, check, label=f"{self.node_id}:dispute-timer")
 
-    def _send_dispute(self, record: OperationRecord, kind: str) -> None:
+    def _send_dispute(self, record: OperationRecord, kind: Optional[str] = None) -> None:
+        if kind is None:
+            # A certificate that is missing or differs from what was promised.
+            kind = "missing-proof" if record.is_write else "read-mismatch"
         statement = record.details.get("read_statement")
         signature = record.details.get("read_signature")
         dispute = DisputeRequest(

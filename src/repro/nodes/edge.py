@@ -417,10 +417,7 @@ class EdgeNode(TableDispatchNode):
                 block=self._block_for_response(record.block),
             )
             self.env.send(self.node_id, sender, response)
-            if block_id in self.certifier:
-                self.certifier.subscribe(block_id, sender, request.operation_id)
-            if record.proof is not None:
-                self.env.send(self.node_id, sender, BlockProofMessage(proof=record.proof))
+            self._owe_block_proof(sender, request.operation_id, block_id)
 
     def _arm_flush_timer(self) -> None:
         state = self._active
@@ -482,7 +479,7 @@ class EdgeNode(TableDispatchNode):
             # subscribe them to the eventual block proof.
             requesters = self._batch_requesters(batch)
             for requester, operation_id in requesters:
-                self.certifier.subscribe(block.block_id, requester, operation_id)
+                self._owe_block_proof(requester, operation_id, block.block_id)
             self._dispatch_phase_one_responses(requesters, block, receipt)
             self._signal_degraded_mode([requester for requester, _op in requesters])
 
@@ -985,6 +982,17 @@ class EdgeNode(TableDispatchNode):
         self._maybe_start_merge()
         self._pump_certify_pipeline()
 
+    def _owe_block_proof(
+        self, client: NodeId, operation_id: OperationId, block_id: BlockId
+    ) -> None:
+        """*client* is owed the block's proof: now if held, else on arrival."""
+
+        proof = self.log.proof_for(block_id)
+        if proof is None and block_id in self.certifier:
+            proof = self.certifier.subscribe(block_id, client, operation_id)
+        if proof is not None:
+            self.env.send(self.node_id, client, BlockProofMessage(proof=proof))
+
     def _accept_certified_proof(self, proof: AnyBlockProof) -> None:
         """Record a verified proof and forward it to waiting subscribers."""
 
@@ -1205,9 +1213,9 @@ class EdgeNode(TableDispatchNode):
             proof=record.proof,
         )
         self.env.send(self.node_id, sender, response)
-        if record.proof is None and request.block_id in self.certifier:
+        if record.proof is None:
             # Phase I read: forward the proof once it arrives.
-            self.certifier.subscribe(request.block_id, sender, request.operation_id)
+            self._owe_block_proof(sender, request.operation_id, request.block_id)
 
     # Hooks overridden by malicious subclasses -------------------------------
     def _read_record(self, block_id: BlockId):
@@ -1260,8 +1268,7 @@ class EdgeNode(TableDispatchNode):
 
         # Phase I gets: forward proofs of the still-uncertified blocks.
         for block_id in proof.uncertified_block_ids:
-            if block_id in self.certifier:
-                self.certifier.subscribe(block_id, sender, request.operation_id)
+            self._owe_block_proof(sender, request.operation_id, block_id)
 
     def _response_lease(self):
         """Serving lease to attach to get responses.

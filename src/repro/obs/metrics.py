@@ -6,8 +6,8 @@ to live in ~25 ad-hoc stat dicts.  Design constraints, in order:
 * **Determinism.**  Every value is driven by protocol events and simulated
   time — never the wall clock — so two runs of the same seed produce
   byte-identical snapshots (pinned by ``tests/test_observability.py``).
-  Snapshot iteration sorts keys; nothing depends on insertion order or
-  ``PYTHONHASHSEED``.
+  Snapshot iteration sorts keys; nothing depends on insertion or hash
+  order.
 * **Cheap when off.**  Nothing here is constructed unless
   :class:`~repro.common.config.ObservabilityConfig` enables observability;
   the instrumented hot paths then guard on a single attribute check.

@@ -236,16 +236,13 @@ class ShardedClient(Client):
         record = self.tracker.get(response.operation_id)
         # The staging watermark moves only on acknowledgements whose
         # *specific block id* carries a verified receipt — the base handler
-        # bound record.block_id / a per-block receipt iff the signature
-        # checked out and the sender is the operation's edge.  A duplicate
-        # or unsolicited response with an absurd block id must not poison
-        # the floor (it would neutralize staged-abort-serve conviction for
-        # the forging edge and wedge transactions against honest ones).
-        acknowledged = (
-            record.receipt is not None and record.block_id == response.block_id
-        ) or response.block_id in (record.details.get("block_receipts") or ())
+        # remembers a block's promised digest iff the signature checked out
+        # and the sender is the operation's edge.  A duplicate or
+        # unsolicited response with an absurd block id must not poison the
+        # floor (it would neutralize staged-abort-serve conviction for the
+        # forging edge and wedge transactions against honest ones).
         if (
-            acknowledged
+            response.block_id in record.promised_digests
             and self._expected_edge(record) == sender
             and response.block_id > self._observed_block_ids.get(sender, -1)
         ):

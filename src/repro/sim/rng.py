@@ -7,6 +7,7 @@ so experiments are exactly reproducible run to run.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import string
 from typing import Sequence
@@ -29,10 +30,13 @@ class DeterministicRng:
         """Derive an independent, reproducible child stream.
 
         Forking by label lets each client/node own a private stream whose
-        draws do not depend on the interleaving of other components.
+        draws do not depend on the interleaving of other components.  The
+        child seed is a digest of ``seed/label`` (never the per-process
+        salted ``hash``), so a seed fixes the whole experiment.
         """
 
-        child_seed = hash((self._seed, label)) & 0xFFFFFFFF
+        digest = hashlib.sha256(f"{self._seed}/{label}".encode()).digest()
+        child_seed = int.from_bytes(digest[:4], "big")
         return DeterministicRng(child_seed)
 
     # ------------------------------------------------------------------

@@ -13,7 +13,9 @@ certification retries, and assert the convictable invariants from
 * **eventual full certification** — once faults quiet down and retries
   drain, every block in every live log carries a cloud proof;
 * **conviction exactness** — planted misbehavior is punished, faults alone
-  never convict an honest edge.
+  never convict an honest edge;
+* **no honest dispute** — no client files a ``DisputeRequest`` unless an
+  edge that served it ends up convicted.
 
 Outage scenarios widen ``dispute_timeout_s``: a client disputing a
 not-yet-certified block *would* convict an honest edge (the cloud cannot
@@ -39,6 +41,8 @@ from repro.common.config import (
     StorageConfig,
     SystemConfig,
 )
+from repro.bench.runner import build_system, config_for_batch
+from repro.common.config import WorkloadConfig
 from repro.common.regions import Region
 from repro.core.system import WedgeChainSystem
 from repro.faults import (
@@ -47,18 +51,21 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     FaultRule,
+    InvariantViolation,
     RegionPartitionRule,
     RetryPolicy,
     assert_convicted,
     assert_full_certification,
     assert_monotone,
     assert_no_false_convictions,
+    assert_no_honest_disputes,
     assert_no_lost_atomicity,
     assert_replicated_reads_served,
 )
-from repro.log.proofs import CommitPhase
+from repro.log.proofs import CommitPhase, issue_block_proof
 from repro.lsm.page import Page
 from repro.lsm.records import KeyFence
+from repro.messages.log_messages import BlockProofMessage
 from repro.messages.shard_messages import ReplicaLogShipment
 from repro.nodes.edge import EdgeNode
 from repro.nodes.malicious import EquivocatingCertifierEdgeNode
@@ -69,6 +76,7 @@ from repro.sharding import (
     ShardedWedgeSystem,
 )
 from repro.sim.environment import local_environment
+from repro.workloads.driver import ClosedLoopDriver
 from repro.workloads.generator import format_key
 
 BLOCK_SIZE = 4
@@ -249,6 +257,7 @@ class TestCloudOutage:
         assert_no_false_convictions(
             system.cloud, [edge.node_id for edge in system.edges]
         )
+        assert_no_honest_disputes(system)
         # Every write reached Phase II once the cloud came back.
         assert all(
             client.phase_of(op) is CommitPhase.PHASE_TWO for op in all_ops
@@ -285,6 +294,7 @@ class TestCloudOutage:
         assert edge.node_id not in client.degraded_edges
         assert assert_full_certification(system.edges) >= 8
         assert_no_false_convictions(system.cloud, [edge.node_id])
+        assert_no_honest_disputes(system)
 
 
 # ----------------------------------------------------------------------
@@ -322,6 +332,7 @@ class TestEdgeCrash:
         assert certified_total(system) >= certified_before
         assert assert_full_certification(system.edges) >= log_before
         assert_no_false_convictions(system.cloud, [edge.node_id])
+        assert_no_honest_disputes(system)
         assert [a for _, a, *_ in injector.trace if a in ("crash", "restart")] == [
             "crash",
             "restart",
@@ -367,6 +378,7 @@ class TestFlakyUplink:
         assert sum(injector.rule_fire_counts()) >= 1
         assert edge.stats["certify_retries"] >= 1
         assert_no_false_convictions(system.cloud, [edge.node_id])
+        assert_no_honest_disputes(system)
 
 
 # ----------------------------------------------------------------------
@@ -446,6 +458,7 @@ class TestHandoffCrash:
         assert_no_false_convictions(
             system.cloud, [edge.node_id for edge in system.edges]
         )
+        assert_no_honest_disputes(system)
 
 
 # ----------------------------------------------------------------------
@@ -480,6 +493,7 @@ class TestDuplicateStorm:
         assert total_entries == 5 * BLOCK_SIZE
         assert assert_full_certification(system.edges) >= 5
         assert_no_false_convictions(system.cloud, [edge.node_id])
+        assert_no_honest_disputes(system)
 
 
 # ----------------------------------------------------------------------
@@ -521,6 +535,7 @@ class TestReorderDelay:
         assert_no_false_convictions(
             system.cloud, [edge.node_id for edge in system.edges]
         )
+        assert_no_honest_disputes(system)
 
 
 # ----------------------------------------------------------------------
@@ -827,6 +842,7 @@ class TestWriterCrashFailover:
         assert_no_false_convictions(
             system.cloud, [edge.node_id for edge in system.edges]
         )
+        assert_no_honest_disputes(system)
         summary = (
             tuple(injector.trace),
             tuple(
@@ -936,6 +952,7 @@ class TestQuarantineFailover:
         assert_no_false_convictions(
             system.cloud, [edge.node_id for edge in system.edges]
         )
+        assert_no_honest_disputes(system)
 
 
 # ----------------------------------------------------------------------
@@ -1133,3 +1150,60 @@ class TestLyingWriterShipmentRefused:
         )
         assert mirror.index is not index
         assert mirror.index.roots_match(mirror.signed_root)
+
+
+# ----------------------------------------------------------------------
+# No faults at all: the paper's default path accuses nobody
+# ----------------------------------------------------------------------
+class TestHonestFleetNeverDisputes:
+    def test_sim_mixed_shaped_run_raises_no_dispute(self):
+        """The ``sim_mixed`` shape (benchmarks/e2e README finding 8): three
+        edges, one closed-loop client each, 100-record batches, then 50 %
+        gets.  A certificate that overtook its 0.2 MB ``GetResponse`` used
+        to be forgotten and the get disputed ``dispute_timeout_s`` later."""
+
+        config = config_for_batch(100).with_overrides(num_edge_nodes=3)
+        system = build_system("wedgechain", config=config, num_clients=3)
+        for stream, operations, read_fraction in ((0, 2000, 0.0), (1, 2500, 0.5)):
+            workload = WorkloadConfig(
+                num_clients=3,
+                batch_size=100,
+                value_size=100,
+                read_fraction=read_fraction,
+                key_space=20_000,
+                operations_per_client=operations,
+                seed=7 * 2 + stream,
+            )
+            driver = ClosedLoopDriver(system, workload)
+            driver.start()
+            assert driver.run().all_finished
+            system.run()  # drain: timers fire, every put reaches Phase II
+
+        assert_no_honest_disputes(system)
+        assert system.cloud.stats["disputes"] == 0
+        assert system.stats().failed_operations == 0
+        assert assert_full_certification(system.edges) > 0
+
+    def test_invariant_catches_a_dispute_against_an_honest_edge(self):
+        system = build_single(seed=104)
+        client, edge = system.client(0), system.edge(0)
+        (op,) = put_blocks(client, 1)
+        system.run_for(5.0)
+        assert_no_honest_disputes(system)
+        # A cloud-signed certificate for a digest the honest edge never
+        # promised: the client disputes, the cloud acquits.
+        forged = issue_block_proof(
+            system.env.registry,
+            system.cloud.node_id,
+            edge.node_id,
+            client.operation(op).block_id,
+            "e" * 64,
+            1.0,
+        )
+        get = client.get("k-0-0")
+        client.tracker.watch_block(get, forged.block_id, "f" * 64)
+        client.on_message(system.cloud.node_id, BlockProofMessage(proof=forged))
+        system.run_for(5.0)
+        assert not system.cloud.ledger.is_punished(edge.node_id)
+        with pytest.raises(InvariantViolation, match="never-convicted"):
+            assert_no_honest_disputes(system)

@@ -6,8 +6,14 @@ import pytest
 
 from repro.common import LoggingConfig, LSMerkleConfig, SecurityConfig, SystemConfig
 from repro.core.system import WedgeChainSystem
-from repro.log.proofs import CommitPhase, issue_phase_one_receipt
-from repro.messages.log_messages import AppendBatchResponse, BlockProofMessage
+from repro.log.proofs import CommitPhase, issue_block_proof, issue_phase_one_receipt
+from repro.messages.kv_messages import GetResponse
+from repro.messages.log_messages import (
+    AppendBatchResponse,
+    BlockProofMessage,
+    ReadResponse,
+)
+from repro.nodes.client import Client
 from repro.sim.environment import local_environment
 
 
@@ -157,6 +163,96 @@ class TestBlockProofHandling:
         system.run_for(5.0)
         assert client.operation(op).phase is CommitPhase.PHASE_TWO
         assert client._early_proofs  # the proof was cached along the way
+
+
+def hold_back(client):
+    """Park every delivery to *client*; returns the parked (sender, message)s."""
+
+    held = []
+    client.on_message = lambda sender, message: held.append((sender, message))
+    return held
+
+
+def deliver(client, held, *message_types):
+    """Hand *client* one parked message of each type, in the order given."""
+
+    client.__dict__.pop("on_message", None)
+    for message_type in message_types:
+        sender, message = next(
+            pair for pair in held if isinstance(pair[1], message_type)
+        )
+        client.on_message(sender, message)
+
+
+class TestProofOvertakesPhaseOneRead:
+    """No link is ordered: a block's certificate may reach the client before
+    the Phase I ``GetResponse`` / ``ReadResponse`` that makes it wait for it."""
+
+    READS = {
+        "get": (lambda client, block_id: client.get("a"), GetResponse),
+        "log-read": (lambda client, block_id: client.read(block_id), ReadResponse),
+    }
+
+    def served_at_phase_one(self, kind):
+        # Wide-area topology: the block stays uncertified for tens of ms.
+        system = WedgeChainSystem.build(config=small_config(), num_clients=2, seed=117)
+        writer, reader = system.client(0), system.client(1)
+        put = writer.put_batch([("a", b"1"), ("b", b"2"), ("c", b"3")])
+        system.wait_for(writer, put, CommitPhase.PHASE_ONE, max_time_s=10)
+        block_id = writer.operation(put).block_id
+        assert system.edge().log.proof_for(block_id) is None
+        held = hold_back(reader)
+        issue, response_type = self.READS[kind]
+        op = issue(reader, block_id)
+        system.run_for(0.5)
+        return system, reader, op, block_id, held, response_type
+
+    @pytest.mark.parametrize("kind", sorted(READS))
+    def test_genuine_early_proof_commits_without_dispute(self, kind):
+        system, reader, op, _block_id, held, response_type = self.served_at_phase_one(kind)
+        deliver(reader, held, BlockProofMessage, response_type)
+        assert reader.phase_of(op) is CommitPhase.PHASE_TWO
+        system.run()  # any armed dispute timer fires in the drain
+        assert reader.stats["disputes_sent"] == 0
+        assert reader.malicious_events == []
+        assert system.cloud.stats["disputes"] == 0
+
+    @pytest.mark.parametrize("kind", sorted(READS))
+    def test_mismatching_early_proof_is_disputed_not_committed(self, kind):
+        system, reader, op, block_id, held, response_type = self.served_at_phase_one(kind)
+        forged = issue_block_proof(
+            system.env.registry,
+            system.cloud.node_id,
+            system.edge().node_id,
+            block_id,
+            "e" * 64,
+            1.0,
+        )
+        held.insert(0, (system.edge().node_id, BlockProofMessage(proof=forged)))
+        deliver(reader, held, BlockProofMessage, response_type)
+        assert reader.phase_of(op) is CommitPhase.PHASE_ONE
+        assert [event["kind"] for event in reader.malicious_events] == [
+            "read-content-mismatch"
+        ]
+        assert reader.stats["disputes_sent"] == 1
+
+    def test_early_proofs_are_bounded_and_a_raced_proof_still_commits(self, system):
+        client = system.client(0)
+        blocks = Client.EARLY_PROOF_WINDOW + 10
+        for index in range(blocks):
+            client.put_batch([(f"k{index}-{i}", b"v") for i in range(3)])
+        system.run()
+        assert system.edge().stats["blocks_formed"] == blocks
+        assert len(client._early_proofs) == Client.EARLY_PROOF_WINDOW
+
+        held = hold_back(client)
+        op = client.put_batch([("a", b"1"), ("b", b"2"), ("c", b"3")])
+        system.run_for(0.5)
+        deliver(client, held, BlockProofMessage, AppendBatchResponse)
+        assert client.phase_of(op) is CommitPhase.PHASE_TWO
+        assert len(client._early_proofs) == Client.EARLY_PROOF_WINDOW
+        system.run()
+        assert client.stats["disputes_sent"] == 0
 
 
 class TestClientApi:

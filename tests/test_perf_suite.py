@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import statistics
 from collections import Counter
 
 import pytest
@@ -68,9 +69,20 @@ class TestBatchAmortizationTargets:
         assert batched.ops_per_s >= 3.0 * per_block.ops_per_s
 
     def test_gossip_batch_not_slower_than_per_edge(self):
-        per_edge = bench_gossip_per_edge(random.Random(7), quick=True)
-        batched = bench_gossip_batch(random.Random(7), quick=True)
-        assert batched.ops_per_s >= per_edge.ops_per_s
+        """Same claim as ever — batched >= per-edge edge-statements/s — read
+        the way ROADMAP's wall-clock rule says: the median of adjacent pair
+        ratios, with which side runs first alternating, so one slow run (or
+        a host that changes speed between pairs) cannot decide it."""
+
+        order = [bench_gossip_per_edge, bench_gossip_batch]
+        ratios = []
+        for _pair in range(7):
+            rate = {
+                bench: bench(random.Random(7), quick=True).ops_per_s for bench in order
+            }
+            ratios.append(rate[bench_gossip_batch] / rate[bench_gossip_per_edge])
+            order.reverse()
+        assert statistics.median(ratios) >= 1.0, ratios
 
 
 #: Per real-node row: the messages one driven operation puts on the wire

@@ -3,6 +3,10 @@ benchmark harness plumbing (result tables, runner helpers)."""
 
 from __future__ import annotations
 
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.common import ConfigurationError, WorkloadConfig
@@ -55,6 +59,35 @@ class TestKeyValueWorkload:
         first = [type(op).__name__ for op in KeyValueWorkload(config).operations(50)]
         second = [type(op).__name__ for op in KeyValueWorkload(config).operations(50)]
         assert first == second
+
+    def test_a_seed_is_the_whole_experiment_under_any_hash_seed(self):
+        """Forked streams (per-client keys, arrival processes) must not pass
+        through the per-process salted ``hash()``: the same seeded
+        experiment prints the same bytes whatever ``PYTHONHASHSEED`` is."""
+
+        code = (
+            "from repro.bench import figure5_multi_client, print_tables\n"
+            "print_tables([figure5_multi_client(read_fraction=0.5,\n"
+            "    client_counts=(1,), operations_per_client=60)])\n"
+        )
+        repo_src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for hash_seed in ("1", "22"):
+            completed = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env={
+                    "PYTHONPATH": repo_src,
+                    "PYTHONHASHSEED": hash_seed,
+                    "PATH": "/usr/bin:/bin",
+                },
+            )
+            assert completed.returncode == 0, completed.stderr[-2000:]
+            outputs.append(completed.stdout)
+        assert "WedgeChain" in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_clients_get_independent_streams(self):
         config = WorkloadConfig(seed=42)
