@@ -112,7 +112,7 @@ class EdgeBaselineEdgeNode(EdgeNode):
         self._deferred: dict[int, tuple[list[tuple[NodeId, OperationId]], Block, object]] = {}
 
     # The synchronous baseline ships the whole block to the cloud …
-    def _send_certify_request(self, block: Block, digest: str) -> None:
+    def _send_certify_request(self, block: Block) -> None:
         self.stats["certify_requests"] += 1
         self.env.send(
             self.node_id,

@@ -649,7 +649,7 @@ def _make_certify_fleet(rng: random.Random, batch_size: int, depth: int, num_blo
     fleet = WedgeChainSystem.build(config, env=local_environment(signature_scheme="schnorr"))
     certifier = fleet.edge().certifier
     for block_id in range(num_blocks):
-        certifier.track(block_id, f"{rng.getrandbits(256):064x}", fleet.env.now())
+        certifier.track(block_id, f"{rng.getrandbits(256):064x}")
         if batch_size > 1:
             certifier.enqueue_for_dispatch(block_id)
     return fleet
@@ -671,7 +671,7 @@ def bench_certify_per_block(rng: random.Random, quick: bool) -> BenchResult:
     def drive(fleet):
         edge = fleet.edge()
         for task in edge.certifier.outstanding():
-            edge._send_single_certify_request(task.block_id, task.block_digest, 100)
+            edge._send_single_certify_request(task)
         return lambda: edge.certifier.certified_count == num_blocks
 
     fleets = [_make_certify_fleet(rng, 1, 1, num_blocks) for _ in range(3 if quick else 5)]

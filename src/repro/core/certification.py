@@ -2,10 +2,9 @@
 
 After Phase I committing a block locally, the edge node asks the cloud to
 certify the block's digest in the background.  The :class:`LazyCertifier`
-tracks which blocks still await certification, which clients must be
+tracks which blocks still await certification and which clients must be
 forwarded the block proof once it arrives (both writers of the block and
-readers served under Phase I), and which certification requests have been
-outstanding long enough to warrant a retry.
+readers served under Phase I).
 
 Because certification is asynchronous (Section IV-E), nothing on the
 client-visible path needs the request to leave immediately: the certifier
@@ -20,31 +19,41 @@ request has left the edge but whose
 edge can keep several WAN round-trips overlapped instead of absorbing one
 certificate before the next batch ships.  Batch ids are purely local
 bookkeeping (nothing about them is on the wire; certificates are matched
-back to their batch through the block ids they certify), certificates are
-absorbed out of order, and an overdue batch is retried *selectively* — only
-the lost batch is re-sent, never the whole overdue set.  The certifier is
-pure bookkeeping: ``EdgeNode._pump_certify_pipeline`` is what signs, sends
-and retries, on the simulated and the live substrate alike.
+back to their batch through the block ids they certify), and certificates
+are absorbed out of order.
+
+Every request that leaves the edge carries one
+:class:`~repro.faults.retry.Retransmission` chain, hung on the record it
+re-sends: the task of a single-block request, the in-flight batch of a
+batched one.  The certifier cancels a chain when its record retires
+(:meth:`LazyCertifier.complete`, :meth:`LazyCertifier.abandon_in_flight`,
+:meth:`LazyCertifier.reset_window`), so a certified, refused, crashed-away
+or retired request leaves no timer behind, and a lost batch is retried
+*selectively* — only that batch's still-uncertified members re-ship.  The
+certifier is pure bookkeeping: ``EdgeNode._dispatch_certify`` and
+``EdgeNode._pump_certify_pipeline`` are what sign, send and arm the chains,
+on the simulated and the live substrate alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from ..common.errors import ProtocolError
 from ..common.identifiers import BlockId, NodeId, OperationId
 from ..log.proofs import AnyBlockProof
 
-#: Overdue horizon: either a flat timeout in seconds or a schedule mapping
-#: the retries already sent to the timeout guarding the next one (the shape
-#: :meth:`repro.faults.retry.RetryPolicy.timeout_for` provides, giving
-#: per-batch exponential backoff without the certifier knowing the policy).
-TimeoutSpec = Union[float, Callable[[int], float]]
+if TYPE_CHECKING:
+    from ..faults.retry import Retransmission
 
 
-def _timeout_value(timeout_s: TimeoutSpec, retries: int) -> float:
-    return timeout_s(retries) if callable(timeout_s) else timeout_s
+def _end_chain(record: "CertificationTask | InFlightBatch") -> None:
+    """Cancel and forget the retransmission chain a retiring record holds."""
+
+    if record.retry is not None:
+        record.retry.cancel()
+        record.retry = None
 
 
 @dataclass
@@ -53,11 +62,12 @@ class CertificationTask:
 
     block_id: BlockId
     block_digest: str
-    requested_at: float
     #: (client, operation) pairs to notify when the proof arrives.
     subscribers: list[tuple[NodeId, OperationId]] = field(default_factory=list)
     proof: Optional[AnyBlockProof] = None
-    retries: int = 0
+    #: Retry chain of this block's single-block request (``None`` while it
+    #: rides a batch or has no request outstanding).
+    retry: Optional["Retransmission"] = None
 
     @property
     def is_certified(self) -> bool:
@@ -74,10 +84,10 @@ class InFlightBatch:
 
     batch_id: int
     block_ids: tuple[BlockId, ...]
-    dispatched_at: float
-    retries: int = 0
     #: Members still awaiting certification; the batch retires when empty.
     remaining: set[BlockId] = field(default_factory=set)
+    #: Retry chain re-sending the batch's remaining members.
+    retry: Optional["Retransmission"] = None
 
 
 class LazyCertifier:
@@ -99,12 +109,10 @@ class LazyCertifier:
     # ------------------------------------------------------------------
     # Tracking
     # ------------------------------------------------------------------
-    def track(self, block_id: BlockId, block_digest: str, requested_at: float) -> CertificationTask:
+    def track(self, block_id: BlockId, block_digest: str) -> CertificationTask:
         if block_id in self._tasks:
             raise ProtocolError(f"block {block_id} already tracked for certification")
-        task = CertificationTask(
-            block_id=block_id, block_digest=block_digest, requested_at=requested_at
-        )
+        task = CertificationTask(block_id=block_id, block_digest=block_digest)
         self._tasks[block_id] = task
         return task
 
@@ -175,29 +183,17 @@ class LazyCertifier:
     def pending_dispatch_count(self) -> int:
         return len(self._dispatch_queue)
 
-    def queued_for_dispatch(self, block_id: BlockId) -> bool:
-        """Whether a block's digest is still waiting for its batch to ship.
-
-        Such a block has never actually been requested from the cloud, so
-        retry logic must not treat it as an unanswered request — the batch
-        flush (timer- or size-triggered) covers it.
-        """
-
-        return block_id in self._dispatch_queue
-
     # ------------------------------------------------------------------
     # Windowed (pipelined) dispatch
     # ------------------------------------------------------------------
     def begin_batch(
-        self, block_ids: "list[BlockId] | tuple[BlockId, ...]", now: float
+        self, block_ids: "list[BlockId] | tuple[BlockId, ...]"
     ) -> InFlightBatch:
         """Register a dispatched batch request as in flight.
 
         Every block must be tracked, uncertified, and not already carried by
-        another in-flight batch (a selective retry re-sends the *same* batch
-        through :meth:`record_batch_retry` instead).  Members' request
-        timestamps move to the dispatch time — the overdue clock measures
-        from when the request actually left, not from block formation.
+        another in-flight batch (a retry re-sends the *same* batch, see
+        :meth:`awaiting`).
         """
 
         members: list[BlockId] = []
@@ -214,14 +210,12 @@ class LazyCertifier:
                     f"block {block_id} is already carried by in-flight batch "
                     f"{self._block_batch[block_id]}"
                 )
-            task.requested_at = now
             members.append(block_id)
         if not members:
             raise ProtocolError("cannot dispatch an empty certify batch")
         batch = InFlightBatch(
             batch_id=self._next_batch_id,
             block_ids=tuple(members),
-            dispatched_at=now,
             remaining=set(members),
         )
         self._next_batch_id += 1
@@ -234,30 +228,28 @@ class LazyCertifier:
         self,
         depth: int,
         batch_size: int,
-        now: float,
         allow_partial: bool = False,
-    ) -> list[tuple[CertificationTask, ...]]:
+    ) -> list[InFlightBatch]:
         """Pull dispatchable batches off the queue while the window has room.
 
         The window-pump policy of ``EdgeNode._pump_certify_pipeline``, the
         one driver of windowed certification on both substrates: full
         ``batch_size`` chunks ship while ``in_flight_count < depth``; a
         trailing partial batch ships only when *allow_partial* (timeout
-        flushes and drains).  Every returned group is already registered in
+        flushes and drains).  Every returned batch is already registered in
         flight via :meth:`begin_batch`; the caller only builds and sends the
-        requests.
+        requests (and arms their retry chains).
         """
 
-        groups: list[tuple[CertificationTask, ...]] = []
+        batches: list[InFlightBatch] = []
         while self.pending_dispatch_count and self.in_flight_count < depth:
             if not allow_partial and self.pending_dispatch_count < batch_size:
                 break
             tasks = self.drain_dispatch_queue(max_items=batch_size)
             if not tasks:
                 continue  # drained slice was fully certified already
-            self.begin_batch([task.block_id for task in tasks], now)
-            groups.append(tasks)
-        return groups
+            batches.append(self.begin_batch([task.block_id for task in tasks]))
+        return batches
 
     @property
     def in_flight_count(self) -> int:
@@ -277,48 +269,29 @@ class LazyCertifier:
 
         return block_id in self._block_batch
 
-    def overdue_batches(
-        self, now: float, timeout_s: TimeoutSpec
-    ) -> tuple[InFlightBatch, ...]:
-        """In-flight batches unanswered longer than *timeout_s* (oldest id
-        first) — the selective-retry unit under pipelining.
-
-        *timeout_s* may be a retry-count-indexed schedule (see
-        :data:`TimeoutSpec`), in which case an already-retried batch waits
-        out its backoff step before going overdue again.
-        """
+    def awaiting(self, batch: InFlightBatch) -> tuple[CertificationTask, ...]:
+        """The batch's members still owed a certificate, in batch order:
+        exactly what a retry of that batch re-sends."""
 
         return tuple(
-            self._in_flight[batch_id]
-            for batch_id in sorted(self._in_flight)
-            if now - self._in_flight[batch_id].dispatched_at
-            > _timeout_value(timeout_s, self._in_flight[batch_id].retries)
+            self._tasks[block_id]
+            for block_id in batch.block_ids
+            if block_id in batch.remaining
         )
 
-    def record_batch_retry(
-        self, batch_id: int, now: float
-    ) -> tuple[CertificationTask, ...]:
-        """Note that one lost batch was re-sent; returns the tasks re-sent.
+    def _leave_batch(self, block_id: BlockId) -> None:
+        """Take a block out of its in-flight batch; retire the batch (and
+        cancel its retry chain) once no member is left."""
 
-        Resets the batch's overdue clock and the member tasks' request
-        timestamps (so the per-task overdue scan does not double-retry
-        them), and bumps both retry counters.
-        """
-
-        batch = self._in_flight.get(batch_id)
-        if batch is None:
-            raise ProtocolError(f"batch {batch_id} is not in flight")
-        batch.retries += 1
-        batch.dispatched_at = now
-        tasks = []
-        for block_id in batch.block_ids:
-            task = self._tasks[block_id]
-            if task.is_certified:
-                continue
-            task.retries += 1
-            task.requested_at = now
-            tasks.append(task)
-        return tuple(tasks)
+        batch_id = self._block_batch.pop(block_id, None)
+        if batch_id is None:
+            return
+        batch = self._in_flight[batch_id]
+        batch.remaining.discard(block_id)
+        if not batch.remaining:
+            _end_chain(batch)
+            del self._in_flight[batch_id]
+            self._retired_batch_count += 1
 
     def reset_window(self) -> tuple[BlockId, ...]:
         """Forget every dispatch-queue entry and in-flight batch.
@@ -326,12 +299,15 @@ class LazyCertifier:
         This is the crash model: the pipeline window and the pending batch
         queue are volatile memory, wiped when the edge goes down, while the
         tasks (mirroring the durable log's uncertified blocks, proofs
-        included) survive.  On restart the overdue scan sees the survivors
-        as never-dispatched and re-sends them.  Returns the block ids whose
-        in-flight requests were forgotten.
+        included) survive.  Every retry chain dies with the window; restart
+        re-dispatches the survivors through the ordinary send path.  A
+        retired partition ends its chains the same way.  Returns the block
+        ids whose in-flight requests were forgotten.
         """
 
         dropped = tuple(sorted(self._block_batch))
+        for record in (*self._in_flight.values(), *self._tasks.values()):
+            _end_chain(record)
         self._in_flight.clear()
         self._block_batch.clear()
         self._dispatch_queue.clear()
@@ -342,19 +318,14 @@ class LazyCertifier:
 
         Called when the cloud definitively refused the block (a
         :class:`CertifyRejection`): the batch must not occupy a window slot
-        forever waiting for a certificate that will never come.
+        forever waiting for a certificate that will never come, and no retry
+        may re-send the refused digest.
         """
 
-        batch_id = self._block_batch.pop(block_id, None)
-        if batch_id is None:
-            return
-        batch = self._in_flight.get(batch_id)
-        if batch is None:
-            return
-        batch.remaining.discard(block_id)
-        if not batch.remaining:
-            del self._in_flight[batch_id]
-            self._retired_batch_count += 1
+        task = self._tasks.get(block_id)
+        if task is not None:
+            _end_chain(task)
+        self._leave_batch(block_id)
 
     # ------------------------------------------------------------------
     # Completion
@@ -382,35 +353,11 @@ class LazyCertifier:
         task.proof = proof
         if first_time:
             self._certified_count += 1
-            batch_id = self._block_batch.pop(proof.block_id, None)
-            if batch_id is not None:
-                batch = self._in_flight[batch_id]
-                batch.remaining.discard(proof.block_id)
-                if not batch.remaining:
-                    del self._in_flight[batch_id]
-                    self._retired_batch_count += 1
+            _end_chain(task)
+            self._leave_batch(proof.block_id)
         subscribers = list(task.subscribers)
         task.subscribers = []
         return subscribers
-
-    # ------------------------------------------------------------------
-    # Retry
-    # ------------------------------------------------------------------
-    def record_retry(self, block_id: BlockId, now: float) -> CertificationTask:
-        """Note that the certification request for a block was re-sent.
-
-        Bumps the task's retry counter and resets its request timestamp so
-        :meth:`overdue` measures from the latest attempt.
-        """
-
-        task = self._tasks.get(block_id)
-        if task is None:
-            raise ProtocolError(f"block {block_id} is not tracked for certification")
-        if task.is_certified:
-            raise ProtocolError(f"block {block_id} is already certified")
-        task.retries += 1
-        task.requested_at = now
-        return task
 
     # ------------------------------------------------------------------
     # Introspection
@@ -426,17 +373,4 @@ class LazyCertifier:
     def outstanding(self) -> tuple[CertificationTask, ...]:
         return tuple(
             task for task in self._tasks.values() if not task.is_certified
-        )
-
-    def overdue(
-        self, now: float, timeout_s: TimeoutSpec
-    ) -> tuple[CertificationTask, ...]:
-        """Tasks whose certification has been pending longer than *timeout_s*
-        (flat, or a retry-count-indexed backoff schedule)."""
-
-        return tuple(
-            task
-            for task in self._tasks.values()
-            if not task.is_certified
-            and now - task.requested_at > _timeout_value(timeout_s, task.retries)
         )

@@ -1,33 +1,26 @@
 """The shared retry/backoff policy behind every retransmission timer.
 
-Before this module, each subsystem grew its own ad-hoc timer: the edge's
-overdue-certification rescan used one flat timeout however often a batch
-had already been re-sent, the 2PC coordinator spread its decision retries at
-a fixed interval, and the shard-handoff drain had no retransmission at all
-(a lost offer or transfer wedged the handoff forever).
-:class:`RetryPolicy` unifies them: capped exponential backoff with optional
-seeded jitter and a bounded attempt budget.  :class:`Retransmission` is the
-one timer chain that walks a policy for the steps that re-send a stored
-message (handoff offers and transfers, 2PC decisions).
+:class:`RetryPolicy` is capped exponential backoff with optional seeded
+jitter and an optional attempt budget.  :class:`Retransmission` is the one
+timer chain that walks a policy for every step that re-sends a stored
+request: certify requests (one chain per single-block request or per
+in-flight batch), handoff offers and transfers, and 2PC decisions.
 
-The policy itself is *clockless* — it maps an attempt number to a delay (or
-an already-recorded retry count to the timeout guarding the next attempt);
-callers measure elapsed time on their environment's clock.  The simulator
-measures on simulated time and the live service on
-:class:`~repro.sim.clock.AnchoredWallClock`, which reads ``time.monotonic()``
-— never ``time.time()``, so a system-clock step cannot mass-trigger or
-suppress retries.
+The policy itself is *clockless* — it maps an attempt number to a delay;
+the chain arms each delay on its environment's own ``schedule``: simulated
+time in the simulator, the asyncio loop's monotonic clock in the live
+service — never ``time.time()``, so a system-clock step cannot
+mass-trigger or suppress retries.
 
 Jitter draws come from an explicitly seeded
 :class:`~repro.sim.rng.DeterministicRng`, so a jittered schedule is exactly
-reproducible under a fixed seed.  Every default in the code base uses
-``jitter_fraction=0`` — the unification is behavior-preserving until a
-caller opts into backoff.
+reproducible under a fixed seed.  No policy in the code base uses jitter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional
 
 from ..common.errors import ConfigurationError
@@ -78,12 +71,6 @@ class RetryPolicy:
 
         return cls(base_s=interval_s, factor=1.0, max_attempts=max_attempts)
 
-    @classmethod
-    def fixed_timeout(cls, timeout_s: float) -> "RetryPolicy":
-        """A flat, uncapped, unbounded timeout — the legacy overdue scan."""
-
-        return cls(base_s=timeout_s, factor=1.0)
-
     # ------------------------------------------------------------------
     # The schedule
     # ------------------------------------------------------------------
@@ -104,23 +91,6 @@ class RetryPolicy:
             raw = self.rng.jitter(raw, self.jitter_fraction)
         return raw
 
-    def timeout_for(self, retries: int) -> float:
-        """Overdue horizon guarding the *next* retry after ``retries`` sent.
-
-        This is the shape the certification overdue scan consumes: a task or
-        batch already re-sent ``retries`` times is not overdue again until
-        the (``retries + 1``)-th backoff step elapses, so an unreachable
-        cloud sees exponentially thinning retransmissions instead of one
-        flat-interval hammer.
-        """
-
-        return self.delay(retries + 1)
-
-    def exhausted(self, retries: int) -> bool:
-        """Whether ``retries`` already spent the whole attempt budget."""
-
-        return self.max_attempts is not None and retries >= self.max_attempts
-
 
 class Retransmission:
     """One retransmission chain: re-send on *policy*'s schedule until told to stop.
@@ -129,8 +99,16 @@ class Retransmission:
     ``schedule``, simulated or wall-clock); when the timer fires,
     ``resend()`` re-ships the message and returns whether to keep going —
     ``False`` once the step completed or was superseded.  The chain also
-    ends on :meth:`cancel` and when the attempt budget is spent: recovery is
-    then the peer's or an operator's, never a retry loop against a dead peer.
+    ends on :meth:`cancel`, and when the policy's attempt budget is spent
+    (handoff and 2PC: recovery is then the peer's or an operator's).  A
+    policy without a budget — certification's — retries until its record
+    retires, so bounding what an unreachable peer costs is ``resend``'s job
+    (see ``EdgeNode._resend_single``).
+
+    The chain itself holds only its pending timer; the schedule, policy and
+    ``resend`` ride in that timer's callback.  So a node that keeps its
+    chains forms no reference cycle through them once the timer is
+    cancelled (a stopped live environment cancels every timer).
     """
 
     def __init__(
@@ -141,20 +119,24 @@ class Retransmission:
         label: str = "",
     ) -> None:
         self._handle: Optional[Any] = None
+        #: The attempt ``resend`` is running for (1 on the first retry).
+        self.attempt = 0
+        self._arm(1, schedule, policy, resend, label)
 
-        def arm(attempt: int) -> None:
-            def fire() -> None:
-                self._handle = None  # an ended chain keeps nothing alive
-                if resend():
-                    arm(attempt + 1)
+    def _arm(self, attempt: int, schedule, policy, resend, label) -> None:
+        if policy.allows(attempt):
+            fire = partial(self._fire, attempt, schedule, policy, resend, label)
+            self._handle = schedule(policy.delay(attempt), fire, label=label)
 
-            if policy.allows(attempt):
-                self._handle = schedule(policy.delay(attempt), fire, label=label)
-
-        arm(1)
+    def _fire(self, attempt: int, schedule, policy, resend, label) -> None:
+        self._handle = None  # an ended chain keeps nothing alive
+        self.attempt = attempt
+        if resend():
+            self._arm(attempt + 1, schedule, policy, resend, label)
 
     def cancel(self) -> None:
         """End the chain: a pending timer never fires."""
 
         if self._handle is not None:
             self._handle.cancel()
+            self._handle = None

@@ -37,6 +37,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Iterable, Optional
 
 from ..common.config import SystemConfig
@@ -48,9 +49,9 @@ from ..common.errors import (
 )
 from ..common.identifiers import BlockId, NodeId, OperationId, ShardId, edge_id
 from ..common.regions import Region
-from ..core.certification import LazyCertifier
+from ..core.certification import CertificationTask, InFlightBatch, LazyCertifier
 from ..crypto.hashing import digest_value
-from ..faults.retry import RetryPolicy
+from ..faults.retry import Retransmission, RetryPolicy
 from ..log.block import Block, build_block
 from ..log.buffer import BlockBuffer, PendingBatch
 from ..log.proofs import issue_phase_one_receipt
@@ -216,6 +217,13 @@ class EdgeNode(TableDispatchNode):
             "timeout_flushes": 0,
         }
         self.stats = self._make_stats(stats_init)
+        timeout = self.config.security.dispute_timeout_s
+        #: Retransmission schedule of every certify request (see
+        #: :meth:`_arm_certify_retry`): derived from the dispute timeout.
+        self._certify_retry_policy = RetryPolicy(base_s=timeout / 2, cap_s=timeout)
+        #: When the cloud last answered a certify request, and when the last
+        #: outage probe left (see :meth:`_resend_single`).
+        self._cloud_heard_at = self._cloud_probed_at = float("-inf")
         #: Reports from the last durable restart recovery (diagnostics).
         self.last_recovery_reports: list[RecoveryReport] = []
         env.attach(self)
@@ -468,7 +476,7 @@ class EdgeNode(TableDispatchNode):
                 self.env.registry, self.node_id, block, now
             )
             digest = self._digest_to_certify(block)
-            self.certifier.track(block.block_id, digest, now)
+            self.certifier.track(block.block_id, digest)
             self._active.receipts[block.block_id] = receipt
             self._persist_block(block, receipt)
             locations = self._active.entry_locations
@@ -491,7 +499,7 @@ class EdgeNode(TableDispatchNode):
 
             # Lazy certification: data-free digest to the cloud, off the
             # critical path.
-            self._send_certify_request(block, digest)
+            self._send_certify_request(block)
             self._maybe_start_merge()
 
     @staticmethod
@@ -537,22 +545,16 @@ class EdgeNode(TableDispatchNode):
     def _digest_to_certify(self, block: Block) -> str:
         return block.digest()
 
-    def _send_certify_request(self, block: Block, digest: str) -> None:
-        batch_size = self.config.logging.certify_batch_size
-        if batch_size <= 1:
-            # Unbatched wire format: one signed request per block, exactly
-            # the protocol the paper's figures were measured with.
-            self._send_single_certify_request(
-                block.block_id, digest, block.num_entries
-            )
-            return
+    def _send_certify_request(self, block: Block) -> None:
+        self._dispatch_certify(self.certifier.task(block.block_id))
+        if not self.certifier.pending_dispatch_count:
+            return  # sent on its own (``certify_batch_size`` of 1)
         # Lazy certification is asynchronous, so the digest can wait for its
-        # batch: queue it, ship full batches while the in-flight window has
-        # room, and bound whatever stays queued (a partial batch, or a full
-        # window) with the flush timer.  A size-triggered dispatch that
-        # empties the queue cancels the timer so the next digest starts a
-        # fresh full window instead of inheriting a near-expired deadline.
-        self.certifier.enqueue_for_dispatch(block.block_id)
+        # batch: ship full batches while the in-flight window has room, and
+        # bound whatever stays queued (a partial batch, or a full window)
+        # with the flush timer.  A size-triggered dispatch that empties the
+        # queue cancels the timer so the next digest starts a fresh full
+        # window instead of inheriting a near-expired deadline.
         self._pump_certify_pipeline()
         if self.certifier.pending_dispatch_count:
             self._arm_certify_flush_timer()
@@ -571,13 +573,12 @@ class EdgeNode(TableDispatchNode):
         """
 
         depth = self.config.logging.certify_pipeline_depth
-        groups = self.certifier.drain_window_groups(
+        batches = self.certifier.drain_window_groups(
             depth=depth,
             batch_size=self.config.logging.certify_batch_size,
-            now=self.env.now(),
             allow_partial=allow_partial,
         )
-        shipped = len(groups)
+        groups = [self.certifier.awaiting(batch) for batch in batches]
         if len(groups) == 1:
             self._send_certify_batch_request(groups[0])
         elif groups:
@@ -585,6 +586,8 @@ class EdgeNode(TableDispatchNode):
             # signature covers them all; the cloud still answers with one
             # certificate per batch, so the slots retire independently.
             self._send_certify_window_request(groups)
+        for batch in batches:
+            self._arm_certify_retry(batch, partial(self._resend_batch, batch))
         if (
             self.certifier.pending_dispatch_count
             and self.certifier.in_flight_count >= depth
@@ -604,22 +607,97 @@ class EdgeNode(TableDispatchNode):
             self._metrics.gauge("certify_queued", shard=shard).set(
                 self.certifier.pending_dispatch_count
             )
-        return shipped
+        return len(batches)
 
-    def _send_single_certify_request(
-        self, block_id: BlockId, digest: str, num_entries: int
+    def _dispatch_certify(self, task: CertificationTask) -> None:
+        """Start one block's certification the ordinary way.
+
+        With ``certify_batch_size`` of 1 the block gets its own signed
+        request and retry chain — exactly the protocol the paper's figures
+        were measured with.  Otherwise it joins the dispatch queue, and the
+        caller pumps (or flushes) the window.
+        """
+
+        if self.config.logging.certify_batch_size > 1:
+            self.certifier.enqueue_for_dispatch(task.block_id)
+            return
+        self._send_single_certify_request(task)
+        self._arm_certify_retry(task, partial(self._resend_single, task))
+
+    def _resend_single(self, task: CertificationTask) -> bool:
+        """Re-send one block's own request.
+
+        The first retry always goes: it lands before the client's dispute,
+        which would otherwise convict this honest edge over one lost packet.
+        Later ones only hasten eventual certification, so once the cloud
+        has answered nothing for a whole dispute timeout (an outage) they
+        shrink to one probe per timeout for the whole edge, and the first
+        answer to it lets every chain re-send again.  A backlog of B blocks
+        thus costs one retry per block formed plus that probe, not B
+        signatures every timeout for as long as the outage lasts.
+        """
+
+        now = self.env.now()
+        timeout = self.config.security.dispute_timeout_s
+        if task.retry.attempt > 1 and now - self._cloud_heard_at >= timeout:
+            if now - self._cloud_probed_at < timeout:
+                return True
+            self._cloud_probed_at = now
+        self.stats["certify_retries"] += 1
+        self._send_single_certify_request(task)
+        return True
+
+    def _resend_batch(self, batch: InFlightBatch) -> bool:
+        """Re-ship one lost batch as itself: its still-uncertified members
+        under a fresh signature, never re-chunked with other batches."""
+
+        tasks = self.certifier.awaiting(batch)
+        self.stats["certify_retries"] += len(tasks)
+        self.stats.setdefault("certify_batch_retries", 0)
+        self.stats["certify_batch_retries"] += 1
+        self._send_certify_batch_request(tasks)
+        return True
+
+    def _arm_certify_retry(
+        self, record: "CertificationTask | InFlightBatch", resend
     ) -> None:
-        statement = CertifyStatement(
-            edge=self.node_id,
-            block_id=block_id,
-            block_digest=digest,
-            num_entries=num_entries,
+        """Hang a retransmission chain on the record a request re-sends.
+
+        *record* is the task of a single-block request or the in-flight
+        batch of a batched one; the certifier cancels the chain when the
+        record retires (certified, refused, or wiped by a crash), so
+        ``resend`` only ever runs for a request still owed a certificate.
+
+        The schedule is derived from ``dispute_timeout_s`` (D), not tuned:
+        first retry at D/2, then doubling, capped at D, with no attempt
+        budget.  It must land before the client's dispute (which would
+        convict this honest edge) and after the longest honest Phase II lag.
+        Measured from dispatch to absorbed proof, that lag is at most 0.15 s
+        on figures 4 and 5, 0.25 s on figure 7 and 1.74 s on figure 6 at
+        its committed 120 x 1000 scale — but 2.57 s at 200 batches and
+        3.39 s at 400, so a larger figure-6 scale would retry.
+        """
+
+        record.retry = Retransmission(
+            self.env.schedule,
+            self._certify_retry_policy,
+            partial(self._resend_in, self._active, resend),
+            label=f"{self.node_id}:certify-retry",
         )
+
+    def _resend_in(self, state: PartitionState, resend) -> bool:
+        """Run *resend* with the partition that sent the request active."""
+
+        with self._as_active(state):
+            return resend()
+
+    def _send_single_certify_request(self, task: CertificationTask) -> None:
+        (statement,) = self._certify_items_for((task,))
         signature = self.env.registry.sign(self.node_id, statement)
         self.stats["certify_requests"] += 1
         message = BlockCertifyRequest(statement=statement, signature=signature)
         with self._span(
-            "certify.dispatch", links=self._obs_phase1_links((block_id,)), blocks=1
+            "certify.dispatch", links=self._obs_phase1_links((task.block_id,)), blocks=1
         ):
             self.env.send(self.node_id, self.cloud, message)
 
@@ -947,9 +1025,10 @@ class EdgeNode(TableDispatchNode):
         one rebuilt purely from its store (verified against the durable
         signed root, quarantined on corruption) — the preserved in-memory
         objects are not trusted.  Either way, the crash wiped the in-flight
-        window, so every uncertified block is simply overdue at timeout
-        zero — restart recovery *is* the ordinary overdue scan, no special
-        path.
+        window and its retry chains, so every uncertified block goes back
+        through the ordinary dispatch path: its own request (and chain) with
+        ``certify_batch_size`` of 1, otherwise the dispatch queue and a
+        flush — so the window bound holds after a restart too.
         """
 
         self.stats.setdefault("restarts", 0)
@@ -960,7 +1039,10 @@ class EdgeNode(TableDispatchNode):
             if state.quarantined is not None:
                 continue
             with self._as_active(state):
-                self._retry_overdue_for_active(0.0)
+                tasks = self.certifier.outstanding()
+                for task in sorted(tasks, key=lambda task: task.block_id):
+                    self._dispatch_certify(task)
+                self._flush_certify_batch()
 
     # ------------------------------------------------------------------
     # Block proofs from the cloud
@@ -1017,6 +1099,7 @@ class EdgeNode(TableDispatchNode):
                 self.log.attach_proof(proof)
                 self._persist_proof(proof)
             self.stats["proofs_received"] += 1
+            self._cloud_heard_at = self.env.now()
             try:
                 subscribers = self.certifier.complete(proof)
             except ProtocolError:
@@ -1075,78 +1158,6 @@ class EdgeNode(TableDispatchNode):
         self._maybe_start_merge()
         self._pump_certify_pipeline()
 
-    def retry_overdue_certifications(self, timeout_s: "float | RetryPolicy") -> int:
-        """Re-send certification requests pending longer than *timeout_s*.
-
-        Retry granularity is *per lost batch*: an overdue in-flight batch is
-        re-sent as exactly that batch (its still-uncertified members under a
-        fresh signature) — never folded into a whole-overdue-set re-chunk,
-        so one lost request costs one retry message however deep the
-        pipeline is, and a duplicate late certificate (the original answer
-        racing the retry's) is absorbed idempotently.
-
-        Overdue digests that ride no in-flight batch (e.g. requested through
-        the single-block path) fall back to the pre-pipeline behaviour: the
-        single-block path with ``certify_batch_size`` of 1, re-batched
-        :class:`CertifyBatchRequest` chunks otherwise.  Returns how many
-        block retries were sent.  Blocks still sitting in the dispatch queue
-        are skipped — their first request has not left the edge yet, so
-        there is nothing to retry (the pending batch flush covers them).
-
-        *timeout_s* may also be a :class:`~repro.faults.retry.RetryPolicy`:
-        each batch/task then waits out the policy's backoff step for its own
-        retry count before going overdue again (sustained cloud outages see
-        exponentially thinning retransmissions instead of a flat hammer),
-        and anything past the policy's attempt budget stops retrying.
-        """
-
-        total = 0
-        for state in self._partition_states():
-            with self._as_active(state):
-                total += self._retry_overdue_for_active(timeout_s)
-        return total
-
-    def _retry_overdue_for_active(self, timeout_s: "float | RetryPolicy") -> int:
-        policy = timeout_s if isinstance(timeout_s, RetryPolicy) else None
-        horizon = policy.timeout_for if policy is not None else timeout_s
-        now = self.env.now()
-        sent = 0
-        # Selective per-batch retries first: only the lost batches re-ship.
-        for batch in self.certifier.overdue_batches(now, horizon):
-            if policy is not None and policy.exhausted(batch.retries):
-                continue
-            tasks = self.certifier.record_batch_retry(batch.batch_id, now)
-            if not tasks:
-                continue
-            self.stats["certify_retries"] += len(tasks)
-            self.stats.setdefault("certify_batch_retries", 0)
-            self.stats["certify_batch_retries"] += 1
-            self._send_certify_batch_request(tasks)
-            sent += len(tasks)
-        overdue = [
-            task
-            for task in self.certifier.overdue(now, horizon)
-            if not self.certifier.queued_for_dispatch(task.block_id)
-            and not self.certifier.in_flight(task.block_id)
-            and not (policy is not None and policy.exhausted(task.retries))
-        ]
-        if not overdue:
-            return sent
-        overdue.sort(key=lambda task: task.block_id)
-        for task in overdue:
-            self.certifier.record_retry(task.block_id, now)
-            self.stats["certify_retries"] += 1
-        batch_size = self.config.logging.certify_batch_size
-        if batch_size <= 1:
-            for task in overdue:
-                self._send_single_certify_request(
-                    task.block_id, task.block_digest, self._num_entries_for(task.block_id)
-                )
-        else:
-            for start in range(0, len(overdue), batch_size):
-                self._send_certify_batch_request(overdue[start : start + batch_size])
-        return sent + len(overdue)
-
     def _handle_certify_rejection(
         self, sender: NodeId, message: CertifyRejection
     ) -> None:
@@ -1162,9 +1173,11 @@ class EdgeNode(TableDispatchNode):
         # An honest edge should never be rejected; record it for diagnostics.
         self.stats.setdefault("certify_rejections", 0)
         self.stats["certify_rejections"] += 1
+        self._cloud_heard_at = self.env.now()
         # A definitively refused block will never produce a certificate:
-        # release its in-flight batch slot so the window cannot wedge on it,
-        # and let the freed slot pull the next queued batch forward.
+        # end its retry, release its in-flight batch slot so the window
+        # cannot wedge on it, and let the freed slot pull the next queued
+        # batch forward.
         self.certifier.abandon_in_flight(message.block_id)
         self._pump_certify_pipeline()
 

@@ -120,7 +120,7 @@ class OmittingEdgeNode(EdgeNode):
 class NonCertifyingEdgeNode(EdgeNode):
     """Phase I commits normally but never asks the cloud to certify anything."""
 
-    def _send_certify_request(self, block: Block, digest: str) -> None:
+    def _send_certify_request(self, block: Block) -> None:
         self.stats.setdefault("certify_requests_dropped", 0)
         self.stats["certify_requests_dropped"] += 1
 
@@ -128,8 +128,8 @@ class NonCertifyingEdgeNode(EdgeNode):
 class EquivocatingCertifierEdgeNode(EdgeNode):
     """Sends a second, conflicting certification request for every block."""
 
-    def _send_certify_request(self, block: Block, digest: str) -> None:
-        super()._send_certify_request(block, digest)
+    def _send_certify_request(self, block: Block) -> None:
+        super()._send_certify_request(block)
         tampered = build_block(
             self.node_id,
             block.block_id,

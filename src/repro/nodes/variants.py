@@ -39,11 +39,11 @@ class FullDataCertifyRequest(BlockCertifyRequest):
 class FullDataLazyEdgeNode(EdgeNode):
     """Lazy certification without the data-free optimisation."""
 
-    def _send_certify_request(self, block: Block, digest: str) -> None:
+    def _send_certify_request(self, block: Block) -> None:
         statement = CertifyStatement(
             edge=self.node_id,
             block_id=block.block_id,
-            block_digest=digest,
+            block_digest=self.certifier.task(block.block_id).block_digest,
             num_entries=block.num_entries,
         )
         signature = self.env.registry.sign(self.node_id, statement)

@@ -379,10 +379,14 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
         keep resolving (denying them would look like an omission).  The
         durable state now lives with the shard's next writer: retire this
         incarnation's store so a later re-adoption starts from a fresh
-        certified transfer, never from stale segments.
+        certified transfer, never from stale segments.  Certificates for
+        the partition's blocks are dropped as strays from here on, so its
+        certify retry chains end with it (a deposed writer may still hold
+        unanswered requests).
         """
 
         state = self._shard_states.pop(shard_id)
+        state.certifier.reset_window()
         for record in state.log:
             self._archived_records[record.block.block_id] = record
         if state.store is not None:

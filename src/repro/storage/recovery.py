@@ -160,8 +160,8 @@ def _rebuild(
         report.root_version = signed_root.statement.version
         report.root_verified = True
 
-    # Uncertified blocks go back under the certifier; the restart's overdue
-    # scan re-requests them all at timeout zero.
+    # Uncertified blocks go back under the certifier; the restart then
+    # re-dispatches them through the ordinary certify path.
     for block in replay.blocks:
         if state.log.proof_for(block.block_id) is None:
-            state.certifier.track(block.block_id, block.digest(), block.created_at)
+            state.certifier.track(block.block_id, block.digest())

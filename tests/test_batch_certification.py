@@ -2,7 +2,7 @@
 
 Covers the crypto batch helpers (one signature over a Merkle root of item
 digests), the batch-anchored block proofs, the LazyCertifier dispatch queue
-and retry bookkeeping, the cloud's batch-certify handler (including the
+and the retry chains it ends, the cloud's batch-certify handler (including the
 duplicate / out-of-order / conflicting cases), the edge's malicious-cloud
 rejection path, and end-to-end equivalence between the batched and the
 per-block protocol.
@@ -226,13 +226,13 @@ class TestBatchedBlockProof:
 
 
 # ----------------------------------------------------------------------
-# LazyCertifier: dispatch queue, overdue, retry
+# LazyCertifier: dispatch queue, retry chains
 # ----------------------------------------------------------------------
 class TestCertifierDispatchQueue:
     def test_enqueue_and_drain_in_order(self):
         certifier = LazyCertifier()
         for block_id in range(3):
-            certifier.track(block_id, f"{block_id:064x}", requested_at=1.0)
+            certifier.track(block_id, f"{block_id:064x}")
             certifier.enqueue_for_dispatch(block_id)
         assert certifier.pending_dispatch_count == 3
         drained = certifier.drain_dispatch_queue()
@@ -247,14 +247,14 @@ class TestCertifierDispatchQueue:
 
     def test_enqueue_is_idempotent(self):
         certifier = LazyCertifier()
-        certifier.track(0, "a" * 64, requested_at=1.0)
+        certifier.track(0, "a" * 64)
         assert certifier.enqueue_for_dispatch(0) == 1
         assert certifier.enqueue_for_dispatch(0) == 1
 
     def test_drain_respects_max_items(self):
         certifier = LazyCertifier()
         for block_id in range(4):
-            certifier.track(block_id, f"{block_id:064x}", requested_at=1.0)
+            certifier.track(block_id, f"{block_id:064x}")
             certifier.enqueue_for_dispatch(block_id)
         first = certifier.drain_dispatch_queue(max_items=3)
         assert [task.block_id for task in first] == [0, 1, 2]
@@ -263,7 +263,7 @@ class TestCertifierDispatchQueue:
     def test_drain_skips_already_certified(self, registry):
         certifier = LazyCertifier()
         for block_id in range(2):
-            certifier.track(block_id, f"{block_id:064x}", requested_at=1.0)
+            certifier.track(block_id, f"{block_id:064x}")
             certifier.enqueue_for_dispatch(block_id)
         proof = issue_block_proof(registry, CLOUD, EDGE, 0, f"{0:064x}", 2.0)
         certifier.complete(proof)
@@ -271,36 +271,54 @@ class TestCertifierDispatchQueue:
         assert [task.block_id for task in drained] == [1]
 
 
-class TestCertifierOverdueRetry:
-    def test_overdue_and_retry_bookkeeping(self):
-        certifier = LazyCertifier()
-        certifier.track(0, "a" * 64, requested_at=1.0)
-        assert certifier.overdue(now=1.5, timeout_s=1.0) == ()
-        (task,) = certifier.overdue(now=2.5, timeout_s=1.0)
-        assert task.block_id == 0 and task.retries == 0
+class _Chain:
+    """Stands in for a :class:`~repro.faults.retry.Retransmission`."""
 
-        retried = certifier.record_retry(0, now=2.5)
-        assert retried.retries == 1
-        assert retried.requested_at == 2.5
-        # The retry resets the overdue clock.
-        assert certifier.overdue(now=3.0, timeout_s=1.0) == ()
-        (again,) = certifier.overdue(now=4.0, timeout_s=1.0)
-        assert again.retries == 1
+    cancelled = False
 
-    def test_retry_untracked_or_certified_rejected(self, registry):
+    def cancel(self):
+        self.cancelled = True
+
+
+class TestCertifierRetryChains:
+    """A record's retry chain ends exactly when the record retires."""
+
+    def test_certificate_ends_the_single_block_chain(self, registry):
         certifier = LazyCertifier()
-        with pytest.raises(ProtocolError):
-            certifier.record_retry(0, now=1.0)
-        certifier.track(0, "a" * 64, requested_at=1.0)
+        task = certifier.track(0, "a" * 64)
+        task.retry = chain = _Chain()
         certifier.complete(issue_block_proof(registry, CLOUD, EDGE, 0, "a" * 64, 2.0))
-        with pytest.raises(ProtocolError):
-            certifier.record_retry(0, now=3.0)
+        assert chain.cancelled and task.retry is None
 
-    def test_certified_tasks_never_overdue(self, registry):
+    def test_refusal_ends_the_single_block_chain(self):
         certifier = LazyCertifier()
-        certifier.track(0, "a" * 64, requested_at=1.0)
-        certifier.complete(issue_block_proof(registry, CLOUD, EDGE, 0, "a" * 64, 2.0))
-        assert certifier.overdue(now=100.0, timeout_s=1.0) == ()
+        task = certifier.track(0, "a" * 64)
+        task.retry = chain = _Chain()
+        certifier.abandon_in_flight(0)
+        assert chain.cancelled and task.retry is None
+
+    def test_batch_chain_ends_with_its_last_member(self, registry):
+        certifier = LazyCertifier()
+        for block_id in range(2):
+            certifier.track(block_id, f"{block_id:064x}")
+        batch = certifier.begin_batch([0, 1])
+        batch.retry = chain = _Chain()
+        certifier.complete(issue_block_proof(registry, CLOUD, EDGE, 0, f"{0:064x}", 2.0))
+        assert not chain.cancelled
+        assert [task.block_id for task in certifier.awaiting(batch)] == [1]
+        certifier.abandon_in_flight(1)
+        assert chain.cancelled and certifier.in_flight_count == 0
+
+    def test_crash_ends_every_chain(self):
+        certifier = LazyCertifier()
+        for block_id in range(3):
+            certifier.track(block_id, f"{block_id:064x}")
+        batch = certifier.begin_batch([0, 1])
+        batch.retry = batch_chain = _Chain()
+        certifier.task(2).retry = task_chain = _Chain()
+        assert certifier.reset_window() == (0, 1)
+        assert batch_chain.cancelled and task_chain.cancelled
+        assert certifier.task(2).retry is None
 
 
 # ----------------------------------------------------------------------
@@ -481,7 +499,7 @@ def make_edge_with_blocks(num_blocks, batch_size=8, pipeline_depth=1):
         ]
         block = build_block(edge.node_id, index, entries, created_at=0.0)
         edge.log.append(block)
-        edge.certifier.track(index, block.digest(), requested_at=0.0)
+        edge.certifier.track(index, block.digest())
     return env, cloud, edge
 
 
@@ -594,75 +612,82 @@ class TestEdgeBatchCertificateHandling:
 
 
 # ----------------------------------------------------------------------
-# Edge retry of overdue certifications
+# Edge retransmission of certify requests
 # ----------------------------------------------------------------------
+def lose_first(env, message_type):
+    """Lose the first *message_type* the network is asked to carry."""
+
+    lost = []
+
+    def hook(src, dst, message):
+        if isinstance(message, message_type) and not lost:
+            lost.append(message)
+            return False
+        return True
+
+    env.network.add_send_hook("test:lose-first", hook)
+    return lost
+
+
 class TestEdgeRetry:
+    """Every certify request that leaves the edge arms its own chain: the
+    first retry at ``dispute_timeout_s / 2``, ended by the certificate."""
+
     def test_retry_resends_and_completes(self):
-        env, cloud, edge = make_edge_with_blocks(2, batch_size=8)
-        # Nothing was ever sent (blocks were injected directly), so both
-        # tasks are overdue; the retry goes through the single-block path
-        # and the cloud answers with proofs.
-        env.scheduler.run_until(5.0)
-        sent = edge.retry_overdue_certifications(timeout_s=1.0)
-        assert sent == 2
-        assert edge.stats["certify_retries"] == 2
+        env, cloud, edge = make_edge_with_blocks(1, batch_size=1)
+        lost = lose_first(env, BlockCertifyRequest)
+        block = edge.log.block(0)
+        edge._send_certify_request(block)
         env.run()
-        assert edge.certifier.certified_count == 2
-        assert edge.certifier.task(0).retries == 1
+        assert len(lost) == 1
+        assert edge.stats["certify_retries"] == 1
+        assert edge.certifier.certified_count == 1
         assert edge.log.proof_for(0) is not None
+        first_retry = edge.config.security.dispute_timeout_s / 2
+        assert first_retry < env.now() < first_retry + 0.5
 
     def test_retry_skips_recent_and_certified(self):
-        env, cloud, edge = make_edge_with_blocks(1, batch_size=8)
-        assert edge.retry_overdue_certifications(timeout_s=10.0) == 0
-        env.scheduler.run_until(5.0)
-        assert edge.retry_overdue_certifications(timeout_s=1.0) == 1
+        env, cloud, edge = make_edge_with_blocks(1, batch_size=1)
+        block = edge.log.block(0)
+        edge._send_certify_request(block)
         env.run()
-        # Once certified, nothing is overdue any more.
-        assert edge.retry_overdue_certifications(timeout_s=0.0) == 0
+        # Answered before the first retry step: the certificate ended the
+        # chain, so the queue drained without a re-send.
+        assert edge.certifier.certified_count == 1
+        assert edge.stats["certify_retries"] == 0
+        assert env.now() < edge.config.security.dispute_timeout_s / 2
 
     def test_retry_skips_blocks_still_queued_for_dispatch(self):
         """A digest waiting for its batch to ship was never requested, so
-        it is not an unanswered request — retry must not re-send it."""
+        it has no chain; neither has a tracked block nobody asked for."""
 
         env, cloud, edge = make_edge_with_blocks(2, batch_size=8)
-        edge.certifier.enqueue_for_dispatch(0)  # still awaiting its batch
-        env.scheduler.run_until(5.0)
-        sent = edge.retry_overdue_certifications(timeout_s=1.0)
-        assert sent == 1  # only block 1, which is tracked but not queued
-        assert edge.certifier.task(0).retries == 0
-        assert edge.certifier.task(1).retries == 1
-
-    def test_retry_rebatches_overdue_digests(self):
-        """With batching enabled, a retry wave ships as CertifyBatchRequests
-        (one signature per chunk) instead of N single-block requests."""
-
-        env, cloud, edge = make_edge_with_blocks(5, batch_size=3)
-        env.scheduler.run_until(5.0)
-        before_batches = edge.stats["certify_batches"]
-        before_requests = edge.stats["certify_requests"]
-        sent = edge.retry_overdue_certifications(timeout_s=1.0)
-        assert sent == 5
-        assert edge.stats["certify_retries"] == 5
-        # 5 overdue digests in chunks of 3 → two batch requests, no singles.
-        assert edge.stats["certify_batches"] - before_batches == 2
-        assert edge.stats["certify_requests"] - before_requests == 2
+        edge.certifier.enqueue_for_dispatch(0)
         env.run()
-        assert edge.certifier.certified_count == 5
-        for block_id in range(5):
-            assert edge.log.proof_for(block_id) is not None
+        assert edge.certifier.pending_dispatch_count == 1
+        assert edge.stats["certify_requests"] == 0
+        block = edge.log.block(0)
+        edge._send_certify_request(block)  # arms the flush
+        env.run()
+        assert edge.stats["certify_requests"] == 1
+        assert edge.stats["certify_retries"] == 0
+        assert edge.log.proof_for(0) is not None
+        assert edge.log.proof_for(1) is None
 
     def test_retry_batches_are_idempotent_for_certified_blocks(self):
-        """A re-batched retry that races an in-flight answer is absorbed by
-        the cloud's idempotent batch handling (re-certified, not punished)."""
+        """A batch retry that races the original answer is absorbed by the
+        cloud's idempotent batch handling (re-certified, not punished)."""
 
         env, cloud, edge = make_edge_with_blocks(3, batch_size=3)
-        env.scheduler.run_until(5.0)
-        assert edge.retry_overdue_certifications(timeout_s=1.0) == 3
+        for block_id in range(3):
+            edge.certifier.enqueue_for_dispatch(block_id)
+        edge._pump_certify_pipeline()
+        (batch,) = edge.certifier.in_flight_batches()
+        # The retry fires while the original answer is still on the wire.
+        assert edge._resend_batch(batch)
         env.run()
         assert edge.certifier.certified_count == 3
-        # Everything certified: nothing overdue, nothing re-sent, no
-        # conflicts recorded at the cloud.
-        assert edge.retry_overdue_certifications(timeout_s=0.0) == 0
+        assert edge.stats["certify_retries"] == 3
         assert cloud.stats["certify_conflicts"] == 0
         assert cloud.ledger.is_punished(edge.node_id) is False
 
@@ -773,13 +798,13 @@ class TestEndToEndBatching:
 
         # Blocks 0-1 arm the timer; block 2 fills the batch and flushes.
         for block in blocks[:3]:
-            edge._send_certify_request(block, block.digest())
+            edge._send_certify_request(block)
         assert edge.stats["certify_batches"] == 1
         assert edge._certify_flush_timer is None
 
         # Block 3 arrives late in what would have been the stale window.
         env.scheduler.run_until(start + timeout * 0.8)
-        edge._send_certify_request(blocks[3], blocks[3].digest())
+        edge._send_certify_request(blocks[3])
         # Past the stale deadline: the old timer must not have fired.
         env.scheduler.run_until(start + timeout * 1.2)
         assert edge.stats["certify_batches"] == 1

@@ -2,8 +2,9 @@
 
 Every scenario follows the same shape: build a deployment, install a
 :class:`~repro.faults.FaultPlan` (seeded, so the fault trace is
-reproducible), drive a workload through the fault window, heal, pump
-certification retries, and assert the convictable invariants from
+reproducible), drive a workload through the fault window, heal, let the
+edges' own certification retries drain, and assert the convictable
+invariants from
 :mod:`repro.faults.invariants`:
 
 * **no lost atomicity** — no 2PC transaction both committed and aborted
@@ -21,7 +22,11 @@ Outage scenarios widen ``dispute_timeout_s``: a client disputing a
 not-yet-certified block *would* convict an honest edge (the cloud cannot
 distinguish "slow because partitioned" from "never certified"), which is
 exactly the operational guidance the :class:`DegradedModeNotice` encodes —
-throttle and widen timers during a known outage window.
+throttle and widen timers during a known outage window.  The widened 20 s
+also sets the edges' certify retry schedule (first retry at 10 s, then every
+20 s — one probe per 20 s for the whole edge while the cloud stays silent):
+every fault window here closes within 10 s, so a request lost in one is
+re-sent after the heal and certified before any client's dispute.
 
 Scenario seeds are fixed so the suite is deterministic in CI; the
 determinism scenario itself runs one plan twice and compares traces.
@@ -53,7 +58,6 @@ from repro.faults import (
     FaultRule,
     InvariantViolation,
     RegionPartitionRule,
-    RetryPolicy,
     assert_convicted,
     assert_full_certification,
     assert_monotone,
@@ -81,14 +85,11 @@ from repro.workloads.generator import format_key
 
 BLOCK_SIZE = 4
 
-#: The pump policy chaos scenarios drive certification retries with: capped
-#: exponential growth, no attempt budget (recovery must always complete).
-PUMP_POLICY = RetryPolicy(base_s=0.5, factor=2.0, cap_s=4.0)
 
 
 def chaos_config(**overrides) -> SystemConfig:
     security = overrides.pop("security", None) or SecurityConfig(
-        dispute_timeout_s=60.0
+        dispute_timeout_s=20.0
     )
     logging_overrides = overrides.pop("logging", {})
     logging = dict(block_size=BLOCK_SIZE, block_timeout_s=0.02)
@@ -171,21 +172,6 @@ def written_key_in_shard(client, shard_id, blocks, prefix):
     )
 
 
-def start_certify_pump(system, interval_s=0.5):
-    """Periodically re-drive overdue certifications on every edge.
-
-    Returns the stopper.  Scenarios must use ``run_for`` (never a bare
-    ``run()``): the periodic timer keeps the event queue non-empty.
-    """
-
-    def pump() -> None:
-        for edge in system.edges:
-            if not system.env.network.is_offline(edge.node_id):
-                edge.retry_overdue_certifications(PUMP_POLICY)
-
-    return system.env.schedule_periodic(
-        interval_s, pump, label="chaos:certify-pump"
-    )
 
 
 def edge_cloud_partition(start_s: float, until_s: float) -> RegionPartitionRule:
@@ -231,7 +217,6 @@ class TestCloudOutage:
             edge_cloud_partition(start_s=0.5, until_s=6.0)
         )
         injector = FaultInjector(system.env, plan).install()
-        stop_pump = start_certify_pump(system)
 
         progress = [certified_total(system)]
         all_ops = []
@@ -250,7 +235,6 @@ class TestCloudOutage:
         system.run_for(max(0.0, injector.faults_quiet_after() - system.env.now()))
         system.run_for(12.0)
         progress.append(certified_total(system))
-        stop_pump()
 
         assert_monotone(progress, "certified blocks through outage")
         assert assert_full_certification(system.edges) >= 8
@@ -277,7 +261,6 @@ class TestCloudOutage:
             edge_cloud_partition(start_s=0.0, until_s=5.0)
         )
         FaultInjector(system.env, plan).install()
-        stop_pump = start_certify_pump(system)
 
         put_blocks(client, 8)
         system.run_for(4.0)
@@ -287,7 +270,6 @@ class TestCloudOutage:
         assert edge.node_id in client.degraded_edges
 
         system.run_for(15.0)
-        stop_pump()
 
         # Recovery: backlog drained, the all-clear reached the client.
         assert edge.stats.get("degraded_recoveries", 0) >= 1
@@ -309,7 +291,6 @@ class TestEdgeCrash:
             CrashEvent(edge.node_id, at_s=1.0, restart_at_s=2.5)
         )
         injector = FaultInjector(system.env, plan).install()
-        stop_pump = start_certify_pump(system)
 
         put_blocks(client, 3, prefix="before")
         system.run_for(0.9)
@@ -324,7 +305,6 @@ class TestEdgeCrash:
 
         put_blocks(client, 3, prefix="after")
         system.run_for(12.0)
-        stop_pump()
 
         # Durable survives: nothing that was in the log pre-crash vanished.
         log_after = sum(len(state.log) for state in edge._partition_states())
@@ -367,11 +347,9 @@ class TestFlakyUplink:
             )
         )
         injector = FaultInjector(system.env, plan).install()
-        stop_pump = start_certify_pump(system)
 
         put_blocks(client, 6)
         system.run_for(18.0)
-        stop_pump()
 
         assert assert_full_certification(system.edges) >= 6
         # The drops really happened and the retry machinery really fired.
@@ -473,11 +451,9 @@ class TestDuplicateStorm:
             FaultRule("duplicate", probability=0.8, until_s=3.0, spread_s=0.05)
         )
         injector = FaultInjector(system.env, plan).install()
-        stop_pump = start_certify_pump(system)
 
         ops = put_blocks(client, 5)
         system.run_for(20.0)
-        stop_pump()
 
         assert sum(injector.rule_fire_counts()) >= 5
         assert all(
@@ -521,11 +497,9 @@ class TestReorderDelay:
             )
         )
         injector = FaultInjector(system.env, plan).install()
-        stop_pump = start_certify_pump(system)
 
         ops = put_blocks(client, 6)
         system.run_for(20.0)
-        stop_pump()
 
         assert sum(injector.rule_fire_counts()) >= 1
         assert all(
@@ -556,14 +530,12 @@ class TestMaliceUnderFaults:
             FaultRule("drop", probability=0.3, until_s=2.0)
         )
         FaultInjector(system.env, plan).install()
-        stop_pump = start_certify_pump(system)
 
         # Both clients write through their own edge (round-robin placement
         # gave the system one client on the guilty edge).
         client = system.client(0)
         put_blocks(client, 4)
         system.run_for(25.0)
-        stop_pump()
 
         assert_convicted(system.cloud, [guilty.node_id])
         assert_no_false_convictions(system.cloud, [honest.node_id])
@@ -593,10 +565,8 @@ class TestDeterminism:
             )
         )
         injector = FaultInjector(system.env, plan).install()
-        stop_pump = start_certify_pump(system)
         put_blocks(client, 5)
         system.run_for(25.0)
-        stop_pump()
         return (
             tuple(injector.trace),
             injector.rule_fire_counts(),
@@ -651,10 +621,8 @@ class TestObservabilityOverhead:
             )
         )
         injector = FaultInjector(system.env, plan).install()
-        stop_pump = start_certify_pump(system)
         put_blocks(client, TestObservabilityOverhead.WORKLOAD_BLOCKS)
         system.run_for(25.0)
-        stop_pump()
         return system, (
             tuple(injector.trace),
             injector.rule_fire_counts(),
@@ -764,7 +732,6 @@ class TestWriterCrashFailover:
     def _run(cls, seed, **build_kwargs):
         system = build_replicated(seed, **build_kwargs)
         client = system.clients[0]
-        stop_pump = start_certify_pump(system)
 
         ops = flatten_ops(put_blocks(client, cls.WORKLOAD_BLOCKS, prefix="pre"))
         # Phase II completes and at least one shipping interval passes, so
@@ -833,7 +800,6 @@ class TestWriterCrashFailover:
                 owner = system.shard_owner(client.partitioner.shard_of(key))
                 readback.append((client.get(key, edge=owner), b"v%d" % i))
         system.run_for(3.0)
-        stop_pump()
         for op, expected in readback:
             assert client.phase_of(op) is CommitPhase.PHASE_TWO
             assert client.tracker.get(op).details.get("value") == expected
@@ -867,6 +833,80 @@ class TestWriterCrashFailover:
 
     def test_same_seed_same_promotion(self):
         assert self._run(116) == self._run(116)
+
+
+class TestDeposedWriterEndsItsRetries:
+    """A writer cut off from the cloud forms a block whose certify request
+    is lost (its retry chain armed), is deposed by a failover, and learns
+    the new map as the partition heals — before its first retry.  The
+    retired partition's certificates would be dropped as strays, so its
+    chains must end with it instead of re-sending for the writer's life.
+
+    The block itself stays uncertified, so its client's dispute still
+    convicts the deposed writer, as it did before certify retries existed;
+    only a retired partition whose certifier stays reachable until it runs
+    dry would spare it (an open ROADMAP item)."""
+
+    def test_retired_partition_leaves_no_retry_behind(self):
+        system = build_replicated(117)
+        client = system.clients[0]
+        scheduler = system.env.scheduler
+        scheduled = []
+        schedule_at = scheduler.schedule_at
+
+        def recording(when, callback, label=""):
+            handle = schedule_at(when, callback, label)
+            scheduled.append(handle)
+            return handle
+
+        scheduler.schedule_at = recording
+        put_blocks(client, 4, prefix="pre")
+        system.run_for(1.4)
+        writer = system.edge_by_id(system.shard_owner(0))
+        cloud = system.cloud.node_id
+        now = system.env.now()
+        heal_at = now + 8.0  # the first retry is due 10 s after the send
+        plan = (
+            FaultPlan(seed=117, name="deposed-honest-writer")
+            .with_rule(
+                FaultRule("drop", src=writer.node_id, dst=cloud, until_s=heal_at)
+            )
+            .with_rule(
+                FaultRule("drop", src=cloud, dst=writer.node_id, until_s=heal_at)
+            )
+        )
+        FaultInjector(system.env, plan).install()
+        keys = [
+            key
+            for key in (f"cut-{i}" for i in range(200))
+            if client.partitioner.shard_of(key) == 0
+        ][:BLOCK_SIZE]
+        client.put_batch([(key, b"x") for key in keys])
+        system.run_for(0.5)
+        state = writer.shard_state(0)
+        (lost,) = state.log.uncertified_block_ids()
+        assert state.certifier.task(lost).retry is not None
+
+        system.run_for(heal_at - system.env.now())
+        assert system.shard_owner(0) != writer.node_id
+        system.env.send(cloud, writer.node_id, system.cloud.current_shard_map())
+        system.run_for(0.1)
+        assert 0 not in writer.owned_shards()
+        assert writer.stats["shard_depositions"] >= 1
+
+        system.run_for(3 * system.config.security.dispute_timeout_s)
+        assert writer.stats["certify_retries"] == 0
+        assert not [
+            handle
+            for handle in scheduled
+            if handle.label == f"{writer.node_id}:certify-retry"
+            and not handle.cancelled
+            and handle.time > system.env.now()
+        ]
+        assert_no_false_convictions(
+            system.cloud,
+            [edge.node_id for edge in system.edges if edge is not writer],
+        )
 
 
 # ----------------------------------------------------------------------
@@ -904,7 +944,6 @@ class TestQuarantineFailover:
             .with_crash(CrashEvent(writer.node_id, at_s=2.0, restart_at_s=3.0))
         )
         injector = FaultInjector(system.env, plan).install()
-        stop_pump = start_certify_pump(system)
 
         # Arm first, then write into the victim shard: the first durable
         # append there lands checksummed-and-wrong in a sealed segment.
@@ -929,7 +968,6 @@ class TestQuarantineFailover:
         # notice reaches the cloud, and the very next tick promotes — no
         # lease-expiry wait, since a quarantined partition refuses service.
         system.run_for(4.0)
-        stop_pump()
 
         assert any(
             action == "disk:bit_flip" for _, action, *_ in injector.trace
@@ -974,7 +1012,6 @@ class TestFailoverMisbehaviorConvicted:
         system = build_replicated(114, edge_factory=factory)
         client = system.clients[0]
         rogue = system.edges[0]
-        stop_pump = start_certify_pump(system)
 
         ops = flatten_ops(put_blocks(client, 4, prefix="pre"))
         system.run_for(1.4)
@@ -1004,7 +1041,6 @@ class TestFailoverMisbehaviorConvicted:
         probe_key, _ = written_key_in_shard(client, rogue_shard, 4, "pre")
         op = client.get(probe_key, edge=rogue.node_id)
         system.run_for(2.0)
-        stop_pump()
 
         assert client.phase_of(op) is not CommitPhase.PHASE_TWO
         assert_convicted(system.cloud, [rogue.node_id])
@@ -1031,7 +1067,6 @@ class TestFailoverMisbehaviorConvicted:
         system = build_replicated(115, edge_factory=factory)
         client = system.clients[0]
         rogue = system.edges[1]  # replica of shard 0 (owner edge-0)
-        stop_pump = start_certify_pump(system)
 
         ops = flatten_ops(put_blocks(client, 4, prefix="pre"))
         system.run_for(2.0)  # certified, shipped, leases flowing
@@ -1056,7 +1091,6 @@ class TestFailoverMisbehaviorConvicted:
         probe_key, _ = written_key_in_shard(client, 0, 4, "pre")
         op = client.get(probe_key, edge=rogue.node_id)
         system.run_for(2.0)
-        stop_pump()
 
         assert client.phase_of(op) is not CommitPhase.PHASE_TWO
         assert client.stats.get("stale_replica_detections", 0) >= 1
@@ -1110,7 +1144,6 @@ class TestLyingWriterShipmentRefused:
     @pytest.mark.parametrize("lie", sorted(SHIPMENT_LIES))
     def test_lie_is_refused_and_the_next_honest_shipment_installs(self, lie):
         system = build_replicated(11)
-        stop_pump = start_certify_pump(system)
         shipments = []
 
         def capture(src, dst, message):
@@ -1121,7 +1154,6 @@ class TestLyingWriterShipmentRefused:
         system.env.network.add_send_hook("capture-shipments", capture)
         put_blocks(system.clients[0], 8, prefix="pre")
         system.run_for(3.0)
-        stop_pump()
         system.env.network.remove_send_hook("capture-shipments")
 
         honest = shipments[-1]

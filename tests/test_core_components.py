@@ -115,7 +115,7 @@ class TestLazyCertifier:
 
     def test_track_subscribe_complete_flow(self, registry, sample_block):
         certifier = LazyCertifier()
-        certifier.track(sample_block.block_id, sample_block.digest(), requested_at=0.0)
+        certifier.track(sample_block.block_id, sample_block.digest())
         assert certifier.subscribe(sample_block.block_id, ALICE, op(0)) is None
         subscribers = certifier.complete(self._proof(registry, sample_block))
         assert subscribers == [(ALICE, op(0))]
@@ -125,9 +125,9 @@ class TestLazyCertifier:
 
     def test_duplicate_tracking_rejected(self, sample_block):
         certifier = LazyCertifier()
-        certifier.track(0, sample_block.digest(), 0.0)
+        certifier.track(0, sample_block.digest())
         with pytest.raises(ProtocolError):
-            certifier.track(0, sample_block.digest(), 0.0)
+            certifier.track(0, sample_block.digest())
 
     def test_subscribe_unknown_block_rejected(self):
         certifier = LazyCertifier()
@@ -136,19 +136,10 @@ class TestLazyCertifier:
 
     def test_complete_with_wrong_digest_rejected(self, registry, sample_block):
         certifier = LazyCertifier()
-        certifier.track(sample_block.block_id, sample_block.digest(), 0.0)
+        certifier.track(sample_block.block_id, sample_block.digest())
         bad_proof = self._proof(registry, sample_block, digest="0" * 64)
         with pytest.raises(ProtocolError):
             certifier.complete(bad_proof)
-
-    def test_overdue_detection(self, sample_block):
-        certifier = LazyCertifier()
-        certifier.track(0, sample_block.digest(), requested_at=0.0)
-        certifier.track(1, sample_block.digest(), requested_at=8.0)
-        assert len(certifier.overdue(now=10.0, timeout_s=5.0)) == 1
-        assert len(certifier.overdue(now=1.0, timeout_s=5.0)) == 0
-        assert len(certifier.outstanding()) == 2
-
 
 class TestDisputes:
     def test_missing_proof_dispute_punishes_equivocating_edge(self, registry, sample_block):

@@ -23,7 +23,9 @@ from repro.faults import (
     RegionPartitionRule,
     RetryPolicy,
 )
+from repro.faults.retry import Retransmission
 from repro.sim.environment import Environment
+from repro.sim.events import EventScheduler
 
 
 # ----------------------------------------------------------------------
@@ -40,21 +42,10 @@ class TestRetryPolicy:
         assert [policy.delay(n) for n in (1, 2, 3)] == [0.25, 0.25, 0.25]
         assert policy.allows(3) and not policy.allows(4)
 
-    def test_fixed_timeout_matches_flat_scan(self):
-        policy = RetryPolicy.fixed_timeout(1.5)
-        # timeout_for(retries) is what an overdue scan consumes: flat here.
-        assert [policy.timeout_for(r) for r in (0, 1, 5)] == [1.5, 1.5, 1.5]
-
-    def test_timeout_for_is_next_attempt_delay(self):
-        policy = RetryPolicy(base_s=1.0, factor=2.0, cap_s=8.0)
-        assert policy.timeout_for(0) == policy.delay(1)
-        assert policy.timeout_for(3) == policy.delay(4)
-
     def test_exhaustion_budget(self):
         policy = RetryPolicy(base_s=1.0, max_attempts=2)
-        assert not policy.exhausted(1)
-        assert policy.exhausted(2)
-        assert RetryPolicy(base_s=1.0).exhausted(10 ** 6) is False
+        assert policy.allows(2) and not policy.allows(3)
+        assert RetryPolicy(base_s=1.0).allows(10 ** 6)
 
     def test_jitter_requires_rng_and_stays_bounded(self):
         with pytest.raises(ConfigurationError):
@@ -77,6 +68,40 @@ class TestRetryPolicy:
             RetryPolicy(base_s=2.0, cap_s=1.0)
         with pytest.raises(ConfigurationError):
             RetryPolicy(base_s=1.0, max_attempts=-1)
+
+
+class TestRetransmission:
+    def test_chain_walks_the_policy_until_resend_declines(self):
+        scheduler = EventScheduler()
+        fired = []
+
+        def resend() -> bool:
+            fired.append(scheduler.now())
+            return len(fired) < 4
+
+        Retransmission(
+            scheduler.schedule_after, RetryPolicy(base_s=0.5, cap_s=2.0), resend
+        )
+        scheduler.run()
+        assert fired == [0.5, 1.5, 3.5, 5.5]
+
+    def test_cancel_ends_the_chain_and_budget_ends_it_too(self):
+        scheduler = EventScheduler()
+        fired = []
+        chain = Retransmission(
+            scheduler.schedule_after, RetryPolicy.constant(1.0), lambda: not fired.append(1)
+        )
+        scheduler.run_until(2.5)
+        chain.cancel()
+        scheduler.run_until(10.0)
+        assert len(fired) == 2
+        Retransmission(
+            scheduler.schedule_after,
+            RetryPolicy.constant(1.0, max_attempts=3),
+            lambda: not fired.append(1),
+        )
+        scheduler.run()
+        assert len(fired) == 5
 
 
 # ----------------------------------------------------------------------

@@ -221,6 +221,50 @@ class TestStoppedFleetIsFreed:
             gc.enable()
 
 
+class TestDroppedCertifyRequestLive:
+    def test_lost_certify_request_is_resent_before_any_dispute(self):
+        """The sim's dropped-certify scenario on sockets: the edge's own
+        retry chain re-sends the lost request at ``dispute_timeout_s / 2``
+        of wall-clock time (1 s here), so the block certifies and the
+        client's dispute deadline passes without an accusation."""
+
+        from repro.common.config import SecurityConfig
+        from repro.faults import assert_no_false_convictions, assert_no_honest_disputes
+        from repro.messages.log_messages import BlockCertifyRequest
+
+        config = SystemConfig.paper_default().with_overrides(
+            security=SecurityConfig(dispute_timeout_s=2.0)
+        )
+
+        async def scenario():
+            fleet = LiveFleet(config=config, num_edges=1)
+            async with fleet:
+                dropped = []
+
+                def veto_first_certify_request(src, dst, message) -> bool:
+                    if isinstance(message, BlockCertifyRequest) and not dropped:
+                        dropped.append(message)
+                        return False
+                    return True
+
+                fleet.env.transport.add_send_hook("test:drop-certify", veto_first_certify_request)
+                client, edge = fleet.client(), fleet.edge()
+                block_size = config.logging.block_size
+                operation = client.put_batch([(f"live-{i}", b"v") for i in range(block_size)])
+                phase = await fleet.wait_for(client, operation, CommitPhase.PHASE_TWO, timeout_s=10)
+                assert phase is CommitPhase.PHASE_TWO
+                # Outlive the client's dispute deadline.
+                await asyncio.sleep(config.security.dispute_timeout_s)
+                assert len(dropped) == 1
+                assert edge.stats["certify_retries"] == 1
+                assert edge.log.uncertified_block_ids() == ()
+                assert_no_false_convictions(fleet.cloud, [edge.node_id])
+                assert_no_honest_disputes(fleet)
+                assert fleet.env.failures == []
+
+        run_async(scenario())
+
+
 class TestShardedFleetLive:
     def test_sharded_system_runs_on_live_environment(self):
         """The sharded stack is transport-agnostic: the same

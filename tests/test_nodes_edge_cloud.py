@@ -14,6 +14,7 @@ import pytest
 from repro.common import LoggingConfig, LSMerkleConfig, SecurityConfig, SystemConfig
 from repro.common.identifiers import client_id
 from repro.core.system import WedgeChainSystem
+from repro.faults import assert_no_false_convictions
 from repro.log.entry import make_entry
 from repro.log.proofs import CommitPhase
 from repro.lsmerkle.codec import encode_put
@@ -256,10 +257,10 @@ class TestFullDataLazyVariant:
 
 
 class TestDroppedCertifyRequestIsNeverResent:
-    """ROADMAP direction 3(a), pinned: no fleet arms
-    ``EdgeNode.retry_overdue_certifications``, so one certify request lost on
-    the uplink leaves its block at Phase I for good.  The PR that arms the
-    retry removes the ``xfail`` marker and nothing else."""
+    """One certify request lost on the uplink.  The class name records the
+    hole it used to pin (nothing re-sent the request, so the client's
+    dispute convicted an honest edge); the edge's own retransmission chain
+    now re-sends it at ``dispute_timeout_s / 2``, before that dispute."""
 
     @staticmethod
     def fleet_after_a_minute_without_the_first_certify_request():
@@ -281,19 +282,12 @@ class TestDroppedCertifyRequestIsNeverResent:
         system.run_for(60.0)
         return system, dropped
 
-    @pytest.mark.xfail(
-        strict=True, reason="no fleet arms retry_overdue_certifications (ROADMAP 3a)"
-    )
     def test_block_reaches_phase_two_on_its_own(self):
-        system, _dropped = self.fleet_after_a_minute_without_the_first_certify_request()
-        assert system.edge().log.uncertified_block_ids() == ()
-
-    def test_block_reaches_phase_two_once_the_retry_is_called_by_hand(self):
         system, dropped = self.fleet_after_a_minute_without_the_first_certify_request()
         edge = system.edge()
         assert len(dropped) == 1 and edge.stats["blocks_formed"] == 1
-        assert edge.log.uncertified_block_ids() == (dropped[0].statement.block_id,)
-        assert edge.retry_overdue_certifications(1.0) == 1
-        system.run_for(5.0)
         assert edge.log.uncertified_block_ids() == ()
+        assert edge.stats["certify_retries"] == 1
         assert system.cloud.stats["certifications"] == 1
+        assert_no_false_convictions(system.cloud, [edge.node_id])
+        assert system.client().stats["disputes_sent"] == 0

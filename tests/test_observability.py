@@ -339,14 +339,8 @@ def _chaos_run(observability):
         )
     )
     injector = FaultInjector(system.env, plan).install()
-    stop = system.env.schedule_periodic(
-        0.5,
-        lambda: system.edge(0).retry_overdue_certifications(timeout_s=0.5),
-        label="obs:pump",
-    )
     put_blocks(client, 5)
     system.run_for(25.0)
-    stop()
     return system, injector
 
 

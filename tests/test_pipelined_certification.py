@@ -1,18 +1,20 @@
 """Tests for pipelined (windowed) certification.
 
 Covers the LazyCertifier in-flight window (batch ids, out-of-order
-retirement, selective retry), the edge's windowed dispatch and
+retirement), the edge's windowed dispatch and
 window-envelope requests, adversarial cases at depth ≥ 4 (out-of-order and
 duplicate certificates, a malicious cloud signing a reordered batch, a lost
 request retried selectively with its late duplicate absorbed idempotently,
 rejections real and forged), the mid-handoff drain with an in-flight window,
-and the node's overdue-retry arm: elapsed-time horizons on both substrates
-and a :class:`RetryPolicy` through a sustained cloud outage.  Everything
+and the per-request retry chains: elapsed-time schedules on both substrates
+and backoff through a sustained cloud outage.  Everything
 runs through ``EdgeNode`` and ``CloudNode`` — the one driver of windowed
 Phase II.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -28,7 +30,6 @@ from repro.common.config import (
 from repro.common.identifiers import client_id, cloud_id, edge_id
 from repro.common.regions import Region
 from repro.core.certification import LazyCertifier
-from repro.faults import RetryPolicy
 from repro.log.block import build_block
 from repro.log.entry import make_entry
 from repro.log.proofs import (
@@ -86,7 +87,7 @@ def make_pipelined_edge(num_blocks, batch_size=3, depth=4):
         ]
         block = build_block(edge.node_id, index, entries, created_at=0.0)
         edge.log.append(block)
-        edge.certifier.track(index, block.digest(), requested_at=0.0)
+        edge.certifier.track(index, block.digest())
         edge.certifier.enqueue_for_dispatch(index)
     return env, cloud, edge
 
@@ -137,7 +138,7 @@ class TestInFlightWindow:
     def make(self, count):
         certifier = LazyCertifier()
         for block_id in range(count):
-            certifier.track(block_id, f"{block_id:064x}", requested_at=1.0)
+            certifier.track(block_id, f"{block_id:064x}")
         return certifier
 
     def proof(self, registry, block_id):
@@ -147,8 +148,8 @@ class TestInFlightWindow:
 
     def test_begin_and_retire_out_of_order(self, registry):
         certifier = self.make(4)
-        first = certifier.begin_batch([0, 1], now=1.0)
-        second = certifier.begin_batch([2, 3], now=1.1)
+        first = certifier.begin_batch([0, 1])
+        second = certifier.begin_batch([2, 3])
         assert certifier.in_flight_count == 2
         assert certifier.in_flight(0) and certifier.in_flight(3)
         # The *second* batch's certificate lands first.
@@ -166,33 +167,17 @@ class TestInFlightWindow:
 
     def test_begin_batch_rejects_double_membership_and_empty(self):
         certifier = self.make(2)
-        certifier.begin_batch([0], now=1.0)
+        certifier.begin_batch([0])
         with pytest.raises(ProtocolError):
-            certifier.begin_batch([0, 1], now=1.1)
+            certifier.begin_batch([0, 1])
         with pytest.raises(ProtocolError):
-            certifier.begin_batch([], now=1.2)
+            certifier.begin_batch([])
         with pytest.raises(ProtocolError):
-            certifier.begin_batch([99], now=1.3)
-
-    def test_overdue_batches_and_selective_retry_clock(self, registry):
-        certifier = self.make(4)
-        certifier.begin_batch([0, 1], now=1.0)
-        late = certifier.begin_batch([2, 3], now=5.0)
-        overdue = certifier.overdue_batches(now=4.0, timeout_s=2.0)
-        assert [batch.block_ids for batch in overdue] == [(0, 1)]
-        # Retrying the lost batch resets only that batch's clock.
-        tasks = certifier.record_batch_retry(overdue[0].batch_id, now=4.0)
-        assert [task.block_id for task in tasks] == [0, 1]
-        assert all(task.retries == 1 for task in tasks)
-        assert certifier.overdue_batches(now=5.5, timeout_s=2.0) == ()
-        assert late.retries == 0
-        # Tasks riding an in-flight batch are not re-retried by the
-        # per-task overdue scan (their clocks were reset with the batch).
-        assert certifier.overdue(now=5.5, timeout_s=2.0) == ()
+            certifier.begin_batch([99])
 
     def test_duplicate_completion_is_idempotent(self, registry):
         certifier = self.make(2)
-        certifier.begin_batch([0, 1], now=1.0)
+        certifier.begin_batch([0, 1])
         certifier.complete(self.proof(registry, 0))
         certifier.complete(self.proof(registry, 0))  # duplicate
         assert certifier.certified_count == 1
@@ -203,7 +188,7 @@ class TestInFlightWindow:
 
     def test_abandon_in_flight_frees_the_slot(self, registry):
         certifier = self.make(2)
-        batch = certifier.begin_batch([0, 1], now=1.0)
+        batch = certifier.begin_batch([0, 1])
         certifier.abandon_in_flight(0)
         assert certifier.in_flight_count == 1
         certifier.complete(self.proof(registry, 1))
@@ -375,23 +360,27 @@ class TestPipelineAdversarial:
             return True
 
         env.network.add_send_hook("test:drop-first-batch", drop_first_batch)
+        sent = record_sends(env)
         edge._pump_certify_pipeline()
-        env.run()
+        first_retry = edge.config.security.dispute_timeout_s / 2
+        env.scheduler.run_until(first_retry - 0.01)
         # The window (both batches) was lost in one envelope: nothing came back.
         assert dropped and edge.certifier.certified_count == 0
         assert edge.certifier.in_flight_count == 2
-        env.network.remove_send_hook("test:drop-first-batch")
+        assert edge.stats["certify_retries"] == 0
 
-        env.scheduler.run_until(env.now() + 5.0)
-        sent = edge.retry_overdue_certifications(timeout_s=1.0)
-        assert sent == 6
-        assert edge.stats["certify_batch_retries"] == 2
-        # Each lost batch retried as exactly itself (plain batch requests).
         env.run()
+        # Each lost batch retried once, as exactly itself (a plain batch
+        # request carrying that batch's members, never re-chunked).
+        assert edge.stats["certify_batch_retries"] == 2
+        assert edge.stats["certify_retries"] == 6
+        resent = [m for m in sent if isinstance(m, CertifyBatchRequest)]
+        assert [[item.block_id for item in m.statement.items] for m in resent] == [
+            [0, 1, 2],
+            [3, 4, 5],
+        ]
         assert edge.certifier.certified_count == 6
         assert edge.certifier.in_flight_count == 0
-        retries = edge.certifier.task(0).retries
-        assert retries == 1
 
         # The lost window's certificates surface late (duplicate answers):
         # replay what the cloud would have answered for the original window.
@@ -522,11 +511,12 @@ class TestMidHandoffWindow:
         assert system.cloud.stats["shard_handoffs_granted"] == 0
         assert shard in source._migrating
 
-        # Release the network; the lost window is re-sent batch by batch.
+        # Release the network; the lost window is re-sent batch by batch
+        # by each batch's own chain (next step at most D/2 + D after its
+        # dispatch, D the dispute timeout).
         system.env.network.remove_send_hook("test:drop-certificates")
-        system.run_for(1.0)
-        assert source.retry_overdue_certifications(timeout_s=0.1) > 0
-        system.run_for(5.0)
+        system.run_for(2 * system.config.security.dispute_timeout_s)
+        assert source.stats["certify_batch_retries"] > 0
         assert system.cloud.stats["shard_handoffs_granted"] == 1
         assert system.cloud.stats["shard_installs"] == 1
         assert system.shard_owner(shard) == dest.node_id
@@ -537,17 +527,22 @@ class TestMidHandoffWindow:
 
     def test_rejection_mid_drain_frees_the_slot_and_drain_completes(self):
         """A ``CertifyRejection`` arriving mid-handoff-drain must release its
-        window slot (letting the queued batches ship) and the drain must
-        still complete once the block's real certificate is recovered."""
+        window slot (letting the queued batches ship) and end the batch's
+        retry — a refused digest is never re-sent — and the drain must still
+        complete once the block's real certificate arrives late."""
 
         from repro.log.proofs import CommitPhase
         from repro.workloads.generator import format_key
 
         system = self.build_fleet(seed=41)
         client = system.clients[0]
+        held = []
 
         def drop_certificates(src, dst, message):
-            return not isinstance(message, BatchCertificateMessage)
+            if isinstance(message, BatchCertificateMessage):
+                held.append((dst, message))
+                return False
+            return True
 
         system.env.network.add_send_hook("test:drop-certificates", drop_certificates)
         operations = [
@@ -603,10 +598,20 @@ class TestMidHandoffWindow:
         assert source.stats.get("certify_rejections", 0) == len(stuck.block_ids)
 
         # The refused blocks were certified cloud-side before the rejection
-        # was injected (only the certificates were dropped): the overdue
-        # retry recovers them idempotently and the drain then completes.
-        system.run_for(1.0)
-        assert source.retry_overdue_certifications(timeout_s=0.1) > 0
+        # was injected (only the certificates were held back): no retry
+        # re-sends them, and the late certificates complete the drain.
+        sent = record_sends(system.env)
+        system.run_for(2 * system.config.security.dispute_timeout_s)
+        refused = set(stuck.block_ids)
+        assert not any(
+            item.block_id in refused
+            for message in sent
+            if isinstance(message, CertifyBatchRequest) and message.edge == source.node_id
+            for item in message.statement.items
+        )
+        for dst, message in held:
+            if dst == source.node_id:
+                source.on_message(system.cloud.node_id, message)
         system.run_for(5.0)
         assert system.cloud.stats["shard_handoffs_granted"] == 1
         assert system.cloud.stats["shard_installs"] == 1
@@ -661,6 +666,24 @@ class TestCertifyEngineAndHarness:
         assert edge.certifier.pending_dispatch_count == 0
         assert edge.certifier.retired_batch_count == 2
 
+    @pytest.mark.parametrize("batch_size", [2, 1])
+    def test_refused_block_is_never_resent(self, batch_size):
+        """A refusal ends the refused request's retry: a minute later the
+        cloud has seen the conflicting digest exactly once, whether it rode
+        a batch or its own single-block request."""
+
+        env, cloud, edge = make_pipelined_edge(4, batch_size=batch_size, depth=4)
+        cloud._certified.setdefault(edge.node_id, {})[1] = "f" * 64
+        edge.certifier.drain_dispatch_queue()  # dispatch the ordinary way
+        for block_id in range(4):
+            block = edge.log.block(block_id)
+            edge._send_certify_request(block)
+        env.scheduler.run_until(60.0)
+        assert cloud.stats["certify_conflicts"] == 1
+        assert edge.stats["certify_rejections"] == 1
+        assert edge.stats["certify_retries"] == 0
+        assert edge.certifier.certified_count == 3
+
     def test_lazy_dispute_proofs_derived_on_demand(self):
         env, cloud, edge = make_pipelined_edge(3, batch_size=3, depth=4)
         edge._pump_certify_pipeline()
@@ -670,6 +693,61 @@ class TestCertifyEngineAndHarness:
         proof = cloud.proof_for(edge.node_id, 1)
         assert proof is not None and proof.verify(env.registry)
         assert cloud.proof_for(edge.node_id, 1) is proof  # memoized
+
+
+# ----------------------------------------------------------------------
+# Honest fleets: no retry timer outlives its request
+# ----------------------------------------------------------------------
+def _batch_100_depth_8():
+    from repro.bench.runner import config_for_batch
+
+    config = config_for_batch(100)
+    return config.with_overrides(
+        logging=dataclasses.replace(config.logging, certify_pipeline_depth=8)
+    )
+
+
+class TestNoTimerOutlivesItsRequest:
+    @pytest.mark.parametrize(
+        "make_config",
+        [
+            SystemConfig.paper_default,
+            _batch_100_depth_8,
+            lambda: pipeline_config(batch_size=4, depth=8),
+        ],
+        ids=["paper-default", "batch-100-depth-8", "batched-depth-8"],
+    )
+    def test_drained_fleet_keeps_no_retry_timer(self, make_config):
+        from repro.core.system import WedgeChainSystem
+        from repro.log.proofs import CommitPhase
+
+        system = WedgeChainSystem.build(config=make_config(), num_clients=2, seed=5)
+        scheduler = system.env.scheduler
+        scheduled = []
+        schedule_at = scheduler.schedule_at
+
+        def recording(when, callback, label=""):
+            handle = schedule_at(when, callback, label)
+            scheduled.append(handle)
+            return handle
+
+        scheduler.schedule_at = recording
+        block_size = system.config.logging.block_size
+        operations = [
+            (client, client.put_batch([(f"{client.node_id}-{i}-{j}", b"v") for j in range(block_size)]))
+            for client in system.clients
+            for i in range(10)
+        ]
+        assert system.wait_for_all(operations, CommitPhase.PHASE_TWO)
+        system.run()
+
+        retries = [handle for handle in scheduled if "certify-retry" in handle.label]
+        assert retries and all(handle.cancelled for handle in retries)
+        assert system.edge().stats["certify_retries"] == 0
+        # The clock stands at the last event that ran, never at a retry.
+        assert system.env.now() == max(
+            handle.time for handle in scheduled if not handle.cancelled
+        )
 
 
 # ----------------------------------------------------------------------
@@ -690,14 +768,14 @@ class TestOverlapParameters:
 
 
 # ----------------------------------------------------------------------
-# Elapsed-time retry horizons on both substrates
+# Elapsed-time retry schedule on both substrates
 # ----------------------------------------------------------------------
 class TestMonotonicRetryClock:
-    """The overdue-retry clock must be *elapsed* time, never wall-clock: a
+    """The retry schedule runs on *elapsed* time, never wall-clock: a
     system clock step (NTP correction, manual adjustment) would otherwise
     mass-trigger — or indefinitely suppress — every pending retry at once.
-    The node measures on its environment's clock: simulated time, or the
-    live service's :class:`~repro.sim.clock.AnchoredWallClock`."""
+    Chains arm on their environment's own ``schedule``: simulated time, or
+    the live service's monotonic event-loop timers."""
 
     def test_wall_clock_step_cannot_mass_trigger_retries(self, monkeypatch):
         import asyncio
@@ -705,8 +783,13 @@ class TestMonotonicRetryClock:
 
         from repro.service import LiveFleet
 
+        # First retry at dispute_timeout_s / 2 = 0.5 s of elapsed time.
+        config = pipeline_config(batch_size=2, depth=2).with_overrides(
+            security=SecurityConfig(dispute_timeout_s=1.0)
+        )
+
         async def scenario():
-            fleet = LiveFleet(config=pipeline_config(batch_size=2, depth=2), num_edges=1)
+            fleet = LiveFleet(config=config, num_edges=1)
             async with fleet:
                 env, edge = fleet.env, fleet.edge(0)
                 # A lossy uplink: no certify request ever reaches the cloud.
@@ -717,96 +800,76 @@ class TestMonotonicRetryClock:
                     ),
                 )
                 for block_id in range(4):
-                    edge.certifier.track(
-                        block_id, f"{block_id:064x}", requested_at=env.now()
-                    )
+                    edge.certifier.track(block_id, f"{block_id:064x}")
                     edge.certifier.enqueue_for_dispatch(block_id)
                 edge._pump_certify_pipeline()
                 assert edge.certifier.in_flight_count == 2
 
                 # The system clock leaps an hour forward and then a day back
-                # — monotonic elapsed time has barely moved, so nothing is
-                # overdue.
+                # — monotonic elapsed time has barely moved, so no chain
+                # fires.
                 for step in (3600.0, -86400.0):
                     monkeypatch.setattr(
                         time_module, "time", lambda step=step: 1_700_000_000.0 + step
                     )
-                    assert edge.retry_overdue_certifications(10.0) == 0
+                    await asyncio.sleep(0.1)
+                    assert edge.stats["certify_retries"] == 0
 
-                # Genuine elapsed time past a (short) deadline: both lost
-                # batches retry, each as exactly that batch.
-                await asyncio.sleep(0.6)
-                assert edge.retry_overdue_certifications(0.5) == 4
+                # Genuine elapsed time past the first step: both lost
+                # batches retry once, each as exactly that batch.
+                await asyncio.sleep(0.5)
                 assert edge.stats["certify_batch_retries"] == 2
-                # The retry reset the overdue clock: nothing re-triggers.
-                assert edge.retry_overdue_certifications(0.5) == 0
+                assert edge.stats["certify_retries"] == 4
                 assert env.failures == []
 
         asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
 
     def test_sim_time_injection_still_works(self):
-        """On the simulator the same horizons are simulated seconds."""
+        """On the simulator the same schedule runs in simulated seconds."""
 
         env, cloud, edge = make_pipelined_edge(2, batch_size=2, depth=2)
+        first_retry = edge.config.security.dispute_timeout_s / 2
         env.network.set_offline(cloud.node_id)
         env.scheduler.run_until(5.0)
         edge._pump_certify_pipeline()
-        env.scheduler.run_until(6.0)
-        assert edge.retry_overdue_certifications(2.0) == 0
-        env.scheduler.run_until(8.0)
-        assert edge.retry_overdue_certifications(2.0) == 2
+        env.scheduler.run_until(5.0 + first_retry - 0.01)
+        assert edge.stats["certify_retries"] == 0
+        env.scheduler.run_until(5.0 + first_retry + 0.01)
+        assert edge.stats["certify_retries"] == 2
         assert edge.stats["certify_batch_retries"] == 1
 
 
 # ----------------------------------------------------------------------
-# Sustained cloud unavailability under a RetryPolicy
+# Sustained cloud unavailability
 # ----------------------------------------------------------------------
 class TestRetryPolicyUnderOutage:
-    """A :class:`RetryPolicy` handed to the edge's overdue scan drives it
-    through a sustained cloud outage: the per-batch horizon grows along the
-    backoff schedule, batches whose attempt budget is spent stop
-    re-dispatching, the in-flight window stays bounded however long the
-    outage lasts, and the backlog drains completely once the cloud answers
-    again."""
-
-    POLICY = RetryPolicy(base_s=1.0, factor=2.0, cap_s=8.0, max_attempts=3)
+    """Each lost batch's chain carries it through a sustained cloud
+    outage: retries back off from ``dispute_timeout_s / 2`` to a cap of
+    ``dispute_timeout_s`` with no attempt budget, the in-flight window
+    stays bounded however long the outage lasts, and the backlog drains
+    completely once the cloud answers again."""
 
     def make_outage(self, num_blocks):
         env, cloud, edge = make_pipelined_edge(num_blocks, batch_size=2, depth=2)
         env.network.set_offline(cloud.node_id)
         return env, cloud, edge
 
-    def retry_at(self, env, edge, now, horizon=POLICY):
-        env.scheduler.run_until(now)
-        return edge.retry_overdue_certifications(horizon)
-
-    def test_backoff_grows_then_budget_exhausts(self):
+    def test_backoff_grows_to_the_dispute_timeout(self):
         env, _cloud, edge = self.make_outage(2)
+        timeout = edge.config.security.dispute_timeout_s
         assert edge._pump_certify_pipeline() == 1
         (batch,) = edge.certifier.in_flight_batches()
-
-        # First horizon is delay(1) = 1.0 s: not yet overdue at 0.5 s.
-        assert self.retry_at(env, edge, 0.5) == 0
-        assert self.retry_at(env, edge, 1.5) == 2  # retry #1 (both blocks)
-
-        # After one retry the horizon is delay(2) = 2.0 s, measured from
-        # the retry itself — 1.0 s later is quiet, 2.2 s later fires.
-        assert self.retry_at(env, edge, 2.5) == 0
-        assert self.retry_at(env, edge, 3.7) == 2  # retry #2
-
-        # Horizon now delay(3) = 4.0 s.
-        assert self.retry_at(env, edge, 7.0) == 0
-        assert self.retry_at(env, edge, 7.8) == 2  # retry #3
-        assert batch.retries == 3 and self.POLICY.exhausted(batch.retries)
-
-        # max_attempts=3 is spent: the batch never re-dispatches on the
-        # policy path, no matter how stale it gets — it stays in flight for
-        # a late certificate.
-        assert self.retry_at(env, edge, 1_000.0) == 0
+        fired = []
+        for step in (timeout / 2, timeout, timeout, timeout):
+            now = env.now() + step
+            env.scheduler.run_until(now - 0.01)
+            assert edge.stats.get("certify_batch_retries", 0) == len(fired)
+            env.scheduler.run_until(now)
+            fired.append(edge.stats["certify_batch_retries"])
+        assert fired == [1, 2, 3, 4]
+        # No budget: the batch is still in flight, its chain still armed.
         assert edge.certifier.in_flight_batches() == (batch,)
-        assert edge.stats["certify_batch_retries"] == 3
-        # An explicit timeout bypasses the budget (operator override).
-        assert self.retry_at(env, edge, 2_000.0, horizon=1.0) == 2
+        assert batch.retry is not None
 
     def test_window_stays_bounded_and_drains_after_recovery(self):
         env, cloud, edge = self.make_outage(8)
@@ -818,21 +881,20 @@ class TestRetryPolicyUnderOutage:
         assert isinstance(first_wave, CertifyWindowRequest)
         assert edge.certifier.in_flight_count == 2
 
-        # A long outage: every policy step fires, then the budget is spent,
-        # yet the window never grows — retries re-sign the same two lost
-        # batches and the queue stays parked behind them.
-        retried = [self.retry_at(env, edge, now) for now in (1.5, 4.0, 9.0, 30.0)]
-        assert retried == [4, 4, 4, 0]
+        # A long outage (retries at 2.5, 7.5, ..., 27.5 s at the default
+        # 5 s dispute timeout), yet the window never grows — retries re-sign
+        # the same two lost batches and the queue stays parked behind them.
+        env.scheduler.run_until(30.0)
+        assert edge.stats["certify_batch_retries"] == 12
         assert edge._pump_certify_pipeline() == 0
         assert edge.certifier.in_flight_count == 2
         assert edge.certifier.pending_dispatch_count == 4
         assert edge.certifier.certified_count == 0
-        assert [type(message) for message in sent[1:]] == [CertifyBatchRequest] * 6
+        assert [type(message) for message in sent[1:]] == [CertifyBatchRequest] * 12
 
-        # Recovery: the cloud is back and the two lost batches are re-sent
-        # once more; their retirements pump the remaining backlog through.
+        # Recovery: the cloud is back and the chains' next step re-sends
+        # the two lost batches; their retirements pump the backlog through.
         env.network.set_offline(cloud.node_id, offline=False)
-        assert self.retry_at(env, edge, 31.0, horizon=1.0) == 4
         env.run()
         assert edge.certifier.certified_count == 8
         assert edge.certifier.in_flight_count == 0
@@ -847,3 +909,31 @@ class TestRetryPolicyUnderOutage:
         assert edge.stats["batch_cert_mismatches"] == 0
         assert cloud.stats["certify_conflicts"] == 0
         assert cloud.ledger.is_punished(edge.node_id) is False
+
+    def test_single_block_backlog_costs_a_bounded_trickle(self):
+        """At paper defaults every block has its own chain and no window
+        caps them.  Through a 60 s outage with one block formed per second,
+        each block still gets its first retry (the one that beats the
+        client's dispute), but later ones collapse into one probe per
+        dispute timeout — not one re-send per block per timeout — and the
+        backlog certifies once the probe is answered."""
+
+        env = local_environment(seed=17)
+        config = SystemConfig.paper_default()
+        cloud = CloudNode(env=env, config=config, region=Region.CALIFORNIA)
+        edge = EdgeNode(env=env, cloud=cloud.node_id, config=config)
+        timeout = config.security.dispute_timeout_s
+        outage_s, num_blocks = 60.0, 40
+        env.network.set_offline(cloud.node_id)
+        for block_id in range(num_blocks):
+            env.scheduler.run_until(float(block_id))
+            edge._dispatch_certify(edge.certifier.track(block_id, f"{block_id:064x}"))
+        env.scheduler.run_until(outage_s)
+        probes = edge.stats["certify_retries"] - num_blocks
+        assert 0 < probes <= outage_s / timeout
+        assert edge.certifier.certified_count == 0
+
+        env.network.set_offline(cloud.node_id, offline=False)
+        env.scheduler.run_until(outage_s + 2 * timeout + 1.0)
+        assert edge.certifier.certified_count == num_blocks
+        assert all(edge.certifier.task(i).retry is None for i in range(num_blocks))

@@ -76,7 +76,6 @@ from test_chaos_scenarios import (
     build_sharded,
     certified_total,
     put_blocks,
-    start_certify_pump,
 )
 
 EDGE = edge_id("store-edge")
@@ -678,7 +677,6 @@ class TestDurableCrashRecovery:
             CrashEvent(edge.node_id, at_s=1.0, restart_at_s=2.5)
         )
         injector = FaultInjector(system.env, plan).install()
-        stop_pump = start_certify_pump(system)
 
         put_blocks(client, 3, prefix="before")
         # Past the crash AND the restart before the second wave — puts sent
@@ -687,7 +685,6 @@ class TestDurableCrashRecovery:
         put_blocks(client, 3, prefix="after")
         system.run_for(max(0.0, injector.faults_quiet_after() - system.env.now()))
         system.run_for(12.0)
-        stop_pump()
 
         # The restart really replaced the partition with one rebuilt from
         # disk, and the rebuild verified against the durable signed root.
@@ -711,12 +708,10 @@ class TestDurableCrashRecovery:
             CrashEvent(edge.node_id, at_s=0.8, restart_at_s=2.0)
         )
         injector = FaultInjector(system.env, plan).install()
-        stop_pump = start_certify_pump(system)
 
         put_blocks(client, 6, prefix="burst")
         system.run_for(max(0.0, injector.faults_quiet_after() - system.env.now()))
         system.run_for(15.0)
-        stop_pump()
 
         assert_no_quarantines(system.edges)
         [report] = edge.last_recovery_reports
@@ -739,12 +734,10 @@ class TestDurableCrashRecovery:
             CrashEvent(victim.node_id, at_s=1.0, restart_at_s=2.5)
         )
         injector = FaultInjector(system.env, plan).install()
-        stop_pump = start_certify_pump(system)
 
         put_blocks(client, 4, prefix="shardy")
         system.run_for(max(0.0, injector.faults_quiet_after() - system.env.now()))
         system.run_for(15.0)
-        stop_pump()
 
         assert_no_quarantines(system.edges)
         assert victim.stats.get("partitions_recovered", 0) >= 1
@@ -776,7 +769,6 @@ class TestDiskFaultInjection:
             .with_crash(CrashEvent(edge.node_id, at_s=1.5, restart_at_s=2.5))
         )
         injector = FaultInjector(system.env, plan).install()
-        stop_pump = start_certify_pump(system)
 
         # Let the fault arm *before* the workload: the first durable append
         # after t=0.1 only half-lands.
@@ -787,7 +779,6 @@ class TestDiskFaultInjection:
         # The partition still serves after recovering past the torn debris.
         put_blocks(client, 2, prefix="post-torn")
         system.run_for(8.0)
-        stop_pump()
 
         assert any(action == "disk:torn_write" for _, action, *_ in injector.trace)
         [report] = edge.last_recovery_reports
@@ -814,7 +805,6 @@ class TestDiskFaultInjection:
             .with_crash(CrashEvent(edge.node_id, at_s=2.0, restart_at_s=3.0))
         )
         injector = FaultInjector(system.env, plan).install()
-        stop_pump = start_certify_pump(system)
 
         # Arm first, then write: the first append after t=0.1 lands with a
         # CRC that can never match, in a segment the tiny rotation threshold
@@ -826,7 +816,6 @@ class TestDiskFaultInjection:
         # The partition refused everything after restart, including these.
         put_blocks(client, 1, prefix="refused")
         system.run_for(4.0)
-        stop_pump()
 
         assert any(action == "disk:bit_flip" for _, action, *_ in injector.trace)
         reports = edge.quarantine_reports()
@@ -846,12 +835,10 @@ class TestDiskFaultInjection:
             DiskFaultRule(kind="enospc", at_s=0.1, count=3)
         )
         FaultInjector(system.env, plan).install()
-        stop_pump = start_certify_pump(system)
 
         system.run_for(0.3)
         put_blocks(client, 4, prefix="full-disk")
         system.run_for(10.0)
-        stop_pump()
 
         # Writes failed durably but the edge never stopped serving.
         assert edge.stats.get("storage_write_errors", 0) >= 1
@@ -874,10 +861,8 @@ class TestDirectCorruption:
         )
         client = system.client(0)
         edge = system.edge(0)
-        stop_pump = start_certify_pump(system)
         put_blocks(client, 4, prefix="pre")
         system.run_for(6.0)
-        stop_pump()
         assert certified_total(system) >= 4
         return system, client, edge
 
@@ -944,10 +929,8 @@ class TestSnapshotTruncationScenario:
         )
         client = system.client(0)
         edge = system.edge(0)
-        stop_pump = start_certify_pump(system)
         put_blocks(client, 8, prefix="bound")
         system.run_for(10.0)
-        stop_pump()
 
         store = edge._default_partition.store
         assert store.stats["segments_truncated"] >= 1
