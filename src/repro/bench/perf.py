@@ -44,7 +44,7 @@ from ..core.gossip import GossipView, build_gossip, build_gossip_batch, verify_g
 from ..core.system import WedgeChainSystem
 from ..crypto.signatures import KeyRegistry, Signature
 from ..log.block import build_block, compute_block_digest
-from ..log.entry import EntryBody, LogEntry
+from ..log.entry import EntryBody, LogEntry, make_entry
 from ..log.proofs import CommitPhase, issue_block_proof, issue_phase_one_receipt
 from ..lsm.compaction import merge_levels, newest_versions, partition_into_pages
 from ..lsm.lsm_tree import LSMTree
@@ -175,11 +175,14 @@ def _sharded_fleet(num_edges: int, sharding: ShardingConfig, **logging):
 # Function rows: library calls on seeded inputs
 # ----------------------------------------------------------------------
 def bench_digest_encode(rng: random.Random, quick: bool) -> BenchResult:
-    """Digest + ``encoded_size`` over blocks: the canonical-encoder hot path.
+    """Digest + ``encoded_size`` over blocks: the canonical encoder, warm.
 
-    This is the micro-benchmark the perf ratchet tracks: every repeat
-    recomputes each block's digest from its entries and charges its wire
-    size, exactly what certification, gossip, and dispute verification do.
+    Every repeat recomputes each block's digest from its entries and
+    charges its wire size, exactly what certification, gossip and dispute
+    verification do.  After the first repeat every entry body and signature
+    carries its fragment memo, so this row times the memo-warm path:
+    tuple assembly, hashing and memo reads (``encode_cold`` times the cold
+    one).
     """
 
     num_blocks = 10 if quick else 30
@@ -195,6 +198,33 @@ def bench_digest_encode(rng: random.Random, quick: bool) -> BenchResult:
     # One digest per entry plus one per block, plus one full-block encode.
     ops_per_repeat = num_blocks * (entries_per_block + 2)
     return _time_repeats("digest_encode", run, ops_per_repeat, repeats)
+
+
+def bench_encode_cold(rng: random.Random, quick: bool) -> BenchResult:
+    """Sign 100 fresh entry bodies and digest their block: a client's put issue.
+
+    Every repeat builds new ``EntryBody`` objects, so each signature and
+    entry digest encodes memo-cold, the way a client's ``put_issue`` and an
+    edge's block digest do on every put batch.
+    """
+
+    entries_per_block = 100
+    repeats = 20 if quick else 60
+    registry, _cloud, edge = _certification_registry()
+    producer = client_id("bench-client")
+    registry.register(producer)
+    payloads = [bytes(rng.getrandbits(8) for _ in range(64)) for _ in range(entries_per_block)]
+    sequences = itertools.count()
+    block_ids = itertools.count()
+
+    def run() -> None:
+        entries = [
+            make_entry(registry, producer, next(sequences), payload, produced_at=1.0)
+            for payload in payloads
+        ]
+        build_block(edge, next(block_ids), entries, created_at=1.0).digest()
+
+    return _time_repeats("encode_cold", run, entries_per_block, repeats)
 
 
 def bench_merkle_roots(rng: random.Random, quick: bool) -> BenchResult:
@@ -933,6 +963,7 @@ def bench_live_put_p99(rng: random.Random, quick: bool) -> BenchResult:
 #: All registered micro-benchmarks, in reporting order.
 BENCHMARKS = (
     bench_digest_encode,
+    bench_encode_cold,
     bench_merkle_roots,
     bench_merkle_update,
     bench_page_lookup,

@@ -12,29 +12,37 @@ The same canonical text is the wire and disk format: a frame payload and a
 stored record are exactly these bytes (:mod:`repro.storage.codec`), so a
 value is serialized once per hop and hashed from that one serialization.
 
-Three functions produce byte-identical output:
+One type-keyed table produces the text; an oracle checks it:
 
-* a fragment encoder (:func:`canonical_encode`) that serializes each value
-  directly to its canonical JSON text through a **per-class precompiled
-  layout** (one C-level ``%`` interpolation per dataclass instead of
-  per-field joins) and **memoizes the fragment on frozen dataclass
-  instances**.  Records, pages, blocks, and messages are frozen and deeply
-  immutable, but their encodings are requested over and over (digests,
-  signatures, ``wire_size`` accounting), so the memo turns repeated
-  full-tree walks into a dictionary lookup.  A fragment is only cached when
-  everything beneath it is immutable (scalars, bytes, tuples, enums, other
-  frozen dataclasses); values containing lists, dicts, sets, or non-frozen
-  dataclasses are re-encoded on every call, exactly like the reference
-  path;
-* a flat encoder (:func:`flat_encode`) for frames and records, which reads
-  those memos, writes none, and assembles the text with a single join;
-* :func:`to_jsonable` + ``json.dumps`` (:func:`reference_encode`) — the
-  memo-free oracle every test compares the other two against, and the tool
-  for debugging what was signed.
+* ``_ENCODERS[type(value)]`` is the only dispatch.  Each entry pairs a
+  **fragment encoder**, ``value -> (text, cacheable)``, behind
+  :func:`canonical_encode` / :func:`encoded_size` and the only writer of
+  memos, with an **emitter** behind :func:`flat_encode` (frames, disk
+  records) that reads memos, writes none and appends flat chunks for one
+  final ``join``.  One classifier (``_classify``) fills a missing entry
+  once per type, in the original decision order: ``None``, ``bool``,
+  ``str``, ``int``, ``float`` (subclasses included, so ``str``/``int``-mixin
+  enums encode as their plain value, as ``json.dumps`` renders them), then
+  ``bytes``, enums, dataclasses, lists/tuples, frozensets, dicts.  A
+  dataclass gets a straight-line encoder **generated from its layout**
+  (:func:`class_layout`, which also generates the strict decoder in
+  :mod:`repro.storage.codec`): exact ``str``/``int``/``bytes``/finite
+  ``float``/``None``/``bool`` fields render in line, anything else goes
+  back through the table, and one ``%`` interpolation builds the text.  A
+  **frozen** dataclass memoizes its text on the instance when everything
+  beneath it is immutable (scalars, bytes, tuples, enums, frozen
+  dataclasses), so the repeated requests for one value's encoding
+  (digests, signatures, ``wire_size``) cost an attribute read; lists,
+  dicts, sets and non-frozen dataclasses are re-encoded on every call.
+  Memos are read with ``getattr``, never through ``value.__dict__``: on
+  CPython 3.11 that materializes a per-instance dict, which costs every
+  stored record its memory.
+* :func:`to_jsonable` + ``json.dumps`` (:func:`reference_encode`) is the
+  memo-free, table-free oracle every test compares the table against, and
+  the tool for debugging what was signed.
 
-Because ``json.dumps`` is used with ``ensure_ascii=True``, canonical text is
-pure ASCII and the encoded byte length equals the fragment string length —
-which makes :func:`encoded_size` O(1) for memoized values.
+Canonical text is ASCII-escaped, so its byte length equals the fragment
+string length — which makes :func:`encoded_size` O(1) for memoized values.
 
 Trust-model note: a fragment memo is consulted by every digest and signature
 check, so where a memo can come from is part of the trust argument.
@@ -68,7 +76,8 @@ from __future__ import annotations
 import dataclasses
 import json
 from enum import Enum
-from typing import Any
+from json.encoder import encode_basestring_ascii as _str_text
+from typing import Any, Callable
 
 from .errors import SerializationError
 
@@ -77,22 +86,20 @@ from .errors import SerializationError
 #: equality, and the encoding itself).
 FRAGMENT_ATTR = "_canonical_fragment"
 
-#: Canonical JSON text of scalars: identical to how ``json.dumps`` renders
-#: them inside a larger document (separators only affect containers).
-_scalar_text = json.dumps
-
 #: Per-dataclass precompiled layout: the literal text between the field
 #: slots in canonical (sorted-key) order — braces, keys, the ``__type__`` tag,
 #: assembled once — the field names feeding those slots, and the same
-#: literals as one ``%``-template.  One C-level interpolation replaces the
-#: per-field prefix concatenations and the final join of the naive plan (the
-#: "single precompiled fast path" of the canonical block-digest encoding);
-#: the literals drive the flat encoder below and the strict decoder in
-#: :mod:`repro.storage.codec`, so one layout defines both directions.
+#: literals as one ``%``-template.  The layout generates the encoders below
+#: and the strict decoder in :mod:`repro.storage.codec`, so one layout
+#: defines both directions.
 _CLASS_LAYOUTS: dict[type, tuple[str, tuple[str, ...], tuple[str, ...]]] = {}
 
 #: Canonical fragments of enum members (enum members are singletons).
 _ENUM_FRAGMENTS: dict[Enum, str] = {}
+
+#: ``value -> (text, cacheable)`` and ``(value, out) -> None``.
+_Fragment = Callable[[Any], tuple[str, bool]]
+_Pair = tuple[_Fragment, Callable[[Any, list], None]]
 
 
 def class_layout(cls: type) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
@@ -112,9 +119,9 @@ def class_layout(cls: type) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
         for index, name in enumerate(names):
             if index:
                 pending += ","
-            pending += _scalar_text(name) + ":"
+            pending += _str_text(name) + ":"
             if name == "__type__":
-                pending += _scalar_text(cls.__name__)
+                pending += _str_text(cls.__name__)
             else:
                 literals.append(pending)
                 field_names.append(name)
@@ -126,92 +133,76 @@ def class_layout(cls: type) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
     return compiled
 
 
-def _fragment(value: Any) -> tuple[str, bool]:
-    """Return ``(canonical JSON text, cacheable)`` for *value*.
+class _EncoderTable(dict):
+    """``type -> (fragment, emitter)``, filled once per type on first use."""
 
-    ``cacheable`` is ``True`` only when the value (and everything beneath
-    it) is immutable, i.e. when memoizing the fragment can never observe a
-    stale encoding.
-    """
+    def __missing__(self, cls: type) -> _Pair:
+        pair = self[cls] = _classify(cls)
+        return pair
 
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return _scalar_text(value), True
-    if isinstance(value, bytes):
-        return '{"__bytes__":' + _scalar_text(value.hex()) + "}", True
-    if isinstance(value, Enum):
-        cached = _ENUM_FRAGMENTS.get(value)
-        if cached is not None:
-            return cached, True
-        inner, inner_cacheable = _fragment(value.value)
-        text = (
-            '{"__enum__":'
-            + _scalar_text(type(value).__name__)
-            + ',"value":'
-            + inner
-            + "}"
-        )
-        if inner_cacheable:
-            _ENUM_FRAGMENTS[value] = text
-        return text, inner_cacheable
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        frozen = type(value).__dataclass_params__.frozen
-        if frozen:
-            cached = getattr(value, FRAGMENT_ATTR, None)
-            if cached is not None:
-                return cached, True
-        template, field_names, _ = class_layout(type(value))
-        cacheable = frozen
-        fragments: list[str] = []
-        for field_name in field_names:
-            child_text, child_cacheable = _fragment(getattr(value, field_name))
-            cacheable = cacheable and child_cacheable
-            fragments.append(child_text)
-        text = template % tuple(fragments)
-        if cacheable:
-            try:
-                object.__setattr__(value, FRAGMENT_ATTR, text)
-            except AttributeError:
-                # Slotted dataclasses have nowhere to stash the memo.
-                cacheable = False
-        return text, cacheable
-    if isinstance(value, (list, tuple)):
+
+_ENCODERS = _EncoderTable()
+
+
+def _leaf(fragment: _Fragment) -> _Pair:
+    def emit(value: Any, out: list) -> None:
+        out.append(fragment(value)[0])
+
+    return fragment, emit
+
+
+def _float_fragment(value: float) -> tuple[str, bool]:
+    if value - value == 0.0:  # finite
+        return float.__repr__(value), True
+    return ("NaN" if value != value else "Infinity" if value > 0 else "-Infinity"), True
+
+
+def _enum_fragment(value: Enum) -> tuple[str, bool]:
+    cached = _ENUM_FRAGMENTS.get(value)
+    if cached is not None:
+        return cached, True
+    inner, cacheable = _ENCODERS[type(value.value)][0](value.value)
+    text = '{"__enum__":' + _str_text(type(value).__name__) + ',"value":' + inner + "}"
+    if cacheable:
+        _ENUM_FRAGMENTS[value] = text
+    return text, cacheable
+
+
+def _frozenset_fragment(value: frozenset) -> tuple[str, bool]:
+    # The oracle's own text (unorderable items raise TypeError, which the
+    # callers rewrap); cacheable only when every item is a scalar.
+    items = to_jsonable(value)
+    cacheable = all(item is None or isinstance(item, (bool, int, float, str)) for item in items)
+    return _reference_text(items), cacheable
+
+
+def _sequence(cacheable_kind: bool) -> _Pair:
+    def fragment(value: Any) -> tuple[str, bool]:
+        cacheable = cacheable_kind
         parts = []
-        cacheable = isinstance(value, tuple)
         for item in value:
-            text, child_cacheable = _fragment(item)
-            cacheable = cacheable and child_cacheable
-            parts.append(text)
+            if type(item) is str:
+                parts.append(_str_text(item))
+            else:
+                text, item_cacheable = _ENCODERS[type(item)][0](item)
+                cacheable = cacheable and item_cacheable
+                parts.append(text)
         return "[" + ",".join(parts) + "]", cacheable
-    if isinstance(value, frozenset):
-        # Matches the reference path: items become jsonable trees, are sorted,
-        # and serialize as a list (mixed/unorderable items raise TypeError,
-        # which canonical_encode rewraps, exactly like the reference).
-        items = sorted(to_jsonable(item) for item in value)
-        parts = [
-            json.dumps(item, sort_keys=True, separators=(",", ":"))
-            for item in items
-        ]
-        cacheable = all(
-            item is None or isinstance(item, (bool, int, float, str))
-            for item in items
-        )
-        return "[" + ",".join(parts) + "]", cacheable
-    if isinstance(value, dict):
-        coerced = _string_keyed(value)
-        parts = [
-            _scalar_text(key) + ":" + _fragment(coerced[key])[0]
-            for key in sorted(coerced)
-        ]
-        return "{" + ",".join(parts) + "}", False
-    raise SerializationError(f"cannot canonically encode value of type {type(value)!r}")
+
+    def emit(value: Any, out: list) -> None:
+        separator = "["
+        for item in value:
+            out.append(separator)
+            _ENCODERS[type(item)][1](item, out)
+            separator = ","
+        out.append("[]" if separator == "[" else "]")
+
+    return fragment, emit
 
 
 def _string_keyed(value: dict) -> dict[str, Any]:
-    """*value* with its keys coerced to strings.
-
-    Coercing through a dict mirrors the reference path's key-collision
-    semantics (later duplicates of a coerced key win).
-    """
+    """*value* with its keys coerced to strings (later duplicates of a
+    coerced key win, as on the reference path)."""
 
     coerced: dict[str, Any] = {}
     for key, item in value.items():
@@ -221,50 +212,108 @@ def _string_keyed(value: dict) -> dict[str, Any]:
     return coerced
 
 
-def _emit(value: Any, out: list[str]) -> None:
-    """Append the canonical text of *value* to *out* as flat chunks.
+def _dict_fragment(value: dict) -> tuple[str, bool]:
+    coerced = _string_keyed(value)
+    parts = [
+        _str_text(key) + ":" + _ENCODERS[type(item)][0](item)[0]
+        for key, item in sorted(coerced.items())
+    ]
+    return "{" + ",".join(parts) + "}", False
 
-    Reads every fragment memo and writes none: a container that carries no
-    memo contributes its layout literals around its children's chunks, so
-    the caller's single ``join`` is the only place the text of a large
-    message is assembled (nested ``%`` interpolation would build one
-    full-size transient string per nesting level), and no level of the tree
-    retains a copy of the text beneath it that nothing will hash.
-    """
 
-    compiled = _CLASS_LAYOUTS.get(type(value))
-    if compiled is None and (
-        dataclasses.is_dataclass(value)
-        and not isinstance(value, (type, bool, int, float, str, bytes, Enum))
-    ):
-        compiled = class_layout(type(value))
-    if compiled is not None:
-        cached = getattr(value, FRAGMENT_ATTR, None)
-        if cached is not None:
-            out.append(cached)
-            return
-        _, field_names, literals = compiled
-        for literal, field_name in zip(literals, field_names):
-            out.append(literal)
-            _emit(getattr(value, field_name), out)
-        out.append(literals[-1])
-    elif isinstance(value, (list, tuple)):
-        separator = "["
-        for item in value:
-            out.append(separator)
-            _emit(item, out)
-            separator = ","
-        out.append("[]" if separator == "[" else "]")
-    elif isinstance(value, dict):
-        coerced = _string_keyed(value)
-        separator = "{"
-        for key in sorted(coerced):
-            out.append(separator + _scalar_text(key) + ":")
-            _emit(coerced[key], out)
-            separator = ","
-        out.append("{}" if separator == "{" else "}")
-    else:
-        out.append(_fragment(value)[0])
+def _dict_emit(value: dict, out: list) -> None:
+    separator = "{"
+    for key, item in sorted(_string_keyed(value).items()):
+        out.append(separator + _str_text(key) + ":")
+        _ENCODERS[type(item)][1](item, out)
+        separator = ","
+    out.append("{}" if separator == "{" else "}")
+
+
+#: Field values a generated encoder renders in line: exact types only, so
+#: a subclass (an ``int`` enum, say) always goes through the table.
+_INLINE = (
+    ("t is str", "_str_text(x)"),
+    ("t is int", "_repr(x)"),
+    ("t is bytes", "'{\"__bytes__\":\"' + x.hex() + '\"}'"),
+    ("t is float and x - x == 0.0", "_repr(x)"),  # finite
+    ("x is None", "'null'"),
+    ("t is bool", "'true' if x else 'false'"),
+)
+
+
+def _field_lines(name: str, store: str, fallback: list[str]) -> list[str]:
+    lines = [f"x = value.{name}", "t = type(x)"]
+    for number, (test, text) in enumerate(_INLINE):
+        lines += [f"{'elif' if number else 'if'} {test}:", "    " + store.format(text)]
+    return lines + ["else:"] + ["    " + line for line in fallback]
+
+
+def _compile_dataclass(cls: type) -> _Pair:
+    """Generate the straight-line fragment encoder and emitter of *cls*."""
+
+    template, field_names, literals = class_layout(cls)
+    frozen = cls.__dataclass_params__.frozen
+    read_memo = ["text = getattr(value, FRAGMENT_ATTR, None)", "if text is not None:"]
+    fragment = read_memo + ["    return text, True"] if frozen else []
+    emit = read_memo + ["    out.append(text)", "    return"] if frozen else []
+    fragment.append(f"cacheable = {frozen}")
+    for index, name in enumerate(field_names):
+        fallback = [f"f{index}, ok = table[t][0](x)", "cacheable = cacheable and ok"]
+        fragment += _field_lines(name, f"f{index} = {{}}", fallback)
+        fallback = [f"out.append(L{index})", "table[t][1](x, out)"]
+        emit += _field_lines(name, f"out.append(L{index} + ({{}}))", fallback)
+    fragment.append(f"text = TEMPLATE % ({''.join(f'f{i},' for i in range(len(field_names)))})")
+    if frozen:
+        fragment += [
+            "if cacheable:",
+            "    try:",
+            "        _setattr(value, FRAGMENT_ATTR, text)",
+            "    except AttributeError:",
+            "        return text, False  # slotted: nowhere to keep a memo",
+        ]
+    fragment.append("return text, cacheable")
+    emit.append(f"out.append(L{len(field_names)})")
+    scope: dict[str, Any] = {
+        "FRAGMENT_ATTR": FRAGMENT_ATTR,
+        "TEMPLATE": template,
+        "table": _ENCODERS,
+        "_str_text": _str_text,
+        "_repr": repr,
+        "_setattr": object.__setattr__,
+    }
+    scope.update((f"L{index}", literal) for index, literal in enumerate(literals))
+    for head, lines in (("fragment(value)", fragment), ("emit(value, out)", emit)):
+        exec(f"def {head}:\n" + "\n".join("    " + line for line in lines), scope)
+    return scope["fragment"], scope["emit"]
+
+
+def _classify(cls: type) -> _Pair:
+    """The encoder pair of *cls*: the one place a value's kind is decided."""
+
+    if cls is type(None):
+        return _leaf(lambda value: ("null", True))
+    if cls is bool:
+        return _leaf(lambda value: ("true" if value else "false", True))
+    if issubclass(cls, str):
+        return _leaf(lambda value: (_str_text(value), True))
+    if issubclass(cls, int):
+        return _leaf(lambda value: (int.__repr__(value), True))
+    if issubclass(cls, float):
+        return _leaf(_float_fragment)
+    if issubclass(cls, bytes):
+        return _leaf(lambda value: ('{"__bytes__":"' + value.hex() + '"}', True))
+    if issubclass(cls, Enum):
+        return _leaf(_enum_fragment)
+    if dataclasses.is_dataclass(cls) and not issubclass(cls, type):
+        return _compile_dataclass(cls)
+    if issubclass(cls, (list, tuple)):
+        return _sequence(issubclass(cls, tuple))
+    if issubclass(cls, frozenset):
+        return _leaf(_frozenset_fragment)
+    if issubclass(cls, dict):
+        return _dict_fragment, _dict_emit
+    raise SerializationError(f"cannot canonically encode value of type {cls!r}")
 
 
 def to_jsonable(value: Any) -> Any:
@@ -303,14 +352,21 @@ def to_jsonable(value: Any) -> Any:
     raise SerializationError(f"cannot canonically encode value of type {type(value)!r}")
 
 
+def _reference_text(tree: Any) -> str:
+    return json.dumps(tree, sort_keys=True, separators=(",", ":"))
+
+
+def _canonical_text(value: Any) -> str:
+    try:
+        return _ENCODERS[type(value)][0](value)[0]
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(str(exc)) from exc
+
+
 def canonical_encode(value: Any) -> bytes:
     """Encode *value* into canonical bytes suitable for hashing and signing."""
 
-    try:
-        text, _ = _fragment(value)
-    except (TypeError, ValueError) as exc:
-        raise SerializationError(str(exc)) from exc
-    return text.encode("utf-8")
+    return _canonical_text(value).encode("ascii")
 
 
 def flat_encode(value: Any) -> bytes:
@@ -319,12 +375,14 @@ def flat_encode(value: Any) -> bytes:
     Byte-identical to :func:`canonical_encode`, with the other cost
     profile: memos are read wherever a signer, digester or the strict
     decoder left them and none are created, and the text is assembled by
-    one ``join`` over flat chunks (see :func:`_emit`).
+    one ``join`` over flat chunks — a container without a memo contributes
+    its layout literals around its children's chunks, so no level of the
+    tree builds (or retains) a full-size copy of the text beneath it.
     """
 
     out: list[str] = []
     try:
-        _emit(value, out)
+        _ENCODERS[type(value)][1](value, out)
     except (TypeError, ValueError) as exc:
         raise SerializationError(str(exc)) from exc
     return "".join(out).encode("ascii")
@@ -333,14 +391,13 @@ def flat_encode(value: Any) -> bytes:
 def reference_encode(value: Any) -> bytes:
     """Encode via the memo-free reference path (``to_jsonable`` + dumps).
 
-    Used by tests to assert that the fragment encoder is byte-identical to
+    Used by tests to assert that the encoder table is byte-identical to
     the original implementation, and available to callers that must not
     trust any cached state attached to a received object.
     """
 
     try:
-        tree = to_jsonable(value)
-        return json.dumps(tree, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return _reference_text(to_jsonable(value)).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise SerializationError(str(exc)) from exc
 
@@ -368,8 +425,4 @@ def encoded_size(value: Any) -> int:
     size equals the fragment length — O(1) for memoized values.
     """
 
-    try:
-        text, _ = _fragment(value)
-    except (TypeError, ValueError) as exc:
-        raise SerializationError(str(exc)) from exc
-    return len(text)
+    return len(_canonical_text(value))

@@ -14,14 +14,23 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
+from enum import Enum, IntEnum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.encoding import canonical_encode, encoded_size, reference_encode
-from repro.common.errors import MergeProtocolError, ProtocolError
+from repro.common.encoding import (
+    FRAGMENT_ATTR,
+    canonical_encode,
+    encoded_size,
+    flat_encode,
+    reference_encode,
+)
+from repro.common.errors import MergeProtocolError, ProtocolError, SerializationError
 from repro.common.identifiers import (
+    NodeId,
+    NodeRole,
     OperationId,
     OperationKind,
     client_id,
@@ -239,29 +248,200 @@ class TestGoldenDigests:
 
 
 # ----------------------------------------------------------------------
-# Property: the fragment encoder matches the reference encoder
+# Property: every encoder matches the reference encoder
 # ----------------------------------------------------------------------
+class _Colour(Enum):
+    RED = 1
+    PAIR = (2, "two")
+    LISTED = [3, 4]
+    NOTHING = None
+
+
+class _Mode(str, Enum):
+    PLAIN = "plain"
+    ODD = "h\u00e9\n\x00"
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+class _Rank(int, Enum):
+    FIRST = -1
+
+
+class _Ratio(float, Enum):
+    HALF = 0.5
+    HUGE = float("inf")
+
+
+_ENUM_MEMBERS = [*_Colour, *_Mode, *_Level, *_Rank, *_Ratio, *CommitPhase, *OperationKind]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Frozen:
+    count: int
+    child: object
+
+
+@dataclasses.dataclass
+class _Mutable:
+    items: object
+
+
+_SPECIAL_SCALARS = [
+    None,
+    True,
+    False,
+    0,
+    -(2**80),
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    -0.0,
+    1e-300,
+    "",
+    "h\u00e9\x00\x1f\x7f\u2028\U0001f600\"\\",
+    b"",
+    b"\x00\xff",
+    *_ENUM_MEMBERS,
+]
+_tricky_floats = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e-300, 2.0**70]
+)
+_tricky_text = st.text(max_size=12) | st.sampled_from(
+    ["", "h\u00e9llo", "\x00\x1f\x7f\x80", "\u2028\u2029", "\U0001f600", '"\\/', "\ud7ff\ue000"]
+)
 jsonable_strategy = st.recursive(
     st.none()
     | st.booleans()
     | st.integers()
-    | st.floats(allow_nan=False)
-    | st.text(max_size=20)
-    | st.binary(max_size=20),
+    | _tricky_floats
+    | _tricky_text
+    | st.binary(max_size=20)
+    | st.sampled_from(_ENUM_MEMBERS),
     lambda children: st.lists(children, max_size=4)
     | st.tuples(children, children)
-    | st.dictionaries(st.text(max_size=8), children, max_size=4)
-    | st.frozensets(st.text(max_size=8), max_size=4),
+    | st.dictionaries(_tricky_text, children, max_size=4)
+    | st.dictionaries(st.integers(), children, max_size=3)
+    | st.dictionaries(st.booleans() | st.none(), children, max_size=2)
+    | st.dictionaries(st.floats(allow_nan=False), children, max_size=3)
+    | st.frozensets(_tricky_text, max_size=4)
+    | st.frozensets(st.integers(), max_size=4)
+    | st.builds(_Frozen, count=st.integers() | st.booleans(), child=children)
+    | st.builds(_Mutable, items=children),
     max_leaves=12,
 )
 
 
+def _tree_nodes(value):
+    """*value* and everything beneath it that the encoders visit."""
+
+    yield value
+    if isinstance(value, (str, bytes, Enum)):
+        return
+    if dataclasses.is_dataclass(value):
+        children = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    elif isinstance(value, dict):
+        children = list(value.values())
+    elif isinstance(value, (list, tuple, frozenset)):
+        children = list(value)
+    else:
+        return
+    for child in children:
+        yield from _tree_nodes(child)
+
+
+def _deeply_immutable(value) -> bool:
+    if isinstance(value, (_Mutable, list, dict)):
+        return False
+    if isinstance(value, Enum):
+        return not isinstance(value.value, list)
+    return all(_deeply_immutable(node) for node in list(_tree_nodes(value))[1:])
+
+
 class TestEncoderEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(jsonable_strategy)
+    def test_every_encoder_matches_reference(self, value):
+        """Cold and warm, each encoder reproduces the oracle's bytes — enum
+        mixins, NaN/infinities/-0.0, escapes, bools in int fields, tuples vs
+        lists, frozensets, non-string dict keys — and only a frozen
+        dataclass whose whole subtree is immutable keeps a memo."""
+
+        try:
+            expected = reference_encode(value)
+        except SerializationError:
+            for encoder in (flat_encode, canonical_encode, encoded_size):
+                with pytest.raises(SerializationError):
+                    encoder(value)
+            return
+        assert flat_encode(value) == expected  # cold: flat_encode writes no memo
+        assert canonical_encode(value) == expected  # cold: writes the memos
+        assert canonical_encode(value) == expected  # warm
+        assert flat_encode(value) == expected  # warm
+        assert encoded_size(value) == len(expected)
+        for node in _tree_nodes(value):
+            if isinstance(node, _Frozen):
+                assert hasattr(node, FRAGMENT_ATTR) == _deeply_immutable(node)
+
     @settings(max_examples=150, deadline=None)
     @given(jsonable_strategy)
-    def test_fragment_matches_reference(self, value):
-        assert canonical_encode(value) == reference_encode(value)
-        assert encoded_size(value) == len(reference_encode(value))
+    def test_flat_encode_writes_no_memo(self, value):
+        try:
+            flat_encode(value)
+        except SerializationError:
+            return
+        for node in _tree_nodes(value):
+            assert not hasattr(node, FRAGMENT_ATTR)
+
+    def test_flat_encode_of_a_fresh_block_writes_no_memo(self):
+        producer = NodeId(role=NodeRole.CLIENT, name="fresh-client")
+        entries = [
+            LogEntry(
+                body=EntryBody(producer=producer, sequence=i, payload=b"p", produced_at=0.5),
+                signature=Signature(signer=producer, scheme="hmac", value=bytes(32)),
+            )
+            for i in range(3)
+        ]
+        block = build_block(
+            edge=NodeId(role=NodeRole.EDGE, name="fresh-edge"),
+            block_id=1,
+            entries=entries,
+            created_at=1.0,
+        )
+        assert flat_encode(block) == reference_encode(block)
+        for node in _tree_nodes(block):
+            assert not hasattr(node, FRAGMENT_ATTR)
+
+    @pytest.mark.parametrize("special", _SPECIAL_SCALARS, ids=repr)
+    def test_special_scalar_in_every_position(self, special):
+        """Each value the old ladder special-cased, as a generated encoder's
+        field (the inline fast paths), inside containers and at the top."""
+
+        for make in (
+            lambda: special,
+            lambda: _Frozen(count=special, child=(special, [special])),
+            lambda: _Mutable(items=special),
+            lambda: {"k": special, 7: (special,)},
+        ):
+            expected = reference_encode(make())
+            assert flat_encode(make()) == expected
+            value = make()
+            assert canonical_encode(value) == expected
+            assert canonical_encode(value) == expected
+            assert flat_encode(value) == expected
+            assert encoded_size(value) == len(expected)
+
+    def test_frozen_parent_of_mutable_child_keeps_no_memo(self):
+        child = _Mutable(items=1)
+        parent = _Frozen(count=True, child=child)
+        assert canonical_encode(parent) == reference_encode(parent)
+        assert not hasattr(parent, FRAGMENT_ATTR)
+        child.items = "changed"
+        assert canonical_encode(parent) == reference_encode(parent)
+        assert flat_encode(parent) == reference_encode(parent)
 
     @settings(max_examples=60, deadline=None)
     @given(
