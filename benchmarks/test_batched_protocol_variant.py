@@ -38,6 +38,9 @@ def test_batched_variant_saves_wan_and_certification_cpu():
         assert variant["commit_ms"] == pytest.approx(
             reference["commit_ms"], rel=0.05
         )
+        # Gossip ran in the measured window, batched only in the variant.
+        assert variant["gossip_batches"] > 0
+        assert reference["gossip_batches"] == 0
 
     per_block5, batched5 = _rows_by_variant(figure5, "clients")
     for clients, reference in per_block5.items():
@@ -45,3 +48,4 @@ def test_batched_variant_saves_wan_and_certification_cpu():
         assert variant["wan_bytes"] < reference["wan_bytes"]
         assert variant["certify_cpu_s"] < reference["certify_cpu_s"]
         assert variant["throughput_kops"] > reference["throughput_kops"] * 0.9
+        assert variant["gossip_batches"] > 0

@@ -34,6 +34,9 @@ def test_pipeline_depth_overlaps_phase_two_without_touching_phase_one():
     for row in table.rows:
         by_clients.setdefault(row["clients"], {})[row["depth"]] = row
 
+    # Every run lasts at least one gossip interval, so batched gossip ran.
+    assert all(row["gossip_batches"] > 0 for row in table.rows)
+
     for clients, rows in by_clients.items():
         baseline = rows[DEPTHS[0]]
         for depth in DEPTHS[1:]:

@@ -17,9 +17,11 @@ Knobs (see ``repro.common.config``):
 * ``ShardingConfig.num_shards`` — partition granularity (more shards than
   edges lets rebalancing move load at sub-edge steps);
 * ``ShardingConfig.partitioner`` — ``"hash-ring"`` (uniform) or ``"range"``
-  (ordered, hotspot-prone — used here to give rebalancing work to do);
-* ``ShardingConfig.rebalance_hot_factor`` — how skewed an edge's share of
-  the logged entries must be before ``maybe_rebalance`` moves a shard.
+  (ordered, hotspot-prone — used here to give rebalancing work to do).
+
+How skewed an edge's share of the logged entries must be before
+``maybe_rebalance`` moves a shard is a constant,
+``repro.sharding.system.REBALANCE_HOT_FACTOR`` (1.5× the fleet mean).
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ def main() -> None:
             num_shards=8,
             partitioner="range",
             key_space=10_000,
-            rebalance_hot_factor=1.5,
         ),
         logging=LoggingConfig(block_size=20, block_timeout_s=0.01),
         lsmerkle=LSMerkleConfig(level_thresholds=(4, 8, 64, 512)),

@@ -141,7 +141,7 @@ class EdgeBaselineEdgeNode(EdgeNode):
                 operation_id=operation_id,
                 block_id=block.block_id,
                 receipt=receipt,
-                block=self._block_for_response(block),
+                block=block,
             )
             self.env.send(self.node_id, requester, response)
 

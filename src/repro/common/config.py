@@ -73,9 +73,6 @@ class LoggingConfig:
     #: Maximum simulated time (seconds) an incomplete block may wait before
     #: being flushed anyway; keeps latency bounded under light load.
     block_timeout_s: float = 0.050
-    #: Whether add responses include the full block (the ``add`` interface's
-    #: optional ``block`` output).
-    return_block_on_add: bool = True
     #: How many block digests the edge accumulates before shipping one
     #: :class:`~repro.messages.log_messages.CertifyBatchRequest` (one edge
     #: signature and one cloud signature amortized over the whole batch).
@@ -149,8 +146,6 @@ class SecurityConfig:
     #: Freshness window for LSMerkle reads (Section V-D); ``None`` disables
     #: freshness checking.
     freshness_window_s: float | None = None
-    #: Penalty score applied when a malicious act is proven.
-    punishment_score: float = 1000.0
 
     def __post_init__(self) -> None:
         if self.signature_scheme not in ("hmac", "schnorr"):
@@ -198,13 +193,6 @@ class ShardingConfig:
     #: slices (must match the workload's ``key_space`` for balanced ranges;
     #: ignored by the hash ring).
     key_space: int = 100_000
-    #: An edge whose logged-entry share exceeds ``rebalance_hot_factor``
-    #: times the fleet mean is eligible for a shard handoff when the
-    #: fleet's ``maybe_rebalance`` trigger runs.
-    rebalance_hot_factor: float = 1.5
-    #: Maximum times a client re-routes one operation after signed
-    #: ``NotOwnerRedirect`` responses before failing it.
-    max_redirects: int = 3
     #: How long (simulated seconds) a transaction coordinator waits for the
     #: participants' prepare receipts before deciding abort.
     txn_receipt_timeout_s: float = 1.0
@@ -244,10 +232,6 @@ class ShardingConfig:
             )
         if self.key_space < self.num_shards:
             raise ConfigurationError("key_space must be at least num_shards")
-        if self.rebalance_hot_factor <= 1.0:
-            raise ConfigurationError("rebalance_hot_factor must exceed 1.0")
-        if self.max_redirects < 0:
-            raise ConfigurationError("max_redirects must be non-negative")
         if self.txn_receipt_timeout_s <= 0:
             raise ConfigurationError("txn_receipt_timeout_s must be positive")
         if self.txn_prepare_timeout_s <= self.txn_receipt_timeout_s:
@@ -329,27 +313,18 @@ class ObservabilityConfig:
     preserving the paper-exact default stance.
 
     ``enabled=True`` attaches one shared :class:`repro.obs.Observability`
-    bundle to the environment: per-node :class:`~repro.obs.metrics.\
-    MetricsRegistry` instances (counters/gauges/histograms with exact
-    percentiles, driven by simulated time), and a
+    bundle to the environment, and that bundle always records both halves:
+    per-node :class:`~repro.obs.metrics.MetricsRegistry` instances
+    (counters/gauges/histograms with exact percentiles, driven by simulated
+    time) that node stat dicts mirror into, and a
     :class:`~repro.obs.tracing.Tracer` whose span contexts propagate as a
     network-layer sidecar — never inside signed or encoded payloads — so
-    enabling observability changes no simulated metric.
+    enabling observability changes no simulated metric.  ``enabled`` is the
+    only switch.
     """
 
     #: Master switch; ``False`` means no observability object is ever built.
     enabled: bool = False
-    #: Record protocol-phase spans and fault events (when ``enabled``).
-    trace: bool = True
-    #: Record metrics registries and mirror legacy stat dicts (when
-    #: ``enabled``).
-    metrics: bool = True
-
-    def __post_init__(self) -> None:
-        if self.enabled and not (self.trace or self.metrics):
-            raise ConfigurationError(
-                "observability enabled but both trace and metrics are off"
-            )
 
 
 @dataclass(frozen=True)
@@ -431,9 +406,11 @@ class SystemConfig:
     def sharding_or_default(self) -> ShardingConfig:
         """The attached sharding config, or the ShardingConfig field defaults.
 
-        The single source of truth for knobs (redirect cap, transaction
-        timers) that must behave identically whether or not the deployment
-        is sharded — callers never re-spell a field default as a literal.
+        The single source of truth for the transaction timers and the
+        replica lease, which must behave identically whether or not the
+        deployment is sharded — callers never re-spell a field default as a
+        literal.  (The redirect cap is a constant,
+        ``ShardedClient.MAX_REDIRECTS``.)
         """
 
         return self.sharding if self.sharding is not None else ShardingConfig()

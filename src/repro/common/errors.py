@@ -90,9 +90,5 @@ class SimulationError(WedgeChainError):
     """Base class for errors raised by the discrete-event simulator."""
 
 
-class SimulationDeadlockError(SimulationError):
-    """The simulator ran out of events before the experiment finished."""
-
-
 class TransportError(WedgeChainError):
     """A message was addressed to a node unknown to the transport."""

@@ -34,10 +34,9 @@ class PunishmentRecord:
 class PunishmentLedger:
     """Append-only record of punished edge nodes kept by the cloud."""
 
-    def __init__(self, punishment_score: float = 1000.0) -> None:
+    def __init__(self) -> None:
         self._records: list[PunishmentRecord] = []
         self._banned: set[NodeId] = set()
-        self._punishment_score = punishment_score
 
     def punish(
         self,
@@ -70,9 +69,6 @@ class PunishmentLedger:
 
     def records_for(self, edge: NodeId) -> tuple[PunishmentRecord, ...]:
         return tuple(record for record in self._records if record.edge == edge)
-
-    def total_score(self, edge: NodeId) -> float:
-        return self._punishment_score * len(self.records_for(edge))
 
     def __len__(self) -> int:
         return len(self._records)

@@ -218,7 +218,7 @@ class FaultInjector:
         # to no span.  The tuple trace above is the determinism contract
         # and stays exactly as it was.
         obs = self._env.obs
-        if obs is not None and obs.tracer is not None:
+        if obs is not None:
             obs.tracer.event(
                 f"fault.{action}",
                 src=str(src),

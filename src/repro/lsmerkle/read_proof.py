@@ -163,11 +163,13 @@ def build_get_proof(
 # ----------------------------------------------------------------------
 def _verify_level_zero(
     registry: KeyRegistry,
+    cloud: Optional[NodeId],
     edge: NodeId,
     evidence: Sequence[LevelZeroEvidence],
     provenance: Sequence[NodeId] = (),
 ) -> None:
-    """Pin every level-0 block (and its proof) to a permitted writer.
+    """Pin every level-0 block (and its proof) to a permitted writer, and
+    every proof to *cloud* (when given), like the signed root.
 
     ``provenance`` extends the single expected writer with prior writers of
     a replicated shard: after a failover promotion the certified blocks of
@@ -194,6 +196,11 @@ def _verify_level_zero(
         if item.proof.edge != item.block.edge or item.proof.block_id != item.block_id:
             raise ProofVerificationError(
                 f"block proof identity mismatch for block {item.block_id}"
+            )
+        if cloud is not None and item.proof.cloud != cloud:
+            raise ProofVerificationError(
+                f"block {item.block_id} is certified by {item.proof.cloud}, "
+                f"not by {cloud}"
             )
         if not item.proof.verify_cached(registry):
             raise ProofVerificationError(
@@ -292,7 +299,7 @@ def verify_get_proof(
     ):
         raise ProofVerificationError("signed global root failed verification")
 
-    _verify_level_zero(registry, edge, proof.level_zero, provenance=provenance)
+    _verify_level_zero(registry, cloud, edge, proof.level_zero, provenance=provenance)
 
     # Newest version present in level 0, derived from the blocks themselves.
     level_zero_best: Optional[KVRecord] = None

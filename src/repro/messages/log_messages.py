@@ -30,7 +30,6 @@ class AppendBatchRequest:
     operation_id: OperationId
     kind: OperationKind
     entries: tuple[LogEntry, ...]
-    request_block: bool = True
     #: Shard the entries belong to (sharded fleets only; ``None`` for the
     #: paper's single-partition deployment, which keeps the wire identical).
     shard_id: Optional[int] = None

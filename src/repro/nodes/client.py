@@ -236,7 +236,6 @@ class Client(TableDispatchNode):
                 operation_id=operation_id,
                 kind=kind,
                 entries=entries,
-                request_block=self.config.logging.return_block_on_add,
                 shard_id=shard_id,
             ),
         )
@@ -359,47 +358,48 @@ class Client(TableDispatchNode):
             self.tracker.mark_failed(response.operation_id, now, "invalid receipt")
             return
 
+        # An honest edge always returns the block its receipt signs, so a
+        # response without one is as broken as one whose block mismatches.
+        block = response.block
+        if block is not None:
+            self.env.charge(params.hash_cost(block.wire_size))
+        if block is None or not receipt.matches_block(block):
+            self._record_suspicion(
+                "receipt-block-mismatch", response.block_id, response.operation_id
+            )
+            self.tracker.mark_failed(
+                response.operation_id, now, "receipt does not match block"
+            )
+            return
+        expected = set(record.details.get("entry_sequences", ()))
+        present = {
+            entry.sequence for entry in block.entries if entry.producer == self.node_id
+        }
+        newly_acked = expected & present
         fully_acked = True
-        if response.block is not None:
-            self.env.charge(params.hash_cost(response.block.wire_size))
-            if not receipt.matches_block(response.block):
-                self._record_suspicion(
-                    "receipt-block-mismatch", response.block_id, response.operation_id
-                )
-                self.tracker.mark_failed(
-                    response.operation_id, now, "receipt does not match block"
-                )
-                return
-            expected = set(record.details.get("entry_sequences", ()))
-            present = {
-                entry.sequence
-                for entry in response.block.entries
-                if entry.producer == self.node_id
-            }
-            newly_acked = expected & present
-            if self._split_batch_acks:
-                # A batch larger than the edge's block size (or split across
-                # a block boundary by co-batched entries from other clients)
-                # is acknowledged one block at a time: track cumulative
-                # coverage, and only Phase I commit once every entry has
-                # been promised in some block.  A block holding none of the
-                # operation's entries is a broken promise, not a split batch.
-                acked = record.details.setdefault("acked_sequences", set())
-                acked |= newly_acked
-                fully_acked = expected <= acked
-                missing = bool(expected) and not newly_acked
-            else:
-                # Paper-exact policy: the whole batch must land in one block
-                # (the evaluation always aligns batch and block size).
-                missing = not expected <= present
-            if missing:
-                self._record_suspicion(
-                    "missing-entries", response.block_id, response.operation_id
-                )
-                self.tracker.mark_failed(
-                    response.operation_id, now, "entries missing from block"
-                )
-                return
+        if self._split_batch_acks:
+            # A batch larger than the edge's block size (or split across
+            # a block boundary by co-batched entries from other clients)
+            # is acknowledged one block at a time: track cumulative
+            # coverage, and only Phase I commit once every entry has
+            # been promised in some block.  A block holding none of the
+            # operation's entries is a broken promise, not a split batch.
+            acked = record.details.setdefault("acked_sequences", set())
+            acked |= newly_acked
+            fully_acked = expected <= acked
+            missing = bool(expected) and not newly_acked
+        else:
+            # Paper-exact policy: the whole batch must land in one block
+            # (the evaluation always aligns batch and block size).
+            missing = not expected <= present
+        if missing:
+            self._record_suspicion(
+                "missing-entries", response.block_id, response.operation_id
+            )
+            self.tracker.mark_failed(
+                response.operation_id, now, "entries missing from block"
+            )
+            return
 
         if fully_acked:
             record.details["block_digest"] = receipt.block_digest
@@ -488,8 +488,10 @@ class Client(TableDispatchNode):
         now = self.env.now()
 
         statement = response.statement
-        if statement.edge != self._expected_edge(record) or not self.env.registry.verify(
-            response.signature, statement
+        if (
+            statement.edge != self._expected_edge(record)
+            or response.signature.signer != statement.edge
+            or not self.env.registry.verify(response.signature, statement)
         ):
             self.stats["verification_failures"] += 1
             self.tracker.mark_failed(record.operation_id, now, "bad read signature")
@@ -554,8 +556,10 @@ class Client(TableDispatchNode):
         self.stats["verification_seconds"] += verification_cost
 
         expected_edge = self._expected_edge(record)
-        if statement.edge != expected_edge or not self.env.registry.verify(
-            response.signature, statement
+        if (
+            statement.edge != expected_edge
+            or response.signature.signer != statement.edge
+            or not self.env.registry.verify(response.signature, statement)
         ):
             self.stats["verification_failures"] += 1
             self.tracker.mark_failed(record.operation_id, now, "bad get signature")

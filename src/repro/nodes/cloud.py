@@ -86,7 +86,7 @@ class CloudNode(TableDispatchNode):
         self.node_id = cloud_id(name)
         self.region = region if region is not None else self.config.placement.cloud_region
         self._attach_observability()
-        self.ledger = PunishmentLedger(self.config.security.punishment_score)
+        self.ledger = PunishmentLedger()
 
         #: Certified digests: edge -> block id -> digest.
         self._certified: dict[NodeId, dict[BlockId, str]] = {}

@@ -422,7 +422,7 @@ class EdgeNode(TableDispatchNode):
                 operation_id=request.operation_id,
                 block_id=block_id,
                 receipt=receipt,
-                block=self._block_for_response(record.block),
+                block=record.block,
             )
             self.env.send(self.node_id, sender, response)
             self._owe_block_proof(sender, request.operation_id, block_id)
@@ -529,7 +529,7 @@ class EdgeNode(TableDispatchNode):
                 operation_id=operation_id,
                 block_id=block.block_id,
                 receipt=receipt,
-                block=self._block_for_response(block),
+                block=block,
             )
             self.env.send(self.node_id, requester, response)
 
@@ -538,9 +538,6 @@ class EdgeNode(TableDispatchNode):
         self, batch: PendingBatch, block_id: BlockId, now: float
     ) -> Block:
         return build_block(self.node_id, block_id, batch.log_entries, now)
-
-    def _block_for_response(self, block: Block) -> Optional[Block]:
-        return block if self.config.logging.return_block_on_add else None
 
     def _digest_to_certify(self, block: Block) -> str:
         return block.digest()
@@ -1087,7 +1084,7 @@ class EdgeNode(TableDispatchNode):
             "certify.absorb", links=links, block_id=str(proof.block_id)
         ) as span:
             if span is not None:
-                if self._metrics is not None and links:
+                if links:
                     origin = self._obs_tracer.find(links[0].span_id)
                     if origin is not None:
                         self._metrics.histogram("certify_latency_s").observe(

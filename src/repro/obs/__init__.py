@@ -27,7 +27,7 @@ Submodules:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from .metrics import MetricsRegistry, StatsDict
 from .tracing import SpanContext, Tracer
@@ -45,21 +45,18 @@ __all__ = [
 class Observability:
     """Shared tracer + per-subsystem metrics registries for one deployment."""
 
-    def __init__(self, config, clock: Callable[[], float]) -> None:
-        self.config = config
+    def __init__(self, clock: Callable[[], float]) -> None:
         self.clock = clock
-        self.tracer: Optional[Tracer] = Tracer(clock) if config.trace else None
+        self.tracer = Tracer(clock)
         self._registries: Dict[str, MetricsRegistry] = {}
 
     @property
     def registries(self) -> Dict[str, MetricsRegistry]:
         return self._registries
 
-    def registry_for(self, name: str) -> Optional[MetricsRegistry]:
-        """The named registry, created on first use; ``None`` if metrics off."""
+    def registry_for(self, name: str) -> MetricsRegistry:
+        """The named registry, created on first use."""
 
-        if not self.config.metrics:
-            return None
         registry = self._registries.get(name)
         if registry is None:
             registry = self._registries[name] = MetricsRegistry(name)

@@ -8,7 +8,7 @@ raw strings, not parsed structures).
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from . import Observability
@@ -20,11 +20,9 @@ SCHEMA_VERSION = 1
 # ----------------------------------------------------------------------
 # Trace export
 # ----------------------------------------------------------------------
-def trace_records(tracer: Optional["Tracer"]) -> List[dict]:
+def trace_records(tracer: "Tracer") -> List[dict]:
     """All spans (in span-id order) followed by all events (in time order)."""
 
-    if tracer is None:
-        return []
     records = []
     for span in sorted(tracer.spans, key=lambda item: item.span_id):
         records.append(
@@ -45,7 +43,7 @@ def trace_records(tracer: Optional["Tracer"]) -> List[dict]:
     return records
 
 
-def trace_jsonl(tracer: Optional["Tracer"]) -> str:
+def trace_jsonl(tracer: "Tracer") -> str:
     """One JSON object per line; byte-identical across same-seed runs."""
 
     return "".join(

@@ -9,7 +9,7 @@ A :class:`ShardedClient` keeps the base client's whole verification stack
 * **redirect handling** — a signed ``NotOwnerRedirect`` updates the map
   view (the redirect carries the edge's latest cloud-signed map) and
   re-issues the *same* operation to the new owner, bounded by
-  ``ShardingConfig.max_redirects``;
+  ``ShardedClient.MAX_REDIRECTS`` hops;
 * **stale-owner detection** — a get response from an edge that the
   client's (newer) map says no longer owns the key's shard is reported to
   the cloud as a ``stale-owner-serve`` shard dispute, with the edge's own
@@ -62,6 +62,10 @@ from .transactions import TxnCoordinator
 class ShardedClient(Client):
     """One authenticated client that can read and write any shard."""
 
+    #: Redirect-hop cap, a safety bound: exactly this many signed
+    #: ``NotOwnerRedirect`` hops are followed per operation before it fails.
+    MAX_REDIRECTS = 3
+
     HANDLERS = Client.HANDLERS.extended(
         {
             ShardMapMessage: "_handle_shard_map",
@@ -109,10 +113,6 @@ class ShardedClient(Client):
         self.shard_verdicts: list[ShardDisputeVerdict] = []
         #: Transaction-dispute verdicts the cloud sent back to this client.
         self.txn_verdicts: list[TxnDisputeVerdict] = []
-        #: Redirect-hop cap: exactly this many redirect hops are followed
-        #: per operation before it fails.  Unsharded configs resolve to the
-        #: ShardingConfig field default — never a re-spelled literal.
-        self._max_redirects = self.config.sharding_or_default().max_redirects
         #: Highest block id observed per edge in signed acknowledgements:
         #: the coordinator-side staging watermark for transactions
         #: (``TxnPrepareStatement.staged_floor``).
@@ -332,7 +332,7 @@ class ShardedClient(Client):
             return
         now = self.env.now()
         redirects = record.details.get("redirects", 0)
-        if redirects >= self._max_redirects:
+        if redirects >= self.MAX_REDIRECTS:
             self.stats["redirect_failures"] += 1
             self.tracker.mark_failed(
                 record.operation_id, now, "redirect limit exceeded"
@@ -382,7 +382,6 @@ class ShardedClient(Client):
                     operation_id=record.operation_id,
                     kind=record.kind,
                     entries=entries,
-                    request_block=self.config.logging.return_block_on_add,
                     shard_id=shard_id,
                 ),
             )

@@ -34,6 +34,10 @@ from .partitioner import KeyPartitioner, make_partitioner
 #: malicious variants without changing the wiring code).
 ShardedEdgeFactory = Callable[..., ShardedEdgeNode]
 
+#: An edge whose logged-entry share exceeds this many times the fleet mean
+#: is eligible for a shard handoff when ``maybe_rebalance`` runs.
+REBALANCE_HOT_FACTOR = 1.5
+
 
 @dataclass(frozen=True)
 class RebalanceAction:
@@ -202,13 +206,12 @@ class ShardedWedgeSystem(WedgeChainSystem):
         """Move one shard off the hottest edge when load is skewed enough.
 
         The trigger compares per-edge logged entries against the fleet mean;
-        an edge beyond ``sharding.rebalance_hot_factor`` times the mean
+        an edge beyond :data:`REBALANCE_HOT_FACTOR` times the mean
         hands its busiest shard to the least-loaded edge.  Returns the
         action taken (the handoff itself completes asynchronously) or
         ``None`` when the fleet is balanced or no move is possible.
         """
 
-        sharding = self.config.sharding
         loads = {
             edge.node_id: edge.stats["entries_logged"]
             - self._rebalance_baseline.get(edge.node_id, 0)
@@ -220,7 +223,7 @@ class ShardedWedgeSystem(WedgeChainSystem):
         if mean_load <= 0:
             return None
         hottest = max(self.edges, key=lambda edge: loads[edge.node_id])
-        if loads[hottest.node_id] < sharding.rebalance_hot_factor * mean_load:
+        if loads[hottest.node_id] < REBALANCE_HOT_FACTOR * mean_load:
             return None
         candidates = {
             shard_id: hottest.shard_entry_counts.get(shard_id, 0)
@@ -244,7 +247,7 @@ class ShardedWedgeSystem(WedgeChainSystem):
             dest=coldest.node_id,
             reason=(
                 f"edge load {loads[hottest.node_id]} exceeds "
-                f"{sharding.rebalance_hot_factor:.1f}x fleet mean {mean_load:.0f}"
+                f"{REBALANCE_HOT_FACTOR:.1f}x fleet mean {mean_load:.0f}"
             ),
         )
 

@@ -108,7 +108,7 @@ class Environment(BaseRuntime):
         # Trace context crosses the delivery->handling hop as a closure
         # variable, never on the message (wire payloads stay untouched).
         ctx = None
-        if self.obs is not None and self.obs.tracer is not None:
+        if self.obs is not None:
             ctx = self.obs.tracer.current_context()
         self.scheduler.schedule_at(
             start,
@@ -122,7 +122,7 @@ class Environment(BaseRuntime):
         previous = self._current
         invocation = _Invocation(node_id=node.node_id, start=self.now())
         self._current = invocation
-        tracer = self.obs.tracer if (ctx is not None and self.obs is not None) else None
+        tracer = self.obs.tracer if ctx is not None else None
         if tracer is not None:
             tracer.push(ctx)
         try:

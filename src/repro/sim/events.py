@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..common.errors import SimulationDeadlockError, SimulationError
+from ..common.errors import SimulationError
 from .clock import SimulatedClock
 
 EventCallback = Callable[[], None]
@@ -103,7 +103,6 @@ class EventScheduler:
         interval: float,
         callback: EventCallback,
         label: str = "",
-        first_delay: Optional[float] = None,
     ) -> Callable[[], None]:
         """Run *callback* every *interval* seconds until the returned stopper
         is called."""
@@ -118,9 +117,7 @@ class EventScheduler:
             callback()
             self.schedule_after(interval, tick, label)
 
-        self.schedule_after(
-            interval if first_delay is None else first_delay, tick, label
-        )
+        self.schedule_after(interval, tick, label)
 
         def stop() -> None:
             stopped["value"] = True
@@ -165,13 +162,8 @@ class EventScheduler:
                 break
         return processed
 
-    def run_until(self, deadline: float, require_progress: bool = False) -> int:
-        """Run events with timestamps up to and including *deadline*.
-
-        If *require_progress* is true and no event exists at or before the
-        deadline, a :class:`SimulationDeadlockError` is raised — useful to
-        catch experiments that silently stall.
-        """
+    def run_until(self, deadline: float) -> int:
+        """Run events with timestamps up to and including *deadline*."""
 
         processed = 0
         while self._queue:
@@ -180,10 +172,6 @@ class EventScheduler:
                 break
             self.step()
             processed += 1
-        if require_progress and processed == 0:
-            raise SimulationDeadlockError(
-                f"no events before deadline {deadline} (now={self.now()})"
-            )
         if self.now() < deadline:
             self.clock._advance_to(deadline)
         return processed
@@ -192,7 +180,6 @@ class EventScheduler:
         self,
         condition: Callable[[], bool],
         max_time: float,
-        poll_events: int = 1,
     ) -> bool:
         """Run events until *condition* holds or *max_time* is reached.
 
@@ -205,9 +192,7 @@ class EventScheduler:
             upcoming = self._peek_time()
             if upcoming is None or upcoming > max_time:
                 break
-            for _ in range(poll_events):
-                if not self.step():
-                    break
+            self.step()
             if condition():
                 return True
         return condition()

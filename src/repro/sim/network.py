@@ -160,7 +160,7 @@ class SimNetwork(BaseTransport):
         # sender's span is still active, so delayed/duplicated/reordered
         # messages keep their causal context too.
         ctx = None
-        if self._obs is not None and self._obs.tracer is not None:
+        if self._obs is not None:
             ctx = self._obs.tracer.current_context()
 
         def deliver() -> None:
@@ -172,7 +172,7 @@ class SimNetwork(BaseTransport):
             # handling.  The context is a sidecar on this closure — it never
             # rides inside the message, so wire bytes are identical with
             # tracing on or off.
-            if ctx is not None and self._obs is not None and self._obs.tracer is not None:
+            if ctx is not None:
                 tracer = self._obs.tracer
                 tracer.push(ctx)
                 try:

@@ -282,8 +282,6 @@ class BaseTransport:
 
     def _obs_traffic(self, message: Any, size: int, wan: bool) -> None:
         registry = self._obs_registry
-        if registry is None:
-            return
         link = "wan" if wan else "lan"
         mtype = type(message).__name__
         registry.counter("net_bytes", link=link, type=mtype).inc(size)
@@ -378,7 +376,7 @@ class BaseRuntime:
         if self.obs is None:
             from .obs import Observability
 
-            self.obs = Observability(config, clock=self.now)
+            self.obs = Observability(clock=self.now)
             self.network.attach_observability(self.obs)
         return self.obs
 

@@ -40,7 +40,6 @@ class TestLoggingConfig:
     def test_defaults(self):
         config = LoggingConfig()
         assert config.block_size == 100
-        assert config.return_block_on_add is True
 
     def test_rejects_non_positive_block_size(self):
         with pytest.raises(ConfigurationError):

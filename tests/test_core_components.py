@@ -210,13 +210,12 @@ class TestDisputes:
         assert not judge_dispute(dispute, None, registry, 0).edge_punished
 
     def test_punishment_ledger(self):
-        ledger = PunishmentLedger(punishment_score=100.0)
+        ledger = PunishmentLedger()
         assert not ledger.is_punished(EDGE)
         ledger.punish(EDGE, "lied about block 3", recorded_at=1.0, block_id=3)
         ledger.punish(EDGE, "lied again", recorded_at=2.0, block_id=4)
         assert ledger.is_punished(EDGE)
         assert len(ledger) == 2
-        assert ledger.total_score(EDGE) == 200.0
         assert len(ledger.records_for(EDGE)) == 2
         assert not ledger.is_punished(edge_id("edge-1"))
 

@@ -43,6 +43,7 @@ from repro.messages.txn_messages import (
 )
 from repro.sharding import (
     AbortIgnoringEdgeNode,
+    ShardedClient,
     ShardedEdgeNode,
     ShardedWedgeSystem,
     TamperingPrepareEdgeNode,
@@ -664,10 +665,10 @@ class TestDecisionRetry:
 # Redirect cap semantics (satellite regression test)
 # ----------------------------------------------------------------------
 class TestRedirectCap:
-    def build(self, max_redirects):
+    def build(self):
         config = SystemConfig.paper_default().with_overrides(
             num_edge_nodes=3,
-            sharding=ShardingConfig(num_shards=3, max_redirects=max_redirects),
+            sharding=ShardingConfig(num_shards=3),
             logging=LoggingConfig(block_size=4, block_timeout_s=0.02),
         )
         return ShardedWedgeSystem.build(
@@ -688,10 +689,10 @@ class TestRedirectCap:
             signature=system.env.registry.sign(edge.node_id, statement),
         )
 
-    def drive(self, max_redirects, hops):
+    def drive(self, hops):
         """Feed *hops* signed redirects to one pending put; return the client."""
 
-        system = self.build(max_redirects)
+        system = self.build()
         client = system.clients[0]
         # Keep the operation pending forever: the appends never arrive.
         system.env.network.add_send_hook(
@@ -719,41 +720,19 @@ class TestRedirectCap:
         return client, operation_id
 
     def test_exactly_max_redirect_hops_are_followed(self):
-        client, operation_id = self.drive(max_redirects=2, hops=2)
-        assert client.stats["redirects_followed"] == 2
+        assert ShardedClient.MAX_REDIRECTS == 3
+        client, operation_id = self.drive(hops=3)
+        assert client.stats["redirects_followed"] == 3
         assert client.stats["redirect_failures"] == 0
         assert client.tracker.get(operation_id).phase is CommitPhase.PENDING
 
     def test_one_hop_past_the_cap_fails_the_operation(self):
-        client, operation_id = self.drive(max_redirects=2, hops=3)
-        assert client.stats["redirects_followed"] == 2
+        client, operation_id = self.drive(hops=4)
+        assert client.stats["redirects_followed"] == 3
         assert client.stats["redirect_failures"] == 1
         record = client.tracker.get(operation_id)
         assert record.phase is CommitPhase.FAILED
         assert record.failure_reason == "redirect limit exceeded"
-
-    def test_unsharded_fallback_uses_the_field_default(self):
-        """No duplicated literal: with ``config.sharding is None`` the cap
-        comes from ShardingConfig's field default."""
-
-        from repro.nodes.cloud import CloudNode
-        from repro.sharding import ShardedClient
-        from repro.sharding.partitioner import HashRingPartitioner
-
-        env = local_environment(seed=3)
-        config = SystemConfig.paper_default()  # sharding is None
-        assert config.sharding is None
-        cloud = CloudNode(env=env, config=config)
-        client = ShardedClient(
-            env=env,
-            edges=[edge_id("edge-solo")],
-            cloud=cloud.node_id,
-            partitioner=HashRingPartitioner(4),
-            config=config,
-        )
-        field_default = ShardingConfig.__dataclass_fields__["max_redirects"].default
-        assert client._max_redirects == field_default
-        assert client._max_redirects == ShardingConfig().max_redirects
 
 
 # ----------------------------------------------------------------------

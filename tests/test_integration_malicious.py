@@ -10,9 +10,19 @@ punishment.
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
+
 from repro.common import LoggingConfig, LSMerkleConfig, SecurityConfig, SystemConfig
 from repro.core.system import WedgeChainSystem
-from repro.log.proofs import CommitPhase
+from repro.log.block import build_block
+from repro.log.entry import LogEntry
+from repro.log.proofs import CommitPhase, issue_block_proof
+from repro.lsmerkle.merge import MergeProposal
+from repro.lsmerkle.read_proof import LevelZeroEvidence
+from repro.messages.kv_messages import GetResponse, MergeRequest
+from repro.messages.log_messages import AppendBatchResponse, ReadResponse
 from repro.nodes.edge import EdgeNode
 from repro.nodes.malicious import (
     BrokenPromiseEdgeNode,
@@ -208,4 +218,211 @@ class TestPunishedEdgeExclusion:
         edge = system.edge().node_id
         assert ledger.is_punished(edge)
         # Model assumption 2: identities cannot be fabricated, so the ban holds.
-        assert ledger.total_score(edge) >= system.config.security.punishment_score
+        assert ledger.records_for(edge)
+
+
+# ----------------------------------------------------------------------
+# Rejection branches of the trust path: one tampered message per row
+# ----------------------------------------------------------------------
+def _certified_block(system):
+    """The first block the honest edge formed, certified by the cloud."""
+
+    return system.edge().log.try_get(0).block
+
+
+def _forged_block(block):
+    """*block* with its first entry's payload altered (a different digest)."""
+
+    first = block.entries[0]
+    altered = LogEntry(
+        body=dataclasses.replace(first.body, payload=first.body.payload + b"~"),
+        signature=first.signature,
+    )
+    return build_block(
+        block.edge, block.block_id, (altered,) + block.entries[1:], block.created_at
+    )
+
+
+def _restated(message, **changes):
+    """*message* with its signed statement altered but the old signature kept."""
+
+    return dataclasses.replace(
+        message, statement=dataclasses.replace(message.statement, **changes)
+    )
+
+
+def _signed_by_cloud(system, message):
+    """*message* with its statement re-signed by the cloud, not the edge."""
+
+    signature = system.env.registry.sign(system.cloud.node_id, message.statement)
+    return dataclasses.replace(message, signature=signature)
+
+
+def _self_certified_level_zero(system, message):
+    """*message* with every level-0 certificate re-issued by the edge itself,
+    naming itself as the certifying cloud."""
+
+    edge = system.edge().node_id
+    level_zero = tuple(
+        LevelZeroEvidence(
+            block=item.block,
+            proof=issue_block_proof(
+                system.env.registry,
+                edge,
+                edge,
+                item.block_id,
+                item.block.digest(),
+                item.proof.certified_at,
+            ),
+        )
+        for item in message.proof.level_zero
+    )
+    assert level_zero, "the get must be answered from level 0"
+    proof = dataclasses.replace(message.proof, level_zero=level_zero)
+    return dataclasses.replace(message, proof=proof)
+
+
+#: (id, message the edge sends, operation that provokes it, tamper,
+#:  suspicion the client records or ``None``, failure reason)
+CLIENT_REJECTIONS = [
+    (
+        "append-block-not-the-one-receipted",
+        AppendBatchResponse,
+        lambda system, client: write_block(system, client, prefix="t"),
+        lambda system, message: dataclasses.replace(
+            message, block=_certified_block(system)
+        ),
+        "receipt-block-mismatch",
+        "receipt does not match block",
+    ),
+    (
+        "append-block-withheld",
+        AppendBatchResponse,
+        lambda system, client: write_block(system, client, prefix="t"),
+        lambda system, message: dataclasses.replace(message, block=None),
+        "receipt-block-mismatch",
+        "receipt does not match block",
+    ),
+    (
+        "read-statement-altered-after-signing",
+        ReadResponse,
+        lambda system, client: client.read(0),
+        lambda system, message: _restated(
+            message, issued_at=message.statement.issued_at + 1.0
+        ),
+        None,
+        "bad read signature",
+    ),
+    (
+        "read-signed-by-another-node",
+        ReadResponse,
+        lambda system, client: client.read(0),
+        _signed_by_cloud,
+        None,
+        "bad read signature",
+    ),
+    (
+        "read-block-differs-from-signed-digest",
+        ReadResponse,
+        lambda system, client: client.read(0),
+        lambda system, message: dataclasses.replace(
+            message, block=_forged_block(message.block)
+        ),
+        "read-digest-mismatch",
+        "digest mismatch",
+    ),
+    (
+        "get-statement-altered-after-signing",
+        GetResponse,
+        lambda system, client: client.get("k-0"),
+        lambda system, message: _restated(message, found=not message.statement.found),
+        None,
+        "bad get signature",
+    ),
+    (
+        "get-signed-by-another-node",
+        GetResponse,
+        lambda system, client: client.get("k-0"),
+        _signed_by_cloud,
+        None,
+        "bad get signature",
+    ),
+    (
+        "get-level-zero-certified-by-the-edge",
+        GetResponse,
+        lambda system, client: client.get("k-0"),
+        _self_certified_level_zero,
+        "get-proof-invalid",
+        "block 0 is certified by edge:edge-0, not by cloud:cloud-0",
+    ),
+    (
+        "get-value-disagrees-with-proof",
+        GetResponse,
+        lambda system, client: client.get("k-0"),
+        lambda system, message: dataclasses.replace(message, value=b"forged"),
+        "get-value-mismatch",
+        "returned value disagrees with proof",
+    ),
+]
+
+
+class TestTamperedMessagesAtRealNodes:
+    """Each row holds back one honest message, hands a tampered copy to the
+    real node that must refuse it, and checks how it refuses."""
+
+    def certified_system(self):
+        system = build_system(EdgeNode, gossip=False)
+        writer = system.client(0)
+        op = write_block(system, writer)
+        system.wait_for(writer, op, CommitPhase.PHASE_TWO, max_time_s=30)
+        return system
+
+    @pytest.mark.parametrize(
+        "message_type, provoke, tamper, suspicion, reason",
+        [row[1:] for row in CLIENT_REJECTIONS],
+        ids=[row[0] for row in CLIENT_REJECTIONS],
+    )
+    def test_client_fails_the_operation(
+        self, message_type, provoke, tamper, suspicion, reason
+    ):
+        system = self.certified_system()
+        client = system.client(1)
+        held = []
+
+        def hold(src, dst, message):
+            if isinstance(message, message_type) and dst == client.node_id:
+                held.append(message)
+                return False
+            return True
+
+        system.env.network.add_send_hook("test:hold", hold)
+        operation = provoke(system, client)
+        system.run_for(0.5)
+        system.env.network.remove_send_hook("test:hold")
+        (honest,) = held
+
+        client.on_message(system.edge().node_id, tamper(system, honest))
+
+        record = client.operation(operation)
+        assert record.phase is CommitPhase.FAILED
+        assert record.failure_reason == reason
+        kinds = [event["kind"] for event in client.malicious_events]
+        assert kinds == ([suspicion] if suspicion else [])
+
+    def test_cloud_convicts_an_invalid_merge_and_the_edge_drops_it(self):
+        system = self.certified_system()
+        edge, cloud = system.edge(), system.cloud
+        proposal = MergeProposal(
+            edge=edge.node_id,
+            level_index=0,
+            source_blocks=(_forged_block(_certified_block(system)),),
+        )
+
+        cloud.on_message(edge.node_id, MergeRequest(edge=edge.node_id, proposal=proposal))
+        system.run_for(1.0)
+
+        assert cloud.stats["merge_rejections"] == 1
+        assert cloud.stats["merges"] == 0
+        (conviction,) = cloud.ledger.records_for(edge.node_id)
+        assert conviction.reason.startswith("invalid merge proposal")
+        assert edge.stats["merges_rejected"] == 1

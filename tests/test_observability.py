@@ -18,7 +18,6 @@ import sys
 import pytest
 
 from repro.common.config import (
-    ConfigurationError,
     LoggingConfig,
     ObservabilityConfig,
     ShardingConfig,
@@ -26,7 +25,6 @@ from repro.common.config import (
 )
 from repro.core.system import WedgeChainSystem
 from repro.faults import FaultInjector, FaultPlan, FaultRule
-from repro.obs import Observability
 from repro.obs.export import (
     diff_snapshots,
     load_recording,
@@ -154,19 +152,6 @@ class TestTracer:
             "t000001",
             "t000002",
         ]
-
-
-class TestObservabilityConfig:
-    def test_enabled_requires_a_surface(self):
-        with pytest.raises(ConfigurationError):
-            ObservabilityConfig(enabled=True, trace=False, metrics=False)
-
-    def test_registry_for_respects_metrics_flag(self):
-        obs = Observability(
-            ObservabilityConfig(enabled=True, metrics=False), clock=lambda: 0.0
-        )
-        assert obs.registry_for("edge") is None
-        assert obs.tracer is not None
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,9 @@ exist to contain:
   rejects it, so membership can be delayed but never rolled back;
 * honest races (an in-flight response crossing an ownership change) are
   disputed but acquitted;
+* a shard owner that denies a certified block on read — log-size gossip
+  over the whole fleet proves the block exists, and the omission dispute
+  convicts the owner, while an honest gossiping fleet disputes nothing;
 * shipped shard state that lacks the cloud's word for any part of it — one
   hostile matrix through both installers (handoff transfer, replica
   shipment), which share one verifier.
@@ -30,6 +33,7 @@ from repro.common.config import (
     ShardingConfig,
     SystemConfig,
 )
+from repro.faults.invariants import assert_no_honest_disputes
 from repro.log.proofs import CommitPhase, issue_block_proof
 from repro.lsm.page import Page
 from repro.lsmerkle.mlsm import sign_global_root
@@ -52,7 +56,13 @@ from repro.workloads.generator import format_key
 
 
 def build_fleet(
-    bad_edge_cls=None, num_edges=2, num_shards=4, seed=13, replication_factor=1
+    bad_edge_cls=None,
+    num_edges=2,
+    num_shards=4,
+    seed=13,
+    replication_factor=1,
+    num_clients=1,
+    enable_gossip=False,
 ):
     config = SystemConfig.paper_default().with_overrides(
         num_edge_nodes=num_edges,
@@ -71,9 +81,10 @@ def build_fleet(
 
     return ShardedWedgeSystem.build(
         config=config,
-        num_clients=1,
+        num_clients=num_clients,
         env=local_environment(seed=seed),
         edge_factory=factory,
+        enable_gossip=enable_gossip,
     )
 
 
@@ -179,6 +190,64 @@ class TestTamperedHandoff:
         assert system.cloud.stats["shard_installs"] == 1
         assert system.cloud.stats["shard_disputes"] == 0
         assert not system.cloud.ledger.is_punished(source.node_id)
+
+
+class OmittingShardOwnerEdgeNode(ShardedEdgeNode):
+    """A shard owner that denies every block on read, certified or not."""
+
+    def _read_record(self, block_id):
+        return None
+
+
+class TestFleetGossip:
+    """Log-size gossip in a sharded fleet bounds omission (paper §IV-E)."""
+
+    def certified_fleet(self, bad_edge_cls=None):
+        system = build_fleet(bad_edge_cls, num_clients=2, enable_gossip=True)
+        populate(system)
+        # Two gossip ticks after the last certificate: every view is current.
+        system.run_for(2 * system.config.security.gossip_interval_s)
+        return system
+
+    def test_honest_gossiping_fleet_advances_every_view_and_disputes_nothing(self):
+        system = self.certified_fleet()
+        certified = {
+            edge.node_id: system.cloud.certified_log_size(edge.node_id)
+            for edge in system.edges
+        }
+        assert all(size > 0 for size in certified.values())
+        for client in system.clients:
+            for edge, size in certified.items():
+                assert client.fleet_view.view_for(edge).certified_log_size == size
+
+        # A certified block reads back; a block past the certified log is a
+        # truthful denial, which gossip does not contradict.
+        reader = system.clients[1]
+        edge = system.edges[1].node_id
+        found = reader.read(0, edge=edge)
+        denied = reader.read(certified[edge] + 5, edge=edge)
+        system.run_for(1.0)
+        assert reader.tracker.get(found).phase is not CommitPhase.FAILED
+        assert reader.tracker.get(denied).failure_reason == "block not available"
+        assert system.cloud.stats["disputes"] == 0
+        assert len(system.cloud.ledger) == 0
+        assert_no_honest_disputes(system)
+
+    def test_owner_denying_a_certified_block_is_convicted(self):
+        system = self.certified_fleet(OmittingShardOwnerEdgeNode)
+        liar = system.edges[0].node_id
+        reader = system.clients[1]
+        assert reader.fleet_view.block_should_exist(liar, 0)
+
+        read_op = reader.read(0, edge=liar)
+        system.run_for(2.0)
+
+        assert reader.tracker.get(read_op).phase is CommitPhase.FAILED
+        assert [event["kind"] for event in reader.malicious_events] == ["omission"]
+        assert system.cloud.ledger.is_punished(liar)
+        (conviction,) = system.cloud.ledger.records_for(liar)
+        assert conviction.reason == "edge denied having a block the cloud has certified"
+        assert not system.cloud.ledger.is_punished(system.edges[1].node_id)
 
 
 class TestStaleOwnerServing:

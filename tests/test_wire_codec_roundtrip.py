@@ -369,7 +369,6 @@ class TestRoundTripProperty:
             operation_id=OperationId(client=client, sequence=5),
             kind=OperationKind.PUT,
             entries=((b"key", b"value"),),
-            request_block=False,
             shard_id=0,
         )
         rebuilt = decode_record(encode_record(message))
