@@ -72,11 +72,42 @@ def _emit_table(out: TextIO, table: ResultTable) -> None:
     _emit(out)
 
 
-def generate_report(out: TextIO, scale: float = 1.0) -> None:
-    """Run every experiment and write the markdown report to *out*."""
+def report_tables(scale: float = 1.0) -> dict[str, ResultTable]:
+    """Run every experiment the report renders; tables keyed by section.
+
+    The one table builder behind both :func:`generate_report` and the
+    committed full-precision golden (``tests/test_paper_golden.py``).
+    Experiments run in report order.
+    """
 
     batches = max(int(6 * scale), 3)
     ops_small = max(int(300 * scale), 60)
+    tables = {"table1": experiments.table1_rtt()}
+    tables["figure4_latency"], tables["figure4_throughput"] = (
+        experiments.figure4_put_batch_size(num_batches=batches)
+    )
+    for fraction, key in ((0.0, "figure5a"), (0.5, "figure5b"), (1.0, "figure5c")):
+        tables[key] = experiments.figure5_multi_client(
+            fraction, operations_per_client=ops_small
+        )
+    tables["figure5d"] = experiments.figure5d_best_case_read()
+    tables["figure6"], _series = experiments.figure6_commit_phases(
+        num_batches=max(int(120 * scale), 40)
+    )
+    tables["figure7a"] = experiments.figure7_vary_cloud_location(num_batches=batches)
+    tables["figure7b"] = experiments.figure7_vary_edge_location(num_batches=batches)
+    tables["section6e"] = experiments.section6e_dataset_size(num_batches=batches)
+    tables["ablation_data_free"] = experiments.ablation_data_free_certification(
+        num_batches=batches
+    )
+    tables["ablation_gossip"] = experiments.ablation_gossip_interval()
+    return tables
+
+
+def generate_report(out: TextIO, scale: float = 1.0) -> None:
+    """Run every experiment and write the markdown report to *out*."""
+
+    tables = report_tables(scale)
 
     _emit(out, "# EXPERIMENTS — paper vs. measured")
     _emit(out)
@@ -97,20 +128,19 @@ def generate_report(out: TextIO, scale: float = 1.0) -> None:
     _emit(out, "Paper: California to C/O/V/I/M = 0/19/61/141/238 ms.")
     _emit(out, "Measured (simulator topology, used by every experiment below):")
     _emit(out)
-    _emit_table(out, experiments.table1_rtt())
+    _emit_table(out, tables["table1"])
     _emit(out, "The California row is embedded verbatim; pairs the paper does not "
                "report are filled from public AWS measurements (DESIGN.md §5).")
     _emit(out)
 
     # ----------------------------------------------------------- Figure 4
-    latency, throughput = experiments.figure4_put_batch_size(num_batches=batches)
     _emit(out, "## Figure 4 — put latency and throughput vs batch size")
     _emit(out)
     _emit(out, f"Paper: {PAPER_SUMMARY['figure4_latency']}")
     _emit(out, f"Paper: {PAPER_SUMMARY['figure4_throughput']}")
     _emit(out)
-    _emit_table(out, latency)
-    _emit_table(out, throughput)
+    _emit_table(out, tables["figure4_latency"])
+    _emit_table(out, tables["figure4_throughput"])
     _emit(
         out,
         "Shape check: WedgeChain commits at edge latency and is nearly flat; "
@@ -126,13 +156,10 @@ def generate_report(out: TextIO, scale: float = 1.0) -> None:
     # ----------------------------------------------------------- Figure 5
     _emit(out, "## Figure 5 — multi-client and mixed workloads")
     _emit(out)
-    for fraction, key in ((0.0, "figure5a"), (0.5, "figure5b"), (1.0, "figure5c")):
-        table = experiments.figure5_multi_client(
-            fraction, operations_per_client=ops_small
-        )
+    for key in ("figure5a", "figure5b", "figure5c"):
         _emit(out, f"Paper: {PAPER_SUMMARY[key]}")
         _emit(out)
-        _emit_table(out, table)
+        _emit_table(out, tables[key])
     _emit(
         out,
         "Shape check: every system gains from concurrency; Cloud-only gains the "
@@ -146,10 +173,9 @@ def generate_report(out: TextIO, scale: float = 1.0) -> None:
     )
     _emit(out)
 
-    table5d = experiments.figure5d_best_case_read()
     _emit(out, f"Paper: {PAPER_SUMMARY['figure5d']}")
     _emit(out)
-    _emit_table(out, table5d)
+    _emit_table(out, tables["figure5d"])
     _emit(
         out,
         "Shape check: co-located reads complete in well under 10 ms of simulated "
@@ -159,14 +185,11 @@ def generate_report(out: TextIO, scale: float = 1.0) -> None:
     _emit(out)
 
     # ----------------------------------------------------------- Figure 6
-    summary, _series = experiments.figure6_commit_phases(
-        num_batches=max(int(120 * scale), 40)
-    )
     _emit(out, "## Figure 6 — Phase I vs Phase II commit rates")
     _emit(out)
     _emit(out, f"Paper: {PAPER_SUMMARY['figure6']}")
     _emit(out)
-    _emit_table(out, summary)
+    _emit_table(out, tables["figure6"])
     _emit(
         out,
         "Shape check: the time to finish Phase I is essentially independent of "
@@ -177,16 +200,14 @@ def generate_report(out: TextIO, scale: float = 1.0) -> None:
     _emit(out)
 
     # ----------------------------------------------------------- Figure 7
-    table7a = experiments.figure7_vary_cloud_location(num_batches=batches)
-    table7b = experiments.figure7_vary_edge_location(num_batches=batches)
     _emit(out, "## Figure 7 — edge and cloud placement")
     _emit(out)
     _emit(out, f"Paper: {PAPER_SUMMARY['figure7a']}")
     _emit(out)
-    _emit_table(out, table7a)
+    _emit_table(out, tables["figure7a"])
     _emit(out, f"Paper: {PAPER_SUMMARY['figure7b']}")
     _emit(out)
-    _emit_table(out, table7b)
+    _emit_table(out, tables["figure7b"])
     _emit(
         out,
         "Shape check: WedgeChain is flat as the cloud moves (the cloud is off the "
@@ -197,12 +218,11 @@ def generate_report(out: TextIO, scale: float = 1.0) -> None:
     _emit(out)
 
     # ----------------------------------------------------------- Section VI-E
-    table6e = experiments.section6e_dataset_size(num_batches=batches)
     _emit(out, "## Section VI-E — dataset size")
     _emit(out)
     _emit(out, f"Paper: {PAPER_SUMMARY['section6e']}")
     _emit(out)
-    _emit_table(out, table6e)
+    _emit_table(out, tables["section6e"])
     _emit(
         out,
         "Shape check: latency is flat across a 100× growth of the key range for "
@@ -212,11 +232,9 @@ def generate_report(out: TextIO, scale: float = 1.0) -> None:
     _emit(out)
 
     # ----------------------------------------------------------- Ablations
-    ablation = experiments.ablation_data_free_certification(num_batches=batches)
-    gossip = experiments.ablation_gossip_interval()
     _emit(out, "## Ablations (beyond the paper's figures)")
     _emit(out)
-    _emit_table(out, ablation)
+    _emit_table(out, tables["ablation_data_free"])
     _emit(
         out,
         "Data-free certification leaves the client-visible commit latency "
@@ -224,7 +242,7 @@ def generate_report(out: TextIO, scale: float = 1.0) -> None:
         "size — the quantitative version of the paper's Section IV-B argument.",
     )
     _emit(out)
-    _emit_table(out, gossip)
+    _emit_table(out, tables["ablation_gossip"])
     _emit(
         out,
         "The omission-attack detection delay is bounded by (a small multiple of) "

@@ -1,0 +1,84 @@
+"""The reproduction's figures, pinned at full precision.
+
+``tests/data/paper_golden.json`` holds every row of every table that
+``python -m repro.bench.report`` renders, at ``--scale 0.25``, with floats
+written as their ``repr``.  The report rounds to 3–4 significant figures;
+the golden does not, so a moved modelled byte or microsecond fails here.
+The shape assertions in ``benchmarks/test_figure*.py`` check the paper's
+claims; this file checks that the reproduction's own numbers did not move.
+
+A change that moves a figure on purpose regenerates the file::
+
+    PYTHONPATH=src python tests/test_paper_golden.py --regenerate
+
+and shows the old and new rows side by side in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import sys
+
+from repro.bench.report import report_tables
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "paper_golden.json"
+SCALE = 0.25
+
+
+def golden_text(tables) -> str:
+    """The golden file's text: one table per key, one JSON row per line."""
+
+    blocks = []
+    for key, table in tables.items():
+        rows = ",\n".join(
+            "        " + json.dumps([row.get(column) for column in table.columns])
+            for row in table.rows
+        )
+        blocks.append(
+            f"    {json.dumps(key)}: {{\n"
+            f"      \"title\": {json.dumps(table.title)},\n"
+            f"      \"columns\": {json.dumps(list(table.columns))},\n"
+            f"      \"rows\": [\n{rows}\n      ]\n    }}"
+        )
+    return (
+        f'{{\n  "scale": {SCALE!r},\n  "tables": {{\n'
+        + ",\n".join(blocks)
+        + "\n  }\n}\n"
+    )
+
+
+def _load(text: str) -> dict:
+    # NaN cells (an experiment with no samples) load as the string "NaN" so
+    # that equal files compare equal.
+    return json.loads(text, parse_constant=str)
+
+
+def test_report_tables_match_the_committed_golden():
+    current = _load(golden_text(report_tables(SCALE)))
+    committed = _load(GOLDEN.read_text(encoding="utf-8"))
+    assert current["scale"] == committed["scale"]
+    assert list(current["tables"]) == list(committed["tables"])
+    for key, table in committed["tables"].items():
+        assert current["tables"][key] == table, f"table {key!r} moved"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--regenerate", action="store_true", help="rewrite the committed golden"
+    )
+    args = parser.parse_args(argv)
+    text = golden_text(report_tables(SCALE))
+    if args.regenerate:
+        GOLDEN.write_text(text, encoding="utf-8")
+        print(f"wrote {GOLDEN}")
+        return 0
+    same = text == GOLDEN.read_text(encoding="utf-8")
+    print("golden matches" if same else "golden differs (use --regenerate)")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
