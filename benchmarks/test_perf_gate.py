@@ -118,8 +118,7 @@ class TestCompare:
         added or deleted in one place and not the others fails here without
         running the suite.  Everything gates except the wall-clock open-loop
         put p99 (parked by ROADMAP until a capacity-relative row replaces
-        it) and ``encode_cold``, which enters non-gating as new rows do; the
-        rows that time real nodes gate like the rest."""
+        it); the rows that time real nodes gate like the rest."""
 
         import pathlib
 
@@ -130,7 +129,7 @@ class TestCompare:
         full = str(root / "benchmarks" / "BENCH_hotpath_full.json")
         rows = {bench.__name__[len("bench_"):] for bench in BENCHMARKS}
         assert set(load_results(quick)) == set(load_results(full)) == rows
-        assert load_non_gating(quick) == {"encode_cold", "live_put_p99"}
+        assert load_non_gating(quick) == {"live_put_p99"}
 
 
 class TestCli:

@@ -32,7 +32,7 @@ from repro.sharding import (
     TamperingHandoffEdgeNode,
 )
 from repro.sim.environment import local_environment
-from repro.workloads.driver import ClosedLoopDriver
+from repro.workloads.driver import LoadDriver
 
 #: Fleet sizes swept by the scaling experiment.
 FLEET_SIZES = (1, 4, 16)
@@ -62,7 +62,7 @@ def _run_fleet(num_edges: int, operations_per_client: int, seed: int = 7):
     system = ShardedWedgeSystem.build(
         config=_fleet_config(num_edges), num_clients=NUM_CLIENTS, seed=seed
     )
-    driver = ClosedLoopDriver(system, workload)
+    driver = LoadDriver(system, workload)
     result = driver.run(max_time_s=3600)
     assert result.all_finished
     return system, result
@@ -82,7 +82,7 @@ def test_scaleout_put_throughput(benchmark):
                     "edges": num_edges,
                     "throughput_kops": result.throughput_ops_per_s / 1000.0,
                     "operations": result.operations_completed,
-                    "requests": result.requests_sent,
+                    "requests": result.offered,
                     "blocks": sum(e.stats["blocks_formed"] for e in system.edges),
                 }
             )

@@ -3,8 +3,10 @@
 
 The same node code that powers the simulator runs here as asyncio tasks
 exchanging codec-framed messages over unix sockets: start a 1-cloud/2-edge
-fleet, offer it a seeded Poisson stream of put batches plus verified reads,
-print p50/p90/p99/p999 response-time percentiles, and shut down cleanly.
+fleet, offer it a seeded Poisson stream of put batches plus verified reads
+through the same ``LoadDriver`` the simulated experiments use, print
+p50/p90/p99/p999 response-time percentiles (timed from when each request was
+due) and how late the generator ran, and shut down cleanly.
 
 Run with::
 
@@ -18,7 +20,7 @@ import asyncio
 from repro.common.config import WorkloadConfig
 from repro.log.proofs import CommitPhase
 from repro.service import LiveFleet
-from repro.workloads import OpenLoopSpec, run_open_loop
+from repro.workloads import LoadDriver, OpenLoopSpec
 
 
 async def main() -> None:
@@ -54,8 +56,8 @@ async def main() -> None:
     )
     spec = OpenLoopSpec(workload=workload, num_requests=80, rate=60.0)
     print(f"offering {spec.num_requests} requests at {spec.rate:.0f} req/s (Poisson)...")
-    result = await run_open_loop(fleet, spec)
-    print("open-loop response times (to Phase I commit):")
+    result = await LoadDriver(fleet, spec).run_live()
+    print("open-loop response times (due time to Phase I commit):")
     for line in result.report_lines():
         print(f"  {line}")
 

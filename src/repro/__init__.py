@@ -32,13 +32,12 @@ from .core import CommitTracker, PunishmentLedger, WedgeChainSystem
 from .log import CommitPhase
 from .nodes import Client, CloudNode, EdgeNode
 from .sim import Environment, SimulationParameters, Topology, paper_topology
-from .workloads import ClosedLoopDriver, KeyValueWorkload
+from .workloads import KeyValueWorkload, LoadDriver
 
 __version__ = "1.0.0"
 
 __all__ = [
     "Client",
-    "ClosedLoopDriver",
     "CloudNode",
     "CloudOnlySystem",
     "CommitPhase",
@@ -48,6 +47,7 @@ __all__ = [
     "Environment",
     "KeyValueWorkload",
     "LSMerkleConfig",
+    "LoadDriver",
     "LoggingConfig",
     "PlacementConfig",
     "PunishmentLedger",

@@ -30,7 +30,7 @@ from ..log.proofs import CommitPhase
 from ..nodes.variants import FullDataLazyEdgeNode
 from ..sim.parameters import SimulationParameters
 from ..sim.topology import Topology, paper_topology
-from ..workloads.driver import ClosedLoopDriver
+from ..workloads.driver import LoadDriver
 from ..workloads.generator import KeyValueWorkload, format_key
 from .results import ResultTable
 from .runner import (
@@ -244,7 +244,7 @@ def figure6_commit_phases(
         config = config_for_batch(batch_size)
         workload = write_workload(batch_size=batch_size, num_batches=num_batches, seed=seed)
         system = WedgeChainSystem.build(config=config, num_clients=1, seed=seed)
-        driver = ClosedLoopDriver(system, workload)
+        driver = LoadDriver(system, workload)
         driver.run(max_time_s=3600)
         system.run()  # drain all Phase II certifications
 
@@ -401,7 +401,7 @@ def _run_through_a_gossip_tick(system: WedgeChainSystem, workload: WorkloadConfi
     Gossip then stops and the queue drains.
     """
 
-    result = ClosedLoopDriver(system, workload).run(max_time_s=900)
+    result = LoadDriver(system, workload).run(max_time_s=900)
     system.run_for(system.config.security.gossip_interval_s)
     system.cloud.stop_gossip()
     system.run()
@@ -661,7 +661,7 @@ def ablation_data_free_certification(
         system = WedgeChainSystem.build(
             config=config, num_clients=1, seed=seed, edge_factory=factory
         )
-        driver = ClosedLoopDriver(system, workload)
+        driver = LoadDriver(system, workload)
         driver.run(max_time_s=600)
         system.run()
         p1 = [

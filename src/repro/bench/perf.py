@@ -910,7 +910,8 @@ def bench_live_put_p99(rng: random.Random, quick: bool) -> BenchResult:
     The only row measured under real time: a seeded Poisson arrival stream
     of put batches is offered to a 1-cloud/1-edge fleet running on the
     wall-clock asyncio transport (unix sockets, codec-framed messages),
-    and per-request Phase I response times are recorded.  ``ops_per_s`` is
+    and each request is timed from when it was due to its Phase I commit,
+    so a late generator cannot hide queueing.  ``ops_per_s`` is
     settled requests per second of wall time; the percentile columns are
     the *response-time* percentiles (p50/p90/p99), not per-repeat harness
     times — this is the tail-latency-under-load row the simulator cannot
@@ -922,7 +923,7 @@ def bench_live_put_p99(rng: random.Random, quick: bool) -> BenchResult:
 
     from ..common.config import WorkloadConfig
     from ..service import LiveFleet
-    from ..workloads.openloop import OpenLoopSpec, run_open_loop
+    from ..workloads.driver import LoadDriver, OpenLoopSpec
 
     # ~40 req/s of 100-put batches saturates the single edge on a typical
     # host; offer well below that so the row tracks the service-time tail
@@ -944,7 +945,7 @@ def bench_live_put_p99(rng: random.Random, quick: bool) -> BenchResult:
 
     async def offered_run():
         async with LiveFleet(config=config, num_clients=1) as fleet:
-            return await run_open_loop(fleet, spec)
+            return await LoadDriver(fleet, spec).run_live()
 
     result = asyncio.run(offered_run())
     percentiles = result.percentiles_s

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..baselines.cloud_only import CloudOnlySystem
 from ..baselines.edge_baseline import EdgeBaselineSystem
@@ -20,7 +20,7 @@ from ..common.errors import ConfigurationError
 from ..core.system import WedgeChainSystem
 from ..sim.parameters import SimulationParameters
 from ..sim.topology import Topology
-from ..workloads.driver import ClosedLoopDriver
+from ..workloads.driver import LoadDriver
 
 #: The three systems compared throughout Section VI.
 SYSTEM_KINDS = ("wedgechain", "cloud-only", "edge-baseline")
@@ -74,7 +74,6 @@ class WorkloadMetrics:
     duration_s: float
     throughput_ops_per_s: float
     mean_commit_latency_ms: float
-    p95_commit_latency_ms: float
     mean_phase_two_latency_ms: Optional[float]
     wan_bytes: int
     lan_bytes: int
@@ -83,14 +82,6 @@ class WorkloadMetrics:
     @property
     def throughput_kops_per_s(self) -> float:
         return self.throughput_ops_per_s / 1000.0
-
-
-def _percentile(values: Sequence[float], fraction: float) -> float:
-    if not values:
-        return float("nan")
-    ordered = sorted(values)
-    index = min(int(fraction * len(ordered)), len(ordered) - 1)
-    return ordered[index]
 
 
 def run_workload(
@@ -120,23 +111,20 @@ def run_workload(
         params=params,
         seed=seed,
     )
-    driver = ClosedLoopDriver(system, workload)
-    result = driver.run(max_time_s=max_time_s)
+    result = LoadDriver(system, workload).run(max_time_s=max_time_s)
     if drain:
         system.run()
 
-    commit_latencies: list[float] = []
     phase_two_latencies: list[float] = []
     failed = 0
     from ..log.proofs import CommitPhase  # local import avoids a cycle at module load
 
     for tracker in system.trackers():
-        commit_latencies.extend(tracker.phase_one_latencies())
         phase_two_latencies.extend(tracker.phase_two_latencies())
         failed += tracker.count_in_phase(CommitPhase.FAILED)
 
+    commit_latencies = result.response_times_s
     mean_commit = statistics.mean(commit_latencies) if commit_latencies else float("nan")
-    p95_commit = _percentile(commit_latencies, 0.95)
     mean_p2 = (
         statistics.mean(phase_two_latencies) if phase_two_latencies else None
     )
@@ -145,11 +133,10 @@ def run_workload(
         system=kind,
         num_clients=workload.num_clients,
         operations_completed=result.operations_completed,
-        requests_sent=result.requests_sent,
+        requests_sent=result.offered,
         duration_s=result.duration_s,
         throughput_ops_per_s=result.throughput_ops_per_s,
         mean_commit_latency_ms=mean_commit * 1000.0,
-        p95_commit_latency_ms=p95_commit * 1000.0,
         mean_phase_two_latency_ms=mean_p2 * 1000.0 if mean_p2 is not None else None,
         wan_bytes=stats.wan_bytes,
         lan_bytes=stats.lan_bytes,

@@ -9,7 +9,7 @@ into the latency and commit-rate figures of the paper (Figures 4 and 6).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..common.errors import ProtocolError
 from ..common.identifiers import BlockId, OperationId, OperationKind
@@ -68,7 +68,8 @@ class CommitTracker:
         #: the order proofs settle operations in feeds event order).
         self._by_block: dict[BlockId, dict[OperationId, None]] = {}
         #: Optional hook ``f(record, phase)`` invoked on every phase change;
-        #: used by closed-loop workload drivers to issue the next operation.
+        #: :class:`~repro.workloads.driver.LoadDriver` settles its requests
+        #: here and, in the closed loop, issues the next one.
         self.on_phase_change = None
 
     def _notify(self, record: OperationRecord, phase: CommitPhase) -> None:
@@ -226,15 +227,3 @@ class CommitTracker:
             for record in self._records.values()
             if record.phase_two_latency is not None
         ]
-
-    @staticmethod
-    def merge_latencies(trackers: Iterable["CommitTracker"], phase_two: bool = False) -> list[float]:
-        """Pool latencies from several clients' trackers."""
-
-        pooled: list[float] = []
-        for tracker in trackers:
-            if phase_two:
-                pooled.extend(tracker.phase_two_latencies())
-            else:
-                pooled.extend(tracker.phase_one_latencies())
-        return pooled

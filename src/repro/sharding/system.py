@@ -7,10 +7,10 @@ shard map, hands every client a router, and exposes rebalancing (manual
 ``rebalance_shard`` and the load-triggered ``maybe_rebalance``) on top of
 the certified handoff protocol.
 
-The paper's :class:`~repro.workloads.driver.ClosedLoopDriver` drives the
-fleet as it drives one edge — one outstanding *batch* per client; it already
-tracks the set of operations a batch that spans shards fans out into (one
-append per owning edge) and issues the next batch when the last commits.
+:class:`~repro.workloads.driver.LoadDriver` drives the fleet as it drives
+one edge — in the closed loop, one outstanding *batch* per client; it tracks
+the operations a batch that spans shards fans out into (one append per
+owning edge) and settles the batch when the last of them commits.
 """
 
 from __future__ import annotations

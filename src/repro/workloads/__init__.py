@@ -1,4 +1,4 @@
-"""Workload generation and closed-/open-loop drivers for the evaluation."""
+"""Workload generation and the closed-/open-loop load driver for the evaluation."""
 
 from .arrivals import (
     ArrivalProcess,
@@ -6,7 +6,13 @@ from .arrivals import (
     PoissonArrivalProcess,
     TraceArrivalProcess,
 )
-from .driver import ClientProgress, ClosedLoopDriver, DriverResult
+from .driver import (
+    LoadDriver,
+    LoadResult,
+    OpenLoopSpec,
+    ScheduledRequest,
+    build_request_schedule,
+)
 from .generator import (
     KeySpace,
     KeyValueWorkload,
@@ -15,35 +21,21 @@ from .generator import (
     WriteOp,
     format_key,
 )
-from .openloop import (
-    OpenLoopResult,
-    OpenLoopSpec,
-    ResponseRecorder,
-    ScheduledRequest,
-    SimOpenLoopDriver,
-    build_request_schedule,
-    run_open_loop,
-)
 
 __all__ = [
     "ArrivalProcess",
-    "ClientProgress",
-    "ClosedLoopDriver",
-    "DriverResult",
     "KeySpace",
     "KeyValueWorkload",
+    "LoadDriver",
+    "LoadResult",
     "MAPArrivalProcess",
-    "OpenLoopResult",
     "OpenLoopSpec",
     "Operation",
     "PoissonArrivalProcess",
     "ReadOp",
-    "ResponseRecorder",
     "ScheduledRequest",
-    "SimOpenLoopDriver",
     "TraceArrivalProcess",
     "WriteOp",
     "build_request_schedule",
     "format_key",
-    "run_open_loop",
 ]

@@ -80,7 +80,7 @@ from repro.sharding import (
     ShardedWedgeSystem,
 )
 from repro.sim.environment import local_environment
-from repro.workloads.driver import ClosedLoopDriver
+from repro.workloads.driver import LoadDriver
 from repro.workloads.generator import format_key
 
 BLOCK_SIZE = 4
@@ -1206,7 +1206,7 @@ class TestHonestFleetNeverDisputes:
                 operations_per_client=operations,
                 seed=7 * 2 + stream,
             )
-            driver = ClosedLoopDriver(system, workload)
+            driver = LoadDriver(system, workload)
             driver.start()
             assert driver.run().all_finished
             system.run()  # drain: timers fire, every put reaches Phase II

@@ -87,15 +87,6 @@ class TestCommitTracker:
         tracker.mark_phase_two(op(0), 2.0)
         assert seen == [CommitPhase.PHASE_ONE, CommitPhase.PHASE_TWO]
 
-    def test_latency_aggregation_across_trackers(self):
-        first, second = CommitTracker(), CommitTracker()
-        first.register(op(0), OperationKind.PUT, 0.0)
-        first.mark_phase_one(op(0), 0.5)
-        second.register(OperationId(client_id("bob"), 0), OperationKind.PUT, 0.0)
-        second.mark_phase_one(OperationId(client_id("bob"), 0), 1.5)
-        pooled = CommitTracker.merge_latencies([first, second])
-        assert sorted(pooled) == [0.5, 1.5]
-
     def test_count_in_phase(self):
         tracker = CommitTracker()
         tracker.register(op(0), OperationKind.PUT, 0.0)

@@ -2,25 +2,32 @@
 
 The open-loop layer's whole value is determinism (one seed fixes the entire
 offered load, on any substrate) and honest tails (exact nearest-rank
-percentiles over every recorded response).  These tests pin both, plus the
-validation surface of each arrival process.
+percentiles over every response, each timed from when it was due).  These
+tests pin both, plus the validation surface of each arrival process and the
+accounting of a run that hits its deadline.
 """
 
 from __future__ import annotations
+
+import asyncio
+from types import SimpleNamespace
 
 import pytest
 
 from repro.common.config import WorkloadConfig
 from repro.common.errors import ConfigurationError
 from repro.core.system import WedgeChainSystem
+from repro.log.proofs import CommitPhase
+from repro.service import LiveFleet
 from repro.sim.environment import local_environment
 from repro.sim.rng import DeterministicRng
+from repro.workloads import driver as driver_module
 from repro.workloads import (
+    LoadDriver,
+    LoadResult,
     MAPArrivalProcess,
     OpenLoopSpec,
     PoissonArrivalProcess,
-    ResponseRecorder,
-    SimOpenLoopDriver,
     TraceArrivalProcess,
     build_request_schedule,
 )
@@ -144,40 +151,161 @@ class TestRequestSchedule:
             OpenLoopSpec(workload=_workload(), num_requests=5, rate=-1.0)
 
 
-class TestResponseRecorder:
+class TestLoadResult:
     def test_exact_nearest_rank_percentiles(self):
-        recorder = ResponseRecorder()
-        for value in range(1, 1001):  # 1..1000 ms as seconds
-            recorder.observe(value / 1000.0)
-        percentiles = recorder.percentiles()
+        responses = [value / 1000.0 for value in range(1000, 0, -1)]  # 1..1000 ms
+        result = LoadResult(
+            offered=1000,
+            completed=1000,
+            operations_completed=1000,
+            started_at=0.0,
+            finished_at=1.0,
+            all_finished=True,
+            response_times_s=responses,
+            lateness_s=[0.0, 0.004, 0.001],
+        )
+        percentiles = result.percentiles_s
         assert percentiles["p50"] == pytest.approx(0.501)
         assert percentiles["p90"] == pytest.approx(0.901)
         assert percentiles["p99"] == pytest.approx(0.991)
         # p999 is a real observed sample, not an interpolation.
         assert percentiles["p999"] == pytest.approx(1.000)
-        assert recorder.completed == 1000
+        assert result.lateness_p50_s == 0.001
+        assert result.lateness_max_s == 0.004
+        assert result.failed == 0
 
 
 class TestSimOpenLoopDriver:
-    def _run(self, seed: int = 11):
+    def _run(self, seed: int = 11, read_fraction: float = 0.0, max_time_s: float = 600.0):
         system = WedgeChainSystem.build(
             num_clients=2, env=local_environment(seed=seed)
         )
-        spec = OpenLoopSpec(workload=_workload(seed=seed), num_requests=30, rate=150.0)
-        return SimOpenLoopDriver(system, spec).run()
+        workload = _workload(seed=seed, read_fraction=read_fraction)
+        spec = OpenLoopSpec(workload=workload, num_requests=30, rate=150.0)
+        result = LoadDriver(system, spec).run(max_time_s=max_time_s)
+        return system, result
 
     def test_open_loop_run_completes_and_reports(self):
-        result = self._run()
+        _, result = self._run()
         assert result.offered == 30
         assert result.completed == 30
         assert result.failed == 0
+        assert result.all_finished
         assert result.throughput_rps > 0
-        labels = [line.split("=")[0] for line in result.report_lines()[1:]]
+        assert result.report_lines()[1].startswith("lateness p50=")
+        labels = [line.split("=")[0] for line in result.report_lines()[2:]]
         assert labels == ["p50", "p90", "p99", "p999"]
         assert 0 < result.percentiles_s["p50"] <= result.percentiles_s["p999"]
 
     def test_open_loop_run_is_deterministic(self):
-        first = self._run()
-        second = self._run()
+        _, first = self._run()
+        _, second = self._run()
         assert first.percentiles_s == second.percentiles_s
         assert first.duration_s == second.duration_s
+
+    @pytest.mark.parametrize("read_fraction", [0.0, 0.5])
+    def test_sim_response_times_are_the_trackers_phase_one_latencies(self, read_fraction):
+        # On the simulator an arrival fires exactly when it is due, so the
+        # generator is never late and timing from the due time equals the
+        # client's own issue-to-Phase-I latency.
+        system, result = self._run(read_fraction=read_fraction)
+        assert result.lateness_s == [0.0] * 30
+        assert result.lateness_max_s == 0.0
+        tracker_latencies = sorted(
+            latency
+            for tracker in system.trackers()
+            for latency in tracker.phase_one_latencies()
+        )
+        assert sorted(result.response_times_s) == tracker_latencies
+        assert len(tracker_latencies) == 30
+
+    def test_a_run_cut_by_its_deadline_counts_every_laggard_as_failed(self):
+        system, result = self._run(max_time_s=0.05)
+        assert result.offered == 30
+        assert not result.all_finished
+        assert result.failed > 0
+        assert result.completed + result.failed == result.offered
+        # Arrivals after the deadline are never offered, even if the
+        # simulator runs on.
+        issued = sum(len(tracker) for tracker in system.trackers())
+        system.run()
+        assert sum(len(tracker) for tracker in system.trackers()) == issued
+
+
+class _WallClockEnv:
+    def now(self) -> float:
+        return asyncio.get_running_loop().time()
+
+    def schedule(self, delay, callback, label=""):
+        return asyncio.get_running_loop().call_later(delay, callback)
+
+
+class _Client:
+    """Accepts every request and settles it *settle_after_s* later, or never."""
+
+    def __init__(self, env, settle_after_s):
+        self.env = env
+        self.settle_after_s = settle_after_s
+        self.tracker = SimpleNamespace(on_phase_change=None)
+        self._next_id = 0
+
+    def _issue(self):
+        self._next_id += 1
+        record = SimpleNamespace(operation_id=self._next_id, phase_one_at=None)
+        if self.settle_after_s is not None:
+            self.env.schedule(self.settle_after_s, lambda: self._settle(record))
+        return record.operation_id
+
+    def _settle(self, record):
+        record.phase_one_at = self.env.now()
+        self.tracker.on_phase_change(record, CommitPhase.PHASE_ONE)
+
+    def put_batch(self, items):
+        return self._issue()
+
+    def get(self, key):
+        return self._issue()
+
+
+class _WallClockFleet:
+    """The surface :meth:`LoadDriver.run_live` needs, over one fake client."""
+
+    await_condition = LiveFleet.await_condition
+
+    def __init__(self, settle_after_s):
+        self.env = _WallClockEnv()
+        self.clients = [_Client(self.env, settle_after_s)]
+
+
+class TestLiveWait:
+    def test_a_stalled_live_run_ends_and_counts_every_request_as_failed(self, monkeypatch):
+        monkeypatch.setattr(driver_module, "_LIVE_STALL_S", 0.05)
+        spec = OpenLoopSpec(workload=_workload(), num_requests=4, rate=1000.0)
+
+        async def offered():
+            return await LoadDriver(_WallClockFleet(settle_after_s=None), spec).run_live()
+
+        result = asyncio.run(asyncio.wait_for(offered(), timeout=10.0))
+        assert not result.all_finished
+        assert (result.offered, result.completed, result.failed) == (4, 0, 4)
+
+    def test_a_live_run_that_keeps_settling_outlasts_the_stall_bound(self, monkeypatch):
+        # Ten sequential 20 ms requests take ~0.2 s, four times the stall
+        # bound: only a quiet spell, not the run's length, may end the wait.
+        monkeypatch.setattr(driver_module, "_LIVE_STALL_S", 0.05)
+        workload = WorkloadConfig(
+            num_clients=1,
+            batch_size=1,
+            read_fraction=0.5,
+            key_space=50,
+            operations_per_client=10,
+            seed=3,
+        )
+
+        async def closed():
+            return await LoadDriver(_WallClockFleet(settle_after_s=0.02), workload).run_live()
+
+        result = asyncio.run(asyncio.wait_for(closed(), timeout=10.0))
+        assert result.all_finished
+        assert (result.offered, result.completed, result.failed) == (10, 10, 0)
+        assert result.duration_s > 0.05

@@ -2,13 +2,15 @@
 
 The tentpole claim of the Transport refactor is that the simulated network
 and the wall-clock asyncio transport are two implementations of the same
-boundary.  These tests pin that claim with one seeded open-loop schedule
-(built once by :func:`build_request_schedule`, so both substrates are
-offered byte-for-byte identical requests) driven through
+boundary.  These tests pin that claim with one :class:`LoadDriver` that
+offers the same seeded load — one ``OpenLoopSpec`` (from which each
+substrate's driver plans the same :func:`build_request_schedule`, so both
+are offered byte-for-byte identical requests), or one closed-loop
+``WorkloadConfig`` — to
 
-* the discrete-event simulator (``WedgeChainSystem`` + ``SimOpenLoopDriver``),
+* the discrete-event simulator (``WedgeChainSystem``, ``LoadDriver.run``),
 * a live 1-cloud/2-edge asyncio fleet over unix sockets
-  (``LiveFleet`` + ``run_open_loop``),
+  (``LiveFleet``, ``LoadDriver.run_live``),
 
 and assert that the protocol-level outcome is identical: every operation
 certifies through Phase II, zero failures on either side, and verified
@@ -28,10 +30,11 @@ from repro.log.proofs import CommitPhase
 from repro.service import LiveFleet
 from repro.sim.environment import local_environment
 from repro.workloads import (
+    KeyValueWorkload,
+    LoadDriver,
     OpenLoopSpec,
-    SimOpenLoopDriver,
+    WriteOp,
     build_request_schedule,
-    run_open_loop,
 )
 
 _TEST_TIMEOUT_S = 60.0
@@ -46,19 +49,22 @@ def run_async(coroutine):
     return asyncio.run(capped())
 
 
-def _spec() -> OpenLoopSpec:
-    workload = WorkloadConfig(
+def _workload(operations_per_client: int = 100) -> WorkloadConfig:
+    # Write-only load; reads are issued afterwards against the certified
+    # state so both substrates verify the same keys.
+    return WorkloadConfig(
         num_clients=_NUM_CLIENTS,
         batch_size=10,
         value_size=64,
         read_fraction=0.0,
         key_space=200,
-        operations_per_client=100,
+        operations_per_client=operations_per_client,
         seed=_SEED,
     )
-    # Write-only open-loop burst; reads are issued afterwards against the
-    # certified state so both substrates verify the same keys.
-    return OpenLoopSpec(workload=workload, num_requests=16, rate=120.0)
+
+
+def _spec() -> OpenLoopSpec:
+    return OpenLoopSpec(workload=_workload(), num_requests=16, rate=120.0)
 
 
 def _keys_by_writer(spec: OpenLoopSpec) -> dict[int, list[str]]:
@@ -78,38 +84,66 @@ def _keys_by_writer(spec: OpenLoopSpec) -> dict[int, list[str]]:
     return by_writer
 
 
+def _closed_loop_keys(workload: WorkloadConfig) -> dict[int, list[str]]:
+    """Map client index -> keys its closed-loop stream writes.
+
+    Each client reads back from its own edge, where only its own writes
+    land, so a key two clients write has one answer per writer.
+    """
+
+    return {
+        index: sorted(
+            {
+                operation.key
+                for operation in KeyValueWorkload(workload, client_index=index).operations()
+                if isinstance(operation, WriteOp)
+            }
+        )
+        for index in range(_NUM_CLIENTS)
+    }
+
+
 def _read_outcome(client, operation_id):
     record = client.tracker.get(operation_id)
     return record.details.get("found"), record.details.get("value")
 
 
-def _sim_run(spec: OpenLoopSpec):
-    """Drive the schedule through the simulator; return (result, read map)."""
+def _sim_run(load, keys_by_writer):
+    """Drive the load through the simulator; return (result, read map, phases)."""
 
     config = SystemConfig.paper_default().with_overrides(num_edge_nodes=2)
     system = WedgeChainSystem.build(
         config=config, num_clients=_NUM_CLIENTS, env=local_environment(seed=_SEED)
     )
-    result = SimOpenLoopDriver(system, spec).run()
+    result = LoadDriver(system, load).run()
+    system.run()  # drain: every write reaches Phase II
+    phases = {record.phase for tracker in system.trackers() for record in tracker.records()}
     reads = {}
-    for client_index, keys in _keys_by_writer(spec).items():
+    for client_index, keys in keys_by_writer.items():
         client = system.client(client_index)
         for key in keys:
             operation = client.get(key)
             assert system.wait_for(client, operation, CommitPhase.PHASE_TWO)
-            reads[key] = _read_outcome(client, operation)
-    return result, reads
+            reads[client_index, key] = _read_outcome(client, operation)
+    return result, reads, phases
 
 
-async def _live_run(spec: OpenLoopSpec):
-    """Drive the same schedule through the asyncio fleet over unix sockets."""
+async def _live_run(load, keys_by_writer):
+    """Drive the same load through the asyncio fleet over unix sockets."""
 
     async with LiveFleet(
         num_edges=2, num_clients=_NUM_CLIENTS, seed=_SEED
     ) as fleet:
-        result = await run_open_loop(fleet, spec)
+        result = await LoadDriver(fleet, load).run_live()
+        written = [
+            (client, record.operation_id)
+            for client in fleet.clients
+            for record in client.tracker.records()
+        ]
+        assert await fleet.wait_for_all(written, CommitPhase.PHASE_TWO, timeout_s=30)
+        phases = {record.phase for tracker in fleet.trackers() for record in tracker.records()}
         reads = {}
-        for client_index, keys in _keys_by_writer(spec).items():
+        for client_index, keys in keys_by_writer.items():
             client = fleet.client(client_index)
             for key in keys:
                 operation = client.get(key)
@@ -117,20 +151,34 @@ async def _live_run(spec: OpenLoopSpec):
                     client, operation, CommitPhase.PHASE_TWO, timeout_s=15
                 )
                 assert phase is CommitPhase.PHASE_TWO
-                reads[key] = _read_outcome(client, operation)
+                reads[client_index, key] = _read_outcome(client, operation)
         assert fleet.env.failures == []
-    return result, reads
+    return result, reads, phases
+
+
+def _assert_same_verified_reads(sim_reads, live_reads, keys_by_writer) -> None:
+    # Verified reads agree key-by-key: same found flags, same values.
+    # Each read reached PHASE_TWO only after its LSMerkle proof verified,
+    # so agreement here is agreement on certified state.
+    expected = {(index, key) for index, keys in keys_by_writer.items() for key in keys}
+    assert expected, "the load wrote nothing"
+    assert set(sim_reads) == set(live_reads) == expected
+    for read in sorted(expected):
+        assert sim_reads[read] == live_reads[read], read
+        found, value = sim_reads[read]
+        assert found is True
+        assert isinstance(value, bytes) and value
 
 
 class TestSubstrateEquivalence:
     def test_same_schedule_yields_same_protocol_outcome(self):
         spec = _spec()
         by_writer = _keys_by_writer(spec)
-        keys = sorted(key for keys in by_writer.values() for key in keys)
-        assert keys, "schedule wrote nothing"
 
-        sim_result, sim_reads = _sim_run(spec)
-        live_result, live_reads = run_async(_live_run(spec))
+        sim_result, sim_reads, sim_phases = _sim_run(spec, by_writer)
+        live_result, live_reads, live_phases = run_async(
+            _live_run(spec, by_writer)
+        )
 
         # Both substrates were offered the identical request schedule and
         # settled every operation through Phase II certification.
@@ -138,21 +186,30 @@ class TestSubstrateEquivalence:
         assert sim_result.completed == spec.num_requests
         assert live_result.completed == spec.num_requests
         assert sim_result.failed == 0 and live_result.failed == 0
+        assert sim_phases == live_phases == {CommitPhase.PHASE_TWO}
+        _assert_same_verified_reads(sim_reads, live_reads, by_writer)
 
-        # Verified reads agree key-by-key: same found flags, same values.
-        # Each read reached PHASE_TWO only after its LSMerkle proof verified,
-        # so agreement here is agreement on certified state.
-        assert set(sim_reads) == set(live_reads) == set(keys)
-        for key in keys:
-            assert sim_reads[key] == live_reads[key], key
-            found, value = sim_reads[key]
-            assert found is True
-            assert isinstance(value, bytes) and value
+    def test_same_closed_loop_yields_same_protocol_outcome(self):
+        workload = _workload(operations_per_client=40)
+        by_writer = _closed_loop_keys(workload)
+
+        sim_result, sim_reads, sim_phases = _sim_run(workload, by_writer)
+        live_result, live_reads, live_phases = run_async(_live_run(workload, by_writer))
+
+        # Each client sent its four batches one at a time on both substrates.
+        for result in (sim_result, live_result):
+            assert result.all_finished
+            assert result.offered == result.completed == 8
+            assert result.failed == 0
+            assert result.operations_completed == 80
+        assert sim_phases == live_phases == {CommitPhase.PHASE_TWO}
+        _assert_same_verified_reads(sim_reads, live_reads, by_writer)
 
     def test_sim_side_is_bit_deterministic(self):
         spec = _spec()
-        first_result, first_reads = _sim_run(spec)
-        second_result, second_reads = _sim_run(spec)
+        by_writer = _keys_by_writer(spec)
+        first_result, first_reads, _ = _sim_run(spec, by_writer)
+        second_result, second_reads, _ = _sim_run(spec, by_writer)
         assert first_result.percentiles_s == second_result.percentiles_s
         assert first_result.duration_s == second_result.duration_s
         assert first_reads == second_reads

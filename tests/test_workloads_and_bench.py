@@ -1,4 +1,4 @@
-"""Unit tests for workload generation, the closed-loop driver, and the
+"""Unit tests for workload generation, the load driver's closed loop, and the
 benchmark harness plumbing (result tables, runner helpers)."""
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.bench.runner import (
     write_workload,
 )
 from repro.sim.rng import DeterministicRng
-from repro.workloads.driver import ClosedLoopDriver
+from repro.workloads.driver import LoadDriver
 from repro.workloads.generator import KeySpace, KeyValueWorkload, ReadOp, WriteOp, format_key
 
 
@@ -131,9 +131,7 @@ class TestClosedLoopDriver:
             seed=3,
         )
         system = build_system(kind, config=config, num_clients=2)
-        driver = ClosedLoopDriver(system, workload)
-        result = driver.run(max_time_s=600)
-        return result
+        return LoadDriver(system, workload).run(max_time_s=600)
 
     @pytest.mark.parametrize("kind", SYSTEM_KINDS)
     def test_all_operations_complete_on_every_system(self, kind):
@@ -141,12 +139,15 @@ class TestClosedLoopDriver:
         assert result.all_finished
         assert result.operations_completed == 80
         assert result.throughput_ops_per_s > 0
+        assert result.offered == result.completed == 8
+        assert result.lateness_s == []  # a closed loop has no arrival to be late for
 
     def test_mixed_workload_counts_reads_and_writes(self):
         result = self._run("wedgechain", read_fraction=0.5)
         assert result.all_finished
         assert 0 < result.operations_completed <= 80
-        assert result.requests_sent >= result.operations_completed / 10
+        assert result.offered >= result.operations_completed / 10
+        assert result.failed == 0
 
 
 class TestResultTable:
