@@ -36,6 +36,7 @@ from .results import ResultTable
 from .runner import (
     SYSTEM_KINDS,
     SYSTEM_LABELS,
+    build_system,
     config_for_batch,
     run_workload,
     write_workload,
@@ -164,8 +165,6 @@ def figure5d_best_case_read(
     params = SimulationParameters(latency_jitter_fraction=0.0)
 
     def preload_and_read(kind: str) -> tuple[float, float]:
-        from .runner import build_system
-
         topology = Topology(intra_region_rtt_ms=0.1, client_edge_rtt_ms=0.1)
         colocated = config.with_overrides(
             placement=PlacementConfig(
@@ -243,7 +242,7 @@ def figure6_commit_phases(
     for batch_size in batch_sizes:
         config = config_for_batch(batch_size)
         workload = write_workload(batch_size=batch_size, num_batches=num_batches, seed=seed)
-        system = WedgeChainSystem.build(config=config, num_clients=1, seed=seed)
+        system = build_system("wedgechain", config=config, num_clients=1, seed=seed)
         driver = LoadDriver(system, workload)
         driver.run(max_time_s=3600)
         system.run()  # drain all Phase II certifications
@@ -440,7 +439,8 @@ def batched_protocol_ablation(
         config = SystemConfig.paper_default().with_overrides(
             logging=logging, security=security
         )
-        system = WedgeChainSystem.build(
+        system = build_system(
+            "wedgechain",
             config=config,
             num_clients=workload.num_clients,
             seed=seed,
@@ -590,8 +590,12 @@ def pipeline_depth_ablation(
             config = SystemConfig.paper_default().with_overrides(
                 logging=logging, security=SecurityConfig(gossip_batch=True)
             )
-            system = WedgeChainSystem.build(
-                config=config, num_clients=count, seed=seed, enable_gossip=True
+            system = build_system(
+                "wedgechain",
+                config=config,
+                num_clients=count,
+                seed=seed,
+                enable_gossip=True,
             )
             result = _run_through_a_gossip_tick(system, workload)
             p1 = [l for t in system.trackers() for l in t.phase_one_latencies()]
@@ -658,8 +662,8 @@ def ablation_data_free_certification(
                 return FullDataLazyEdgeNode(
                     env=env, cloud=cloud, config=cfg, name=name, region=region
                 )
-        system = WedgeChainSystem.build(
-            config=config, num_clients=1, seed=seed, edge_factory=factory
+        system = build_system(
+            "wedgechain", config=config, num_clients=1, seed=seed, edge_factory=factory
         )
         driver = LoadDriver(system, workload)
         driver.run(max_time_s=600)
@@ -717,8 +721,13 @@ def ablation_gossip_interval(
         def factory(env, cloud, cfg, name, region):
             return OmittingEdgeNode(env=env, cloud=cloud, config=cfg, name=name, region=region)
 
-        system = WedgeChainSystem.build(
-            config=config, num_clients=2, seed=seed, edge_factory=factory, enable_gossip=True
+        system = build_system(
+            "wedgechain",
+            config=config,
+            num_clients=2,
+            seed=seed,
+            edge_factory=factory,
+            enable_gossip=True,
         )
         writer, reader = system.clients[0], system.clients[1]
         workload = KeyValueWorkload(WorkloadConfig(batch_size=batch_size, seed=seed))

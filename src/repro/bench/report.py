@@ -18,6 +18,7 @@ from typing import TextIO
 
 from . import experiments
 from .results import ResultTable
+from .runner import counting_faults
 
 PAPER_SUMMARY = {
     "figure4_latency": (
@@ -77,30 +78,53 @@ def report_tables(scale: float = 1.0) -> dict[str, ResultTable]:
 
     The one table builder behind both :func:`generate_report` and the
     committed full-precision golden (``tests/test_paper_golden.py``).
-    Experiments run in report order.
+    Experiments run in report order.  Each table's ``counters`` are the
+    fault counters summed over every system its experiment built.
     """
 
     batches = max(int(6 * scale), 3)
     ops_small = max(int(300 * scale), 60)
-    tables = {"table1": experiments.table1_rtt()}
-    tables["figure4_latency"], tables["figure4_throughput"] = (
-        experiments.figure4_put_batch_size(num_batches=batches)
+    tables: dict[str, ResultTable] = {}
+
+    def run(keys, experiment, *args, **kwargs) -> None:
+        # *keys* names the experiment's tables in order; ``None`` drops one.
+        with counting_faults() as tally:
+            produced = experiment(*args, **kwargs)
+        if isinstance(produced, ResultTable):
+            produced = (produced,)
+        for key, table in zip(keys, produced):
+            if key is not None:
+                table.counters = tally.totals()
+                tables[key] = table
+
+    run(("table1",), experiments.table1_rtt)
+    run(
+        ("figure4_latency", "figure4_throughput"),
+        experiments.figure4_put_batch_size,
+        num_batches=batches,
     )
     for fraction, key in ((0.0, "figure5a"), (0.5, "figure5b"), (1.0, "figure5c")):
-        tables[key] = experiments.figure5_multi_client(
-            fraction, operations_per_client=ops_small
+        run(
+            (key,),
+            experiments.figure5_multi_client,
+            fraction,
+            operations_per_client=ops_small,
         )
-    tables["figure5d"] = experiments.figure5d_best_case_read()
-    tables["figure6"], _series = experiments.figure6_commit_phases(
-        num_batches=max(int(120 * scale), 40)
+    run(("figure5d",), experiments.figure5d_best_case_read)
+    run(
+        ("figure6", None),
+        experiments.figure6_commit_phases,
+        num_batches=max(int(120 * scale), 40),
     )
-    tables["figure7a"] = experiments.figure7_vary_cloud_location(num_batches=batches)
-    tables["figure7b"] = experiments.figure7_vary_edge_location(num_batches=batches)
-    tables["section6e"] = experiments.section6e_dataset_size(num_batches=batches)
-    tables["ablation_data_free"] = experiments.ablation_data_free_certification(
-        num_batches=batches
+    run(("figure7a",), experiments.figure7_vary_cloud_location, num_batches=batches)
+    run(("figure7b",), experiments.figure7_vary_edge_location, num_batches=batches)
+    run(("section6e",), experiments.section6e_dataset_size, num_batches=batches)
+    run(
+        ("ablation_data_free",),
+        experiments.ablation_data_free_certification,
+        num_batches=batches,
     )
-    tables["ablation_gossip"] = experiments.ablation_gossip_interval()
+    run(("ablation_gossip",), experiments.ablation_gossip_interval)
     return tables
 
 

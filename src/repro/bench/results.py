@@ -34,6 +34,9 @@ class ResultTable:
     columns: Sequence[str]
     rows: list[dict] = field(default_factory=list)
     notes: str = ""
+    #: Fault counters summed over the systems the experiment built
+    #: (:func:`repro.bench.runner.counting_faults`); empty when not tallied.
+    counters: dict[str, int] = field(default_factory=dict)
 
     def add_row(self, **values: Any) -> None:
         unknown = set(values) - set(self.columns)

@@ -10,8 +10,9 @@ functions stay short and declarative.
 from __future__ import annotations
 
 import statistics
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..baselines.cloud_only import CloudOnlySystem
 from ..baselines.edge_baseline import EdgeBaselineSystem
@@ -39,6 +40,53 @@ SYSTEM_LABELS = {
 }
 
 
+#: The misbehaviour counters a report table carries, each summed over one
+#: kind of node: certify re-sends (edges), disputes (clients) and
+#: convictions (cloud).  An honest run leaves all three at zero.
+FAULT_COUNTERS = ("certify_retries", "disputes_sent", "punishments")
+
+#: The open :func:`counting_faults` block's tally; :func:`build_system`
+#: shows it every system it builds.
+_open_tally: Optional["FaultTally"] = None
+
+
+class FaultTally:
+    """:data:`FAULT_COUNTERS` summed over every system built while open.
+
+    It holds the nodes' live stats dicts, not the systems, so the totals
+    are read after the runs end without keeping any system's state alive.
+    """
+
+    def __init__(self) -> None:
+        self._stats: list[tuple[str, dict]] = []
+
+    def watch(self, system) -> None:
+        # Cloud-only deployments have no edges.
+        for edge in getattr(system, "edges", ()):
+            self._stats.append(("certify_retries", edge.stats))
+        for client in system.clients:
+            self._stats.append(("disputes_sent", client.stats))
+        self._stats.append(("punishments", system.cloud.stats))
+
+    def totals(self) -> dict[str, int]:
+        totals = dict.fromkeys(FAULT_COUNTERS, 0)
+        for counter, stats in self._stats:
+            totals[counter] += stats.get(counter, 0)
+        return totals
+
+
+@contextmanager
+def counting_faults() -> Iterator[FaultTally]:
+    """Tally the fault counters of every :func:`build_system` call inside."""
+
+    global _open_tally
+    _open_tally = FaultTally()
+    try:
+        yield _open_tally
+    finally:
+        _open_tally = None
+
+
 def build_system(
     kind: str,
     config: Optional[SystemConfig] = None,
@@ -53,7 +101,7 @@ def build_system(
     if kind not in _SYSTEM_CLASSES:
         raise ConfigurationError(f"unknown system kind {kind!r}; use one of {SYSTEM_KINDS}")
     system_cls = _SYSTEM_CLASSES[kind]
-    return system_cls.build(
+    system = system_cls.build(
         config=config,
         num_clients=num_clients,
         topology=topology,
@@ -61,6 +109,9 @@ def build_system(
         seed=seed,
         **extra,
     )
+    if _open_tally is not None:
+        _open_tally.watch(system)
+    return system
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ class Block:
         any cached state attached to a received object).
         """
 
-        cached = self.__dict__.get("_digest_cache")
+        cached = getattr(self, "_digest_cache", None)
         if cached is None:
             cached = compute_block_digest(self.edge, self.block_id, self.entries)
             object.__setattr__(self, "_digest_cache", cached)

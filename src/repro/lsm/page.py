@@ -103,7 +103,7 @@ class Page:
 
     @property
     def wire_size(self) -> int:
-        cached = self.__dict__.get("_wire_size_cache")
+        cached = getattr(self, "_wire_size_cache", None)
         if cached is None:
             cached = 64 + sum(record.wire_size for record in self.records)
             object.__setattr__(self, "_wire_size_cache", cached)
@@ -116,7 +116,7 @@ class Page:
         digests are recomputed frequently (Merkle rebuilds, merge checks).
         """
 
-        cached = self.__dict__.get("_digest_cache")
+        cached = getattr(self, "_digest_cache", None)
         if cached is not None:
             return cached
         computed = digest_value(
@@ -154,7 +154,7 @@ class Page:
         return best
 
     def keys(self) -> tuple[str, ...]:
-        cached = self.__dict__.get("_keys_cache")
+        cached = getattr(self, "_keys_cache", None)
         if cached is None:
             cached = tuple(record.key for record in self.records)
             object.__setattr__(self, "_keys_cache", cached)

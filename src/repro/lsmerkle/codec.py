@@ -68,14 +68,23 @@ def record_sequence(block_id: int, index_in_block: int) -> int:
     return block_id * SEQUENCE_STRIDE + index_in_block
 
 
-def records_from_block(block: Block) -> tuple[KVRecord, ...]:
+#: Attribute that memoizes :func:`records_from_block` on a block instance.
+_RECORDS_ATTR = "_records_cache"
+
+
+def records_from_block(block: Block, memoize: bool = True) -> tuple[KVRecord, ...]:
     """Decode every put entry of *block* into key-value records.
 
     Blocks are immutable and read proofs decode the same level-0 blocks on
-    every get, so the decoded records are memoized on the block instance.
+    every get, so the decoded records are memoized on the block instance
+    until :func:`forget_records` releases them.  A proof verifier passes
+    ``memoize=False``: it reads a memo the block carries but attaches none,
+    because on the simulator the block it checks is the edge's own object,
+    and a get answered just before a merge landed would otherwise re-attach
+    records the edge has released.
     """
 
-    cached = block.__dict__.get("_records_cache")
+    cached = getattr(block, _RECORDS_ATTR, None)
     if cached is not None:
         return cached
     records: list[KVRecord] = []
@@ -92,20 +101,34 @@ def records_from_block(block: Block) -> tuple[KVRecord, ...]:
             )
         )
     result = tuple(records)
-    object.__setattr__(block, "_records_cache", result)
+    if memoize:
+        object.__setattr__(block, _RECORDS_ATTR, result)
     return result
 
 
-def page_from_block(block: Block) -> Optional[Page]:
+def forget_records(block: Block) -> None:
+    """Release the decoded-record memo of *block*, if it carries one.
+
+    The edge calls this once a merge has consumed the block: the merged
+    pages hold its surviving records, and no read proof decodes a block
+    outside level 0.
+    """
+
+    if getattr(block, _RECORDS_ATTR, None) is not None:
+        object.__delattr__(block, _RECORDS_ATTR)
+
+
+def page_from_block(block: Block, memoize: bool = True) -> Optional[Page]:
     """Derive the level-0 page corresponding to a block of put operations.
 
     Returns ``None`` when the block contains no put entries (pure logging
     blocks never enter the index).  The derivation is deterministic, so any
     party holding the block can reproduce the page and, transitively, trust
-    it through the block's certification.
+    it through the block's certification.  *memoize* is passed to
+    :func:`records_from_block`.
     """
 
-    records = records_from_block(block)
+    records = records_from_block(block, memoize)
     if not records:
         return None
     return build_page(

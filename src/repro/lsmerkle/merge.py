@@ -27,7 +27,7 @@ from ..common.errors import MergeProtocolError
 from ..common.identifiers import BlockId, NodeId
 from ..crypto.signatures import KeyRegistry
 from ..log.block import Block
-from ..lsm.compaction import merge_levels
+from ..lsm.compaction import MergeResult, merge_levels
 from ..lsm.page import Page
 from ..merkle.tree import MerkleTree
 from .codec import page_from_block
@@ -133,8 +133,7 @@ class CloudIndexMirror:
         self,
         proposal: MergeProposal,
         certified_digests: dict[BlockId, str],
-    ) -> list[Page]:
-        pages: list[Page] = []
+    ) -> None:
         for block in proposal.source_blocks:
             recomputed = block.digest()
             certified = certified_digests.get(block.block_id)
@@ -151,10 +150,6 @@ class CloudIndexMirror:
                 raise MergeProtocolError(
                     f"block {block.block_id} was already merged into the index"
                 )
-            page = page_from_block(block)
-            if page is not None:
-                pages.append(page)
-        return pages
 
     def _verify_page_digests(
         self, pages: Sequence[Page], level_index: int, label: str
@@ -187,19 +182,13 @@ class CloudIndexMirror:
             )
 
         if level_index == 0:
-            source_pages = self._verify_level_zero_sources(proposal, certified_digests)
+            self._verify_level_zero_sources(proposal, certified_digests)
         else:
             self._verify_page_digests(proposal.source_pages, level_index, "source")
-            source_pages = list(proposal.source_pages)
 
         self._verify_page_digests(proposal.target_pages, level_index + 1, "target")
 
-        result = merge_levels(
-            source_pages,
-            proposal.target_pages,
-            created_at=now,
-            page_capacity=self.page_capacity,
-        )
+        result = self._merge(proposal, now)
 
         # Update the digest mirror.
         if level_index == 0:
@@ -221,9 +210,56 @@ class CloudIndexMirror:
             version=self.version,
             timestamp=now,
         )
+        return self._outcome(proposal, result, signed_root)
+
+    def replay_merge(
+        self, proposal: MergeProposal, signed_root: SignedGlobalRoot
+    ) -> MergeOutcome:
+        """Rebuild the outcome of a proposal this mirror already executed.
+
+        *signed_root* is the root the execution signed.  The merge is a pure
+        function of the proposal's pages, the root's timestamp and the page
+        capacity, so re-running it yields the original pages (only the
+        process-local ``page_id`` differs, which no digest covers).  The
+        caller must have matched the proposal's content fingerprint to that
+        execution: no check is re-run and the mirror is left as it is.
+        """
+
+        result = self._merge(proposal, signed_root.statement.timestamp)
+        return self._outcome(proposal, result, signed_root)
+
+    def _merge(self, proposal: MergeProposal, now: float) -> MergeResult:
+        """The LSM merge a proposal asks for, shared by execution and replay."""
+
+        if proposal.level_index == 0:
+            # No memo: on the simulator these are the edge's own blocks, and
+            # a replayed merge would re-attach records the edge has released.
+            source_pages = [
+                page
+                for page in (
+                    page_from_block(block, memoize=False)
+                    for block in proposal.source_blocks
+                )
+                if page is not None
+            ]
+        else:
+            source_pages = list(proposal.source_pages)
+        return merge_levels(
+            source_pages,
+            proposal.target_pages,
+            created_at=now,
+            page_capacity=self.page_capacity,
+        )
+
+    def _outcome(
+        self,
+        proposal: MergeProposal,
+        result: MergeResult,
+        signed_root: SignedGlobalRoot,
+    ) -> MergeOutcome:
         return MergeOutcome(
             edge=self.edge,
-            level_index=level_index,
+            level_index=proposal.level_index,
             merged_pages=result.pages,
             signed_root=signed_root,
             records_in=result.records_in,

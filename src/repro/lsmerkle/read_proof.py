@@ -304,7 +304,7 @@ def verify_get_proof(
     # Newest version present in level 0, derived from the blocks themselves.
     level_zero_best: Optional[KVRecord] = None
     for item in proof.level_zero:
-        for record in records_from_block(item.block):
+        for record in records_from_block(item.block, memoize=False):
             if record.key != key:
                 continue
             if level_zero_best is None or record.is_newer_than(level_zero_best):

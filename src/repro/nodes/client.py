@@ -6,6 +6,16 @@ cloud when evidence and reality diverge (Algorithm 1 and Section IV-D/E of
 the paper).  The client also records when each of its operations reached
 Phase I and Phase II commitment — the raw material for the paper's latency,
 throughput, and commit-rate figures.
+
+Retention:
+
+* ``_early_proofs``: block proofs that overtook the response that makes an
+  operation wait for them.  A proof races its response by a transmission
+  time, so only the ``EARLY_PROOF_WINDOW`` (256) most recent are kept.
+* ``tracker`` (:class:`CommitTracker`): every operation's record, with its
+  receipt and proof — the client's dispute evidence and the figures' raw
+  latencies.  Kept forever; a driver that only needs percentiles could
+  forget finished operations.
 """
 
 from __future__ import annotations

@@ -19,6 +19,30 @@ disputes) is :class:`repro.sharding.cloud.ShardedCloudNode`, which extends
 the table with its own rows; this module knows nothing of it beyond one
 hook, :meth:`CloudNode._owns_shard`, the ownership pin merges and root
 refreshes are checked against.
+
+Retention: the cloud is data-free, so every long-lived table holds
+digests and signed statements, never blocks, pages or records.
+
+* ``_certified`` (edge → block id → digest): the conflict rule and the
+  dispute judge need every digest ever certified, and gossip publishes its
+  length.  Kept for the edge's lifetime: one digest per block.
+* ``_proofs`` ((edge, block id) → proof): a certify retry is answered with
+  the proof already issued, and a verdict attaches it.  Kept for the
+  edge's lifetime: one signed statement per block certified alone or
+  disputed.
+* ``_batch_proof_sources`` ((edge, block id) → batch certificate and its
+  block list): a dispute may come at any time, so its proof stays
+  derivable.  Kept for the edge's lifetime; one certificate per batch.
+* ``_merge_responses`` (digest of a merge proposal's content fingerprint →
+  the :class:`SignedGlobalRoot` its execution signed): a re-delivered
+  proposal must be answered, not re-executed against the advanced mirror —
+  that would punish an honest edge for a network artifact.  The answer is
+  rebuilt from the duplicate's own pages
+  (:meth:`~repro.lsmerkle.merge.CloudIndexMirror.replay_merge`); the
+  fingerprint binds every block and page digest, so those are the original
+  pages.  A duplicate of any age gets the same answer, so the table keeps
+  one entry per executed merge, forever: ≈1.2 KB (the root, its memos and
+  its key), against the ≈2 MB of pages a merge returns.
 """
 
 from __future__ import annotations
@@ -28,7 +52,9 @@ from typing import Any, Optional
 from ..common.config import SystemConfig
 from ..common.identifiers import BlockId, NodeId, ShardId, cloud_id
 from ..common.regions import Region
+from ..crypto.hashing import digest_value
 from ..lsmerkle.merge import CloudIndexMirror
+from ..lsmerkle.mlsm import SignedGlobalRoot
 from ..messages.kv_messages import (
     MergeRejection,
     MergeRequest,
@@ -108,12 +134,10 @@ class CloudNode(TableDispatchNode):
         self._gossip_targets: list[NodeId] = []
         self._gossip_stopper = None
 
-        #: Executed merge outcomes keyed by the proposal's content
-        #: fingerprint.  A duplicated (at-least-once delivered) proposal is
-        #: answered with the stored response: re-executing it against the
-        #: already-advanced mirror would look like an invalid proposal and
-        #: punish an honest edge for a network artifact.
-        self._merge_responses: dict[tuple, MergeResponse] = {}
+        #: The signed root of every executed merge, keyed by the digest of
+        #: the proposal's content fingerprint (see the retention rules in
+        #: the module docstring).
+        self._merge_responses: dict[str, SignedGlobalRoot] = {}
 
         stats_init = {
             "certifications": 0,
@@ -430,24 +454,33 @@ class CloudNode(TableDispatchNode):
                     ),
                 )
                 return
-            fingerprint = (
-                proposal.edge,
-                proposal.shard_id,
-                proposal.level_index,
-                tuple(
-                    (block.block_id, block.digest())
-                    for block in proposal.source_blocks
-                ),
-                tuple(page.digest() for page in proposal.source_pages),
-                tuple(page.digest() for page in proposal.target_pages),
+            fingerprint = digest_value(
+                (
+                    proposal.edge,
+                    proposal.shard_id,
+                    proposal.level_index,
+                    tuple(
+                        (block.block_id, block.digest())
+                        for block in proposal.source_blocks
+                    ),
+                    tuple(page.digest() for page in proposal.source_pages),
+                    tuple(page.digest() for page in proposal.target_pages),
+                )
             )
-            answered = self._merge_responses.get(fingerprint)
-            if answered is not None:
+            mirror = self.mirror_for(proposal.edge, proposal.shard_id)
+            signed_root = self._merge_responses.get(fingerprint)
+            if signed_root is not None:
                 self.stats.setdefault("merge_duplicate_requests", 0)
                 self.stats["merge_duplicate_requests"] += 1
-                self.env.send(self.node_id, sender, answered)
+                self.env.send(
+                    self.node_id,
+                    sender,
+                    MergeResponse(
+                        cloud=self.node_id,
+                        outcome=mirror.replay_merge(proposal, signed_root),
+                    ),
+                )
                 return
-            mirror = self.mirror_for(proposal.edge, proposal.shard_id)
             certified = self._certified.get(proposal.edge, {})
             try:
                 outcome = mirror.execute_merge(
@@ -477,9 +510,10 @@ class CloudNode(TableDispatchNode):
                 )
                 return
             self.stats["merges"] += 1
-            response = MergeResponse(cloud=self.node_id, outcome=outcome)
-            self._merge_responses[fingerprint] = response
-            self.env.send(self.node_id, sender, response)
+            self._merge_responses[fingerprint] = outcome.signed_root
+            self.env.send(
+                self.node_id, sender, MergeResponse(cloud=self.node_id, outcome=outcome)
+            )
 
     def _handle_root_refresh(self, sender: NodeId, request: RootRefreshRequest) -> None:
         if request.edge != sender:

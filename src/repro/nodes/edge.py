@@ -30,6 +30,25 @@ helper, which is a shared no-op context while observability is off.
 Malicious behaviours are implemented as subclasses in
 :mod:`repro.nodes.malicious`; the hooks they override are small and explicit
 so the honest logic stays readable.
+
+Retention, per partition:
+
+* The log (:class:`WedgeLog`: every block and its proof).  The paper's
+  logging interface serves ``read(block_id)`` for any block, and with the
+  default memory backend the log *is* the store.  Kept forever.
+* ``receipts`` (block id → Phase I receipt).  A replayed append is answered
+  with the original receipt, not re-appended (Section IV-E).  Kept forever
+  today; the paper needs one only until Phase II is absorbed and the
+  client's retry horizon has passed.
+* ``entry_locations`` ((producer, sequence) → block id): the same replay
+  protection, one entry per put.  Kept forever today; a per-producer
+  high-water mark plus the out-of-order set above it would do.
+* The records memo (:func:`~repro.lsmerkle.codec.records_from_block` on a
+  block): level-0 pages and the read proofs over level-0 blocks decode each
+  block once.  Kept while the block backs level 0; installing the merge
+  that consumed it releases it (:func:`~repro.lsmerkle.codec.forget_records`),
+  and so does a replica's shipment install for the blocks it leaves out of
+  level 0.  The cloud and proof verifiers decode without memoizing.
 """
 
 from __future__ import annotations
@@ -56,7 +75,7 @@ from ..log.block import Block, build_block
 from ..log.buffer import BlockBuffer, PendingBatch
 from ..log.proofs import issue_phase_one_receipt
 from ..log.wedge_log import WedgeLog
-from ..lsmerkle.codec import page_from_block
+from ..lsmerkle.codec import forget_records, page_from_block
 from ..lsmerkle.merge import MergeProposal
 from ..lsmerkle.mlsm import MerkleizedLSM, SignedGlobalRoot
 from ..lsmerkle.read_proof import build_get_proof
@@ -1396,6 +1415,8 @@ class EdgeNode(TableDispatchNode):
                     for block_id in self.level_zero_blocks
                     if block_id not in merged_bids
                 ]
+                for block_id in merged_bids:
+                    forget_records(self.log.block(block_id))
             else:
                 self.index.install_merge(outcome.level_index, outcome.merged_pages, ())
 

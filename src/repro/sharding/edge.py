@@ -46,7 +46,12 @@ from ..common.regions import Region
 from ..log.block import Block
 from ..log.wedge_log import LogRecord, WedgeLog
 from ..lsmerkle.mlsm import MerkleizedLSM
-from ..lsmerkle.codec import decode_put, is_put_payload, page_from_block
+from ..lsmerkle.codec import (
+    decode_put,
+    forget_records,
+    is_put_payload,
+    page_from_block,
+)
 from ..messages.kv_messages import (
     GetRequest,
     MergeRejection,
@@ -1294,6 +1299,12 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
             if page is not None:
                 rebuilt.add_level_zero_page(page)
         state.index = rebuilt
+        # Blocks this shipment leaves out of level 0 were merged at the
+        # writer; no read proof here decodes them again.
+        kept = set(message.level_zero_ids)
+        for block_id in state.level_zero_blocks:
+            if block_id not in kept:
+                forget_records(state.log.block(block_id))
         state.level_zero_blocks = list(message.level_zero_ids)
         if signed_root is not None:
             state.signed_root = signed_root

@@ -1,0 +1,184 @@
+"""Retention bounds: what a long put run leaves behind on the cloud and edge.
+
+A put stream over a fixed key set must not grow the cloud with the data it
+merged.  The cloud keeps one signed root per executed merge (its duplicate
+answer is rebuilt from the re-sent proposal), and the edge releases the
+decoded records of every block a merge consumed.  The run is the paper's
+defaults with ``block_size=100``: one client writes 64-byte values over
+5 000 keys and waits for each batch's Phase II before the next.  A mixed
+run checks that verifying gets does not undo the edge's release, and a
+replicated shard that a replica releases the blocks its writer merged.
+"""
+
+from __future__ import annotations
+
+import gc
+import random
+import sys
+import tracemalloc
+from types import FunctionType, ModuleType
+
+import pytest
+
+from repro.bench.runner import build_system, config_for_batch
+from repro.common.config import (
+    LoggingConfig,
+    LSMerkleConfig,
+    ShardingConfig,
+    SystemConfig,
+    WorkloadConfig,
+)
+from repro.log.block import Block
+from repro.log.proofs import CommitPhase
+from repro.lsm.page import Page
+from repro.lsm.records import KVRecord
+from repro.lsmerkle.merge import MergeOutcome
+from repro.messages import ReplicaLogShipment
+from repro.sharding.system import ShardedWedgeSystem
+from repro.sim.environment import local_environment
+from repro.storage.codec import decode_record, encode_record
+from repro.workloads import LoadDriver
+from repro.workloads.generator import format_key
+
+KEYS = 5_000
+BATCH = 100
+WARMUP_PUTS = 4_000
+MEASURED_PUTS = 8_000
+#: Retained bytes per put after warm-up, the edge's log included.  Measured
+#: on CPython 3.11 (x86-64), the same under any hash seed: 1 521 B, against
+#: 1 947 B when the cloud kept every merge response and merged blocks kept
+#: their decoded records.
+MAX_RETAINED_BYTES_PER_PUT = 1_650
+#: Dedup-table bytes per executed merge: a signed root, its memos and its
+#: key (1 192 B measured as above).
+MAX_DEDUP_BYTES_PER_MERGE = 4_096
+
+
+@pytest.fixture(scope="module")
+def long_put_run():
+    system = build_system("wedgechain", config=config_for_batch(BATCH), seed=11)
+    client = system.clients[0]
+    rng = random.Random(11)
+
+    def puts(count: int) -> None:
+        for _ in range(count // BATCH):
+            items = [
+                (format_key(rng.randrange(KEYS)), rng.randbytes(64))
+                for _ in range(BATCH)
+            ]
+            op = client.put_batch(items)
+            phase = system.wait_for(client, op, CommitPhase.PHASE_TWO, max_time_s=60)
+            assert phase is CommitPhase.PHASE_TWO
+        system.run()
+        gc.collect()
+
+    tracemalloc.start()
+    try:
+        puts(WARMUP_PUTS)
+        before = tracemalloc.get_traced_memory()[0]
+        puts(MEASURED_PUTS)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return system, (after - before) / MEASURED_PUTS
+
+
+def _memoized_outside_level_zero(log, level_zero_blocks) -> list[int]:
+    level_zero = set(level_zero_blocks)
+    return [
+        record.block.block_id
+        for record in log
+        if record.block.block_id not in level_zero
+        and getattr(record.block, "_records_cache", None) is not None
+    ]
+
+
+def _reachable(root) -> list:
+    """Every object reachable from *root*, not entering code or classes."""
+
+    seen: dict[int, object] = {}
+    stack = [root]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen or isinstance(value, (type, ModuleType, FunctionType)):
+            continue
+        seen[id(value)] = value
+        stack.extend(gc.get_referents(value))
+    return list(seen.values())
+
+
+def test_cloud_dedup_table_keeps_digests_not_pages(long_put_run):
+    system, _per_put = long_put_run
+    cloud = system.cloud
+    merges = cloud.stats["merges"]
+    assert merges >= 10
+    table = cloud._merge_responses
+    assert len(table) == merges
+    reachable = _reachable(table)
+    kept = {type(value).__name__ for value in reachable}
+    assert not kept & {cls.__name__ for cls in (Page, KVRecord, Block, MergeOutcome)}
+    size = sum(sys.getsizeof(value) for value in reachable)
+    assert size <= MAX_DEDUP_BYTES_PER_MERGE * merges
+
+
+def test_merged_blocks_release_their_decoded_records(long_put_run):
+    system, _per_put = long_put_run
+    edge = system.edge()
+    assert _memoized_outside_level_zero(edge.log, edge.level_zero_blocks) == []
+
+
+def test_verified_gets_leave_no_memo_on_merged_blocks():
+    # On the simulator a get proof carries the edge's own level-0 blocks.  A
+    # get answered just before a merge lands is verified after it, so a
+    # verifier that memoized would re-attach what the edge released.
+    system = build_system("wedgechain", config=config_for_batch(BATCH), num_clients=3)
+    workload = WorkloadConfig(
+        num_clients=3,
+        batch_size=BATCH,
+        read_fraction=0.5,
+        key_space=KEYS,
+        operations_per_client=2_000,
+    )
+    LoadDriver(system, workload).run()
+    system.run()
+    assert system.cloud.stats["merges"] >= 3
+    edge = system.edge()
+    assert _memoized_outside_level_zero(edge.log, edge.level_zero_blocks) == []
+
+
+def test_replica_releases_records_of_blocks_merged_out_of_level_zero():
+    # Shipments go through the wire codec, so the replica holds its own
+    # copies of the blocks as on a live fleet (on the simulator it would
+    # otherwise share the writer's objects, whose memos the writer releases).
+    config = SystemConfig.paper_default().with_overrides(
+        num_edge_nodes=2,
+        logging=LoggingConfig(block_size=4, block_timeout_s=0.02),
+        lsmerkle=LSMerkleConfig(level_thresholds=(2, 2, 4, 8)),
+        sharding=ShardingConfig(num_shards=1, replication_factor=2),
+    )
+    system = ShardedWedgeSystem.build(
+        config=config, num_clients=1, env=local_environment(seed=5)
+    )
+    send = system.env.send
+
+    def send_over_wire(src, dst, message):
+        if isinstance(message, ReplicaLogShipment):
+            message = decode_record(encode_record(message))
+        return send(src, dst, message)
+
+    system.env.send = send_over_wire
+    client = system.clients[0]
+    for block in range(12):
+        client.put_batch([(f"k-{block}-{i}", b"v%d" % i) for i in range(4)])
+        system.run_for(0.5)
+    system.run_for(3.0)
+    replica = system.edges[1]
+    state = replica._replica_states[0]
+    assert replica.stats["replica_shipments_installed"] >= 2
+    assert len(state.level_zero_blocks) < len(list(state.log))
+    assert _memoized_outside_level_zero(state.log, state.level_zero_blocks) == []
+
+
+def test_retained_bytes_per_put_stay_bounded(long_put_run):
+    _system, per_put = long_put_run
+    assert per_put <= MAX_RETAINED_BYTES_PER_PUT

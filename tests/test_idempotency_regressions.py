@@ -11,6 +11,8 @@ keep them fixed.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.common.config import (
     LoggingConfig,
     LSMerkleConfig,
@@ -115,6 +117,71 @@ class TestMergeIdempotency:
         assert cloud.stats["punishments"] == 0
         # The re-answered response lands at the edge as a benign duplicate.
         assert edge.stats["merge_duplicates"] >= 1
+
+    def test_every_merge_request_reanswered_identically_at_any_age(self):
+        system, edge, tap = merged_system()
+        cloud = system.cloud
+        mirror = cloud.mirror_for(edge.node_id)
+        merges_before = cloud.stats["merges"]
+        version_before = mirror.version
+        requests = [r for r in tap.records if isinstance(r[2], MergeRequest)]
+        originals = [r[2] for r in tap.records if isinstance(r[2], MergeResponse)]
+        assert len(requests) == len(originals) == merges_before >= 3
+        captured = len(tap.records)
+        for src, dst, request in requests:
+            system.env.send(src, dst, request)
+        system.run()
+        answers = [
+            r[2] for r in tap.records[captured:] if isinstance(r[2], MergeResponse)
+        ]
+        assert len(answers) == len(originals)
+        for original, answer in zip(originals, answers):
+            first, again = original.outcome, answer.outcome
+            assert [p.digest() for p in again.merged_pages] == [
+                p.digest() for p in first.merged_pages
+            ]
+            assert again.signed_root == first.signed_root
+            assert (again.records_in, again.records_out) == (
+                first.records_in,
+                first.records_out,
+            )
+        assert cloud.stats["merge_duplicate_requests"] == len(requests)
+        assert cloud.stats["merges"] == merges_before
+        assert mirror.version == version_before
+        assert cloud.stats["punishments"] == 0
+        # The replayed level-0 merges read the edge's own blocks; none of
+        # them may get back the records memo the edge released.
+        level_zero = set(edge.level_zero_blocks)
+        assert not [
+            record.block.block_id
+            for record in edge.log
+            if record.block.block_id not in level_zero
+            and getattr(record.block, "_records_cache", None) is not None
+        ]
+
+    def test_altered_target_page_still_rejected_and_punished(self):
+        system, edge, tap = merged_system()
+        cloud = system.cloud
+        src, dst, request = next(
+            r
+            for r in tap.records
+            if isinstance(r[2], MergeRequest) and r[2].proposal.target_pages
+        )
+        proposal = request.proposal
+        page = proposal.target_pages[0]
+        forged_record = replace(page.records[0], value=b"forged")
+        forged_page = replace(page, records=(forged_record,) + page.records[1:])
+        forged = replace(
+            proposal, target_pages=(forged_page,) + proposal.target_pages[1:]
+        )
+        rejections_before = cloud.stats["merge_rejections"]
+        system.env.send(src, dst, MergeRequest(edge=request.edge, proposal=forged))
+        system.run()
+        # A changed page changes the fingerprint: the dedup table cannot
+        # answer it, so the mirror's checks run and convict.
+        assert cloud.stats["merge_rejections"] == rejections_before + 1
+        assert cloud.stats["punishments"] == 1
+        assert cloud.ledger.is_punished(edge.node_id)
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 ``tests/data/paper_golden.json`` holds every row of every table that
 ``python -m repro.bench.report`` renders, at ``--scale 0.25``, with floats
-written as their ``repr``.  The report rounds to 3–4 significant figures;
+written as their ``repr``, and each table's fault counters: certify
+retries, disputes sent and punishments summed over every system its
+experiment built.  The report rounds to 3–4 significant figures;
 the golden does not, so a moved modelled byte or microsecond fails here.
 The shape assertions in ``benchmarks/test_figure*.py`` check the paper's
 claims; this file checks that the reproduction's own numbers did not move.
@@ -22,6 +24,7 @@ import pathlib
 import sys
 
 from repro.bench.report import report_tables
+from repro.bench.runner import FAULT_COUNTERS
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "paper_golden.json"
 SCALE = 0.25
@@ -40,6 +43,7 @@ def golden_text(tables) -> str:
             f"    {json.dumps(key)}: {{\n"
             f"      \"title\": {json.dumps(table.title)},\n"
             f"      \"columns\": {json.dumps(list(table.columns))},\n"
+            f"      \"counters\": {json.dumps(table.counters)},\n"
             f"      \"rows\": [\n{rows}\n      ]\n    }}"
         )
     return (
@@ -62,6 +66,24 @@ def test_report_tables_match_the_committed_golden():
     assert list(current["tables"]) == list(committed["tables"])
     for key, table in committed["tables"].items():
         assert current["tables"][key] == table, f"table {key!r} moved"
+
+
+def test_fault_counters_are_zero_unless_the_experiment_runs_an_adversary():
+    # The comparison above pins the counters; this states what they must be.
+    committed = _load(GOLDEN.read_text(encoding="utf-8"))
+    for key, table in committed["tables"].items():
+        counters = table["counters"]
+        if key == "ablation_gossip":
+            # One omitting edge per gossip interval (one row each): the
+            # reader disputes the omission once and the cloud convicts once.
+            rows = len(table["rows"])
+            assert counters == {
+                "certify_retries": 0,
+                "disputes_sent": rows,
+                "punishments": rows,
+            }, key
+        else:
+            assert counters == dict.fromkeys(FAULT_COUNTERS, 0), key
 
 
 def main(argv: list[str] | None = None) -> int:
