@@ -4,35 +4,30 @@ All requests are served by the trusted cloud node: clients pay the wide-area
 round trip on every operation, but results need no verification because no
 untrusted party handled them.  The cloud keeps the log and a plain (trusted,
 non-Merkle) LSM index.
+
+The client is a :class:`~repro.nodes.client.Client` without verification
+(its ``edge`` is the trusted store) and the deployment is a
+:class:`~repro.core.system.WedgeChainSystem` with no edges, so only the
+store, the three trusted answers and their handlers live here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from ..common.config import SystemConfig
-from ..common.errors import ConfigurationError
-from ..common.identifiers import (
-    BlockId,
-    NodeId,
-    OperationId,
-    OperationKind,
-    SequenceGenerator,
-    client_id,
-    cloud_id,
-)
+from ..common.identifiers import BlockId, NodeId, OperationId, cloud_id
 from ..common.regions import Region
-from ..core.commit import CommitTracker
+from ..core.system import WedgeChainSystem, simulation_environment
 from ..log.block import Block, build_block
 from ..log.buffer import BlockBuffer
-from ..log.proofs import CommitPhase
 from ..log.wedge_log import WedgeLog
 from ..lsm.lsm_tree import LSMTree
-from ..lsmerkle.codec import encode_put, page_from_block
-from ..log.entry import make_entry
+from ..lsmerkle.codec import page_from_block
 from ..messages.kv_messages import GetRequest
 from ..messages.log_messages import AppendBatchRequest, ReadRequest
+from ..nodes.client import Client
 from ..nodes.dispatch import DispatchTable, TableDispatchNode
 from ..sim.environment import Environment
 from ..sim.parameters import SimulationParameters
@@ -195,8 +190,14 @@ class CloudStoreNode(TableDispatchNode):
         )
 
 
-class CloudOnlyClient(TableDispatchNode):
-    """A client of the cloud-only baseline (no edge node, no verification)."""
+class CloudOnlyClient(Client):
+    """A :class:`~repro.nodes.client.Client` without verification.
+
+    Its ``edge`` is the trusted store, so it issues operations exactly as a
+    WedgeChain client does; only the answers differ.  No untrusted party
+    handled them, so each one commits both phases the moment it arrives and
+    nothing is checked, disputed or charged for verification.
+    """
 
     HANDLERS = DispatchTable(
         {
@@ -206,147 +207,44 @@ class CloudOnlyClient(TableDispatchNode):
         }
     )
 
-    def __init__(
-        self,
-        env: Environment,
-        cloud: NodeId,
-        config: Optional[SystemConfig] = None,
-        name: str = "client-0",
-        region: Optional[Region] = None,
+    def _commit_on_arrival(
+        self, operation_id: OperationId, block_id: Optional[BlockId] = None, **details
     ) -> None:
-        self.env = env
-        self.config = config if config is not None else SystemConfig.paper_default()
-        self.node_id = client_id(name)
-        self.region = region if region is not None else self.config.placement.client_region
-        self.cloud = cloud
-        self.tracker = CommitTracker()
-        self._operation_seq = SequenceGenerator()
-        self._entry_seq = SequenceGenerator()
-        self.stats = {"writes_issued": 0, "reads_issued": 0, "gets_issued": 0}
-        env.attach(self)
-
-    # ------------------------------------------------------------------
-    def put_batch(self, items: Iterable[tuple[str, bytes]]) -> OperationId:
-        payloads = [encode_put(key, value) for key, value in items]
-        return self._append(payloads, OperationKind.PUT)
-
-    def add_batch(self, payloads: Sequence[bytes]) -> OperationId:
-        return self._append(list(payloads), OperationKind.ADD)
-
-    def get(self, key: str) -> OperationId:
+        if operation_id not in self.tracker:
+            return
         now = self.env.now()
-        operation_id = self._next_operation_id()
-        self.tracker.register(operation_id, OperationKind.GET, now, key=key)
-        self.stats["gets_issued"] += 1
-        self.env.send(
-            self.node_id,
-            self.cloud,
-            GetRequest(requester=self.node_id, operation_id=operation_id, key=key),
-        )
-        return operation_id
+        self.tracker.get(operation_id).details.update(details)
+        self.tracker.mark_phase_one(operation_id, now, block_id=block_id)
+        self.tracker.mark_phase_two(operation_id, now)
 
-    def read(self, block_id: BlockId) -> OperationId:
-        now = self.env.now()
-        operation_id = self._next_operation_id()
-        self.tracker.register(operation_id, OperationKind.READ, now, block_id=block_id)
-        self.stats["reads_issued"] += 1
-        self.env.send(
-            self.node_id,
-            self.cloud,
-            ReadRequest(
-                requester=self.node_id, operation_id=operation_id, block_id=block_id
-            ),
-        )
-        return operation_id
-
-    def _append(self, payloads: list[bytes], kind: OperationKind) -> OperationId:
-        now = self.env.now()
-        operation_id = self._next_operation_id()
-        entries = tuple(
-            make_entry(
-                registry=self.env.registry,
-                producer=self.node_id,
-                sequence=self._entry_seq.next(),
-                payload=payload,
-                produced_at=now,
-            )
-            for payload in payloads
-        )
-        self.tracker.register(operation_id, kind, now, num_entries=len(entries))
-        self.stats["writes_issued"] += 1
-        self.env.send(
-            self.node_id,
-            self.cloud,
-            AppendBatchRequest(
-                requester=self.node_id,
-                operation_id=operation_id,
-                kind=kind,
-                entries=entries,
-            ),
-        )
-        return operation_id
-
-    def _next_operation_id(self) -> OperationId:
-        return OperationId(client=self.node_id, sequence=self._operation_seq.next())
-
-    # ------------------------------------------------------------------
     def _handle_write_response(
         self, sender: NodeId, message: CloudWriteResponse
     ) -> None:
-        if message.operation_id not in self.tracker:
-            return
-        now = self.env.now()
-        self.tracker.mark_phase_one(
-            message.operation_id, now, block_id=message.block_id
-        )
-        self.tracker.mark_phase_two(message.operation_id, now)
+        self._commit_on_arrival(message.operation_id, message.block_id)
 
     def _handle_read_response(self, sender: NodeId, message: CloudReadResponse) -> None:
-        if message.operation_id not in self.tracker:
-            return
-        now = self.env.now()
-        record = self.tracker.get(message.operation_id)
-        record.details["found"] = message.found
-        if message.block is not None:
-            record.details["num_entries"] = message.block.num_entries
         if message.found:
-            self.tracker.mark_phase_one(
-                message.operation_id, now, block_id=message.block_id
+            self._commit_on_arrival(
+                message.operation_id,
+                message.block_id,
+                found=True,
+                num_entries=message.block.num_entries,
             )
-            self.tracker.mark_phase_two(message.operation_id, now)
-        else:
-            self.tracker.mark_failed(message.operation_id, now, "not found")
+        elif message.operation_id in self.tracker:
+            self.tracker.get(message.operation_id).details["found"] = False
+            self.tracker.mark_failed(message.operation_id, self.env.now(), "not found")
 
     def _handle_get_response(self, sender: NodeId, message: CloudGetResponse) -> None:
-        if message.operation_id not in self.tracker:
-            return
-        now = self.env.now()
-        record = self.tracker.get(message.operation_id)
-        record.details["found"] = message.found
-        record.details["value"] = message.value
-        self.tracker.mark_phase_one(message.operation_id, now)
-        self.tracker.mark_phase_two(message.operation_id, now)
-
-    def value_of(self, operation_id: OperationId) -> Optional[bytes]:
-        return self.tracker.get(operation_id).details.get("value")
+        self._commit_on_arrival(
+            message.operation_id, found=message.found, value=message.value
+        )
 
 
-class CloudOnlySystem:
-    """Deployment facade for the cloud-only baseline."""
+class CloudOnlySystem(WedgeChainSystem):
+    """Deployment facade for the cloud-only baseline: the WedgeChain facade
+    over one trusted store, no edges, and :class:`CloudOnlyClient` s."""
 
     name = "cloud-only"
-
-    def __init__(
-        self,
-        env: Environment,
-        config: SystemConfig,
-        cloud: CloudStoreNode,
-        clients: Sequence[CloudOnlyClient],
-    ) -> None:
-        self.env = env
-        self.config = config
-        self.cloud = cloud
-        self.clients = list(clients)
 
     @classmethod
     def build(
@@ -359,19 +257,12 @@ class CloudOnlySystem:
         seed: int = 7,
     ) -> "CloudOnlySystem":
         config = config if config is not None else SystemConfig.paper_default()
-        if num_clients <= 0:
-            raise ConfigurationError("num_clients must be positive")
-        if env is None:
-            env = Environment(
-                topology=topology,
-                params=params,
-                signature_scheme=config.security.signature_scheme,
-                seed=seed,
-            )
+        env = simulation_environment(config, num_clients, env, topology, params, seed)
         cloud = CloudStoreNode(env=env, config=config)
         clients = [
             CloudOnlyClient(
                 env=env,
+                edge=cloud.node_id,
                 cloud=cloud.node_id,
                 config=config,
                 name=f"client-{index}",
@@ -379,34 +270,4 @@ class CloudOnlySystem:
             )
             for index in range(num_clients)
         ]
-        return cls(env=env, config=config, cloud=cloud, clients=clients)
-
-    # ------------------------------------------------------------------
-    def client(self, index: int = 0) -> CloudOnlyClient:
-        return self.clients[index]
-
-    def trackers(self) -> list[CommitTracker]:
-        return [client.tracker for client in self.clients]
-
-    def run(self, max_events: Optional[int] = None) -> int:
-        return self.env.run(max_events)
-
-    def run_for(self, duration_s: float) -> int:
-        return self.env.run_until(self.env.now() + duration_s)
-
-    def wait_for_all(
-        self,
-        operations: Iterable[tuple[CloudOnlyClient, OperationId]],
-        phase: CommitPhase = CommitPhase.PHASE_TWO,
-        max_time_s: float = 300.0,
-    ) -> bool:
-        pairs = list(operations)
-
-        def done() -> bool:
-            for client, operation_id in pairs:
-                current = client.tracker.get(operation_id).phase
-                if current not in (CommitPhase.PHASE_TWO, CommitPhase.FAILED):
-                    return False
-            return True
-
-        return self.env.run_until_condition(done, self.env.now() + max_time_s)
+        return cls(env=env, config=config, cloud=cloud, edges=[], clients=clients)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from ..common.identifiers import NodeId, OperationId
 from ..core.system import WedgeChainSystem
 from ..log.block import Block, compute_block_digest
-from ..log.proofs import issue_block_proof
 from ..messages.log_messages import AppendBatchResponse, BlockProofMessage
 from ..nodes.cloud import CloudNode
 from ..nodes.edge import EdgeNode
@@ -28,10 +27,6 @@ class FullBlockCertifyRequest:
 
     edge: NodeId
     block: Block
-
-    @property
-    def block_id(self) -> int:
-        return self.block.block_id
 
     @property
     def wire_size(self) -> int:
@@ -55,7 +50,9 @@ class CertifiedStateResponse(BlockProofMessage):
 
 
 class EdgeBaselineCloudNode(CloudNode):
-    """A cloud node that additionally certifies full-data blocks."""
+    """A cloud node that additionally certifies full-data blocks: it
+    recomputes each block's digest, then applies the cloud's own conflict
+    rule and proof issuing to it."""
 
     HANDLERS = CloudNode.HANDLERS.extended(
         {FullBlockCertifyRequest: "_handle_full_certify"}
@@ -75,31 +72,17 @@ class EdgeBaselineCloudNode(CloudNode):
         if request.edge != sender or block.edge != sender:
             return
         digest = compute_block_digest(block.edge, block.block_id, block.entries)
-        edge_digests = self._certified.setdefault(request.edge, {})
-        existing = edge_digests.get(block.block_id)
-        if existing is not None and existing != digest:
-            self.stats["certify_conflicts"] += 1
-            self._punish(
-                request.edge,
-                reason="conflicting full-data certification",
-                block_id=block.block_id,
-            )
+        rejection = self._order_digest(sender, block.block_id, digest)
+        if rejection is not None:
+            self.env.send(self.node_id, sender, rejection)
             return
-        edge_digests[block.block_id] = digest
-        proof = issue_block_proof(
-            registry=self.env.registry,
-            cloud=self.node_id,
-            edge=request.edge,
-            block_id=block.block_id,
-            block_digest=digest,
-            certified_at=self.env.now(),
-        )
-        self._proofs[(request.edge, block.block_id)] = proof
-        self.stats["certifications"] += 1
         self.env.send(
             self.node_id,
             sender,
-            CertifiedStateResponse(proof=proof, state_bytes=block.wire_size),
+            CertifiedStateResponse(
+                proof=self._proof_of(sender, block.block_id, digest),
+                state_bytes=block.wire_size,
+            ),
         )
 
 

@@ -205,8 +205,6 @@ def figure5d_best_case_read(
 
     for kind in SYSTEM_KINDS:
         latency_ms, verify_ms = preload_and_read(kind)
-        if kind == "cloud-only":
-            verify_ms = 0.0
         table.add_row(
             system=SYSTEM_LABELS[kind],
             read_latency_ms=latency_ms,

@@ -79,7 +79,8 @@ def report_tables(scale: float = 1.0) -> dict[str, ResultTable]:
     The one table builder behind both :func:`generate_report` and the
     committed full-precision golden (``tests/test_paper_golden.py``).
     Experiments run in report order.  Each table's ``counters`` are the
-    fault counters summed over every system its experiment built.
+    fault counters summed over every system its experiment built, and its
+    ``phase_two_lag_s`` the largest Phase II lag among their operations.
     """
 
     batches = max(int(6 * scale), 3)
@@ -95,6 +96,7 @@ def report_tables(scale: float = 1.0) -> dict[str, ResultTable]:
         for key, table in zip(keys, produced):
             if key is not None:
                 table.counters = tally.totals()
+                table.phase_two_lag_s = tally.phase_two_lag_s()
                 tables[key] = table
 
     run(("table1",), experiments.table1_rtt)

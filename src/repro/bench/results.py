@@ -9,7 +9,7 @@ EXPERIMENTS.md) and as CSV (for plotting elsewhere).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from ..common.errors import ConfigurationError
 
@@ -37,6 +37,9 @@ class ResultTable:
     #: Fault counters summed over the systems the experiment built
     #: (:func:`repro.bench.runner.counting_faults`); empty when not tallied.
     counters: dict[str, int] = field(default_factory=dict)
+    #: The largest Phase II lag (``phase_two_at - phase_one_at``, seconds)
+    #: of any operation those systems committed; ``None`` when not tallied.
+    phase_two_lag_s: Optional[float] = None
 
     def add_row(self, **values: Any) -> None:
         unknown = set(values) - set(self.columns)

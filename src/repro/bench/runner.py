@@ -18,7 +18,9 @@ from ..baselines.cloud_only import CloudOnlySystem
 from ..baselines.edge_baseline import EdgeBaselineSystem
 from ..common.config import SystemConfig, WorkloadConfig
 from ..common.errors import ConfigurationError
+from ..core.commit import CommitTracker
 from ..core.system import WedgeChainSystem
+from ..log.proofs import CommitPhase
 from ..sim.parameters import SimulationParameters
 from ..sim.topology import Topology
 from ..workloads.driver import LoadDriver
@@ -51,28 +53,47 @@ _open_tally: Optional["FaultTally"] = None
 
 
 class FaultTally:
-    """:data:`FAULT_COUNTERS` summed over every system built while open.
+    """:data:`FAULT_COUNTERS` summed, and the largest Phase II lag, over
+    every system built while open.
 
-    It holds the nodes' live stats dicts, not the systems, so the totals
-    are read after the runs end without keeping any system's state alive.
+    It holds the nodes' live stats dicts and the clients' trackers, not the
+    systems, so both are read after the runs end without keeping any edge's
+    or cloud's state alive.
     """
 
     def __init__(self) -> None:
         self._stats: list[tuple[str, dict]] = []
+        self._trackers: list[CommitTracker] = []
 
     def watch(self, system) -> None:
-        # Cloud-only deployments have no edges.
-        for edge in getattr(system, "edges", ()):
+        for edge in system.edges:
             self._stats.append(("certify_retries", edge.stats))
         for client in system.clients:
             self._stats.append(("disputes_sent", client.stats))
         self._stats.append(("punishments", system.cloud.stats))
+        self._trackers.extend(system.trackers())
 
     def totals(self) -> dict[str, int]:
         totals = dict.fromkeys(FAULT_COUNTERS, 0)
         for counter, stats in self._stats:
             totals[counter] += stats.get(counter, 0)
         return totals
+
+    def phase_two_lag_s(self) -> float:
+        """The largest ``phase_two_at - phase_one_at`` of any operation that
+        reached Phase II (0.0 when none did).  A lag near
+        ``dispute_timeout_s / 2`` would let an honest edge's first certify
+        retry fire in a run with no fault."""
+
+        return max(
+            (
+                record.phase_two_at - record.phase_one_at
+                for tracker in self._trackers
+                for record in tracker.records()
+                if record.phase is CommitPhase.PHASE_TWO
+            ),
+            default=0.0,
+        )
 
 
 @contextmanager
@@ -168,8 +189,6 @@ def run_workload(
 
     phase_two_latencies: list[float] = []
     failed = 0
-    from ..log.proofs import CommitPhase  # local import avoids a cycle at module load
-
     for tracker in system.trackers():
         phase_two_latencies.extend(tracker.phase_two_latencies())
         failed += tracker.count_in_phase(CommitPhase.FAILED)

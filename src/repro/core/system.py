@@ -5,10 +5,19 @@ set of clients onto a shared simulated environment, and offers the small
 convenience API (issue operations, run the simulation, wait for commit
 phases, collect statistics) that the examples and the benchmark harness use.
 
-What every deployment of this shape shares is written once here and reused
-by the wall-clock :class:`repro.service.harness.LiveFleet` and the
-edge-baseline: :func:`wire_fleet` (cloud → edges → round-robin clients),
-:func:`edge_factory_for`, and the :func:`settled` wait predicate.
+Every deployment — WedgeChain, both baselines, the sharded fleet and the
+wall-clock :class:`repro.service.harness.LiveFleet` — is one cloud, a list
+of edges (empty for the cloud-only baseline, whose store is its cloud) and
+a list of clients on one environment, and shares what is written once here:
+
+* :class:`Deployment`: the ``client`` / ``edge`` / ``trackers`` accessors
+  and :meth:`~Deployment.stats`, the same :class:`SystemStats` on either
+  substrate;
+* :func:`wire_fleet` (cloud → edges → round-robin clients) and
+  :func:`edge_factory_for`, which the sim systems and the live fleet build
+  with;
+* :func:`simulation_environment`, the sim builders' common preamble;
+* :func:`settled`, the predicate every wait helper polls.
 """
 
 from __future__ import annotations
@@ -100,6 +109,28 @@ def settled(client: Client, operation_id: OperationId, phase: CommitPhase) -> bo
     return _PHASE_RANK[current] >= _PHASE_RANK[phase] or current is CommitPhase.FAILED
 
 
+def simulation_environment(
+    config: SystemConfig,
+    num_clients: int,
+    env: Optional[Environment],
+    topology: Optional[Topology],
+    params: Optional[SimulationParameters],
+    seed: int,
+) -> Environment:
+    """*env*, or a new one for *config*, once *num_clients* is checked."""
+
+    if num_clients <= 0:
+        raise ConfigurationError("num_clients must be positive")
+    if env is not None:
+        return env
+    return Environment(
+        topology=topology,
+        params=params,
+        signature_scheme=config.security.signature_scheme,
+        seed=seed,
+    )
+
+
 @dataclass
 class SystemStats:
     """Aggregated counters collected from every node of a deployment."""
@@ -117,7 +148,44 @@ class SystemStats:
         return dict(self.__dict__)
 
 
-class WedgeChainSystem:
+class Deployment:
+    """What every deployment offers over its ``cloud``, ``edges``,
+    ``clients`` and ``env`` (either substrate)."""
+
+    def client(self, index: int = 0) -> Client:
+        return self.clients[index]
+
+    def edge(self, index: int = 0) -> EdgeNode:
+        return self.edges[index]
+
+    def trackers(self) -> list[CommitTracker]:
+        return [client.tracker for client in self.clients]
+
+    def stats(self) -> SystemStats:
+        """Counters summed over the nodes.  Blocks are counted wherever
+        they form — at the edges, or at the cloud-only store — and a counter
+        a node does not keep (the store certifies and punishes nothing)
+        counts as zero."""
+
+        def count(phase: CommitPhase) -> int:
+            return sum(tracker.count_in_phase(phase) for tracker in self.trackers())
+
+        network = self.env.network.stats
+        return SystemStats(
+            phase_one_commits=count(CommitPhase.PHASE_ONE),
+            phase_two_commits=count(CommitPhase.PHASE_TWO),
+            failed_operations=count(CommitPhase.FAILED),
+            blocks_formed=sum(
+                node.stats.get("blocks_formed", 0) for node in (self.cloud, *self.edges)
+            ),
+            certifications=self.cloud.stats.get("certifications", 0),
+            punishments=self.cloud.stats.get("punishments", 0),
+            wan_bytes=network.wan_bytes,
+            lan_bytes=network.lan_bytes,
+        )
+
+
+class WedgeChainSystem(Deployment):
     """A full WedgeChain deployment: cloud + edge nodes + clients."""
 
     #: The node classes :meth:`build` wires (the edge-baseline swaps both).
@@ -156,15 +224,7 @@ class WedgeChainSystem:
         """Create a deployment according to *config* (see :func:`wire_fleet`)."""
 
         config = config if config is not None else SystemConfig.paper_default()
-        if num_clients <= 0:
-            raise ConfigurationError("num_clients must be positive")
-        if env is None:
-            env = Environment(
-                topology=topology,
-                params=params,
-                signature_scheme=config.security.signature_scheme,
-                seed=seed,
-            )
+        env = simulation_environment(config, num_clients, env, topology, params, seed)
         if edge_factory is None:
             edge_factory = edge_factory_for(cls.edge_class)
         cloud, edges, clients = wire_fleet(
@@ -174,18 +234,6 @@ class WedgeChainSystem:
         if enable_gossip:
             cloud.start_gossip()
         return system
-
-    # ------------------------------------------------------------------
-    # Access helpers
-    # ------------------------------------------------------------------
-    def client(self, index: int = 0) -> Client:
-        return self.clients[index]
-
-    def edge(self, index: int = 0) -> EdgeNode:
-        return self.edges[index]
-
-    def trackers(self) -> list[CommitTracker]:
-        return [client.tracker for client in self.clients]
 
     # ------------------------------------------------------------------
     # Execution helpers
@@ -226,28 +274,4 @@ class WedgeChainSystem:
         return self.env.run_until_condition(
             lambda: all(settled(client, op, phase) for client, op in pairs),
             self.env.now() + max_time_s,
-        )
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    def stats(self) -> SystemStats:
-        phase_one = sum(
-            tracker.count_in_phase(CommitPhase.PHASE_ONE) for tracker in self.trackers()
-        )
-        phase_two = sum(
-            tracker.count_in_phase(CommitPhase.PHASE_TWO) for tracker in self.trackers()
-        )
-        failed = sum(
-            tracker.count_in_phase(CommitPhase.FAILED) for tracker in self.trackers()
-        )
-        return SystemStats(
-            phase_one_commits=phase_one,
-            phase_two_commits=phase_two,
-            failed_operations=failed,
-            blocks_formed=sum(edge.stats["blocks_formed"] for edge in self.edges),
-            certifications=self.cloud.stats["certifications"],
-            punishments=self.cloud.stats["punishments"],
-            wan_bytes=self.env.network.stats.wan_bytes,
-            lan_bytes=self.env.network.stats.lan_bytes,
         )

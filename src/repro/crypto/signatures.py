@@ -282,22 +282,12 @@ class KeyRegistry:
             self._verdict_cache[holder] = memo
             return memo
 
-    @property
-    def scheme_name(self) -> str:
-        return self._scheme.name
-
     def register(self, node: NodeId) -> KeyPair:
         """Create (or return the existing) key pair for *node*."""
 
         if node not in self._keys:
             self._keys[node] = self._scheme.generate_keypair(node)
         return self._keys[node]
-
-    def public_key(self, node: NodeId) -> bytes:
-        try:
-            return self._keys[node].public_key
-        except KeyError as exc:
-            raise UnknownSignerError(f"no key registered for {node}") from exc
 
     def sign(self, node: NodeId, message: Any) -> Signature:
         """Sign *message* on behalf of *node* (node must be registered)."""

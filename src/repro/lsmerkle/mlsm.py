@@ -258,6 +258,3 @@ class MerkleizedLSM:
 
     def level_page_counts(self) -> tuple[int, ...]:
         return self.tree.level_page_counts()
-
-    def total_records(self) -> int:
-        return self.tree.total_records()

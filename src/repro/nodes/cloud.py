@@ -314,19 +314,29 @@ class CloudNode(TableDispatchNode):
             if rejection is not None:
                 self.env.send(self.node_id, sender, rejection)
                 return
-            # An idempotent retry resends the proof already issued.
-            key = (statement.edge, statement.block_id)
-            proof = self._proofs.get(key)
-            if proof is None:
-                proof = self._proofs[key] = issue_block_proof(
-                    registry=self.env.registry,
-                    cloud=self.node_id,
-                    edge=statement.edge,
-                    block_id=statement.block_id,
-                    block_digest=statement.block_digest,
-                    certified_at=self.env.now(),
-                )
+            proof = self._proof_of(
+                statement.edge, statement.block_id, statement.block_digest
+            )
             self.env.send(self.node_id, sender, BlockProofMessage(proof=proof))
+
+    def _proof_of(
+        self, edge: NodeId, block_id: BlockId, block_digest: str
+    ) -> AnyBlockProof:
+        """The proof of a digest that stood: an idempotent retry gets the
+        proof already issued, a first certification a new one."""
+
+        key = (edge, block_id)
+        proof = self._proofs.get(key)
+        if proof is None:
+            proof = self._proofs[key] = issue_block_proof(
+                registry=self.env.registry,
+                cloud=self.node_id,
+                edge=edge,
+                block_id=block_id,
+                block_digest=block_digest,
+                certified_at=self.env.now(),
+            )
+        return proof
 
     def _handle_certify_batch(
         self, sender: NodeId, request: "CertifyBatchRequest | CertifyWindowRequest"

@@ -4,7 +4,9 @@
 :class:`repro.core.system.WedgeChainSystem`: the same wiring (clients
 assigned to edges round-robin, gossip targets registered on the cloud, an
 ``edge_factory`` hook for sharded or adversarial edge variants — literally
-the same :func:`repro.core.system.wire_fleet`), but nodes exchange frames
+the same :func:`repro.core.system.wire_fleet`) and the same accessors and
+:class:`~repro.core.system.SystemStats` (its
+:class:`~repro.core.system.Deployment` base), but nodes exchange frames
 over real sockets and timers fire on real time.
 
 Usage is a start → load → report → clean-shutdown story::
@@ -23,13 +25,19 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from ..common.config import SystemConfig
 from ..common.errors import ConfigurationError
 from ..common.identifiers import NodeId, OperationId
 from ..common.regions import Region
-from ..core.system import edge_factory_for, settled, wire_fleet
+from ..core.system import (
+    Deployment,
+    SystemStats,
+    edge_factory_for,
+    settled,
+    wire_fleet,
+)
 from ..log.proofs import CommitPhase
 from ..nodes.client import Client
 from ..nodes.cloud import CloudNode
@@ -46,24 +54,14 @@ _POLL_S = 0.002
 
 
 @dataclass
-class LiveFleetStats:
-    """Counters collected from a live run (same shape as the sim's)."""
+class LiveFleetStats(SystemStats):
+    """The sim's counters plus what crossed the sockets."""
 
-    phase_one_commits: int
-    phase_two_commits: int
-    failed_operations: int
-    blocks_formed: int
-    certifications: int
-    wan_bytes: int
-    lan_bytes: int
     frames_sent: int
     frame_bytes_sent: int
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
-
-class LiveFleet:
+class LiveFleet(Deployment):
     """A full live deployment with clean start/stop lifecycle."""
 
     def __init__(
@@ -140,15 +138,6 @@ class LiveFleet:
         await self.stop()
 
     # ------------------------------------------------------------------
-    # Access helpers
-    # ------------------------------------------------------------------
-    def client(self, index: int = 0) -> Client:
-        return self.clients[index]
-
-    def edge(self, index: int = 0) -> EdgeNode:
-        return self.edges[index]
-
-    # ------------------------------------------------------------------
     # Waiting (wall-clock analogue of the sim's run_until_condition)
     # ------------------------------------------------------------------
     async def await_condition(
@@ -189,28 +178,10 @@ class LiveFleet:
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
-    def trackers(self) -> list:
-        return [client.tracker for client in self.clients]
-
     def stats(self) -> LiveFleetStats:
         transport = self.env.transport
         return LiveFleetStats(
-            phase_one_commits=sum(
-                tracker.count_in_phase(CommitPhase.PHASE_ONE)
-                for tracker in self.trackers()
-            ),
-            phase_two_commits=sum(
-                tracker.count_in_phase(CommitPhase.PHASE_TWO)
-                for tracker in self.trackers()
-            ),
-            failed_operations=sum(
-                tracker.count_in_phase(CommitPhase.FAILED)
-                for tracker in self.trackers()
-            ),
-            blocks_formed=sum(edge.stats["blocks_formed"] for edge in self.edges),
-            certifications=self.cloud.stats["certifications"],
-            wan_bytes=transport.stats.wan_bytes,
-            lan_bytes=transport.stats.lan_bytes,
+            **super().stats().as_dict(),
             frames_sent=transport.frames_sent,
             frame_bytes_sent=transport.frame_bytes_sent,
         )

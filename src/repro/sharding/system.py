@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 from ..common.config import ShardingConfig, SystemConfig
 from ..common.errors import ConfigurationError
 from ..common.identifiers import NodeId, ShardId, edge_id
-from ..core.system import WedgeChainSystem
+from ..core.system import WedgeChainSystem, simulation_environment
 from ..sim.environment import Environment
 from ..sim.parameters import SimulationParameters
 from ..sim.topology import Topology
@@ -97,15 +97,7 @@ class ShardedWedgeSystem(WedgeChainSystem):
         if config.sharding is None:
             config = config.with_overrides(sharding=ShardingConfig())
         sharding = config.sharding
-        if num_clients <= 0:
-            raise ConfigurationError("num_clients must be positive")
-        if env is None:
-            env = Environment(
-                topology=topology,
-                params=params,
-                signature_scheme=config.security.signature_scheme,
-                seed=seed,
-            )
+        env = simulation_environment(config, num_clients, env, topology, params, seed)
         partitioner = make_partitioner(
             sharding.partitioner, sharding.num_shards, key_space=sharding.key_space
         )

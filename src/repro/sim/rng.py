@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import string
-from typing import Sequence
 
 from ..common.errors import ConfigurationError
 
@@ -21,10 +19,6 @@ class DeterministicRng:
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
         self._random = random.Random(seed)
-
-    @property
-    def seed(self) -> int:
-        return self._seed
 
     def fork(self, label: str) -> "DeterministicRng":
         """Derive an independent, reproducible child stream.
@@ -50,19 +44,6 @@ class DeterministicRng:
 
     def random(self) -> float:
         return self._random.random()
-
-    def choice(self, items: Sequence):
-        return self._random.choice(items)
-
-    def shuffle(self, items: list) -> None:
-        self._random.shuffle(items)
-
-    def bytes(self, length: int) -> bytes:
-        return self._random.getrandbits(length * 8).to_bytes(length, "big") if length else b""
-
-    def token(self, length: int = 12) -> str:
-        alphabet = string.ascii_lowercase + string.digits
-        return "".join(self._random.choice(alphabet) for _ in range(length))
 
     # ------------------------------------------------------------------
     # Domain helpers

@@ -126,9 +126,6 @@ class Transport(Protocol):
     def node(self, node_id: NodeId) -> NetworkEndpoint:
         """The registered endpoint for *node_id* (raises on unknown ids)."""
 
-    def knows(self, node_id: NodeId) -> bool:
-        """Whether *node_id* is registered."""
-
     def send(
         self,
         src_id: NodeId,
@@ -184,9 +181,6 @@ class BaseTransport:
             return self._nodes[node_id]
         except KeyError as exc:
             raise TransportError(f"unknown node {node_id}") from exc
-
-    def knows(self, node_id: NodeId) -> bool:
-        return node_id in self._nodes
 
     # ------------------------------------------------------------------
     # Send hooks (public fault-injection surface)

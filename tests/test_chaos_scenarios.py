@@ -845,9 +845,17 @@ class TestDeposedWriterEndsItsRetries:
     The block itself stays uncertified, so its client's dispute still
     convicts the deposed writer, as it did before certify retries existed;
     only a retired partition whose certifier stays reachable until it runs
-    dry would spare it (an open ROADMAP item)."""
+    dry would spare it (an open ROADMAP item, pinned below as a strict
+    ``xfail``)."""
 
-    def test_retired_partition_leaves_no_retry_behind(self):
+    @staticmethod
+    def _depose_writer_mid_certify():
+        """Run the scenario up to the deposed writer learning the new map.
+
+        Returns the system, the writer and every event scheduled since the
+        start, so a test can look for a retry still armed.
+        """
+
         system = build_replicated(117)
         client = system.clients[0]
         scheduler = system.env.scheduler
@@ -893,7 +901,10 @@ class TestDeposedWriterEndsItsRetries:
         system.run_for(0.1)
         assert 0 not in writer.owned_shards()
         assert writer.stats["shard_depositions"] >= 1
+        return system, writer, scheduled
 
+    def test_retired_partition_leaves_no_retry_behind(self):
+        system, writer, scheduled = self._depose_writer_mid_certify()
         system.run_for(3 * system.config.security.dispute_timeout_s)
         assert writer.stats["certify_retries"] == 0
         assert not [
@@ -907,6 +918,18 @@ class TestDeposedWriterEndsItsRetries:
             system.cloud,
             [edge.node_id for edge in system.edges if edge is not writer],
         )
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=InvariantViolation,
+        reason="the deposed writer's uncertified block never certifies, so "
+        "its client's dispute convicts the honest writer",
+    )
+    def test_honest_deposed_writer_is_not_convicted(self):
+        system, writer, _ = self._depose_writer_mid_certify()
+        system.run_for(3 * system.config.security.dispute_timeout_s)
+        assert system.clients[0].stats["disputes_sent"] >= 1
+        assert_no_false_convictions(system.cloud, [writer.node_id])
 
 
 # ----------------------------------------------------------------------
@@ -1035,6 +1058,12 @@ class TestFailoverMisbehaviorConvicted:
         FaultInjector(system.env, plan).install()
         system.run_for(6.0)  # silence timeout + writer lease expiry + grant
         assert system.shard_owner(rogue_shard) != rogue.node_id
+
+        # Hand the deposing map straight to the rogue (the partition would
+        # drop a sent copy): it ignores the map and keeps the shard.
+        rogue.on_message(system.cloud.node_id, system.cloud.current_shard_map())
+        assert rogue.stats["maps_ignored"] >= 1
+        assert rogue_shard in rogue.owned_shards()
 
         # The rogue still answers gets for the shard it lost, with a lease
         # it pretends never expired.  One signed response convicts it.

@@ -54,6 +54,14 @@ CASES = [
         ],
     ),
     (
+        "sharded_fleet.py",
+        [
+            "handoffs granted/completed: 1/1",
+            "phase_two from",
+            "fleet stats: {'shard_redirects'",
+        ],
+    ),
+    (
         "live_fleet.py",
         [
             "single put committed through phase_two",
@@ -82,3 +90,9 @@ def test_example_runs_and_reports(script, expected_fragments):
             f"{script} output missing {fragment!r}\n--- stdout ---\n"
             f"{completed.stdout[-2000:]}"
         )
+
+
+def test_every_example_has_a_case():
+    assert sorted(case[0] for case in CASES) == sorted(
+        path.name for path in EXAMPLES_DIR.glob("*.py")
+    )

@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.baselines.cloud_only import CloudOnlySystem
-from repro.baselines.edge_baseline import EdgeBaselineSystem
+from repro.baselines.edge_baseline import (
+    CertifiedStateResponse,
+    EdgeBaselineCloudNode,
+    EdgeBaselineSystem,
+    FullBlockCertifyRequest,
+)
 from repro.common import LoggingConfig, LSMerkleConfig, SystemConfig
-from repro.core.system import WedgeChainSystem
+from repro.common.identifiers import edge_id
+from repro.common.regions import Region
+from repro.core.system import SystemStats, WedgeChainSystem
+from repro.log.block import build_block
+from repro.log.entry import make_entry
 from repro.log.proofs import CommitPhase
+from repro.messages.log_messages import CertifyRejection
 from repro.sim.environment import local_environment
 
 
@@ -120,6 +132,68 @@ class TestEdgeBaseline:
         assert system.cloud.stats["certifications"] == 1
 
 
+class _ProbeEdge:
+    """A fake edge that sends full blocks to the edge-baseline cloud."""
+
+    def __init__(self, env):
+        self.node_id = edge_id("edge-0")
+        self.region = Region.CALIFORNIA
+        self.received = []
+        self.env = env
+        env.attach(self)
+
+    def on_message(self, sender, message):
+        self.received.append(message)
+
+    def send_block(self, cloud, payload: bytes) -> None:
+        entry = make_entry(
+            registry=self.env.registry,
+            producer=self.node_id,
+            sequence=0,
+            payload=payload,
+            produced_at=0.0,
+        )
+        block = build_block(self.node_id, 0, (entry,), 0.0)
+        self.env.send(
+            self.node_id,
+            cloud.node_id,
+            FullBlockCertifyRequest(edge=self.node_id, block=block),
+        )
+        self.env.run()
+
+
+class TestEdgeBaselineCloudConflictRule:
+    """The full-data certifier decides with the cloud's own conflict rule."""
+
+    def _cloud_and_probe(self):
+        env = local_environment(seed=89)
+        return EdgeBaselineCloudNode(env=env, config=small_config()), _ProbeEdge(env)
+
+    def test_a_second_block_for_one_id_is_refused_and_punished_once(self):
+        cloud, probe = self._cloud_and_probe()
+        probe.send_block(cloud, b"first")
+        probe.send_block(cloud, b"second")
+        certified, refused = probe.received
+        assert isinstance(certified, CertifiedStateResponse)
+        assert isinstance(refused, CertifyRejection)
+        assert refused.existing_digest == certified.proof.block_digest
+        assert refused.offending_digest != certified.proof.block_digest
+        assert cloud.stats["certifications"] == 1
+        assert cloud.stats["punishments"] == 1
+        assert cloud.ledger.is_punished(probe.node_id)
+        assert cloud.certified_digest(probe.node_id, 0) == certified.proof.block_digest
+
+    def test_an_identical_resend_gets_the_same_proof(self):
+        cloud, probe = self._cloud_and_probe()
+        probe.send_block(cloud, b"same")
+        probe.send_block(cloud, b"same")
+        first, again = probe.received
+        assert isinstance(again, CertifiedStateResponse)
+        assert again.proof is first.proof
+        assert cloud.stats["certifications"] == 1
+        assert cloud.stats["punishments"] == 0
+
+
 class TestCrossSystemComparisons:
     """The latency orderings that every figure of the paper relies on."""
 
@@ -157,3 +231,36 @@ class TestCrossSystemComparisons:
         baseline.wait_for_all([(baseline_client, op)], max_time_s=60)
 
         assert wedge.env.network.stats.wan_bytes * 5 < baseline.env.network.stats.wan_bytes
+
+
+class TestStatsOnEveryDeployment:
+    """One put batch (one block) and one get, settled: the shared
+    ``stats()`` counts blocks where they form — the cloud-only store has no
+    edges — and a store that certifies nothing reports zero."""
+
+    @pytest.mark.parametrize(
+        "system_cls, certifications, wan_bytes, lan_bytes",
+        [
+            (WedgeChainSystem, 1, 376, 2614),
+            (EdgeBaselineSystem, 1, 1402, 2614),
+            (CloudOnlySystem, 0, 774, 0),
+        ],
+        ids=lambda value: getattr(value, "__name__", None),
+    )
+    def test_stats_are_pinned(self, system_cls, certifications, wan_bytes, lan_bytes):
+        system = system_cls.build(config=small_config(), num_clients=1, seed=96)
+        client = system.client()
+        op = client.put_batch([(f"k{i}", b"v") for i in range(5)])
+        system.wait_for(client, op)
+        system.wait_for(client, client.get("k1"))
+        system.run()
+        assert system.stats() == SystemStats(
+            phase_one_commits=0,
+            phase_two_commits=2,
+            failed_operations=0,
+            blocks_formed=1,
+            certifications=certifications,
+            punishments=0,
+            wan_bytes=wan_bytes,
+            lan_bytes=lan_bytes,
+        )

@@ -24,6 +24,7 @@ from repro.common.identifiers import client_id, edge_id
 from repro.log.proofs import CommitPhase
 from repro.messages import GetRequest
 from repro.common.identifiers import OperationId
+from repro.core.system import SystemStats
 from repro.service import (
     FrameError,
     LiveFleet,
@@ -126,8 +127,15 @@ class TestLiveFleetSmoke:
                 assert phase is CommitPhase.PHASE_TWO
                 assert fleet.env.failures == []
                 stats = fleet.stats()
-                assert stats.blocks_formed >= 1
-                assert stats.certifications >= 1
+                assert isinstance(stats, SystemStats)
+                assert (
+                    stats.phase_one_commits,
+                    stats.phase_two_commits,
+                    stats.failed_operations,
+                    stats.blocks_formed,
+                    stats.certifications,
+                    stats.punishments,
+                ) == (0, 2, 0, 1, 1, 0)
                 assert stats.frames_sent > 0
                 assert stats.frame_bytes_sent > 0
                 # Modeled byte accounting is kept alongside the real frames.

@@ -4,7 +4,8 @@
 ``python -m repro.bench.report`` renders, at ``--scale 0.25``, with floats
 written as their ``repr``, and each table's fault counters: certify
 retries, disputes sent and punishments summed over every system its
-experiment built.  The report rounds to 3–4 significant figures;
+experiment built, and beside them the largest Phase II lag any of those
+systems' operations saw.  The report rounds to 3–4 significant figures;
 the golden does not, so a moved modelled byte or microsecond fails here.
 The shape assertions in ``benchmarks/test_figure*.py`` check the paper's
 claims; this file checks that the reproduction's own numbers did not move.
@@ -25,6 +26,7 @@ import sys
 
 from repro.bench.report import report_tables
 from repro.bench.runner import FAULT_COUNTERS
+from repro.common.config import SecurityConfig
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "paper_golden.json"
 SCALE = 0.25
@@ -44,6 +46,7 @@ def golden_text(tables) -> str:
             f"      \"title\": {json.dumps(table.title)},\n"
             f"      \"columns\": {json.dumps(list(table.columns))},\n"
             f"      \"counters\": {json.dumps(table.counters)},\n"
+            f"      \"phase_two_lag_s\": {json.dumps(table.phase_two_lag_s)},\n"
             f"      \"rows\": [\n{rows}\n      ]\n    }}"
         )
     return (
@@ -84,6 +87,17 @@ def test_fault_counters_are_zero_unless_the_experiment_runs_an_adversary():
             }, key
         else:
             assert counters == dict.fromkeys(FAULT_COUNTERS, 0), key
+
+
+def test_phase_two_lag_leaves_headroom_below_the_first_certify_retry():
+    # An edge re-sends a certify request dispute_timeout_s / 2 after it
+    # (no knob), so an honest run's Phase II lag must stay below that or
+    # the retry counters above would stop being zero.  The paper default
+    # is the shortest timeout any experiment runs with.
+    first_retry_s = SecurityConfig().dispute_timeout_s / 2
+    committed = _load(GOLDEN.read_text(encoding="utf-8"))
+    for key, table in committed["tables"].items():
+        assert first_retry_s - table["phase_two_lag_s"] > 0, key
 
 
 def main(argv: list[str] | None = None) -> int:
