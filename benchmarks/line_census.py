@@ -3,7 +3,10 @@
 Runs the tier-1 suite under a stdlib ``sys.settrace`` line tracer (no
 ``coverage`` package needed) and writes a Markdown report: executable and
 unreached lines per package and per file, and the functions no test ever
-enters.  Usage::
+enters.  A never-entered function whose body only declares a surface (a
+docstring, ``...``, ``pass`` or ``raise NotImplementedError``: a
+``Protocol`` or abstract stub) is listed apart, so the never-entered list
+stays a to-do list.  Usage::
 
     python benchmarks/line_census.py --output census.md
     python benchmarks/line_census.py --output census.md -- tests/test_lsm.py
@@ -43,6 +46,7 @@ starts, so pytest must not try to rewrite it as a plugin.
 from __future__ import annotations
 
 import argparse
+import ast
 import atexit
 import json
 import os
@@ -181,6 +185,36 @@ def executable(path: pathlib.Path) -> tuple[set[int], dict[tuple[int, str], str]
     return lines, functions
 
 
+def _is_stub_statement(statement: ast.stmt) -> bool:
+    if isinstance(statement, ast.Pass):
+        return True
+    if isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Constant):
+        return statement.value.value is Ellipsis
+    if isinstance(statement, ast.Raise):
+        exc = statement.exc
+        if isinstance(exc, ast.Call):
+            exc = exc.func
+        return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+    return False
+
+
+def stub_functions(source: str) -> set[tuple[int, str]]:
+    """The functions of *source* whose body is only a docstring, ``...``,
+    ``pass`` or ``raise NotImplementedError``, by ``(first line, name)`` as
+    a code object reports them (a decorated function starts at its first
+    decorator)."""
+
+    stubs = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        if all(_is_stub_statement(statement) for statement in body):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            stubs.add((first, node.name))
+    return stubs
+
+
 # ----------------------------------------------------------------------
 # Running and reporting
 # ----------------------------------------------------------------------
@@ -226,17 +260,18 @@ def _ratio(lines: int, unreached: int) -> str:
 def report(lines_hit, entered) -> str:
     files = []
     never_entered = []
+    stubs = []
     for path in sorted(SOURCE.rglob("*.py")):
         relative = path.relative_to(SOURCE).as_posix()
         executable_lines, functions = executable(path)
         unreached = executable_lines - lines_hit.get(str(path), set())
         files.append((relative, len(executable_lines), len(unreached)))
         calls = entered.get(str(path), set())
-        never_entered.extend(
-            (relative, first, qualname)
-            for (first, name), qualname in sorted(functions.items())
-            if (first, name) not in calls
-        )
+        file_stubs = stub_functions(path.read_text())
+        for (first, name), qualname in sorted(functions.items()):
+            if (first, name) not in calls:
+                listing = stubs if (first, name) in file_stubs else never_entered
+                listing.append((relative, first, qualname))
 
     packages: dict[str, list[int]] = defaultdict(lambda: [0, 0])
     for relative, count, unreached in files:
@@ -251,7 +286,8 @@ def report(lines_hit, entered) -> str:
         "",
         f"{total} executable lines, {total_unreached} unreached: "
         f"**{_ratio(total, total_unreached)} %** hit.  "
-        f"{len(never_entered)} functions never entered.",
+        f"{len(never_entered)} functions never entered, "
+        f"{len(stubs)} Protocol and abstract stubs.",
         "",
         "## Per package",
         "",
@@ -273,6 +309,8 @@ def report(lines_hit, entered) -> str:
         out.append(f"| {relative} | {count} | {unreached} | {_ratio(count, unreached)} |")
     out += ["", "## Functions never entered", ""]
     out += [f"- `{path}:{first}` `{qualname}`" for path, first, qualname in never_entered]
+    out += ["", "## Protocol and abstract stubs", ""]
+    out += [f"- `{path}:{first}` `{qualname}`" for path, first, qualname in stubs]
     return "\n".join(out) + "\n"
 
 

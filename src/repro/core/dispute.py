@@ -64,9 +64,6 @@ class PunishmentLedger:
 
         return edge in self._banned
 
-    def records(self) -> tuple[PunishmentRecord, ...]:
-        return tuple(self._records)
-
     def records_for(self, edge: NodeId) -> tuple[PunishmentRecord, ...]:
         return tuple(record for record in self._records if record.edge == edge)
 

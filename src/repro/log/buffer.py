@@ -57,10 +57,6 @@ class BlockBuffer:
         self._pending_keys: set[tuple[NodeId, int]] = set()
         self._total_buffered = 0
 
-    @property
-    def block_size(self) -> int:
-        return self._block_size
-
     def __len__(self) -> int:
         return len(self._pending)
 

@@ -71,10 +71,6 @@ class PhaseOneReceipt:
         return self.statement.edge
 
     @property
-    def block_id(self) -> BlockId:
-        return self.statement.block_id
-
-    @property
     def block_digest(self) -> str:
         return self.statement.block_digest
 

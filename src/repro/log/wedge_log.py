@@ -52,10 +52,6 @@ class WedgeLog:
         #: (their contents live on as merged, manifest-covered pages).
         self.truncated_below: BlockId = 0
 
-    @property
-    def owner(self) -> NodeId:
-        return self._owner
-
     def __len__(self) -> int:
         return len(self._records)
 

@@ -58,10 +58,6 @@ class LSMTree:
         return self._config
 
     @property
-    def page_capacity(self) -> int:
-        return self._page_capacity
-
-    @property
     def num_levels(self) -> int:
         return len(self.levels)
 

@@ -90,10 +90,6 @@ class Page:
         return len(self.records)
 
     @property
-    def is_empty(self) -> bool:
-        return not self.records
-
-    @property
     def min_key(self) -> Optional[str]:
         return self.records[0].key if self.records else None
 

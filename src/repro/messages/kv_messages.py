@@ -76,10 +76,6 @@ class GetResponse:
         return self.statement.key
 
     @property
-    def found(self) -> bool:
-        return self.statement.found
-
-    @property
     def wire_size(self) -> int:
         size = 64 + 96 + self.proof.wire_size
         if self.value is not None:
@@ -100,10 +96,6 @@ class MergeRequest:
     proposal: MergeProposal
 
     @property
-    def level_index(self) -> int:
-        return self.proposal.level_index
-
-    @property
     def wire_size(self) -> int:
         return 32 + self.proposal.wire_size
 
@@ -114,10 +106,6 @@ class MergeResponse:
 
     cloud: NodeId
     outcome: MergeOutcome
-
-    @property
-    def level_index(self) -> int:
-        return self.outcome.level_index
 
     @property
     def wire_size(self) -> int:

@@ -81,14 +81,6 @@ class BlockCertifyRequest:
     signature: Signature
 
     @property
-    def edge(self) -> NodeId:
-        return self.statement.edge
-
-    @property
-    def block_id(self) -> BlockId:
-        return self.statement.block_id
-
-    @property
     def block_digest(self) -> str:
         return self.statement.block_digest
 
@@ -107,10 +99,6 @@ class BlockProofMessage:
     """
 
     proof: AnyBlockProof
-
-    @property
-    def block_id(self) -> BlockId:
-        return self.proof.block_id
 
     @property
     def wire_size(self) -> int:
@@ -174,10 +162,6 @@ class CertifyWindowRequest:
     signature: Signature
 
     @property
-    def edge(self) -> NodeId:
-        return self.statement.edge
-
-    @property
     def batches(self) -> tuple[CertifyBatchStatement, ...]:
         return self.statement.batches
 
@@ -209,10 +193,6 @@ class BatchCertificateMessage:
 
     certificate: BatchCertificate
     blocks: tuple[tuple[BlockId, str], ...]
-
-    @property
-    def edge(self) -> NodeId:
-        return self.certificate.edge
 
     @property
     def wire_size(self) -> int:
@@ -293,18 +273,6 @@ class ReadResponse:
     signature: Signature
     block: Optional[Block] = None
     proof: Optional[AnyBlockProof] = None
-
-    @property
-    def edge(self) -> NodeId:
-        return self.statement.edge
-
-    @property
-    def block_id(self) -> BlockId:
-        return self.statement.block_id
-
-    @property
-    def found(self) -> bool:
-        return self.statement.found
 
     @property
     def wire_size(self) -> int:

@@ -70,24 +70,6 @@ class ShardMapStatement:
     timestamp: float
     assignments: tuple[ShardAssignment, ...]
 
-    def owner_of(self, shard_id: ShardId) -> Optional[NodeId]:
-        for assignment in self.assignments:
-            if assignment.shard_id == shard_id:
-                return assignment.owner
-        return None
-
-    def replicas_of(self, shard_id: ShardId) -> tuple[NodeId, ...]:
-        for assignment in self.assignments:
-            if assignment.shard_id == shard_id:
-                return assignment.replicas
-        return ()
-
-    def provenance_of(self, shard_id: ShardId) -> tuple[NodeId, ...]:
-        for assignment in self.assignments:
-            if assignment.shard_id == shard_id:
-                return assignment.provenance
-        return ()
-
 
 @dataclass(frozen=True)
 class ShardMapMessage:
@@ -95,10 +77,6 @@ class ShardMapMessage:
 
     statement: ShardMapStatement
     signature: Signature
-
-    @property
-    def version(self) -> int:
-        return self.statement.version
 
     @property
     def wire_size(self) -> int:
@@ -139,14 +117,6 @@ class NotOwnerRedirect:
     statement: NotOwnerStatement
     signature: Signature
     shard_map: Optional[ShardMapMessage] = None
-
-    @property
-    def edge(self) -> NodeId:
-        return self.statement.edge
-
-    @property
-    def shard_id(self) -> ShardId:
-        return self.statement.shard_id
 
     @property
     def wire_size(self) -> int:
@@ -278,10 +248,6 @@ class ShardHandoffGrant:
     signed_root: SignedGlobalRoot
 
     @property
-    def shard_id(self) -> ShardId:
-        return self.certificate.shard_id
-
-    @property
     def wire_size(self) -> int:
         return (
             16
@@ -340,10 +306,6 @@ class ShardTransferMessage:
     proofs: tuple[AnyBlockProof, ...]
     level_pages: tuple[tuple[int, tuple[Page, ...]], ...]
     signed_root: SignedGlobalRoot
-
-    @property
-    def shard_id(self) -> ShardId:
-        return self.statement.shard_id
 
     @property
     def wire_size(self) -> int:
@@ -544,10 +506,6 @@ class ReplicaPromotionOffer:
     watermark: int
 
     @property
-    def edge(self) -> NodeId:
-        return self.statement.edge
-
-    @property
     def shard_id(self) -> ShardId:
         return self.statement.shard_id
 
@@ -572,10 +530,6 @@ class ReplicaPromotionGrant:
     certificate: ShardHandoffCertificate
     shard_map: ShardMapMessage
     signed_root: Optional[SignedGlobalRoot]
-
-    @property
-    def shard_id(self) -> ShardId:
-        return self.certificate.shard_id
 
     @property
     def wire_size(self) -> int:

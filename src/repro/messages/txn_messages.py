@@ -116,10 +116,6 @@ class TxnPrepareRequest:
     entries: tuple[LogEntry, ...]
 
     @property
-    def txn_id(self) -> TxnId:
-        return self.statement.txn_id
-
-    @property
     def shard_id(self) -> ShardId:
         return self.statement.shard_id
 

@@ -40,7 +40,11 @@ def label_key(labels: dict) -> LabelKey:
 
 
 class Counter:
-    """A monotonically growing count (with :meth:`set` for legacy mirrors)."""
+    """A monotonically growing count.
+
+    A :class:`StatsDict` mirror writes ``value`` directly, so the counter
+    tracks the dict's absolute values rather than re-deriving increments.
+    """
 
     __slots__ = ("value",)
 
@@ -49,16 +53,6 @@ class Counter:
 
     def inc(self, amount: float = 1) -> None:
         self.value += amount
-
-    def set(self, value: float) -> None:
-        """Overwrite the value.
-
-        Exists for the legacy stat-dict mirrors (:class:`StatsDict`): the
-        old dicts are assigned absolute values, so the mirrored counter
-        tracks the dict rather than re-deriving increments.
-        """
-
-        self.value = value
 
 
 class Gauge:
@@ -71,9 +65,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
 
 
 #: Default histogram bounds (seconds): spans sub-millisecond LAN hops to
@@ -104,14 +95,6 @@ class Histogram:
         self.bucket_counts[bisect_left(self.bounds, value)] += 1
         self._values.append(value)
         self._dirty = True
-
-    @property
-    def count(self) -> int:
-        return len(self._values)
-
-    @property
-    def total(self) -> float:
-        return sum(self._values)
 
     def _sorted(self) -> list[float]:
         if self._dirty:

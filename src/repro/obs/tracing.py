@@ -73,10 +73,6 @@ class Span:
     def context(self) -> SpanContext:
         return SpanContext(self.trace_id, self.span_id)
 
-    @property
-    def duration(self) -> float:
-        return (self.end if self.end is not None else self.start) - self.start
-
 
 #: Sentinel meaning "inherit whatever span is currently active".
 CURRENT = object()
@@ -107,14 +103,6 @@ class Tracer:
 
     def pop(self) -> None:
         self._stack.pop()
-
-    @contextmanager
-    def activate(self, ctx: SpanContext):
-        self._stack.append(ctx)
-        try:
-            yield
-        finally:
-            self._stack.pop()
 
     # ------------------------------------------------------------------
     # Spans and events

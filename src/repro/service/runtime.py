@@ -1,4 +1,4 @@
-"""The wall-clock :class:`~repro.transport.NodeRuntime` implementation.
+"""The wall-clock :class:`~repro.transport.BaseRuntime` implementation.
 
 :class:`LiveEnvironment` exposes the exact environment surface node code is
 written against (``send`` / ``schedule`` / ``schedule_periodic`` / ``now`` /
@@ -50,10 +50,6 @@ class LiveTimerHandle:
         self._label = label
         self._cancelled = False
         self._loop_handle: Optional[asyncio.TimerHandle] = None
-
-    @property
-    def time(self) -> float:
-        return self._when
 
     @property
     def label(self) -> str:

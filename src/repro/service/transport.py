@@ -1,4 +1,4 @@
-"""The wall-clock socket transport behind the ``Transport`` boundary.
+"""The wall-clock socket transport behind the :mod:`repro.transport` boundary.
 
 Every registered node owns one server socket (unix-domain by default, TCP
 optionally).  A send from ``src`` to ``dst`` enqueues a frame on the
@@ -53,7 +53,7 @@ class _Link:
 
 
 class AsyncioTransport(BaseTransport):
-    """Socket-backed implementation of :class:`repro.transport.Transport`."""
+    """Socket-backed implementation of :class:`repro.transport.BaseTransport`."""
 
     def __init__(
         self,

@@ -55,11 +55,6 @@ class KeyPartitioner:
 
         raise NotImplementedError
 
-    def shards(self) -> range:
-        """Every shard id, in order."""
-
-        return range(self.num_shards)
-
 
 def _ring_point(label: str) -> int:
     digest = hashlib.sha256(label.encode("utf-8")).digest()

@@ -40,9 +40,6 @@ class ShardRouter:
         self.default_owner = default_owner
         self.stats = {"routes": 0, "unresolved": 0}
 
-    def shard_of(self, key: str) -> ShardId:
-        return self.partitioner.shard_of(key)
-
     def owner_of(self, shard_id: ShardId) -> Optional[NodeId]:
         owner = self.view.owner_of(shard_id)
         if owner is None:

@@ -145,13 +145,6 @@ class ShardRegistry:
     def replicated_shards(self) -> tuple[ShardId, ...]:
         return tuple(sorted(self._replicas))
 
-    def shards_owned_by(self, edge: NodeId) -> tuple[ShardId, ...]:
-        return tuple(
-            shard_id
-            for shard_id, owner in sorted(self._owners.items())
-            if owner == edge
-        )
-
     def owner_at(self, shard_id: ShardId, when: float) -> Optional[NodeId]:
         """Who owned *shard_id* at simulated time *when* (history lookup)."""
 
@@ -161,11 +154,6 @@ class ShardRegistry:
                 continue
             owner = epoch.owner
         return owner
-
-    def history(self, shard_id: ShardId) -> tuple[OwnershipEpoch, ...]:
-        return tuple(
-            epoch for epoch in self._history if epoch.shard_id == shard_id
-        )
 
     # ------------------------------------------------------------------
     # Reassignment
@@ -250,10 +238,6 @@ class ShardMapView:
     @property
     def version(self) -> int:
         return self.message.statement.version if self.message is not None else 0
-
-    @property
-    def num_shards(self) -> Optional[int]:
-        return self.message.statement.num_shards if self.message is not None else None
 
     def owner_of(self, shard_id: ShardId) -> Optional[NodeId]:
         return self._owners.get(shard_id)

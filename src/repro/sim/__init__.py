@@ -1,9 +1,10 @@
 """Discrete-event simulation substrate for the edge-cloud environment."""
 
-from .clock import Clock, ManualClock, SimulatedClock, WallClock
+from ..transport import NetworkStats, message_wire_size
+from .clock import SimulatedClock
 from .environment import Environment, EnvironmentNode, local_environment
 from .events import EventHandle, EventScheduler
-from .network import NetworkStats, SimNetwork, message_wire_size
+from .network import SimNetwork
 from .parameters import SimulationParameters
 from .rng import DeterministicRng
 from .topology import (
@@ -15,7 +16,6 @@ from .topology import (
 )
 
 __all__ = [
-    "Clock",
     "DEFAULT_CLIENT_EDGE_RTT_MS",
     "DEFAULT_INTRA_DC_RTT_MS",
     "DeterministicRng",
@@ -23,14 +23,12 @@ __all__ = [
     "EnvironmentNode",
     "EventHandle",
     "EventScheduler",
-    "ManualClock",
     "NetworkStats",
     "PAPER_RTT_MS",
     "SimNetwork",
     "SimulatedClock",
     "SimulationParameters",
     "Topology",
-    "WallClock",
     "local_environment",
     "message_wire_size",
     "paper_topology",

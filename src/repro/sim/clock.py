@@ -1,57 +1,16 @@
-"""Simulated and wall-clock time sources.
+"""The time sources the two substrates run on.
 
-The protocol code asks a :class:`Clock` for the current time instead of
-calling :func:`time.monotonic` directly.  Under the discrete-event simulator
-the clock is a :class:`SimulatedClock` advanced by the scheduler; under
-direct in-process execution (unit tests, micro-benchmarks) a
-:class:`WallClock` or a manually controlled clock can be used instead.
+The protocol code asks its runtime for the current time instead of calling
+:func:`time.monotonic` directly.  Under the discrete-event simulator that
+time is a :class:`SimulatedClock` advanced by the scheduler; under the live
+service harness it is an :class:`AnchoredWallClock`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Protocol
 
 from ..common.errors import SimulationError
-
-
-class Clock(Protocol):
-    """Anything that can report the current time in seconds."""
-
-    def now(self) -> float:
-        """Return the current time in seconds."""
-
-
-class WallClock:
-    """Real time, for micro-benchmarks that measure actual CPU cost."""
-
-    def now(self) -> float:
-        return time.monotonic()
-
-
-class ManualClock:
-    """A clock advanced explicitly by tests."""
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    def now(self) -> float:
-        return self._now
-
-    def advance(self, delta: float) -> float:
-        """Move the clock forward by *delta* seconds and return the new time."""
-
-        if delta < 0:
-            raise SimulationError("cannot move a clock backwards")
-        self._now += delta
-        return self._now
-
-    def set(self, value: float) -> None:
-        """Jump the clock to an absolute (non-decreasing) time."""
-
-        if value < self._now:
-            raise SimulationError("cannot move a clock backwards")
-        self._now = float(value)
 
 
 class AnchoredWallClock:

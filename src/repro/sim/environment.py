@@ -62,8 +62,8 @@ class _EndpointAdapter:
 class Environment(BaseRuntime):
     """Scheduler + network + crypto registry + calibration, in one place.
 
-    The simulated :class:`~repro.transport.NodeRuntime`: node management and
-    observability attachment are :class:`~repro.transport.BaseRuntime`'s;
+    The simulated :class:`~repro.transport.BaseRuntime`: node management and
+    observability attachment are the base's;
     this class adds the simulated clock, the event-queue timers, and the
     CPU/queueing model (:class:`_EndpointAdapter`, and the ``_current``
     invocation record the base's ``charge`` accrues into).

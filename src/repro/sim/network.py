@@ -45,32 +45,19 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from ..common.identifiers import NodeId, NodeRole
-from ..transport import (
-    BaseTransport,
-    NetworkEndpoint,
-    NetworkStats,
-    SendHook,
-    message_wire_size,
-)
+from ..transport import BaseTransport, NetworkEndpoint
 from .events import EventScheduler
 from .parameters import SimulationParameters
 from .rng import DeterministicRng
 from .topology import Topology
 
-__all__ = [
-    "NetworkEndpoint",
-    "NetworkStats",
-    "SendHook",
-    "SimNetwork",
-    "message_wire_size",
-]
 
 class SimNetwork(BaseTransport):
     """Latency- and bandwidth-aware message delivery between registered nodes.
 
-    The simulated implementation of the :class:`repro.transport.Transport`
-    boundary; its behaviour is pinned byte-identical by the figure-4/5
-    regression suite and the golden digest vectors.
+    The simulated :class:`repro.transport.BaseTransport`; its behaviour is
+    pinned byte-identical by the figure-4/5 regression suite and the golden
+    digest vectors.
     """
 
     def __init__(

@@ -11,7 +11,7 @@ batch size because synchronous full-data certification is bandwidth bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..common.errors import ConfigurationError
 
@@ -89,11 +89,6 @@ class SimulationParameters:
         ):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be non-negative")
-
-    def with_overrides(self, **changes) -> "SimulationParameters":
-        """Return a copy of the parameters with the given fields replaced."""
-
-        return replace(self, **changes)
 
     # ------------------------------------------------------------------
     # Derived cost helpers

@@ -17,7 +17,7 @@ reproduced exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from ..common.errors import ConfigurationError
 from ..common.regions import PAPER_REGION_ORDER, Region
@@ -71,14 +71,6 @@ class Topology:
         for (a, b), value in self.rtt_ms.items():
             if value < 0:
                 raise ConfigurationError(f"negative RTT for {a}->{b}")
-
-    def regions(self) -> Iterable[Region]:
-        seen = []
-        for a, b in self.rtt_ms:
-            for region in (a, b):
-                if region not in seen:
-                    seen.append(region)
-        return tuple(seen)
 
     def rtt(self, a: Region, b: Region) -> float:
         """Round-trip time between regions *a* and *b* in milliseconds."""

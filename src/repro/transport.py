@@ -13,42 +13,41 @@ boundary explicitly so the *same* node code runs under two substrates:
   :class:`repro.service.runtime.LiveEnvironment`), which frames the same
   canonical-encoded messages over real TCP or unix-domain sockets.
 
-Two protocols define the boundary, and each has one concrete base here that
-both substrates inherit — whatever the boundary fixes is written once, so
-hook, offline-gate or attachment semantics cannot drift between substrates:
+Two base classes define the boundary, and both substrates inherit them —
+whatever the boundary fixes is written once, so hook, offline-gate or
+attachment semantics cannot drift between substrates:
 
-:class:`Transport` / :class:`BaseTransport`
-    What an environment needs from a message-delivery substrate: endpoint
-    registration, ``send``, traffic stats, composable send hooks, and the
-    offline (crash) gate.  The base owns the endpoint table, the named
-    hooks, the offline set, the observability attachment and the send
-    preamble every message passes (:meth:`BaseTransport._admit`: endpoints →
-    offline gate → hooks → size → WAN → stats → traffic counters); a
-    substrate adds only how an admitted message travels.  ``SimNetwork``'s
-    behaviour is pinned byte-identical by the figure-4/5 regression tests;
+:class:`BaseTransport`
+    What an environment needs from a message-delivery substrate.  It owns
+    the endpoint table, the named send hooks, the offline (crash) set, the
+    traffic stats, the observability attachment and the send preamble every
+    message passes (:meth:`BaseTransport._admit`: endpoints → offline gate →
+    hooks → size → WAN → stats → traffic counters); a substrate adds only
+    ``send``, how an admitted message travels.  ``SimNetwork``'s behaviour
+    is pinned byte-identical by the figure-4/5 regression tests;
     ``AsyncioTransport`` moves the same messages over sockets.
 
-:class:`NodeRuntime` / :class:`BaseRuntime`
+:class:`BaseRuntime`
     What a node needs from its environment: ``send``, ``schedule``,
     ``schedule_periodic``, ``now``, ``charge``, the shared key registry,
     the calibration parameters, ``attach``, and ``ensure_observability``.
-    This is the *entire* surface the node implementations use (grep-audited:
-    message handlers never reach into the scheduler or the network), which
-    is what makes them transport-agnostic.  The base owns the key registry,
-    the adapter table, ``attach`` / ``node`` / ``node_ids``,
-    ``ensure_observability`` and the ``charge`` validation; a substrate
-    adds its clock, its timers, and the adapter it puts between delivery
-    and handling.
+    This is the *entire* surface the node implementations use (message
+    handlers never reach into the scheduler or the network), which is what
+    makes them transport-agnostic.  The base owns the key registry, the
+    adapter table, ``attach`` / ``node`` / ``node_ids``,
+    ``ensure_observability`` and the ``charge`` validation; a substrate adds
+    its clock, its timers, ``send``, and the adapter it puts between
+    delivery and handling.
 
-The boundary types that both substrates share — :class:`NetworkEndpoint`,
+The types that both substrates share — :class:`NetworkEndpoint`,
 :class:`NetworkStats`, :func:`message_wire_size`, :data:`SendHook` — live
-here as well; :mod:`repro.sim.network` re-exports them for compatibility.
+here as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
+from typing import Any, Callable, Dict, Optional, Protocol, Tuple
 
 from .common.encoding import encoded_size
 from .common.errors import SimulationError, TransportError
@@ -114,46 +113,14 @@ class NetworkStats:
 SendHook = Callable[[NodeId, NodeId, Any], bool]
 
 
-@runtime_checkable
-class Transport(Protocol):
-    """What an environment needs from a message-delivery substrate."""
-
-    stats: NetworkStats
-
-    def register(self, node: NetworkEndpoint) -> None:
-        """Attach *node* so it can send and receive messages."""
-
-    def node(self, node_id: NodeId) -> NetworkEndpoint:
-        """The registered endpoint for *node_id* (raises on unknown ids)."""
-
-    def send(
-        self,
-        src_id: NodeId,
-        dst_id: NodeId,
-        message: Any,
-        depart_at: Optional[float] = None,
-    ) -> float:
-        """Deliver *message* from *src_id* to *dst_id*.
-
-        Returns the (estimated) delivery time on the transport's clock, or
-        ``inf`` when the send was vetoed or the sender is offline.
-        """
-
-    def add_send_hook(self, name: str, hook: SendHook) -> None:
-        """Register a named, composable send predicate (fault injection)."""
-
-    def remove_send_hook(self, name: str) -> None:
-        """Unregister a hook by name (idempotent)."""
-
-    def set_offline(self, node_id: NodeId, offline: bool = True) -> None:
-        """Mark a node crashed (or back up); offline nodes lose all traffic."""
-
-    def is_offline(self, node_id: NodeId) -> bool:
-        """Whether *node_id* is currently marked crashed."""
-
-
 class BaseTransport:
-    """The part of :class:`Transport` that is the same on every substrate."""
+    """What an environment needs from a message-delivery substrate.
+
+    A subclass supplies ``send(src_id, dst_id, message, depart_at=None)
+    -> float``: deliver *message* from *src_id* to *dst_id* and return the
+    (estimated) delivery time on the transport's clock, or ``inf`` when the
+    send was vetoed or the sender is offline.
+    """
 
     def __init__(self) -> None:
         self._nodes: Dict[NodeId, NetworkEndpoint] = {}
@@ -282,51 +249,24 @@ class BaseTransport:
         registry.counter("net_messages", link=link, type=mtype).inc()
 
 
-class NodeRuntime(Protocol):
+class BaseRuntime:
     """The environment surface node implementations are written against.
 
     Both :class:`repro.sim.environment.Environment` (simulated clock,
     charged CPU model) and :class:`repro.service.runtime.LiveEnvironment`
-    (wall clock, real CPU) satisfy this protocol, which is the precise
-    sense in which ``CloudNode``/``EdgeNode``/``ShardedEdgeNode``/``Client``
-    are transport-agnostic.
-    """
-
-    registry: Any
-    params: Any
-    obs: Any
-
-    def attach(self, node: Any) -> None:
-        """Register a node with the transport and the key registry."""
-
-    def ensure_observability(self, config: Any) -> Optional[Any]:
-        """Shared observability bundle, or ``None`` when disabled."""
-
-    def now(self) -> float:
-        """Current time in seconds on this substrate's clock."""
-
-    def charge(self, seconds: float) -> None:
-        """Account CPU time (simulated substrate) or no-op (wall clock)."""
-
-    def send(self, src: NodeId, dst: NodeId, message: Any) -> float:
-        """Send a message from *src* to *dst*."""
-
-    def schedule(self, delay: float, callback: Callable[[], None], label: str = ""):
-        """Run *callback* after *delay* seconds; returns a cancellable handle."""
-
-    def schedule_periodic(
-        self, interval: float, callback: Callable[[], None], label: str = ""
-    ) -> Callable[[], None]:
-        """Run *callback* every *interval* seconds; returns a stopper."""
-
-
-class BaseRuntime:
-    """The part of :class:`NodeRuntime` that is the same on every substrate.
-
-    A subclass sets ``params``, provides the clock (``now``), the timers
-    (``schedule`` / ``schedule_periodic``) and ``send``, and names in
+    (wall clock, real CPU) inherit it, which is the precise sense in which
+    ``CloudNode``/``EdgeNode``/``ShardedEdgeNode``/``Client`` are
+    transport-agnostic.  A subclass sets ``params``, names in
     :meth:`_adapter_for` the endpoint adapter it inserts between the
-    transport's delivery and the node's ``on_message``.
+    transport's delivery and the node's ``on_message``, and supplies:
+
+    * ``send(src, dst, message) -> float`` — send a message from *src* to
+      *dst*;
+    * ``now() -> float`` — current time in seconds on the substrate's clock;
+    * ``schedule(delay, callback, label="")`` — run *callback* after *delay*
+      seconds; returns a cancellable handle;
+    * ``schedule_periodic(interval, callback, label="")`` — run *callback*
+      every *interval* seconds; returns a stopper.
     """
 
     #: The running handler's invocation record on a substrate that models

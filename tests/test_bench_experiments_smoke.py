@@ -96,11 +96,10 @@ class TestExperimentSmoke:
 
 class TestReportGeneration:
     def test_report_writes_markdown(self, tmp_path):
-        from repro.bench.report import generate_report
+        from repro.bench.report import main
 
         target = tmp_path / "experiments.md"
-        with open(target, "w", encoding="utf-8") as handle:
-            generate_report(handle, scale=0.3)
+        assert main([str(target), "--scale", "0.3"]) == 0
         text = target.read_text()
         assert "# EXPERIMENTS" in text
         assert "Figure 4" in text

@@ -64,13 +64,18 @@ from repro.faults import (
     assert_no_false_convictions,
     assert_no_honest_disputes,
     assert_no_lost_atomicity,
+    assert_no_quarantines,
     assert_replicated_reads_served,
 )
+from repro.log.block import build_block
+from repro.log.entry import make_entry
 from repro.log.proofs import CommitPhase, issue_block_proof
+from repro.lsmerkle.codec import encode_put
 from repro.lsm.page import Page
 from repro.lsm.records import KeyFence
 from repro.messages.log_messages import BlockProofMessage
 from repro.messages.shard_messages import ReplicaLogShipment
+from repro.messages.txn_messages import TxnId
 from repro.nodes.edge import EdgeNode
 from repro.nodes.malicious import EquivocatingCertifierEdgeNode
 from repro.sharding import (
@@ -79,6 +84,7 @@ from repro.sharding import (
     ShardedEdgeNode,
     ShardedWedgeSystem,
 )
+from repro.sharding.transactions import encode_txn_decision
 from repro.sim.environment import local_environment
 from repro.workloads.driver import LoadDriver
 from repro.workloads.generator import format_key
@@ -1268,3 +1274,71 @@ class TestHonestFleetNeverDisputes:
         assert not system.cloud.ledger.is_punished(edge.node_id)
         with pytest.raises(InvariantViolation, match="never-convicted"):
             assert_no_honest_disputes(system)
+
+
+# ----------------------------------------------------------------------
+# Every invariant can fail: one planted violation per branch
+# ----------------------------------------------------------------------
+def _plant_block(system, edge, block_id, payloads):
+    """Append an uncertified block of client-signed *payloads* to *edge*'s
+    first partition log, as a misbehaving or unlucky edge would hold it."""
+
+    client = system.clients[0]
+    entries = [
+        make_entry(system.env.registry, client.node_id, 10_000 + i, payload, 0.0)
+        for i, payload in enumerate(payloads)
+    ]
+    state = next(iter(edge._partition_states()))
+    state.log.append(build_block(edge.node_id, block_id, entries, created_at=0.0))
+    return state
+
+
+class TestEveryInvariantCanFail:
+    """Each ``raise InvariantViolation`` branch, raised by a planted
+    violation (the honest-dispute branch is planted by
+    ``TestHonestFleetNeverDisputes``)."""
+
+    def test_commit_and_abort_of_one_transaction(self):
+        system = build_sharded()
+        txn_id = TxnId(coordinator=system.clients[0].node_id, sequence=7)
+        for edge, decision in zip(system.edges, ("commit", "abort")):
+            _plant_block(system, edge, 10_000, [encode_txn_decision(txn_id, decision)])
+        with pytest.raises(InvariantViolation, match="lost atomicity"):
+            assert_no_lost_atomicity(system.edges)
+
+    def test_uncertified_block_after_heal(self):
+        system = build_single()
+        _plant_block(system, system.edge(0), 10_000, [encode_put("k", b"v")])
+        with pytest.raises(InvariantViolation, match="uncertified blocks"):
+            assert_full_certification(system.edges)
+
+    def test_quarantined_partition(self):
+        system = build_single()
+        state = next(iter(system.edge(0)._partition_states()))
+        state.quarantined = "planted corruption"
+        with pytest.raises(InvariantViolation, match="quarantined"):
+            assert_full_certification(system.edges)
+        with pytest.raises(InvariantViolation, match="quarantined partitions"):
+            assert_no_quarantines(system.edges)
+
+    def test_unconvicted_misbehavior(self):
+        system = build_single()
+        with pytest.raises(InvariantViolation, match="never convicted"):
+            assert_convicted(system.cloud, [system.edge(0).node_id])
+
+    def test_conviction_of_an_honest_edge(self):
+        system = build_single()
+        edge = system.edge(0).node_id
+        system.cloud.ledger.punish(edge, reason="planted", recorded_at=0.0)
+        with pytest.raises(InvariantViolation, match="was convicted"):
+            assert_no_false_convictions(system.cloud, [edge])
+
+    def test_replicated_reads_unprobed_or_unserved(self):
+        with pytest.raises(InvariantViolation, match="no probes"):
+            assert_replicated_reads_served([])
+        with pytest.raises(InvariantViolation, match="went unserved"):
+            assert_replicated_reads_served([(1.0, 0, True), (2.0, 0, False)])
+
+    def test_progress_that_regresses(self):
+        with pytest.raises(InvariantViolation, match="regressed from 2 to 1"):
+            assert_monotone([0, 2, 1], "certified blocks")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common import (
@@ -142,8 +144,6 @@ class TestGetProofVerification:
     def test_omitted_level_evidence_detected(self, registry):
         """An edge hiding the level that holds the key is caught by coverage."""
 
-        from dataclasses import replace
-
         fx = _Fixture(registry)
         fx.ingest_block(0, [("alpha", b"1"), ("beta", b"2")])
         fx.merge_level_zero()
@@ -153,8 +153,6 @@ class TestGetProofVerification:
             verify_get_proof(registry, CLOUD, EDGE, "alpha", stripped)
 
     def test_tampered_level_page_detected(self, registry):
-        from dataclasses import replace
-
         fx = _Fixture(registry)
         fx.ingest_block(0, [("alpha", b"1"), ("beta", b"2")])
         fx.merge_level_zero()
@@ -167,7 +165,6 @@ class TestGetProofVerification:
             verify_get_proof(registry, CLOUD, EDGE, "alpha", tampered)
 
     def test_foreign_block_in_level_zero_rejected(self, registry):
-        from dataclasses import replace
         from repro.lsmerkle.read_proof import LevelZeroEvidence
 
         fx = _Fixture(registry)
@@ -197,6 +194,125 @@ class TestGetProofVerification:
             verify_get_proof(
                 registry, CLOUD, EDGE, "alpha", proof, now=100.0, freshness_window_s=5.0
             )
+
+    # One forged GetProof per verifier guard, each refused.  Every forgery
+    # starts from a genuine proof over the ``_Fixture`` state and changes
+    # one field with ``dataclasses.replace``.
+    @staticmethod
+    def _refused(registry, proof, key="alpha", **kwargs):
+        with pytest.raises(ProofVerificationError):
+            verify_get_proof(registry, CLOUD, EDGE, key, proof, **kwargs)
+
+    @staticmethod
+    def _level_zero_proof(registry):
+        fx = _Fixture(registry)
+        fx.ingest_block(0, [("alpha", b"1"), ("beta", b"2")])
+        proof, _ = fx.get_proof("alpha")
+        return fx, proof
+
+    @staticmethod
+    def _merged_proof(registry, key="alpha"):
+        fx = _Fixture(registry)
+        fx.ingest_block(0, [("alpha", b"1"), ("beta", b"2")])
+        fx.ingest_block(1, [("gamma", b"3"), ("delta", b"4")])
+        fx.merge_level_zero()
+        proof, _ = fx.get_proof(key)
+        return fx, proof
+
+    def _with_block_proof(self, proof, block_proof, block=None):
+        (evidence,) = proof.level_zero
+        forged = replace(
+            evidence,
+            proof=block_proof,
+            block=evidence.block if block is None else block,
+        )
+        return replace(proof, level_zero=(forged,))
+
+    def test_genuine_block_proof_over_a_different_block(self, registry):
+        fx, proof = self._level_zero_proof(registry)
+        # The edge equivocates on block 0 and presents the certified proof
+        # of the honest block over its other version.
+        other = put_block(registry, 0, [("alpha", b"evil"), ("beta", b"2")])
+        self._refused(registry, self._with_block_proof(proof, fx.proofs[0], other))
+
+    @pytest.mark.parametrize("named", ["edge", "block_id"])
+    def test_block_proof_naming_another_edge_or_block(self, registry, named):
+        fx, proof = self._level_zero_proof(registry)
+        block = fx.blocks[0]
+        edge, block_id = EDGE, 0
+        if named == "edge":
+            edge = edge_id("edge-1")
+        else:
+            block_id = 7
+        misnamed = issue_block_proof(
+            registry, CLOUD, edge, block_id, block.digest(), certified_at=0.0
+        )
+        self._refused(registry, self._with_block_proof(proof, misnamed))
+
+    def test_block_proof_certified_by_the_edge_itself(self, registry):
+        fx, proof = self._level_zero_proof(registry)
+        self_certified = issue_block_proof(
+            registry, EDGE, EDGE, 0, fx.blocks[0].digest(), certified_at=0.0
+        )
+        self._refused(registry, self._with_block_proof(proof, self_certified))
+
+    def test_block_proof_signed_by_the_edge_key(self, registry):
+        fx, proof = self._level_zero_proof(registry)
+        genuine = fx.proofs[0]
+        forged = replace(
+            genuine, signature=registry.sign(EDGE, genuine.statement)
+        )
+        self._refused(registry, self._with_block_proof(proof, forged))
+
+    def test_signed_root_with_bad_signature(self, registry):
+        _, proof = self._merged_proof(registry)
+        root = proof.signed_root
+        forged = replace(root, signature=registry.sign(EDGE, root.statement))
+        self._refused(registry, replace(proof, signed_root=forged))
+
+    def test_level_evidence_without_a_root(self, registry):
+        _, proof = self._merged_proof(registry)
+        assert proof.level_pages
+        self._refused(registry, replace(proof, signed_root=None))
+
+    def test_level_index_outside_the_root(self, registry):
+        _, proof = self._merged_proof(registry)
+        evidence = proof.level_pages[0]
+        beyond = len(proof.signed_root.statement.level_roots) + 1
+        forged = replace(evidence, level_index=beyond)
+        self._refused(registry, replace(proof, level_pages=(forged,)))
+
+    def test_inclusion_path_for_a_substituted_page(self, registry):
+        _, proof = self._merged_proof(registry)
+        evidence = proof.level_pages[0]
+        page = page_from_block(put_block(registry, 9, [("alpha", b"evil")]))
+        # The leaf names the substituted page, so only the path back to the
+        # signed level root can expose it.
+        inclusion = replace(evidence.inclusion, leaf_digest=page.digest())
+        forged = replace(evidence, page=page, inclusion=inclusion)
+        self._refused(registry, replace(proof, level_pages=(forged,)))
+
+    def test_page_that_cannot_hold_the_key(self, registry):
+        fx, proof = self._merged_proof(registry)
+        (evidence,) = proof.level_pages
+        other = next(
+            page
+            for page in fx.index.tree.levels[1].pages
+            if not page.could_contain("alpha")
+        )
+        forged = replace(
+            evidence, page=other, inclusion=fx.index.prove_page(1, other)
+        )
+        self._refused(registry, replace(proof, level_pages=(forged,)))
+
+    def test_freshness_window_without_a_root(self, registry):
+        _, proof = self._level_zero_proof(registry)
+        assert proof.signed_root is None
+        self._refused(registry, proof, now=1.0, freshness_window_s=5.0)
+
+    def test_freshness_window_without_the_current_time(self, registry):
+        _, proof = self._merged_proof(registry)
+        self._refused(registry, proof, now=None, freshness_window_s=5.0)
 
 
 class TestCloudIndexMirror:

@@ -11,6 +11,7 @@ of the same seed — including under injected faults.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -304,6 +305,11 @@ class TestProtocolTraces:
         for name in ("handoff.offer", "handoff.transfer"):
             for record in tracer.spans_named(name):
                 assert record.parent_id in drains
+        # Sharded edges publish per-shard entry gauges; the health report
+        # groups them by shard label.
+        report = fleet_health_report(system.env.obs.recording())
+        assert "Entries by shard" in report
+        assert f"shard {shard_id}:" in report
 
 
 # ----------------------------------------------------------------------
@@ -418,8 +424,14 @@ class TestExports:
         assert "none — every partition at full durability" in report
 
     def test_report_cli_runs_demo_and_recording(self, tmp_path):
+        # Inherit the environment (so a tracer installed through
+        # ``PYTHONPATH`` follows the child), with the repository's source
+        # first on the path.
         repo_src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        env = {"PYTHONPATH": repo_src, "PYTHONHASHSEED": "0", "PATH": "/usr/bin:/bin"}
+        env = dict(os.environ, PYTHONHASHSEED="0")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [repo_src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
         demo = subprocess.run(
             [sys.executable, "-m", "repro.obs.report"],
             capture_output=True,

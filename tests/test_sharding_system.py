@@ -9,6 +9,8 @@ from repro.common.config import (
     SystemConfig,
 )
 from repro.log.proofs import CommitPhase
+from repro.messages.kv_messages import MergeRejection
+from repro.messages.shard_messages import ShardHandoffRequest
 from repro.sharding import ShardedWedgeSystem
 from repro.sim.environment import local_environment
 from repro.workloads.generator import format_key
@@ -230,6 +232,68 @@ class TestCertifiedHandoff:
         read_op = client.read(block_id, edge=source.node_id)
         phase = system.wait_for(client, read_op, CommitPhase.PHASE_TWO, 60)
         assert phase is CommitPhase.PHASE_TWO
+
+
+    def test_lost_handoff_offer_is_resent(self):
+        system = build_fleet(num_edges=2, num_shards=4)
+        client = system.clients[0]
+        write_keys(system, client, 40)
+        source, dest = system.edges
+        shard = max(source.shard_entry_counts, key=source.shard_entry_counts.get)
+        dropped = []
+
+        def drop_first_offer(src, dst, message):
+            if isinstance(message, ShardHandoffRequest) and not dropped:
+                dropped.append(message)
+                return False
+            return True
+
+        system.env.network.add_send_hook("test:drop-first-offer", drop_first_offer)
+        system.rebalance_shard(shard, dest.node_id)
+        system.run_for(30.0)
+        system.run()
+
+        assert len(dropped) == 1
+        assert source.stats["shard_offer_retries"] == 1
+        assert system.shard_owner(shard) == dest.node_id
+        assert system.cloud.stats["shard_installs"] == 1
+        assert dest.shard_state(shard) is not None
+
+
+class TestShardFieldRouting:
+    """Cloud answers that name a shard land on that shard's partition."""
+
+    def test_root_refresh_and_merge_rejection_reach_the_named_shard(self):
+        system = build_fleet(num_edges=1, num_shards=4, num_clients=1)
+        write_keys(system, system.clients[0], 20)
+        edge = system.edges[0]
+        shard, other = sorted(edge.owned_shards())[:2]
+        state, other_state = edge.shard_state(shard), edge.shard_state(other)
+        other_root = other_state.signed_root
+        refreshes = edge.stats["root_refreshes"]
+        requested_at = system.env.now()
+
+        with edge._as_active(state):
+            edge.request_root_refresh()
+        system.run()
+        assert edge.stats["root_refreshes"] == refreshes + 1
+        assert state.signed_root.statement.timestamp >= requested_at
+        assert other_state.signed_root is other_root
+
+        state.merge_in_flight = other_state.merge_in_flight = True
+        edge.on_message(
+            system.cloud.node_id,
+            MergeRejection(
+                cloud=system.cloud.node_id,
+                edge=edge.node_id,
+                level_index=0,
+                reason="rejected for the test",
+                shard_id=shard,
+            ),
+        )
+        assert not state.merge_in_flight
+        assert other_state.merge_in_flight
+        other_state.merge_in_flight = False
 
 
 class TestSingleEdgeDegeneration:

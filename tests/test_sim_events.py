@@ -5,33 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.common import SimulationError
-from repro.sim.clock import ManualClock, SimulatedClock, WallClock
+from repro.sim.clock import SimulatedClock
 from repro.sim.events import EventScheduler
 
 
 class TestClocks:
-    def test_manual_clock_advances(self):
-        clock = ManualClock()
-        assert clock.now() == 0.0
-        clock.advance(1.5)
-        assert clock.now() == 1.5
-
-    def test_manual_clock_rejects_backwards(self):
-        clock = ManualClock(10.0)
-        with pytest.raises(SimulationError):
-            clock.advance(-1)
-        with pytest.raises(SimulationError):
-            clock.set(5.0)
-
     def test_simulated_clock_only_moves_forward(self):
         clock = SimulatedClock()
         clock._advance_to(3.0)
         with pytest.raises(SimulationError):
             clock._advance_to(2.0)
-
-    def test_wall_clock_monotonic(self):
-        clock = WallClock()
-        assert clock.now() <= clock.now()
 
 
 class TestEventScheduler:

@@ -7,9 +7,9 @@ import pytest
 from repro.common import ConfigurationError, Region, TransportError
 from repro.common.identifiers import client_id, cloud_id, edge_id
 from repro.sim.environment import Environment, local_environment
-from repro.sim.network import message_wire_size
 from repro.sim.parameters import SimulationParameters
 from repro.sim.topology import Topology, paper_topology
+from repro.transport import message_wire_size
 
 
 class TestTopology:
