@@ -32,11 +32,13 @@ from ..nodes.dispatch import DispatchTable, TableDispatchNode
 from ..sim.environment import Environment
 from ..sim.parameters import SimulationParameters
 from ..sim.topology import Topology
+from ..storage.codec import register_storable
 
 
 # ----------------------------------------------------------------------
 # Baseline-specific response messages (no proofs needed: the cloud is trusted)
 # ----------------------------------------------------------------------
+@register_storable
 @dataclass(frozen=True)
 class CloudWriteResponse:
     operation_id: OperationId
@@ -47,6 +49,7 @@ class CloudWriteResponse:
         return 48
 
 
+@register_storable
 @dataclass(frozen=True)
 class CloudReadResponse:
     operation_id: OperationId
@@ -59,6 +62,7 @@ class CloudReadResponse:
         return 48 + (self.block.wire_size if self.block is not None else 0)
 
 
+@register_storable
 @dataclass(frozen=True)
 class CloudGetResponse:
     operation_id: OperationId

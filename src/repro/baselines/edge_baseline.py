@@ -18,9 +18,11 @@ from ..core.system import WedgeChainSystem
 from ..log.block import Block, compute_block_digest
 from ..messages.log_messages import AppendBatchResponse, BlockProofMessage
 from ..nodes.cloud import CloudNode
-from ..nodes.edge import EdgeNode
+from ..nodes.edge import EdgeNode, PartitionState
+from ..storage.codec import register_storable
 
 
+@register_storable
 @dataclass(frozen=True)
 class FullBlockCertifyRequest:
     """Edge → cloud: certify this block, full contents attached."""
@@ -33,6 +35,7 @@ class FullBlockCertifyRequest:
         return 48 + self.block.wire_size
 
 
+@register_storable
 @dataclass(frozen=True)
 class CertifiedStateResponse(BlockProofMessage):
     """Cloud → edge: the block proof plus the regenerated trusted state.
@@ -95,7 +98,7 @@ class EdgeBaselineEdgeNode(EdgeNode):
         self._deferred: dict[int, tuple[list[tuple[NodeId, OperationId]], Block, object]] = {}
 
     # The synchronous baseline ships the whole block to the cloud …
-    def _send_certify_request(self, block: Block) -> None:
+    def _send_certify_request(self, state: PartitionState, block: Block) -> None:
         self.stats["certify_requests"] += 1
         self.env.send(
             self.node_id,
@@ -107,8 +110,10 @@ class EdgeBaselineEdgeNode(EdgeNode):
     def _dispatch_phase_one_responses(self, requesters, block, receipt) -> None:
         self._deferred[block.block_id] = (list(requesters), block, receipt)
 
-    def _handle_block_proof(self, sender: NodeId, message: BlockProofMessage) -> None:
-        super()._handle_block_proof(sender, message)
+    def _handle_block_proof(
+        self, state: PartitionState, sender: NodeId, message: BlockProofMessage
+    ) -> None:
+        super()._handle_block_proof(state, sender, message)
         deferred = self._deferred.pop(message.proof.block_id, None)
         if deferred is None:
             return

@@ -701,7 +701,7 @@ def bench_certify_per_block(rng: random.Random, quick: bool) -> BenchResult:
     def drive(fleet):
         edge = fleet.edge()
         for task in edge.certifier.outstanding():
-            edge._send_single_certify_request(task)
+            edge._send_single_certify_request(edge._default_partition, task)
         return lambda: edge.certifier.certified_count == num_blocks
 
     fleets = [_make_certify_fleet(rng, 1, 1, num_blocks) for _ in range(3 if quick else 5)]
@@ -713,7 +713,7 @@ def _bench_cert_pipeline(name: str, rng: random.Random, depth: int, repeats: int
 
     def drive(fleet):
         edge = fleet.edge()
-        edge._pump_certify_pipeline()
+        edge._pump_certify_pipeline(edge._default_partition)
         return lambda: edge.certifier.certified_count == num_blocks
 
     fleets = [
@@ -726,7 +726,7 @@ def _bench_cert_pipeline(name: str, rng: random.Random, depth: int, repeats: int
 def bench_cert_pipeline_d1(rng: random.Random, quick: bool) -> BenchResult:
     """Windowed certification through the nodes at depth 1: the serial path.
 
-    One ``EdgeNode._pump_certify_pipeline()`` ships one 32-block
+    One ``EdgeNode._pump_certify_pipeline`` call ships one 32-block
     ``CertifyBatchRequest``; the ``CloudNode`` verifies it, orders the
     digests and signs the batch root; the edge verifies the certificate and
     derives every proof — four Schnorr operations per 32 blocks where

@@ -21,11 +21,13 @@ looks the row up, asks the row's *route* which partition the message
 concerns (this node's single route answers "the default partition" for
 every message; the sharded subclass re-routes rows per shard and adds
 node-level rows that have no partition), refuses service if that partition
-is quarantined, and runs the handler with the partition *active* — every
-handler below reads and writes partition state through ``self``-level
-properties that resolve to the active partition, so the protocol logic is
-written once.  Traced steps open their span through the one ``_span``
-helper, which is a shared no-op context while observability is off.
+is quarantined, and passes the partition to the handler as its first
+argument.  Every method below that reads or writes partition state takes
+that :class:`PartitionState` first, and every timer and retry closure
+captures the one it was armed for, so the protocol logic is written once and
+a deferred step can only act on its own partition.  Traced steps open their
+span through the one ``_span`` helper, which is a shared no-op context while
+observability is off.
 
 Malicious behaviours are implemented as subclasses in
 :mod:`repro.nodes.malicious`; the hooks they override are small and explicit
@@ -54,7 +56,6 @@ Retention, per partition:
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Iterable, Optional
@@ -116,7 +117,12 @@ from .dispatch import DispatchTable, TableDispatchNode
 @dataclass
 class PartitionState:
     """All mutable state of one served partition (the whole key space for
-    the paper's single-partition edge; one shard of it in a sharded fleet)."""
+    the paper's single-partition edge; one shard of it in a sharded fleet).
+
+    Every partition-scoped method of :class:`EdgeNode` and its subclasses
+    takes the state it acts on as its first parameter; the node keeps no
+    pointer to a "current" partition.
+    """
 
     owner: NodeId
     config: SystemConfig
@@ -213,9 +219,6 @@ class EdgeNode(TableDispatchNode):
         self._obs_phase1: dict = {}
 
         self._default_partition = self._new_partition(shard_id=None)
-        #: The partition the currently running handler operates on; every
-        #: state property below resolves through it.
-        self._active: PartitionState = self._default_partition
 
         stats_init = {
             "append_requests": 0,
@@ -295,58 +298,32 @@ class EdgeNode(TableDispatchNode):
 
         return self._default_partition
 
-    @contextmanager
-    def _as_active(self, state: PartitionState):
-        """Run a code block with *state* as the active partition."""
-
-        previous, self._active = self._active, state
-        try:
-            yield state
-        finally:
-            self._active = previous
-
-    # State properties: the public per-partition attributes.  Subclass code,
-    # malicious variants, and tests read (and occasionally swap) these; they
-    # always resolve against the active partition.
+    # An observer's read-only view of the paper's single partition (the
+    # default one): examples, tests and benchmarks inspect an edge through
+    # these.  Node code never does — it reads the ``state`` it was handed.
     @property
     def log(self) -> WedgeLog:
-        return self._active.log
+        return self._default_partition.log
 
     @property
     def buffer(self) -> BlockBuffer:
-        return self._active.buffer
+        return self._default_partition.buffer
 
     @property
     def certifier(self) -> LazyCertifier:
-        return self._active.certifier
+        return self._default_partition.certifier
 
     @property
     def index(self) -> MerkleizedLSM:
-        return self._active.index
-
-    @index.setter
-    def index(self, value: MerkleizedLSM) -> None:
-        self._active.index = value
+        return self._default_partition.index
 
     @property
     def level_zero_blocks(self) -> list[BlockId]:
-        return self._active.level_zero_blocks
-
-    @level_zero_blocks.setter
-    def level_zero_blocks(self, value: list[BlockId]) -> None:
-        self._active.level_zero_blocks = value
+        return self._default_partition.level_zero_blocks
 
     @property
     def signed_root(self) -> Optional[SignedGlobalRoot]:
-        return self._active.signed_root
-
-    @signed_root.setter
-    def signed_root(self, value: Optional[SignedGlobalRoot]) -> None:
-        self._active.signed_root = value
-
-    @property
-    def _certify_flush_timer(self) -> Optional[Any]:
-        return self._active.certify_flush_timer
+        return self._default_partition.signed_root
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -371,13 +348,14 @@ class EdgeNode(TableDispatchNode):
             self.stats["quarantined_refusals"] += 1
             return
         if handler is not None:
-            with self._as_active(state):
-                getattr(self, handler)(sender, message)
+            getattr(self, handler)(state, sender, message)
 
     # ------------------------------------------------------------------
     # Appending (add / put)
     # ------------------------------------------------------------------
-    def _handle_append(self, sender: NodeId, request: AppendBatchRequest) -> None:
+    def _handle_append(
+        self, state: PartitionState, sender: NodeId, request: AppendBatchRequest
+    ) -> None:
         params = self.env.params
         self.stats["append_requests"] += 1
         payload_bytes = sum(len(entry.payload) for entry in request.entries)
@@ -392,13 +370,13 @@ class EdgeNode(TableDispatchNode):
         fresh_entries = []
         replayed_blocks: set[BlockId] = set()
         for entry in request.entries:
-            location = self._active.entry_locations.get((entry.producer, entry.sequence))
+            location = state.entry_locations.get((entry.producer, entry.sequence))
             if location is not None:
                 # Replay protection (Section IV-E): the same signed entry was
                 # appended before — applying it again would duplicate data.
                 replayed_blocks.add(location)
                 continue
-            if self.buffer.contains(entry.producer, entry.sequence):
+            if state.buffer.contains(entry.producer, entry.sequence):
                 # The original copy is still buffered (block not yet formed);
                 # it will answer the operation when the block forms.
                 self.stats.setdefault("buffered_duplicate_entries", 0)
@@ -408,23 +386,24 @@ class EdgeNode(TableDispatchNode):
         if replayed_blocks:
             self.stats.setdefault("replayed_entries", 0)
             self.stats["replayed_entries"] += len(request.entries) - len(fresh_entries)
-            self._answer_replay(sender, request, replayed_blocks)
+            self._answer_replay(state, sender, request, replayed_blocks)
 
         batch: Optional[PendingBatch] = None
         for entry in fresh_entries:
-            batch = self.buffer.append(
+            batch = state.buffer.append(
                 entry,
                 now=now,
                 operation_id=request.operation_id,
                 requester=sender,
             )
             if batch is not None:
-                self._form_block(batch)
-        if not self.buffer.is_empty:
-            self._arm_flush_timer()
+                self._form_block(state, batch)
+        if not state.buffer.is_empty:
+            self._arm_flush_timer(state)
 
     def _answer_replay(
         self,
+        state: PartitionState,
         sender: NodeId,
         request: AppendBatchRequest,
         replayed_blocks: set[BlockId],
@@ -432,8 +411,8 @@ class EdgeNode(TableDispatchNode):
         """Answer a replayed request idempotently with the original receipt."""
 
         for block_id in sorted(replayed_blocks):
-            receipt = self._active.receipts.get(block_id)
-            record = self.log.try_get(block_id)
+            receipt = state.receipts.get(block_id)
+            record = state.log.try_get(block_id)
             if receipt is None or record is None:
                 continue
             response = AppendBatchResponse(
@@ -444,38 +423,36 @@ class EdgeNode(TableDispatchNode):
                 block=record.block,
             )
             self.env.send(self.node_id, sender, response)
-            self._owe_block_proof(sender, request.operation_id, block_id)
+            self._owe_block_proof(state, sender, request.operation_id, block_id)
 
-    def _arm_flush_timer(self) -> None:
-        state = self._active
+    def _arm_flush_timer(self, state: PartitionState) -> None:
         if state.flush_timer_active:
             return
         state.flush_timer_active = True
         timeout = self.config.logging.block_timeout_s
 
         def flush() -> None:
-            with self._as_active(state):
-                state.flush_timer_active = False
-                batch = self.buffer.flush()
-                if batch is not None:
-                    self.stats["timeout_flushes"] += 1
-                    self._form_block(batch)
-                if not self.buffer.is_empty:
-                    self._arm_flush_timer()
+            state.flush_timer_active = False
+            batch = state.buffer.flush()
+            if batch is not None:
+                self.stats["timeout_flushes"] += 1
+                self._form_block(state, batch)
+            if not state.buffer.is_empty:
+                self._arm_flush_timer(state)
 
         self.env.schedule(timeout, flush, label=f"{self.node_id}:flush")
 
-    def _allocate_block_id(self) -> BlockId:
+    def _allocate_block_id(self, state: PartitionState) -> BlockId:
         """Reserve the next block id (edge-wide in sharded subclasses)."""
 
-        return self.log.allocate_block_id()
+        return state.log.allocate_block_id()
 
-    def _form_block(self, batch: PendingBatch) -> None:
+    def _form_block(self, state: PartitionState, batch: PendingBatch) -> None:
         """Build a block from a full batch, Phase I commit it, start Phase II."""
 
         params = self.env.params
         now = self.env.now()
-        block_id = self._allocate_block_id()
+        block_id = self._allocate_block_id(state)
         # Root span of this put's trace: the certify dispatch below, the
         # cloud's verification, the absorption of the certificate, and any
         # merge it triggers all hang off (or link back to) this context.
@@ -487,7 +464,7 @@ class EdgeNode(TableDispatchNode):
                 params.block_build_cost(block.num_entries, block.wire_size)
             )
 
-            self.log.append(block)
+            state.log.append(block)
             self.stats["blocks_formed"] += 1
             self.stats["entries_logged"] += block.num_entries
 
@@ -495,10 +472,10 @@ class EdgeNode(TableDispatchNode):
                 self.env.registry, self.node_id, block, now
             )
             digest = self._digest_to_certify(block)
-            self.certifier.track(block.block_id, digest)
-            self._active.receipts[block.block_id] = receipt
-            self._persist_block(block, receipt)
-            locations = self._active.entry_locations
+            state.certifier.track(block.block_id, digest)
+            state.receipts[block.block_id] = receipt
+            self._persist_block(state, block, receipt)
+            locations = state.entry_locations
             for entry in block.entries:
                 locations[(entry.producer, entry.sequence)] = block.block_id
 
@@ -506,20 +483,22 @@ class EdgeNode(TableDispatchNode):
             # subscribe them to the eventual block proof.
             requesters = self._batch_requesters(batch)
             for requester, operation_id in requesters:
-                self._owe_block_proof(requester, operation_id, block.block_id)
+                self._owe_block_proof(state, requester, operation_id, block.block_id)
             self._dispatch_phase_one_responses(requesters, block, receipt)
-            self._signal_degraded_mode([requester for requester, _op in requesters])
+            self._signal_degraded_mode(
+                state, [requester for requester, _op in requesters]
+            )
 
             # Index the block's put operations into LSMerkle level 0.
             page = page_from_block(block)
             if page is not None:
-                self.index.add_level_zero_page(page)
-                self.level_zero_blocks.append(block.block_id)
+                state.index.add_level_zero_page(page)
+                state.level_zero_blocks.append(block.block_id)
 
             # Lazy certification: data-free digest to the cloud, off the
             # critical path.
-            self._send_certify_request(block)
-            self._maybe_start_merge()
+            self._send_certify_request(state, block)
+            self._maybe_start_merge(state)
 
     @staticmethod
     def _batch_requesters(batch: PendingBatch) -> list[tuple[NodeId, OperationId]]:
@@ -561,9 +540,9 @@ class EdgeNode(TableDispatchNode):
     def _digest_to_certify(self, block: Block) -> str:
         return block.digest()
 
-    def _send_certify_request(self, block: Block) -> None:
-        self._dispatch_certify(self.certifier.task(block.block_id))
-        if not self.certifier.pending_dispatch_count:
+    def _send_certify_request(self, state: PartitionState, block: Block) -> None:
+        self._dispatch_certify(state, state.certifier.task(block.block_id))
+        if not state.certifier.pending_dispatch_count:
             return  # sent on its own (``certify_batch_size`` of 1)
         # Lazy certification is asynchronous, so the digest can wait for its
         # batch: ship full batches while the in-flight window has room, and
@@ -571,13 +550,15 @@ class EdgeNode(TableDispatchNode):
         # with the flush timer.  A size-triggered dispatch that empties the
         # queue cancels the timer so the next digest starts a fresh full
         # window instead of inheriting a near-expired deadline.
-        self._pump_certify_pipeline()
-        if self.certifier.pending_dispatch_count:
-            self._arm_certify_flush_timer()
+        self._pump_certify_pipeline(state)
+        if state.certifier.pending_dispatch_count:
+            self._arm_certify_flush_timer(state)
         else:
-            self._cancel_certify_flush_timer()
+            self._cancel_certify_flush_timer(state)
 
-    def _pump_certify_pipeline(self, allow_partial: bool = False) -> int:
+    def _pump_certify_pipeline(
+        self, state: PartitionState, allow_partial: bool = False
+    ) -> int:
         """Ship queued digests while the in-flight window has room.
 
         Full batches ship immediately; a trailing partial batch only ships
@@ -589,43 +570,39 @@ class EdgeNode(TableDispatchNode):
         """
 
         depth = self.config.logging.certify_pipeline_depth
-        batches = self.certifier.drain_window_groups(
+        certifier = state.certifier
+        batches = certifier.drain_window_groups(
             depth=depth,
             batch_size=self.config.logging.certify_batch_size,
             allow_partial=allow_partial,
         )
-        groups = [self.certifier.awaiting(batch) for batch in batches]
+        groups = [certifier.awaiting(batch) for batch in batches]
         if len(groups) == 1:
-            self._send_certify_batch_request(groups[0])
+            self._send_certify_batch_request(state, groups[0])
         elif groups:
             # Several batches leave in one pump: one window envelope
             # signature covers them all; the cloud still answers with one
             # certificate per batch, so the slots retire independently.
-            self._send_certify_window_request(groups)
+            self._send_certify_window_request(state, groups)
         for batch in batches:
-            self._arm_certify_retry(batch, partial(self._resend_batch, batch))
-        if (
-            self.certifier.pending_dispatch_count
-            and self.certifier.in_flight_count >= depth
-        ):
+            self._arm_certify_retry(batch, partial(self._resend_batch, state, batch))
+        if certifier.pending_dispatch_count and certifier.in_flight_count >= depth:
             self.stats.setdefault("certify_window_stalls", 0)
             self.stats["certify_window_stalls"] += 1
         peak = self.stats.setdefault("certify_inflight_peak", 0)
-        if self.certifier.in_flight_count > peak:
-            self.stats["certify_inflight_peak"] = self.certifier.in_flight_count
+        if certifier.in_flight_count > peak:
+            self.stats["certify_inflight_peak"] = certifier.in_flight_count
         if self._metrics is not None:
-            shard = (
-                "default" if self._active.shard_id is None else str(self._active.shard_id)
-            )
+            shard = "default" if state.shard_id is None else str(state.shard_id)
             self._metrics.gauge("certify_in_flight", shard=shard).set(
-                self.certifier.in_flight_count
+                certifier.in_flight_count
             )
             self._metrics.gauge("certify_queued", shard=shard).set(
-                self.certifier.pending_dispatch_count
+                certifier.pending_dispatch_count
             )
         return len(batches)
 
-    def _dispatch_certify(self, task: CertificationTask) -> None:
+    def _dispatch_certify(self, state: PartitionState, task: CertificationTask) -> None:
         """Start one block's certification the ordinary way.
 
         With ``certify_batch_size`` of 1 the block gets its own signed
@@ -635,12 +612,12 @@ class EdgeNode(TableDispatchNode):
         """
 
         if self.config.logging.certify_batch_size > 1:
-            self.certifier.enqueue_for_dispatch(task.block_id)
+            state.certifier.enqueue_for_dispatch(task.block_id)
             return
-        self._send_single_certify_request(task)
-        self._arm_certify_retry(task, partial(self._resend_single, task))
+        self._send_single_certify_request(state, task)
+        self._arm_certify_retry(task, partial(self._resend_single, state, task))
 
-    def _resend_single(self, task: CertificationTask) -> bool:
+    def _resend_single(self, state: PartitionState, task: CertificationTask) -> bool:
         """Re-send one block's own request.
 
         The first retry always goes: it lands before the client's dispute,
@@ -660,18 +637,18 @@ class EdgeNode(TableDispatchNode):
                 return True
             self._cloud_probed_at = now
         self.stats["certify_retries"] += 1
-        self._send_single_certify_request(task)
+        self._send_single_certify_request(state, task)
         return True
 
-    def _resend_batch(self, batch: InFlightBatch) -> bool:
+    def _resend_batch(self, state: PartitionState, batch: InFlightBatch) -> bool:
         """Re-ship one lost batch as itself: its still-uncertified members
         under a fresh signature, never re-chunked with other batches."""
 
-        tasks = self.certifier.awaiting(batch)
+        tasks = state.certifier.awaiting(batch)
         self.stats["certify_retries"] += len(tasks)
         self.stats.setdefault("certify_batch_retries", 0)
         self.stats["certify_batch_retries"] += 1
-        self._send_certify_batch_request(tasks)
+        self._send_certify_batch_request(state, tasks)
         return True
 
     def _arm_certify_retry(
@@ -682,7 +659,8 @@ class EdgeNode(TableDispatchNode):
         *record* is the task of a single-block request or the in-flight
         batch of a batched one; the certifier cancels the chain when the
         record retires (certified, refused, or wiped by a crash), so
-        ``resend`` only ever runs for a request still owed a certificate.
+        ``resend`` — bound to the partition that sent the request — only
+        ever runs for a request still owed a certificate.
 
         The schedule is derived from ``dispute_timeout_s`` (D), not tuned:
         first retry at D/2, then doubling, capped at D, with no attempt
@@ -697,18 +675,14 @@ class EdgeNode(TableDispatchNode):
         record.retry = Retransmission(
             self.env.schedule,
             self._certify_retry_policy,
-            partial(self._resend_in, self._active, resend),
+            resend,
             label=f"{self.node_id}:certify-retry",
         )
 
-    def _resend_in(self, state: PartitionState, resend) -> bool:
-        """Run *resend* with the partition that sent the request active."""
-
-        with self._as_active(state):
-            return resend()
-
-    def _send_single_certify_request(self, task: CertificationTask) -> None:
-        (statement,) = self._certify_items_for((task,))
+    def _send_single_certify_request(
+        self, state: PartitionState, task: CertificationTask
+    ) -> None:
+        (statement,) = self._certify_items_for(state, (task,))
         signature = self.env.registry.sign(self.node_id, statement)
         self.stats["certify_requests"] += 1
         message = BlockCertifyRequest(statement=statement, signature=signature)
@@ -717,42 +691,40 @@ class EdgeNode(TableDispatchNode):
         ):
             self.env.send(self.node_id, self.cloud, message)
 
-    def _arm_certify_flush_timer(self) -> None:
-        state = self._active
+    def _arm_certify_flush_timer(self, state: PartitionState) -> None:
         if state.certify_flush_timer is not None:
             return
         timeout = self.config.logging.certify_flush_timeout_s
 
         def flush() -> None:
-            with self._as_active(state):
-                state.certify_flush_timer = None
-                self._flush_certify_batch()
+            state.certify_flush_timer = None
+            self._flush_certify_batch(state)
 
         state.certify_flush_timer = self.env.schedule(
             timeout, flush, label=f"{self.node_id}:certify-flush"
         )
 
-    def _num_entries_for(self, block_id: BlockId) -> int:
-        """Entry count reported in certify statements (0 for absent blocks)."""
-
-        return self.log.block(block_id).num_entries if block_id in self.log else 0
-
-    def _certify_items_for(self, tasks) -> tuple[CertifyStatement, ...]:
+    def _certify_items_for(
+        self, state: PartitionState, tasks
+    ) -> tuple[CertifyStatement, ...]:
+        log = state.log
         return tuple(
             CertifyStatement(
                 edge=self.node_id,
                 block_id=task.block_id,
                 block_digest=task.block_digest,
-                num_entries=self._num_entries_for(task.block_id),
+                num_entries=(
+                    log.block(task.block_id).num_entries if task.block_id in log else 0
+                ),
             )
             for task in tasks
         )
 
-    def _send_certify_batch_request(self, tasks) -> None:
+    def _send_certify_batch_request(self, state: PartitionState, tasks) -> None:
         """Ship the given certification tasks as one signed batch request."""
 
         statement = CertifyBatchStatement(
-            edge=self.node_id, items=self._certify_items_for(tasks)
+            edge=self.node_id, items=self._certify_items_for(state, tasks)
         )
         signature = self.env.registry.sign(self.node_id, statement)
         self.stats["certify_requests"] += 1
@@ -765,7 +737,7 @@ class EdgeNode(TableDispatchNode):
         ):
             self.env.send(self.node_id, self.cloud, message)
 
-    def _send_certify_window_request(self, groups) -> None:
+    def _send_certify_window_request(self, state: PartitionState, groups) -> None:
         """Ship several batches under one window-envelope signature.
 
         The envelope amortizes the edge's asymmetric signature over every
@@ -775,7 +747,7 @@ class EdgeNode(TableDispatchNode):
 
         batches = tuple(
             CertifyBatchStatement(
-                edge=self.node_id, items=self._certify_items_for(tasks)
+                edge=self.node_id, items=self._certify_items_for(state, tasks)
             )
             for tasks in groups
         )
@@ -796,13 +768,13 @@ class EdgeNode(TableDispatchNode):
         ):
             self.env.send(self.node_id, self.cloud, message)
 
-    def _cancel_certify_flush_timer(self) -> None:
-        state = self._active
+    @staticmethod
+    def _cancel_certify_flush_timer(state: PartitionState) -> None:
         if state.certify_flush_timer is not None:
             state.certify_flush_timer.cancel()
             state.certify_flush_timer = None
 
-    def _flush_certify_batch(self) -> None:
+    def _flush_certify_batch(self, state: PartitionState) -> None:
         """Flush the dispatch queue into the in-flight window, stragglers too.
 
         The timeout flush (and the handoff drain, which calls this directly)
@@ -811,22 +783,17 @@ class EdgeNode(TableDispatchNode):
         retirements pump the pipeline in between.
         """
 
-        self._cancel_certify_flush_timer()
-        self._pump_certify_pipeline(allow_partial=True)
-        if self.certifier.pending_dispatch_count:
-            self._arm_certify_flush_timer()
+        self._cancel_certify_flush_timer(state)
+        self._pump_certify_pipeline(state, allow_partial=True)
+        if state.certifier.pending_dispatch_count:
+            self._arm_certify_flush_timer(state)
 
     # ------------------------------------------------------------------
     # Degraded mode (graceful cloud-outage backpressure)
     # ------------------------------------------------------------------
-    def _uncertified_backlog(self) -> int:
-        """Phase-I-committed blocks of the active partition still awaiting
-        their cloud certificate."""
-
-        certifier = self.certifier
-        return certifier.tracked_count - certifier.certified_count
-
-    def _signal_degraded_mode(self, requesters: Iterable[NodeId]) -> None:
+    def _signal_degraded_mode(
+        self, state: PartitionState, requesters: Iterable[NodeId]
+    ) -> None:
         """Maintain the partition's degraded flag and tell clients about it.
 
         Phase I service never stops — the paper's lazy-certification model
@@ -841,8 +808,8 @@ class EdgeNode(TableDispatchNode):
         limit = self.config.logging.max_uncertified_backlog
         if limit is None:
             return
-        state = self._active
-        backlog = self._uncertified_backlog()
+        # Phase-I-committed blocks still awaiting their cloud certificate.
+        backlog = state.certifier.tracked_count - state.certifier.certified_count
         if not state.degraded and backlog > limit:
             state.degraded = True
             self.stats.setdefault("degraded_entries", 0)
@@ -884,8 +851,8 @@ class EdgeNode(TableDispatchNode):
         self.stats.setdefault("storage_write_errors", 0)
         self.stats["storage_write_errors"] += 1
 
-    def _persist_block(self, block: Block, receipt) -> None:
-        store = self._active.store
+    def _persist_block(self, state: PartitionState, block: Block, receipt) -> None:
+        store = state.store
         if store is None:
             return
         try:
@@ -893,8 +860,8 @@ class EdgeNode(TableDispatchNode):
         except StorageError:
             self._storage_degraded()
 
-    def _persist_proof(self, proof: AnyBlockProof) -> None:
-        store = self._active.store
+    def _persist_proof(self, state: PartitionState, proof: AnyBlockProof) -> None:
+        store = state.store
         if store is None:
             return
         try:
@@ -902,8 +869,8 @@ class EdgeNode(TableDispatchNode):
         except StorageError:
             self._storage_degraded()
 
-    def _persist_manifest(self) -> None:
-        """Snapshot the active partition's index state into its store.
+    def _persist_manifest(self, state: PartitionState) -> None:
+        """Snapshot *state*'s index state into its store.
 
         Called after every installed merge and root refresh.  The write also
         computes the snapshot-truncation floor: the lowest block id that
@@ -913,7 +880,6 @@ class EdgeNode(TableDispatchNode):
         the manifest's (just-fsynced) pages.
         """
 
-        state = self._active
         store = state.store
         if store is None:
             return
@@ -971,7 +937,6 @@ class EdgeNode(TableDispatchNode):
         self.last_recovery_reports = []
         fresh, report = self._recover_partition_state(self._default_partition)
         self._default_partition = fresh
-        self._active = fresh
         if report is not None:
             self.last_recovery_reports.append(report)
 
@@ -1016,22 +981,19 @@ class EdgeNode(TableDispatchNode):
         self.stats.setdefault("crashes", 0)
         self.stats["crashes"] += 1
         for state in self._partition_states():
-            with self._as_active(state):
-                state.buffer = BlockBuffer(self.config.logging.block_size)
-                state.certifier.reset_window()
-                state.merge_in_flight = False
-                state.merge_source_bids = ()
-                state.flush_timer_active = False
-                if state.certify_flush_timer is not None:
-                    state.certify_flush_timer.cancel()
-                    state.certify_flush_timer = None
-                state.degraded = False
-                state.degraded_notified.clear()
-                if state.store is not None:
-                    # Model the kill against the disk too: unsynced segment
-                    # bytes half-survive, producing the torn tails recovery
-                    # must repair.
-                    state.store.simulate_crash()
+            state.buffer = BlockBuffer(self.config.logging.block_size)
+            state.certifier.reset_window()
+            state.merge_in_flight = False
+            state.merge_source_bids = ()
+            state.flush_timer_active = False
+            self._cancel_certify_flush_timer(state)
+            state.degraded = False
+            state.degraded_notified.clear()
+            if state.store is not None:
+                # Model the kill against the disk too: unsynced segment
+                # bytes half-survive, producing the torn tails recovery
+                # must repair.
+                state.store.simulate_crash()
 
     def on_restart(self) -> None:
         """Resume after a crash: re-request certification of every
@@ -1054,16 +1016,17 @@ class EdgeNode(TableDispatchNode):
         for state in self._partition_states():
             if state.quarantined is not None:
                 continue
-            with self._as_active(state):
-                tasks = self.certifier.outstanding()
-                for task in sorted(tasks, key=lambda task: task.block_id):
-                    self._dispatch_certify(task)
-                self._flush_certify_batch()
+            tasks = state.certifier.outstanding()
+            for task in sorted(tasks, key=lambda task: task.block_id):
+                self._dispatch_certify(state, task)
+            self._flush_certify_batch(state)
 
     # ------------------------------------------------------------------
     # Block proofs from the cloud
     # ------------------------------------------------------------------
-    def _handle_block_proof(self, sender: NodeId, message: BlockProofMessage) -> None:
+    def _handle_block_proof(
+        self, state: PartitionState, sender: NodeId, message: BlockProofMessage
+    ) -> None:
         params = self.env.params
         self.env.charge(params.verify_seconds)
         proof = message.proof
@@ -1076,22 +1039,28 @@ class EdgeNode(TableDispatchNode):
             or not proof.verify(self.env.registry)
         ):
             return
-        self._accept_certified_proof(proof)
-        self._maybe_start_merge()
-        self._pump_certify_pipeline()
+        self._accept_certified_proof(state, proof)
+        self._maybe_start_merge(state)
+        self._pump_certify_pipeline(state)
 
     def _owe_block_proof(
-        self, client: NodeId, operation_id: OperationId, block_id: BlockId
+        self,
+        state: PartitionState,
+        client: NodeId,
+        operation_id: OperationId,
+        block_id: BlockId,
     ) -> None:
         """*client* is owed the block's proof: now if held, else on arrival."""
 
-        proof = self.log.proof_for(block_id)
-        if proof is None and block_id in self.certifier:
-            proof = self.certifier.subscribe(block_id, client, operation_id)
+        proof = state.log.proof_for(block_id)
+        if proof is None and block_id in state.certifier:
+            proof = state.certifier.subscribe(block_id, client, operation_id)
         if proof is not None:
             self.env.send(self.node_id, client, BlockProofMessage(proof=proof))
 
-    def _accept_certified_proof(self, proof: AnyBlockProof) -> None:
+    def _accept_certified_proof(
+        self, state: PartitionState, proof: AnyBlockProof
+    ) -> None:
         """Record a verified proof and forward it to waiting subscribers."""
 
         # The acceptance linkage of the whole trace: this span's parent is
@@ -1110,23 +1079,26 @@ class EdgeNode(TableDispatchNode):
                             self.env.now() - origin.start
                         )
                 self._obs_phase1.pop(proof.block_id, None)
-            record = self.log.try_get(proof.block_id)
+            record = state.log.try_get(proof.block_id)
             if record is not None and record.block.digest() == proof.block_digest:
-                self.log.attach_proof(proof)
-                self._persist_proof(proof)
+                state.log.attach_proof(proof)
+                self._persist_proof(state, proof)
             self.stats["proofs_received"] += 1
             self._cloud_heard_at = self.env.now()
             try:
-                subscribers = self.certifier.complete(proof)
+                subscribers = state.certifier.complete(proof)
             except ProtocolError:
                 subscribers = []
             for client, _operation in subscribers:
                 self.env.send(self.node_id, client, BlockProofMessage(proof=proof))
                 self.stats["proofs_forwarded"] += 1
-            self._signal_degraded_mode(())
+            self._signal_degraded_mode(state, ())
 
     def _handle_batch_certificate(
-        self, sender: NodeId, message: BatchCertificateMessage
+        self,
+        state: PartitionState,
+        sender: NodeId,
+        message: BatchCertificateMessage,
     ) -> None:
         """Derive per-block proofs locally from one signed batch root.
 
@@ -1163,19 +1135,19 @@ class EdgeNode(TableDispatchNode):
             self.stats["batch_cert_mismatches"] += 1
             return
         for proof in proofs:
-            task = self.certifier.task(proof.block_id)
+            task = state.certifier.task(proof.block_id)
             if task is None or task.block_digest != proof.block_digest:
                 # The cloud claims to have certified a digest this edge never
                 # sent for that block id (malicious-cloud path): reject the
                 # item, keep the rest of the batch.
                 self.stats["batch_cert_mismatches"] += 1
                 continue
-            self._accept_certified_proof(proof)
-        self._maybe_start_merge()
-        self._pump_certify_pipeline()
+            self._accept_certified_proof(state, proof)
+        self._maybe_start_merge(state)
+        self._pump_certify_pipeline(state)
 
     def _handle_certify_rejection(
-        self, sender: NodeId, message: CertifyRejection
+        self, state: PartitionState, sender: NodeId, message: CertifyRejection
     ) -> None:
         # Only this edge's cloud can refuse this edge's blocks: a rejection
         # from anyone else, or naming another pair, moves neither the
@@ -1194,13 +1166,15 @@ class EdgeNode(TableDispatchNode):
         # end its retry, release its in-flight batch slot so the window
         # cannot wedge on it, and let the freed slot pull the next queued
         # batch forward.
-        self.certifier.abandon_in_flight(message.block_id)
-        self._pump_certify_pipeline()
+        state.certifier.abandon_in_flight(message.block_id)
+        self._pump_certify_pipeline(state)
 
     # ------------------------------------------------------------------
     # Log reads
     # ------------------------------------------------------------------
-    def _handle_read(self, sender: NodeId, request: ReadRequest) -> None:
+    def _handle_read(
+        self, state: PartitionState, sender: NodeId, request: ReadRequest
+    ) -> None:
         params = self.env.params
         self.stats["reads"] += 1
         self.env.charge(
@@ -1208,7 +1182,7 @@ class EdgeNode(TableDispatchNode):
             + params.lookup_seconds_per_op
             + params.sign_seconds
         )
-        record = self._read_record(request.block_id)
+        record = self._read_record(state, request.block_id)
         now = self.env.now()
         if record is None:
             statement = ReadResponseStatement(
@@ -1244,11 +1218,13 @@ class EdgeNode(TableDispatchNode):
         self.env.send(self.node_id, sender, response)
         if record.proof is None:
             # Phase I read: forward the proof once it arrives.
-            self._owe_block_proof(sender, request.operation_id, request.block_id)
+            self._owe_block_proof(
+                state, sender, request.operation_id, request.block_id
+            )
 
     # Hooks overridden by malicious subclasses -------------------------------
-    def _read_record(self, block_id: BlockId):
-        return self.log.try_get(block_id)
+    def _read_record(self, state: PartitionState, block_id: BlockId):
+        return state.log.try_get(block_id)
 
     def _block_for_read(self, block: Block) -> Block:
         return block
@@ -1256,26 +1232,28 @@ class EdgeNode(TableDispatchNode):
     # ------------------------------------------------------------------
     # Key-value gets
     # ------------------------------------------------------------------
-    def _handle_get(self, sender: NodeId, request: GetRequest) -> None:
+    def _handle_get(
+        self, state: PartitionState, sender: NodeId, request: GetRequest
+    ) -> None:
         params = self.env.params
         self.stats["gets"] += 1
-        level_zero_pages = self.index.tree.level_zero.num_pages
+        level_zero_pages = state.index.tree.level_zero.num_pages
         self.env.charge(
             params.request_overhead_seconds
             + params.lookup_seconds_per_op * (1 + level_zero_pages)
             + params.sign_seconds
         )
         now = self.env.now()
-        result = self._index_lookup(request.key)
+        result = self._index_lookup(state, request.key)
         found = result.found
         value = result.record.value if found else None
 
-        evidence = self._level_zero_evidence()
+        evidence = self._level_zero_evidence(state)
         proof = build_get_proof(
             key=request.key,
-            index=self.index,
+            index=state.index,
             level_zero_blocks=evidence,
-            signed_root=self.signed_root,
+            signed_root=state.signed_root,
             found_level=result.level_index,
         )
         statement = GetResponseStatement(
@@ -1291,15 +1269,15 @@ class EdgeNode(TableDispatchNode):
             signature=self.env.registry.sign(self.node_id, statement),
             value=value,
             proof=proof,
-            lease=self._response_lease(),
+            lease=self._response_lease(state),
         )
         self.env.send(self.node_id, sender, response)
 
         # Phase I gets: forward proofs of the still-uncertified blocks.
         for block_id in proof.uncertified_block_ids:
-            self._owe_block_proof(sender, request.operation_id, block_id)
+            self._owe_block_proof(state, sender, request.operation_id, block_id)
 
-    def _response_lease(self):
+    def _response_lease(self, state: PartitionState):
         """Serving lease to attach to get responses.
 
         ``None`` for the base node (and for a shard's writer): only a read
@@ -1310,67 +1288,70 @@ class EdgeNode(TableDispatchNode):
         return None
 
     # Hooks overridden by malicious subclasses -------------------------------
-    def _index_lookup(self, key: str):
-        return self.index.get(key)
+    def _index_lookup(self, state: PartitionState, key: str):
+        return state.index.get(key)
 
-    def _level_zero_evidence(self) -> list[tuple[Block, Optional[Any]]]:
+    def _level_zero_evidence(
+        self, state: PartitionState
+    ) -> list[tuple[Block, Optional[Any]]]:
+        log = state.log
         return [
-            (self.log.block(block_id), self.log.proof_for(block_id))
-            for block_id in self.level_zero_blocks
+            (log.block(block_id), log.proof_for(block_id))
+            for block_id in state.level_zero_blocks
         ]
 
     # ------------------------------------------------------------------
     # Merges
     # ------------------------------------------------------------------
-    def _merge_shard_id(self) -> Optional[ShardId]:
-        """Shard id stamped on merge proposals (the active partition's)."""
-
-        return self._active.shard_id
-
-    def _maybe_start_merge(self) -> None:
-        if self._active.merge_in_flight:
+    def _maybe_start_merge(self, state: PartitionState) -> None:
+        if state.merge_in_flight:
             return
-        levels_due = self.index.levels_needing_merge()
+        levels_due = state.index.levels_needing_merge()
         if not levels_due:
             return
         level_index = levels_due[0]
-        proposal = self._build_merge_proposal(level_index)
+        proposal = self._build_merge_proposal(state, level_index)
         if proposal is None:
             return
-        self._active.merge_in_flight = True
+        state.merge_in_flight = True
         self.stats["merges_started"] += 1
         request = MergeRequest(edge=self.node_id, proposal=proposal)
         with self._span("merge.propose", level=proposal.level_index):
             self.env.send(self.node_id, self.cloud, request)
 
-    def _build_merge_proposal(self, level_index: int) -> Optional[MergeProposal]:
+    def _build_merge_proposal(
+        self, state: PartitionState, level_index: int
+    ) -> Optional[MergeProposal]:
+        log, levels = state.log, state.index.tree.levels
         if level_index == 0:
             certified_bids = [
                 block_id
-                for block_id in self.level_zero_blocks
-                if self.log.proof_for(block_id) is not None
+                for block_id in state.level_zero_blocks
+                if log.proof_for(block_id) is not None
             ]
             if not certified_bids:
                 # Nothing certified yet; retry when block proofs arrive.
                 return None
-            source_blocks = tuple(self.log.block(block_id) for block_id in certified_bids)
-            self._active.merge_source_bids = tuple(certified_bids)
+            source_blocks = tuple(log.block(block_id) for block_id in certified_bids)
+            state.merge_source_bids = tuple(certified_bids)
             return MergeProposal(
                 edge=self.node_id,
                 level_index=0,
                 source_blocks=source_blocks,
-                target_pages=tuple(self.index.tree.levels[1].pages),
-                shard_id=self._merge_shard_id(),
+                target_pages=tuple(levels[1].pages),
+                shard_id=state.shard_id,
             )
         return MergeProposal(
             edge=self.node_id,
             level_index=level_index,
-            source_pages=tuple(self.index.tree.levels[level_index].pages),
-            target_pages=tuple(self.index.tree.levels[level_index + 1].pages),
-            shard_id=self._merge_shard_id(),
+            source_pages=tuple(levels[level_index].pages),
+            target_pages=tuple(levels[level_index + 1].pages),
+            shard_id=state.shard_id,
         )
 
-    def _handle_merge_response(self, sender: NodeId, message: MergeResponse) -> None:
+    def _handle_merge_response(
+        self, state: PartitionState, sender: NodeId, message: MergeResponse
+    ) -> None:
         with self._span("merge.install"):
             params = self.env.params
             outcome = message.outcome
@@ -1381,9 +1362,9 @@ class EdgeNode(TableDispatchNode):
                 )
             )
             if not outcome.signed_root.verify(self.env.registry, self.cloud):
-                self._active.merge_in_flight = False
+                state.merge_in_flight = False
                 return
-            if not self._active.merge_in_flight:
+            if not state.merge_in_flight:
                 # No merge outstanding: a duplicate delivery of an outcome that
                 # already cleared the flag.  ``merge_source_bids`` was consumed
                 # by the first apply, so re-running the level-0 filter would
@@ -1392,7 +1373,7 @@ class EdgeNode(TableDispatchNode):
                 self.stats["merge_duplicates"] += 1
                 return
             version = outcome.signed_root.statement.version
-            if version <= self._active.merge_installed_version:
+            if version <= state.merge_installed_version:
                 # A stale outcome (duplicate of an older merge racing a newer
                 # request): already installed.  Root versions increase with
                 # every merge, so the comparison is exact; the flag stays set —
@@ -1402,53 +1383,55 @@ class EdgeNode(TableDispatchNode):
                 return
 
             if outcome.level_index == 0:
-                merged_bids = set(self._active.merge_source_bids)
-                self._active.merge_source_bids = ()
+                merged_bids = set(state.merge_source_bids)
+                state.merge_source_bids = ()
                 remaining_pages = [
                     page
-                    for page in self.index.tree.levels[0].pages
+                    for page in state.index.tree.levels[0].pages
                     if page.source_block_id not in merged_bids
                 ]
-                self.index.install_merge(0, outcome.merged_pages, remaining_pages)
-                self.level_zero_blocks = [
+                state.index.install_merge(0, outcome.merged_pages, remaining_pages)
+                state.level_zero_blocks = [
                     block_id
-                    for block_id in self.level_zero_blocks
+                    for block_id in state.level_zero_blocks
                     if block_id not in merged_bids
                 ]
                 for block_id in merged_bids:
-                    forget_records(self.log.block(block_id))
+                    forget_records(state.log.block(block_id))
             else:
-                self.index.install_merge(outcome.level_index, outcome.merged_pages, ())
+                state.index.install_merge(outcome.level_index, outcome.merged_pages, ())
 
-            self.signed_root = outcome.signed_root
-            self._active.merge_installed_version = version
+            state.signed_root = outcome.signed_root
+            state.merge_installed_version = version
             self.stats["merges_completed"] += 1
-            self._active.merge_in_flight = False
-            self._persist_manifest()
-            self._maybe_start_merge()
+            state.merge_in_flight = False
+            self._persist_manifest(state)
+            self._maybe_start_merge(state)
 
-    def _handle_merge_rejection(self, sender: NodeId, message: MergeRejection) -> None:
+    def _handle_merge_rejection(
+        self, state: PartitionState, sender: NodeId, message: MergeRejection
+    ) -> None:
         self.stats["merges_rejected"] += 1
-        self._active.merge_in_flight = False
+        state.merge_in_flight = False
 
     # ------------------------------------------------------------------
     # Root refresh (freshness support)
     # ------------------------------------------------------------------
-    def request_root_refresh(self) -> None:
-        """Ask the cloud to re-sign the current roots with a fresh timestamp."""
+    def request_root_refresh(self, state: PartitionState) -> None:
+        """Ask the cloud to re-sign *state*'s roots with a fresh timestamp."""
 
         self.env.send(
             self.node_id,
             self.cloud,
-            RootRefreshRequest(edge=self.node_id, shard_id=self._active.shard_id),
+            RootRefreshRequest(edge=self.node_id, shard_id=state.shard_id),
         )
 
     def _handle_root_refresh_response(
-        self, sender: NodeId, message: RootRefreshResponse
+        self, state: PartitionState, sender: NodeId, message: RootRefreshResponse
     ) -> None:
         if message.edge != self.node_id:
             return
         if message.signed_root.verify(self.env.registry, self.cloud):
-            self.signed_root = message.signed_root
+            state.signed_root = message.signed_root
             self.stats["root_refreshes"] += 1
-            self._persist_manifest()
+            self._persist_manifest(state)

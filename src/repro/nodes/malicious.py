@@ -25,9 +25,9 @@ Variants
     Attempts to certify two different digests for the same block id.
     Detected directly by the cloud.
 ``StaleServingEdgeNode``
-    After ``freeze()``, answers gets from an old snapshot.  Only detectable
-    through the freshness window (Section V-D) — exactly the limitation the
-    paper describes.
+    After ``freeze()``, answers gets from an old snapshot of its partition.
+    Only detectable through the freshness window (Section V-D) — exactly the
+    limitation the paper describes.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from ..common.identifiers import BlockId
 from ..log.block import Block, build_block
 from ..log.entry import LogEntry
 from ..messages.log_messages import BlockCertifyRequest, CertifyStatement
-from .edge import EdgeNode
+from .edge import EdgeNode, PartitionState
 
 
 def _tamper_entries(entries: tuple[LogEntry, ...]) -> tuple[LogEntry, ...]:
@@ -72,11 +72,11 @@ class TamperingReadEdgeNode(EdgeNode):
             )
         return block
 
-    def _handle_read(self, sender, request) -> None:  # type: ignore[override]
+    def _handle_read(self, state, sender, request) -> None:  # type: ignore[override]
         # Never hand out the genuine proof alongside tampered content — the
         # digest mismatch would be caught instantly; a smarter liar serves a
         # Phase I response and hopes the client forgets to check later.
-        record = self.log.try_get(request.block_id)
+        record = state.log.try_get(request.block_id)
         withheld = None
         if record is not None and (
             self.tamper_all_reads or request.block_id in self.target_blocks
@@ -84,7 +84,7 @@ class TamperingReadEdgeNode(EdgeNode):
             withheld = record.proof
             record.proof = None
         try:
-            super()._handle_read(sender, request)
+            super()._handle_read(state, sender, request)
         finally:
             if record is not None and withheld is not None:
                 record.proof = withheld
@@ -111,16 +111,16 @@ class OmittingEdgeNode(EdgeNode):
         self.omit_blocks = omit_blocks if omit_blocks is not None else set()
         self.omit_all = omit_blocks is None
 
-    def _read_record(self, block_id: BlockId):
+    def _read_record(self, state: PartitionState, block_id: BlockId):
         if self.omit_all or block_id in self.omit_blocks:
             return None
-        return super()._read_record(block_id)
+        return super()._read_record(state, block_id)
 
 
 class NonCertifyingEdgeNode(EdgeNode):
     """Phase I commits normally but never asks the cloud to certify anything."""
 
-    def _send_certify_request(self, block: Block) -> None:
+    def _send_certify_request(self, state: PartitionState, block: Block) -> None:
         self.stats.setdefault("certify_requests_dropped", 0)
         self.stats["certify_requests_dropped"] += 1
 
@@ -128,8 +128,8 @@ class NonCertifyingEdgeNode(EdgeNode):
 class EquivocatingCertifierEdgeNode(EdgeNode):
     """Sends a second, conflicting certification request for every block."""
 
-    def _send_certify_request(self, block: Block) -> None:
-        super()._send_certify_request(block)
+    def _send_certify_request(self, state: PartitionState, block: Block) -> None:
+        super()._send_certify_request(state, block)
         tampered = build_block(
             self.node_id,
             block.block_id,
@@ -155,39 +155,20 @@ class StaleServingEdgeNode(EdgeNode):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._frozen_index = None
-        self._frozen_blocks: Optional[list[BlockId]] = None
-        self._frozen_root = None
+        #: A shallow copy of the partition whose index, level-0 block list
+        #: and signed root are frozen; its log and certifier stay live.
+        self._frozen: Optional[PartitionState] = None
 
     def freeze(self) -> None:
         """Capture the current index state; all later gets are served from it."""
 
-        self._frozen_index = copy.deepcopy(self.index)
-        self._frozen_blocks = list(self.level_zero_blocks)
-        self._frozen_root = self.signed_root
+        live = self._default_partition
+        frozen = copy.copy(live)
+        frozen.index = copy.deepcopy(live.index)
+        frozen.level_zero_blocks = list(live.level_zero_blocks)
+        frozen.signed_root = live.signed_root
+        self._frozen = frozen
 
-    @property
-    def is_frozen(self) -> bool:
-        return self._frozen_index is not None
-
-    def _handle_get(self, sender, request) -> None:  # type: ignore[override]
-        if not self.is_frozen:
-            super()._handle_get(sender, request)
-            return
-        # Temporarily swap in the frozen state, serve, then swap back.
-        live_index, live_blocks, live_root = (
-            self.index,
-            self.level_zero_blocks,
-            self.signed_root,
-        )
-        self.index = self._frozen_index
-        self.level_zero_blocks = self._frozen_blocks
-        self.signed_root = self._frozen_root
-        try:
-            super()._handle_get(sender, request)
-        finally:
-            self.index, self.level_zero_blocks, self.signed_root = (
-                live_index,
-                live_blocks,
-                live_root,
-            )
+    def _handle_get(self, state, sender, request) -> None:  # type: ignore[override]
+        frozen = self._frozen
+        super()._handle_get(frozen if frozen is not None else state, sender, request)

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 
 from ..log.block import Block
 from ..messages.log_messages import BlockCertifyRequest, CertifyStatement
-from .edge import EdgeNode
+from ..storage.codec import register_storable
+from .edge import EdgeNode, PartitionState
 
 
+@register_storable
 @dataclass(frozen=True)
 class FullDataCertifyRequest(BlockCertifyRequest):
     """A block-certify request that (wastefully) also carries the block.
@@ -39,11 +41,11 @@ class FullDataCertifyRequest(BlockCertifyRequest):
 class FullDataLazyEdgeNode(EdgeNode):
     """Lazy certification without the data-free optimisation."""
 
-    def _send_certify_request(self, block: Block) -> None:
+    def _send_certify_request(self, state: PartitionState, block: Block) -> None:
         statement = CertifyStatement(
             edge=self.node_id,
             block_id=block.block_id,
-            block_digest=self.certifier.task(block.block_id).block_digest,
+            block_digest=state.certifier.task(block.block_id).block_digest,
             num_entries=block.num_entries,
         )
         signature = self.env.registry.sign(self.node_id, statement)

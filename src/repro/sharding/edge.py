@@ -139,7 +139,8 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
     HANDOFF_RETRY_POLICY = RetryPolicy(base_s=1.0, factor=2.0, cap_s=8.0, max_attempts=4)
 
     #: The parent's rows re-routed per shard, plus the fleet's node-level
-    #: rows (no partition, so no quarantine gate and no active swap).
+    #: rows (no partition, so no quarantine gate; their handlers take
+    #: ``(sender, message)`` and look up any partition they touch).
     HANDLERS = EdgeNode.HANDLERS.extended(
         {
             # The 2PC participant (``participant.py``).  One decision may
@@ -251,10 +252,6 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
         #: Writer-side shipping bookkeeping: highest block id each replica
         #: has acknowledged, keyed ``(shard id, replica)``; ``-1`` = nothing.
         self._replica_watermarks: dict[tuple[ShardId, NodeId], BlockId] = {}
-        #: Lease to attach to the get response currently being built (set by
-        #: the replica-serving branch of ``_resolve_serving``, popped by
-        #: ``_response_lease``).
-        self._serving_lease: Optional[ReplicaLease] = None
         #: Stopper of the periodic log-shipping tick.  ``None`` until this
         #: edge owns a replicated shard — a ``replication_factor=1`` fleet
         #: never starts the timer, keeping the default byte-identical.
@@ -551,7 +548,6 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
                 # lease covered ``issued_at`` and convict a replica serving
                 # past it (``stale-replica-serve``).
                 self.stats["replica_reads"] += 1
-                self._serving_lease = lease
                 return self._replica_states[shard_id]
         self._send_not_owner_redirect(sender, operation_id, shard_id)
         return None
@@ -576,9 +572,12 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
     ) -> bool:
         return lease is not None and lease.expires_at >= now
 
-    def _response_lease(self) -> Optional[ReplicaLease]:
-        lease, self._serving_lease = self._serving_lease, None
-        return lease
+    def _response_lease(self, state: PartitionState) -> Optional[ReplicaLease]:
+        # A mirror is only routed to after ``_resolve_serving`` checked its
+        # lease, in this same handler turn.
+        if self._replica_states.get(state.shard_id) is state:
+            return self._shard_leases.get(state.shard_id)
+        return None
 
     def _send_not_owner_redirect(
         self, sender: NodeId, operation_id: OperationId, shard_id: ShardId
@@ -615,18 +614,18 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
     # ------------------------------------------------------------------
     # Block bookkeeping
     # ------------------------------------------------------------------
-    def _allocate_block_id(self) -> BlockId:
+    def _allocate_block_id(self, state: PartitionState) -> BlockId:
         block_id = self._next_block_id
         self._next_block_id += 1
-        shard_id = self._active.shard_id
+        shard_id = state.shard_id
         if shard_id is not None:
             self._block_shards[block_id] = shard_id
             self.shard_entry_counts.setdefault(shard_id, 0)
         return block_id
 
-    def _form_block(self, batch) -> None:
-        super()._form_block(batch)
-        shard_id = self._active.shard_id
+    def _form_block(self, state: PartitionState, batch) -> None:
+        super()._form_block(state, batch)
+        shard_id = state.shard_id
         if shard_id is not None:
             self.shard_entry_counts[shard_id] = self.shard_entry_counts.get(
                 shard_id, 0
@@ -636,8 +635,8 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
                     self.shard_entry_counts[shard_id]
                 )
 
-    def _read_record(self, block_id: BlockId):
-        record = super()._read_record(block_id)
+    def _read_record(self, state: PartitionState, block_id: BlockId):
+        record = super()._read_record(state, block_id)
         if record is None:
             record = self._archived_records.get(block_id)
         return record
@@ -681,9 +680,7 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
         self._migrating[shard_id] = order.dest
         # Root span of this handoff's trace: offer, transfer, and install
         # spans (on both edges) link back to the drain that started it.
-        with self._span(
-            "handoff.drain", parent=None, shard=str(shard_id)
-        ) as span, self._as_active(state):
+        with self._span("handoff.drain", parent=None, shard=str(shard_id)) as span:
             if span is not None:
                 self._obs_handoff[shard_id] = span.context
             if state.staged_txns:
@@ -693,7 +690,7 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
                 # log, and the coordinators hold receipts naming this edge.
                 self.stats.setdefault("handoff_txn_waits", 0)
                 self.stats["handoff_txn_waits"] += 1
-            if self.certifier.in_flight_count:
+            if state.certifier.in_flight_count:
                 # A pipelined shard may have a whole window of certify
                 # batches outstanding when the order arrives; the drain
                 # below waits for the window (certificates keep absorbing
@@ -702,9 +699,9 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
                 self.stats["handoff_window_waits"] += 1
             # Stop accepting new writes (requests now redirect to the dest);
             # flush the partial block so the log prefix is complete.
-            batch = self.buffer.flush()
+            batch = state.buffer.flush()
             if batch is not None:
-                self._form_block(batch)
+                self._form_block(state, batch)
             self._advance_handoff(shard_id)
 
     def _advance_handoff(self, shard_id: ShardId) -> None:
@@ -723,30 +720,29 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
         dest = self._migrating.get(shard_id)
         if state is None or dest is None:
             return
-        with self._as_active(state):
-            if state.staged_txns:
-                return  # staged prepares resolve before the shard transfers
-            if self.certifier.pending_dispatch_count:
-                self._flush_certify_batch()
-            if self.certifier.outstanding():
-                return  # wait for the cloud's proofs
-            if state.merge_in_flight:
-                return  # wait for the in-flight merge
-            if state.level_zero_blocks or self.index.tree.level_zero.num_pages:
-                # Drain level 0 into level 1 so the whole index state is
-                # committed under the cloud's digest mirror.
-                proposal = self._build_merge_proposal(0)
-                if proposal is None:
-                    return
-                state.merge_in_flight = True
-                self.stats["merges_started"] += 1
-                self.env.send(
-                    self.node_id,
-                    self.cloud,
-                    MergeRequest(edge=self.node_id, proposal=proposal),
-                )
+        if state.staged_txns:
+            return  # staged prepares resolve before the shard transfers
+        if state.certifier.pending_dispatch_count:
+            self._flush_certify_batch(state)
+        if state.certifier.outstanding():
+            return  # wait for the cloud's proofs
+        if state.merge_in_flight:
+            return  # wait for the in-flight merge
+        if state.level_zero_blocks or state.index.tree.level_zero.num_pages:
+            # Drain level 0 into level 1 so the whole index state is
+            # committed under the cloud's digest mirror.
+            proposal = self._build_merge_proposal(state, 0)
+            if proposal is None:
                 return
-            self._send_handoff_offer(shard_id, state, dest)
+            state.merge_in_flight = True
+            self.stats["merges_started"] += 1
+            self.env.send(
+                self.node_id,
+                self.cloud,
+                MergeRequest(edge=self.node_id, proposal=proposal),
+            )
+            return
+        self._send_handoff_offer(shard_id, state, dest)
 
     def _send_handoff_offer(
         self, shard_id: ShardId, state: PartitionState, dest: NodeId
@@ -802,15 +798,17 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
         )
         self.env.send(self.node_id, self.cloud, request)
 
-    def _accept_certified_proof(self, proof) -> None:
-        super()._accept_certified_proof(proof)
-        shard_id = self._active.shard_id
+    def _accept_certified_proof(self, state: PartitionState, proof) -> None:
+        super()._accept_certified_proof(state, proof)
+        shard_id = state.shard_id
         if shard_id is not None and shard_id in self._migrating:
             self._advance_handoff(shard_id)
 
-    def _handle_merge_response(self, sender: NodeId, message: MergeResponse) -> None:
-        super()._handle_merge_response(sender, message)
-        shard_id = self._active.shard_id
+    def _handle_merge_response(
+        self, state: PartitionState, sender: NodeId, message: MergeResponse
+    ) -> None:
+        super()._handle_merge_response(state, sender, message)
+        shard_id = state.shard_id
         if shard_id is not None and shard_id in self._migrating:
             self._advance_handoff(shard_id)
 
@@ -1446,7 +1444,6 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
         # re-shipped blocks).  The mirrors themselves survive under the
         # same in-memory durability story as the log and index above.
         self._shard_leases.clear()
-        self._serving_lease = None
         self._replica_watermarks.clear()
 
     def _recover_durable_partitions(self) -> None:

@@ -74,7 +74,7 @@ class UnresponsivePrepareEdgeNode(ShardedEdgeNode):
     what aborts the transaction on every responsive participant.
     """
 
-    def _handle_txn_prepare(self, sender, request) -> None:
+    def _handle_txn_prepare(self, state, sender, request) -> None:
         self.stats.setdefault("txn_prepares_dropped", 0)
         self.stats["txn_prepares_dropped"] += 1
 
@@ -90,13 +90,12 @@ class AbortIgnoringEdgeNode(ShardedEdgeNode):
     ``staged-abort-serve`` dispute.
     """
 
-    def _apply_txn_decision(self, message) -> None:
+    def _apply_txn_decision(self, state, message) -> None:
         statement = message.statement
         if statement.decision == TXN_ABORT:
-            state = self._active
             staged = state.staged_txns.pop(statement.txn_id, None)
             if staged is not None:
-                block_id = self._apply_staged_txn(staged)  # commits anyway
+                block_id = self._apply_staged_txn(state, staged)  # commits anyway
                 self._record_txn_decision(
                     state, statement.txn_id, TXN_ABORT, block_id,
                     staged.shard_id, message,
@@ -106,7 +105,7 @@ class AbortIgnoringEdgeNode(ShardedEdgeNode):
                 )
                 self._after_txn_resolved(state.shard_id)
                 return
-        super()._apply_txn_decision(message)
+        super()._apply_txn_decision(state, message)
 
 
 class StaleShardOwnerEdgeNode(ShardedEdgeNode):

@@ -10,9 +10,11 @@ discards them and appends the decision record to the certified log.
 :class:`TxnParticipantRole` is a plain class of methods that
 :class:`~repro.sharding.edge.ShardedEdgeNode` lists as a base, so its
 handlers are rows of that node's dispatch table and the adversary variants
-override its hooks like any other method.  It reads the node's partition and
-fleet state through ``self``; what it adds is :class:`TxnPartitionState`'s
-two tables and the node's ``_txn_record_seq``.  The paper's edge has neither.
+override its hooks like any other method.  Like the node's own methods, every
+partition-scoped method here takes the :class:`TxnPartitionState` it acts on
+first; fleet state comes through ``self``.  What it adds is
+:class:`TxnPartitionState`'s two tables and the node's ``_txn_record_seq``.
+The paper's edge has neither.
 """
 
 from __future__ import annotations
@@ -83,7 +85,9 @@ class TxnParticipantRole:
         if shard_id is not None and shard_id in self._migrating:
             self._advance_handoff(shard_id)
 
-    def _handle_txn_prepare(self, sender: NodeId, request: TxnPrepareRequest) -> None:
+    def _handle_txn_prepare(
+        self, state: TxnPartitionState, sender: NodeId, request: TxnPrepareRequest
+    ) -> None:
         with self._span("txn.prepare", txn=str(request.statement.txn_id)):
             params = self.env.params
             self.stats.setdefault("txn_prepares", 0)
@@ -96,7 +100,6 @@ class TxnParticipantRole:
                 or not self.env.registry.verify(request.signature, statement)
             ):
                 return
-            state = self._active
             txn_id = statement.txn_id
             decided = state.decided_txns.get(txn_id)
             if decided is not None:
@@ -116,7 +119,9 @@ class TxnParticipantRole:
                 # re-send the original signed receipt.
                 self.env.send(self.node_id, sender, staged.receipt)
                 return
-            reason = self._validate_txn_writes(sender, statement, request.entries)
+            reason = self._validate_txn_writes(
+                state, sender, statement, request.entries
+            )
             if reason is not None:
                 self.stats.setdefault("txn_prepare_rejections", 0)
                 self.stats["txn_prepare_rejections"] += 1
@@ -152,6 +157,7 @@ class TxnParticipantRole:
 
     def _validate_txn_writes(
         self,
+        state: TxnPartitionState,
         sender: NodeId,
         statement: TxnPrepareStatement,
         entries: tuple[LogEntry, ...],
@@ -186,7 +192,7 @@ class TxnParticipantRole:
                 return "write-set-mismatch"
             if not self._txn_shard_ok(statement.shard_id, key):
                 return "key outside the prepared shard"
-            result = self._index_lookup(key)
+            result = self._index_lookup(state, key)
             if result.found and digest_value(result.record.value) == write.value_digest:
                 return "write already committed in the partition"
         return None
@@ -224,19 +230,18 @@ class TxnParticipantRole:
         """
 
         def expire() -> None:
-            with self._as_active(state):
-                staged = state.staged_txns.pop(txn_id, None)
-                if staged is None:
-                    return  # decided in time
-                self.stats.setdefault("txn_prepares_expired", 0)
-                self.stats["txn_prepares_expired"] += 1
-                block_id = self._log_txn_decision(
-                    txn_id, TXN_ABORT, reason="prepare-expired"
-                )
-                self._record_txn_decision(
-                    state, txn_id, TXN_ABORT, block_id, staged.shard_id
-                )
-                self._after_txn_resolved(state.shard_id)
+            staged = state.staged_txns.pop(txn_id, None)
+            if staged is None:
+                return  # decided in time
+            self.stats.setdefault("txn_prepares_expired", 0)
+            self.stats["txn_prepares_expired"] += 1
+            block_id = self._log_txn_decision(
+                state, txn_id, TXN_ABORT, reason="prepare-expired"
+            )
+            self._record_txn_decision(
+                state, txn_id, TXN_ABORT, block_id, staged.shard_id
+            )
+            self._after_txn_resolved(state.shard_id)
 
         self.env.schedule(delay, expire, label=f"{self.node_id}:txn-expiry")
 
@@ -301,17 +306,17 @@ class TxnParticipantRole:
         if not message.verify(self.env.registry):
             return
         for state in owned:
-            with self._as_active(state):
-                self._apply_txn_decision(message)
+            self._apply_txn_decision(state, message)
 
-    def _apply_txn_decision(self, message: TxnDecisionMessage) -> None:
-        """Apply an already-verified decision to the active partition."""
+    def _apply_txn_decision(
+        self, state: TxnPartitionState, message: TxnDecisionMessage
+    ) -> None:
+        """Apply an already-verified decision to *state*."""
 
         statement = message.statement
         with self._span(
             "txn.apply", txn=str(statement.txn_id), decision=statement.decision
         ):
-            state = self._active
             staged = state.staged_txns.get(statement.txn_id)
             txn_id = statement.txn_id
             decided = state.decided_txns.get(txn_id)
@@ -349,7 +354,7 @@ class TxnParticipantRole:
                 return
             del state.staged_txns[txn_id]
             if statement.decision == TXN_COMMIT:
-                block_id = self._apply_staged_txn(staged)
+                block_id = self._apply_staged_txn(state, staged)
                 self.stats.setdefault("txn_commits_applied", 0)
                 self.stats["txn_commits_applied"] += 1
                 self._record_txn_decision(
@@ -358,7 +363,7 @@ class TxnParticipantRole:
                 self._send_txn_ack(txn_id, staged.shard_id, TXN_COMMIT, block_id)
             else:
                 block_id = self._log_txn_decision(
-                    txn_id, TXN_ABORT, reason="coordinator-abort"
+                    state, txn_id, TXN_ABORT, reason="coordinator-abort"
                 )
                 self.stats.setdefault("txn_aborts_applied", 0)
                 self.stats["txn_aborts_applied"] += 1
@@ -368,7 +373,7 @@ class TxnParticipantRole:
                 self._send_txn_ack(txn_id, staged.shard_id, TXN_ABORT, block_id)
             self._after_txn_resolved(state.shard_id)
 
-    def _apply_staged_txn(self, staged: StagedTxn) -> BlockId:
+    def _apply_staged_txn(self, state: TxnPartitionState, staged: StagedTxn) -> BlockId:
         """Atomically apply a committed transaction's staged writes.
 
         The staged client-signed entries and the commit decision record
@@ -389,17 +394,19 @@ class TxnParticipantRole:
             + params.hash_cost(payload_bytes)
         )
         for entry in staged.entries:
-            batch = self.buffer.append(
+            batch = state.buffer.append(
                 entry,
                 now=now,
                 operation_id=staged.operation_id,
                 requester=staged.requester,
             )
             if batch is not None:
-                self._form_block(batch)
-        return self._log_txn_decision(staged.txn_id, TXN_COMMIT, reason="")
+                self._form_block(state, batch)
+        return self._log_txn_decision(state, staged.txn_id, TXN_COMMIT, reason="")
 
-    def _log_txn_decision(self, txn_id: TxnId, decision: str, reason: str) -> BlockId:
+    def _log_txn_decision(
+        self, state: TxnPartitionState, txn_id: TxnId, decision: str, reason: str
+    ) -> BlockId:
         """Append the decision record and flush it into a Phase I block.
 
         Returns the id of the block carrying the record.  The record enters
@@ -418,13 +425,13 @@ class TxnParticipantRole:
             payload=encode_txn_decision(txn_id, decision, reason),
             produced_at=now,
         )
-        batch = self.buffer.append(entry, now=now)
+        batch = state.buffer.append(entry, now=now)
         if batch is not None:
-            self._form_block(batch)
-        batch = self.buffer.flush()
+            self._form_block(state, batch)
+        batch = state.buffer.flush()
         if batch is not None:
-            self._form_block(batch)
-        return self.log.next_block_id - 1
+            self._form_block(state, batch)
+        return state.log.next_block_id - 1
 
     def _send_txn_ack(
         self,

@@ -93,11 +93,11 @@ def put_certify_windowed():
         env=local_environment(seed=13),
     )
     edge = system.edge(0)
-    edge._pump_certify_pipeline = lambda allow_partial=False: 0
+    edge._pump_certify_pipeline = lambda state, allow_partial=False: 0
     put_blocks(system.client(0), 6)
     system.run_for(0.01)
     del edge._pump_certify_pipeline
-    edge._pump_certify_pipeline()
+    edge._pump_certify_pipeline(edge._default_partition)
     system.run_for(10.0)
     return system
 

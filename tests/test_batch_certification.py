@@ -637,7 +637,7 @@ class TestEdgeRetry:
         env, cloud, edge = make_edge_with_blocks(1, batch_size=1)
         lost = lose_first(env, BlockCertifyRequest)
         block = edge.log.block(0)
-        edge._send_certify_request(block)
+        edge._send_certify_request(edge._default_partition, block)
         env.run()
         assert len(lost) == 1
         assert edge.stats["certify_retries"] == 1
@@ -649,7 +649,7 @@ class TestEdgeRetry:
     def test_retry_skips_recent_and_certified(self):
         env, cloud, edge = make_edge_with_blocks(1, batch_size=1)
         block = edge.log.block(0)
-        edge._send_certify_request(block)
+        edge._send_certify_request(edge._default_partition, block)
         env.run()
         # Answered before the first retry step: the certificate ended the
         # chain, so the queue drained without a re-send.
@@ -667,7 +667,7 @@ class TestEdgeRetry:
         assert edge.certifier.pending_dispatch_count == 1
         assert edge.stats["certify_requests"] == 0
         block = edge.log.block(0)
-        edge._send_certify_request(block)  # arms the flush
+        edge._send_certify_request(edge._default_partition, block)  # arms the flush
         env.run()
         assert edge.stats["certify_requests"] == 1
         assert edge.stats["certify_retries"] == 0
@@ -681,10 +681,10 @@ class TestEdgeRetry:
         env, cloud, edge = make_edge_with_blocks(3, batch_size=3)
         for block_id in range(3):
             edge.certifier.enqueue_for_dispatch(block_id)
-        edge._pump_certify_pipeline()
+        edge._pump_certify_pipeline(edge._default_partition)
         (batch,) = edge.certifier.in_flight_batches()
         # The retry fires while the original answer is still on the wire.
-        assert edge._resend_batch(batch)
+        assert edge._resend_batch(edge._default_partition, batch)
         env.run()
         assert edge.certifier.certified_count == 3
         assert edge.stats["certify_retries"] == 3
@@ -798,13 +798,13 @@ class TestEndToEndBatching:
 
         # Blocks 0-1 arm the timer; block 2 fills the batch and flushes.
         for block in blocks[:3]:
-            edge._send_certify_request(block)
+            edge._send_certify_request(edge._default_partition, block)
         assert edge.stats["certify_batches"] == 1
-        assert edge._certify_flush_timer is None
+        assert edge._default_partition.certify_flush_timer is None
 
         # Block 3 arrives late in what would have been the stale window.
         env.scheduler.run_until(start + timeout * 0.8)
-        edge._send_certify_request(blocks[3])
+        edge._send_certify_request(edge._default_partition, blocks[3])
         # Past the stale deadline: the old timer must not have fired.
         env.scheduler.run_until(start + timeout * 1.2)
         assert edge.stats["certify_batches"] == 1

@@ -20,16 +20,27 @@ import struct
 
 import pytest
 
+from repro.baselines.cloud_only import (
+    CloudGetResponse,
+    CloudReadResponse,
+    CloudWriteResponse,
+)
+from repro.baselines.edge_baseline import (
+    CertifiedStateResponse,
+    FullBlockCertifyRequest,
+)
 from repro.common.encoding import reference_encode
 from repro.common.errors import StorageCorruptionError
 from repro.common.identifiers import OperationId, client_id, cloud_id, edge_id
 from repro.crypto.signatures import KeyRegistry
 from repro.log.block import build_block
 from repro.log.entry import make_entry
-from repro.log.proofs import issue_phase_one_receipt
+from repro.log.proofs import issue_block_proof, issue_phase_one_receipt
 from repro.lsm.page import build_page
 from repro.lsm.records import KVRecord
 from repro.messages import AppendBatchResponse
+from repro.messages.log_messages import CertifyStatement
+from repro.nodes.variants import FullDataCertifyRequest
 from repro.service import FrameError, encode_frame, read_frame
 from repro.service.framing import decode_payload
 from repro.service.transport import AsyncioTransport
@@ -66,14 +77,45 @@ def _response() -> AppendBatchResponse:
     )
 
 
+def _baseline_messages() -> list:
+    """One of each wire class the baselines and the full-data ablation
+    define beside their nodes, around a one-entry block."""
+
+    registry = _registry()
+    entry = make_entry(registry, CLIENT, 0, b"baseline", 0.5)
+    block = build_block(EDGE, 2, [entry], created_at=1.0)
+    digest = block.digest()
+    operation = OperationId(client=CLIENT, sequence=3)
+    statement = CertifyStatement(
+        edge=EDGE, block_id=2, block_digest=digest, num_entries=1
+    )
+    return [
+        CloudWriteResponse(operation_id=operation, block_id=2),
+        CloudReadResponse(operation_id=operation, block_id=2, found=True, block=block),
+        CloudGetResponse(operation_id=operation, key="k", found=False),
+        FullBlockCertifyRequest(edge=EDGE, block=block),
+        CertifiedStateResponse(
+            proof=issue_block_proof(registry, CLOUD, EDGE, 2, digest, 1.5),
+            state_bytes=block.wire_size,
+        ),
+        FullDataCertifyRequest(
+            statement=statement,
+            signature=registry.sign(EDGE, statement),
+            block=block,
+        ),
+    ]
+
+
 #: Canonical payloads the corpus mutates: a wire message, a storage
-#: envelope around plain values, and the frame envelope.
+#: envelope around plain values, the frame envelope, and the baselines'
+#: wire classes.
 def _bases() -> list[bytes]:
     response = _response()
     return [
         encode_record(response),
         encode_record({"kind": "proof", "bid": 4, "data": {"a": (1, 2.5, None, True), "b": b"\x00\xff"}}),
         encode_frame(EDGE, response)[4:],
+        encode_record(_baseline_messages()),
     ]
 
 
@@ -131,6 +173,16 @@ class TestHostileCorpus:
     def test_the_bases_are_accepted(self):
         for data in _bases():
             assert expect_refused_or_exact(data)
+
+    def test_the_baseline_wire_classes_decode_to_themselves(self):
+        for message in _baseline_messages():
+            data = encode_record(message)
+            assert decode_record(data) == message
+            assert expect_refused_or_exact(data)
+            # A renamed first field is refused, not ignored or defaulted.
+            head = b'{"__type__":"%s","' % type(message).__name__.encode()
+            assert data.startswith(head)
+            expect_refused(data.replace(b'","', b'","x', 1))
 
     def test_whitespace_anywhere_structural(self):
         for data in _bases():

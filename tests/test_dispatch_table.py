@@ -13,12 +13,15 @@ runs reproduce, byte for byte, the exports the parent commit produced (see
 function under the node packages chains ``isinstance`` tests on one name —
 and the paper's packages stay the paper's: no module under ``repro.nodes``
 or ``repro.core`` imports the fleet (``repro.sharding`` or its message
-modules) at any level.
+modules) at any level.  (e) The partition is an argument: no edge class
+keeps a pointer to a "current" partition, and no edge method reads a
+partition through the node's observer views.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import importlib.util
 import pathlib
 
@@ -300,8 +303,8 @@ class TestLookupRules:
         calls = []
 
         class StubGetEdge(EdgeNode):
-            def _handle_get(self, sender, request):
-                calls.append((sender, request))
+            def _handle_get(self, state, sender, request):
+                calls.append((state, sender, request))
 
         assert StubGetEdge.HANDLERS is EdgeNode.HANDLERS
         system = single_system(
@@ -312,7 +315,9 @@ class TestLookupRules:
         client = system.client(0)
         client.get("some-key")
         system.run_for(1.0)
-        assert len(calls) == 1 and calls[0][0] == client.node_id
+        [(state, sender, _request)] = calls
+        assert state is system.edge()._default_partition
+        assert sender == client.node_id
 
     def test_instance_level_patches_are_honoured(self):
         # The environment adapters and the benchmark's tracer rely on
@@ -325,7 +330,7 @@ class TestLookupRules:
             seen.append(type(message).__name__),
             inner(sender, message),
         )
-        edge._handle_read = lambda sender, request: seen.append("patched-read")
+        edge._handle_read = lambda state, sender, request: seen.append("patched-read")
         client.read(0)
         system.run_for(1.0)
         assert seen == ["ReadRequest", "patched-read"]
@@ -569,4 +574,151 @@ class TestNoLadders:
                     ast.parse(path.read_text())
                 ):
                     offenders.append(f"{path.name}::{function} tests {name!r} x{count}")
+        assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# (e) No active-partition pointer grows back
+# ----------------------------------------------------------------------
+#: Names of the deleted pointer machinery besides ``self._active`` itself:
+#: its context manager and the per-request replica lease it carried.
+POINTER_NAMES = frozenset({"_as_active", "_serving_lease"})
+#: ``EdgeNode``'s read-only observer views of the default partition.
+VIEW_NAMES = frozenset(
+    {"log", "buffer", "certifier", "index", "level_zero_blocks", "signed_root"}
+)
+NODE_PACKAGES = ("nodes", "sharding", "baselines")
+
+
+def _pointer_uses(tree: ast.AST):
+    """``(line, spelling)`` of every ``self._active`` and of every
+    attribute, name or definition called ``_as_active`` / ``_serving_lease``."""
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if node.attr in POINTER_NAMES or (
+                node.attr == "_active"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                yield node.lineno, node.attr
+        elif isinstance(node, ast.Name) and node.id in POINTER_NAMES:
+            yield node.lineno, node.id
+        elif (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name in POINTER_NAMES
+        ):
+            yield node.lineno, node.name
+
+
+def _is_view_getter(function: ast.AST) -> bool:
+    return function.name in VIEW_NAMES and any(
+        isinstance(decorator, ast.Name) and decorator.id == "property"
+        for decorator in function.decorator_list
+    )
+
+
+def _view_reads(tree: ast.AST, edge_classes: set[str]):
+    """``(class, method, line, view)`` for every ``self.<view>`` inside a
+    method of a module-level class named in *edge_classes* (the view
+    getters themselves excepted)."""
+
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or cls.name not in edge_classes:
+            continue
+        for function in cls.body:
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if _is_view_getter(function):
+                continue
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in VIEW_NAMES
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    yield cls.name, function.name, node.lineno, node.attr
+
+
+def _node_modules():
+    """``(path, module)`` of every module under the node packages."""
+
+    for package in NODE_PACKAGES:
+        for path in sorted((REPO / "src" / "repro" / package).glob("*.py")):
+            name = f"repro.{package}.{path.stem}".removesuffix(".__init__")
+            yield path, importlib.import_module(name)
+
+
+def _edge_class_names(module, tree: ast.AST) -> set[str]:
+    """Module-level classes of *module* that are ``EdgeNode`` subclasses or
+    are mixed into one (the 2PC participant role)."""
+
+    classes = {
+        node.name: getattr(module, node.name)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    edge_subclasses = [
+        obj
+        for _path, other in _node_modules()
+        for obj in vars(other).values()
+        if isinstance(obj, type) and issubclass(obj, EdgeNode)
+    ]
+    return {
+        name
+        for name, cls in classes.items()
+        if issubclass(cls, EdgeNode)
+        or any(cls in subclass.__mro__ for subclass in edge_subclasses)
+    }
+
+
+class TestPartitionIsAnArgument:
+    def test_detectors_see_a_pointer_and_a_view_read(self):
+        source = (
+            "class Edge:\n"
+            "    @property\n"
+            "    def log(self):\n"
+            "        return self._default_partition.log\n"
+            "    def _as_active(self, state):\n"
+            "        self._active = state\n"
+            "    def _handle(self, state, sender, message):\n"
+            "        self.log.append(message)\n"
+            "        state.index.get(message)\n"
+            "        def later():\n"
+            "            return self.signed_root\n"
+            "        return later\n"
+            "class Client:\n"
+            "    def _handle(self, sender, message):\n"
+            "        return self.log\n"
+        )
+        tree = ast.parse(source)
+        assert sorted(_pointer_uses(tree)) == [(5, "_as_active"), (6, "_active")]
+        assert sorted(_view_reads(tree, {"Edge"})) == [
+            ("Edge", "_handle", 8, "log"),
+            ("Edge", "_handle", 11, "signed_root"),
+        ]
+
+    def test_participant_role_counts_as_an_edge_class(self):
+        path = REPO / "src/repro/sharding/participant.py"
+        module = importlib.import_module("repro.sharding.participant")
+        names = _edge_class_names(module, ast.parse(path.read_text()))
+        assert names == {"TxnParticipantRole"}
+
+    def test_no_active_partition_pointer_in_the_node_packages(self):
+        offenders = [
+            f"{path.name}:{line} {name}"
+            for path, _module in _node_modules()
+            for line, name in _pointer_uses(ast.parse(path.read_text()))
+        ]
+        assert not offenders, offenders
+
+    def test_edge_methods_read_the_state_they_are_handed(self):
+        offenders = []
+        for path, module in _node_modules():
+            tree = ast.parse(path.read_text())
+            for cls, method, line, view in _view_reads(
+                tree, _edge_class_names(module, tree)
+            ):
+                offenders.append(f"{path.name}:{line} {cls}.{method} self.{view}")
         assert not offenders, offenders

@@ -168,7 +168,8 @@ class TestFreshness:
         system.run()
         system.run_for(30.0)
         # The edge asks the cloud to re-sign the (unchanged) roots.
-        system.edge().request_root_refresh()
+        edge = system.edge()
+        edge.request_root_refresh(edge._default_partition)
         system.run_for(2.0)
         op = reader.get(format_key(2))
         system.wait_for(reader, op, CommitPhase.PHASE_TWO, max_time_s=30)

@@ -202,7 +202,7 @@ class TestInFlightWindow:
 class TestWindowedDispatch:
     def test_window_bounds_in_flight_batches(self):
         env, cloud, edge = make_pipelined_edge(12, batch_size=3, depth=2)
-        edge._pump_certify_pipeline()
+        edge._pump_certify_pipeline(edge._default_partition)
         # Only `depth` batches leave; the rest stay queued.
         assert edge.certifier.in_flight_count == 2
         assert edge.certifier.pending_dispatch_count == 6
@@ -216,7 +216,7 @@ class TestWindowedDispatch:
     def test_multi_batch_pump_ships_one_window_envelope(self):
         env, cloud, edge = make_pipelined_edge(9, batch_size=3, depth=4)
         sent = record_sends(env)
-        edge._pump_certify_pipeline()
+        edge._pump_certify_pipeline(edge._default_partition)
         windows = [m for m in sent if isinstance(m, CertifyWindowRequest)]
         batches = [m for m in sent if isinstance(m, CertifyBatchRequest)]
         assert len(windows) == 1 and not batches
@@ -234,7 +234,7 @@ class TestWindowedDispatch:
     def test_single_batch_pump_keeps_plain_wire_format(self):
         env, cloud, edge = make_pipelined_edge(3, batch_size=3, depth=4)
         sent = record_sends(env)
-        edge._pump_certify_pipeline()
+        edge._pump_certify_pipeline(edge._default_partition)
         assert [type(m) for m in sent] == [CertifyBatchRequest]
 
     def test_misattributed_window_envelope_dropped(self):
@@ -242,7 +242,7 @@ class TestWindowedDispatch:
         mallory = edge_id("edge-mallory")
         env.registry.register(mallory)
         sent = record_sends(env, keep=lambda message: False)
-        edge._pump_certify_pipeline()
+        edge._pump_certify_pipeline(edge._default_partition)
         env.network.remove_send_hook("test:record-sends")
         (window,) = sent
         assert isinstance(window, CertifyWindowRequest)
@@ -266,7 +266,7 @@ class TestPipelineAdversarial:
     def certificates_for(self, env, cloud, edge):
         """Short-circuit the cloud: certificates for the edge's window."""
 
-        edge._pump_certify_pipeline()
+        edge._pump_certify_pipeline(edge._default_partition)
         batches = [
             tuple(
                 (block_id, edge.certifier.task(block_id).block_digest)
@@ -361,7 +361,7 @@ class TestPipelineAdversarial:
 
         env.network.add_send_hook("test:drop-first-batch", drop_first_batch)
         sent = record_sends(env)
-        edge._pump_certify_pipeline()
+        edge._pump_certify_pipeline(edge._default_partition)
         first_retry = edge.config.security.dispute_timeout_s / 2
         env.scheduler.run_until(first_retry - 0.01)
         # The window (both batches) was lost in one envelope: nothing came back.
@@ -400,7 +400,7 @@ class TestPipelineAdversarial:
         env, cloud, edge = make_pipelined_edge(3, batch_size=3, depth=4)
         # The cloud already certified block 0 under a different digest.
         cloud._certified.setdefault(edge.node_id, {})[0] = "f" * 64
-        edge._pump_certify_pipeline()
+        edge._pump_certify_pipeline(edge._default_partition)
         env.run()
         # Blocks 1-2 certified; block 0 rejected and its slot released.
         assert edge.certifier.certified_count == 2
@@ -415,7 +415,7 @@ class TestPipelineAdversarial:
 
         env, cloud, edge = make_pipelined_edge(3, batch_size=3, depth=4)
         record_sends(env, keep=lambda message: False)  # hold the window open
-        edge._pump_certify_pipeline()
+        edge._pump_certify_pipeline(edge._default_partition)
         assert edge.certifier.in_flight_count == 1
 
         def rejection(cloud_name, edge_name):
@@ -639,7 +639,7 @@ class TestCertifyEngineAndHarness:
         # the second the last one).
         for depth, requests in ((1, 6), (4, 3)):
             env, cloud, edge = make_pipelined_edge(24, batch_size=4, depth=depth)
-            edge._pump_certify_pipeline()
+            edge._pump_certify_pipeline(edge._default_partition)
             env.run()
             assert edge.certifier.certified_count == 24
             assert edge.certifier.retired_batch_count == 6
@@ -656,7 +656,7 @@ class TestCertifyEngineAndHarness:
         env, cloud, edge = make_pipelined_edge(4, batch_size=2, depth=4)
         # The cloud already holds a conflicting digest for block 1.
         cloud._certified.setdefault(edge.node_id, {})[1] = "f" * 64
-        edge._pump_certify_pipeline()
+        edge._pump_certify_pipeline(edge._default_partition)
         env.run()
         assert edge.certifier.certified_count == 3
         assert [task.block_id for task in edge.certifier.outstanding()] == [1]
@@ -677,7 +677,7 @@ class TestCertifyEngineAndHarness:
         edge.certifier.drain_dispatch_queue()  # dispatch the ordinary way
         for block_id in range(4):
             block = edge.log.block(block_id)
-            edge._send_certify_request(block)
+            edge._send_certify_request(edge._default_partition, block)
         env.scheduler.run_until(60.0)
         assert cloud.stats["certify_conflicts"] == 1
         assert edge.stats["certify_rejections"] == 1
@@ -686,7 +686,7 @@ class TestCertifyEngineAndHarness:
 
     def test_lazy_dispute_proofs_derived_on_demand(self):
         env, cloud, edge = make_pipelined_edge(3, batch_size=3, depth=4)
-        edge._pump_certify_pipeline()
+        edge._pump_certify_pipeline(edge._default_partition)
         env.run()
         assert edge.certifier.certified_count == 3
         # The hot path stored no eager proofs; proof_for derives on demand.
@@ -802,7 +802,7 @@ class TestMonotonicRetryClock:
                 for block_id in range(4):
                     edge.certifier.track(block_id, f"{block_id:064x}")
                     edge.certifier.enqueue_for_dispatch(block_id)
-                edge._pump_certify_pipeline()
+                edge._pump_certify_pipeline(edge._default_partition)
                 assert edge.certifier.in_flight_count == 2
 
                 # The system clock leaps an hour forward and then a day back
@@ -831,7 +831,7 @@ class TestMonotonicRetryClock:
         first_retry = edge.config.security.dispute_timeout_s / 2
         env.network.set_offline(cloud.node_id)
         env.scheduler.run_until(5.0)
-        edge._pump_certify_pipeline()
+        edge._pump_certify_pipeline(edge._default_partition)
         env.scheduler.run_until(5.0 + first_retry - 0.01)
         assert edge.stats["certify_retries"] == 0
         env.scheduler.run_until(5.0 + first_retry + 0.01)
@@ -857,7 +857,7 @@ class TestRetryPolicyUnderOutage:
     def test_backoff_grows_to_the_dispute_timeout(self):
         env, _cloud, edge = self.make_outage(2)
         timeout = edge.config.security.dispute_timeout_s
-        assert edge._pump_certify_pipeline() == 1
+        assert edge._pump_certify_pipeline(edge._default_partition) == 1
         (batch,) = edge.certifier.in_flight_batches()
         fired = []
         for step in (timeout / 2, timeout, timeout, timeout):
@@ -876,7 +876,7 @@ class TestRetryPolicyUnderOutage:
         sent = record_sends(env)
 
         # Only depth=2 batches ship; the other four blocks stay queued.
-        edge._pump_certify_pipeline()
+        edge._pump_certify_pipeline(edge._default_partition)
         (first_wave,) = sent
         assert isinstance(first_wave, CertifyWindowRequest)
         assert edge.certifier.in_flight_count == 2
@@ -886,7 +886,7 @@ class TestRetryPolicyUnderOutage:
         # the same two lost batches and the queue stays parked behind them.
         env.scheduler.run_until(30.0)
         assert edge.stats["certify_batch_retries"] == 12
-        assert edge._pump_certify_pipeline() == 0
+        assert edge._pump_certify_pipeline(edge._default_partition) == 0
         assert edge.certifier.in_flight_count == 2
         assert edge.certifier.pending_dispatch_count == 4
         assert edge.certifier.certified_count == 0
@@ -927,7 +927,8 @@ class TestRetryPolicyUnderOutage:
         env.network.set_offline(cloud.node_id)
         for block_id in range(num_blocks):
             env.scheduler.run_until(float(block_id))
-            edge._dispatch_certify(edge.certifier.track(block_id, f"{block_id:064x}"))
+            task = edge.certifier.track(block_id, f"{block_id:064x}")
+            edge._dispatch_certify(edge._default_partition, task)
         env.scheduler.run_until(outage_s)
         probes = edge.stats["certify_retries"] - num_blocks
         assert 0 < probes <= outage_s / timeout

@@ -195,7 +195,7 @@ class TestTamperedHandoff:
 class OmittingShardOwnerEdgeNode(ShardedEdgeNode):
     """A shard owner that denies every block on read, certified or not."""
 
-    def _read_record(self, block_id):
+    def _read_record(self, state, block_id):
         return None
 
 

@@ -10,6 +10,7 @@ from repro.common.config import (
 )
 from repro.log.proofs import CommitPhase
 from repro.messages.kv_messages import MergeRejection
+from repro.messages.log_messages import CertifyBatchRequest
 from repro.messages.shard_messages import ShardHandoffRequest
 from repro.sharding import ShardedWedgeSystem
 from repro.sim.environment import local_environment
@@ -273,8 +274,7 @@ class TestShardFieldRouting:
         refreshes = edge.stats["root_refreshes"]
         requested_at = system.env.now()
 
-        with edge._as_active(state):
-            edge.request_root_refresh()
+        edge.request_root_refresh(state)
         system.run()
         assert edge.stats["root_refreshes"] == refreshes + 1
         assert state.signed_root.statement.timestamp >= requested_at
@@ -294,6 +294,70 @@ class TestShardFieldRouting:
         assert not state.merge_in_flight
         assert other_state.merge_in_flight
         other_state.merge_in_flight = False
+
+
+class TestTimersStayWithTheirPartition:
+    """A deferred step acts on the partition that armed it, whichever
+    partition the edge served in between."""
+
+    def test_flush_certify_flush_and_retry_act_only_on_their_shard(self):
+        config = SystemConfig.paper_default().with_overrides(
+            num_edge_nodes=1,
+            sharding=ShardingConfig(num_shards=2),
+            logging=LoggingConfig(
+                block_size=5, block_timeout_s=0.02, certify_batch_size=2
+            ),
+        )
+        system = ShardedWedgeSystem.build(
+            config=config, num_clients=1, env=local_environment(seed=13)
+        )
+        edge, client = system.edges[0], system.clients[0]
+        shard_a, shard_b = 0, 1
+        state_a, state_b = edge.shard_state(shard_a), edge.shard_state(shard_b)
+        keys = {shard_a: [], shard_b: []}
+        for index in range(200):
+            key = format_key(index)
+            keys[system.partitioner.shard_of(key)].append(key)
+        dropped = []
+
+        def drop_first_certify_of_a(src, dst, message):
+            if (
+                isinstance(message, CertifyBatchRequest)
+                and not dropped
+                and message.statement.items[0].block_id in state_a.log
+            ):
+                dropped.append(message)
+                return False
+            return True
+
+        system.env.network.add_send_hook("test:drop-a-certify", drop_first_certify_of_a)
+        # One entry on A: a partial block, so A's block-flush timer is armed.
+        client.put(keys[shard_a][0], b"a")
+        system.run_for(0.005)
+        # Then the edge serves B: two full blocks, one full certify batch
+        # shipped from the handler itself, so B arms no timer of its own.
+        client.put_batch([(key, b"b") for key in keys[shard_b][:10]])
+        system.run_for(0.005)
+        assert len(state_a.log) == 0 and not state_a.buffer.is_empty
+        b_blocks = [record.block.block_id for record in state_b.log]
+        assert len(b_blocks) == 2 and state_b.certifier.tracked_count == 2
+
+        system.run_for(10.0)
+
+        # A's block-flush timer formed A's block; A's certify-flush timer
+        # shipped it as a partial batch (dropped); the retry re-sent it.
+        assert len(dropped) == 1
+        assert edge.stats["timeout_flushes"] == 1
+        assert edge.stats["certify_retries"] == 1
+        (record_a,) = list(state_a.log)
+        assert record_a.block.num_entries == 1 and record_a.proof is not None
+        assert state_a.certifier.tracked_count == 1
+        assert state_a.certifier.certified_count == 1
+        # B kept exactly its own two blocks and digests.
+        assert [record.block.block_id for record in state_b.log] == b_blocks
+        assert state_b.certifier.tracked_count == 2
+        assert state_b.certifier.certified_count == 2
+        assert len(edge._default_partition.log) == 0
 
 
 class TestSingleEdgeDegeneration:

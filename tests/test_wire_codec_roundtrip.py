@@ -6,10 +6,13 @@ missing from the storable registry is a crash on its first live send.
 These tests pin the contract from both ends:
 
 * every class in :data:`repro.messages.WIRE_MESSAGE_TYPES` (and the
-  statement types nested inside them) resolves in the codec registry;
+  statement types nested inside them) resolves in the codec registry, and
+  so do the wire classes the baselines and the full-data ablation define
+  beside their nodes;
 * every message actually emitted by representative deployments — the plain
   system with gossip and reads, a replicated sharded fleet, a cross-shard
-  transaction, an edge merging pages with the cloud — survives
+  transaction, an edge merging pages with the cloud, the two baselines and
+  the full-data ablation — survives
   ``encode → decode → encode`` with byte-identical output (the
   property-style sweep over real traffic, not synthetic fixtures);
 * the wire *is* the canonical text: ``encode_record`` equals the memo-free
@@ -26,6 +29,17 @@ import dataclasses
 import pytest
 
 from repro import messages as messages_pkg
+from repro.baselines.cloud_only import (
+    CloudGetResponse,
+    CloudOnlySystem,
+    CloudReadResponse,
+    CloudWriteResponse,
+)
+from repro.baselines.edge_baseline import (
+    CertifiedStateResponse,
+    EdgeBaselineSystem,
+    FullBlockCertifyRequest,
+)
 from repro.common.config import (
     LoggingConfig,
     LSMerkleConfig,
@@ -37,6 +51,7 @@ from repro.core.system import WedgeChainSystem
 from repro.log.proofs import CommitPhase
 from repro.lsm.page import Page
 from repro.messages import WIRE_MESSAGE_TYPES, MergeRequest, MergeResponse
+from repro.nodes.variants import FullDataCertifyRequest, FullDataLazyEdgeNode
 from repro.sharding.system import ShardedWedgeSystem
 from repro.sim.environment import local_environment
 from repro.storage.codec import _TYPES, decode_record, encode_record, register_storable
@@ -136,12 +151,69 @@ def _merging_system_traffic():
     return _capture_traffic(system, run)
 
 
+#: Wire classes defined beside their nodes, outside ``repro.messages``.
+BASELINE_MESSAGE_TYPES = (
+    CloudWriteResponse,
+    CloudReadResponse,
+    CloudGetResponse,
+    FullBlockCertifyRequest,
+    CertifiedStateResponse,
+    FullDataCertifyRequest,
+)
+
+
+def _baseline_traffic():
+    """The cloud-only and edge baselines, and the full-data lazy ablation."""
+
+    config = SystemConfig.paper_default().with_overrides(
+        logging=LoggingConfig(block_size=5, block_timeout_s=0.02),
+    )
+    items = [(format_key(i), b"b%d" % i) for i in range(5)]
+    traffic = []
+
+    cloud_only = CloudOnlySystem.build(
+        config=config, num_clients=1, env=local_environment(seed=24)
+    )
+
+    def run_cloud_only():
+        client = cloud_only.client()
+        put = client.put_batch(items)
+        assert cloud_only.wait_for_all([(client, put)], max_time_s=30)
+        reads = [client.get(format_key(1)), client.get("missing"), client.read(0)]
+        assert cloud_only.wait_for_all([(client, op) for op in reads], max_time_s=30)
+
+    traffic += _capture_traffic(cloud_only, run_cloud_only)
+    for build in (
+        lambda: EdgeBaselineSystem.build(
+            config=config, num_clients=1, env=local_environment(seed=25)
+        ),
+        lambda: WedgeChainSystem.build(
+            config=config,
+            num_clients=1,
+            env=local_environment(seed=26),
+            edge_factory=lambda env, cloud, cfg, name, region: FullDataLazyEdgeNode(
+                env=env, cloud=cloud, config=cfg, name=name, region=region
+            ),
+        ),
+    ):
+        system = build()
+
+        def run():
+            client = system.client()
+            put = client.put_batch(items)
+            assert system.wait_for_all([(client, put)], CommitPhase.PHASE_TWO)
+
+        traffic += _capture_traffic(system, run)
+    return traffic
+
+
 @pytest.fixture(scope="module")
 def wire_traffic():
     return (
         _plain_system_traffic()
         + _sharded_replicated_traffic()
         + _merging_system_traffic()
+        + _baseline_traffic()
     )
 
 
@@ -211,6 +283,10 @@ class TestRegistryCoverage:
                 assert exported.get(name) is obj, name
         assert exported["WIRE_MESSAGE_TYPES"] is WIRE_MESSAGE_TYPES
 
+    def test_every_baseline_wire_class_is_registered(self):
+        for cls in BASELINE_MESSAGE_TYPES:
+            assert _TYPES.get(cls.__name__) is cls, f"{cls.__name__} not registered"
+
     def test_register_storable_rejects_name_collision(self):
         class Block:  # same name as the registered log Block
             pass
@@ -233,6 +309,7 @@ class TestRoundTripProperty:
         # and transaction paths; a shrinking surface means the scenarios (or
         # the protocol) silently stopped sending something.
         assert len(covered) >= 15, sorted(covered)
+        assert {cls.__name__ for cls in BASELINE_MESSAGE_TYPES} <= seen
 
     def test_every_captured_message_roundtrips_byte_identically(self, wire_traffic):
         assert wire_traffic, "scenarios produced no traffic"
