@@ -11,9 +11,9 @@ survivor is a check no test has seen fail.  Stdlib ``ast`` only; no
     python benchmarks/mutation_census.py
     python benchmarks/mutation_census.py --output mutation_census.md
 
-It covers the read verifier against its proof tests and the chaos
-invariants against the chaos scenarios (``TARGETS``; about three and a half
-minutes on two cores).  Each target first runs unmutated; a target whose
+It covers the read verifier against its proof tests, the chaos invariants
+against the chaos scenarios and the storage codec against its strictness
+tests (``TARGETS``; about five minutes on two cores).  Each target first runs unmutated; a target whose
 test file fails as it stands is reported and skipped.  The exit status is 0
 unless a target could not be run at all: survivors are findings, not
 failures.
@@ -36,6 +36,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 TARGETS = (
     ("src/repro/lsmerkle/read_proof.py", "tests/test_lsmerkle_proofs_merge.py"),
     ("src/repro/faults/invariants.py", "tests/test_chaos_scenarios.py"),
+    ("src/repro/storage/codec.py", "tests/test_codec_strictness.py"),
 )
 
 

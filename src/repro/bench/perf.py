@@ -621,6 +621,78 @@ def bench_frame_roundtrip(rng: random.Random, quick: bool) -> BenchResult:
     return _time_repeats("frame_roundtrip", run, num_responses, repeats)
 
 
+def bench_get_receive(rng: random.Random, quick: bool) -> BenchResult:
+    """A client receiving a verified get over a full level 0.
+
+    ``decode_payload`` + ``verify_get_proof`` of one framed ``GetResponse``
+    backed by ten certified 100-put blocks (the paper's level-0 threshold
+    and the live fleets' batch size): the ~0.55 MB a verified get ships
+    between merges.  Every block decodes strictly and is digested, and the
+    verifier scans it for the key.  The first receive, which compiles the
+    decoders, is not timed.
+    """
+
+    from ..common.identifiers import OperationId
+    from ..lsmerkle.codec import encode_put
+    from ..messages.kv_messages import GetResponse, GetResponseStatement
+    from ..service.framing import decode_payload, encode_frame
+
+    registry, cloud, edge = _certification_registry()
+    client = client_id("bench-client")
+    registry.register(client)
+    keys = [f"key-{index:06d}" for index in range(2000)]
+    evidence = []
+    for block_id in range(1, 11):
+        written = [rng.choice(keys) for _ in range(100)]
+        entries = [
+            make_entry(
+                registry,
+                client,
+                block_id * 100 + index,
+                encode_put(written_key, rng.randbytes(64)),
+                float(block_id),
+            )
+            for index, written_key in enumerate(written)
+        ]
+        block = build_block(edge, block_id, entries, created_at=float(block_id))
+        proof = issue_block_proof(
+            registry, cloud, edge, block_id, block.digest(), float(block_id)
+        )
+        evidence.append((block, proof))
+    key = rng.choice(written)
+    index = MerkleizedLSM(config=LSMerkleConfig(), page_capacity=100)
+    statement = GetResponseStatement(
+        edge=edge,
+        operation_id=OperationId(client=client, sequence=1),
+        key=key,
+        found=True,
+        value_digest=None,
+        issued_at=11.0,
+    )
+    response = GetResponse(
+        statement=statement,
+        signature=registry.sign(edge, statement),
+        value=None,
+        proof=build_get_proof(key, index, evidence, None, 0),
+    )
+    payload = encode_frame(edge, response)[4:]
+
+    receives = 10 if quick else 30
+    repeats = 5 if quick else 10
+
+    def receive() -> None:
+        _sender, received = decode_payload(payload)
+        verified = verify_get_proof(registry, cloud, edge, key, received.proof)
+        assert verified.found and verified.record.key == key
+
+    def run() -> None:
+        for _ in range(receives):
+            receive()
+
+    receive()
+    return _time_repeats("get_receive", run, receives, repeats)
+
+
 # ----------------------------------------------------------------------
 # Real-node rows: fleets are set-up, one protocol exchange is timed
 # ----------------------------------------------------------------------
@@ -984,6 +1056,7 @@ BENCHMARKS = (
     bench_obs_overhead,
     bench_replica_read,
     bench_frame_roundtrip,
+    bench_get_receive,
     bench_live_put_p99,
 )
 

@@ -31,9 +31,17 @@ class Block:
 
     @property
     def wire_size(self) -> int:
-        """Approximate on-the-wire size of the full block in bytes."""
+        """Approximate on-the-wire size of the full block in bytes.
 
-        return 48 + sum(entry.wire_size for entry in self.entries)
+        Cached after the first computation, like :meth:`digest`: the value
+        is a function of the immutable block alone.
+        """
+
+        cached = getattr(self, "_wire_size_cache", None)
+        if cached is None:
+            cached = 48 + sum(entry.wire_size for entry in self.entries)
+            object.__setattr__(self, "_wire_size_cache", cached)
+        return cached
 
     def digest(self) -> str:
         """The block digest the cloud certifies (a one-way hash).

@@ -47,15 +47,22 @@ def decode_put(payload: bytes) -> tuple[str, bytes]:
 
     if not is_put_payload(payload):
         raise SerializationError("payload does not encode a put operation")
-    offset = len(_PUT_PREFIX)
-    key_length = int.from_bytes(payload[offset : offset + 4], "big")
-    key_start = offset + 4
-    key_end = key_start + key_length
+    key, key_end = _put_key(payload)
+    return key, payload[key_end:]
+
+
+_KEY_START = len(_PUT_PREFIX) + 4
+
+
+def _put_key(payload: bytes) -> tuple[str, int]:
+    """``(key, offset past the key)`` of a payload that starts with the put
+    prefix."""
+
+    key_length = int.from_bytes(payload[len(_PUT_PREFIX) : _KEY_START], "big")
+    key_end = _KEY_START + key_length
     if key_end > len(payload):
         raise SerializationError("truncated put payload")
-    key = payload[key_start:key_end].decode("utf-8")
-    value = payload[key_end:]
-    return key, value
+    return payload[_KEY_START:key_end].decode("utf-8"), key_end
 
 
 def record_sequence(block_id: int, index_in_block: int) -> int:
@@ -75,35 +82,64 @@ _RECORDS_ATTR = "_records_cache"
 def records_from_block(block: Block, memoize: bool = True) -> tuple[KVRecord, ...]:
     """Decode every put entry of *block* into key-value records.
 
-    Blocks are immutable and read proofs decode the same level-0 blocks on
-    every get, so the decoded records are memoized on the block instance
-    until :func:`forget_records` releases them.  A proof verifier passes
-    ``memoize=False``: it reads a memo the block carries but attaches none,
-    because on the simulator the block it checks is the edge's own object,
-    and a get answered just before a merge landed would otherwise re-attach
-    records the edge has released.
+    Blocks are immutable and the edge derives the same level-0 pages from
+    them until a merge consumes them, so the decoded records are memoized
+    on the block instance until :func:`forget_records` releases them.
+    ``memoize=False`` (the cloud's merge check) reads a memo the block
+    carries but attaches none: on the simulator a block a node receives is
+    the sender's own object, and a memo attached after the sender released
+    its own would outlive the merge.  A read-proof verifier looks for one
+    key and calls :func:`records_with_key` instead, which decodes (and
+    checks) every put entry the same way, attaches nothing either, and
+    builds only that key's records.
     """
 
     cached = getattr(block, _RECORDS_ATTR, None)
     if cached is not None:
         return cached
-    records: list[KVRecord] = []
-    for index, entry in enumerate(block.entries):
-        if not is_put_payload(entry.payload):
-            continue
-        key, value = decode_put(entry.payload)
-        records.append(
-            KVRecord(
-                key=key,
-                sequence=record_sequence(block.block_id, index),
-                value=value,
-                written_at=entry.produced_at,
-            )
-        )
-    result = tuple(records)
+    result = _put_records(block, None)
     if memoize:
         object.__setattr__(block, _RECORDS_ATTR, result)
     return result
+
+
+def records_with_key(block: Block, key: str) -> tuple[KVRecord, ...]:
+    """``records_from_block(block, memoize=False)`` filtered by *key*.
+
+    Every put entry's key is decoded with :func:`decode_put`'s checks, so a
+    truncated or non-UTF-8 put raises exactly what it raises there; only
+    the records of other keys are never built.  A block too long for the
+    sequence numbering takes the unfiltered path, which raises on its first
+    put beyond the stride.
+    """
+
+    cached = getattr(block, _RECORDS_ATTR, None)
+    if cached is None and len(block.entries) <= SEQUENCE_STRIDE:
+        return _put_records(block, key)
+    records = cached if cached is not None else _put_records(block, None)
+    return tuple(record for record in records if record.key == key)
+
+
+def _put_records(block: Block, key: Optional[str]) -> tuple[KVRecord, ...]:
+    """The put records of *block*, only those of *key* unless it is None."""
+
+    records: list[KVRecord] = []
+    for index, entry in enumerate(block.entries):
+        body = entry.body
+        payload = body.payload
+        if not payload.startswith(_PUT_PREFIX):
+            continue
+        found, key_end = _put_key(payload)
+        if key is None or found == key:
+            records.append(
+                KVRecord(
+                    key=found,
+                    sequence=record_sequence(block.block_id, index),
+                    value=payload[key_end:],
+                    written_at=body.produced_at,
+                )
+            )
+    return tuple(records)
 
 
 def forget_records(block: Block) -> None:

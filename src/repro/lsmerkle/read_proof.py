@@ -29,7 +29,7 @@ from ..log.proofs import BlockProof, CommitPhase
 from ..lsm.page import Page
 from ..lsm.records import KVRecord
 from ..merkle.tree import InclusionProof
-from .codec import records_from_block
+from .codec import records_with_key
 from .mlsm import MerkleizedLSM, SignedGlobalRoot, empty_level_root
 
 
@@ -304,9 +304,7 @@ def verify_get_proof(
     # Newest version present in level 0, derived from the blocks themselves.
     level_zero_best: Optional[KVRecord] = None
     for item in proof.level_zero:
-        for record in records_from_block(item.block, memoize=False):
-            if record.key != key:
-                continue
+        for record in records_with_key(item.block, key):
             if level_zero_best is None or record.is_newer_than(level_zero_best):
                 level_zero_best = record
 

@@ -15,6 +15,7 @@ hang, or a partially delivered message.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import random
 import struct
 
@@ -29,6 +30,7 @@ from repro.baselines.edge_baseline import (
     CertifiedStateResponse,
     FullBlockCertifyRequest,
 )
+from repro.common.config import LSMerkleConfig
 from repro.common.encoding import reference_encode
 from repro.common.errors import StorageCorruptionError
 from repro.common.identifiers import OperationId, client_id, cloud_id, edge_id
@@ -38,12 +40,17 @@ from repro.log.entry import make_entry
 from repro.log.proofs import issue_block_proof, issue_phase_one_receipt
 from repro.lsm.page import build_page
 from repro.lsm.records import KVRecord
-from repro.messages import AppendBatchResponse
+from repro.lsmerkle.codec import encode_put
+from repro.lsmerkle.mlsm import MerkleizedLSM
+from repro.lsmerkle.read_proof import build_get_proof
+from repro.messages import AppendBatchResponse, GetResponse
+from repro.messages.kv_messages import GetResponseStatement
 from repro.messages.log_messages import CertifyStatement
 from repro.nodes.variants import FullDataCertifyRequest
 from repro.service import FrameError, encode_frame, read_frame
 from repro.service.framing import decode_payload
 from repro.service.transport import AsyncioTransport
+from repro.storage import codec
 from repro.storage.codec import decode_record, encode_record
 from test_wire_codec_roundtrip import assert_memos_sound
 
@@ -106,9 +113,41 @@ def _baseline_messages() -> list:
     ]
 
 
+def _get_response() -> GetResponse:
+    """A signed get response whose proof carries two single-put, certified
+    level-0 blocks."""
+
+    registry = _registry()
+    evidence = []
+    for block_id in (1, 2):
+        entry = make_entry(
+            registry, CLIENT, block_id, encode_put("k", b"v%d" % block_id), 0.5
+        )
+        block = build_block(EDGE, block_id, [entry], created_at=float(block_id))
+        proof = issue_block_proof(
+            registry, CLOUD, EDGE, block_id, block.digest(), float(block_id)
+        )
+        evidence.append((block, proof))
+    index = MerkleizedLSM(config=LSMerkleConfig(), page_capacity=10)
+    statement = GetResponseStatement(
+        edge=EDGE,
+        operation_id=OperationId(client=CLIENT, sequence=9),
+        key="k",
+        found=False,
+        value_digest=None,
+        issued_at=3.0,
+    )
+    return GetResponse(
+        statement=statement,
+        signature=registry.sign(EDGE, statement),
+        value=None,
+        proof=build_get_proof("k", index, evidence, None, None),
+    )
+
+
 #: Canonical payloads the corpus mutates: a wire message, a storage
-#: envelope around plain values, the frame envelope, and the baselines'
-#: wire classes.
+#: envelope around plain values, the frame envelope, the baselines' wire
+#: classes, and a get response carrying level-0 blocks.
 def _bases() -> list[bytes]:
     response = _response()
     return [
@@ -116,6 +155,7 @@ def _bases() -> list[bytes]:
         encode_record({"kind": "proof", "bid": 4, "data": {"a": (1, 2.5, None, True), "b": b"\x00\xff"}}),
         encode_frame(EDGE, response)[4:],
         encode_record(_baseline_messages()),
+        encode_record(_get_response()),
     ]
 
 
@@ -272,6 +312,27 @@ class TestHostileCorpus:
             b'{"__enum__":"NodeRole","value":"edge"}',
         ):
             expect_refused(hostile)
+        # Refused by the name check itself, not by what a missing class or
+        # enum would break further on.
+        with pytest.raises(StorageCorruptionError, match="unknown type 'NoSuchClass'"):
+            decode_record(b'{"__type__":"NoSuchClass"}')
+        with pytest.raises(StorageCorruptionError, match="unknown or malformed enum"):
+            decode_record(b'{"__enum__":"NoSuchEnum","value":"edge"}')
+
+    def test_a_plain_string_has_one_spelling_too(self):
+        assert decode_record(b'{"a":"A\\n"}') == {"a": "A\n"}
+        for hostile in (b'{"a":"\\u0041"}', b'{"\\u0061":1}', b'["\\/"]'):
+            expect_refused(hostile)
+
+    def test_the_registry_refuses_what_it_could_not_decode(self):
+        shadow = dataclasses.make_dataclass("NodeId", [("name", str)], frozen=True)
+        with pytest.raises(ValueError, match="name collision"):
+            codec.register_storable(shadow)
+        # "A" sorts before "__type__", so the tag would not come first.
+        early = dataclasses.make_dataclass("EarlyField", [("A", int)], frozen=True)
+        with pytest.raises(ValueError, match="sorting before '__type__'"):
+            codec.register_storable(early)
+        assert "EarlyField" not in codec._TYPES
 
     def test_nesting_bombs_are_typed_errors(self):
         depth = 200_000

@@ -19,6 +19,7 @@ from repro.lsmerkle.codec import (
     page_from_block,
     record_sequence,
     records_from_block,
+    records_with_key,
 )
 from repro.lsmerkle.mlsm import (
     MerkleizedLSM,
@@ -98,6 +99,15 @@ class TestPageFromBlock:
         block = build_block(EDGE, 0, entries, 1.0)
         records = records_from_block(block)
         assert len(records) == 1 and records[0].key == "k"
+
+    def test_key_scan_reads_a_records_memo_and_attaches_none(self, registry):
+        block = put_block(registry, 4, [("k", b"1"), ("j", b"2"), ("k", b"3")])
+        assert [r.value for r in records_with_key(block, "k")] == [b"1", b"3"]
+        assert getattr(block, "_records_cache", None) is None
+        # A block that carries the memo is answered from it.
+        memo = (KVRecord("k", 7, b"memo"), KVRecord("j", 8, b"other"))
+        object.__setattr__(block, "_records_cache", memo)
+        assert records_with_key(block, "k") == memo[:1]
 
     def test_pure_logging_block_has_no_page(self, registry):
         entries = [make_entry(registry, ALICE, 0, b"log only", 1.0)]

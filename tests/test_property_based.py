@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.encoding import canonical_encode
+from repro.common.errors import SerializationError
 from repro.common.identifiers import OperationId, OperationKind, client_id, edge_id
 from repro.core.commit import CommitTracker
 from repro.crypto.hashing import digest_value
@@ -20,7 +21,14 @@ from repro.log.entry import EntryBody, LogEntry
 from repro.log.proofs import CommitPhase
 from repro.lsm.compaction import newest_versions
 from repro.lsm.records import KVRecord
-from repro.lsmerkle.codec import decode_put, encode_put, is_put_payload
+from repro.lsmerkle.codec import (
+    decode_put,
+    encode_put,
+    is_put_payload,
+    record_sequence,
+    records_from_block,
+    records_with_key,
+)
 
 ALICE = client_id("alice")
 EDGE = edge_id("edge-0")
@@ -47,6 +55,81 @@ class TestCodecProperties:
     def test_different_values_give_different_payloads(self, key, a, b):
         if a != b:
             assert encode_put(key, a) != encode_put(key, b)
+
+
+#: A few keys, so a scan finds some and skips others.
+_SCAN_KEYS = ("k", "k2", "é", "")
+_PREFIX = encode_put("", b"")[:6]
+_scan_payload = st.one_of(
+    st.builds(encode_put, st.sampled_from(_SCAN_KEYS), value_strategy),
+    # Not a put.
+    st.binary(max_size=20).filter(lambda raw: not is_put_payload(raw)),
+    # A key length past the end, or a length field cut short.
+    st.builds(
+        lambda excess, key: _PREFIX + (len(key) + excess).to_bytes(4, "big") + key,
+        st.integers(min_value=1, max_value=9),
+        st.binary(max_size=5),
+    ),
+    st.builds(lambda cut: _PREFIX + b"\x00\x00\x00\x01"[:cut], st.integers(0, 3)),
+    # A key that is not UTF-8.
+    st.builds(
+        lambda key, value: _PREFIX + len(key).to_bytes(4, "big") + key + value,
+        st.sampled_from((b"\xff", b"\xc3", b"k\xed\xa0\x80")),
+        value_strategy,
+    ),
+)
+
+
+def _reference_records(block):
+    """Every put record of *block*, each payload parsed here on its own."""
+
+    records = []
+    for index, entry in enumerate(block.entries):
+        payload = entry.payload
+        if not payload.startswith(_PREFIX):
+            continue
+        key_end = 10 + int.from_bytes(payload[6:10], "big")
+        if key_end > len(payload):
+            raise SerializationError("truncated put payload")
+        records.append(
+            KVRecord(
+                payload[10:key_end].decode("utf-8"),
+                record_sequence(block.block_id, index),
+                payload[key_end:],
+                entry.produced_at,
+            )
+        )
+    return tuple(records)
+
+
+def _outcome(read):
+    try:
+        return "records", read()
+    except Exception as exc:  # the exception *type* is the verdict compared
+        return "raises", type(exc)
+
+
+class TestKeyScanProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_scan_payload, max_size=12), st.sampled_from(_SCAN_KEYS + ("absent",)))
+    def test_scan_equals_filtered_records(self, payloads, key):
+        entries = [
+            LogEntry(EntryBody(ALICE, sequence, payload, 0.5 + sequence))
+            for sequence, payload in enumerate(payloads)
+        ]
+        block = build_block(EDGE, 3, entries, created_at=1.0)
+        expected = _outcome(
+            lambda: tuple(r for r in _reference_records(block) if r.key == key)
+        )
+        assert _outcome(lambda: records_with_key(block, key)) == expected
+        assert _outcome(
+            lambda: tuple(r for r in records_from_block(block, memoize=False) if r.key == key)
+        ) == expected
+        assert getattr(block, "_records_cache", None) is None  # attaches none
+        if expected[0] == "records":
+            # A block carrying the records memo is read through it.
+            records_from_block(block)
+            assert records_with_key(block, key) == expected[1]
 
 
 class TestEncodingProperties:
