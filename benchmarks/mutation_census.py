@@ -12,9 +12,10 @@ survivor is a check no test has seen fail.  Stdlib ``ast`` only; no
     python benchmarks/mutation_census.py --output mutation_census.md
 
 It covers the read verifier against its proof tests, the chaos invariants
-against the chaos scenarios and the storage codec against its strictness
-tests (``TARGETS``; about five minutes on two cores).  Each target first runs unmutated; a target whose
-test file fails as it stands is reported and skipped.  The exit status is 0
+against the chaos scenarios, and the storage codec and the frame decoder
+against the strictness tests (``TARGETS``; about six minutes on two
+cores).  Each target first runs unmutated; a target whose test file fails
+as it stands is reported and skipped.  The exit status is 0
 unless a target could not be run at all: survivors are findings, not
 failures.
 """
@@ -37,6 +38,7 @@ TARGETS = (
     ("src/repro/lsmerkle/read_proof.py", "tests/test_lsmerkle_proofs_merge.py"),
     ("src/repro/faults/invariants.py", "tests/test_chaos_scenarios.py"),
     ("src/repro/storage/codec.py", "tests/test_codec_strictness.py"),
+    ("src/repro/service/framing.py", "tests/test_codec_strictness.py"),
 )
 
 

@@ -57,11 +57,14 @@ check, so where a memo can come from is part of the trust argument.
   values correspond one to one, so ``H(memo) = d`` implies the object is
   the unique preimage of ``d``: hashing the span and hashing a fresh
   re-encoding give the same verdict on every input, the span just costs
-  one pass instead of two.  An honest sender always emits canonical text;
+  one pass instead of two.  Each decoded field also has the kind its
+  class declares — text of another kind (a page where bytes are declared)
+  is refused, not built — so a verifier meets only the types it was
+  written for.  An honest sender always emits canonical text;
   a dishonest one can only get its own frame rejected and its connection
   dropped.  The one value whose received text is not its encoding — a
   page, rebuilt under a fresh process-local ``page_id`` — never gets a
-  span, and neither does anything that contains one.
+  span, and no class that keeps one declares a page inside it.
 * The simulator delivers messages by reference, so there a memo is state
   the sender could have attached (this has always been true of
   ``Block.digest()``'s cache, which verifiers consult).  The modeled

@@ -47,10 +47,6 @@ class BlockNotFoundError(ProtocolError):
     """A read referenced a block id the edge node does not have."""
 
 
-class FreshnessViolationError(ProtocolError):
-    """A read response is older than the configured freshness window."""
-
-
 class ProofVerificationError(ProtocolError):
     """A Merkle/read/commit proof failed verification at the client."""
 

@@ -23,6 +23,7 @@ pipelines never import this package.
 from .injector import FaultInjector, TraceEntry
 from .invariants import (
     InvariantViolation,
+    assert_all_settled,
     assert_convicted,
     assert_full_certification,
     assert_monotone,
@@ -54,6 +55,7 @@ __all__ = [
     "RegionPartitionRule",
     "RetryPolicy",
     "TraceEntry",
+    "assert_all_settled",
     "assert_convicted",
     "assert_full_certification",
     "assert_monotone",

@@ -20,6 +20,10 @@ The pass criteria:
 * **An honest edge is never accused** (:func:`assert_no_honest_disputes`):
   lazy trust's other half — no client files a ``DisputeRequest`` unless
   an edge that served it ends up convicted.
+* **Every operation settles** (:func:`assert_all_settled`): each operation
+  a client issued has reached Phase II or failed with a reason by the end
+  of the run — whatever an edge sends ends in acceptance, refusal or a
+  dispute, never in an operation left waiting.
 
 :func:`assert_monotone` is the recovery-shape helper: sampled progress
 series (certified counts, committed transactions) must never move
@@ -31,6 +35,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..common.identifiers import NodeId
+from ..log.proofs import CommitPhase
 
 
 class InvariantViolation(AssertionError):
@@ -153,6 +158,25 @@ def assert_no_honest_disputes(system) -> None:
                 f"{client.node_id} sent {client.stats['disputes_sent']} dispute(s) "
                 f"against never-convicted edges {sorted(map(str, served_by))}: "
                 f"{client.malicious_events}"
+            )
+
+
+def assert_all_settled(system) -> None:
+    """Every operation any client issued reached Phase II or a typed failure
+    (the liveness check: the others all hold for a run that stops
+    answering).  Call it once the run has passed its horizon."""
+
+    for client in system.clients:
+        unsettled = [
+            f"{record.operation_id.sequence}:{record.kind.value}:{record.phase.value}"
+            for record in client.tracker.records()
+            if record.phase is not CommitPhase.PHASE_TWO
+            and not (record.phase is CommitPhase.FAILED and record.failure_reason)
+        ]
+        if unsettled:
+            raise InvariantViolation(
+                f"{client.node_id} has {len(unsettled)} unsettled operation(s) "
+                f"at t={system.env.now():.3f}s: {unsettled[:10]}"
             )
 
 

@@ -9,7 +9,6 @@ from .codec import (
     record_sequence,
     records_from_block,
 )
-from .freshness import FreshnessPolicy
 from .merge import CloudIndexMirror, MergeOutcome, MergeProposal
 from .mlsm import (
     GlobalRootStatement,
@@ -30,7 +29,6 @@ from .read_proof import (
 
 __all__ = [
     "CloudIndexMirror",
-    "FreshnessPolicy",
     "GetProof",
     "GlobalRootStatement",
     "LevelPageEvidence",

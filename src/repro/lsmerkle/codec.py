@@ -62,7 +62,23 @@ def _put_key(payload: bytes) -> tuple[str, int]:
     key_end = _KEY_START + key_length
     if key_end > len(payload):
         raise SerializationError("truncated put payload")
-    return payload[_KEY_START:key_end].decode("utf-8"), key_end
+    try:
+        return payload[_KEY_START:key_end].decode("utf-8"), key_end
+    except UnicodeDecodeError as exc:
+        raise SerializationError(f"put key is not UTF-8: {exc}") from None
+
+
+def malformed_put(payload: bytes) -> bool:
+    """Whether *payload* has the put prefix but no decodable key (a cut
+    length field, or a key that is not UTF-8)."""
+
+    if not payload.startswith(_PUT_PREFIX):
+        return False
+    try:
+        _put_key(payload)
+    except SerializationError:
+        return True
+    return False
 
 
 def record_sequence(block_id: int, index_in_block: int) -> int:

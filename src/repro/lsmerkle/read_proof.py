@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..common.errors import ProofVerificationError
+from ..common.errors import ProofVerificationError, SerializationError
 from ..common.identifiers import BlockId, NodeId
 from ..crypto.signatures import KeyRegistry
 from ..log.block import Block
@@ -304,7 +304,14 @@ def verify_get_proof(
     # Newest version present in level 0, derived from the blocks themselves.
     level_zero_best: Optional[KVRecord] = None
     for item in proof.level_zero:
-        for record in records_with_key(item.block, key):
+        try:
+            records = records_with_key(item.block, key)
+        except SerializationError as exc:
+            # An honest edge refuses a malformed put at admission.
+            raise ProofVerificationError(
+                f"level-0 block {item.block_id} holds a malformed put: {exc}"
+            ) from exc
+        for record in records:
             if level_zero_best is None or record.is_newer_than(level_zero_best):
                 level_zero_best = record
 

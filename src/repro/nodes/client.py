@@ -38,7 +38,6 @@ from ..crypto.hashing import digest_value
 from ..log.entry import make_entry
 from ..log.proofs import CommitPhase
 from ..lsmerkle.codec import encode_put
-from ..lsmerkle.freshness import FreshnessPolicy
 from ..lsmerkle.read_proof import verify_get_proof
 from ..messages.kv_messages import GetRequest, GetResponse
 from ..messages.log_messages import (
@@ -55,6 +54,12 @@ from ..messages.log_messages import (
 )
 from ..sim.environment import Environment
 from .dispatch import DispatchTable, TableDispatchNode
+
+
+#: Assumed bound on the clock error between a client and the cloud, added
+#: to the freshness window a get's signed root must be within (§V-D
+#: discusses tens to hundreds of milliseconds).
+CLOCK_SKEW_S = 0.1
 
 
 class Client(TableDispatchNode):
@@ -94,9 +99,6 @@ class Client(TableDispatchNode):
 
         self.tracker = CommitTracker()
         self.gossip_view = GossipView(edge=edge)
-        self.freshness = FreshnessPolicy(
-            window_s=self.config.security.freshness_window_s
-        )
         self._operation_seq = SequenceGenerator()
         self._entry_seq = SequenceGenerator()
         #: When ``True``, a write batch acknowledged across several blocks
@@ -577,6 +579,7 @@ class Client(TableDispatchNode):
         record.details["get_statement"] = statement
         record.details["get_signature"] = response.signature
 
+        window = self.config.security.freshness_window_s
         try:
             verified = verify_get_proof(
                 registry=self.env.registry,
@@ -585,7 +588,9 @@ class Client(TableDispatchNode):
                 key=statement.key,
                 proof=response.proof,
                 now=now,
-                freshness_window_s=self.freshness.effective_window(),
+                freshness_window_s=(
+                    None if window is None else window + CLOCK_SKEW_S
+                ),
                 provenance=self._read_provenance(record),
             )
         except ProofVerificationError as exc:

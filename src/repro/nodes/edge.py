@@ -76,7 +76,7 @@ from ..log.block import Block, build_block
 from ..log.buffer import BlockBuffer, PendingBatch
 from ..log.proofs import issue_phase_one_receipt
 from ..log.wedge_log import WedgeLog
-from ..lsmerkle.codec import forget_records, page_from_block
+from ..lsmerkle.codec import forget_records, malformed_put, page_from_block
 from ..lsmerkle.merge import MergeProposal
 from ..lsmerkle.mlsm import MerkleizedLSM, SignedGlobalRoot
 from ..lsmerkle.read_proof import build_get_proof
@@ -268,6 +268,7 @@ class EdgeNode(TableDispatchNode):
             owner=self.node_id, config=self.config, shard_id=shard_id
         )
         state.store = store if store is not None else self._open_partition_store(shard_id)
+        self._keep_root_fresh(state)
         return state
 
     def _open_partition_store(
@@ -370,6 +371,12 @@ class EdgeNode(TableDispatchNode):
         fresh_entries = []
         replayed_blocks: set[BlockId] = set()
         for entry in request.entries:
+            if malformed_put(entry.payload):
+                # Once in a block it would fail every derivation of the
+                # block's level-0 page, wedging what was batched with it.
+                self.stats.setdefault("malformed_puts_refused", 0)
+                self.stats["malformed_puts_refused"] += 1
+                continue
             location = state.entry_locations.get((entry.producer, entry.sequence))
             if location is not None:
                 # Replay protection (Section IV-E): the same signed entry was
@@ -1425,6 +1432,30 @@ class EdgeNode(TableDispatchNode):
             self.cloud,
             RootRefreshRequest(edge=self.node_id, shard_id=state.shard_id),
         )
+
+    def _keep_root_fresh(self, state: PartitionState) -> None:
+        """With a freshness window, ask for a re-signed root once *state*'s
+        is half the window old, or missing (§V-D: the edge refreshes its
+        root when updates are infrequent).  A background timer that ends
+        with the partition; without a window it is never armed."""
+
+        window = self.config.security.freshness_window_s
+        if window is None:
+            return
+        label = f"{self.node_id}:root-refresh"
+
+        def check() -> None:
+            if not any(served is state for served in self._partition_states()):
+                return
+            due = window / 2
+            if state.signed_root is not None:
+                due += state.signed_root.statement.timestamp - self.env.now()
+            if due <= 0:
+                self.request_root_refresh(state)
+                due = window / 2
+            self.env.schedule(due, check, label, background=True)
+
+        self.env.schedule(0.0, check, label, background=True)
 
     def _handle_root_refresh_response(
         self, state: PartitionState, sender: NodeId, message: RootRefreshResponse

@@ -30,12 +30,12 @@ class FullDataCertifyRequest(BlockCertifyRequest):
     across the WAN, which is what the data-free ablation measures.
     """
 
-    block: Block = None  # type: ignore[assignment]
+    block: Block
 
     @property
     def wire_size(self) -> int:
         base = 64 + 64 + 80
-        return base + (self.block.wire_size if self.block is not None else 0)
+        return base + self.block.wire_size
 
 
 class FullDataLazyEdgeNode(EdgeNode):

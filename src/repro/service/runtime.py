@@ -177,8 +177,13 @@ class LiveEnvironment(BaseRuntime):
         return self.transport.send(src, dst, message)
 
     def schedule(
-        self, delay: float, callback: Callable[[], None], label: str = ""
+        self,
+        delay: float,
+        callback: Callable[[], None],
+        label: str = "",
+        background: bool = False,
     ) -> LiveTimerHandle:
+        # *background* only matters to a simulator draining its queue.
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         handle = LiveTimerHandle(self, self.now() + delay, label)

@@ -50,6 +50,7 @@ from ..lsmerkle.codec import (
     decode_put,
     forget_records,
     is_put_payload,
+    malformed_put,
     page_from_block,
 )
 from ..messages.kv_messages import (
@@ -427,7 +428,8 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
         if request.shard_id is not None:
             return request.shard_id
         for entry in request.entries:
-            if is_put_payload(entry.payload):
+            # A malformed put routes nowhere; ``_handle_append`` refuses it.
+            if is_put_payload(entry.payload) and not malformed_put(entry.payload):
                 key, _ = decode_put(entry.payload)
                 return self.partitioner.shard_of(key)
         # Pure logging batches (no keys) stay on the default partition.

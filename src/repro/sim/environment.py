@@ -153,11 +153,16 @@ class Environment(BaseRuntime):
         return self.network.send(src, dst, message, depart_at=depart_at)
 
     def schedule(
-        self, delay: float, callback: Callable[[], None], label: str = ""
+        self,
+        delay: float,
+        callback: Callable[[], None],
+        label: str = "",
+        background: bool = False,
     ) -> EventHandle:
-        """Schedule a callback *delay* seconds in the future."""
+        """Schedule a callback *delay* seconds in the future; a *background*
+        one alone does not keep :meth:`run` going."""
 
-        return self.scheduler.schedule_after(delay, callback, label)
+        return self.scheduler.schedule_after(delay, callback, label, background)
 
     def schedule_periodic(
         self, interval: float, callback: Callable[[], None], label: str = ""

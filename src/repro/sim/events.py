@@ -31,6 +31,9 @@ class _ScheduledEvent:
     callback: EventCallback = field(compare=False)
     label: str = field(compare=False, default="")
     cancelled: bool = field(compare=False, default=False)
+    #: A background event alone does not keep :meth:`EventScheduler.run`
+    #: going (a timer that re-arms for as long as the node lives).
+    background: bool = field(compare=False, default=False)
 
 
 class EventHandle:
@@ -65,6 +68,8 @@ class EventScheduler:
         self._queue: list[_ScheduledEvent] = []
         self._sequence = itertools.count()
         self._events_processed = 0
+        #: Queued events that are not background ones, cancelled included.
+        self._foreground = 0
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -75,7 +80,11 @@ class EventScheduler:
         return self.clock.now()
 
     def schedule_at(
-        self, when: float, callback: EventCallback, label: str = ""
+        self,
+        when: float,
+        callback: EventCallback,
+        label: str = "",
+        background: bool = False,
     ) -> EventHandle:
         """Schedule *callback* to run at absolute simulated time *when*."""
 
@@ -84,19 +93,24 @@ class EventScheduler:
                 f"cannot schedule event at {when} before current time {self.now()}"
             )
         event = _ScheduledEvent(
-            time=when, sequence=next(self._sequence), callback=callback, label=label
+            when, next(self._sequence), callback, label, background=background
         )
+        self._foreground += not background
         heapq.heappush(self._queue, event)
         return EventHandle(event)
 
     def schedule_after(
-        self, delay: float, callback: EventCallback, label: str = ""
+        self,
+        delay: float,
+        callback: EventCallback,
+        label: str = "",
+        background: bool = False,
     ) -> EventHandle:
         """Schedule *callback* to run *delay* seconds from now."""
 
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.schedule_at(self.now() + delay, callback, label)
+        return self.schedule_at(self.now() + delay, callback, label, background)
 
     def schedule_periodic(
         self,
@@ -144,6 +158,7 @@ class EventScheduler:
 
         while self._queue:
             event = heapq.heappop(self._queue)
+            self._foreground -= not event.background
             if event.cancelled:
                 continue
             self.clock._advance_to(event.time)
@@ -153,10 +168,11 @@ class EventScheduler:
         return False
 
     def run(self, max_events: Optional[int] = None) -> int:
-        """Run until no events remain (or *max_events* were processed)."""
+        """Run until no events but background ones remain (or *max_events*
+        were processed)."""
 
         processed = 0
-        while self.step():
+        while self._foreground and self.step():
             processed += 1
             if max_events is not None and processed >= max_events:
                 break
@@ -199,7 +215,7 @@ class EventScheduler:
 
     def _peek_time(self) -> Optional[float]:
         while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
+            self._foreground -= not heapq.heappop(self._queue).background
         if not self._queue:
             return None
         return self._queue[0].time

@@ -48,6 +48,7 @@ from repro.common.config import (
 )
 from repro.bench.runner import build_system, config_for_batch
 from repro.common.config import WorkloadConfig
+from repro.common.identifiers import OperationKind
 from repro.common.regions import Region
 from repro.core.system import WedgeChainSystem
 from repro.faults import (
@@ -58,6 +59,7 @@ from repro.faults import (
     FaultRule,
     InvariantViolation,
     RegionPartitionRule,
+    assert_all_settled,
     assert_convicted,
     assert_full_certification,
     assert_monotone,
@@ -248,6 +250,7 @@ class TestCloudOutage:
             system.cloud, [edge.node_id for edge in system.edges]
         )
         assert_no_honest_disputes(system)
+        assert_all_settled(system)
         # Every write reached Phase II once the cloud came back.
         assert all(
             client.phase_of(op) is CommitPhase.PHASE_TWO for op in all_ops
@@ -283,6 +286,7 @@ class TestCloudOutage:
         assert assert_full_certification(system.edges) >= 8
         assert_no_false_convictions(system.cloud, [edge.node_id])
         assert_no_honest_disputes(system)
+        assert_all_settled(system)
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +323,7 @@ class TestEdgeCrash:
         assert assert_full_certification(system.edges) >= log_before
         assert_no_false_convictions(system.cloud, [edge.node_id])
         assert_no_honest_disputes(system)
+        assert_all_settled(system)
         assert [a for _, a, *_ in injector.trace if a in ("crash", "restart")] == [
             "crash",
             "restart",
@@ -363,6 +368,7 @@ class TestFlakyUplink:
         assert edge.stats["certify_retries"] >= 1
         assert_no_false_convictions(system.cloud, [edge.node_id])
         assert_no_honest_disputes(system)
+        assert_all_settled(system)
 
 
 # ----------------------------------------------------------------------
@@ -402,6 +408,7 @@ class TestTxnDecisionLoss:
             for _edge, outcome in appliers
         ]
         assert applied and set(applied) == {"commit"}
+        assert_all_settled(system)
 
 
 # ----------------------------------------------------------------------
@@ -443,6 +450,7 @@ class TestHandoffCrash:
             system.cloud, [edge.node_id for edge in system.edges]
         )
         assert_no_honest_disputes(system)
+        assert_all_settled(system)
 
 
 # ----------------------------------------------------------------------
@@ -476,6 +484,7 @@ class TestDuplicateStorm:
         assert assert_full_certification(system.edges) >= 5
         assert_no_false_convictions(system.cloud, [edge.node_id])
         assert_no_honest_disputes(system)
+        assert_all_settled(system)
 
 
 # ----------------------------------------------------------------------
@@ -516,6 +525,7 @@ class TestReorderDelay:
             system.cloud, [edge.node_id for edge in system.edges]
         )
         assert_no_honest_disputes(system)
+        assert_all_settled(system)
 
 
 # ----------------------------------------------------------------------
@@ -815,6 +825,7 @@ class TestWriterCrashFailover:
             system.cloud, [edge.node_id for edge in system.edges]
         )
         assert_no_honest_disputes(system)
+        assert_all_settled(system)
         summary = (
             tuple(injector.trace),
             tuple(
@@ -868,8 +879,8 @@ class TestDeposedWriterEndsItsRetries:
         scheduled = []
         schedule_at = scheduler.schedule_at
 
-        def recording(when, callback, label=""):
-            handle = schedule_at(when, callback, label)
+        def recording(when, callback, *args, **kwargs):
+            handle = schedule_at(when, callback, *args, **kwargs)
             scheduled.append(handle)
             return handle
 
@@ -1020,6 +1031,7 @@ class TestQuarantineFailover:
             system.cloud, [edge.node_id for edge in system.edges]
         )
         assert_no_honest_disputes(system)
+        assert_all_settled(system)
 
 
 # ----------------------------------------------------------------------
@@ -1247,6 +1259,7 @@ class TestHonestFleetNeverDisputes:
             system.run()  # drain: timers fire, every put reaches Phase II
 
         assert_no_honest_disputes(system)
+        assert_all_settled(system)
         assert system.cloud.stats["disputes"] == 0
         assert system.stats().failed_operations == 0
         assert assert_full_certification(system.edges) > 0
@@ -1338,6 +1351,17 @@ class TestEveryInvariantCanFail:
             assert_replicated_reads_served([])
         with pytest.raises(InvariantViolation, match="went unserved"):
             assert_replicated_reads_served([(1.0, 0, True), (2.0, 0, False)])
+
+    def test_an_operation_left_waiting(self):
+        # The edge refuses a malformed put at admission and answers nothing,
+        # so the operation of the (buggy) client that sent it never settles.
+        system = build_single()
+        client = system.client(0)
+        client._append([b"kvput\x00\x00\x00\x00\x09cut"], kind=OperationKind.PUT)
+        system.run_for(5.0)
+        assert system.edge(0).stats["malformed_puts_refused"] == 1
+        with pytest.raises(InvariantViolation, match="1 unsettled operation"):
+            assert_all_settled(system)
 
     def test_progress_that_regresses(self):
         with pytest.raises(InvariantViolation, match="regressed from 2 to 1"):

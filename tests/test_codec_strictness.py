@@ -18,6 +18,7 @@ import asyncio
 import dataclasses
 import random
 import struct
+import typing
 
 import pytest
 
@@ -31,19 +32,19 @@ from repro.baselines.edge_baseline import (
     FullBlockCertifyRequest,
 )
 from repro.common.config import LSMerkleConfig
-from repro.common.encoding import reference_encode
+from repro.common.encoding import class_layout, reference_encode
 from repro.common.errors import StorageCorruptionError
 from repro.common.identifiers import OperationId, client_id, cloud_id, edge_id
 from repro.crypto.signatures import KeyRegistry
 from repro.log.block import build_block
-from repro.log.entry import make_entry
-from repro.log.proofs import issue_block_proof, issue_phase_one_receipt
-from repro.lsm.page import build_page
+from repro.log.entry import EntryBody, make_entry
+from repro.log.proofs import CommitPhase, issue_block_proof, issue_phase_one_receipt
+from repro.lsm.page import Page, build_page
 from repro.lsm.records import KVRecord
 from repro.lsmerkle.codec import encode_put
 from repro.lsmerkle.mlsm import MerkleizedLSM
 from repro.lsmerkle.read_proof import build_get_proof
-from repro.messages import AppendBatchResponse, GetResponse
+from repro.messages import AppendBatchResponse, BlockProofMessage, GetResponse
 from repro.messages.kv_messages import GetResponseStatement
 from repro.messages.log_messages import CertifyStatement
 from repro.nodes.variants import FullDataCertifyRequest
@@ -157,6 +158,32 @@ def _bases() -> list[bytes]:
         encode_record(_baseline_messages()),
         encode_record(_get_response()),
     ]
+
+
+def _declared_classes(cls: type) -> set[type]:
+    """The classes *cls* declares, at any depth, itself included."""
+
+    found, pending = set(), [cls]
+    while pending:
+        kind = pending.pop()
+        if typing.get_args(kind):
+            pending += [arg for arg in typing.get_args(kind) if arg is not Ellipsis]
+        elif dataclasses.is_dataclass(kind) and kind not in found:
+            found.add(kind)
+            pending += typing.get_type_hints(kind, localns=codec._TYPES).values()
+    return found
+
+
+def _with_field(value, name: str, replacement) -> bytes:
+    """The canonical text of *value* with field *name*'s text swapped for
+    the canonical text of *replacement* (what a hostile sender can send)."""
+
+    _, names, literals = class_layout(type(value))
+    parts = [literals[0]]
+    for field, literal in zip(names, literals[1:]):
+        parts.append(reference_encode(replacement if field == name else getattr(value, field)).decode())
+        parts.append(literal)
+    return "".join(parts).encode()
 
 
 def expect_refused_or_exact(data: bytes) -> bool:
@@ -312,11 +339,12 @@ class TestHostileCorpus:
             b'{"__enum__":"NodeRole","value":"edge"}',
         ):
             expect_refused(hostile)
-        # Refused by the name check itself, not by what a missing class or
-        # enum would break further on.
+        # Refused by the name check itself, not by what a missing class
+        # would break further on; no enum is ever tagged, so the tag is a
+        # key no plain mapping may carry.
         with pytest.raises(StorageCorruptionError, match="unknown type 'NoSuchClass'"):
             decode_record(b'{"__type__":"NoSuchClass"}')
-        with pytest.raises(StorageCorruptionError, match="unknown or malformed enum"):
+        with pytest.raises(StorageCorruptionError, match="misplaced mapping key '__enum__'"):
             decode_record(b'{"__enum__":"NoSuchEnum","value":"edge"}')
 
     def test_a_plain_string_has_one_spelling_too(self):
@@ -334,6 +362,70 @@ class TestHostileCorpus:
             codec.register_storable(early)
         assert "EarlyField" not in codec._TYPES
 
+    def test_every_registered_class_is_typed(self):
+        # The annotations are the schema: each resolves (GetResponse's
+        # lease names a class it imports only for type checking) and each
+        # class gets a decoder.
+        assert "GetResponse" in codec._TYPES
+        for cls in codec._TYPES.values():
+            hints = typing.get_type_hints(cls, localns=codec._TYPES)
+            assert set(hints) >= {field.name for field in dataclasses.fields(cls)}
+            assert callable(codec._decoder_of(cls))
+        hidden = dataclasses.make_dataclass("Hidden", [("x", "NoSuchClass")], frozen=True)
+        with pytest.raises(ValueError, match="unresolvable annotation"):
+            codec.register_storable(hidden)
+        assert "Hidden" not in codec._TYPES
+
+    def test_a_kind_without_a_decoder_is_refused(self):
+        for kind, match in (
+            (dict, "no decoder for the declared kind"),
+            (typing.Union[KVRecord, int], "no decoder for the declared kind"),
+            (CommitPhase, "only a str-mixin enum"),
+        ):
+            cls = dataclasses.make_dataclass("Untyped", [("x", kind)], frozen=True)
+            with pytest.raises(TypeError, match=match):
+                codec._compile_decoder(cls)
+
+    def test_a_field_holds_only_its_declared_kind(self):
+        response = _response()
+        block = response.block
+        get = _get_response()
+        page = build_page([KVRecord("k", 1, b"v", 0.5)], created_at=1.0)
+        body = block.entries[0].body
+        for hostile, field in (
+            (_with_field(body, "payload", page), "EntryBody field payload"),
+            (_with_field(get, "proof", block), "GetResponse field proof"),
+            (_with_field(response, "block", response.receipt), "AppendBatchResponse field block"),
+            (_with_field(BlockProofMessage(proof=get.proof.level_zero[0].proof), "proof", response.receipt), "BlockProofMessage field proof"),
+            (_with_field(block, "entries", (KVRecord("k", 1, b"v"),)), "Block field entries"),
+            (_with_field(EDGE, "name", 5), "NodeId field name"),
+            (_with_field(block, "block_id", "4"), "Block field block_id"),
+        ):
+            with pytest.raises(StorageCorruptionError, match=field):
+                decode_record(hostile)
+            expect_refused(hostile)
+
+    def test_the_hostile_level_zero_block_is_a_frame_error(self):
+        # A Phase I level-0 block whose entry payload is a page used to
+        # decode and then crash the verifier outside its typed refusal.
+        get = _get_response()
+        evidence = get.proof.level_zero[0]
+        entry = evidence.block.entries[0]
+        page = build_page([KVRecord("k", 1, b"v", 0.5)], created_at=1.0)
+        honest = encode_record({"sender": EDGE, "message": get})
+        swapped = honest.replace(
+            encode_record(entry.body), _with_field(entry.body, "payload", page), 1
+        ).replace(encode_record(evidence.proof), b"null", 1)
+        assert swapped != honest
+        with pytest.raises(FrameError, match="EntryBody field payload"):
+            decode_payload(swapped)
+
+    def test_a_frame_sender_is_a_node_id(self):
+        payload = encode_record({"sender": "strict-edge", "message": _response()})
+        with pytest.raises(FrameError, match="sender is not a NodeId"):
+            decode_payload(payload)
+        assert decode_payload(encode_frame(EDGE, _response())[4:])[0] == EDGE
+
     def test_nesting_bombs_are_typed_errors(self):
         depth = 200_000
         for bomb in (
@@ -347,17 +439,22 @@ class TestHostileCorpus:
             expect_refused(bomb)
 
     def test_a_memo_never_spans_a_page(self):
-        # A record is hashed whole, so it keeps its span — unless a hostile
-        # sender nests a page (rebuilt under a fresh id) inside it.
+        # A page is rebuilt under a fresh id, so a span around one is not
+        # the encoding of what was decoded.  A record keeps its span, and a
+        # hostile sender nesting a page inside it is refused...
         page = encode_record(build_page([KVRecord("k", 1, b"v", 0.5)], created_at=1.0))
         record = (
             b'{"__type__":"KVRecord","key":' + page + b',"sequence":1,'
             b'"value":{"__bytes__":"00"},"written_at":0.5}'
         )
-        decoded = decode_record(record)
-        assert "_canonical_fragment" not in decoded.__dict__
-        assert_memos_sound(decoded)
-        assert encode_record(decoded) == reference_encode(decoded)
+        with pytest.raises(StorageCorruptionError, match="KVRecord field key"):
+            decode_record(record)
+        # ...as it is wherever a page is not declared, and no class that
+        # keeps its span declares one at any depth.
+        keepers = [cls for cls in codec._TYPES.values() if codec._keeps_span(cls)]
+        assert EntryBody in keepers and GetResponseStatement in keepers
+        for cls in keepers:
+            assert Page not in _declared_classes(cls), cls
 
     def test_seeded_byte_fuzz(self):
         rng = random.Random(20260927)

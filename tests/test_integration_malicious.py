@@ -17,8 +17,9 @@ import pytest
 from repro.common import LoggingConfig, LSMerkleConfig, SecurityConfig, SystemConfig
 from repro.core.system import WedgeChainSystem
 from repro.log.block import build_block
-from repro.log.entry import LogEntry
+from repro.log.entry import LogEntry, make_entry
 from repro.log.proofs import CommitPhase, issue_block_proof
+from repro.lsmerkle.codec import encode_put
 from repro.lsmerkle.merge import MergeProposal
 from repro.lsmerkle.read_proof import LevelZeroEvidence
 from repro.messages.kv_messages import GetResponse, MergeRequest
@@ -426,3 +427,41 @@ class TestTamperedMessagesAtRealNodes:
         (conviction,) = cloud.ledger.records_for(edge.node_id)
         assert conviction.reason.startswith("invalid merge proposal")
         assert edge.stats["merges_rejected"] == 1
+
+
+class MalformedLevelZeroEdgeNode(EdgeNode):
+    """Adds to every get proof a Phase I level-0 block holding one put that
+    no honest edge admits (*payload*)."""
+
+    payload = b""
+
+    def _level_zero_evidence(self, state):
+        entry = make_entry(self.env.registry, self.node_id, 0, self.payload, 0.0)
+        forged = build_block(self.node_id, 10_000, [entry], created_at=0.0)
+        return [*super()._level_zero_evidence(state), (forged, None)]
+
+
+class TestMalformedLevelZeroBlock:
+    """A verifier refusal, not a crash: the get fails and the client keeps
+    the suspicion (it used to raise out of the client's handler, leaving
+    the get neither failed nor disputed)."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            encode_put("", b"")[:6] + (50).to_bytes(4, "big") + b"short",
+            encode_put("", b"")[:6] + (1).to_bytes(4, "big") + b"\xff",
+        ],
+        ids=["truncated", "not-utf8"],
+    )
+    def test_the_get_fails_with_a_suspicion(self, payload):
+        edge_class = type("Forging", (MalformedLevelZeroEdgeNode,), {"payload": payload})
+        system = build_system(edge_class, gossip=False)
+        writer, reader = system.clients
+        system.wait_for(writer, write_block(system, writer), CommitPhase.PHASE_TWO, 10.0)
+        op = reader.get("k-1")
+        system.run_for(5.0)
+        record = reader.operation(op)
+        assert record.phase is CommitPhase.FAILED
+        assert "malformed put" in record.failure_reason
+        assert [event["kind"] for event in reader.malicious_events] == ["get-proof-invalid"]

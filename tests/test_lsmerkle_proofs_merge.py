@@ -1,4 +1,5 @@
-"""Unit tests for LSMerkle read proofs, the cloud merge mirror, and freshness."""
+"""Unit tests for LSMerkle read proofs (their freshness window included) and
+the cloud merge mirror."""
 
 from __future__ import annotations
 
@@ -7,7 +8,6 @@ from dataclasses import replace
 import pytest
 
 from repro.common import (
-    FreshnessViolationError,
     MergeProtocolError,
     ProofVerificationError,
 )
@@ -17,9 +17,8 @@ from repro.log.block import build_block
 from repro.log.entry import make_entry
 from repro.log.proofs import CommitPhase, issue_block_proof
 from repro.lsmerkle.codec import encode_put, page_from_block
-from repro.lsmerkle.freshness import FreshnessPolicy
 from repro.lsmerkle.merge import CloudIndexMirror, MergeProposal
-from repro.lsmerkle.mlsm import MerkleizedLSM, sign_global_root
+from repro.lsmerkle.mlsm import MerkleizedLSM
 from repro.lsmerkle.read_proof import build_get_proof, verify_get_proof
 
 ALICE = client_id("alice")
@@ -305,6 +304,21 @@ class TestGetProofVerification:
         )
         self._refused(registry, replace(proof, level_pages=(forged,)))
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            encode_put("alpha", b"1")[:8],  # the key length field cut short
+            encode_put("", b"")[:6] + (50).to_bytes(4, "big") + b"short",
+            encode_put("", b"")[:6] + (1).to_bytes(4, "big") + b"\xff",  # not UTF-8
+        ],
+    )
+    def test_a_malformed_put_in_level_zero(self, registry, payload):
+        _, proof = self._level_zero_proof(registry)
+        (evidence,) = proof.level_zero
+        entry = make_entry(registry, ALICE, 9, payload, 1.0)
+        block = build_block(EDGE, evidence.block_id, (*evidence.block.entries, entry), 0.0)
+        self._refused(registry, replace(proof, level_zero=(replace(evidence, block=block, proof=None),)))
+
     def test_freshness_window_without_a_root(self, registry):
         _, proof = self._level_zero_proof(registry)
         assert proof.signed_root is None
@@ -371,33 +385,3 @@ class TestCloudIndexMirror:
         assert second.statement.version == 2
         assert second.statement.timestamp == 20.0
 
-
-class TestFreshnessPolicy:
-    def test_disabled_policy_accepts_anything(self):
-        policy = FreshnessPolicy(window_s=None)
-        assert policy.is_fresh(None, now=100.0)
-
-    def test_fresh_and_stale_roots(self, registry):
-        from repro.lsmerkle.mlsm import empty_level_root
-
-        policy = FreshnessPolicy(window_s=5.0, clock_skew_s=0.0)
-        signed = sign_global_root(
-            registry, CLOUD, EDGE, (empty_level_root(),), version=1, timestamp=10.0
-        )
-        assert policy.is_fresh(signed, now=14.0)
-        assert not policy.is_fresh(signed, now=16.0)
-        with pytest.raises(FreshnessViolationError):
-            policy.require_fresh(signed, now=100.0)
-
-    def test_missing_root_violates_when_enabled(self):
-        policy = FreshnessPolicy(window_s=5.0)
-        with pytest.raises(FreshnessViolationError):
-            policy.require_fresh(None, now=1.0)
-
-    def test_invalid_configuration(self):
-        from repro.common import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            FreshnessPolicy(window_s=-1.0)
-        with pytest.raises(ConfigurationError):
-            FreshnessPolicy(window_s=1.0, clock_skew_s=-0.5)

@@ -56,3 +56,11 @@ class TestPaperDefaultStance:
         assert sharding.replication_factor == 1
         assert sharding.replica_lease_s == 2.0
         assert sharding.failover_timeout_s == 3.0
+
+    def test_freshness_window_defaults_off(self):
+        # The freshness window (§V-D) is opt-in: the default client accepts
+        # a root of any age, and the default edge never arms its
+        # root-refresh timer, so no refresh crosses the WAN.
+        config = SystemConfig.paper_default()
+        assert config.security.freshness_window_s is None
+        assert SystemConfig() == config

@@ -726,8 +726,8 @@ class TestNoTimerOutlivesItsRequest:
         scheduled = []
         schedule_at = scheduler.schedule_at
 
-        def recording(when, callback, label=""):
-            handle = schedule_at(when, callback, label)
+        def recording(when, callback, *args, **kwargs):
+            handle = schedule_at(when, callback, *args, **kwargs)
             scheduled.append(handle)
             return handle
 

@@ -91,9 +91,13 @@ def _reference_records(block):
         key_end = 10 + int.from_bytes(payload[6:10], "big")
         if key_end > len(payload):
             raise SerializationError("truncated put payload")
+        try:
+            key = payload[10:key_end].decode("utf-8")
+        except UnicodeDecodeError:
+            raise SerializationError("put key is not UTF-8") from None
         records.append(
             KVRecord(
-                payload[10:key_end].decode("utf-8"),
+                key,
                 record_sequence(block.block_id, index),
                 payload[key_end:],
                 entry.produced_at,

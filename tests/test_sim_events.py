@@ -80,6 +80,23 @@ class TestEventScheduler:
         assert scheduler.now() == 5.0
         assert scheduler.pending_events == 1
 
+    def test_background_events_alone_do_not_keep_run_going(self):
+        scheduler = EventScheduler()
+        ticks = []
+
+        def tick():
+            ticks.append(scheduler.now())
+            scheduler.schedule_after(1.0, tick, background=True)
+
+        scheduler.schedule_after(1.0, tick, background=True)
+        scheduler.schedule_at(2.5, lambda: None)
+        scheduler.run()  # a re-arming timer, yet run() returns
+        assert ticks == [1.0, 2.0]
+        scheduler.run()
+        assert ticks == [1.0, 2.0]
+        scheduler.run_until(4.0)  # a deadline runs them like any event
+        assert ticks == [1.0, 2.0, 3.0, 4.0]
+
     def test_run_max_events(self):
         scheduler = EventScheduler()
         for i in range(5):

@@ -438,14 +438,18 @@ class TestRoundTripProperty:
             OperationKind,
             client_id,
         )
+        from repro.crypto.signatures import KeyRegistry
+        from repro.log.entry import make_entry
         from repro.messages import AppendBatchRequest
 
         client = client_id("roundtrip-client")
+        registry = KeyRegistry("hmac")
+        registry.register(client)
         message = AppendBatchRequest(
             requester=client,
             operation_id=OperationId(client=client, sequence=5),
             kind=OperationKind.PUT,
-            entries=((b"key", b"value"),),
+            entries=(make_entry(registry, client, 0, b"value", 0.5),),
             shard_id=0,
         )
         rebuilt = decode_record(encode_record(message))
