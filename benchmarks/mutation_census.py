@@ -12,10 +12,11 @@ survivor is a check no test has seen fail.  Stdlib ``ast`` only; no
     python benchmarks/mutation_census.py --output mutation_census.md
 
 It covers the read verifier against its proof tests, the chaos invariants
-against the chaos scenarios, and the storage codec and the frame decoder
-against the strictness tests (``TARGETS``; about six minutes on two
-cores).  Each target first runs unmutated; a target whose test file fails
-as it stands is reported and skipped.  The exit status is 0
+against the chaos scenarios, the storage codec against the strictness
+tests, and the frame decoder against the strictness and live-harness tests
+(``TARGETS``; a module may name several test files).  Each target first
+runs unmutated; a target whose test files fail as they stand is reported
+and skipped.  The exit status is 0
 unless a target could not be run at all: survivors are findings, not
 failures.
 """
@@ -33,12 +34,16 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-#: ``(module under src/, test file)`` pairs the census covers.
+#: ``(module under src/, test files)`` pairs the census covers: a guard is
+#: killed when any of the module's test files fails with it disabled.
 TARGETS = (
-    ("src/repro/lsmerkle/read_proof.py", "tests/test_lsmerkle_proofs_merge.py"),
-    ("src/repro/faults/invariants.py", "tests/test_chaos_scenarios.py"),
-    ("src/repro/storage/codec.py", "tests/test_codec_strictness.py"),
-    ("src/repro/service/framing.py", "tests/test_codec_strictness.py"),
+    ("src/repro/lsmerkle/read_proof.py", ("tests/test_lsmerkle_proofs_merge.py",)),
+    ("src/repro/faults/invariants.py", ("tests/test_chaos_scenarios.py",)),
+    ("src/repro/storage/codec.py", ("tests/test_codec_strictness.py",)),
+    (
+        "src/repro/service/framing.py",
+        ("tests/test_codec_strictness.py", "tests/test_live_harness.py"),
+    ),
 )
 
 
@@ -68,15 +73,15 @@ def disable_guard(source: str, guard: ast.If) -> str:
     return "".join(lines[:first] + [head + "False" + tail] + lines[last + 1 :])
 
 
-def _run_tests(test_file: str, source_dir: pathlib.Path) -> bool:
-    """Whether *test_file* passes with ``repro`` imported from *source_dir*."""
+def _run_tests(test_files: tuple[str, ...], source_dir: pathlib.Path) -> bool:
+    """Whether *test_files* pass with ``repro`` imported from *source_dir*."""
 
     env = dict(os.environ)
     env["PYTHONPATH"] = str(source_dir)
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
-        + [test_file],
+        + list(test_files),
         cwd=ROOT,
         env=env,
         stdout=subprocess.DEVNULL,
@@ -101,7 +106,7 @@ def _imports_from(source_dir: pathlib.Path) -> bool:
 
 
 def census(
-    module: str, test_file: str, source_dir: pathlib.Path
+    module: str, test_files: tuple[str, ...], source_dir: pathlib.Path
 ) -> list[tuple[int, bool]]:
     """``(guard line, killed)`` for every guard of *module* (a path under
     ``src/``), each disabled alone in *source_dir*'s copy of it."""
@@ -112,23 +117,24 @@ def census(
     try:
         for guard in find_guards(original):
             target.write_text(disable_guard(original, guard))
-            outcomes.append((guard.lineno, not _run_tests(test_file, source_dir)))
+            outcomes.append((guard.lineno, not _run_tests(test_files, source_dir)))
     finally:
         target.write_text(original)
     return outcomes
 
 
 def _report(results) -> str:
-    """A Markdown table of ``(module, test file, outcomes or None)`` rows;
-    ``None`` marks a test file that fails unmutated."""
+    """A Markdown table of ``(module, test files, outcomes or None)`` rows;
+    ``None`` marks test files that fail unmutated."""
 
     lines = [
         "# Mutation census",
         "",
-        "| module | test file | guards | killed | survived (lines) |",
+        "| module | test files | guards | killed | survived (lines) |",
         "| --- | --- | ---: | ---: | --- |",
     ]
-    for module, test_file, outcomes in results:
+    for module, test_files, outcomes in results:
+        test_file = "`, `".join(test_files)
         if outcomes is None:
             lines.append(f"| `{module}` | `{test_file}` | – | – | fails unmutated |")
             continue
@@ -155,17 +161,17 @@ def main(argv: list[str] | None = None) -> int:
         if not _imports_from(source_dir):
             print("repro does not import from the temporary copy", file=sys.stderr)
             return 2
-        for module, test_file in TARGETS:
-            if not _run_tests(test_file, source_dir):
-                print(f"{test_file} fails unmutated: {module} skipped")
-                results.append((module, test_file, None))
+        for module, test_files in TARGETS:
+            if not _run_tests(test_files, source_dir):
+                print(f"{' '.join(test_files)} fail unmutated: {module} skipped")
+                results.append((module, test_files, None))
                 continue
-            outcomes = census(module, test_file, source_dir)
+            outcomes = census(module, test_files, source_dir)
             for line, killed in outcomes:
                 print(f"{module}:{line} {'killed' if killed else 'SURVIVED'}")
             killed = sum(killed for _line, killed in outcomes)
             print(f"{module}: {killed} of {len(outcomes)} guards killed")
-            results.append((module, test_file, outcomes))
+            results.append((module, test_files, outcomes))
     if args.output:
         pathlib.Path(args.output).write_text(_report(results))
     return 2 if any(outcomes is None for *_, outcomes in results) else 0

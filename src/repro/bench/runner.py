@@ -43,9 +43,10 @@ SYSTEM_LABELS = {
 
 
 #: The misbehaviour counters a report table carries, each summed over one
-#: kind of node: certify re-sends (edges), disputes (clients) and
-#: convictions (cloud).  An honest run leaves all three at zero.
-FAULT_COUNTERS = ("certify_retries", "disputes_sent", "punishments")
+#: kind of node: certify re-sends (edges), disputes (clients), convictions
+#: (cloud) and writes that ended FAILED (clients' trackers).  An honest run
+#: leaves all four at zero.
+FAULT_COUNTERS = ("certify_retries", "disputes_sent", "punishments", "failed_writes")
 
 #: The open :func:`counting_faults` block's tally; :func:`build_system`
 #: shows it every system it builds.
@@ -77,6 +78,11 @@ class FaultTally:
         totals = dict.fromkeys(FAULT_COUNTERS, 0)
         for counter, stats in self._stats:
             totals[counter] += stats.get(counter, 0)
+        totals["failed_writes"] = sum(
+            record.is_write and record.phase is CommitPhase.FAILED
+            for tracker in self._trackers
+            for record in tracker.records()
+        )
         return totals
 
     def phase_two_lag_s(self) -> float:

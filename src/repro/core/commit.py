@@ -31,13 +31,20 @@ class OperationRecord:
     phase_two_at: Optional[float] = None
     failed_at: Optional[float] = None
     failure_reason: Optional[str] = None
-    #: Block ids whose proofs are still outstanding.
-    awaiting_blocks: set[BlockId] = field(default_factory=set)
+    #: Block ids whose proofs are still outstanding, each with the Phase I
+    #: receipt a write was promised it under (``None`` for reads and gets).
+    awaiting_blocks: dict[BlockId, Optional[PhaseOneReceipt]] = field(
+        default_factory=dict
+    )
     #: The digest the edge promised (write receipt) or served (read / get
     #: evidence) for every block this operation has awaited a proof of.
     promised_digests: dict[BlockId, Optional[str]] = field(default_factory=dict)
     #: Free-form details (key, value digest, number of entries, ...).
     details: dict = field(default_factory=dict)
+    #: A write's signed entries, held for its one re-send until it settles.
+    entries: Optional[tuple] = None
+    #: The entry sequences acknowledged so far while a write is PENDING.
+    acked_sequences: Optional[set] = None
 
     # ------------------------------------------------------------------
     # Derived measurements
@@ -151,6 +158,7 @@ class CommitTracker:
         record.phase = CommitPhase.PHASE_TWO
         if proof is not None:
             record.proof = proof
+        self._release(record)
         self._notify(record, CommitPhase.PHASE_TWO)
         return record
 
@@ -164,8 +172,16 @@ class CommitTracker:
         record.phase = CommitPhase.FAILED
         record.failed_at = at
         record.failure_reason = reason
+        self._release(record)
         self._notify(record, CommitPhase.FAILED)
         return record
+
+    @staticmethod
+    def _release(record: OperationRecord) -> None:
+        """A settled write needs neither its entries nor its acknowledgements."""
+
+        record.entries = None
+        record.acked_sequences = None
 
     # ------------------------------------------------------------------
     # Block-indexed access (used when block proofs arrive)
@@ -178,12 +194,16 @@ class CommitTracker:
         )
 
     def watch_block(
-        self, operation_id: OperationId, block_id: BlockId, digest: Optional[str] = None
+        self,
+        operation_id: OperationId,
+        block_id: BlockId,
+        digest: Optional[str] = None,
+        receipt: Optional[PhaseOneReceipt] = None,
     ) -> None:
         """Associate an operation with a block whose proof it is waiting for."""
 
         record = self.get(operation_id)
-        record.awaiting_blocks.add(block_id)
+        record.awaiting_blocks[block_id] = receipt
         record.promised_digests[block_id] = digest
         self._index_block(operation_id, block_id)
 
@@ -191,7 +211,7 @@ class CommitTracker:
         """Mark one awaited block as certified; returns True if none remain."""
 
         record = self.get(operation_id)
-        record.awaiting_blocks.discard(block_id)
+        record.awaiting_blocks.pop(block_id, None)
         return not record.awaiting_blocks
 
     # ------------------------------------------------------------------

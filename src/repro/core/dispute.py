@@ -80,6 +80,20 @@ class DisputeJudgement:
     certified_digest: Optional[str] = None
 
 
+def disputed_block(dispute: DisputeRequest) -> Optional[tuple[NodeId, BlockId]]:
+    """The (edge, block id) a dispute accuses: those its evidence's signed
+    statement names — the Phase I receipt of a ``missing-proof`` dispute,
+    the read statement of the others — or ``None`` without evidence."""
+
+    if dispute.kind == "missing-proof":
+        evidence = dispute.receipt.statement if dispute.receipt is not None else None
+    else:
+        evidence = dispute.read_statement
+    if evidence is None:
+        return None
+    return evidence.edge, evidence.block_id
+
+
 def judge_dispute(
     dispute: DisputeRequest,
     certified_digest: Optional[str],
@@ -88,7 +102,10 @@ def judge_dispute(
 ) -> DisputeJudgement:
     """Evaluate a client's dispute against the cloud's certified state.
 
-    The cases mirror Section IV-E:
+    *certified_digest* and *certified_log_size* are the cloud's record of
+    the edge and block :func:`disputed_block` reads from the evidence, so
+    an edge is only ever judged on a statement it signed.  The cases mirror
+    Section IV-E:
 
     * ``missing-proof`` with a Phase I receipt: the edge promised a digest
       for the block; if the certified digest differs (or the block was never
@@ -128,7 +145,7 @@ def judge_dispute(
         signature = dispute.read_signature
         if statement is None or signature is None:
             return DisputeJudgement(False, "read-mismatch dispute without evidence")
-        if signature.signer != dispute.edge or not registry.verify(signature, statement):
+        if signature.signer != statement.edge or not registry.verify(signature, statement):
             return DisputeJudgement(False, "read response signature invalid")
         if certified_digest is None:
             return DisputeJudgement(
@@ -152,13 +169,13 @@ def judge_dispute(
         evidence_ok = (
             statement is not None
             and signature is not None
-            and signature.signer == dispute.edge
+            and signature.signer == statement.edge
             and registry.verify(signature, statement)
             and not statement.found
         )
         if not evidence_ok:
             return DisputeJudgement(False, "omission dispute without a signed denial")
-        if certified_digest is not None or dispute.block_id < certified_log_size:
+        if certified_digest is not None or statement.block_id < certified_log_size:
             return DisputeJudgement(
                 True,
                 "edge denied having a block the cloud has certified",

@@ -252,11 +252,8 @@ def _coverage_satisfied(
     """Check that every level that could hide a newer version was disclosed."""
 
     if signed_root is None:
-        # Before the first merge there are no Merkle-tracked levels to cover.
-        if evidence_by_level:
-            raise ProofVerificationError(
-                "level evidence requires a signed global root"
-            )
+        # Before the first merge there are no Merkle-tracked levels to cover
+        # (level pages without a root were refused by _verify_level_pages).
         return
     level_roots = signed_root.statement.level_roots
     deepest_required = (

@@ -353,16 +353,18 @@ class GossipBatchMessage:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class DisputeRequest:
-    """A client's accusation that an edge node lied, with evidence attached."""
+    """A client's accusation that an edge node lied, with evidence attached.
+
+    The accused edge and block are those the evidence's signed statement
+    names (:func:`repro.core.dispute.disputed_block`), never a field the
+    client fills in itself.
+    """
 
     client: NodeId
-    edge: NodeId
-    block_id: BlockId
     kind: str
     receipt: Optional[PhaseOneReceipt] = None
     read_statement: Optional[ReadResponseStatement] = None
     read_signature: Optional[Signature] = None
-    claimed_digest: Optional[str] = None
 
     @property
     def wire_size(self) -> int:
@@ -371,12 +373,13 @@ class DisputeRequest:
 
 @dataclass(frozen=True)
 class DisputeVerdict:
-    """The cloud's judgement on a dispute."""
+    """The cloud's judgement on a dispute (``edge`` and ``block_id`` are
+    ``None`` when its evidence names no block)."""
 
     cloud: NodeId
     client: NodeId
-    edge: NodeId
-    block_id: BlockId
+    edge: Optional[NodeId]
+    block_id: Optional[BlockId]
     edge_punished: bool
     reason: str
     certified_digest: Optional[str] = None

@@ -7,6 +7,12 @@ the paper).  The client also records when each of its operations reached
 Phase I and Phase II commitment — the raw material for the paper's latency,
 throughput, and commit-rate figures.
 
+A client writes to its home edge but may read from any edge of the fleet;
+every rule below is per serving edge.  A write's entries may be spread over
+several blocks (other clients' entries fill the blocks around them): it
+reaches Phase I once every entry is acknowledged and Phase II once every
+acknowledged block is certified.
+
 Retention:
 
 * ``_early_proofs``: block proofs that overtook the response that makes an
@@ -15,7 +21,9 @@ Retention:
 * ``tracker`` (:class:`CommitTracker`): every operation's record, with its
   receipt and proof — the client's dispute evidence and the figures' raw
   latencies.  Kept forever; a driver that only needs percentiles could
-  forget finished operations.
+  forget finished operations.  A write's signed entries stay on its record
+  only until Phase II, failure or its one re-send, and the receipt of each
+  block only until that block's proof arrives.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Optional, Sequence
 
 from ..common.config import SystemConfig
-from ..common.errors import ProofVerificationError
+from ..common.errors import ProofVerificationError, SerializationError
 from ..common.identifiers import (
     NodeId,
     OperationId,
@@ -36,8 +44,8 @@ from ..core.commit import CommitTracker, OperationRecord
 from ..core.gossip import GossipView, verify_gossip
 from ..crypto.hashing import digest_value
 from ..log.entry import make_entry
-from ..log.proofs import CommitPhase
-from ..lsmerkle.codec import encode_put
+from ..log.proofs import CommitPhase, PhaseOneReceipt
+from ..lsmerkle.codec import encode_put, malformed_put
 from ..lsmerkle.read_proof import verify_get_proof
 from ..messages.kv_messages import GetRequest, GetResponse
 from ..messages.log_messages import (
@@ -48,6 +56,7 @@ from ..messages.log_messages import (
     DisputeRequest,
     DisputeVerdict,
     GossipBatchMessage,
+    GossipBatchStatement,
     GossipMessage,
     ReadRequest,
     ReadResponse,
@@ -63,7 +72,8 @@ CLOCK_SKEW_S = 0.1
 
 
 class Client(TableDispatchNode):
-    """One authenticated client bound to a single edge node (its partition)."""
+    """One authenticated client: it writes to its home edge (its partition)
+    and may read from any edge."""
 
     #: How many received block proofs ``_early_proofs`` retains.
     EARLY_PROOF_WINDOW = 256
@@ -98,16 +108,11 @@ class Client(TableDispatchNode):
         self.cloud = cloud
 
         self.tracker = CommitTracker()
-        self.gossip_view = GossipView(edge=edge)
+        #: The certified log size gossip proves, per edge (the omission
+        #: bound of Section IV-E for a read served by that edge).
+        self.gossip_views: dict[NodeId, GossipView] = {}
         self._operation_seq = SequenceGenerator()
         self._entry_seq = SequenceGenerator()
-        #: When ``True``, a write batch acknowledged across several blocks
-        #: is tracked cumulatively (per-block receipts; Phase I on full
-        #: coverage, Phase II when every block's proof arrives).  ``False``
-        #: keeps the paper-exact single-block policy the figures were
-        #: measured with.  Shard-aware clients enable it: variable-size
-        #: per-shard sub-batches routinely straddle block boundaries.
-        self._split_batch_acks = False
 
         #: Proven or suspected malicious behaviour observed by this client.
         self.malicious_events: list[dict] = []
@@ -121,11 +126,11 @@ class Client(TableDispatchNode):
         #: of certificates).
         self._early_proofs: dict[tuple[NodeId, int], Any] = {}
         #: Session consistency (Section V-D alternative): the highest signed
-        #: global-root version this client has observed, per root sequence
-        #: (one sequence for the single-edge client; one per (edge, shard)
-        #: for shard-aware subclasses).  Responses verified against an older
-        #: root of the same sequence are rejected as stale.
-        self._last_root_versions: dict[Any, int] = {}
+        #: global-root version this client has observed, per (serving edge,
+        #: shard id) root sequence; the shard id is ``None`` on a paper edge.
+        #: Responses verified against an older root of the same sequence are
+        #: rejected as stale.
+        self._last_root_versions: dict[tuple[NodeId, Optional[int]], int] = {}
         #: Edges currently advertising degraded mode (certification backlog
         #: over their configured bound), with their latest notice.  Purely
         #: advisory backpressure — a caller can consult this to throttle
@@ -214,6 +219,13 @@ class Client(TableDispatchNode):
         edge: Optional[NodeId] = None,
         shard_id: Optional[int] = None,
     ) -> OperationId:
+        for payload in payloads:
+            if malformed_put(payload):
+                # The edge's own admission check: it would drop the entry
+                # without an answer, and the write would never settle.
+                raise SerializationError(
+                    "payload has the put prefix but no decodable key"
+                )
         target = edge if edge is not None else self.edge
         now = self.env.now()
         operation_id = self._next_operation_id()
@@ -236,22 +248,29 @@ class Client(TableDispatchNode):
             edge=target,
             shard_id=shard_id,
         )
-        self._stash_entries(record, entries)
+        record.entries = entries
         self._annotate_issue(record)
         self.stats["writes_issued"] += 1
         self.stats["entries_sent"] += len(entries)
+        self._send_append(record, target, entries)
+        return operation_id
+
+    def _send_append(
+        self, record: OperationRecord, target: NodeId, entries: tuple
+    ) -> None:
+        """Send a write's signed entries (first time, re-send or re-route)."""
+
         self.env.send(
             self.node_id,
             target,
             AppendBatchRequest(
                 requester=self.node_id,
-                operation_id=operation_id,
-                kind=kind,
+                operation_id=record.operation_id,
+                kind=record.kind,
                 entries=entries,
-                shard_id=shard_id,
+                shard_id=record.details.get("shard_id"),
             ),
         )
-        return operation_id
 
     def _next_operation_id(self) -> OperationId:
         return OperationId(client=self.node_id, sequence=self._operation_seq.next())
@@ -267,32 +286,10 @@ class Client(TableDispatchNode):
     def _annotate_issue(self, record: OperationRecord) -> None:
         """Hook for subclasses to stamp issue-time context on a record."""
 
-    def _stash_entries(self, record: OperationRecord, entries: tuple) -> None:
-        """Hook for subclasses that must be able to re-send a write.
-
-        The base client never re-routes, so it does not pin the signed
-        entries in the tracker (they would live for the whole run).
-        """
-
-    def _accepts_proof(self, proof: Any) -> bool:
-        """Whether a block proof may concern this client's operations."""
-
-        return proof.edge == self.edge and proof.cloud == self.cloud
-
-    def _root_version_key(self, record: OperationRecord) -> Any:
-        """Which signed-root sequence a response belongs to.
-
-        The single-edge client sees exactly one sequence; shard-aware
-        subclasses key it by (edge, shard) so independent shard roots never
-        trip the session-consistency check against each other.
-        """
-
-        return self._expected_edge(record)
-
     def _read_provenance(self, record: OperationRecord) -> tuple[NodeId, ...]:
         """Extra writers whose certified blocks may appear in a get proof.
 
-        Empty for the single-edge client.  Shard-aware subclasses return
+        Empty on the paper's unsharded edges.  Shard-aware subclasses return
         the shard's current writer plus its provenance chain when a read is
         served by a replica or a promoted (post-failover) writer — those
         proofs legitimately carry blocks certified under other edges'
@@ -300,21 +297,6 @@ class Client(TableDispatchNode):
         """
 
         return ()
-
-    def _block_should_exist(self, record: OperationRecord, block_id: int) -> bool:
-        """Whether gossip proves the read block exists at the serving edge."""
-
-        return self.gossip_view.block_should_exist(block_id)
-
-    @property
-    def _last_root_version(self) -> int:
-        """The observed root version of this client's home edge sequence."""
-
-        return self._last_root_versions.get(self.edge, 0)
-
-    @_last_root_version.setter
-    def _last_root_version(self, value: int) -> None:
-        self._last_root_versions[self.edge] = value
 
     # ------------------------------------------------------------------
     # Operation status helpers
@@ -359,6 +341,9 @@ class Client(TableDispatchNode):
         if response.operation_id not in self.tracker:
             return
         record = self.tracker.get(response.operation_id)
+        if record.phase in (CommitPhase.PHASE_TWO, CommitPhase.FAILED):
+            # Settled: a late or replayed acknowledgement changes nothing.
+            return
         now = self.env.now()
         expected_edge = self._expected_edge(record)
 
@@ -384,27 +369,12 @@ class Client(TableDispatchNode):
             )
             return
         expected = set(record.details.get("entry_sequences", ()))
-        present = {
+        newly_acked = expected & {
             entry.sequence for entry in block.entries if entry.producer == self.node_id
         }
-        newly_acked = expected & present
-        fully_acked = True
-        if self._split_batch_acks:
-            # A batch larger than the edge's block size (or split across
-            # a block boundary by co-batched entries from other clients)
-            # is acknowledged one block at a time: track cumulative
-            # coverage, and only Phase I commit once every entry has
-            # been promised in some block.  A block holding none of the
-            # operation's entries is a broken promise, not a split batch.
-            acked = record.details.setdefault("acked_sequences", set())
-            acked |= newly_acked
-            fully_acked = expected <= acked
-            missing = bool(expected) and not newly_acked
-        else:
-            # Paper-exact policy: the whole batch must land in one block
-            # (the evaluation always aligns batch and block size).
-            missing = not expected <= present
-        if missing:
+        if expected and not newly_acked:
+            # A block holding none of the operation's entries is a broken
+            # promise, not a batch split across blocks.
             self._record_suspicion(
                 "missing-entries", response.block_id, response.operation_id
             )
@@ -412,31 +382,45 @@ class Client(TableDispatchNode):
                 response.operation_id, now, "entries missing from block"
             )
             return
-
-        if fully_acked:
-            record.details["block_digest"] = receipt.block_digest
-            self.tracker.mark_phase_one(
-                response.operation_id, now, block_id=response.block_id, receipt=receipt
-            )
+        if record.phase is CommitPhase.PENDING:
+            # A batch is acknowledged one block at a time: Phase I once every
+            # entry has been promised in some block.
+            acked = newly_acked | (record.acked_sequences or set())
+            if expected <= acked:
+                record.acked_sequences = None
+                self.tracker.mark_phase_one(
+                    response.operation_id,
+                    now,
+                    block_id=response.block_id,
+                    receipt=receipt,
+                )
+            else:
+                record.acked_sequences = acked
         self._await_certificates(
-            record, {response.block_id: receipt.block_digest}, now
+            record, {response.block_id: receipt.block_digest}, now, receipt
         )
 
     # ------------------------------------------------------ awaiting Phase II
     def _await_certificates(
-        self, record: OperationRecord, promised: dict[int, str], now: float
+        self,
+        record: OperationRecord,
+        promised: dict[int, str],
+        now: float,
+        receipt: Optional[PhaseOneReceipt] = None,
     ) -> None:
         """A verified response promised these blocks: wait for their proofs.
 
         The one place an operation starts waiting for Phase II — for puts,
         log reads and gets alike.  Each promised digest is remembered on the
-        record, held against any proof that raced ahead of the response, and
-        the dispute timer is armed only if something is still outstanding.
+        record (with *receipt*, a write's signed promise of its one block:
+        the dispute's evidence), held against any proof that raced ahead of
+        the response, and the dispute timer is armed only if something is
+        still outstanding.
         """
 
         edge = self._expected_edge(record)
         for block_id, digest in promised.items():
-            self.tracker.watch_block(record.operation_id, block_id, digest)
+            self.tracker.watch_block(record.operation_id, block_id, digest, receipt)
         for block_id in promised:
             early = self._early_proofs.get((edge, block_id))
             if early is not None:
@@ -445,7 +429,7 @@ class Client(TableDispatchNode):
             # Nothing was promised uncertified (a get over certified state).
             self.tracker.mark_phase_two(record.operation_id, now)
         elif record.phase is not CommitPhase.PHASE_TWO:
-            self._arm_dispute_timer(record.operation_id)
+            self._arm_dispute_timer(record)
 
     def _settle_block(self, record: OperationRecord, proof: Any, now: float) -> None:
         """Hold a verified block proof against the digest *record* was promised."""
@@ -458,7 +442,7 @@ class Client(TableDispatchNode):
             )
             self.stats["proof_mismatches"] += 1
             self._record_suspicion(suspicion, proof.block_id, record.operation_id)
-            self._send_dispute(record)
+            self._send_dispute(record, block_id=proof.block_id)
             return
         # A split batch still PENDING has entries no receipt covers yet: it
         # cannot be durably committed however fast this block's proof
@@ -476,8 +460,9 @@ class Client(TableDispatchNode):
         proof = message.proof
         # The proof must come from this client's actual cloud node: a
         # self-consistent signature from a node merely *claiming* the cloud
-        # role is not Phase II evidence.
-        if not self._accepts_proof(proof) or not proof.verify(self.env.registry):
+        # role is not Phase II evidence.  It may certify any edge's block;
+        # each record settles only against its own serving edge below.
+        if proof.cloud != self.cloud or not proof.verify(self.env.registry):
             return
         now = self.env.now()
         self._early_proofs.pop((proof.edge, proof.block_id), None)
@@ -512,8 +497,9 @@ class Client(TableDispatchNode):
         record.details["read_signature"] = response.signature
 
         if not statement.found:
-            if self._block_should_exist(record, statement.block_id):
-                # Gossip says the block exists: omission attack.
+            view = self.gossip_views.get(statement.edge)
+            if view is not None and view.block_should_exist(statement.block_id):
+                # Gossip says the block exists at that edge: omission attack.
                 self._record_suspicion(
                     "omission", statement.block_id, record.operation_id
                 )
@@ -618,7 +604,7 @@ class Client(TableDispatchNode):
                 return
 
         if verified.root_version is not None:
-            version_key = self._root_version_key(record)
+            version_key = (expected_edge, record.details.get("shard_id"))
             if verified.root_version < self._last_root_versions.get(version_key, 0):
                 # Session consistency: the edge served a snapshot older than
                 # one this client has already read from.
@@ -657,40 +643,72 @@ class Client(TableDispatchNode):
     ) -> None:
         if not verify_gossip(self.env.registry, message, cloud=self.cloud):
             return
-        self.gossip_view.update(message)
+        statement = message.statement
+        if isinstance(statement, GossipBatchStatement):
+            edges = [entry.edge for entry in statement.entries]
+        else:
+            edges = [statement.edge]
+        for edge in edges:
+            view = self.gossip_views.get(edge)
+            if view is None:
+                view = self.gossip_views[edge] = GossipView(edge=edge)
+            view.update(message)
 
     # ------------------------------------------------------------------
     # Disputes
     # ------------------------------------------------------------------
-    def _arm_dispute_timer(self, operation_id: OperationId) -> None:
+    def _arm_dispute_timer(self, record: OperationRecord) -> None:
         timeout = self.config.security.dispute_timeout_s
+        operation_id = record.operation_id
+
+        def resend() -> None:
+            # A certificate forward can be lost; the edge's replay protection
+            # (Section IV-E) answers the same signed entries with the original
+            # receipts and owes their proofs again.  Once per write; a
+            # settled write no longer holds its entries (CommitTracker).
+            entries, record.entries = record.entries, None
+            if entries is not None:
+                self._send_append(record, self._expected_edge(record), entries)
 
         def check() -> None:
-            if operation_id not in self.tracker:
-                return
-            record = self.tracker.get(operation_id)
             if record.phase in (CommitPhase.PHASE_TWO, CommitPhase.FAILED):
+                return
+            if record.phase is CommitPhase.PENDING:
+                # Part of the write was never acknowledged: no receipt covers
+                # it, so there is nothing to dispute.
+                self._record_suspicion("missing-entries", record.block_id, operation_id)
+                self.tracker.mark_failed(
+                    operation_id, self.env.now(), "entries missing from block"
+                )
                 return
             self._record_suspicion("proof-timeout", record.block_id, operation_id)
             self._send_dispute(record)
 
+        if record.entries is not None:
+            self.env.schedule(timeout / 2, resend, label=f"{self.node_id}:resend")
         self.env.schedule(timeout, check, label=f"{self.node_id}:dispute-timer")
 
-    def _send_dispute(self, record: OperationRecord, kind: Optional[str] = None) -> None:
+    def _send_dispute(
+        self,
+        record: OperationRecord,
+        kind: Optional[str] = None,
+        block_id: Optional[int] = None,
+    ) -> None:
+        """Accuse the serving edge before the cloud with the signed evidence
+        behind *block_id* (by default the first block still lacking its
+        proof): a write's receipt for it, or a read's signed statement."""
+
         if kind is None:
             # A certificate that is missing or differs from what was promised.
             kind = "missing-proof" if record.is_write else "read-mismatch"
-        statement = record.details.get("read_statement")
-        signature = record.details.get("read_signature")
+        if block_id is None:
+            block_id = next(iter(record.awaiting_blocks), None)
         dispute = DisputeRequest(
             client=self.node_id,
-            edge=self._expected_edge(record),
-            block_id=record.block_id if record.block_id is not None else -1,
             kind=kind,
-            receipt=record.receipt,
-            read_statement=statement,
-            read_signature=signature,
-            claimed_digest=record.details.get("block_digest"),
+            receipt=record.awaiting_blocks.get(block_id),
+            read_statement=record.details.get("read_statement"),
+            read_signature=record.details.get("read_signature"),
         )
         self.stats["disputes_sent"] += 1
         self.env.send(self.node_id, self.cloud, dispute)

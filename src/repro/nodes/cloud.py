@@ -73,7 +73,7 @@ from ..messages.log_messages import (
     DisputeVerdict,
 )
 from ..common.errors import MergeProtocolError
-from ..core.dispute import PunishmentLedger, judge_dispute
+from ..core.dispute import PunishmentLedger, disputed_block, judge_dispute
 from ..core.gossip import build_gossip, build_gossip_batch
 from ..log.proofs import (
     AnyBlockProof,
@@ -556,29 +556,31 @@ class CloudNode(TableDispatchNode):
         self.env.charge(params.request_overhead_seconds + 2 * params.verify_seconds)
         self.stats["disputes"] += 1
 
-        certified = self.certified_digest(dispute.edge, dispute.block_id)
+        # Unknown edges and blocks have no certified state: a dispute
+        # without evidence is judged on none.
+        edge, block_id = disputed_block(dispute) or (None, None)
         judgement = judge_dispute(
             dispute=dispute,
-            certified_digest=certified,
+            certified_digest=self.certified_digest(edge, block_id),
             registry=self.env.registry,
-            certified_log_size=self.certified_log_size(dispute.edge),
+            certified_log_size=self.certified_log_size(edge),
         )
         if judgement.edge_punished:
             self._punish(
-                dispute.edge,
+                edge,
                 reason=judgement.reason,
-                block_id=dispute.block_id,
+                block_id=block_id,
                 reported_by=dispute.client,
             )
         verdict = DisputeVerdict(
             cloud=self.node_id,
             client=dispute.client,
-            edge=dispute.edge,
-            block_id=dispute.block_id,
+            edge=edge,
+            block_id=block_id,
             edge_punished=judgement.edge_punished,
             reason=judgement.reason,
             certified_digest=judgement.certified_digest,
-            proof=self.proof_for(dispute.edge, dispute.block_id),
+            proof=self.proof_for(edge, block_id),
         )
         self.env.send(self.node_id, sender, verdict)
 

@@ -43,7 +43,6 @@ from .partitioner import (
 )
 from .router import Route, ShardRouter
 from .shard_map import (
-    FleetGossipView,
     ShardMapView,
     ShardRegistry,
     build_shard_map_message,
@@ -63,7 +62,6 @@ __all__ = [
     "AbortIgnoringEdgeNode",
     "DeposedWriterEdgeNode",
     "ExpiredLeaseReplicaEdgeNode",
-    "FleetGossipView",
     "HashRingPartitioner",
     "KeyPartitioner",
     "RangePartitioner",

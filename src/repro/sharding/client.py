@@ -1,7 +1,8 @@
 """The shard-aware client: any key, routed to its owning edge.
 
 A :class:`ShardedClient` keeps the base client's whole verification stack
-(signed receipts, proof checks, disputes, session consistency) and adds:
+(signed receipts, proof checks, disputes, per-(edge, shard) session
+consistency, per-edge gossip) and adds:
 
 * **routing** — puts and gets resolve their key through a
   :class:`~repro.sharding.router.ShardRouter` backed by the client's
@@ -13,30 +14,22 @@ A :class:`ShardedClient` keeps the base client's whole verification stack
 * **stale-owner detection** — a get response from an edge that the
   client's (newer) map says no longer owns the key's shard is reported to
   the cloud as a ``stale-owner-serve`` shard dispute, with the edge's own
-  signed response statement as evidence;
-* **per-shard session consistency** — signed-root versions are tracked per
-  (edge, shard) sequence, since every shard's index advances independently.
+  signed response statement as evidence.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Any, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..common.config import SystemConfig
 from ..common.identifiers import NodeId, OperationId, OperationKind, ShardId
 from ..common.regions import Region
 from ..core.commit import OperationRecord
-from ..core.gossip import verify_gossip
 from ..log.proofs import CommitPhase
 from ..lsmerkle.codec import encode_put
 from ..messages.kv_messages import GetRequest, GetResponse
-from ..messages.log_messages import (
-    AppendBatchRequest,
-    GossipBatchMessage,
-    GossipMessage,
-    ReadRequest,
-)
+from ..messages.log_messages import ReadRequest
 from ..messages.shard_messages import (
     NotOwnerRedirect,
     ReplicaLease,
@@ -55,7 +48,7 @@ from ..nodes.client import Client
 from ..sim.environment import Environment
 from .partitioner import KeyPartitioner
 from .router import ShardRouter
-from .shard_map import FleetGossipView
+from .shard_map import ShardMapView
 from .transactions import TxnCoordinator
 
 
@@ -100,15 +93,11 @@ class ShardedClient(Client):
             region=region,
         )
         self.partitioner = partitioner
-        # Per-shard sub-batches are sized by the key split, not the block
-        # size, so their entries routinely span block boundaries.
-        self._split_batch_acks = True
-        self.fleet_view = FleetGossipView(cloud=cloud)
+        #: The verified, version-monotone shard map (ownership).
+        self.shard_map = ShardMapView(cloud=cloud)
         if shard_map is not None:
-            self.fleet_view.shard_map.update(env.registry, shard_map)
-        self.router = ShardRouter(
-            partitioner, self.fleet_view.shard_map, default_owner=edges[0]
-        )
+            self.shard_map.update(env.registry, shard_map)
+        self.router = ShardRouter(partitioner, self.shard_map, default_owner=edges[0])
         #: Shard-dispute verdicts the cloud sent back to this client.
         self.shard_verdicts: list[ShardDisputeVerdict] = []
         #: Transaction-dispute verdicts the cloud sent back to this client.
@@ -156,7 +145,7 @@ class ShardedClient(Client):
     def put_batch(self, items: Iterable[tuple[str, bytes]]) -> tuple[OperationId, ...]:
         """Apply a batch of puts, split per owning edge.
 
-        Unlike the single-edge client this returns one operation id per
+        Unlike :meth:`Client.put_batch` this returns one operation id per
         (shard, owner) group — a batch that spans shards becomes several
         independent append requests, one per owner.
         """
@@ -196,7 +185,7 @@ class ShardedClient(Client):
         cross-member version coordination.
         """
 
-        replicas = self.fleet_view.shard_map.replicas_of(shard_id)
+        replicas = self.shard_map.replicas_of(shard_id)
         if not replicas:
             return owner
         members = (owner, *replicas)
@@ -223,17 +212,20 @@ class ShardedClient(Client):
     # Multi-edge hook overrides
     # ------------------------------------------------------------------
     def _annotate_issue(self, record: OperationRecord) -> None:
-        record.details["map_version"] = self.fleet_view.shard_map.version
-
-    def _stash_entries(self, record: OperationRecord, entries: tuple) -> None:
-        # Redirect handling re-sends the same signed entries to a new owner.
-        record.details["entries"] = entries
+        record.details["map_version"] = self.shard_map.version
 
     def _handle_append_response(self, sender: NodeId, response) -> None:
+        known = response.operation_id in self.tracker
+        record = self.tracker.get(response.operation_id) if known else None
+        # Only plain writes hold their entries on the record, until settled.
+        pending_entries = (
+            record.entries
+            if record is not None and record.phase is CommitPhase.PENDING
+            else None
+        )
         super()._handle_append_response(sender, response)
-        if response.operation_id not in self.tracker:
+        if record is None:
             return
-        record = self.tracker.get(response.operation_id)
         # The staging watermark moves only on acknowledgements whose
         # *specific block id* carries a verified receipt — the base handler
         # remembers a block's promised digest iff the signature checked out
@@ -247,41 +239,17 @@ class ShardedClient(Client):
             and response.block_id > self._observed_block_ids.get(sender, -1)
         ):
             self._observed_block_ids[sender] = response.block_id
-        if record.phase is not CommitPhase.PENDING:
-            # Fully acknowledged (or failed): the operation can no longer be
-            # redirected, so release the pinned signed entries — otherwise
-            # memory grows with every write ever issued, not with in-flight
-            # writes.
-            entries = record.details.pop("entries", None)
-            if (
-                entries
-                and record.phase is not CommitPhase.FAILED
-                and record.details.get("txn_id") is None
-            ):
-                # Acknowledged plain writes feed the coordinator's own-write
-                # memory: an abort deciding later must never register (and
-                # then dispute) a pair this client committed itself.
-                self.txns.note_entries(entries)
-
-    def _accepts_proof(self, proof: Any) -> bool:
-        # Any fleet edge may certify blocks for this client's operations;
-        # per-record edge matching pins each proof to the edge that served
-        # the operation, and the cloud pin stays strict.
-        return proof.cloud == self.cloud
-
-    def _root_version_key(self, record: OperationRecord) -> Any:
-        return (self._expected_edge(record), record.details.get("shard_id"))
-
-    def _block_should_exist(self, record: OperationRecord, block_id: int) -> bool:
-        return self.fleet_view.block_should_exist(
-            self._expected_edge(record), block_id
-        )
+        if pending_entries and record.phase.is_committed:
+            # Acknowledged plain writes feed the coordinator's own-write
+            # memory: an abort deciding later must never register (and then
+            # dispute) a pair this client committed itself.
+            self.txns.note_entries(pending_entries)
 
     # ------------------------------------------------------------------
     # Message handlers (dispatched through ``HANDLERS``)
     # ------------------------------------------------------------------
     def _handle_shard_map(self, sender: NodeId, message: ShardMapMessage) -> None:
-        self.fleet_view.shard_map.update(self.env.registry, message)
+        self.shard_map.update(self.env.registry, message)
 
     def _handle_shard_verdict(
         self, sender: NodeId, verdict: ShardDisputeVerdict
@@ -302,14 +270,6 @@ class ShardedClient(Client):
     def _handle_txn_verdict(self, sender: NodeId, verdict: TxnDisputeVerdict) -> None:
         self.txn_verdicts.append(verdict)
 
-    def _handle_gossip(
-        self, sender: NodeId, message: "GossipMessage | GossipBatchMessage"
-    ) -> None:
-        if not verify_gossip(self.env.registry, message, cloud=self.cloud):
-            return
-        self.fleet_view.update_log_sizes(message)
-        self.gossip_view.update(message)
-
     # ------------------------------------------------------------------
     # Redirect handling
     # ------------------------------------------------------------------
@@ -322,7 +282,7 @@ class ShardedClient(Client):
         ):
             return
         if redirect.shard_map is not None:
-            self.fleet_view.shard_map.update(self.env.registry, redirect.shard_map)
+            self.shard_map.update(self.env.registry, redirect.shard_map)
         if statement.operation_id not in self.tracker:
             return
         record = self.tracker.get(statement.operation_id)
@@ -338,7 +298,7 @@ class ShardedClient(Client):
                 record.operation_id, now, "redirect limit exceeded"
             )
             return
-        owner = self.fleet_view.shard_map.owner_of(statement.shard_id)
+        owner = self.shard_map.owner_of(statement.shard_id)
         if owner is None or owner == statement.edge:
             # The client's map still names the redirecting edge (or nothing):
             # trust the redirect's forward-looking hint.
@@ -352,7 +312,7 @@ class ShardedClient(Client):
 
         record.details["redirects"] = redirects + 1
         record.details["edge"] = owner
-        record.details["map_version"] = self.fleet_view.shard_map.version
+        record.details["map_version"] = self.shard_map.version
         self.stats["redirects_followed"] += 1
         self._reissue(record, owner, statement.shard_id)
 
@@ -368,23 +328,14 @@ class ShardedClient(Client):
             self.txns.reroute_prepare(txn_id, shard_id, owner)
             return
         if record.is_write:
-            entries = record.details.get("entries")
+            entries = record.entries
             if entries is None:
                 self.tracker.mark_failed(
                     record.operation_id, self.env.now(), "cannot replay write"
                 )
                 return
-            self.env.send(
-                self.node_id,
-                owner,
-                AppendBatchRequest(
-                    requester=self.node_id,
-                    operation_id=record.operation_id,
-                    kind=record.kind,
-                    entries=entries,
-                    shard_id=shard_id,
-                ),
-            )
+            record.details["shard_id"] = shard_id
+            self._send_append(record, owner, entries)
         elif record.kind is OperationKind.GET:
             self.env.send(
                 self.node_id,
@@ -417,7 +368,7 @@ class ShardedClient(Client):
             if shard_id is not None and self._is_stale_owner_response(
                 record, statement, shard_id
             ):
-                if statement.edge in self.fleet_view.shard_map.replicas_of(
+                if statement.edge in self.shard_map.replicas_of(
                     shard_id
                 ):
                     # A read replica answered.  Its serving authority is the
@@ -501,7 +452,7 @@ class ShardedClient(Client):
         every non-owner response rather than guess at timing.
         """
 
-        current_owner = self.fleet_view.shard_map.owner_of(shard_id)
+        current_owner = self.shard_map.owner_of(shard_id)
         return current_owner is not None and statement.edge != current_owner
 
     def _replica_lease_covers(
@@ -532,7 +483,7 @@ class ShardedClient(Client):
         shard_id = record.details.get("shard_id")
         if shard_id is None:
             return ()
-        view = self.fleet_view.shard_map
+        view = self.shard_map
         writers = {view.owner_of(shard_id), *view.provenance_of(shard_id)}
         writers.discard(None)
         writers.discard(self._expected_edge(record))

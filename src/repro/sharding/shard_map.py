@@ -20,9 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..common.identifiers import NodeId, ShardId
-from ..core.gossip import AnyGossipMessage, GossipView
 from ..crypto.signatures import KeyRegistry
-from ..messages.log_messages import GossipBatchStatement
 from ..messages.shard_messages import (
     ShardAssignment,
     ShardMapMessage,
@@ -294,45 +292,3 @@ class ShardMapView:
             if assignment.provenance
         }
         return True
-
-
-@dataclass
-class FleetGossipView:
-    """A client's combined gossip view over a whole sharded fleet.
-
-    Wires shard-membership gossip into the existing per-edge
-    :class:`~repro.core.gossip.GossipView` machinery: one log-size view per
-    edge (omission-attack bounds, Section IV-E) plus the verified, monotone
-    :class:`ShardMapView` (ownership).  Signature verification of log-size
-    gossip stays with the caller (``verify_gossip``), exactly as for the
-    single-edge client; shard maps are verified inside :class:`ShardMapView`.
-    """
-
-    cloud: NodeId
-    shard_map: ShardMapView = field(init=False)
-    edges: dict[NodeId, GossipView] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.shard_map = ShardMapView(cloud=self.cloud)
-
-    def view_for(self, edge: NodeId) -> GossipView:
-        view = self.edges.get(edge)
-        if view is None:
-            view = GossipView(edge=edge)
-            self.edges[edge] = view
-        return view
-
-    def update_log_sizes(self, message: AnyGossipMessage) -> bool:
-        """Apply (already signature-checked) log-size gossip to every edge
-        view the message mentions; returns whether any view advanced."""
-
-        statement = message.statement
-        advanced = False
-        if isinstance(statement, GossipBatchStatement):
-            for entry in statement.entries:
-                advanced = self.view_for(entry.edge).update(message) or advanced
-            return advanced
-        return self.view_for(statement.edge).update(message)
-
-    def block_should_exist(self, edge: NodeId, block_id: int) -> bool:
-        return self.view_for(edge).block_should_exist(block_id)

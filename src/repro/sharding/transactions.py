@@ -296,7 +296,7 @@ class TxnCoordinator:
         for record in self.client.tracker.pending_operations():
             if record.details.get("txn_id") is not None:
                 continue
-            for entry in record.details.get("entries", ()):
+            for entry in record.entries or ():
                 if not is_put_payload(entry.payload):
                     continue
                 entry_key, value = decode_put(entry.payload)

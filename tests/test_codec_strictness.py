@@ -48,7 +48,7 @@ from repro.messages import AppendBatchResponse, BlockProofMessage, GetResponse
 from repro.messages.kv_messages import GetResponseStatement
 from repro.messages.log_messages import CertifyStatement
 from repro.nodes.variants import FullDataCertifyRequest
-from repro.service import FrameError, encode_frame, read_frame
+from repro.service import FrameError, encode_frame, framing, read_frame
 from repro.service.framing import decode_payload
 from repro.service.transport import AsyncioTransport
 from repro.storage import codec
@@ -425,6 +425,28 @@ class TestHostileCorpus:
         with pytest.raises(FrameError, match="sender is not a NodeId"):
             decode_payload(payload)
         assert decode_payload(encode_frame(EDGE, _response())[4:])[0] == EDGE
+
+    @pytest.mark.parametrize(
+        "envelope",
+        [
+            [EDGE, "message"],
+            {"sender": EDGE, "message": "m", "route": "elsewhere"},
+            {"sender": EDGE},
+        ],
+        ids=["list", "extra-key", "missing-key"],
+    )
+    def test_a_frame_envelope_is_exactly_sender_and_message(self, envelope):
+        with pytest.raises(FrameError, match="malformed frame envelope"):
+            decode_payload(encode_record(envelope))
+
+    def test_an_over_cap_frame_is_refused_at_encode(self, monkeypatch):
+        response = _response()
+        frame = encode_frame(EDGE, response)
+        monkeypatch.setattr(framing, "MAX_FRAME_BYTES", len(frame) - 5)
+        with pytest.raises(FrameError, match="exceeds cap"):
+            encode_frame(EDGE, response)
+        monkeypatch.setattr(framing, "MAX_FRAME_BYTES", len(frame) - 4)
+        assert encode_frame(EDGE, response) == frame
 
     def test_nesting_bombs_are_typed_errors(self):
         depth = 200_000

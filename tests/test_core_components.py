@@ -135,18 +135,14 @@ class TestLazyCertifier:
 class TestDisputes:
     def test_missing_proof_dispute_punishes_equivocating_edge(self, registry, sample_block):
         receipt = issue_phase_one_receipt(registry, EDGE, sample_block, 0.0)
-        dispute = DisputeRequest(
-            client=ALICE, edge=EDGE, block_id=0, kind="missing-proof", receipt=receipt
-        )
+        dispute = DisputeRequest(client=ALICE, kind="missing-proof", receipt=receipt)
         judgement = judge_dispute(dispute, certified_digest="f" * 64, registry=registry,
                                   certified_log_size=1)
         assert judgement.edge_punished
 
     def test_missing_proof_dispute_with_matching_digest_is_rejected(self, registry, sample_block):
         receipt = issue_phase_one_receipt(registry, EDGE, sample_block, 0.0)
-        dispute = DisputeRequest(
-            client=ALICE, edge=EDGE, block_id=0, kind="missing-proof", receipt=receipt
-        )
+        dispute = DisputeRequest(client=ALICE, kind="missing-proof", receipt=receipt)
         judgement = judge_dispute(
             dispute, certified_digest=sample_block.digest(), registry=registry,
             certified_log_size=1,
@@ -155,14 +151,12 @@ class TestDisputes:
 
     def test_missing_proof_dispute_when_never_certified(self, registry, sample_block):
         receipt = issue_phase_one_receipt(registry, EDGE, sample_block, 0.0)
-        dispute = DisputeRequest(
-            client=ALICE, edge=EDGE, block_id=0, kind="missing-proof", receipt=receipt
-        )
+        dispute = DisputeRequest(client=ALICE, kind="missing-proof", receipt=receipt)
         judgement = judge_dispute(dispute, None, registry, certified_log_size=0)
         assert judgement.edge_punished
 
     def test_dispute_without_evidence_rejected(self, registry):
-        dispute = DisputeRequest(client=ALICE, edge=EDGE, block_id=0, kind="missing-proof")
+        dispute = DisputeRequest(client=ALICE, kind="missing-proof")
         assert not judge_dispute(dispute, None, registry, 0).edge_punished
 
     def test_read_mismatch_dispute(self, registry, sample_block):
@@ -172,7 +166,7 @@ class TestDisputes:
         )
         signature = registry.sign(EDGE, statement)
         dispute = DisputeRequest(
-            client=ALICE, edge=EDGE, block_id=0, kind="read-mismatch",
+            client=ALICE, kind="read-mismatch",
             read_statement=statement, read_signature=signature,
         )
         judgement = judge_dispute(dispute, certified_digest=sample_block.digest(),
@@ -186,7 +180,7 @@ class TestDisputes:
         )
         signature = registry.sign(EDGE, statement)
         dispute = DisputeRequest(
-            client=ALICE, edge=EDGE, block_id=0, kind="omission",
+            client=ALICE, kind="omission",
             read_statement=statement, read_signature=signature,
         )
         punished = judge_dispute(dispute, certified_digest="b" * 64,
@@ -197,7 +191,7 @@ class TestDisputes:
         assert not truthful.edge_punished
 
     def test_unknown_dispute_kind(self, registry):
-        dispute = DisputeRequest(client=ALICE, edge=EDGE, block_id=0, kind="weird")
+        dispute = DisputeRequest(client=ALICE, kind="weird")
         assert not judge_dispute(dispute, None, registry, 0).edge_punished
 
     def test_punishment_ledger(self):

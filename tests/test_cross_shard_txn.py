@@ -563,7 +563,7 @@ class TestPrepareReroute:
         system.rebalance_shard(shard, dest.node_id)
         system.run_for(2.0)
         assert system.shard_owner(shard) == dest.node_id
-        assert client.fleet_view.shard_map.owner_of(shard) == source.node_id
+        assert client.shard_map.owner_of(shard) == source.node_id
 
         txn_id = client.txn_put(items)  # prepare goes to the old owner
         system.run_for(2.0)

@@ -102,7 +102,7 @@ class TestSessionConsistency:
         system.run_for(2.0)
         get_op = reader.get(format_key(1))
         system.wait_for(reader, get_op, CommitPhase.PHASE_TWO, max_time_s=10)
-        assert reader._last_root_version >= 1
+        assert reader._last_root_versions[(reader.edge, None)] >= 1
         assert reader.operation(get_op).details.get("root_version") is not None
 
     def test_older_root_than_previously_observed_is_rejected(self, system):
@@ -115,7 +115,7 @@ class TestSessionConsistency:
         system.run_for(2.0)
         # Simulate the client having already read from a much newer root
         # (e.g. through another edge replica or an earlier session).
-        reader._last_root_version = 10_000
+        reader._last_root_versions[(reader.edge, None)] = 10_000
         get_op = reader.get(format_key(1))
         system.run_for(2.0)
         record = reader.operation(get_op)

@@ -7,6 +7,8 @@ freshness.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.common import (
     LoggingConfig,
     LSMerkleConfig,
@@ -14,11 +16,14 @@ from repro.common import (
     ShardingConfig,
     SystemConfig,
 )
-from repro.common.identifiers import OperationKind
+from repro.common.errors import SerializationError
+from repro.common.identifiers import OperationId, OperationKind
 from repro.core.system import WedgeChainSystem, edge_factory_for
 from repro.faults import assert_no_honest_disputes
+from repro.log.entry import make_entry
 from repro.log.proofs import CommitPhase
 from repro.lsmerkle.codec import encode_put
+from repro.messages.log_messages import AppendBatchRequest
 from repro.nodes.malicious import StaleServingEdgeNode
 from repro.sharding import ShardedWedgeSystem
 from repro.sim.environment import local_environment
@@ -217,7 +222,32 @@ class TestFreshness:
 MALFORMED_PUT = b"kvput\x00" + (50).to_bytes(4, "big") + b"short"
 
 
+def send_raw_batch(system, client, payloads):
+    """What a buggy client would send: *payloads* signed by *client* as one
+    batch, past the admission check ``Client._append`` makes."""
+
+    entries = tuple(
+        make_entry(system.env.registry, client.node_id, 10_000 + i, payload, 0.0)
+        for i, payload in enumerate(payloads)
+    )
+    request = AppendBatchRequest(
+        requester=client.node_id,
+        operation_id=OperationId(client=client.node_id, sequence=10_000),
+        kind=OperationKind.PUT,
+        entries=entries,
+    )
+    system.env.send(client.node_id, client.edge, request)
+
+
 class TestMalformedPut:
+    def test_an_honest_client_refuses_to_send_one(self):
+        system = WedgeChainSystem.build(config=SystemConfig.paper_default())
+        client = system.client(0)
+        with pytest.raises(SerializationError):
+            client.add_batch([b"log entry", MALFORMED_PUT])
+        assert client.stats["writes_issued"] == 0
+        assert len(client.tracker) == 0
+
     def test_a_malformed_put_cannot_wedge_an_honest_edge(self):
         # Paper defaults: 100-entry blocks, so the honest put and the
         # malformed batch would share a block.  Admitted, that block's
@@ -225,7 +255,7 @@ class TestMalformedPut:
         # logging the block and answering anyone.
         system = WedgeChainSystem.build(config=SystemConfig.paper_default(), num_clients=2)
         honest = system.clients[1].put("k-honest", b"v")
-        system.clients[0]._append(payloads=[MALFORMED_PUT] * 100, kind=OperationKind.PUT)
+        send_raw_batch(system, system.clients[0], [MALFORMED_PUT] * 100)
         system.run()
         assert system.clients[1].phase_of(honest) is CommitPhase.PHASE_TWO
         edge = system.edge()
@@ -247,7 +277,7 @@ class TestMalformedPut:
         )
         buggy, honest = system.clients
         # Routed by its first well-formed put; the malformed one is refused.
-        buggy._append([MALFORMED_PUT, encode_put("k-buggy", b"b")], kind=OperationKind.PUT)
+        send_raw_batch(system, buggy, [MALFORMED_PUT, encode_put("k-buggy", b"b")])
         op = honest.put("k-honest", b"v")
         system.run()
         edge = system.edge()

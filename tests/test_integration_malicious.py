@@ -23,7 +23,7 @@ from repro.lsmerkle.codec import encode_put
 from repro.lsmerkle.merge import MergeProposal
 from repro.lsmerkle.read_proof import LevelZeroEvidence
 from repro.messages.kv_messages import GetResponse, MergeRequest
-from repro.messages.log_messages import AppendBatchResponse, ReadResponse
+from repro.messages.log_messages import AppendBatchResponse, DisputeRequest, ReadResponse
 from repro.nodes.edge import EdgeNode
 from repro.nodes.malicious import (
     BrokenPromiseEdgeNode,
@@ -465,3 +465,72 @@ class TestMalformedLevelZeroBlock:
         assert record.phase is CommitPhase.FAILED
         assert "malformed put" in record.failure_reason
         assert [event["kind"] for event in reader.malicious_events] == ["get-proof-invalid"]
+
+
+class TestAccusationsNameOnlyWhatTheEdgeSigned:
+    """A dispute accuses the edge and block its signed evidence names: a
+    client cannot point an honest receipt or read at another block or
+    another edge.  Each dispute below once convicted an honest edge."""
+
+    def committed(self, num_edges=1):
+        config = SystemConfig.paper_default().with_overrides(num_edge_nodes=num_edges)
+        system = WedgeChainSystem.build(config=config, num_clients=1)
+        client = system.client(0)
+        op = client.put_batch([(f"k-{i}", b"v") for i in range(100)])
+        system.run()
+        assert client.operation(op).phase is CommitPhase.PHASE_TWO
+        return system, client, client.operation(op)
+
+    def judge(self, system, client, **evidence):
+        client.verdicts.clear()
+        dispute = DisputeRequest(client=client.node_id, **evidence)
+        system.env.send(client.node_id, system.cloud.node_id, dispute)
+        system.run()
+        (verdict,) = client.verdicts
+        assert not verdict.edge_punished, verdict.reason
+        assert len(system.cloud.ledger) == 0
+        return verdict
+
+    def test_the_request_carries_no_unsigned_accusation(self):
+        assert [field.name for field in dataclasses.fields(DisputeRequest)] == [
+            "client", "kind", "receipt", "read_statement", "read_signature"
+        ]
+
+    def test_an_honest_receipt_is_judged_on_its_own_block(self):
+        system, client, record = self.committed()
+        verdict = self.judge(system, client, kind="missing-proof", receipt=record.receipt)
+        assert (verdict.edge, verdict.block_id) == (system.edge().node_id, 0)
+
+    def test_an_honest_receipt_is_judged_on_its_own_edge(self):
+        system, client, record = self.committed(num_edges=2)
+        verdict = self.judge(system, client, kind="missing-proof", receipt=record.receipt)
+        assert verdict.edge == system.edge(0).node_id
+        assert not system.cloud.ledger.is_punished(system.edge(1).node_id)
+
+    def test_an_honest_read_is_judged_on_its_own_block(self):
+        system, client, _record = self.committed()
+        read = client.operation(client.read(0))
+        system.run()
+        assert read.phase is CommitPhase.PHASE_TWO
+        verdict = self.judge(
+            system,
+            client,
+            kind="read-mismatch",
+            read_statement=read.details["read_statement"],
+            read_signature=read.details["read_signature"],
+        )
+        assert verdict.block_id == 0
+
+    def test_a_truthful_denial_is_no_omission(self):
+        system, client, _record = self.committed()
+        read = client.operation(client.read(5))
+        system.run()
+        assert read.failure_reason == "block not available"
+        verdict = self.judge(
+            system,
+            client,
+            kind="omission",
+            read_statement=read.details["read_statement"],
+            read_signature=read.details["read_signature"],
+        )
+        assert verdict.block_id == 5

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.common import LoggingConfig, LSMerkleConfig, SecurityConfig, SystemConfig
-from repro.core.system import WedgeChainSystem
+from repro.core.system import WedgeChainSystem, edge_factory_for
+from repro.faults.invariants import (
+    assert_all_settled,
+    assert_no_false_convictions,
+    assert_no_honest_disputes,
+)
 from repro.log.proofs import CommitPhase, issue_block_proof, issue_phase_one_receipt
 from repro.messages.kv_messages import GetResponse
 from repro.messages.log_messages import (
@@ -14,6 +21,7 @@ from repro.messages.log_messages import (
     ReadResponse,
 )
 from repro.nodes.client import Client
+from repro.nodes.edge import EdgeNode
 from repro.sim.environment import local_environment
 
 
@@ -285,3 +293,115 @@ class TestClientApi:
         assert client.stats["gets_issued"] == 1
         assert client.stats["reads_issued"] == 1
         assert client.stats["entries_sent"] == 3
+
+
+def assert_honest_run(system):
+    """The three honest-fleet invariants every case below ends with."""
+
+    assert_all_settled(system)
+    assert_no_honest_disputes(system)
+    assert_no_false_convictions(system.cloud, [edge.node_id for edge in system.edges])
+
+
+def puts(prefix, count):
+    return [(f"{prefix}-{index}", b"v") for index in range(count)]
+
+
+class TestBatchesSpanningBlocks:
+    """Any client's batch may share blocks with another's: it commits once
+    every entry is acknowledged, however many blocks hold them."""
+
+    def test_two_clients_sharing_a_block_both_commit(self):
+        # Paper defaults (100-entry blocks): one client's 80 entries and the
+        # other's 30 fill block 0 and leave 10 for the timeout flush.
+        system = WedgeChainSystem.build(
+            config=SystemConfig.paper_default(), num_clients=2
+        )
+        first = system.client(0).put_batch(puts("a", 80))
+        second = system.client(1).put_batch(puts("b", 30))
+        system.run()
+        assert system.edge().stats["blocks_formed"] == 2
+        assert system.client(0).phase_of(first) is CommitPhase.PHASE_TWO
+        assert system.client(1).phase_of(second) is CommitPhase.PHASE_TWO
+        assert [c.malicious_events for c in system.clients] == [[], []]
+        assert_honest_run(system)
+
+    def test_a_partly_logged_write_fails_at_its_deadline_without_a_dispute(self):
+        class HalfLoggingEdge(EdgeNode):
+            """Logs only the even-numbered entries of every request."""
+
+            def _handle_append(self, state, sender, request):
+                kept = tuple(e for e in request.entries if e.sequence % 2 == 0)
+                super()._handle_append(
+                    state, sender, dataclasses.replace(request, entries=kept)
+                )
+
+        system = WedgeChainSystem.build(
+            config=small_config(),
+            num_clients=1,
+            env=local_environment(seed=111),
+            edge_factory=edge_factory_for(HalfLoggingEdge),
+        )
+        client = system.client(0)
+        op = client.put_batch(puts("k", 4))
+        system.run()
+        record = client.operation(op)
+        assert record.phase is CommitPhase.FAILED
+        assert record.failure_reason == "entries missing from block"
+        timeout = system.config.security.dispute_timeout_s
+        assert record.failed_at >= record.issued_at + timeout
+        # The one re-send was answered from the edge's replay protection.
+        assert system.edge().stats["replayed_entries"] == 2
+        assert [event["kind"] for event in client.malicious_events] == [
+            "missing-entries"
+        ]
+        assert client.stats["disputes_sent"] == 0
+        assert_honest_run(system)
+
+
+class TestReadingFromAnotherEdge:
+    """A client homed at edge-0 reads from edge-1: that edge's proofs
+    settle the read, and its own gossip bounds an omission claim."""
+
+    def two_edges(self, **security):
+        config = SystemConfig.paper_default().with_overrides(
+            num_edge_nodes=2, security=SecurityConfig(**security)
+        )
+        return WedgeChainSystem.build(
+            config=config, num_clients=2, enable_gossip=bool(security)
+        )
+
+    def test_phase_one_read_and_get_from_another_edge_reach_phase_two(self):
+        system = self.two_edges()
+        reader, writer = system.clients  # homed at edge-0 and edge-1
+        other = system.edge(1)
+        put = writer.put_batch(puts("k", 100))
+        system.wait_for(writer, put, CommitPhase.PHASE_ONE, max_time_s=10)
+        assert other.log.proof_for(0) is None
+        read = reader.read(0, edge=other.node_id)
+        get = reader.get("k-7", edge=other.node_id)
+        system.run()
+        for op in (read, get):
+            record = reader.operation(op)
+            assert record.phase is CommitPhase.PHASE_TWO
+            assert record.phase_two_at > record.phase_one_at
+        assert reader.value_of(get) == b"v"
+        assert reader.stats["disputes_sent"] == 0
+        assert_honest_run(system)
+
+    def test_a_block_only_the_home_edge_holds_is_no_omission_elsewhere(self):
+        system = self.two_edges(gossip_interval_s=0.2)
+        reader = system.client(0)
+        for block in range(5):
+            reader.put_batch(puts(f"b{block}", 100))
+        system.run_for(3.0)
+        assert system.edge(0).stats["blocks_formed"] == 5
+        assert system.cloud.certified_log_size(system.edge(0).node_id) == 5
+        read = reader.read(3, edge=system.edge(1).node_id)
+        system.run_for(3.0)
+        record = reader.operation(read)
+        assert record.phase is CommitPhase.FAILED
+        assert record.failure_reason == "block not available"
+        assert reader.stats["disputes_sent"] == 0
+        assert len(system.cloud.ledger) == 0
+        assert_honest_run(system)

@@ -3,8 +3,8 @@
 ``tests/data/paper_golden.json`` holds every row of every table that
 ``python -m repro.bench.report`` renders, at ``--scale 0.25``, with floats
 written as their ``repr``, and each table's fault counters: certify
-retries, disputes sent and punishments summed over every system its
-experiment built, and beside them the largest Phase II lag any of those
+retries, disputes sent, punishments and failed writes summed over every
+system its experiment built, and beside them the largest Phase II lag any of those
 systems' operations saw.  The report rounds to 3–4 significant figures;
 the golden does not, so a moved modelled byte or microsecond fails here.
 The shape assertions in ``benchmarks/test_figure*.py`` check the paper's
@@ -79,11 +79,13 @@ def test_fault_counters_are_zero_unless_the_experiment_runs_an_adversary():
         if key == "ablation_gossip":
             # One omitting edge per gossip interval (one row each): the
             # reader disputes the omission once and the cloud convicts once.
+            # The reads of withheld blocks fail by design; no write does.
             rows = len(table["rows"])
             assert counters == {
                 "certify_retries": 0,
                 "disputes_sent": rows,
                 "punishments": rows,
+                "failed_writes": 0,
             }, key
         else:
             assert counters == dict.fromkeys(FAULT_COUNTERS, 0), key

@@ -218,7 +218,7 @@ class TestFleetGossip:
         assert all(size > 0 for size in certified.values())
         for client in system.clients:
             for edge, size in certified.items():
-                assert client.fleet_view.view_for(edge).certified_log_size == size
+                assert client.gossip_views[edge].certified_log_size == size
 
         # A certified block reads back; a block past the certified log is a
         # truthful denial, which gossip does not contradict.
@@ -237,7 +237,7 @@ class TestFleetGossip:
         system = self.certified_fleet(OmittingShardOwnerEdgeNode)
         liar = system.edges[0].node_id
         reader = system.clients[1]
-        assert reader.fleet_view.block_should_exist(liar, 0)
+        assert reader.gossip_views[liar].block_should_exist(0)
 
         read_op = reader.read(0, edge=liar)
         system.run_for(2.0)
@@ -427,7 +427,7 @@ class TestMembershipChangeMidInterval:
         system.rebalance_shard(shard, system.edges[1].node_id)
         system.run_for(10.0)
         system.run()
-        assert client.fleet_view.shard_map.version == 2
+        assert client.shard_map.version == 2
 
         # Replay the stale version-1 map to every party, mid-interval.
         for node in (client, *system.edges):
@@ -435,12 +435,12 @@ class TestMembershipChangeMidInterval:
         system.run_for(2.0)
         system.run()
 
-        assert client.fleet_view.shard_map.version == 2
-        assert client.fleet_view.shard_map.rejected >= 1
+        assert client.shard_map.version == 2
+        assert client.shard_map.rejected >= 1
         for edge in system.edges:
             assert edge.map_view.version == 2
         # Ownership still points at the new owner everywhere.
-        assert client.fleet_view.shard_map.owner_of(shard) == system.edges[1].node_id
+        assert client.shard_map.owner_of(shard) == system.edges[1].node_id
 
     def test_forged_map_from_non_cloud_signer_rejected(self):
         system = build_fleet()
@@ -457,9 +457,9 @@ class TestMembershipChangeMidInterval:
             {shard: edge.node_id for shard in range(4)},
             1.0,
         )
-        before = client.fleet_view.shard_map.version
-        assert not client.fleet_view.shard_map.update(registry, forged)
-        assert client.fleet_view.shard_map.version == before
+        before = client.shard_map.version
+        assert not client.shard_map.update(registry, forged)
+        assert client.shard_map.version == before
 
     def test_requests_during_migration_are_redirected_not_lost(self):
         """While a shard is mid-handoff the source redirects and the client

@@ -130,7 +130,7 @@ class TestCertifiedHandoff:
         assert dest.shard_state(shard) is not None
         assert source.shard_state(shard) is None
         # The map republish bumped every view to version 2.
-        assert client.fleet_view.shard_map.version == 2
+        assert client.shard_map.version == 2
         assert dest.map_view.version == 2
 
         # Reads and writes of the moved keys go to the new owner, verified.
