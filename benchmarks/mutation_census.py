@@ -13,10 +13,13 @@ survivor is a check no test has seen fail.  Stdlib ``ast`` only; no
 
 It covers the read verifier against its proof tests, the chaos invariants
 against the chaos scenarios, the storage codec against the strictness
-tests, and the frame decoder against the strictness and live-harness tests
-(``TARGETS``; a module may name several test files).  Each target first
-runs unmutated; a target whose test files fail as they stand is reported
-and skipped.  The exit status is 0
+tests, the frame decoder against the strictness and live-harness tests,
+the log proofs against the log-layer and batch-certification tests, the
+cloud's merge check against the merge-proof and malicious-edge tests, and
+the signature schemes against their tests and the batch-certification
+tests (``TARGETS``; a module may name several test files).  Each target
+first runs unmutated; a target whose test files fail as they stand is
+reported and skipped.  The exit status is 0
 unless a target could not be run at all: survivors are findings, not
 failures.
 """
@@ -43,6 +46,18 @@ TARGETS = (
     (
         "src/repro/service/framing.py",
         ("tests/test_codec_strictness.py", "tests/test_live_harness.py"),
+    ),
+    (
+        "src/repro/log/proofs.py",
+        ("tests/test_log_layer.py", "tests/test_batch_certification.py"),
+    ),
+    (
+        "src/repro/lsmerkle/merge.py",
+        ("tests/test_lsmerkle_proofs_merge.py", "tests/test_integration_malicious.py"),
+    ),
+    (
+        "src/repro/crypto/signatures.py",
+        ("tests/test_crypto_signatures.py", "tests/test_batch_certification.py"),
     ),
 )
 

@@ -118,9 +118,9 @@ class TestCompare:
         added or deleted in one place and not the others fails here without
         running the suite.  Everything gates except the wall-clock open-loop
         put p99 (parked by ROADMAP until a capacity-relative row replaces
-        it); the rows that time real nodes gate like the rest, and so does
-        ``get_receive``, recorded without gating in the change that added
-        it."""
+        it) and ``get_receive_cold``, recorded without gating in the change
+        that added it; the rows that time real nodes gate like the rest, and
+        so does ``get_receive``, which times the warm level-0 block table."""
 
         import pathlib
 
@@ -131,8 +131,8 @@ class TestCompare:
         full = str(root / "benchmarks" / "BENCH_hotpath_full.json")
         rows = {bench.__name__[len("bench_"):] for bench in BENCHMARKS}
         assert set(load_results(quick)) == set(load_results(full)) == rows
-        assert load_non_gating(quick) == {"live_put_p99"}
-        assert load_non_gating(full) == frozenset()
+        assert load_non_gating(quick) == {"live_put_p99", "get_receive_cold"}
+        assert load_non_gating(full) == {"get_receive_cold"}
 
 
 class TestCli:

@@ -621,21 +621,25 @@ def bench_frame_roundtrip(rng: random.Random, quick: bool) -> BenchResult:
     return _time_repeats("frame_roundtrip", run, num_responses, repeats)
 
 
-def bench_get_receive(rng: random.Random, quick: bool) -> BenchResult:
+def _get_receive(name: str, rng: random.Random, quick: bool, cold: bool) -> BenchResult:
     """A client receiving a verified get over a full level 0.
 
     ``decode_payload`` + ``verify_get_proof`` of one framed ``GetResponse``
     backed by ten certified 100-put blocks (the paper's level-0 threshold
     and the live fleets' batch size): the ~0.55 MB a verified get ships
-    between merges.  Every block decodes strictly and is digested, and the
-    verifier scans it for the key.  The first receive, which compiles the
-    decoders, is not timed.
+    between merges.  Warm, every block is the one the previous receive
+    decoded and digested (the level-0 block table of
+    :mod:`repro.storage.codec`); *cold*, the table is cleared before each
+    receive, so every block decodes strictly and is digested — the first
+    get after a merge.  Either way the verifier scans each block for the
+    key.  The first receive, which compiles the decoders, is not timed.
     """
 
     from ..common.identifiers import OperationId
     from ..lsmerkle.codec import encode_put
     from ..messages.kv_messages import GetResponse, GetResponseStatement
     from ..service.framing import decode_payload, encode_frame
+    from ..storage.codec import LEVEL_ZERO_BLOCKS
 
     registry, cloud, edge = _certification_registry()
     client = client_id("bench-client")
@@ -681,6 +685,8 @@ def bench_get_receive(rng: random.Random, quick: bool) -> BenchResult:
     repeats = 5 if quick else 10
 
     def receive() -> None:
+        if cold:
+            LEVEL_ZERO_BLOCKS.clear()
         _sender, received = decode_payload(payload)
         verified = verify_get_proof(registry, cloud, edge, key, received.proof)
         assert verified.found and verified.record.key == key
@@ -690,7 +696,19 @@ def bench_get_receive(rng: random.Random, quick: bool) -> BenchResult:
             receive()
 
     receive()
-    return _time_repeats("get_receive", run, receives, repeats)
+    return _time_repeats(name, run, receives, repeats)
+
+
+def bench_get_receive(rng: random.Random, quick: bool) -> BenchResult:
+    """A repeat verified get: its level-0 blocks were decoded before."""
+
+    return _get_receive("get_receive", rng, quick, cold=False)
+
+
+def bench_get_receive_cold(rng: random.Random, quick: bool) -> BenchResult:
+    """The first verified get after a merge: every level-0 block is new."""
+
+    return _get_receive("get_receive_cold", rng, quick, cold=True)
 
 
 # ----------------------------------------------------------------------
@@ -1057,6 +1075,7 @@ BENCHMARKS = (
     bench_replica_read,
     bench_frame_roundtrip,
     bench_get_receive,
+    bench_get_receive_cold,
     bench_live_put_p99,
 )
 

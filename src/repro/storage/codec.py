@@ -33,11 +33,23 @@ bomb, or a value its class's ``__post_init__`` refuses all raise
 (``tests/test_codec_strictness.py``).  JSON arrays decode to tuples, as
 every frozen protocol dataclass declares its sequences; values outside any
 registered class (a storage or frame envelope) decode through :func:`_value`.
+
+Two decoders hand back an object an earlier decode built: a ``NodeId``
+(interned by text) and a level-0 block (:class:`LevelZeroBlockTable`), each
+only when the object's whole canonical text recurs byte for byte where the
+decoder stands.  Canonical text is prefix-free and the kept object was
+built strictly from that very text, so a hit is what a strict decode would
+build, with the memos the receiving process computed from it.  Retention:
+the level-0 table keeps the blocks of the latest fully decoded
+``GetProof`` per writer edge and is dropped whole past 64 edges or 8 Mi
+characters; the intern table keeps at most 1024 texts of at most 256
+characters.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import types
 import typing
@@ -112,6 +124,91 @@ _STORED_CLASSES = (
 #: grow the table without bound nor make every lookup scan its frame).
 _INTERN_LIMIT = 1024
 _INTERN_MAX_CHARS = 256
+
+#: A level-0 block's header — id, creation time, edge — is its text before
+#: this; it is looked for no further than ``_HEADER_MAX_CHARS`` past the
+#: block's start.  The level-0 table is dropped past either bound after it.
+_ENTRIES_KEY = ',"entries":['
+_HEADER_MAX_CHARS = 512
+_LEVEL_ZERO_MAX_EDGES = 64
+_LEVEL_ZERO_MAX_CHARS = 8 * 1024 * 1024
+
+
+class LevelZeroBlockTable:
+    """The level-0 blocks this process last decoded, per writer edge.
+
+    Between merges every verified get repeats the level-0 blocks the
+    previous get from that edge carried.  The decoder of
+    ``LevelZeroEvidence.block`` looks a block up here by its header text
+    and returns the ``Block`` an earlier strict decode built only when that
+    block's whole canonical span recurs byte for byte at ``start``; a miss
+    decodes strictly.  A complete canonical object text is prefix-free, so
+    the object at ``start`` is then that object — the argument the
+    ``NodeId`` intern table rests on — and the reused block keeps the
+    digest its receiver computed.
+
+    Retention: the blocks of the latest fully decoded ``GetProof`` per
+    writer edge.  A decoded proof replaces what is kept for every edge it
+    speaks for (its blocks' edges and its signed root's edge), so a block a
+    merge takes out of level 0 is dropped on the next get, and a proof
+    whose decode fails partway changes nothing.  Past 64 edges or 8 Mi kept
+    characters the whole table is dropped.
+    """
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        #: header -> (span, block), and the headers kept per writer edge.
+        self._blocks: dict[str, tuple[str, Block]] = {}
+        self._edges: dict[NodeId, tuple[str, ...]] = {}
+        self._chars = 0
+        #: (header, span, block) of the proof being decoded.
+        self._pending: list[tuple[str, str, Block]] = []
+
+    def decode_block(self, strict, text: str, start: int, pos: int) -> tuple[Block, int]:
+        """``strict(text, start, pos)``, unless the block at *start* is kept."""
+
+        header_end = text.find(_ENTRIES_KEY, pos, start + _HEADER_MAX_CHARS)
+        if header_end < 0:
+            return strict(text, start, pos)
+        header = text[start:header_end]
+        kept = self._blocks.get(header)
+        if kept is not None and text.startswith(kept[0], start):
+            span, block = kept
+        else:
+            block, end = strict(text, start, pos)
+            span = text[start:end]
+        self._pending.append((header, span, block))
+        return block, start + len(span)
+
+    def decode_proof(self, strict, text: str, start: int, pos: int) -> tuple[GetProof, int]:
+        """``strict(text, start, pos)``, then keep the proof's blocks."""
+
+        self._pending = []
+        proof, end = strict(text, start, pos)
+        pending, self._pending = self._pending, []
+        edges: dict[NodeId, dict[str, tuple[str, Block]]] = {}
+        if proof.signed_root is not None:
+            edges[proof.signed_root.statement.edge] = {}
+        for header, span, block in pending:
+            edges.setdefault(block.edge, {})[header] = (span, block)
+        for edge, blocks in edges.items():
+            for header in self._edges.pop(edge, ()):
+                self._chars -= len(self._blocks.pop(header)[0])
+            self._edges[edge] = tuple(blocks)
+            self._blocks.update(blocks)
+            self._chars += sum(len(span) for span, _block in blocks.values())
+        if (
+            len(self._edges) > _LEVEL_ZERO_MAX_EDGES
+            or self._chars > _LEVEL_ZERO_MAX_CHARS
+        ):
+            self.clear()
+        return proof, end
+
+
+#: The one table the decoders consult (``clear()`` it to time a cold get).
+LEVEL_ZERO_BLOCKS = LevelZeroBlockTable()
 
 
 def register_storable(cls: type) -> type:
@@ -436,6 +533,10 @@ def _compile_decoder(cls: type):
     for name, literal in zip(field_names, literals):
         what = repr(f"{cls.__name__} field {name}")
         body += _field_lines(f"v_{name}", hints[name], literal, what, scope)
+    if cls is LevelZeroEvidence:
+        scope["decode_Block"] = functools.partial(
+            LEVEL_ZERO_BLOCKS.decode_block, scope["decode_Block"]
+        )
     if cls is Page:
         # page_id is a process-local counter, never round-tripped; the
         # validating constructor assigns a fresh one (and, by re-checking
@@ -464,6 +565,8 @@ def _compile_decoder(cls: type):
     body.append("return value, pos")
     source = "def decode(text, start, pos):\n" + "\n".join("    " + line for line in body)
     exec(source, scope)
+    if cls is GetProof:
+        return functools.partial(LEVEL_ZERO_BLOCKS.decode_proof, scope["decode"])
     return scope["decode"]
 
 

@@ -27,6 +27,8 @@ from repro.crypto.signatures import (
 from repro.log.block import build_block
 from repro.log.entry import make_entry
 from repro.log.proofs import (
+    CERTIFY_BATCH_CONTEXT,
+    BatchCertificate,
     BatchedBlockProof,
     CommitPhase,
     build_certify_batch_tree,
@@ -135,6 +137,22 @@ class TestBatchRootSigning:
 # ----------------------------------------------------------------------
 # Batch certificates and batch-anchored proofs
 # ----------------------------------------------------------------------
+class TestBatchCertificateShape:
+    def test_a_root_signed_for_another_context_is_no_certificate(self, registry):
+        statement, signature = sign_batch_root(
+            registry, CLOUD, "gossip", "ab" * 32, 4, 1.0, about=EDGE
+        )
+        with pytest.raises(ProofVerificationError, match="context 'gossip'"):
+            BatchCertificate(statement=statement, signature=signature)
+
+    def test_a_certificate_that_names_no_edge_is_refused(self, registry):
+        statement, signature = sign_batch_root(
+            registry, CLOUD, CERTIFY_BATCH_CONTEXT, "ab" * 32, 4, 1.0
+        )
+        with pytest.raises(ProofVerificationError, match="names no edge"):
+            BatchCertificate(statement=statement, signature=signature)
+
+
 class TestBatchedBlockProof:
     def make_certificate(self, registry, blocks):
         tree = build_certify_batch_tree(blocks)

@@ -42,7 +42,7 @@ from repro.log.proofs import CommitPhase, issue_block_proof, issue_phase_one_rec
 from repro.lsm.page import Page, build_page
 from repro.lsm.records import KVRecord
 from repro.lsmerkle.codec import encode_put
-from repro.lsmerkle.mlsm import MerkleizedLSM
+from repro.lsmerkle.mlsm import GlobalRootStatement, MerkleizedLSM, SignedGlobalRoot
 from repro.lsmerkle.read_proof import build_get_proof
 from repro.messages import AppendBatchResponse, BlockProofMessage, GetResponse
 from repro.messages.kv_messages import GetResponseStatement
@@ -114,24 +114,27 @@ def _baseline_messages() -> list:
     ]
 
 
-def _get_response() -> GetResponse:
-    """A signed get response whose proof carries two single-put, certified
-    level-0 blocks."""
+def _get_response(
+    edge=EDGE, block_ids=(1, 2), signed_root=None, registry=None
+) -> GetResponse:
+    """A signed get response from *edge* whose proof carries single-put,
+    certified level-0 blocks (*block_ids*); one *registry* signs the same
+    blocks to the same bytes every time."""
 
-    registry = _registry()
+    registry = registry or _registry()
     evidence = []
-    for block_id in (1, 2):
+    for block_id in block_ids:
         entry = make_entry(
             registry, CLIENT, block_id, encode_put("k", b"v%d" % block_id), 0.5
         )
-        block = build_block(EDGE, block_id, [entry], created_at=float(block_id))
+        block = build_block(edge, block_id, [entry], created_at=float(block_id))
         proof = issue_block_proof(
-            registry, CLOUD, EDGE, block_id, block.digest(), float(block_id)
+            registry, CLOUD, edge, block_id, block.digest(), float(block_id)
         )
         evidence.append((block, proof))
     index = MerkleizedLSM(config=LSMerkleConfig(), page_capacity=10)
     statement = GetResponseStatement(
-        edge=EDGE,
+        edge=edge,
         operation_id=OperationId(client=CLIENT, sequence=9),
         key="k",
         found=False,
@@ -140,9 +143,9 @@ def _get_response() -> GetResponse:
     )
     return GetResponse(
         statement=statement,
-        signature=registry.sign(EDGE, statement),
+        signature=registry.sign(edge, statement),
         value=None,
-        proof=build_get_proof("k", index, evidence, None, None),
+        proof=build_get_proof("k", index, evidence, signed_root, None),
     )
 
 
@@ -498,6 +501,181 @@ class TestHostileCorpus:
         # Mutations inside a string or a hex run yield other canonical
         # texts; the corpus must exercise the accepting side too.
         assert accepted > 50
+
+
+# ----------------------------------------------------------------------
+# The level-0 block table: a repeat get reuses only byte-identical blocks
+# ----------------------------------------------------------------------
+OTHER_EDGE = edge_id("strict-edge-b")
+SIGNERS = _registry()
+SIGNERS.register(OTHER_EDGE)
+
+
+def _get(edge=EDGE, block_ids=(1, 2), signed_root=None) -> bytes:
+    """The frame of a get response whose blocks recur byte for byte."""
+
+    get = _get_response(edge, block_ids, signed_root, registry=SIGNERS)
+    return encode_record({"sender": edge, "message": get})
+
+
+def _held() -> list:
+    """The blocks the table holds."""
+
+    return [block for _span, block in codec.LEVEL_ZERO_BLOCKS._blocks.values()]
+
+
+def _signed_root(edge) -> SignedGlobalRoot:
+    statement = GlobalRootStatement(
+        edge=edge, level_roots=("00",), global_root="00", version=1, timestamp=4.0
+    )
+    return SignedGlobalRoot(statement=statement, signature=SIGNERS.sign(CLOUD, statement))
+
+
+def _is_held(block) -> bool:
+    return any(block is held for held in _held())
+
+
+class TestLevelZeroBlockTable:
+    @pytest.fixture(autouse=True)
+    def empty_table(self):
+        codec.LEVEL_ZERO_BLOCKS.clear()
+        yield
+        codec.LEVEL_ZERO_BLOCKS.clear()
+
+    def test_a_repeat_decode_returns_the_identical_object(self):
+        data = _get()
+        first = decode_record(data)["message"].proof
+        blocks = [item.block for item in first.level_zero]
+        digests = [block.digest() for block in blocks]
+        second = decode_record(data)["message"].proof
+        assert second is not first
+        assert all(a.block is b for a, b in zip(second.level_zero, blocks, strict=True))
+        # The reused block keeps the digest its receiver computed.
+        assert [item.block._digest_cache for item in second.level_zero] == digests
+        assert _held() == blocks
+
+    def test_a_changed_entry_byte_behind_a_cached_header_decodes_strictly(self):
+        honest = _get()
+        cached = decode_record(honest)["message"].proof.level_zero[0].block
+        span = encode_record(cached)
+        start = honest.index(span)
+        entries = start + span.index(b',"entries":[') + len(b',"entries":[')
+        rebuilt = 0
+        for at in range(entries, start + len(span)):
+            byte = honest[at : at + 1]
+            for swap in {b"0": (b"1", b"A"), b"1": (b"0",)}.get(byte, (b"0", b" ")):
+                data = honest[:at] + swap + honest[at + 1 :]
+                kept = _held()[0]
+                if not expect_refused_or_exact(data):
+                    assert _held()[0] is kept
+                    continue
+                # Same header, other bytes: built afresh, never the kept
+                # block (an accepted proof is then the one kept).
+                block = _held()[0]
+                assert block is not kept and block != kept
+                assert block.digest() != cached.digest()
+                rebuilt += 1
+        assert rebuilt > 10
+        assert decode_record(honest)["message"].proof.level_zero[0].block == cached
+
+    def test_non_canonical_variants_of_a_cached_block_are_refused(self):
+        honest = _get()
+        cached = decode_record(honest)["message"].proof.level_zero[0].block
+        span = encode_record(cached)
+        start = honest.index(span)
+        end = start + len(span)
+        variants = [
+            honest[:end] + b" " + honest[end:],  # whitespace behind the span
+            honest[:end - 1] + b" " + honest[end - 1 :],  # ... inside its last brace
+            honest.replace(b'"block_id":1,', b'"block_id": 1,', 1),  # in the header
+            honest.replace(b'"block_id":1,', b'"block_id":01,', 1),
+            honest[: end - 1] + b',"x":1' + honest[end - 1 :],  # an extra key
+            honest[:start] + span[:-1] + honest[end:],  # a cut brace
+            honest[:start] + span.replace(b'"entries":[', b'"entries": [', 1) + honest[end:],
+        ]
+        for data in variants:
+            assert data != honest
+            expect_refused(data)
+        assert _held()[0] is cached
+
+    def test_a_block_that_carries_a_page_is_never_kept(self):
+        get = _get_response(registry=SIGNERS)
+        honest = _get()
+        entry = get.proof.level_zero[0].block.entries[0]
+        page = build_page([KVRecord("k", 1, b"v", 0.5)], created_at=1.0)
+        hostile = honest.replace(
+            encode_record(entry.body), _with_field(entry.body, "payload", page), 1
+        )
+        # Cold and behind the honest block's header alike, it is refused.
+        with pytest.raises(FrameError, match="EntryBody field payload"):
+            decode_payload(hostile)
+        assert _held() == []
+        kept = decode_record(honest)["message"].proof.level_zero[0].block
+        with pytest.raises(FrameError, match="EntryBody field payload"):
+            decode_payload(hostile)
+        assert _held()[0] is kept and len(_held()) == 2
+
+    def test_retention_is_per_edge(self):
+        a_first = decode_record(_get(EDGE, (1, 2)))["message"].proof
+        b_first = decode_record(_get(OTHER_EDGE, (1, 2)))["message"].proof
+        assert len(_held()) == 4
+        # Block 1 left level 0 of EDGE: dropped; OTHER_EDGE keeps its own.
+        a_next = decode_record(_get(EDGE, (2, 3)))["message"].proof
+        assert a_next.level_zero[0].block is a_first.level_zero[1].block
+        assert not _is_held(a_first.level_zero[0].block)
+        assert all(_is_held(item.block) for item in b_first.level_zero)
+        assert all(_is_held(item.block) for item in a_next.level_zero)
+        assert len(_held()) == 4
+        # A proof with no level 0 but a root signed for the edge empties it.
+        decode_record(_get(EDGE, (), signed_root=_signed_root(EDGE)))
+        assert [block.edge for block in _held()] == [OTHER_EDGE, OTHER_EDGE]
+        # A proof speaks for its root's edge too: a root naming the other
+        # edge empties that edge's blocks as block 3 replaces this one's.
+        decode_record(_get(EDGE, (3,), signed_root=_signed_root(OTHER_EDGE)))
+        assert [(block.edge, block.block_id) for block in _held()] == [(EDGE, 3)]
+
+    def test_both_caps_are_enforced(self, monkeypatch):
+        table = codec.LEVEL_ZERO_BLOCKS
+        one_edge = _get(EDGE, (1, 2))
+        decode_record(one_edge)
+        chars = table._chars
+        assert chars == sum(len(span) for span, _block in table._blocks.values()) > 0
+        # At the caps the table keeps; one past either, it is dropped.
+        monkeypatch.setattr(codec, "_LEVEL_ZERO_MAX_EDGES", 2)
+        decode_record(_get(OTHER_EDGE, (1, 2)))
+        assert len(table._edges) == 2 and len(_held()) == 4
+        monkeypatch.setattr(codec, "_LEVEL_ZERO_MAX_EDGES", 1)
+        decode_record(one_edge)
+        assert _held() == [] and table._edges == {} and table._chars == 0
+        monkeypatch.setattr(codec, "_LEVEL_ZERO_MAX_EDGES", 64)
+        monkeypatch.setattr(codec, "_LEVEL_ZERO_MAX_CHARS", chars)
+        decode_record(one_edge)
+        assert len(_held()) == 2
+        monkeypatch.setattr(codec, "_LEVEL_ZERO_MAX_CHARS", chars - 1)
+        decode_record(one_edge)
+        assert _held() == [] and table._chars == 0
+
+    def test_a_failure_partway_through_a_proof_leaves_the_table_unchanged(self):
+        table = codec.LEVEL_ZERO_BLOCKS
+        kept = decode_record(_get(EDGE, (1, 2)))["message"].proof
+        before = dict(table._blocks), dict(table._edges), table._chars
+        longer = _get(EDGE, (1, 2, 3))
+        third = encode_record(
+            _get_response(EDGE, (3,), registry=SIGNERS).proof.level_zero[0].block
+        )
+        broken = [
+            # Blocks 1 and 2 reused, block 3 cut short.
+            longer.replace(third, third[:-1], 1),
+            # Every block decodes, the proof's root after them does not.
+            longer.replace(b'"signed_root":null', b'"signed_root":7', 1),
+        ]
+        for data in broken:
+            expect_refused(data)
+            assert (dict(table._blocks), dict(table._edges), table._chars) == before
+        # Nothing of a failed decode is kept by the next one either.
+        decode_record(_get(OTHER_EDGE, (5,)))
+        assert [block.block_id for block in _held() if block.edge == EDGE] == [1, 2]
+        assert _held()[:2] == [item.block for item in kept.level_zero]
 
 
 # ----------------------------------------------------------------------

@@ -58,6 +58,11 @@ class TestSchnorrScheme:
         signature = scheme.sign(keypair, "original")
         assert not scheme.verify(keypair.public_key, signature, "tampered")
 
+    def test_wrong_scheme_keypair_rejected(self):
+        keypair = HmacSignatureScheme().generate_keypair(client_id("alice"))
+        with pytest.raises(SignatureError, match="keypair scheme 'hmac'"):
+            SchnorrSignatureScheme().sign(keypair, "message")
+
     def test_wrong_public_key_fails(self):
         scheme = SchnorrSignatureScheme()
         alice_keys = scheme.generate_keypair(client_id("alice"))

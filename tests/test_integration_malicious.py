@@ -11,6 +11,7 @@ punishment.
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
@@ -142,6 +143,53 @@ class TestOmissionAttack:
         assert reader.operation(read_op).phase is CommitPhase.FAILED
         assert not any(event["kind"] == "omission" for event in reader.malicious_events)
         assert not system.cloud.ledger.is_punished(system.edge().node_id)
+
+
+class TestLateTruthfulDenial:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="judge_dispute tests an omission against the certified log "
+        "size at judgement time, not when the edge signed its denial",
+    )
+    def test_a_truthful_denial_delivered_late_is_not_convicted(self):
+        """An honest edge denies block 0 before it exists; the denial reaches
+        its reader only after block 0 was formed, certified and gossiped."""
+
+        config = SystemConfig.paper_default().with_overrides(
+            security=SecurityConfig(gossip_interval_s=0.2)
+        )
+        system = WedgeChainSystem.build(
+            config=config,
+            num_clients=2,
+            env=local_environment(seed=61),
+            enable_gossip=True,
+        )
+        writer, reader = system.clients
+        edge = system.edge()
+        held = []
+
+        def hold(src, dst, message):
+            if isinstance(message, ReadResponse) and dst == reader.node_id:
+                held.append(message)
+                return False
+            return True
+
+        system.env.network.add_send_hook("test:hold", hold)
+        read = reader.read(0)
+        system.run_for(0.1)
+        (denial,) = held
+        assert not denial.statement.found
+        write = write_block(system, writer)
+        system.wait_for(writer, write, CommitPhase.PHASE_TWO, max_time_s=30)
+        system.run_for(1.0)  # at least one gossip round reaches the reader
+        assert reader.gossip_views[edge.node_id].block_should_exist(0)
+        system.env.network.remove_send_hook("test:hold")
+
+        reader.on_message(edge.node_id, denial)
+        system.run_for(5.0)
+
+        assert reader.operation(read).phase is CommitPhase.FAILED
+        assert system.cloud.ledger.records_for(edge.node_id) == []
 
 
 class TestTamperingRead:
@@ -426,6 +474,24 @@ class TestTamperedMessagesAtRealNodes:
         assert cloud.stats["merges"] == 0
         (conviction,) = cloud.ledger.records_for(edge.node_id)
         assert conviction.reason.startswith("invalid merge proposal")
+        assert edge.stats["merges_rejected"] == 1
+
+    def test_cloud_names_a_merge_over_a_block_it_never_certified(self):
+        """The conviction's reason tells a block the cloud never certified
+        (what a merge racing its certification would show) from a forged
+        one (the test above)."""
+
+        system = self.certified_system()
+        edge, cloud = system.edge(), system.cloud
+        certified = _certified_block(system)
+        never = build_block(edge.node_id, 99, certified.entries, certified.created_at)
+        proposal = MergeProposal(edge=edge.node_id, level_index=0, source_blocks=(never,))
+
+        cloud.on_message(edge.node_id, MergeRequest(edge=edge.node_id, proposal=proposal))
+        system.run_for(1.0)
+
+        (conviction,) = cloud.ledger.records_for(edge.node_id)
+        assert re.search(r"block 99 from .* was never certified$", conviction.reason)
         assert edge.stats["merges_rejected"] == 1
 
 

@@ -18,11 +18,11 @@ import weakref
 
 import pytest
 
-from repro.common.config import LoggingConfig, SystemConfig
+from repro.common.config import LoggingConfig, LSMerkleConfig, SystemConfig
 from repro.common.errors import SimulationError, TransportError
 from repro.common.identifiers import client_id, edge_id
 from repro.log.proofs import CommitPhase
-from repro.messages import GetRequest
+from repro.messages import GetRequest, GetResponse
 from repro.common.identifiers import OperationId
 from repro.core.system import SystemStats
 from repro.service import (
@@ -33,6 +33,7 @@ from repro.service import (
     read_frame,
 )
 from repro.service.framing import decode_payload
+from repro.storage import codec
 
 #: Hard wall-clock cap for any single async test body.
 _TEST_TIMEOUT_S = 30.0
@@ -193,6 +194,72 @@ class TestLiveFleetSmoke:
                 assert fleet.env.failures == []
 
         run_async(scenario())
+
+
+class TestLevelZeroBlockTable:
+    def test_a_repeat_get_reuses_blocks_and_a_merge_drops_them(self):
+        """Over real sockets, a second get's level-0 blocks are the objects
+        the first get's decode built, and after a merge the blocks it took
+        out of level 0 are no longer held."""
+
+        config = SystemConfig.paper_default().with_overrides(
+            logging=LoggingConfig(block_size=1),
+            lsmerkle=LSMerkleConfig(level_thresholds=(4, 10, 100)),
+        )
+
+        async def scenario():
+            async with LiveFleet(config=config, num_edges=1, num_clients=1) as fleet:
+                client, edge = fleet.client(0), fleet.edge(0)
+                received = []
+                on_message = client.on_message
+
+                def recording(sender, message):
+                    if isinstance(message, GetResponse):
+                        received.append(message.proof)
+                    on_message(sender, message)
+
+                client.on_message = recording
+
+                async def put(index):
+                    operation = client.put_batch([(f"k{index}", b"v")])
+                    phase = await fleet.wait_for(
+                        client, operation, CommitPhase.PHASE_TWO, timeout_s=15
+                    )
+                    assert phase is CommitPhase.PHASE_TWO
+
+                async def get():
+                    operation = client.get("k0")
+                    phase = await fleet.wait_for(
+                        client, operation, CommitPhase.PHASE_TWO, timeout_s=15
+                    )
+                    assert phase is CommitPhase.PHASE_TWO
+                    return [item.block for item in received[-1].level_zero]
+
+                for index in range(3):
+                    await put(index)
+                first, second = await get(), await get()
+                assert len(first) == 3
+                assert all(a is b for a, b in zip(first, second, strict=True))
+                held = [kept for _span, kept in codec.LEVEL_ZERO_BLOCKS._blocks.values()]
+                assert all(any(block is kept for kept in held) for block in first)
+
+                for index in range(3, 6):
+                    await put(index)
+                assert await fleet.await_condition(
+                    lambda: edge.stats["merges_completed"] >= 1, timeout_s=15
+                )
+                after = await get()
+                merged = [block for block in first if block not in after]
+                assert merged
+                held = [kept for _span, kept in codec.LEVEL_ZERO_BLOCKS._blocks.values()]
+                assert not any(block is kept for block in merged for kept in held)
+                assert fleet.env.failures == []
+
+        codec.LEVEL_ZERO_BLOCKS.clear()
+        try:
+            run_async(scenario())
+        finally:
+            codec.LEVEL_ZERO_BLOCKS.clear()
 
 
 class TestStoppedFleetIsFreed:
