@@ -118,9 +118,11 @@ class TestCompare:
         added or deleted in one place and not the others fails here without
         running the suite.  Everything gates except the wall-clock open-loop
         put p99 (parked by ROADMAP until a capacity-relative row replaces
-        it) and ``get_receive_cold``, recorded without gating in the change
-        that added it; the rows that time real nodes gate like the rest, and
-        so does ``get_receive``, which times the warm level-0 block table."""
+        it) and the rows that time a receiver's held set —
+        ``get_receive``, ``get_receive_cold``, ``append_echo_receive`` and
+        ``merge_outcome_receive`` — recorded without gating in the change
+        that added or re-pointed them; the rows that time real nodes gate
+        like the rest."""
 
         import pathlib
 
@@ -131,8 +133,14 @@ class TestCompare:
         full = str(root / "benchmarks" / "BENCH_hotpath_full.json")
         rows = {bench.__name__[len("bench_"):] for bench in BENCHMARKS}
         assert set(load_results(quick)) == set(load_results(full)) == rows
-        assert load_non_gating(quick) == {"live_put_p99", "get_receive_cold"}
-        assert load_non_gating(full) == {"get_receive_cold"}
+        held = {
+            "get_receive",
+            "get_receive_cold",
+            "append_echo_receive",
+            "merge_outcome_receive",
+        }
+        assert load_non_gating(quick) == {"live_put_p99"} | held
+        assert load_non_gating(full) == held
 
 
 class TestCli:

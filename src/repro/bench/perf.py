@@ -627,19 +627,20 @@ def _get_receive(name: str, rng: random.Random, quick: bool, cold: bool) -> Benc
     ``decode_payload`` + ``verify_get_proof`` of one framed ``GetResponse``
     backed by ten certified 100-put blocks (the paper's level-0 threshold
     and the live fleets' batch size): the ~0.55 MB a verified get ships
-    between merges.  Warm, every block is the one the previous receive
-    decoded and digested (the level-0 block table of
-    :mod:`repro.storage.codec`); *cold*, the table is cleared before each
-    receive, so every block decodes strictly and is digested — the first
-    get after a merge.  Either way the verifier scans each block for the
-    key.  The first receive, which compiles the decoders, is not timed.
+    between merges.  The receiver decodes with a client's held set
+    (:class:`~repro.storage.codec.HeldSet`).  Warm, every block is the one
+    the previous receive decoded and digested; *cold*, the set forgets its
+    level-0 blocks before each receive, so every block decodes strictly and
+    is digested — the first get after a merge.  Either way the verifier
+    scans each block for the key.  The first receive, which compiles the
+    decoders, is not timed.
     """
 
     from ..common.identifiers import OperationId
     from ..lsmerkle.codec import encode_put
     from ..messages.kv_messages import GetResponse, GetResponseStatement
     from ..service.framing import decode_payload, encode_frame
-    from ..storage.codec import LEVEL_ZERO_BLOCKS
+    from ..storage.codec import HeldSet
 
     registry, cloud, edge = _certification_registry()
     client = client_id("bench-client")
@@ -683,11 +684,12 @@ def _get_receive(name: str, rng: random.Random, quick: bool, cold: bool) -> Benc
 
     receives = 10 if quick else 30
     repeats = 5 if quick else 10
+    held = HeldSet()
 
     def receive() -> None:
         if cold:
-            LEVEL_ZERO_BLOCKS.clear()
-        _sender, received = decode_payload(payload)
+            held.clear_level_zero()
+        _sender, received = decode_payload(payload, held)
         verified = verify_get_proof(registry, cloud, edge, key, received.proof)
         assert verified.found and verified.record.key == key
 
@@ -709,6 +711,108 @@ def bench_get_receive_cold(rng: random.Random, quick: bool) -> BenchResult:
     """The first verified get after a merge: every level-0 block is new."""
 
     return _get_receive("get_receive_cold", rng, quick, cold=True)
+
+
+def bench_append_echo_receive(rng: random.Random, quick: bool) -> BenchResult:
+    """A client receiving the acknowledgement of its 100-put append.
+
+    ``decode_payload`` of one framed ``AppendBatchResponse`` whose block
+    echoes the client's own 100 signed entries, then the receipt check
+    against the block's digest, with the client's held set holding those
+    entries (held anew per receive, so indexing them is timed as a client
+    pays it once per append).  The first receive is not timed.
+    """
+
+    from ..common.identifiers import OperationId
+    from ..lsmerkle.codec import encode_put
+    from ..messages import AppendBatchResponse
+    from ..service.framing import decode_payload, encode_frame
+    from ..storage.codec import HeldSet
+
+    registry, _cloud, edge = _certification_registry()
+    client = client_id("bench-client")
+    registry.register(client)
+    entries = tuple(
+        make_entry(
+            registry, client, index, encode_put(format_key(index), rng.randbytes(100)), 1.0
+        )
+        for index in range(100)
+    )
+    block = build_block(edge, 1, entries, created_at=1.0)
+    operation = OperationId(client=client, sequence=1)
+    receipt = issue_phase_one_receipt(registry, edge, block, 1.0)
+    payload = encode_frame(
+        edge,
+        AppendBatchResponse(
+            edge=edge, operation_id=operation, block_id=1, receipt=receipt, block=block
+        ),
+    )[4:]
+
+    receives = 20 if quick else 60
+    repeats = 5 if quick else 10
+    held = HeldSet()
+
+    def receive() -> None:
+        held.hold(operation, entries)
+        _sender, received = decode_payload(payload, held)
+        assert receipt.matches_block(received.block)
+
+    def run() -> None:
+        for _ in range(receives):
+            receive()
+
+    receive()
+    return _time_repeats("append_echo_receive", run, receives, repeats)
+
+
+def bench_merge_outcome_receive(rng: random.Random, quick: bool) -> BenchResult:
+    """An edge receiving the cloud's answer to a level-0 merge.
+
+    ``decode_payload`` of one framed ``MergeResponse`` recorded from a
+    1-edge fleet that took thirty 100-put batches over 5 000 keys (the
+    recorded merge has a non-empty level 1 to merge into), with the edge's
+    held set holding that merge's inputs as the edge held them (held anew
+    per receive, so indexing them is timed as an edge pays it once per
+    merge).  The first receive is not timed.
+    """
+
+    from ..messages.kv_messages import MergeResponse
+    from ..service.framing import decode_payload, encode_frame
+    from ..storage.codec import HeldSet
+
+    fleet = WedgeChainSystem.build(config_for_batch(100), env=local_environment())
+    edge, client = fleet.edge(), fleet.client()
+    recorded: list = []
+
+    def record(_src, _dst, message) -> bool:
+        if isinstance(message, MergeResponse) and message.outcome.level_index == 0:
+            recorded[:] = [(message, edge.held.objects())]
+        return True
+
+    fleet.env.network.add_send_hook("bench:merge-outcome", record)
+    for _ in range(30):
+        client.put_batch(
+            [(format_key(rng.randrange(5000)), rng.randbytes(100)) for _ in range(100)]
+        )
+    _run_to_outcome(fleet, lambda fleet: lambda: edge.stats["merges_completed"] >= 3)
+    ((response, inputs),) = recorded
+    payload = encode_frame(fleet.cloud.node_id, response)[4:]
+
+    receives = 3 if quick else 10
+    repeats = 3 if quick else 5
+    held = HeldSet()
+
+    def receive() -> None:
+        held.hold("merge", inputs)
+        _sender, received = decode_payload(payload, held)
+        assert received.outcome.records_out == response.outcome.records_out
+
+    def run() -> None:
+        for _ in range(receives):
+            receive()
+
+    receive()
+    return _time_repeats("merge_outcome_receive", run, receives, repeats)
 
 
 # ----------------------------------------------------------------------
@@ -1076,6 +1180,8 @@ BENCHMARKS = (
     bench_frame_roundtrip,
     bench_get_receive,
     bench_get_receive_cold,
+    bench_append_echo_receive,
+    bench_merge_outcome_receive,
     bench_live_put_p99,
 )
 

@@ -65,12 +65,14 @@ check, so where a memo can come from is part of the trust argument.
   dropped.  The one value whose received text is not its encoding — a
   page, rebuilt under a fresh process-local ``page_id`` — never gets a
   span, and no class that keeps one declares a page inside it.
-* A decoded object may be **reused**: the storage codec hands back the
-  ``NodeId`` or level-0 ``Block`` an earlier decode built when that
-  object's whole canonical text recurs byte for byte.  A reused object is
-  one the receiver built strictly from the same bytes, and every memo on it
-  (a block's digest included) was computed in the receiving process from
-  that content, so the reuse trusts nothing a sender attached.
+* A decoded object may be **reused**: the storage codec hands back a
+  ``NodeId`` an earlier decode built, or an entry, record or level-0
+  ``Block`` the receiving node holds (its ``HeldSet``), when that object's
+  whole canonical text recurs byte for byte.  A reused object is one the
+  receiver built itself — strictly from the same bytes, or as the author
+  of that text — and every memo on it (a block's digest included) was
+  computed in the receiving process, so the reuse trusts nothing a sender
+  attached.
 * The simulator delivers messages by reference, so there a memo is state
   the sender could have attached (this has always been true of
   ``Block.digest()``'s cache, which verifiers consult).  The modeled
@@ -389,12 +391,18 @@ def flat_encode(value: Any) -> bytes:
     tree builds (or retains) a full-size copy of the text beneath it.
     """
 
+    return flat_text(value).encode("ascii")
+
+
+def flat_text(value: Any) -> str:
+    """:func:`flat_encode` as text: reads memos, writes none."""
+
     out: list[str] = []
     try:
         _ENCODERS[type(value)][1](value, out)
     except (TypeError, ValueError) as exc:
         raise SerializationError(str(exc)) from exc
-    return "".join(out).encode("ascii")
+    return "".join(out)
 
 
 def reference_encode(value: Any) -> bytes:

@@ -9,11 +9,14 @@ into the latency and commit-rate figures of the paper (Figures 4 and 6).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..common.errors import ProtocolError
 from ..common.identifiers import BlockId, OperationId, OperationKind
 from ..log.proofs import BlockProof, CommitPhase, PhaseOneReceipt
+
+if TYPE_CHECKING:
+    from ..storage.codec import HeldSet
 
 
 @dataclass
@@ -69,8 +72,12 @@ class OperationRecord:
 class CommitTracker:
     """Registry of a single client's operations and their commit progress."""
 
-    def __init__(self) -> None:
+    def __init__(self, held: Optional["HeldSet"] = None) -> None:
         self._records: dict[OperationId, OperationRecord] = {}
+        #: The client's held set: what an operation holds there (a write's
+        #: entries, until the edge's echo of them) is released once it
+        #: reaches Phase I or fails.
+        self.held = held
         #: Operations per block in registration order (a dict, not a set:
         #: the order proofs settle operations in feeds event order).
         self._by_block: dict[BlockId, dict[OperationId, None]] = {}
@@ -139,6 +146,8 @@ class CommitTracker:
             self._index_block(operation_id, block_id)
         if receipt is not None:
             record.receipt = receipt
+        if self.held is not None:
+            self.held.release(operation_id)
         self._notify(record, CommitPhase.PHASE_ONE)
         return record
 
@@ -176,12 +185,13 @@ class CommitTracker:
         self._notify(record, CommitPhase.FAILED)
         return record
 
-    @staticmethod
-    def _release(record: OperationRecord) -> None:
+    def _release(self, record: OperationRecord) -> None:
         """A settled write needs neither its entries nor its acknowledgements."""
 
         record.entries = None
         record.acked_sequences = None
+        if self.held is not None:
+            self.held.release(record.operation_id)
 
     # ------------------------------------------------------------------
     # Block-indexed access (used when block proofs arrive)

@@ -18,6 +18,12 @@ Retention:
 * ``_early_proofs``: block proofs that overtook the response that makes an
   operation wait for them.  A proof races its response by a transmission
   time, so only the ``EARLY_PROOF_WINDOW`` (256) most recent are kept.
+* ``held`` (:class:`~repro.storage.codec.HeldSet`): a write's signed
+  entries from send until the write reaches Phase I or fails, so the
+  decoder hands back this client's own entries where the edge's answer
+  echoes them; and the level-0 blocks of the latest get proof decoded per
+  edge.  Only a decoder reads it: on the simulator it costs one reference
+  per write in flight.
 * ``tracker`` (:class:`CommitTracker`): every operation's record, with its
   receipt and proof — the client's dispute evidence and the figures' raw
   latencies.  Kept forever; a driver that only needs percentiles could
@@ -62,6 +68,7 @@ from ..messages.log_messages import (
     ReadResponse,
 )
 from ..sim.environment import Environment
+from ..storage.codec import HeldSet
 from .dispatch import DispatchTable, TableDispatchNode
 
 
@@ -107,7 +114,9 @@ class Client(TableDispatchNode):
         self.edge = edge
         self.cloud = cloud
 
-        self.tracker = CommitTracker()
+        #: What this client's decoder may hand back (see Retention).
+        self.held = HeldSet()
+        self.tracker = CommitTracker(held=self.held)
         #: The certified log size gossip proves, per edge (the omission
         #: bound of Section IV-E for a read served by that edge).
         self.gossip_views: dict[NodeId, GossipView] = {}
@@ -249,6 +258,7 @@ class Client(TableDispatchNode):
             shard_id=shard_id,
         )
         record.entries = entries
+        self.held.hold(operation_id, entries)
         self._annotate_issue(record)
         self.stats["writes_issued"] += 1
         self.stats["entries_sent"] += len(entries)

@@ -51,6 +51,11 @@ Retention, per partition:
   that consumed it releases it (:func:`~repro.lsmerkle.codec.forget_records`),
   and so does a replica's shipment install for the blocks it leaves out of
   level 0.  The cloud and proof verifiers decode without memoizing.
+* ``held`` (:class:`~repro.storage.codec.HeldSet`, one per node, a hold per
+  partition): the records of a merge's source blocks, source pages and
+  target pages, from the proposal until its ``MergeResponse`` or
+  ``MergeRejection`` (or a crash), so the decoder hands back the edge's
+  own records where the merged pages repeat them.  References only.
 """
 
 from __future__ import annotations
@@ -76,7 +81,12 @@ from ..log.block import Block, build_block
 from ..log.buffer import BlockBuffer, PendingBatch
 from ..log.proofs import issue_phase_one_receipt
 from ..log.wedge_log import WedgeLog
-from ..lsmerkle.codec import forget_records, malformed_put, page_from_block
+from ..lsmerkle.codec import (
+    forget_records,
+    malformed_put,
+    page_from_block,
+    records_from_block,
+)
 from ..lsmerkle.merge import MergeProposal
 from ..lsmerkle.mlsm import MerkleizedLSM, SignedGlobalRoot
 from ..lsmerkle.read_proof import build_get_proof
@@ -109,6 +119,7 @@ from ..messages.log_messages import (
     ReadResponseStatement,
 )
 from ..sim.environment import Environment
+from ..storage.codec import HeldSet
 from ..storage.recovery import RecoveryReport, recover_partition
 from ..storage.store import PartitionStore
 from .dispatch import DispatchTable, TableDispatchNode
@@ -218,6 +229,8 @@ class EdgeNode(TableDispatchNode):
         #: block (popped on absorption; bounded by uncertified blocks).
         self._obs_phase1: dict = {}
 
+        #: What this edge's decoder may hand back (see Retention).
+        self.held = HeldSet()
         self._default_partition = self._new_partition(shard_id=None)
 
         stats_init = {
@@ -990,7 +1003,7 @@ class EdgeNode(TableDispatchNode):
         for state in self._partition_states():
             state.buffer = BlockBuffer(self.config.logging.block_size)
             state.certifier.reset_window()
-            state.merge_in_flight = False
+            self._end_merge(state)
             state.merge_source_bids = ()
             state.flush_timer_active = False
             self._cancel_certify_flush_timer(state)
@@ -1320,11 +1333,29 @@ class EdgeNode(TableDispatchNode):
         proposal = self._build_merge_proposal(state, level_index)
         if proposal is None:
             return
+        with self._span("merge.propose", level=proposal.level_index):
+            self._send_merge(state, proposal)
+
+    def _send_merge(self, state: PartitionState, proposal: MergeProposal) -> None:
+        """Ask the cloud for *proposal*'s merge, holding the records it takes
+        in until the answer: the merged pages are made of them."""
+
         state.merge_in_flight = True
         self.stats["merges_started"] += 1
-        request = MergeRequest(edge=self.node_id, proposal=proposal)
-        with self._span("merge.propose", level=proposal.level_index):
-            self.env.send(self.node_id, self.cloud, request)
+        self.held.hold(
+            ("merge", state.shard_id),
+            *(records_from_block(block) for block in proposal.source_blocks),
+            *(page.records for page in proposal.source_pages + proposal.target_pages),
+        )
+        self.env.send(
+            self.node_id, self.cloud, MergeRequest(edge=self.node_id, proposal=proposal)
+        )
+
+    def _end_merge(self, state: PartitionState) -> None:
+        """No merge of *state* is outstanding any more."""
+
+        state.merge_in_flight = False
+        self.held.release(("merge", state.shard_id))
 
     def _build_merge_proposal(
         self, state: PartitionState, level_index: int
@@ -1369,7 +1400,7 @@ class EdgeNode(TableDispatchNode):
                 )
             )
             if not outcome.signed_root.verify(self.env.registry, self.cloud):
-                state.merge_in_flight = False
+                self._end_merge(state)
                 return
             if not state.merge_in_flight:
                 # No merge outstanding: a duplicate delivery of an outcome that
@@ -1411,7 +1442,7 @@ class EdgeNode(TableDispatchNode):
             state.signed_root = outcome.signed_root
             state.merge_installed_version = version
             self.stats["merges_completed"] += 1
-            state.merge_in_flight = False
+            self._end_merge(state)
             self._persist_manifest(state)
             self._maybe_start_merge(state)
 
@@ -1419,7 +1450,7 @@ class EdgeNode(TableDispatchNode):
         self, state: PartitionState, sender: NodeId, message: MergeRejection
     ) -> None:
         self.stats["merges_rejected"] += 1
-        state.merge_in_flight = False
+        self._end_merge(state)
 
     # ------------------------------------------------------------------
     # Root refresh (freshness support)

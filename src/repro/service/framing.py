@@ -15,18 +15,21 @@ to — whitespace, reordered or duplicated keys, a lenient escape or number,
 an unknown type, a value a constructor refuses — is a :class:`FrameError`
 and the connection is dropped: bytes from a socket are hostile, and the
 live path inherits "storage never hands back an object the constructors
-would refuse" together with "no memo that is not canonical text".
+would refuse" together with "no memo that is not canonical text".  The
+socket names the receiver, so its held set
+(:class:`~repro.storage.codec.HeldSet`) goes down to the decoder, which may
+hand back an object the receiver holds where its exact text recurs.
 """
 
 from __future__ import annotations
 
 import asyncio
 import struct
-from typing import Any, Tuple
+from typing import Any, Optional, Tuple
 
 from ..common.errors import StorageCorruptionError, TransportError
 from ..common.identifiers import NodeId
-from ..storage.codec import decode_record, encode_record
+from ..storage.codec import HeldSet, decode_record, encode_record
 
 #: Upper bound on a single frame's payload.  Generous — the largest
 #: protocol artifacts (shard transfers carrying pages and certified
@@ -52,11 +55,14 @@ def encode_frame(sender: NodeId, message: Any) -> bytes:
     return _LENGTH.pack(len(payload)) + payload
 
 
-def decode_payload(payload: bytes) -> Tuple[NodeId, Any]:
-    """Decode a frame payload back into ``(sender, message)``."""
+def decode_payload(
+    payload: bytes, held: Optional[HeldSet] = None
+) -> Tuple[NodeId, Any]:
+    """Decode a frame payload back into ``(sender, message)``, reusing what
+    the receiver's *held* set holds."""
 
     try:
-        envelope = decode_record(payload)
+        envelope = decode_record(payload, held)
     except StorageCorruptionError as exc:
         raise FrameError(f"undecodable frame payload: {exc}") from exc
     if not isinstance(envelope, dict) or set(envelope) != {"sender", "message"}:
@@ -67,8 +73,11 @@ def decode_payload(payload: bytes) -> Tuple[NodeId, Any]:
     return sender, envelope["message"]
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Tuple[NodeId, Any] | None:
-    """Read one frame; ``None`` on clean EOF at a frame boundary.
+async def read_frame(
+    reader: asyncio.StreamReader, held: Optional[HeldSet] = None
+) -> Tuple[NodeId, Any] | None:
+    """Read one frame for the receiver holding *held*; ``None`` on clean EOF
+    at a frame boundary.
 
     A connection that ends mid-frame, or a length prefix above the cap,
     raises :class:`FrameError` — silent truncation never looks like a
@@ -90,4 +99,4 @@ async def read_frame(reader: asyncio.StreamReader) -> Tuple[NodeId, Any] | None:
         raise FrameError(
             f"connection closed mid-frame ({len(exc.partial)}/{length} bytes)"
         ) from exc
-    return decode_payload(payload)
+    return decode_payload(payload, held)

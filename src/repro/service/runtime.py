@@ -108,8 +108,19 @@ class _LiveNodeAdapter:
         self.inbox: asyncio.Queue = asyncio.Queue()
         self.worker: Optional[asyncio.Task] = None
 
+    @property
+    def held(self):
+        """The node's :class:`~repro.storage.codec.HeldSet`, if it has one."""
+
+        return getattr(self.node, "held", None)
+
     def deliver(self, sender: NodeId, message: Any) -> None:
         self.inbox.put_nowait((sender, message))
+
+    def fail(self, exc: Exception) -> None:
+        """Record a crash while reading for or handling this node."""
+
+        self._env.failures.append((self.node_id, exc))
 
     def start_worker(self) -> None:
         if self.worker is None:
@@ -127,7 +138,7 @@ class _LiveNodeAdapter:
                 # record it for the harness and keep serving so the rest of
                 # the fleet can make progress (mirrors a real service where
                 # one bad request does not kill the process).
-                self._env.failures.append((self.node_id, exc))
+                self.fail(exc)
 
 
 class LiveEnvironment(BaseRuntime):
@@ -150,8 +161,8 @@ class LiveEnvironment(BaseRuntime):
         #: for what only a socket transport has (``frames_sent``, ``start``).
         self.transport = self.network
         self.rng = DeterministicRng(seed)
-        #: ``(node_id, exception)`` pairs from crashed handlers; timer
-        #: callbacks record ``(None, exception)``.
+        #: ``(node_id, exception)`` pairs from crashed handlers and frame
+        #: readers; timer callbacks record ``(None, exception)``.
         self.failures: List[Tuple[Optional[NodeId], Exception]] = []
         self._pending_timers: List[Tuple[float, Callable[[], None], LiveTimerHandle]] = []
         self._timers: set[LiveTimerHandle] = set()

@@ -244,12 +244,15 @@ class AsyncioTransport(BaseTransport):
     # Receiving
     # ------------------------------------------------------------------
     def _make_connection_handler(self, endpoint: NetworkEndpoint):
+        # What the receiving node holds, for its decoder to hand back.
+        held = getattr(endpoint, "held", None)
+
         async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
             task = asyncio.current_task()
             self._conn_tasks.add(task)
             try:
                 while True:
-                    decoded = await read_frame(reader)
+                    decoded = await read_frame(reader, held)
                     if decoded is None:
                         break
                     sender, message = decoded
@@ -260,6 +263,14 @@ class AsyncioTransport(BaseTransport):
                     endpoint.deliver(sender, message)
             except (FrameError, asyncio.CancelledError, ConnectionError):
                 pass
+            except Exception as exc:
+                # A reader that crashes must be loud, not a link that goes
+                # quiet: the endpoint records it as it records a crashed
+                # handler, and the link is dropped as for a bad frame.
+                fail = getattr(endpoint, "fail", None)
+                if fail is None:
+                    raise
+                fail(exc)
             finally:
                 self._conn_tasks.discard(task)
                 writer.close()

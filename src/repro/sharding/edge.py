@@ -56,7 +56,6 @@ from ..lsmerkle.codec import (
 from ..messages.kv_messages import (
     GetRequest,
     MergeRejection,
-    MergeRequest,
     MergeResponse,
     RootRefreshResponse,
 )
@@ -736,13 +735,7 @@ class ShardedEdgeNode(TxnParticipantRole, EdgeNode):
             proposal = self._build_merge_proposal(state, 0)
             if proposal is None:
                 return
-            state.merge_in_flight = True
-            self.stats["merges_started"] += 1
-            self.env.send(
-                self.node_id,
-                self.cloud,
-                MergeRequest(edge=self.node_id, proposal=proposal),
-            )
+            self._send_merge(state, proposal)
             return
         self._send_handoff_offer(shard_id, state, dest)
 

@@ -34,29 +34,43 @@ bomb, or a value its class's ``__post_init__`` refuses all raise
 every frozen protocol dataclass declares its sequences; values outside any
 registered class (a storage or frame envelope) decode through :func:`_value`.
 
-Two decoders hand back an object an earlier decode built: a ``NodeId``
-(interned by text) and a level-0 block (:class:`LevelZeroBlockTable`), each
-only when the object's whole canonical text recurs byte for byte where the
-decoder stands.  Canonical text is prefix-free and the kept object was
-built strictly from that very text, so a hit is what a strict decode would
-build, with the memos the receiving process computed from it.  Retention:
-the level-0 table keeps the blocks of the latest fully decoded
-``GetProof`` per writer edge and is dropped whole past 64 edges or 8 Mi
-characters; the intern table keeps at most 1024 texts of at most 256
-characters.
+Some decoders hand back an object the receiver already has, each only when
+that object's whole canonical text recurs byte for byte where the decoder
+stands: a ``NodeId`` (interned by text, process-wide) and, through the
+receiving node's :class:`HeldSet`, a ``LogEntry``, a ``KVRecord`` or a
+level-0 ``Block``.  Canonical text is prefix-free and a held object's text
+is the canonical encoding of that very object, so a hit is what a strict
+decode would build, with the memos the receiving node computed itself.
+Any miss decodes strictly.
+
+Retention:
+
+* The ``NodeId`` intern table keeps at most 1024 texts of at most 256
+  characters.
+* A node's held set keeps references only, under the rules of the node that
+  fills it: a client holds an append's entries from send until its
+  ``AppendBatchResponse`` reaches Phase I or the operation fails
+  (:class:`~repro.core.commit.CommitTracker`); an edge holds the records of
+  a merge's source blocks, source pages and target pages from the proposal
+  until its ``MergeResponse`` or ``MergeRejection``, per partition.  The
+  span and header text of a held object are built on the first lookup
+  after it is held and dropped with it, so a node that decodes nothing
+  (the simulator) pays one reference per held sequence.
+* A held set also keeps the level-0 blocks of the latest fully decoded
+  ``GetProof`` per writer edge, with their spans, and drops them whole
+  past 64 edges or 8 Mi characters.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import types
 import typing
 from enum import Enum
-from typing import Any
+from typing import Any, Optional
 
-from ..common.encoding import FRAGMENT_ATTR, class_layout, flat_encode
+from ..common.encoding import FRAGMENT_ATTR, class_layout, flat_encode, flat_text
 from ..common.errors import StorageCorruptionError
 from ..common.identifiers import NodeId, OperationId
 from ..crypto.signatures import BatchRootStatement, Signature
@@ -125,40 +139,121 @@ _STORED_CLASSES = (
 _INTERN_LIMIT = 1024
 _INTERN_MAX_CHARS = 256
 
-#: A level-0 block's header — id, creation time, edge — is its text before
-#: this; it is looked for no further than ``_HEADER_MAX_CHARS`` past the
-#: block's start.  The level-0 table is dropped past either bound after it.
-_ENTRIES_KEY = ',"entries":['
+#: A held object's header is its text before this (id, creation time and
+#: edge of a block; key and sequence of a record; payload of an entry): it
+#: is looked for no further than ``_HEADER_MAX_CHARS`` past the object's
+#: start.  The level-0 blocks are dropped past either bound after it.
+_HEADER_ENDS = {
+    Block: ',"entries":[',
+    KVRecord: ',"value":',
+    LogEntry: ',"produced_at":',
+}
 _HEADER_MAX_CHARS = 512
 _LEVEL_ZERO_MAX_EDGES = 64
 _LEVEL_ZERO_MAX_CHARS = 8 * 1024 * 1024
 
 
-class LevelZeroBlockTable:
-    """The level-0 blocks this process last decoded, per writer edge.
+class HeldSet:
+    """The objects one receiving node holds, which its decoder may hand back.
 
-    Between merges every verified get repeats the level-0 blocks the
-    previous get from that edge carried.  The decoder of
-    ``LevelZeroEvidence.block`` looks a block up here by its header text
-    and returns the ``Block`` an earlier strict decode built only when that
-    block's whole canonical span recurs byte for byte at ``start``; a miss
-    decodes strictly.  A complete canonical object text is prefix-free, so
-    the object at ``start`` is then that object — the argument the
-    ``NodeId`` intern table rests on — and the reused block keeps the
-    digest its receiver computed.
+    A node holds what it expects to see again: a client the entries of an
+    append (the edge echoes them in the block it answers with), an edge the
+    records a merge takes in (the merged pages the cloud answers with are
+    made of them), a client the level-0 blocks of its latest get proof per
+    edge (every get between merges repeats them).  The decoders of
+    ``LogEntry``, ``KVRecord`` and a level-0 ``Block`` look an object up by
+    its header text and return the held object only when its whole
+    canonical span recurs byte for byte at ``start``; a miss decodes
+    strictly.  A complete canonical object text is prefix-free, so the
+    object at ``start`` is then that object — the argument the ``NodeId``
+    intern table rests on.
 
-    Retention: the blocks of the latest fully decoded ``GetProof`` per
-    writer edge.  A decoded proof replaces what is kept for every edge it
-    speaks for (its blocks' edges and its signed root's edge), so a block a
-    merge takes out of level 0 is dropped on the next get, and a proof
-    whose decode fails partway changes nothing.  Past 64 edges or 8 Mi kept
-    characters the whole table is dropped.
+    Retention is the module docstring's.  :meth:`hold` stores references
+    only; the first lookup after it encodes each held object once without
+    memoising (:func:`~repro.common.encoding.flat_text`) to index it by
+    header, and :meth:`release` drops the references and that text alike.
+    Two held objects with one header keep the first; the other decodes
+    strictly.  One node's set is never consulted for another's frames.
     """
 
     def __init__(self) -> None:
-        self.clear()
+        #: hold key -> (the class of what it holds, the sequences held).
+        self._holds: dict[Any, tuple[type, tuple]] = {}
+        #: class -> the hold keys not indexed since they were held.
+        self._fresh: dict[type, dict[Any, None]] = {}
+        #: class -> header -> (span, object), and the headers each hold key
+        #: put there.
+        self._index: dict[type, dict[str, tuple[str, Any]]] = {}
+        self._indexed: dict[Any, list[str]] = {}
+        self.clear_level_zero()
 
-    def clear(self) -> None:
+    # ------------------------------------------------------------ holds
+    def hold(self, key: Any, *groups: typing.Sequence) -> None:
+        """Hold every object of *groups*, all of one class, under *key*
+        (replacing what *key* held)."""
+
+        self.release(key)
+        first = next((group[0] for group in groups if group), None)
+        if first is not None:
+            self._holds[key] = (type(first), groups)
+            self._fresh.setdefault(type(first), {})[key] = None
+
+    def release(self, key: Any) -> None:
+        """Drop what *key* holds; a key holding nothing is a no-op."""
+
+        held = self._holds.pop(key, None)
+        if held is None:
+            return
+        self._fresh[held[0]].pop(key, None)
+        index = self._index.get(held[0])
+        for header in self._indexed.pop(key, ()):
+            del index[header]
+
+    def objects(self) -> list:
+        """Every object held under a key, in holding order."""
+
+        return [
+            item
+            for _cls, groups in self._holds.values()
+            for group in groups
+            for item in group
+        ]
+
+    def _index_fresh(self, cls: type, fresh: dict) -> None:
+        end_text = _HEADER_ENDS[cls]
+        index = self._index.setdefault(cls, {})
+        for key in fresh:
+            indexed = self._indexed[key] = []
+            for group in self._holds[key][1]:
+                for item in group:
+                    # The memo, where the node left one, is that same text.
+                    span = getattr(item, FRAGMENT_ATTR, None) or flat_text(item)
+                    end = span.find(end_text, 0, _HEADER_MAX_CHARS)
+                    header = span[:end]
+                    if end > 0 and header not in index:
+                        index[header] = (span, item)
+                        indexed.append(header)
+        fresh.clear()
+
+    def reuse(self, cls: type, text: str, start: int) -> Optional[tuple[Any, int]]:
+        """``(object, end)`` of the held *cls* object at *start*, or None."""
+
+        fresh = self._fresh.get(cls)
+        if fresh:
+            self._index_fresh(cls, fresh)
+        index = self._index.get(cls)
+        if not index:
+            return None
+        end = text.find(_HEADER_ENDS[cls], start, start + _HEADER_MAX_CHARS)
+        kept = index.get(text[start:end]) if end >= 0 else None
+        if kept is None or not text.startswith(kept[0], start):
+            return None
+        return kept[1], start + len(kept[0])
+
+    # --------------------------------------------------- level-0 blocks
+    def clear_level_zero(self) -> None:
+        """Forget every level-0 block (a test times a cold get after it)."""
+
         #: header -> (span, block), and the headers kept per writer edge.
         self._blocks: dict[str, tuple[str, Block]] = {}
         self._edges: dict[NodeId, tuple[str, ...]] = {}
@@ -167,26 +262,32 @@ class LevelZeroBlockTable:
         self._pending: list[tuple[str, str, Block]] = []
 
     def decode_block(self, strict, text: str, start: int, pos: int) -> tuple[Block, int]:
-        """``strict(text, start, pos)``, unless the block at *start* is kept."""
+        """``strict(...)``, unless the level-0 block at *start* is kept."""
 
-        header_end = text.find(_ENTRIES_KEY, pos, start + _HEADER_MAX_CHARS)
+        header_end = text.find(_HEADER_ENDS[Block], pos, start + _HEADER_MAX_CHARS)
         if header_end < 0:
-            return strict(text, start, pos)
+            return strict(text, start, pos, self)
         header = text[start:header_end]
         kept = self._blocks.get(header)
         if kept is not None and text.startswith(kept[0], start):
             span, block = kept
         else:
-            block, end = strict(text, start, pos)
+            block, end = strict(text, start, pos, self)
             span = text[start:end]
         self._pending.append((header, span, block))
         return block, start + len(span)
 
     def decode_proof(self, strict, text: str, start: int, pos: int) -> tuple[GetProof, int]:
-        """``strict(text, start, pos)``, then keep the proof's blocks."""
+        """``strict(...)``, then keep the proof's level-0 blocks.
+
+        A decoded proof replaces what is kept for every edge it speaks for
+        (its blocks' edges and its signed root's edge), so a block a merge
+        takes out of level 0 is dropped on the next get, and a proof whose
+        decode fails partway changes nothing.
+        """
 
         self._pending = []
-        proof, end = strict(text, start, pos)
+        proof, end = strict(text, start, pos, self)
         pending, self._pending = self._pending, []
         edges: dict[NodeId, dict[str, tuple[str, Block]]] = {}
         if proof.signed_root is not None:
@@ -203,12 +304,13 @@ class LevelZeroBlockTable:
             len(self._edges) > _LEVEL_ZERO_MAX_EDGES
             or self._chars > _LEVEL_ZERO_MAX_CHARS
         ):
-            self.clear()
+            self.clear_level_zero()
         return proof, end
 
+    def level_zero(self) -> list[Block]:
+        """The level-0 blocks kept, in keeping order."""
 
-#: The one table the decoders consult (``clear()`` it to time a cold get).
-LEVEL_ZERO_BLOCKS = LevelZeroBlockTable()
+        return [block for _span, block in self._blocks.values()]
 
 
 def register_storable(cls: type) -> type:
@@ -273,7 +375,7 @@ def _corrupt(what: str, pos: int) -> StorageCorruptionError:
     return StorageCorruptionError(f"not a canonical record: {what} at offset {pos}")
 
 
-def _value(text: str, pos: int) -> tuple[Any, int]:
+def _value(text: str, pos: int, held: Optional[HeldSet]) -> tuple[Any, int]:
     """Decode the canonical value starting at *pos*, of no declared kind:
     ``(value, end)``."""
 
@@ -287,22 +389,22 @@ def _value(text: str, pos: int) -> tuple[Any, int]:
             cls = _TYPES.get(text[pos + 13 : name_end])
             if cls is None:
                 raise _corrupt(f"unknown type {text[pos + 13 : name_end]!r}", pos)
-            return _decoder_of(cls)(text, pos, name_end + 1)
+            return _decoder_of(cls)(text, pos, name_end + 1, held)
         if tag == "b" and text.startswith(_BYTES_HEAD, pos):
             return _bytes(text, pos)
-        return _mapping(text, pos)
+        return _mapping(text, pos, held)
     if first == "[":
-        return _array(text, pos)
+        return _array(text, pos, held)
     return _scalar(text, pos)
 
 
-def _array(text: str, pos: int) -> tuple[tuple, int]:
+def _array(text: str, pos: int, held: Optional[HeldSet]) -> tuple[tuple, int]:
     pos += 1
     if text[pos] == "]":
         return (), pos + 1
     items = []
     while True:
-        item, pos = _value(text, pos)
+        item, pos = _value(text, pos, held)
         items.append(item)
         separator = text[pos]
         pos += 1
@@ -312,7 +414,7 @@ def _array(text: str, pos: int) -> tuple[tuple, int]:
             raise _corrupt("malformed array", pos - 1)
 
 
-def _mapping(text: str, pos: int) -> tuple[dict, int]:
+def _mapping(text: str, pos: int, held: Optional[HeldSet]) -> tuple[dict, int]:
     """A plain (untagged) mapping: string keys, strictly ascending."""
 
     pos += 1
@@ -326,7 +428,7 @@ def _mapping(text: str, pos: int) -> tuple[dict, int]:
             raise _corrupt(f"misplaced mapping key {key!r}", pos)
         if text[pos] != ":":
             raise _corrupt("malformed mapping", pos)
-        result[key], pos = _value(text, pos + 1)
+        result[key], pos = _value(text, pos + 1, held)
         previous = key
         separator = text[pos]
         pos += 1
@@ -367,8 +469,9 @@ def _field_lines(var: str, hint: Any, prefix: str, what: str, scope: dict) -> li
     value lands in *var* and ``pos`` past it.
 
     Each kind has one accepting path, and any other text raises: ``str``
-    and ``bytes``; ``int``, ``float`` and ``bool``, which take numbers and
-    booleans only; a registered class; a str-mixin enum, wrapped from its
+    and ``bytes``; ``int``, ``float`` and ``bool``, each only a token of its
+    own type (``1.0`` is no ``int``, ``1`` no ``float``, ``true`` no
+    number); a registered class; a str-mixin enum, wrapped from its
     string; ``Optional[K]``, ``null`` or K; a union of registered classes;
     ``tuple[K, ...]``; and a fixed-shape tuple, such as the ``tuple[int,
     str]`` items of ``BatchCertificateMessage.blocks``, ``WriterHeartbeat.
@@ -460,8 +563,8 @@ def _field_lines(var: str, hint: Any, prefix: str, what: str, scope: dict) -> li
             refuse,
             "pos = end + 2",
         ]
-    if hint in (int, float, bool):
-        return [
+    if hint in (int, float, bool, _Scalar):
+        lines = [
             f"if not text.startswith({prefix!r}, pos) or text[pos + {at}] in '\"{{[n':",
             refuse,
             f"{var}, end = _scan_scalar(text, pos + {at})",
@@ -472,6 +575,9 @@ def _field_lines(var: str, hint: Any, prefix: str, what: str, scope: dict) -> li
             refuse,
             "pos = end",
         ]
+        if hint is _Scalar:
+            return lines
+        return lines + [f"if type({var}) is not {hint.__name__}:", refuse]
     # A registered class, or a union of them: the head names which.
     lines: list[str] = []
     for cls in members:
@@ -481,7 +587,7 @@ def _field_lines(var: str, hint: Any, prefix: str, what: str, scope: dict) -> li
         head = prefix + _head_of(cls)
         lines += [
             f"{'elif' if lines else 'if'} text.startswith({head!r}, pos):",
-            f"    {var}, pos = decode_{cls.__name__}(text, pos + {at}, pos + {len(head)})",
+            f"    {var}, pos = decode_{cls.__name__}(text, pos + {at}, pos + {len(head)}, held)",
         ]
     return lines + ["else:", refuse]
 
@@ -496,11 +602,15 @@ def _reader(hint: Any, what: str):
     return scope["read"]
 
 
+class _Scalar:
+    """The kind of the untyped decoder's scalars: any number or boolean."""
+
+
 #: The untyped decoder's strings (mapping keys included), byte strings and
 #: scalars (a number, ``null``, ``true`` or ``false``).
 _string = _reader(str, "string")
 _bytes = _reader(bytes, "byte string")
-_scalar = _reader(typing.Optional[float], "scalar")
+_scalar = _reader(typing.Optional[_Scalar], "scalar")
 
 
 def _compile_decoder(cls: type):
@@ -521,6 +631,14 @@ def _compile_decoder(cls: type):
     scope = dict(globals(), cls=cls, interned={})
     interned = cls is NodeId
     body: list[str] = []
+    if cls in (LogEntry, KVRecord):
+        # The receiving node's own object, if it holds this very text.
+        body += [
+            "if held is not None:",
+            "    hit = held.reuse(cls, text, start)",
+            "    if hit is not None:",
+            "        return hit",
+        ]
     if interned:
         # A complete canonical object text is prefix-free: if a text this
         # table holds starts at *start*, the object there is that object.
@@ -534,9 +652,7 @@ def _compile_decoder(cls: type):
         what = repr(f"{cls.__name__} field {name}")
         body += _field_lines(f"v_{name}", hints[name], literal, what, scope)
     if cls is LevelZeroEvidence:
-        scope["decode_Block"] = functools.partial(
-            LEVEL_ZERO_BLOCKS.decode_block, scope["decode_Block"]
-        )
+        scope["decode_Block"] = _through_held(HeldSet.decode_block, scope["decode_Block"])
     if cls is Page:
         # page_id is a process-local counter, never round-tripped; the
         # validating constructor assigns a fresh one (and, by re-checking
@@ -563,28 +679,40 @@ def _compile_decoder(cls: type):
                 "    interned[span] = value",
             ]
     body.append("return value, pos")
-    source = "def decode(text, start, pos):\n" + "\n".join("    " + line for line in body)
+    source = "def decode(text, start, pos, held):\n" + "\n".join("    " + line for line in body)
     exec(source, scope)
     if cls is GetProof:
-        return functools.partial(LEVEL_ZERO_BLOCKS.decode_proof, scope["decode"])
+        return _through_held(HeldSet.decode_proof, scope["decode"])
     return scope["decode"]
 
 
-def decode_record(data: bytes) -> Any:
+def _through_held(method, strict):
+    """*strict* as ``method(held, strict, ...)`` when a held set decodes."""
+
+    def decode(text: str, start: int, pos: int, held: Optional[HeldSet]):
+        if held is None:
+            return strict(text, start, pos, None)
+        return method(held, strict, text, start, pos)
+
+    return decode
+
+
+def decode_record(data: bytes, held: Optional[HeldSet] = None) -> Any:
     """Decode bytes written by :func:`encode_record` back into objects.
 
     Raises :class:`StorageCorruptionError` unless *data* is exactly the
     canonical encoding of the value returned — whitespace, reordered,
     duplicated, missing or extra keys, a non-canonical escape or number,
     unknown tags, trailing bytes, a field value not of its declared kind,
-    or field values the target class rejects.
+    or field values the target class rejects.  With *held*, the decoders
+    may hand back objects that set holds (:class:`HeldSet`).
     """
 
     try:
         text = data.decode("ascii")
         if "\x7f" in text:
             raise _corrupt("raw DEL", text.index("\x7f"))
-        value, end = _value(text, 0)
+        value, end = _value(text, 0, held)
     except StorageCorruptionError:
         raise
     except Exception as exc:

@@ -32,8 +32,9 @@ from repro.log.block import Block
 from repro.log.proofs import CommitPhase
 from repro.lsm.page import Page
 from repro.lsm.records import KVRecord
+from repro.lsmerkle.codec import records_from_block
 from repro.lsmerkle.merge import MergeOutcome
-from repro.messages import ReplicaLogShipment
+from repro.messages import MergeRejection, ReplicaLogShipment
 from repro.sharding.system import ShardedWedgeSystem
 from repro.sim.environment import local_environment
 from repro.storage.codec import decode_record, encode_record
@@ -182,3 +183,78 @@ def test_replica_releases_records_of_blocks_merged_out_of_level_zero():
 def test_retained_bytes_per_put_stay_bounded(long_put_run):
     _system, per_put = long_put_run
     assert per_put <= MAX_RETAINED_BYTES_PER_PUT
+
+
+class TestHeldSets:
+    """What a node holds for its decoder goes by the node's own rule: a
+    client's entries until Phase I or failure, an edge's merge inputs until
+    the merge's outcome, rejection or a crash."""
+
+    @pytest.fixture
+    def system(self):
+        config = SystemConfig.paper_default().with_overrides(
+            logging=LoggingConfig(block_size=4),
+            lsmerkle=LSMerkleConfig(level_thresholds=(2, 10, 100)),
+        )
+        return build_system("wedgechain", config=config, seed=3)
+
+    @staticmethod
+    def put(client, batch: int):
+        return client.put_batch([(f"k{batch}-{i}", b"v") for i in range(4)])
+
+    @staticmethod
+    def merge_in_flight(system):
+        """Run *system* until its edge proposes a merge; the merge's inputs."""
+
+        edge = system.edge()
+        assert system.env.run_until_condition(
+            lambda: edge.stats["merges_started"] >= 1, system.env.now() + 30.0
+        )
+        state = edge._default_partition
+        assert state.merge_in_flight
+        blocks = [state.log.block(block_id) for block_id in state.merge_source_bids]
+        return [record for block in blocks for record in records_from_block(block)]
+
+    def test_a_write_holds_its_entries_until_phase_one(self, system):
+        client = system.clients[0]
+        operation = self.put(client, 0)
+        assert client.held.objects() == list(client.operation(operation).entries)
+        phase = system.wait_for(client, operation, CommitPhase.PHASE_ONE, max_time_s=30)
+        assert phase is not CommitPhase.PENDING
+        assert client.held.objects() == []
+
+    def test_a_failed_write_releases_its_entries(self, system):
+        client = system.clients[0]
+        operation = self.put(client, 0)
+        client.tracker.mark_failed(operation, system.env.now(), "refused")
+        assert client.held.objects() == []
+
+    def test_an_edge_holds_a_merges_records_until_its_outcome(self, system):
+        client, edge = system.clients[0], system.edge()
+        for batch in range(3):
+            self.put(client, batch)
+        inputs = self.merge_in_flight(system)
+        assert inputs and edge.held.objects() == inputs
+        assert system.env.run_until_condition(
+            lambda: edge.stats["merges_completed"] >= 1, system.env.now() + 30.0
+        )
+        assert not edge._default_partition.merge_in_flight
+        assert edge.held.objects() == []
+
+    def test_a_rejected_merge_or_a_crash_releases_the_records(self, system):
+        client, edge = system.clients[0], system.edge()
+        for batch in range(3):
+            self.put(client, batch)
+        inputs = self.merge_in_flight(system)
+        assert inputs and edge.held.objects() == inputs
+        rejection = MergeRejection(
+            cloud=system.cloud.node_id, edge=edge.node_id, level_index=0, reason="test"
+        )
+        edge._handle_merge_rejection(edge._default_partition, system.cloud.node_id, rejection)
+        assert edge.held.objects() == []
+        edge._send_merge(
+            edge._default_partition, edge._build_merge_proposal(edge._default_partition, 0)
+        )
+        assert edge.held.objects()
+        edge.on_crash()
+        assert edge.held.objects() == []

@@ -32,7 +32,7 @@ from repro.baselines.edge_baseline import (
     FullBlockCertifyRequest,
 )
 from repro.common.config import LSMerkleConfig
-from repro.common.encoding import class_layout, reference_encode
+from repro.common.encoding import FRAGMENT_ATTR, class_layout, reference_encode
 from repro.common.errors import StorageCorruptionError
 from repro.common.identifiers import OperationId, client_id, cloud_id, edge_id
 from repro.crypto.signatures import KeyRegistry
@@ -52,7 +52,7 @@ from repro.service import FrameError, encode_frame, framing, read_frame
 from repro.service.framing import decode_payload
 from repro.service.transport import AsyncioTransport
 from repro.storage import codec
-from repro.storage.codec import decode_record, encode_record
+from repro.storage.codec import HeldSet, decode_record, encode_record
 from test_wire_codec_roundtrip import assert_memos_sound
 
 EDGE = edge_id("strict-edge")
@@ -189,14 +189,15 @@ def _with_field(value, name: str, replacement) -> bytes:
     return "".join(parts).encode()
 
 
-def expect_refused_or_exact(data: bytes) -> bool:
-    """The invariant; returns whether *data* was accepted."""
+def expect_refused_or_exact(data: bytes, held=None) -> bool:
+    """The invariant, decoding with *held*; returns whether *data* was
+    accepted."""
 
     try:
-        value = decode_record(data)
+        value = decode_record(data, held)
     except StorageCorruptionError:
         with pytest.raises(FrameError):
-            decode_payload(data)
+            decode_payload(data, held)
         return False
     # Accepted: then these bytes are the canonical encoding of the value
     # (no page in this corpus, so the equality is exact), and so is every
@@ -206,8 +207,8 @@ def expect_refused_or_exact(data: bytes) -> bool:
     return True
 
 
-def expect_refused(data: bytes) -> None:
-    assert not expect_refused_or_exact(data), data[:120]
+def expect_refused(data: bytes, held=None) -> None:
+    assert not expect_refused_or_exact(data, held), data[:120]
 
 
 # ----------------------------------------------------------------------
@@ -319,14 +320,29 @@ class TestHostileCorpus:
         assert expect_refused_or_exact(record % (b"-3", b"1e-07"))
         assert expect_refused_or_exact(record % (b"0", b"1e+22"))
         for sequence in (b"1.0", b"1e0", b"-0", b"012", b"+1", b"1.", b"0x1", b"1_0", b" 1", b"--1", b"-"):
-            if sequence == b"1.0":
-                # A float where an int is declared is a different value, but
-                # it is the canonical text of that value.
-                assert expect_refused_or_exact(record % (sequence, b"0.5"))
-                continue
             expect_refused(record % (sequence, b"0.5"))
         for written_at in (b"0.50", b"5e-1", b"5E-1", b".5", b"1e22", b"1e+022", b"1E400", b"-0.0e0", b"nan", b"inf"):
             expect_refused(record % (b"1", written_at))
+
+    def test_a_number_field_takes_only_its_declared_kind(self):
+        """Canonical text of a value of another kind is refused: a float or
+        a boolean where an int is declared, an int where a float is."""
+
+        record = b'{"__type__":"KVRecord","key":"k","sequence":%s,"value":{"__bytes__":"00"},"written_at":%s}'
+        for sequence, written_at in (
+            (b"5.5", b"0.5"),
+            (b"1.0", b"0.5"),
+            (b"true", b"0.5"),
+            (b"false", b"0.5"),
+            (b"1", b"1"),
+            (b"1", b"true"),
+        ):
+            with pytest.raises(StorageCorruptionError, match="KVRecord field"):
+                decode_record(record % (sequence, written_at))
+        assert decode_record(record % (b"1", b"1.0")).written_at == 1.0
+        assert decode_record(record % (b"1", b"Infinity")).written_at == float("inf")
+        # The untyped reader still takes any number or boolean.
+        assert decode_record(b"[1,1.0,true]") == (1, 1.0, True)
         expect_refused(record % (b"9" * 5000, b"0.5"))  # past the int parse limit
 
     def test_unknown_class_and_enum_names(self):
@@ -504,7 +520,7 @@ class TestHostileCorpus:
 
 
 # ----------------------------------------------------------------------
-# The level-0 block table: a repeat get reuses only byte-identical blocks
+# The held set: a receiver gets back its own objects, byte-identical only
 # ----------------------------------------------------------------------
 OTHER_EDGE = edge_id("strict-edge-b")
 SIGNERS = _registry()
@@ -518,12 +534,6 @@ def _get(edge=EDGE, block_ids=(1, 2), signed_root=None) -> bytes:
     return encode_record({"sender": edge, "message": get})
 
 
-def _held() -> list:
-    """The blocks the table holds."""
-
-    return [block for _span, block in codec.LEVEL_ZERO_BLOCKS._blocks.values()]
-
-
 def _signed_root(edge) -> SignedGlobalRoot:
     statement = GlobalRootStatement(
         edge=edge, level_roots=("00",), global_root="00", version=1, timestamp=4.0
@@ -531,56 +541,72 @@ def _signed_root(edge) -> SignedGlobalRoot:
     return SignedGlobalRoot(statement=statement, signature=SIGNERS.sign(CLOUD, statement))
 
 
-def _is_held(block) -> bool:
-    return any(block is held for held in _held())
+def _swaps(data: bytes, begin: int, end: int):
+    """*data* with one byte in ``[begin, end)`` swapped, every way that can
+    keep the text canonical (a digit or a hex digit) and one that cannot."""
+
+    for at in range(begin, end):
+        byte = data[at : at + 1]
+        for swap in {b"0": (b"1", b"A"), b"1": (b"0",)}.get(byte, (b"0", b" ")):
+            yield data[:at] + swap + data[at + 1 :]
 
 
-class TestLevelZeroBlockTable:
+class TestLevelZeroBlocks:
+    """A client's held set keeps the level-0 blocks of its latest get proof
+    per edge: a repeat get reuses only byte-identical blocks."""
+
     @pytest.fixture(autouse=True)
-    def empty_table(self):
-        codec.LEVEL_ZERO_BLOCKS.clear()
-        yield
-        codec.LEVEL_ZERO_BLOCKS.clear()
+    def held_set(self):
+        self.held = HeldSet()
+
+    def decode(self, data: bytes):
+        return decode_record(data, self.held)["message"].proof
+
+    def kept(self) -> list:
+        return self.held.level_zero()
+
+    def is_kept(self, block) -> bool:
+        return any(block is kept for kept in self.kept())
 
     def test_a_repeat_decode_returns_the_identical_object(self):
         data = _get()
-        first = decode_record(data)["message"].proof
+        first = self.decode(data)
         blocks = [item.block for item in first.level_zero]
         digests = [block.digest() for block in blocks]
-        second = decode_record(data)["message"].proof
+        second = self.decode(data)
         assert second is not first
         assert all(a.block is b for a, b in zip(second.level_zero, blocks, strict=True))
         # The reused block keeps the digest its receiver computed.
         assert [item.block._digest_cache for item in second.level_zero] == digests
-        assert _held() == blocks
+        assert self.kept() == blocks
+        # A decode without the set reuses nothing.
+        third = decode_record(data)["message"].proof
+        assert not any(item.block is block for item, block in zip(third.level_zero, blocks))
 
     def test_a_changed_entry_byte_behind_a_cached_header_decodes_strictly(self):
         honest = _get()
-        cached = decode_record(honest)["message"].proof.level_zero[0].block
+        cached = self.decode(honest).level_zero[0].block
         span = encode_record(cached)
         start = honest.index(span)
         entries = start + span.index(b',"entries":[') + len(b',"entries":[')
         rebuilt = 0
-        for at in range(entries, start + len(span)):
-            byte = honest[at : at + 1]
-            for swap in {b"0": (b"1", b"A"), b"1": (b"0",)}.get(byte, (b"0", b" ")):
-                data = honest[:at] + swap + honest[at + 1 :]
-                kept = _held()[0]
-                if not expect_refused_or_exact(data):
-                    assert _held()[0] is kept
-                    continue
-                # Same header, other bytes: built afresh, never the kept
-                # block (an accepted proof is then the one kept).
-                block = _held()[0]
-                assert block is not kept and block != kept
-                assert block.digest() != cached.digest()
-                rebuilt += 1
+        for data in _swaps(honest, entries, start + len(span)):
+            kept = self.kept()[0]
+            if not expect_refused_or_exact(data, self.held):
+                assert self.kept()[0] is kept
+                continue
+            # Same header, other bytes: built afresh, never the kept
+            # block (an accepted proof is then the one kept).
+            block = self.kept()[0]
+            assert block is not kept and block != kept
+            assert block.digest() != cached.digest()
+            rebuilt += 1
         assert rebuilt > 10
-        assert decode_record(honest)["message"].proof.level_zero[0].block == cached
+        assert self.decode(honest).level_zero[0].block == cached
 
     def test_non_canonical_variants_of_a_cached_block_are_refused(self):
         honest = _get()
-        cached = decode_record(honest)["message"].proof.level_zero[0].block
+        cached = self.decode(honest).level_zero[0].block
         span = encode_record(cached)
         start = honest.index(span)
         end = start + len(span)
@@ -595,8 +621,8 @@ class TestLevelZeroBlockTable:
         ]
         for data in variants:
             assert data != honest
-            expect_refused(data)
-        assert _held()[0] is cached
+            expect_refused(data, self.held)
+        assert self.kept()[0] is cached
 
     def test_a_block_that_carries_a_page_is_never_kept(self):
         get = _get_response(registry=SIGNERS)
@@ -608,57 +634,57 @@ class TestLevelZeroBlockTable:
         )
         # Cold and behind the honest block's header alike, it is refused.
         with pytest.raises(FrameError, match="EntryBody field payload"):
-            decode_payload(hostile)
-        assert _held() == []
-        kept = decode_record(honest)["message"].proof.level_zero[0].block
+            decode_payload(hostile, self.held)
+        assert self.kept() == []
+        kept = self.decode(honest).level_zero[0].block
         with pytest.raises(FrameError, match="EntryBody field payload"):
-            decode_payload(hostile)
-        assert _held()[0] is kept and len(_held()) == 2
+            decode_payload(hostile, self.held)
+        assert self.kept()[0] is kept and len(self.kept()) == 2
 
     def test_retention_is_per_edge(self):
-        a_first = decode_record(_get(EDGE, (1, 2)))["message"].proof
-        b_first = decode_record(_get(OTHER_EDGE, (1, 2)))["message"].proof
-        assert len(_held()) == 4
+        a_first = self.decode(_get(EDGE, (1, 2)))
+        b_first = self.decode(_get(OTHER_EDGE, (1, 2)))
+        assert len(self.kept()) == 4
         # Block 1 left level 0 of EDGE: dropped; OTHER_EDGE keeps its own.
-        a_next = decode_record(_get(EDGE, (2, 3)))["message"].proof
+        a_next = self.decode(_get(EDGE, (2, 3)))
         assert a_next.level_zero[0].block is a_first.level_zero[1].block
-        assert not _is_held(a_first.level_zero[0].block)
-        assert all(_is_held(item.block) for item in b_first.level_zero)
-        assert all(_is_held(item.block) for item in a_next.level_zero)
-        assert len(_held()) == 4
+        assert not self.is_kept(a_first.level_zero[0].block)
+        assert all(self.is_kept(item.block) for item in b_first.level_zero)
+        assert all(self.is_kept(item.block) for item in a_next.level_zero)
+        assert len(self.kept()) == 4
         # A proof with no level 0 but a root signed for the edge empties it.
-        decode_record(_get(EDGE, (), signed_root=_signed_root(EDGE)))
-        assert [block.edge for block in _held()] == [OTHER_EDGE, OTHER_EDGE]
+        self.decode(_get(EDGE, (), signed_root=_signed_root(EDGE)))
+        assert [block.edge for block in self.kept()] == [OTHER_EDGE, OTHER_EDGE]
         # A proof speaks for its root's edge too: a root naming the other
         # edge empties that edge's blocks as block 3 replaces this one's.
-        decode_record(_get(EDGE, (3,), signed_root=_signed_root(OTHER_EDGE)))
-        assert [(block.edge, block.block_id) for block in _held()] == [(EDGE, 3)]
+        self.decode(_get(EDGE, (3,), signed_root=_signed_root(OTHER_EDGE)))
+        assert [(block.edge, block.block_id) for block in self.kept()] == [(EDGE, 3)]
 
     def test_both_caps_are_enforced(self, monkeypatch):
-        table = codec.LEVEL_ZERO_BLOCKS
+        held = self.held
         one_edge = _get(EDGE, (1, 2))
-        decode_record(one_edge)
-        chars = table._chars
-        assert chars == sum(len(span) for span, _block in table._blocks.values()) > 0
-        # At the caps the table keeps; one past either, it is dropped.
+        self.decode(one_edge)
+        chars = held._chars
+        assert chars == sum(len(span) for span, _block in held._blocks.values()) > 0
+        # At the caps the set keeps; one past either, it drops them all.
         monkeypatch.setattr(codec, "_LEVEL_ZERO_MAX_EDGES", 2)
-        decode_record(_get(OTHER_EDGE, (1, 2)))
-        assert len(table._edges) == 2 and len(_held()) == 4
+        self.decode(_get(OTHER_EDGE, (1, 2)))
+        assert len(held._edges) == 2 and len(self.kept()) == 4
         monkeypatch.setattr(codec, "_LEVEL_ZERO_MAX_EDGES", 1)
-        decode_record(one_edge)
-        assert _held() == [] and table._edges == {} and table._chars == 0
+        self.decode(one_edge)
+        assert self.kept() == [] and held._edges == {} and held._chars == 0
         monkeypatch.setattr(codec, "_LEVEL_ZERO_MAX_EDGES", 64)
         monkeypatch.setattr(codec, "_LEVEL_ZERO_MAX_CHARS", chars)
-        decode_record(one_edge)
-        assert len(_held()) == 2
+        self.decode(one_edge)
+        assert len(self.kept()) == 2
         monkeypatch.setattr(codec, "_LEVEL_ZERO_MAX_CHARS", chars - 1)
-        decode_record(one_edge)
-        assert _held() == [] and table._chars == 0
+        self.decode(one_edge)
+        assert self.kept() == [] and held._chars == 0
 
-    def test_a_failure_partway_through_a_proof_leaves_the_table_unchanged(self):
-        table = codec.LEVEL_ZERO_BLOCKS
-        kept = decode_record(_get(EDGE, (1, 2)))["message"].proof
-        before = dict(table._blocks), dict(table._edges), table._chars
+    def test_a_failure_partway_through_a_proof_leaves_the_set_unchanged(self):
+        held = self.held
+        kept = self.decode(_get(EDGE, (1, 2)))
+        before = dict(held._blocks), dict(held._edges), held._chars
         longer = _get(EDGE, (1, 2, 3))
         third = encode_record(
             _get_response(EDGE, (3,), registry=SIGNERS).proof.level_zero[0].block
@@ -670,12 +696,97 @@ class TestLevelZeroBlockTable:
             longer.replace(b'"signed_root":null', b'"signed_root":7', 1),
         ]
         for data in broken:
-            expect_refused(data)
-            assert (dict(table._blocks), dict(table._edges), table._chars) == before
+            expect_refused(data, held)
+            assert (dict(held._blocks), dict(held._edges), held._chars) == before
         # Nothing of a failed decode is kept by the next one either.
-        decode_record(_get(OTHER_EDGE, (5,)))
-        assert [block.block_id for block in _held() if block.edge == EDGE] == [1, 2]
-        assert _held()[:2] == [item.block for item in kept.level_zero]
+        self.decode(_get(OTHER_EDGE, (5,)))
+        assert [block.block_id for block in self.kept() if block.edge == EDGE] == [1, 2]
+        assert self.kept()[:2] == [item.block for item in kept.level_zero]
+
+
+class TestHeldObjects:
+    """An entry or a record a receiver holds comes back as that object
+    where its whole canonical text recurs, and only there."""
+
+    @staticmethod
+    def echo() -> tuple:
+        """The entries of an append and the frame of its echo."""
+
+        response = _response()
+        return response.block.entries, encode_record({"sender": EDGE, "message": response})
+
+    def test_an_echoed_entry_is_the_held_entry(self):
+        held = HeldSet()
+        entries, data = self.echo()
+        held.hold("append", entries)
+        echo = decode_record(data, held)["message"]
+        assert all(a is b for a, b in zip(echo.block.entries, entries, strict=True))
+        assert echo.receipt.matches_block(echo.block)
+        # Without the set, or once released, the echo decodes strictly.
+        for other in (None, HeldSet()):
+            fresh = decode_record(data, other)["message"].block.entries
+            assert fresh == entries and not any(a is b for a, b in zip(fresh, entries))
+        held.release("append")
+        assert held.objects() == []
+        fresh = decode_record(data, held)["message"].block.entries
+        assert not any(a is b for a, b in zip(fresh, entries))
+
+    def test_one_byte_swapped_behind_a_held_header_decodes_strictly(self):
+        entries, honest = self.echo()
+        span = encode_record(entries[0])
+        start = honest.index(span)
+        header_end = start + span.index(b',"produced_at":')
+        rebuilt = 0
+        for data in _swaps(honest, header_end, start + len(span)):
+            held = HeldSet()
+            held.hold("append", entries)
+            if not expect_refused_or_exact(data, held):
+                continue
+            entry = decode_record(data, held)["message"].block.entries[0]
+            assert entry is not entries[0] and entry != entries[0]
+            rebuilt += 1
+        assert rebuilt > 10
+
+    def test_a_changed_value_under_a_held_key_header_decodes_strictly(self):
+        record = KVRecord("k", 5, b"v", 0.5)
+        other = KVRecord("k", 5, b"w", 0.5)
+        held = HeldSet()
+        held.hold("merge", (record,))
+        page = build_page([other], created_at=1.0)
+        decoded = decode_record(encode_record(page), held).records[0]
+        assert decoded == other and decoded is not other
+        assert decode_record(encode_record(record), held) is record
+        # A second held object under one header is not indexed: the first
+        # answers for it, and its own text decodes strictly.
+        held.hold("merge", (record, other))
+        assert decode_record(encode_record(other), held) is not other
+        assert decode_record(encode_record(record), held) is record
+
+    def test_sets_of_two_receivers_share_nothing(self):
+        mine, theirs = HeldSet(), HeldSet()
+        entries, data = self.echo()
+        mine.hold("append", entries)
+        assert not any(
+            a is b
+            for a, b in zip(decode_record(data, theirs)["message"].block.entries, entries)
+        )
+        get = _get()
+        blocks = [item.block for item in decode_record(get, mine)["message"].proof.level_zero]
+        again = decode_record(get, theirs)["message"].proof.level_zero
+        assert not any(item.block is block for item, block in zip(again, blocks))
+        assert theirs.objects() == [] and len(theirs.level_zero()) == 2
+
+    def test_holding_encodes_nothing_until_a_lookup_and_memoises_nothing(self):
+        records = tuple(KVRecord(f"k{index}", index, b"v", 0.5) for index in range(3))
+        held = HeldSet()
+        held.hold("merge", records)
+        assert held._index == {} and held.objects() == list(records)
+        page = build_page(records, created_at=1.0)
+        decoded = decode_record(encode_record(page), held).records
+        assert all(a is b for a, b in zip(decoded, records, strict=True))
+        assert all(getattr(record, FRAGMENT_ATTR, None) is None for record in records)
+        held.release("merge")
+        assert held._index == {KVRecord: {}} and held._indexed == {}
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,14 @@ from repro.common.config import LoggingConfig, LSMerkleConfig, SystemConfig
 from repro.common.errors import SimulationError, TransportError
 from repro.common.identifiers import client_id, edge_id
 from repro.log.proofs import CommitPhase
-from repro.messages import GetRequest, GetResponse
+from repro.messages import (
+    AppendBatchRequest,
+    AppendBatchResponse,
+    GetRequest,
+    GetResponse,
+    MergeRequest,
+    MergeResponse,
+)
 from repro.common.identifiers import OperationId
 from repro.core.system import SystemStats
 from repro.service import (
@@ -32,8 +39,8 @@ from repro.service import (
     encode_frame,
     read_frame,
 )
+from repro.service import framing
 from repro.service.framing import decode_payload
-from repro.storage import codec
 
 #: Hard wall-clock cap for any single async test body.
 _TEST_TIMEOUT_S = 30.0
@@ -196,7 +203,7 @@ class TestLiveFleetSmoke:
         run_async(scenario())
 
 
-class TestLevelZeroBlockTable:
+class TestHeldSetLive:
     def test_a_repeat_get_reuses_blocks_and_a_merge_drops_them(self):
         """Over real sockets, a second get's level-0 blocks are the objects
         the first get's decode built, and after a merge the blocks it took
@@ -240,7 +247,7 @@ class TestLevelZeroBlockTable:
                 first, second = await get(), await get()
                 assert len(first) == 3
                 assert all(a is b for a, b in zip(first, second, strict=True))
-                held = [kept for _span, kept in codec.LEVEL_ZERO_BLOCKS._blocks.values()]
+                held = client.held.level_zero()
                 assert all(any(block is kept for kept in held) for block in first)
 
                 for index in range(3, 6):
@@ -251,15 +258,101 @@ class TestLevelZeroBlockTable:
                 after = await get()
                 merged = [block for block in first if block not in after]
                 assert merged
-                held = [kept for _span, kept in codec.LEVEL_ZERO_BLOCKS._blocks.values()]
+                held = client.held.level_zero()
                 assert not any(block is kept for block in merged for kept in held)
                 assert fleet.env.failures == []
 
-        codec.LEVEL_ZERO_BLOCKS.clear()
-        try:
-            run_async(scenario())
-        finally:
-            codec.LEVEL_ZERO_BLOCKS.clear()
+        run_async(scenario())
+
+    def test_echoed_entries_and_merged_records_are_the_receivers_own(self):
+        """Over real sockets, the block an edge answers an append with is
+        made of the entries the client sent — the client's own objects —
+        and the merged pages the cloud answers a merge with are made of the
+        records the edge proposed, the edge's own objects; both hold sets
+        are empty once every put has settled."""
+
+        config = SystemConfig.paper_default().with_overrides(
+            logging=LoggingConfig(block_size=4),
+            lsmerkle=LSMerkleConfig(level_thresholds=(2, 10, 100)),
+        )
+
+        async def scenario():
+            async with LiveFleet(config=config, num_edges=1, num_clients=1) as fleet:
+                client, edge = fleet.client(0), fleet.edge(0)
+                sent, proposed, echoed, merged = [], [], [], []
+
+                def on_send(src, dst, message) -> bool:
+                    if isinstance(message, AppendBatchRequest):
+                        sent.extend(message.entries)
+                    elif isinstance(message, MergeRequest):
+                        proposed.extend(edge.held.objects())
+                    return True
+
+                fleet.env.transport.add_send_hook("test:held", on_send)
+                for node, kind, into in (
+                    (client, AppendBatchResponse, echoed),
+                    (edge, MergeResponse, merged),
+                ):
+                    def recording(sender, message, handle=node.on_message, kind=kind, into=into):
+                        if isinstance(message, kind):
+                            into.append(message)
+                        handle(sender, message)
+
+                    node.on_message = recording
+
+                operations = [
+                    client.put_batch([(f"k{(4 * batch + i) % 6}", b"v%d" % batch) for i in range(4)])
+                    for batch in range(6)
+                ]
+                for operation in operations:
+                    phase = await fleet.wait_for(
+                        client, operation, CommitPhase.PHASE_TWO, timeout_s=15
+                    )
+                    assert phase is CommitPhase.PHASE_TWO
+                assert await fleet.await_condition(
+                    lambda: edge.stats["merges_completed"] >= 2
+                    and not edge._default_partition.merge_in_flight,
+                    timeout_s=15,
+                )
+                sent_ids = {id(entry) for entry in sent}
+                echo = [entry for response in echoed for entry in response.block.entries]
+                assert len(echo) == 24 and all(id(entry) in sent_ids for entry in echo)
+                proposed_ids = {id(record) for record in proposed}
+                records = [
+                    record
+                    for response in merged
+                    for page in response.outcome.merged_pages
+                    for record in page.records
+                ]
+                assert records and all(id(record) in proposed_ids for record in records)
+                assert client.held.objects() == [] and edge.held.objects() == []
+                assert fleet.env.failures == []
+
+        run_async(scenario())
+
+
+class TestReaderCrashIsLoud:
+    def test_a_crashing_frame_reader_is_recorded(self, monkeypatch):
+        """An exception other than a bad frame, raised while a node's frame
+        is read, is recorded in ``env.failures`` like a crashed handler —
+        not a link that goes quiet until every later request times out."""
+
+        def crashing(payload, held=None):
+            raise TypeError("planted in decode_payload")
+
+        async def scenario():
+            async with LiveFleet(num_edges=1, num_clients=1) as fleet:
+                client = fleet.client(0)
+                monkeypatch.setattr(framing, "decode_payload", crashing)
+                client.put_batch([("k", b"v")])
+                assert await fleet.await_condition(
+                    lambda: fleet.env.failures != [], timeout_s=5
+                )
+                node, exc = fleet.env.failures[0]
+                assert node == fleet.edge(0).node_id
+                assert isinstance(exc, TypeError) and "planted" in str(exc)
+
+        run_async(scenario())
 
 
 class TestStoppedFleetIsFreed:
