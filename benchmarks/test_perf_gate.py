@@ -118,11 +118,11 @@ class TestCompare:
         added or deleted in one place and not the others fails here without
         running the suite.  Everything gates except the wall-clock open-loop
         put p99 (parked by ROADMAP until a capacity-relative row replaces
-        it) and the rows that time a receiver's held set —
-        ``get_receive``, ``get_receive_cold``, ``append_echo_receive`` and
-        ``merge_outcome_receive`` — recorded without gating in the change
-        that added or re-pointed them; the rows that time real nodes gate
-        like the rest."""
+        it) and the rows that time a client's get through its held set —
+        ``get_receive`` and ``get_receive_cold`` — recorded without gating
+        in the change that re-pointed them; ``append_echo_receive`` and
+        ``merge_outcome_receive`` gate, as do the rows that time real
+        nodes."""
 
         import pathlib
 
@@ -133,12 +133,7 @@ class TestCompare:
         full = str(root / "benchmarks" / "BENCH_hotpath_full.json")
         rows = {bench.__name__[len("bench_"):] for bench in BENCHMARKS}
         assert set(load_results(quick)) == set(load_results(full)) == rows
-        held = {
-            "get_receive",
-            "get_receive_cold",
-            "append_echo_receive",
-            "merge_outcome_receive",
-        }
+        held = {"get_receive", "get_receive_cold"}
         assert load_non_gating(quick) == {"live_put_p99"} | held
         assert load_non_gating(full) == held
 

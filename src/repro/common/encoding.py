@@ -66,8 +66,8 @@ check, so where a memo can come from is part of the trust argument.
   page, rebuilt under a fresh process-local ``page_id`` — never gets a
   span, and no class that keeps one declares a page inside it.
 * A decoded object may be **reused**: the storage codec hands back a
-  ``NodeId`` an earlier decode built, or an entry, record or level-0
-  ``Block`` the receiving node holds (its ``HeldSet``), when that object's
+  ``NodeId`` an earlier decode built, or an entry, record or block the
+  receiving node holds (its ``HeldSet``), when that object's
   whole canonical text recurs byte for byte.  A reused object is one the
   receiver built itself — strictly from the same bytes, or as the author
   of that text — and every memo on it (a block's digest included) was

@@ -21,9 +21,16 @@ Retention:
 * ``held`` (:class:`~repro.storage.codec.HeldSet`): a write's signed
   entries from send until the write reaches Phase I or fails, so the
   decoder hands back this client's own entries where the edge's answer
-  echoes them; and the level-0 blocks of the latest get proof decoded per
-  edge.  Only a decoder reads it: on the simulator it costs one reference
-  per write in flight.
+  echoes them; and, under ``("get", edge)``, the level-0 blocks of the
+  latest get that verified from each edge this client reads from, so a
+  repeat get's blocks come back as the ones it verified.  A get whose
+  proof holds no level-0 block empties its edge's hold; one that fails
+  verification leaves it.  No cap is needed: the keys are edges this
+  client chose to send gets to (a proof's contents never name one), and
+  each hold is what one verified frame carried, under
+  :data:`~repro.service.framing.MAX_FRAME_BYTES`.  Only a decoder reads it:
+  on the simulator it costs one reference per write in flight and per edge
+  read from.
 * ``tracker`` (:class:`CommitTracker`): every operation's record, with its
   receipt and proof — the client's dispute evidence and the figures' raw
   latencies.  Kept forever; a driver that only needs percentiles could
@@ -631,6 +638,9 @@ class Client(TableDispatchNode):
                 return
             self._last_root_versions[version_key] = verified.root_version
 
+        # Verified: every get from this edge until a merge repeats these.
+        blocks = [item.block for item in response.proof.level_zero]
+        self.held.hold(("get", expected_edge), blocks)
         record.details["value"] = derived_value
         record.details["found"] = verified.found
         # Global sequence of the proven record (block id × stride + index):

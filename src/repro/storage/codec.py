@@ -38,27 +38,21 @@ Some decoders hand back an object the receiver already has, each only when
 that object's whole canonical text recurs byte for byte where the decoder
 stands: a ``NodeId`` (interned by text, process-wide) and, through the
 receiving node's :class:`HeldSet`, a ``LogEntry``, a ``KVRecord`` or a
-level-0 ``Block``.  Canonical text is prefix-free and a held object's text
-is the canonical encoding of that very object, so a hit is what a strict
-decode would build, with the memos the receiving node computed itself.
-Any miss decodes strictly.
+``Block``.  Canonical text is prefix-free and a held object's text is the
+canonical encoding of that very object, so a hit is what a strict decode
+would build, with the memos the receiving node computed itself.  Any miss
+decodes strictly.
 
 Retention:
 
 * The ``NodeId`` intern table keeps at most 1024 texts of at most 256
   characters.
 * A node's held set keeps references only, under the rules of the node that
-  fills it: a client holds an append's entries from send until its
-  ``AppendBatchResponse`` reaches Phase I or the operation fails
-  (:class:`~repro.core.commit.CommitTracker`); an edge holds the records of
-  a merge's source blocks, source pages and target pages from the proposal
-  until its ``MergeResponse`` or ``MergeRejection``, per partition.  The
-  span and header text of a held object are built on the first lookup
-  after it is held and dropped with it, so a node that decodes nothing
-  (the simulator) pays one reference per held sequence.
-* A held set also keeps the level-0 blocks of the latest fully decoded
-  ``GetProof`` per writer edge, with their spans, and drops them whole
-  past 64 edges or 8 Mi characters.
+  fills it (a client's in :mod:`repro.nodes.client`, an edge's in
+  :mod:`repro.nodes.edge`).  The span and header text of a held object are
+  built on the first lookup after it is held and dropped with it, so a node
+  that decodes nothing (the simulator) pays one reference per held
+  sequence.
 """
 
 from __future__ import annotations
@@ -142,61 +136,70 @@ _INTERN_MAX_CHARS = 256
 #: A held object's header is its text before this (id, creation time and
 #: edge of a block; key and sequence of a record; payload of an entry): it
 #: is looked for no further than ``_HEADER_MAX_CHARS`` past the object's
-#: start.  The level-0 blocks are dropped past either bound after it.
+#: start.
 _HEADER_ENDS = {
     Block: ',"entries":[',
     KVRecord: ',"value":',
     LogEntry: ',"produced_at":',
 }
 _HEADER_MAX_CHARS = 512
-_LEVEL_ZERO_MAX_EDGES = 64
-_LEVEL_ZERO_MAX_CHARS = 8 * 1024 * 1024
 
 
 class HeldSet:
     """The objects one receiving node holds, which its decoder may hand back.
 
     A node holds what it expects to see again: a client the entries of an
-    append (the edge echoes them in the block it answers with), an edge the
-    records a merge takes in (the merged pages the cloud answers with are
-    made of them), a client the level-0 blocks of its latest get proof per
-    edge (every get between merges repeats them).  The decoders of
-    ``LogEntry``, ``KVRecord`` and a level-0 ``Block`` look an object up by
-    its header text and return the held object only when its whole
-    canonical span recurs byte for byte at ``start``; a miss decodes
-    strictly.  A complete canonical object text is prefix-free, so the
-    object at ``start`` is then that object — the argument the ``NodeId``
-    intern table rests on.
+    append (the edge echoes them in the block it answers with) and the
+    level-0 blocks of its latest verified get per edge (every get between
+    merges repeats them), an edge the records a merge takes in (the merged
+    pages the cloud answers with are made of them).  The decoders of
+    ``LogEntry``, ``KVRecord`` and ``Block`` look an object up by its
+    header text and return the held object only when its whole canonical
+    span recurs byte for byte at ``start``; a miss decodes strictly.  A
+    complete canonical object text is prefix-free, so the object at
+    ``start`` is then that object — the argument the ``NodeId`` intern
+    table rests on.
 
-    Retention is the module docstring's.  :meth:`hold` stores references
-    only; the first lookup after it encodes each held object once without
+    Retention is the holding node's.  :meth:`hold` stores references only;
+    the first lookup after it encodes each newly held object once without
     memoising (:func:`~repro.common.encoding.flat_text`) to index it by
-    header, and :meth:`release` drops the references and that text alike.
-    Two held objects with one header keep the first; the other decodes
-    strictly.  One node's set is never consulted for another's frames.
+    header, an object the key already held keeps its entry, and
+    :meth:`release` drops the references and that text alike.  Two held
+    objects with one header keep the first; the other decodes strictly.
+    One node's set is never consulted for another's frames.
     """
 
     def __init__(self) -> None:
         #: hold key -> (the class of what it holds, the sequences held).
         self._holds: dict[Any, tuple[type, tuple]] = {}
-        #: class -> the hold keys not indexed since they were held.
+        #: class -> the hold keys holding objects not indexed yet.
         self._fresh: dict[type, dict[Any, None]] = {}
-        #: class -> header -> (span, object), and the headers each hold key
-        #: put there.
+        #: class -> header -> (span, object), and per hold key the header
+        #: each of its objects put there, by the object's identity.
         self._index: dict[type, dict[str, tuple[str, Any]]] = {}
-        self._indexed: dict[Any, list[str]] = {}
-        self.clear_level_zero()
+        self._indexed: dict[Any, dict[int, str]] = {}
 
-    # ------------------------------------------------------------ holds
     def hold(self, key: Any, *groups: typing.Sequence) -> None:
         """Hold every object of *groups*, all of one class, under *key*
-        (replacing what *key* held)."""
+        (replacing what *key* held; an object it still holds stays
+        indexed, so holding the same objects again encodes nothing)."""
 
+        indexed = self._indexed.get(key)
+        kept = {}
+        if indexed:
+            kept = {
+                id(item): indexed.pop(id(item))
+                for group in groups
+                for item in group
+                if id(item) in indexed
+            }
         self.release(key)
         first = next((group[0] for group in groups if group), None)
         if first is not None:
             self._holds[key] = (type(first), groups)
-            self._fresh.setdefault(type(first), {})[key] = None
+            self._indexed[key] = kept
+            if len(kept) < sum(map(len, groups)):
+                self._fresh.setdefault(type(first), {})[key] = None
 
     def release(self, key: Any) -> None:
         """Drop what *key* holds; a key holding nothing is a no-op."""
@@ -206,7 +209,7 @@ class HeldSet:
             return
         self._fresh[held[0]].pop(key, None)
         index = self._index.get(held[0])
-        for header in self._indexed.pop(key, ()):
+        for header in self._indexed.pop(key).values():
             del index[header]
 
     def objects(self) -> list:
@@ -223,16 +226,18 @@ class HeldSet:
         end_text = _HEADER_ENDS[cls]
         index = self._index.setdefault(cls, {})
         for key in fresh:
-            indexed = self._indexed[key] = []
+            indexed = self._indexed[key]
             for group in self._holds[key][1]:
                 for item in group:
+                    if id(item) in indexed:
+                        continue
                     # The memo, where the node left one, is that same text.
                     span = getattr(item, FRAGMENT_ATTR, None) or flat_text(item)
                     end = span.find(end_text, 0, _HEADER_MAX_CHARS)
                     header = span[:end]
                     if end > 0 and header not in index:
                         index[header] = (span, item)
-                        indexed.append(header)
+                        indexed[id(item)] = header
         fresh.clear()
 
     def reuse(self, cls: type, text: str, start: int) -> Optional[tuple[Any, int]]:
@@ -249,68 +254,6 @@ class HeldSet:
         if kept is None or not text.startswith(kept[0], start):
             return None
         return kept[1], start + len(kept[0])
-
-    # --------------------------------------------------- level-0 blocks
-    def clear_level_zero(self) -> None:
-        """Forget every level-0 block (a test times a cold get after it)."""
-
-        #: header -> (span, block), and the headers kept per writer edge.
-        self._blocks: dict[str, tuple[str, Block]] = {}
-        self._edges: dict[NodeId, tuple[str, ...]] = {}
-        self._chars = 0
-        #: (header, span, block) of the proof being decoded.
-        self._pending: list[tuple[str, str, Block]] = []
-
-    def decode_block(self, strict, text: str, start: int, pos: int) -> tuple[Block, int]:
-        """``strict(...)``, unless the level-0 block at *start* is kept."""
-
-        header_end = text.find(_HEADER_ENDS[Block], pos, start + _HEADER_MAX_CHARS)
-        if header_end < 0:
-            return strict(text, start, pos, self)
-        header = text[start:header_end]
-        kept = self._blocks.get(header)
-        if kept is not None and text.startswith(kept[0], start):
-            span, block = kept
-        else:
-            block, end = strict(text, start, pos, self)
-            span = text[start:end]
-        self._pending.append((header, span, block))
-        return block, start + len(span)
-
-    def decode_proof(self, strict, text: str, start: int, pos: int) -> tuple[GetProof, int]:
-        """``strict(...)``, then keep the proof's level-0 blocks.
-
-        A decoded proof replaces what is kept for every edge it speaks for
-        (its blocks' edges and its signed root's edge), so a block a merge
-        takes out of level 0 is dropped on the next get, and a proof whose
-        decode fails partway changes nothing.
-        """
-
-        self._pending = []
-        proof, end = strict(text, start, pos, self)
-        pending, self._pending = self._pending, []
-        edges: dict[NodeId, dict[str, tuple[str, Block]]] = {}
-        if proof.signed_root is not None:
-            edges[proof.signed_root.statement.edge] = {}
-        for header, span, block in pending:
-            edges.setdefault(block.edge, {})[header] = (span, block)
-        for edge, blocks in edges.items():
-            for header in self._edges.pop(edge, ()):
-                self._chars -= len(self._blocks.pop(header)[0])
-            self._edges[edge] = tuple(blocks)
-            self._blocks.update(blocks)
-            self._chars += sum(len(span) for span, _block in blocks.values())
-        if (
-            len(self._edges) > _LEVEL_ZERO_MAX_EDGES
-            or self._chars > _LEVEL_ZERO_MAX_CHARS
-        ):
-            self.clear_level_zero()
-        return proof, end
-
-    def level_zero(self) -> list[Block]:
-        """The level-0 blocks kept, in keeping order."""
-
-        return [block for _span, block in self._blocks.values()]
 
 
 def register_storable(cls: type) -> type:
@@ -631,7 +574,7 @@ def _compile_decoder(cls: type):
     scope = dict(globals(), cls=cls, interned={})
     interned = cls is NodeId
     body: list[str] = []
-    if cls in (LogEntry, KVRecord):
+    if cls in _HEADER_ENDS:
         # The receiving node's own object, if it holds this very text.
         body += [
             "if held is not None:",
@@ -651,8 +594,6 @@ def _compile_decoder(cls: type):
     for name, literal in zip(field_names, literals):
         what = repr(f"{cls.__name__} field {name}")
         body += _field_lines(f"v_{name}", hints[name], literal, what, scope)
-    if cls is LevelZeroEvidence:
-        scope["decode_Block"] = _through_held(HeldSet.decode_block, scope["decode_Block"])
     if cls is Page:
         # page_id is a process-local counter, never round-tripped; the
         # validating constructor assigns a fresh one (and, by re-checking
@@ -681,20 +622,7 @@ def _compile_decoder(cls: type):
     body.append("return value, pos")
     source = "def decode(text, start, pos, held):\n" + "\n".join("    " + line for line in body)
     exec(source, scope)
-    if cls is GetProof:
-        return _through_held(HeldSet.decode_proof, scope["decode"])
     return scope["decode"]
-
-
-def _through_held(method, strict):
-    """*strict* as ``method(held, strict, ...)`` when a held set decodes."""
-
-    def decode(text: str, start: int, pos: int, held: Optional[HeldSet]):
-        if held is None:
-            return strict(text, start, pos, None)
-        return method(held, strict, text, start, pos)
-
-    return decode
 
 
 def decode_record(data: bytes, held: Optional[HeldSet] = None) -> Any:

@@ -12,6 +12,7 @@ replicated shard that a replica releases the blocks its writer merged.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import random
 import sys
@@ -34,7 +35,7 @@ from repro.lsm.page import Page
 from repro.lsm.records import KVRecord
 from repro.lsmerkle.codec import records_from_block
 from repro.lsmerkle.merge import MergeOutcome
-from repro.messages import MergeRejection, ReplicaLogShipment
+from repro.messages import GetResponse, MergeRejection, ReplicaLogShipment
 from repro.sharding.system import ShardedWedgeSystem
 from repro.sim.environment import local_environment
 from repro.storage.codec import decode_record, encode_record
@@ -187,8 +188,9 @@ def test_retained_bytes_per_put_stay_bounded(long_put_run):
 
 class TestHeldSets:
     """What a node holds for its decoder goes by the node's own rule: a
-    client's entries until Phase I or failure, an edge's merge inputs until
-    the merge's outcome, rejection or a crash."""
+    client's entries until Phase I or failure and the level-0 blocks of its
+    latest verified get per edge, an edge's merge inputs until the merge's
+    outcome, rejection or a crash."""
 
     @pytest.fixture
     def system(self):
@@ -258,3 +260,120 @@ class TestHeldSets:
         assert edge.held.objects()
         edge.on_crash()
         assert edge.held.objects() == []
+
+    # ---------------------------------------------------- a reader's gets
+    @staticmethod
+    def two_edges():
+        """A reader on edge 0 and a writer on edge 1; every get response sent
+        to the reader is recorded per edge, and withheld while *veto* is
+        non-empty."""
+
+        config = SystemConfig.paper_default().with_overrides(
+            num_edge_nodes=2,
+            logging=LoggingConfig(block_size=4),
+            lsmerkle=LSMerkleConfig(level_thresholds=(4, 10, 100)),
+        )
+        system = build_system("wedgechain", config=config, num_clients=2, seed=3)
+        reader = system.clients[0]
+        responses: dict = {edge.node_id: [] for edge in system.edges}
+        veto: list = []
+
+        def record(_src, dst, message) -> bool:
+            if isinstance(message, GetResponse) and dst == reader.node_id:
+                responses[message.statement.edge].append(message)
+                return not veto
+            return True
+
+        system.env.network.add_send_hook("test:gets", record)
+        return system, responses, veto
+
+    def settle(self, system, client, batch: int) -> None:
+        operation = self.put(client, batch)
+        phase = system.wait_for(client, operation, CommitPhase.PHASE_TWO, max_time_s=30)
+        assert phase is CommitPhase.PHASE_TWO
+
+    @staticmethod
+    def read(system, edge):
+        reader = system.clients[0]
+        operation = reader.get("k0-0", edge=edge.node_id)
+        phase = system.wait_for(reader, operation, CommitPhase.PHASE_TWO, max_time_s=30)
+        assert phase is CommitPhase.PHASE_TWO
+
+    @staticmethod
+    def ids(blocks) -> list[int]:
+        return [id(block) for block in blocks]
+
+    def test_a_reader_holds_the_level_zero_of_its_latest_get_per_edge(self):
+        system, responses, _veto = self.two_edges()
+        reader, writer = system.clients
+
+        def latest(edge):
+            return [item.block for item in responses[edge.node_id][-1].proof.level_zero]
+
+        for batch in range(3):
+            self.settle(system, reader, batch)
+            self.settle(system, writer, batch)
+            for _ in range(2):
+                for edge in system.edges:
+                    self.read(system, edge)
+            assert [len(latest(edge)) for edge in system.edges] == [batch + 1] * 2
+            assert self.ids(reader.held.objects()) == self.ids(
+                latest(system.edge(0)) + latest(system.edge(1))
+            )
+        # On the simulator nothing decodes, so no span text is ever built.
+        assert reader.held._index == {} and writer.held._index == {}
+
+    def test_a_root_only_proof_after_a_merge_empties_that_edges_hold(self):
+        system, responses, _veto = self.two_edges()
+        reader, writer = system.clients
+        edge = system.edge(0)
+        self.settle(system, reader, 0)
+        self.settle(system, writer, 0)
+        for each in system.edges:
+            self.read(system, each)
+        assert len(reader.held.objects()) == 2
+        # A merge of every certified level-0 block leaves level 0 empty.
+        state = edge._default_partition
+        edge._send_merge(state, edge._build_merge_proposal(state, 0))
+        system.run()
+        assert edge.stats["merges_completed"] == 1 and edge.level_zero_blocks == []
+        self.read(system, edge)
+        proof = responses[edge.node_id][-1].proof
+        assert proof.level_zero == () and proof.signed_root is not None
+        other = responses[system.edge(1).node_id][-1].proof.level_zero
+        assert self.ids(reader.held.objects()) == self.ids(item.block for item in other)
+
+    def test_a_get_that_fails_verification_leaves_the_hold(self):
+        system, responses, veto = self.two_edges()
+        reader = system.clients[0]
+        edge = system.edge(0)
+        for batch in range(2):
+            self.settle(system, reader, batch)
+        self.read(system, edge)
+        held = self.ids(reader.held.objects())
+        assert len(held) == 2
+        self.settle(system, reader, 2)
+        # Two gets whose honest answers are withheld and forged: a level-0
+        # block that is not the one certified, a value the proof denies.
+        veto.append(True)
+        for _ in range(2):
+            reader.get("k0-0", edge=edge.node_id)
+        assert system.env.run_until_condition(
+            lambda: len(responses[edge.node_id]) == 3, system.env.now() + 30
+        )
+        first, second = responses[edge.node_id][1:]
+        *rest, item = first.proof.level_zero
+        assert len(rest) == 2
+        block = dataclasses.replace(item.block, entries=item.block.entries[:-1])
+        level_zero = (*rest, dataclasses.replace(item, block=block))
+        forged = [
+            dataclasses.replace(
+                first, proof=dataclasses.replace(first.proof, level_zero=level_zero)
+            ),
+            dataclasses.replace(second, value=b"forged"),
+        ]
+        for response in forged:
+            reader.on_message(edge.node_id, response)
+            operation = reader.operation(response.statement.operation_id)
+            assert operation.phase is CommitPhase.FAILED
+            assert self.ids(reader.held.objects()) == held

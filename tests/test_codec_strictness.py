@@ -36,7 +36,7 @@ from repro.common.encoding import FRAGMENT_ATTR, class_layout, reference_encode
 from repro.common.errors import StorageCorruptionError
 from repro.common.identifiers import OperationId, client_id, cloud_id, edge_id
 from repro.crypto.signatures import KeyRegistry
-from repro.log.block import build_block
+from repro.log.block import Block, build_block
 from repro.log.entry import EntryBody, make_entry
 from repro.log.proofs import CommitPhase, issue_block_proof, issue_phase_one_receipt
 from repro.lsm.page import Page, build_page
@@ -552,62 +552,71 @@ def _swaps(data: bytes, begin: int, end: int):
 
 
 class TestLevelZeroBlocks:
-    """A client's held set keeps the level-0 blocks of its latest get proof
-    per edge: a repeat get reuses only byte-identical blocks."""
+    """A client holds the level-0 blocks of its latest verified get per edge
+    under ``("get", edge)``: a repeat get reuses only byte-identical
+    blocks, through the one lookup every held object takes."""
 
     @pytest.fixture(autouse=True)
     def held_set(self):
         self.held = HeldSet()
 
-    def decode(self, data: bytes):
-        return decode_record(data, self.held)["message"].proof
+    def receive(self, data: bytes):
+        """Decode a get response, then hold its level-0 blocks as a client
+        does once the proof verifies."""
 
-    def kept(self) -> list:
-        return self.held.level_zero()
+        response = decode_record(data, self.held)["message"]
+        blocks = [item.block for item in response.proof.level_zero]
+        self.held.hold(("get", response.statement.edge), blocks)
+        return response.proof
 
-    def is_kept(self, block) -> bool:
-        return any(block is kept for kept in self.kept())
+    def is_held(self, block) -> bool:
+        return any(block is held for held in self.held.objects())
 
     def test_a_repeat_decode_returns_the_identical_object(self):
         data = _get()
-        first = self.decode(data)
+        first = self.receive(data)
         blocks = [item.block for item in first.level_zero]
         digests = [block.digest() for block in blocks]
-        second = self.decode(data)
+        second = self.receive(data)
+        index = dict(self.held._index[Block])
+        assert len(index) == 2
         assert second is not first
         assert all(a.block is b for a, b in zip(second.level_zero, blocks, strict=True))
         # The reused block keeps the digest its receiver computed.
         assert [item.block._digest_cache for item in second.level_zero] == digests
-        assert self.kept() == blocks
+        assert self.held.objects() == blocks
+        # Holding the same blocks again keeps their index entries: the spans
+        # are not built a second time.
+        self.receive(data)
+        assert all(self.held._index[Block][header] is kept for header, kept in index.items())
         # A decode without the set reuses nothing.
         third = decode_record(data)["message"].proof
         assert not any(item.block is block for item, block in zip(third.level_zero, blocks))
 
-    def test_a_changed_entry_byte_behind_a_cached_header_decodes_strictly(self):
+    def test_a_changed_entry_byte_behind_a_held_header_decodes_strictly(self):
         honest = _get()
-        cached = self.decode(honest).level_zero[0].block
-        span = encode_record(cached)
+        held = self.receive(honest).level_zero[0].block
+        span = encode_record(held)
         start = honest.index(span)
         entries = start + span.index(b',"entries":[') + len(b',"entries":[')
         rebuilt = 0
         for data in _swaps(honest, entries, start + len(span)):
-            kept = self.kept()[0]
             if not expect_refused_or_exact(data, self.held):
-                assert self.kept()[0] is kept
                 continue
-            # Same header, other bytes: built afresh, never the kept
-            # block (an accepted proof is then the one kept).
-            block = self.kept()[0]
-            assert block is not kept and block != kept
-            assert block.digest() != cached.digest()
+            # Same header, other bytes: built afresh, never the held block.
+            block = decode_record(data, self.held)["message"].proof.level_zero[0].block
+            assert block is not held and block != held
+            assert block.digest() != held.digest()
             rebuilt += 1
         assert rebuilt > 10
-        assert self.decode(honest).level_zero[0].block == cached
+        # Decoding holds nothing; only a verified get replaces the hold.
+        assert self.held.objects()[0] is held
+        assert self.receive(honest).level_zero[0].block is held
 
-    def test_non_canonical_variants_of_a_cached_block_are_refused(self):
+    def test_non_canonical_variants_of_a_held_block_are_refused(self):
         honest = _get()
-        cached = self.decode(honest).level_zero[0].block
-        span = encode_record(cached)
+        held = self.receive(honest).level_zero[0].block
+        span = encode_record(held)
         start = honest.index(span)
         end = start + len(span)
         variants = [
@@ -622,9 +631,9 @@ class TestLevelZeroBlocks:
         for data in variants:
             assert data != honest
             expect_refused(data, self.held)
-        assert self.kept()[0] is cached
+        assert self.held.objects()[0] is held
 
-    def test_a_block_that_carries_a_page_is_never_kept(self):
+    def test_a_block_that_carries_a_page_is_never_held(self):
         get = _get_response(registry=SIGNERS)
         honest = _get()
         entry = get.proof.level_zero[0].block.entries[0]
@@ -635,73 +644,52 @@ class TestLevelZeroBlocks:
         # Cold and behind the honest block's header alike, it is refused.
         with pytest.raises(FrameError, match="EntryBody field payload"):
             decode_payload(hostile, self.held)
-        assert self.kept() == []
-        kept = self.decode(honest).level_zero[0].block
+        assert self.held.objects() == []
+        held = self.receive(honest).level_zero[0].block
         with pytest.raises(FrameError, match="EntryBody field payload"):
             decode_payload(hostile, self.held)
-        assert self.kept()[0] is kept and len(self.kept()) == 2
+        assert self.held.objects()[0] is held and len(self.held.objects()) == 2
 
     def test_retention_is_per_edge(self):
-        a_first = self.decode(_get(EDGE, (1, 2)))
-        b_first = self.decode(_get(OTHER_EDGE, (1, 2)))
-        assert len(self.kept()) == 4
+        a_first = self.receive(_get(EDGE, (1, 2)))
+        b_first = self.receive(_get(OTHER_EDGE, (1, 2)))
+        assert len(self.held.objects()) == 4
         # Block 1 left level 0 of EDGE: dropped; OTHER_EDGE keeps its own.
-        a_next = self.decode(_get(EDGE, (2, 3)))
+        a_next = self.receive(_get(EDGE, (2, 3)))
         assert a_next.level_zero[0].block is a_first.level_zero[1].block
-        assert not self.is_kept(a_first.level_zero[0].block)
-        assert all(self.is_kept(item.block) for item in b_first.level_zero)
-        assert all(self.is_kept(item.block) for item in a_next.level_zero)
-        assert len(self.kept()) == 4
-        # A proof with no level 0 but a root signed for the edge empties it.
-        self.decode(_get(EDGE, (), signed_root=_signed_root(EDGE)))
-        assert [block.edge for block in self.kept()] == [OTHER_EDGE, OTHER_EDGE]
-        # A proof speaks for its root's edge too: a root naming the other
-        # edge empties that edge's blocks as block 3 replaces this one's.
-        self.decode(_get(EDGE, (3,), signed_root=_signed_root(OTHER_EDGE)))
-        assert [(block.edge, block.block_id) for block in self.kept()] == [(EDGE, 3)]
+        assert not self.is_held(a_first.level_zero[0].block)
+        dropped = decode_record(_get(EDGE, (1,)), self.held)["message"].proof
+        assert dropped.level_zero[0].block is not a_first.level_zero[0].block
+        assert all(self.is_held(item.block) for item in b_first.level_zero)
+        assert all(self.is_held(item.block) for item in a_next.level_zero)
+        assert len(self.held.objects()) == 4
+        # A proof with no level 0 empties its edge's hold, whatever its
+        # root names: the key is the edge the get was sent to.
+        self.receive(_get(EDGE, (), signed_root=_signed_root(OTHER_EDGE)))
+        assert self.held.objects() == [item.block for item in b_first.level_zero]
 
-    def test_both_caps_are_enforced(self, monkeypatch):
-        held = self.held
-        one_edge = _get(EDGE, (1, 2))
-        self.decode(one_edge)
-        chars = held._chars
-        assert chars == sum(len(span) for span, _block in held._blocks.values()) > 0
-        # At the caps the set keeps; one past either, it drops them all.
-        monkeypatch.setattr(codec, "_LEVEL_ZERO_MAX_EDGES", 2)
-        self.decode(_get(OTHER_EDGE, (1, 2)))
-        assert len(held._edges) == 2 and len(self.kept()) == 4
-        monkeypatch.setattr(codec, "_LEVEL_ZERO_MAX_EDGES", 1)
-        self.decode(one_edge)
-        assert self.kept() == [] and held._edges == {} and held._chars == 0
-        monkeypatch.setattr(codec, "_LEVEL_ZERO_MAX_EDGES", 64)
-        monkeypatch.setattr(codec, "_LEVEL_ZERO_MAX_CHARS", chars)
-        self.decode(one_edge)
-        assert len(self.kept()) == 2
-        monkeypatch.setattr(codec, "_LEVEL_ZERO_MAX_CHARS", chars - 1)
-        self.decode(one_edge)
-        assert self.kept() == [] and held._chars == 0
-
-    def test_a_failure_partway_through_a_proof_leaves_the_set_unchanged(self):
-        held = self.held
-        kept = self.decode(_get(EDGE, (1, 2)))
-        before = dict(held._blocks), dict(held._edges), held._chars
-        longer = _get(EDGE, (1, 2, 3))
-        third = encode_record(
-            _get_response(EDGE, (3,), registry=SIGNERS).proof.level_zero[0].block
-        )
-        broken = [
-            # Blocks 1 and 2 reused, block 3 cut short.
-            longer.replace(third, third[:-1], 1),
-            # Every block decodes, the proof's root after them does not.
-            longer.replace(b'"signed_root":null', b'"signed_root":7', 1),
+    def test_a_held_header_in_an_append_echo_decodes_strictly(self):
+        held = self.receive(_get(EDGE, (1,))).level_zero[0].block
+        entries = [
+            make_entry(SIGNERS, CLIENT, sequence, b"other-%d" % sequence, 0.5)
+            for sequence in range(2)
         ]
-        for data in broken:
-            expect_refused(data, held)
-            assert (dict(held._blocks), dict(held._edges), held._chars) == before
-        # Nothing of a failed decode is kept by the next one either.
-        self.decode(_get(OTHER_EDGE, (5,)))
-        assert [block.block_id for block in self.kept() if block.edge == EDGE] == [1, 2]
-        assert self.kept()[:2] == [item.block for item in kept.level_zero]
+        # The same block id, creation time and edge, other entries.
+        block = build_block(EDGE, 1, entries, created_at=held.created_at)
+        response = AppendBatchResponse(
+            edge=EDGE,
+            operation_id=OperationId(client=CLIENT, sequence=1),
+            block_id=1,
+            receipt=issue_phase_one_receipt(SIGNERS, EDGE, block, 1.5),
+            block=block,
+        )
+        data = encode_record({"sender": EDGE, "message": response})
+        assert encode_record(held).split(b',"entries":[')[0] in data
+        assert expect_refused_or_exact(data, self.held)
+        echo = decode_record(data, self.held)["message"]
+        assert echo.block is not held and echo.block == block
+        assert echo.receipt.matches_block(echo.block)
+        assert self.held.objects() == [held]
 
 
 class TestHeldObjects:
@@ -772,9 +760,10 @@ class TestHeldObjects:
         )
         get = _get()
         blocks = [item.block for item in decode_record(get, mine)["message"].proof.level_zero]
+        mine.hold(("get", EDGE), blocks)
         again = decode_record(get, theirs)["message"].proof.level_zero
         assert not any(item.block is block for item, block in zip(again, blocks))
-        assert theirs.objects() == [] and len(theirs.level_zero()) == 2
+        assert theirs.objects() == [] and len(mine.objects()) == 4
 
     def test_holding_encodes_nothing_until_a_lookup_and_memoises_nothing(self):
         records = tuple(KVRecord(f"k{index}", index, b"v", 0.5) for index in range(3))

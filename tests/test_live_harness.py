@@ -247,7 +247,7 @@ class TestHeldSetLive:
                 first, second = await get(), await get()
                 assert len(first) == 3
                 assert all(a is b for a, b in zip(first, second, strict=True))
-                held = client.held.level_zero()
+                held = client.held.objects()
                 assert all(any(block is kept for kept in held) for block in first)
 
                 for index in range(3, 6):
@@ -258,7 +258,7 @@ class TestHeldSetLive:
                 after = await get()
                 merged = [block for block in first if block not in after]
                 assert merged
-                held = client.held.level_zero()
+                held = client.held.objects()
                 assert not any(block is kept for block in merged for kept in held)
                 assert fleet.env.failures == []
 
