@@ -9,6 +9,10 @@ paper defaults with ``block_size=100``) and prints one line per interval:
 * generation-2 collections in the interval and the time they took, timed
   through ``gc.callbacks`` — whether the put tail has a GC component that
   grows with the heap.
+* how many objects the edge's and the cloud's held sets hold
+  (``len(node.held.objects())``): the edge's are a merge's inputs while it
+  is in flight, the cloud's the records of the upper levels it last
+  answered with, bounded by those levels' thresholds.
 
 Informational: it asserts nothing about timings and exits 1 only if a put
 fails.  Usage::
@@ -85,7 +89,7 @@ async def soak(seconds: float, interval: float) -> int:
     try:
         print(
             "elapsed_s    puts  put_p50_ms  put_p90_ms  maxrss_mb  rss_mb  "
-            "gc2_count  gc2_ms",
+            "gc2_count  gc2_ms  edge_held  cloud_held",
             flush=True,
         )
         while time.perf_counter() - start < seconds:
@@ -113,7 +117,9 @@ async def soak(seconds: float, interval: float) -> int:
                 f"{latencies.percentile(0.9) * 1e3:10.2f}  "
                 f"{peak:9.1f}  {current:6.1f}  "
                 f"{collections.count - gc_count:9d}  "
-                f"{(collections.seconds - gc_seconds) * 1e3:6.1f}",
+                f"{(collections.seconds - gc_seconds) * 1e3:6.1f}  "
+                f"{len(fleet.edge(0).held.objects()):9d}  "
+                f"{len(fleet.cloud.held.objects()):10d}",
                 flush=True,
             )
     finally:

@@ -118,10 +118,11 @@ class TestCompare:
         added or deleted in one place and not the others fails here without
         running the suite.  Everything gates except the wall-clock open-loop
         put p99 (parked by ROADMAP until a capacity-relative row replaces
-        it) and the rows that time a client's get through its held set —
-        ``get_receive`` and ``get_receive_cold`` — recorded without gating
-        in the change that re-pointed them; ``append_echo_receive`` and
-        ``merge_outcome_receive`` gate, as do the rows that time real
+        it) and ``merge_request_receive``, the cloud decoding a merge
+        request through its held set, recorded without gating in the change
+        that added it; the other receive rows (``get_receive``,
+        ``get_receive_cold``, ``append_echo_receive``,
+        ``merge_outcome_receive``) gate, as do the rows that time real
         nodes."""
 
         import pathlib
@@ -133,9 +134,9 @@ class TestCompare:
         full = str(root / "benchmarks" / "BENCH_hotpath_full.json")
         rows = {bench.__name__[len("bench_"):] for bench in BENCHMARKS}
         assert set(load_results(quick)) == set(load_results(full)) == rows
-        held = {"get_receive", "get_receive_cold"}
-        assert load_non_gating(quick) == {"live_put_p99"} | held
-        assert load_non_gating(full) == held
+        fresh = {"merge_request_receive"}
+        assert load_non_gating(quick) == {"live_put_p99"} | fresh
+        assert load_non_gating(full) == fresh
 
 
 class TestCli:

@@ -821,6 +821,63 @@ def bench_merge_outcome_receive(rng: random.Random, quick: bool) -> BenchResult:
     return _time_repeats("merge_outcome_receive", run, receives, repeats)
 
 
+def bench_merge_request_receive(rng: random.Random, quick: bool) -> BenchResult:
+    """The cloud receiving an edge's level-1 merge request.
+
+    ``decode_payload`` of one framed ``MergeRequest`` recorded from a 1-edge
+    fleet taking rounds of ten 100-put batches over 5 000 keys, until its
+    second level-1 merge: the edge re-sends its level-1 pages as the source
+    and its level-2 pages as the target, each a page the cloud answered an
+    earlier merge with.  The receiver's held set holds the records of those
+    answers as the cloud holds them (one hold per partition, kept from
+    merge to merge), so the decoder hands every record back.  The first
+    receive, which compiles the decoders and indexes the held records, is
+    not timed.
+    """
+
+    from ..messages.kv_messages import MergeRequest
+    from ..service.framing import decode_payload, encode_frame
+    from ..storage.codec import HeldSet
+
+    fleet = WedgeChainSystem.build(config_for_batch(100), env=local_environment())
+    edge, client, cloud = fleet.edge(), fleet.client(), fleet.cloud
+    recorded: list = []
+
+    def record(_src, _dst, message) -> bool:
+        if isinstance(message, MergeRequest) and message.proposal.level_index == 1:
+            recorded.append((message, cloud.held.objects()))
+        return True
+
+    fleet.env.network.add_send_hook("bench:merge-request", record)
+    for _ in range(20):
+        if len(recorded) >= 2:
+            break
+        for _ in range(10):
+            client.put_batch(
+                [(format_key(rng.randrange(5000)), rng.randbytes(100)) for _ in range(100)]
+            )
+        fleet.run()
+    request, answered = recorded[1]
+    assert request.proposal.target_pages, "no level-2 pages to re-send"
+    payload = encode_frame(edge.node_id, request)[4:]
+
+    receives = 3 if quick else 10
+    repeats = 3 if quick else 5
+    held = HeldSet()
+    held.hold(("merge", edge.node_id, None), answered)
+
+    def receive() -> None:
+        _sender, received = decode_payload(payload, held)
+        assert len(received.proposal.source_pages) == len(request.proposal.source_pages)
+
+    def run() -> None:
+        for _ in range(receives):
+            receive()
+
+    receive()
+    return _time_repeats("merge_request_receive", run, receives, repeats)
+
+
 # ----------------------------------------------------------------------
 # Real-node rows: fleets are set-up, one protocol exchange is timed
 # ----------------------------------------------------------------------
@@ -1188,6 +1245,7 @@ BENCHMARKS = (
     bench_get_receive_cold,
     bench_append_echo_receive,
     bench_merge_outcome_receive,
+    bench_merge_request_receive,
     bench_live_put_p99,
 )
 

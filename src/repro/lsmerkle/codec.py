@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..common.encoding import FRAGMENT_ATTR
 from ..common.errors import SerializationError
 from ..log.block import Block
 from ..lsm.page import Page, build_page
@@ -159,15 +160,23 @@ def _put_records(block: Block, key: Optional[str]) -> tuple[KVRecord, ...]:
 
 
 def forget_records(block: Block) -> None:
-    """Release the decoded-record memo of *block*, if it carries one.
+    """Release what *block* memoized for level 0, keeping only what was
+    signed: its decoded records and the canonical-text memos of its
+    entries, their bodies and their signatures.
 
-    The edge calls this once a merge has consumed the block: the merged
-    pages hold its surviving records, and no read proof decodes a block
-    outside level 0.
+    The edge calls this once a merge has consumed the block (a replica
+    once its shipment leaves the block out of level 0): the merged pages
+    hold its surviving records, no read proof or merge sends a block
+    outside level 0 again, and its digest stays cached on the block.  A
+    later encoding of the block (a log read, a dispute) re-encodes it.
     """
 
     if getattr(block, _RECORDS_ATTR, None) is not None:
         object.__delattr__(block, _RECORDS_ATTR)
+    for entry in block.entries:
+        for part in (entry, entry.body, entry.signature):
+            if getattr(part, FRAGMENT_ATTR, None) is not None:
+                object.__delattr__(part, FRAGMENT_ATTR)
 
 
 def page_from_block(block: Block, memoize: bool = True) -> Optional[Page]:

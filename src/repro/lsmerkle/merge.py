@@ -11,9 +11,10 @@ sends the pages undergoing the merge to the cloud node (Section V-B
 3. recomputes the affected level's Merkle tree, re-signs the global root, and
    returns the merged pages plus the new :class:`SignedGlobalRoot`.
 
-The cloud keeps only digests of the index state (:class:`CloudIndexMirror`),
-never the data itself, preserving the data-free spirit for everything except
-the merge traffic the paper explicitly accounts for.
+The cloud's view of the index state is digests only (:class:`CloudIndexMirror`),
+preserving the data-free spirit for everything except the merge traffic the
+paper explicitly accounts for; the records of the pages it answered with are
+held apart, for its decoder only (``held`` in :mod:`repro.nodes.cloud`).
 """
 
 from __future__ import annotations

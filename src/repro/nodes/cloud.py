@@ -20,8 +20,10 @@ the table with its own rows; this module knows nothing of it beyond one
 hook, :meth:`CloudNode._owns_shard`, the ownership pin merges and root
 refreshes are checked against.
 
-Retention: the cloud is data-free, so every long-lived table holds
-digests and signed statements, never blocks, pages or records.
+Retention: certification is data-free, so the tables it keeps hold
+digests and signed statements, never blocks.  Merges already ship pages
+both ways (Section V-B); the one table of records, ``held``, only keeps
+what the cloud itself answered with.
 
 * ``_certified`` (edge → block id → digest): the conflict rule and the
   dispute judge need every digest ever certified, and gossip publishes its
@@ -43,6 +45,18 @@ digests and signed statements, never blocks, pages or records.
   pages.  A duplicate of any age gets the same answer, so the table keeps
   one entry per executed merge, forever: ≈1.2 KB (the root, its memos and
   its key), against the ≈2 MB of pages a merge returns.
+* ``held`` (:class:`~repro.storage.codec.HeldSet`, one hold per mirror
+  key ``(edge, shard)``): the records of the merged pages the cloud last
+  answered for each level above the bottom, levels 1 … ``num_levels − 2``
+  (``_answered`` lists them per level).  A partition's next merge re-sends
+  those pages as its source or target, so the decoder hands back the
+  cloud's own records instead of building them again.  Bound: one copy of
+  each partition's upper levels, never the bottom level, which is never a
+  merge source.  An executed merge of level L replaces level L+1's records
+  and empties level L; a duplicate or a rejection changes nothing; the
+  hold goes with its mirror (:meth:`CloudNode._drop_mirror`, a sharded
+  handoff or failover).  References only, and on the simulator the very
+  records the edge's pages hold.
 """
 
 from __future__ import annotations
@@ -53,7 +67,8 @@ from ..common.config import SystemConfig
 from ..common.identifiers import BlockId, NodeId, ShardId, cloud_id
 from ..common.regions import Region
 from ..crypto.hashing import digest_value
-from ..lsmerkle.merge import CloudIndexMirror
+from ..lsm.records import KVRecord
+from ..lsmerkle.merge import CloudIndexMirror, MergeOutcome
 from ..lsmerkle.mlsm import SignedGlobalRoot
 from ..messages.kv_messages import (
     MergeRejection,
@@ -83,6 +98,7 @@ from ..log.proofs import (
     issue_block_proof,
 )
 from ..sim.environment import Environment
+from ..storage.codec import HeldSet
 from .dispatch import DispatchTable, TableDispatchNode
 
 
@@ -130,6 +146,12 @@ class CloudNode(TableDispatchNode):
         #: (edge, shard) — the shard key is ``None`` for the paper's
         #: single-partition deployment.
         self._mirrors: dict[tuple[NodeId, Optional[ShardId]], CloudIndexMirror] = {}
+        #: The records of the merged pages last answered per mirror key and
+        #: level above the bottom, held for the decoder (module docstring).
+        self._answered: dict[
+            tuple[NodeId, Optional[ShardId]], dict[int, tuple[tuple[KVRecord, ...], ...]]
+        ] = {}
+        self.held = HeldSet()
         #: Clients that receive gossip.
         self._gossip_targets: list[NodeId] = []
         self._gossip_stopper = None
@@ -201,6 +223,14 @@ class CloudNode(TableDispatchNode):
                 page_capacity=self.config.logging.block_size,
             )
         return self._mirrors[key]
+
+    def _drop_mirror(self, edge: NodeId, shard_id: Optional[ShardId]) -> None:
+        """Forget *edge*'s mirror of *shard_id* and the records held for it."""
+
+        key = (edge, shard_id)
+        self._mirrors.pop(key, None)
+        self._answered.pop(key, None)
+        self.held.release(("merge", *key))
 
     # ------------------------------------------------------------------
     # Gossip
@@ -521,9 +551,26 @@ class CloudNode(TableDispatchNode):
                 return
             self.stats["merges"] += 1
             self._merge_responses[fingerprint] = outcome.signed_root
+            self._hold_answer((proposal.edge, proposal.shard_id), outcome)
             self.env.send(
                 self.node_id, sender, MergeResponse(cloud=self.node_id, outcome=outcome)
             )
+
+    def _hold_answer(
+        self, key: tuple[NodeId, Optional[ShardId]], outcome: MergeOutcome
+    ) -> None:
+        """Hold the records of *outcome*'s merged pages for the partition's
+        next merges, which re-send them: level L+1 becomes the outcome's
+        pages unless it is the bottom level, and level L empties."""
+
+        levels = self._answered.setdefault(key, {})
+        levels.pop(outcome.level_index, None)
+        target = outcome.level_index + 1
+        if target < self.config.lsmerkle.num_levels - 1:
+            levels[target] = tuple(page.records for page in outcome.merged_pages)
+        self.held.hold(
+            ("merge", *key), *(group for pages in levels.values() for group in pages)
+        )
 
     def _handle_root_refresh(self, sender: NodeId, request: RootRefreshRequest) -> None:
         if request.edge != sender:

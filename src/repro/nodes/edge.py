@@ -46,11 +46,16 @@ Retention, per partition:
   protection, one entry per put.  Kept forever today; a per-producer
   high-water mark plus the out-of-order set above it would do.
 * The records memo (:func:`~repro.lsmerkle.codec.records_from_block` on a
-  block): level-0 pages and the read proofs over level-0 blocks decode each
-  block once.  Kept while the block backs level 0; installing the merge
-  that consumed it releases it (:func:`~repro.lsmerkle.codec.forget_records`),
-  and so does a replica's shipment install for the blocks it leaves out of
-  level 0.  The cloud and proof verifiers decode without memoizing.
+  block) and the canonical-text memos of its entries, bodies and
+  signatures: level-0 pages and the read proofs over level-0 blocks decode
+  each block once, and gets and merges send level-0 blocks without
+  re-encoding them.  Kept while the block backs level 0; installing the
+  merge that consumed it releases both
+  (:func:`~repro.lsmerkle.codec.forget_records`), and so does a replica's
+  shipment install for the blocks it leaves out of level 0, so a merged
+  block keeps only what was signed and its digest.  The cloud and proof
+  verifiers decode without memoizing; the cloud's own hold is the merged
+  pages' records, never blocks (:mod:`repro.nodes.cloud`).
 * ``held`` (:class:`~repro.storage.codec.HeldSet`, one per node, a hold per
   partition): the records of a merge's source blocks, source pages and
   target pages, from the proposal until its ``MergeResponse`` or

@@ -356,7 +356,7 @@ class ShardedCloudNode(CloudNode):
             version=mirror.version,
         )
         self._mirrors[(dest, shard_id)] = dest_mirror
-        self._mirrors.pop((statement.edge, shard_id), None)
+        self._drop_mirror(statement.edge, shard_id)
         signed_root = dest_mirror.sign_current_root(
             self.env.registry, self.node_id, now
         )
@@ -626,7 +626,7 @@ class ShardedCloudNode(CloudNode):
             rebuilt.version = base_version + 1
             new_version = self.shard_registry.promote_replica(shard_id, sender, now)
             self._mirrors[(sender, shard_id)] = rebuilt
-            self._mirrors.pop((source, shard_id), None)
+            self._drop_mirror(source, shard_id)
             new_root = None
             if signed_root is not None:
                 new_root = sign_global_root(

@@ -49,7 +49,7 @@ Retention:
   characters.
 * A node's held set keeps references only, under the rules of the node that
   fills it (a client's in :mod:`repro.nodes.client`, an edge's in
-  :mod:`repro.nodes.edge`).  The span and header text of a held object are
+  :mod:`repro.nodes.edge`, the cloud's in :mod:`repro.nodes.cloud`).  The span and header text of a held object are
   built on the first lookup after it is held and dropped with it, so a node
   that decodes nothing (the simulator) pays one reference per held
   sequence.
@@ -152,7 +152,12 @@ class HeldSet:
     append (the edge echoes them in the block it answers with) and the
     level-0 blocks of its latest verified get per edge (every get between
     merges repeats them), an edge the records a merge takes in (the merged
-    pages the cloud answers with are made of them).  The decoders of
+    pages the cloud answers with are made of them), the cloud the records
+    of the merged pages it last answered each partition with, above the
+    bottom level (the partition's next merges re-send them).  A block a
+    merge took out of level 0 keeps neither decoded records nor canonical
+    text (:func:`~repro.lsmerkle.codec.forget_records`), so no node holds
+    one for its decoder.  The decoders of
     ``LogEntry``, ``KVRecord`` and ``Block`` look an object up by its
     header text and return the held object only when its whole canonical
     span recurs byte for byte at ``start``; a miss decodes strictly.  A

@@ -41,6 +41,7 @@ from repro.service import (
 )
 from repro.service import framing
 from repro.service.framing import decode_payload
+from repro.storage.codec import encode_record
 
 #: Hard wall-clock cap for any single async test body.
 _TEST_TIMEOUT_S = 30.0
@@ -326,6 +327,72 @@ class TestHeldSetLive:
                 ]
                 assert records and all(id(record) in proposed_ids for record in records)
                 assert client.held.objects() == [] and edge.held.objects() == []
+                assert fleet.env.failures == []
+
+        run_async(scenario())
+
+    def test_the_cloud_decodes_its_own_answer_back(self):
+        """Over real sockets, the target-page records the cloud decodes in a
+        level-0 merge are the records of its previous answer to that edge —
+        the cloud's own objects — and once every put has settled the cloud
+        holds exactly the records of its mirror's upper levels."""
+
+        config = SystemConfig.paper_default().with_overrides(
+            logging=LoggingConfig(block_size=4),
+            lsmerkle=LSMerkleConfig(level_thresholds=(2, 10, 100)),
+        )
+
+        async def scenario():
+            async with LiveFleet(config=config, num_edges=1, num_clients=1) as fleet:
+                client, edge, cloud = fleet.client(0), fleet.edge(0), fleet.cloud
+                answers, exchanges = [], []
+
+                def on_send(src, dst, message) -> bool:
+                    if isinstance(message, MergeResponse):
+                        answers.append(message.outcome)
+                    return True
+
+                def recording(sender, message, handle=cloud.on_message):
+                    if isinstance(message, MergeRequest):
+                        exchanges.append((message.proposal, answers[-1] if answers else None))
+                    handle(sender, message)
+
+                fleet.env.transport.add_send_hook("test:cloud-held", on_send)
+                cloud.on_message = recording
+                for batch in range(8):
+                    operation = client.put_batch(
+                        [(f"k{(4 * batch + i) % 6}", b"v%d" % batch) for i in range(4)]
+                    )
+                    phase = await fleet.wait_for(
+                        client, operation, CommitPhase.PHASE_TWO, timeout_s=15
+                    )
+                    assert phase is CommitPhase.PHASE_TWO
+                assert await fleet.await_condition(
+                    lambda: edge.stats["merges_completed"] >= 3
+                    and not edge._default_partition.merge_in_flight,
+                    timeout_s=15,
+                )
+                checked = 0
+                for proposal, previous in exchanges:
+                    if proposal.level_index == 0 and proposal.target_pages:
+                        answered = [r for page in previous.merged_pages for r in page.records]
+                        target = [r for page in proposal.target_pages for r in page.records]
+                        assert [id(r) for r in target] == [id(r) for r in answered]
+                        checked += 1
+                assert checked >= 2
+
+                state = edge._default_partition
+                levels = state.index.tree.levels
+                mirror = cloud.mirror_for(edge.node_id)
+                upper = []
+                for level in range(1, len(levels) - 1):
+                    pages = levels[level].pages
+                    assert [page.digest() for page in pages] == mirror.level_page_digests[level]
+                    upper += [record for page in pages for record in page.records]
+                held = cloud.held.objects()
+                assert upper and sorted(map(encode_record, held)) == sorted(
+                    map(encode_record, upper)
+                )
                 assert fleet.env.failures == []
 
         run_async(scenario())
