@@ -118,12 +118,12 @@ class TestCompare:
         added or deleted in one place and not the others fails here without
         running the suite.  Everything gates except the wall-clock open-loop
         put p99 (parked by ROADMAP until a capacity-relative row replaces
-        it) and ``merge_request_receive``, the cloud decoding a merge
-        request through its held set, recorded without gating in the change
-        that added it; the other receive rows (``get_receive``,
-        ``get_receive_cold``, ``append_echo_receive``,
-        ``merge_outcome_receive``) gate, as do the rows that time real
-        nodes."""
+        it), ``get_serve`` (an edge answering a repeat get), recorded
+        without gating in the change that added it, and ``get_receive`` /
+        ``get_receive_cold``, re-pointed in that change at the client's key
+        maps; the other receive rows (``append_echo_receive``,
+        ``merge_outcome_receive``, ``merge_request_receive``) gate, as do
+        the rows that time real nodes."""
 
         import pathlib
 
@@ -134,7 +134,7 @@ class TestCompare:
         full = str(root / "benchmarks" / "BENCH_hotpath_full.json")
         rows = {bench.__name__[len("bench_"):] for bench in BENCHMARKS}
         assert set(load_results(quick)) == set(load_results(full)) == rows
-        fresh = {"merge_request_receive"}
+        fresh = {"get_serve", "get_receive", "get_receive_cold"}
         assert load_non_gating(quick) == {"live_put_p99"} | fresh
         assert load_non_gating(full) == fresh
 

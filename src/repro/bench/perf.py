@@ -52,7 +52,12 @@ from ..lsm.page import build_page
 from ..lsm.records import KVRecord
 from ..lsmerkle.merge import CloudIndexMirror
 from ..lsmerkle.mlsm import MerkleizedLSM, sign_global_root
-from ..lsmerkle.read_proof import build_get_proof, verify_get_proof
+from ..lsmerkle.read_proof import (
+    KeyMaps,
+    build_get_proof,
+    key_maps_for,
+    verify_get_proof,
+)
 from ..merkle.tree import MerkleTree
 from ..sim.environment import local_environment
 from ..sim.rng import DeterministicRng
@@ -629,11 +634,13 @@ def _get_receive(name: str, rng: random.Random, quick: bool, cold: bool) -> Benc
     and the live fleets' batch size): the ~0.55 MB a verified get ships
     between merges.  The receiver decodes with a client's held set
     (:class:`~repro.storage.codec.HeldSet`) and, as a client does, holds
-    the proof's level-0 blocks under ``("get", edge)`` once it verifies.
+    the proof's level-0 blocks under ``("get", edge)`` once it verifies,
+    keeping their key maps (:func:`~repro.lsmerkle.read_proof.key_maps_for`).
     Warm, every block is the one the previous receive decoded, digested and
-    held; *cold*, the receiver releases that hold before each receive, so
-    every block decodes strictly and is digested — the first get after a
-    merge.  Either way the verifier scans each block for the key.  The
+    held, and the verifier answers it from its key map; *cold*, the
+    receiver releases that hold and its maps before each receive, so every
+    block decodes strictly, is digested and scanned for the key, and its
+    map is built after it verifies — the first get after a merge.  The
     first two receives, which compile the decoders and index the held
     blocks, are not timed.
     """
@@ -687,14 +694,21 @@ def _get_receive(name: str, rng: random.Random, quick: bool, cold: bool) -> Benc
     receives = 10 if quick else 30
     repeats = 5 if quick else 10
     held = HeldSet()
+    maps: KeyMaps = {}
 
     def receive() -> None:
+        nonlocal maps
         if cold:
             held.release(("get", edge))
+            maps = {}
         _sender, received = decode_payload(payload, held)
-        verified = verify_get_proof(registry, cloud, edge, key, received.proof)
+        verified = verify_get_proof(
+            registry, cloud, edge, key, received.proof, key_maps=maps
+        )
         assert verified.found and verified.record.key == key
-        held.hold(("get", edge), [item.block for item in received.proof.level_zero])
+        blocks = [item.block for item in received.proof.level_zero]
+        held.hold(("get", edge), blocks)
+        maps = key_maps_for(blocks, maps)
 
     def run() -> None:
         for _ in range(receives):
@@ -715,6 +729,63 @@ def bench_get_receive_cold(rng: random.Random, quick: bool) -> BenchResult:
     """The first verified get after a merge: every level-0 block is new."""
 
     return _get_receive("get_receive_cold", rng, quick, cold=True)
+
+
+def bench_get_serve(rng: random.Random, quick: bool) -> BenchResult:
+    """An edge answering a repeat get over its level 0.
+
+    ``EdgeNode._handle_get`` (index lookup, ``build_get_proof``, the signed
+    statement) plus ``encode_frame`` of the ``GetResponse`` it sends, on a
+    1-edge fleet that took nine 100-put batches over 5 000 keys: level 0
+    holds nine certified blocks the edge formed, one short of its merge
+    threshold — the ≈0.6 MB frame a live edge writes for every get between
+    merges.  A send hook takes the response instead of delivering it.  The
+    first serve, which compiles the encoders, is not timed.
+    """
+
+    from ..common.identifiers import OperationId
+    from ..messages.kv_messages import GetRequest, GetResponse
+    from ..service.framing import encode_frame
+
+    fleet = WedgeChainSystem.build(config_for_batch(100), env=local_environment())
+    edge, client = fleet.edge(), fleet.client()
+    keys = [format_key(rng.randrange(5000)) for _ in range(900)]
+    for batch in range(9):
+        written = keys[batch * 100 : (batch + 1) * 100]
+        client.put_batch([(key, rng.randbytes(100)) for key in written])
+        fleet.run()
+    state = edge._default_partition
+    assert len(state.level_zero_blocks) == 9
+    sent: list = []
+
+    def take(_src, _dst, message) -> bool:
+        sent.append(message)
+        return False
+
+    fleet.env.network.add_send_hook("bench:get-serve", take)
+    requests = [
+        GetRequest(
+            requester=client.node_id,
+            operation_id=OperationId(client=client.node_id, sequence=sequence),
+            key=rng.choice(keys),
+        )
+        for sequence in range(4 if quick else 16)
+    ]
+    repeats = 5 if quick else 10
+
+    def serve(request) -> None:
+        sent.clear()
+        edge._handle_get(state, client.node_id, request)
+        (response,) = sent
+        assert isinstance(response, GetResponse) and response.statement.found
+        encode_frame(edge.node_id, response)
+
+    def run() -> None:
+        for request in requests:
+            serve(request)
+
+    serve(requests[0])
+    return _time_repeats("get_serve", run, len(requests), repeats)
 
 
 def bench_append_echo_receive(rng: random.Random, quick: bool) -> BenchResult:
@@ -1243,6 +1314,7 @@ BENCHMARKS = (
     bench_frame_roundtrip,
     bench_get_receive,
     bench_get_receive_cold,
+    bench_get_serve,
     bench_append_echo_receive,
     bench_merge_outcome_receive,
     bench_merge_request_receive,

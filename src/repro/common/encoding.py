@@ -65,6 +65,13 @@ check, so where a memo can come from is part of the trust argument.
   dropped.  The one value whose received text is not its encoding — a
   page, rebuilt under a fresh process-local ``page_id`` — never gets a
   span, and no class that keeps one declares a page inside it.
+* One memo is written outside the fragment encoders: an edge attaches to
+  a block it formed, as the block enters level 0, the block's own flat
+  text (:func:`repro.lsmerkle.codec.keep_text`), so every frame that sends
+  the block joins one string.  The edge computed that text itself from
+  the block it built and signed a receipt over, and no verifier reads a
+  block's memo (its digest hashes the entries' bodies and signatures), so
+  the memo changes what is sent, never what is believed.
 * A decoded object may be **reused**: the storage codec hands back a
   ``NodeId`` an earlier decode built, or an entry, record or block the
   receiving node holds (its ``HeldSet``), when that object's

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..common.encoding import FRAGMENT_ATTR
+from ..common.encoding import FRAGMENT_ATTR, flat_text
 from ..common.errors import SerializationError
 from ..log.block import Block
 from ..lsm.page import Page, build_page
@@ -127,7 +127,9 @@ def records_with_key(block: Block, key: str) -> tuple[KVRecord, ...]:
     truncated or non-UTF-8 put raises exactly what it raises there; only
     the records of other keys are never built.  A block too long for the
     sequence numbering takes the unfiltered path, which raises on its first
-    put beyond the stride.
+    put beyond the stride.  Like ``memoize=False``, it attaches nothing to
+    the block: a client that reads the same blocks again keeps their
+    :func:`key_map` itself (:mod:`repro.nodes.client`).
     """
 
     cached = getattr(block, _RECORDS_ATTR, None)
@@ -135,6 +137,22 @@ def records_with_key(block: Block, key: str) -> tuple[KVRecord, ...]:
         return _put_records(block, key)
     records = cached if cached is not None else _put_records(block, None)
     return tuple(record for record in records if record.key == key)
+
+
+def key_map(block: Block) -> dict[str, tuple[KVRecord, ...]]:
+    """``records_from_block(block, memoize=False)`` grouped by key.
+
+    ``key_map(block).get(key, ())`` is ``records_with_key(block, key)`` for
+    every key, in the same order, and building the map raises exactly where
+    :func:`records_with_key` raises (a malformed put, a block beyond the
+    sequence stride), since both decode every put entry's key with the
+    same checks.  Like it, the map attaches nothing to the block.
+    """
+
+    grouped: dict[str, list[KVRecord]] = {}
+    for record in records_from_block(block, memoize=False):
+        grouped.setdefault(record.key, []).append(record)
+    return {key: tuple(records) for key, records in grouped.items()}
 
 
 def _put_records(block: Block, key: Optional[str]) -> tuple[KVRecord, ...]:
@@ -159,10 +177,24 @@ def _put_records(block: Block, key: Optional[str]) -> tuple[KVRecord, ...]:
     return tuple(records)
 
 
+def keep_text(block: Block) -> None:
+    """Memoize *block*'s canonical text on it as its fragment memo.
+
+    The edge calls this on a block it formed that enters level 0: every
+    ``AppendBatchResponse`` echo, ``GetResponse`` and level-0
+    ``MergeRequest`` that sends the block then joins this one string
+    instead of walking its entries.  The text is read without memoizing
+    anything beneath it (:func:`~repro.common.encoding.flat_text`), so it
+    is the only copy the block adds; :func:`forget_records` drops it.
+    """
+
+    object.__setattr__(block, FRAGMENT_ATTR, flat_text(block))
+
+
 def forget_records(block: Block) -> None:
     """Release what *block* memoized for level 0, keeping only what was
-    signed: its decoded records and the canonical-text memos of its
-    entries, their bodies and their signatures.
+    signed: its decoded records, its own canonical text and the
+    canonical-text memos of its entries, their bodies and their signatures.
 
     The edge calls this once a merge has consumed the block (a replica
     once its shipment leaves the block out of level 0): the merged pages
@@ -171,8 +203,9 @@ def forget_records(block: Block) -> None:
     later encoding of the block (a log read, a dispute) re-encodes it.
     """
 
-    if getattr(block, _RECORDS_ATTR, None) is not None:
-        object.__delattr__(block, _RECORDS_ATTR)
+    for attr in (_RECORDS_ATTR, FRAGMENT_ATTR):
+        if getattr(block, attr, None) is not None:
+            object.__delattr__(block, attr)
     for entry in block.entries:
         for part in (entry, entry.body, entry.signature):
             if getattr(part, FRAGMENT_ATTR, None) is not None:

@@ -29,7 +29,7 @@ from ..log.proofs import BlockProof, CommitPhase
 from ..lsm.page import Page
 from ..lsm.records import KVRecord
 from ..merkle.tree import InclusionProof
-from .codec import records_with_key
+from .codec import key_map, records_with_key
 from .mlsm import MerkleizedLSM, SignedGlobalRoot, empty_level_root
 
 
@@ -108,6 +108,24 @@ class VerifiedGet:
     #: consistency (Section V-D alternative) reject responses whose version
     #: is older than one they have already observed.
     root_version: Optional[int] = None
+
+
+#: ``id(block) -> (block, key_map(block))``: the key maps a reader keeps for
+#: level-0 blocks it verified before (:func:`key_maps_for`).
+KeyMaps = dict[int, tuple[Block, dict[str, tuple[KVRecord, ...]]]]
+
+
+def key_maps_for(blocks: Sequence[Block], previous: Optional[KeyMaps] = None) -> KeyMaps:
+    """The key map (:func:`~repro.lsmerkle.codec.key_map`) of every block of
+    *blocks*, taking *previous*'s for a block it already maps, so each
+    block's map is built once however many gets repeat it.  Each entry
+    keeps its block alive, so an id *previous* maps is that very block."""
+
+    previous = previous or {}
+    return {
+        id(block): previous.get(id(block)) or (block, key_map(block))
+        for block in blocks
+    }
 
 
 # ----------------------------------------------------------------------
@@ -278,12 +296,19 @@ def verify_get_proof(
     now: Optional[float] = None,
     freshness_window_s: Optional[float] = None,
     provenance: Sequence[NodeId] = (),
+    key_maps: Optional[KeyMaps] = None,
 ) -> VerifiedGet:
     """Verify a get proof and independently derive the correct answer.
 
     The function *recomputes* the newest version of the key from the returned
     evidence rather than trusting any value field in the response; the caller
     compares the derived record with the value the edge claimed.
+
+    *key_maps* are the maps of level-0 blocks the caller verified before: a
+    level-0 block that is one of those very objects is answered from its
+    map, which gives exactly what :func:`records_with_key` gives; any other
+    block is scanned.  Every block's digest, writer and proof are checked
+    either way.
     """
 
     if proof.key != key:
@@ -301,13 +326,17 @@ def verify_get_proof(
     # Newest version present in level 0, derived from the blocks themselves.
     level_zero_best: Optional[KVRecord] = None
     for item in proof.level_zero:
-        try:
-            records = records_with_key(item.block, key)
-        except SerializationError as exc:
-            # An honest edge refuses a malformed put at admission.
-            raise ProofVerificationError(
-                f"level-0 block {item.block_id} holds a malformed put: {exc}"
-            ) from exc
+        mapped = key_maps.get(id(item.block)) if key_maps else None
+        if mapped is not None and mapped[0] is item.block:
+            records = mapped[1].get(key, ())
+        else:
+            try:
+                records = records_with_key(item.block, key)
+            except SerializationError as exc:
+                # An honest edge refuses a malformed put at admission.
+                raise ProofVerificationError(
+                    f"level-0 block {item.block_id} holds a malformed put: {exc}"
+                ) from exc
         for record in records:
             if level_zero_best is None or record.is_newer_than(level_zero_best):
                 level_zero_best = record

@@ -31,6 +31,15 @@ Retention:
   :data:`~repro.service.framing.MAX_FRAME_BYTES`.  Only a decoder reads it:
   on the simulator it costs one reference per write in flight and per edge
   read from.
+* ``_key_maps`` (edge → :data:`~repro.lsmerkle.read_proof.KeyMaps`): for
+  every block held under ``("get", edge)``, a map from key to that block's
+  put records, built once when the block is first held
+  (:func:`~repro.lsmerkle.read_proof.key_maps_for`), so a repeat get
+  answers each held block with one lookup instead of decoding every put's
+  key.  Replaced with the hold, so it covers exactly the held blocks: a
+  root-only proof empties it, a failed get leaves it.  One record per put
+  of a held block (on the simulator the edge's own records, which its
+  level-0 pages already keep).
 * ``tracker`` (:class:`CommitTracker`): every operation's record, with its
   receipt and proof — the client's dispute evidence and the figures' raw
   latencies.  Kept forever; a driver that only needs percentiles could
@@ -59,7 +68,7 @@ from ..crypto.hashing import digest_value
 from ..log.entry import make_entry
 from ..log.proofs import CommitPhase, PhaseOneReceipt
 from ..lsmerkle.codec import encode_put, malformed_put
-from ..lsmerkle.read_proof import verify_get_proof
+from ..lsmerkle.read_proof import KeyMaps, key_maps_for, verify_get_proof
 from ..messages.kv_messages import GetRequest, GetResponse
 from ..messages.log_messages import (
     AppendBatchRequest,
@@ -124,6 +133,9 @@ class Client(TableDispatchNode):
         #: What this client's decoder may hand back (see Retention).
         self.held = HeldSet()
         self.tracker = CommitTracker(held=self.held)
+        #: The key maps of the blocks held under ``("get", edge)``, per edge
+        #: (see Retention).
+        self._key_maps: dict[NodeId, KeyMaps] = {}
         #: The certified log size gossip proves, per edge (the omission
         #: bound of Section IV-E for a read served by that edge).
         self.gossip_views: dict[NodeId, GossipView] = {}
@@ -595,6 +607,7 @@ class Client(TableDispatchNode):
                     None if window is None else window + CLOCK_SKEW_S
                 ),
                 provenance=self._read_provenance(record),
+                key_maps=self._key_maps.get(expected_edge),
             )
         except ProofVerificationError as exc:
             self.stats["verification_failures"] += 1
@@ -641,6 +654,9 @@ class Client(TableDispatchNode):
         # Verified: every get from this edge until a merge repeats these.
         blocks = [item.block for item in response.proof.level_zero]
         self.held.hold(("get", expected_edge), blocks)
+        self._key_maps[expected_edge] = key_maps_for(
+            blocks, self._key_maps.get(expected_edge)
+        )
         record.details["value"] = derived_value
         record.details["found"] = verified.found
         # Global sequence of the proven record (block id × stride + index):

@@ -48,14 +48,24 @@ Retention, per partition:
 * The records memo (:func:`~repro.lsmerkle.codec.records_from_block` on a
   block) and the canonical-text memos of its entries, bodies and
   signatures: level-0 pages and the read proofs over level-0 blocks decode
-  each block once, and gets and merges send level-0 blocks without
-  re-encoding them.  Kept while the block backs level 0; installing the
-  merge that consumed it releases both
+  each block once; the body and signature memos are the text the block
+  digest hashed (the decoder's spans, or the signer's text on the
+  simulator).  Kept while the block backs level 0; installing the merge
+  that consumed it releases them
   (:func:`~repro.lsmerkle.codec.forget_records`), and so does a replica's
   shipment install for the blocks it leaves out of level 0, so a merged
   block keeps only what was signed and its digest.  The cloud and proof
   verifiers decode without memoizing; the cloud's own hold is the merged
   pages' records, never blocks (:mod:`repro.nodes.cloud`).
+* The block memo (:func:`~repro.lsmerkle.codec.keep_text`): a block this
+  edge forms that enters level 0 keeps its own canonical text, so its
+  append echoes, every get and its level-0 merge send it as one string
+  instead of re-walking its entries.  One copy of the block's text per
+  level-0 block (≈62 KB for 100 puts of 100 B), set in
+  :meth:`EdgeNode._form_block` and released with the records memo by the
+  same :func:`~repro.lsmerkle.codec.forget_records`.  A block recovered
+  from disk or shipped to a replica carries none and is sent entry by
+  entry.
 * ``held`` (:class:`~repro.storage.codec.HeldSet`, one per node, a hold per
   partition): the records of a merge's source blocks, source pages and
   target pages, from the proposal until its ``MergeResponse`` or
@@ -88,6 +98,7 @@ from ..log.proofs import issue_phase_one_receipt
 from ..log.wedge_log import WedgeLog
 from ..lsmerkle.codec import (
     forget_records,
+    keep_text,
     malformed_put,
     page_from_block,
     records_from_block,
@@ -488,6 +499,12 @@ class EdgeNode(TableDispatchNode):
             self.env.charge(
                 params.block_build_cost(block.num_entries, block.wire_size)
             )
+            # A block that enters level 0 keeps its canonical text until the
+            # merge that consumes it: its durable record, the echoes below,
+            # every get and the level-0 merge send it as that one string.
+            page = page_from_block(block)
+            if page is not None:
+                keep_text(block)
 
             state.log.append(block)
             self.stats["blocks_formed"] += 1
@@ -515,7 +532,6 @@ class EdgeNode(TableDispatchNode):
             )
 
             # Index the block's put operations into LSMerkle level 0.
-            page = page_from_block(block)
             if page is not None:
                 state.index.add_level_zero_page(page)
                 state.level_zero_blocks.append(block.block_id)

@@ -5,7 +5,9 @@ merged.  The cloud keeps one signed root per executed merge (its duplicate
 answer is rebuilt from the re-sent proposal) and holds the records of the
 upper levels it last answered with, never the bottom; the edge releases the
 decoded records and the canonical-text memos of every block a merge
-consumed.  The run is the paper's
+consumed.  A block the edge formed keeps its own canonical text
+while it backs level 0, and only then; a client keeps a key map for each
+block it holds for its gets, and only for those.  The run is the paper's
 defaults with ``block_size=100``: one client writes 64-byte values over
 5 000 keys and waits for each batch's Phase II before the next.  A mixed
 run checks that verifying gets does not undo the edge's release, and a
@@ -31,13 +33,14 @@ from repro.common.config import (
     SystemConfig,
     WorkloadConfig,
 )
-from repro.common.encoding import FRAGMENT_ATTR
+from repro.common.encoding import FRAGMENT_ATTR, reference_encode
 from repro.faults import CrashEvent, FaultInjector, FaultPlan
 from repro.log.block import Block
+from repro.log.entry import make_entry
 from repro.log.proofs import CommitPhase
 from repro.lsm.page import Page
 from repro.lsm.records import KVRecord
-from repro.lsmerkle.codec import records_from_block
+from repro.lsmerkle.codec import encode_put, records_from_block
 from repro.lsmerkle.merge import MergeOutcome
 from repro.messages import (
     GetResponse,
@@ -141,9 +144,10 @@ def test_merged_blocks_release_their_decoded_records(long_put_run):
 
 def test_merged_blocks_keep_only_what_was_signed(long_put_run):
     # A block outside level 0 is never sent again by a get or a merge, so
-    # no entry, body or signature of it keeps its canonical text; the
-    # bodies and signatures of level-0 blocks, which the block digest
-    # hashed, keep theirs, so gets and merges re-encode nothing.
+    # neither it nor any entry, body or signature of it keeps its canonical
+    # text; a level-0 block keeps its own, which gets and merges send as
+    # one string, and the bodies and signatures the block digest hashed
+    # keep theirs.
     system, _per_put = long_put_run
     edge = system.edge()
     level_zero = set(edge.level_zero_blocks)
@@ -157,10 +161,13 @@ def test_merged_blocks_keep_only_what_was_signed(long_put_run):
         ]
 
     for record in edge.log:
-        if record.block.block_id in level_zero:
-            assert all(memos(record.block, lambda e: (e.body, e.signature)))
+        block = record.block
+        if block.block_id in level_zero:
+            assert all(memos(block, lambda e: (e.body, e.signature)))
+            assert getattr(block, FRAGMENT_ATTR) == reference_encode(block).decode()
         else:
-            assert not any(memos(record.block, lambda e: (e, e.body, e.signature)))
+            assert not any(memos(block, lambda e: (e, e.body, e.signature)))
+            assert getattr(block, FRAGMENT_ATTR, None) is None
 
 
 def test_verified_gets_leave_no_memo_on_merged_blocks():
@@ -363,8 +370,8 @@ class TestCloudHold:
 class TestHeldSets:
     """What a node holds for its decoder goes by the node's own rule: a
     client's entries until Phase I or failure and the level-0 blocks of its
-    latest verified get per edge, an edge's merge inputs until the merge's
-    outcome, rejection or a crash."""
+    latest verified get per edge (with a key map per block), an edge's
+    merge inputs until the merge's outcome, rejection or a crash."""
 
     @pytest.fixture
     def system(self):
@@ -477,6 +484,16 @@ class TestHeldSets:
     def ids(blocks) -> list[int]:
         return [id(block) for block in blocks]
 
+    @staticmethod
+    def mapped(reader) -> list[int]:
+        """The blocks *reader* keeps a key map for, held order per edge."""
+
+        return [
+            id(block)
+            for maps in reader._key_maps.values()
+            for block, _map in maps.values()
+        ]
+
     def test_a_reader_holds_the_level_zero_of_its_latest_get_per_edge(self):
         system, responses, _veto = self.two_edges()
         reader, writer = system.clients
@@ -494,6 +511,7 @@ class TestHeldSets:
             assert self.ids(reader.held.objects()) == self.ids(
                 latest(system.edge(0)) + latest(system.edge(1))
             )
+            assert self.mapped(reader) == self.ids(reader.held.objects())
         # On the simulator nothing decodes, so no span text is ever built.
         assert reader.held._index == {} and writer.held._index == {}
 
@@ -516,6 +534,8 @@ class TestHeldSets:
         assert proof.level_zero == () and proof.signed_root is not None
         other = responses[system.edge(1).node_id][-1].proof.level_zero
         assert self.ids(reader.held.objects()) == self.ids(item.block for item in other)
+        assert reader._key_maps[edge.node_id] == {}
+        assert self.mapped(reader) == self.ids(reader.held.objects())
 
     def test_a_get_that_fails_verification_leaves_the_hold(self):
         system, responses, veto = self.two_edges()
@@ -523,31 +543,51 @@ class TestHeldSets:
         edge = system.edge(0)
         for batch in range(2):
             self.settle(system, reader, batch)
-        self.read(system, edge)
-        held = self.ids(reader.held.objects())
-        assert len(held) == 2
-        self.settle(system, reader, 2)
-        # Two gets whose honest answers are withheld and forged: a level-0
-        # block that is not the one certified, a value the proof denies.
-        veto.append(True)
         for _ in range(2):
+            self.read(system, edge)
+        held = self.ids(reader.held.objects())
+        maps = dict(reader._key_maps[edge.node_id])
+        assert len(held) == 2 and self.mapped(reader) == held
+        self.settle(system, reader, 2)
+        # Three gets whose honest answers are withheld and forged: a level-0
+        # block that is not the one certified, a value the proof denies, an
+        # uncertified level-0 block holding a malformed put.  The two blocks
+        # the reader holds are answered from their key maps each time.
+        veto.append(True)
+        for _ in range(3):
             reader.get("k0-0", edge=edge.node_id)
         assert system.env.run_until_condition(
-            lambda: len(responses[edge.node_id]) == 3, system.env.now() + 30
+            lambda: len(responses[edge.node_id]) == 5, system.env.now() + 30
         )
-        first, second = responses[edge.node_id][1:]
+        first, second, third = responses[edge.node_id][2:]
         *rest, item = first.proof.level_zero
-        assert len(rest) == 2
+        assert self.ids(kept.block for kept in rest) == held
         block = dataclasses.replace(item.block, entries=item.block.entries[:-1])
-        level_zero = (*rest, dataclasses.replace(item, block=block))
+        malformed = make_entry(
+            system.env.registry, reader.node_id, 10_000, encode_put("k", b"")[:8], 0.0
+        )
+        unproven = dataclasses.replace(
+            item,
+            block=dataclasses.replace(item.block, entries=(*item.block.entries, malformed)),
+            proof=None,
+        )
         forged = [
             dataclasses.replace(
-                first, proof=dataclasses.replace(first.proof, level_zero=level_zero)
+                first,
+                proof=dataclasses.replace(
+                    first.proof,
+                    level_zero=(*rest, dataclasses.replace(item, block=block)),
+                ),
             ),
             dataclasses.replace(second, value=b"forged"),
+            dataclasses.replace(
+                third, proof=dataclasses.replace(third.proof, level_zero=(*rest, unproven))
+            ),
         ]
         for response in forged:
             reader.on_message(edge.node_id, response)
             operation = reader.operation(response.statement.operation_id)
             assert operation.phase is CommitPhase.FAILED
             assert self.ids(reader.held.objects()) == held
+            assert reader._key_maps[edge.node_id] == maps
+        assert "malformed put" in reader.operation(third.statement.operation_id).failure_reason

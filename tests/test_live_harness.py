@@ -19,9 +19,11 @@ import weakref
 import pytest
 
 from repro.common.config import LoggingConfig, LSMerkleConfig, SystemConfig
+from repro.common.encoding import FRAGMENT_ATTR, reference_encode
 from repro.common.errors import SimulationError, TransportError
 from repro.common.identifiers import client_id, edge_id
 from repro.log.proofs import CommitPhase
+from repro.lsmerkle import read_proof
 from repro.messages import (
     AppendBatchRequest,
     AppendBatchResponse,
@@ -39,7 +41,7 @@ from repro.service import (
     encode_frame,
     read_frame,
 )
-from repro.service import framing
+from repro.service import framing, transport
 from repro.service.framing import decode_payload
 from repro.storage.codec import encode_record
 
@@ -262,6 +264,72 @@ class TestHeldSetLive:
                 held = client.held.objects()
                 assert not any(block is kept for block in merged for kept in held)
                 assert fleet.env.failures == []
+
+        run_async(scenario())
+
+    def test_frames_of_memoized_blocks_are_the_reference_encoding(self, monkeypatch):
+        """Over real sockets, the append echoes and get answers an edge
+        frames from the blocks it memoized are byte for byte the memo-free
+        reference encoding of their envelopes, and a repeat get neither
+        builds a key map nor scans a block: the client answers each held
+        block from the map it built when it first held the block."""
+
+        config = SystemConfig.paper_default().with_overrides(
+            logging=LoggingConfig(block_size=4),
+            lsmerkle=LSMerkleConfig(level_thresholds=(4, 10, 100)),
+        )
+        framed, built, scanned = [], [], []
+
+        def recording_frame(sender, message):
+            frame = encode_frame(sender, message)
+            if isinstance(message, (AppendBatchResponse, GetResponse)):
+                framed.append((sender, message, frame))
+            return frame
+
+        def counting_key_map(block):
+            built.append(block)
+            return key_map(block)
+
+        def counting_scan(block, key):
+            scanned.append(block)
+            return records_with_key(block, key)
+
+        key_map, records_with_key = read_proof.key_map, read_proof.records_with_key
+        monkeypatch.setattr(transport, "encode_frame", recording_frame)
+        monkeypatch.setattr(read_proof, "key_map", counting_key_map)
+        monkeypatch.setattr(read_proof, "records_with_key", counting_scan)
+
+        async def scenario():
+            async with LiveFleet(config=config, num_edges=1, num_clients=1) as fleet:
+                client, edge = fleet.client(0), fleet.edge(0)
+
+                async def settle(operation):
+                    phase = await fleet.wait_for(
+                        client, operation, CommitPhase.PHASE_TWO, timeout_s=15
+                    )
+                    assert phase is CommitPhase.PHASE_TWO
+
+                for batch in range(3):
+                    await settle(client.put_batch([(f"k{batch}-{i}", b"v") for i in range(4)]))
+                await settle(client.get("k0-0"))
+                assert len(built) == len(scanned) == 3
+                await settle(client.get("k1-2"))
+                assert len(built) == len(scanned) == 3
+                assert fleet.env.failures == []
+
+                kinds = [type(message) for _sender, message, _frame in framed]
+                assert kinds.count(AppendBatchResponse) == 3 and kinds.count(GetResponse) == 2
+                for sender, message, frame in framed:
+                    blocks = (
+                        [message.block]
+                        if isinstance(message, AppendBatchResponse)
+                        else [item.block for item in message.proof.level_zero]
+                    )
+                    assert all(getattr(block, FRAGMENT_ATTR, None) for block in blocks)
+                    envelope = {"sender": sender, "message": message}
+                    assert frame[4:] == reference_encode(envelope)
+                mapped = [id(block) for block, _map in client._key_maps[edge.node_id].values()]
+                assert mapped == [id(block) for block in client.held.objects()]
 
         run_async(scenario())
 

@@ -1,8 +1,9 @@
 """Property-based tests (hypothesis) on the core data structures and codecs.
 
 These complement the example-based unit tests by checking invariants over a
-broad input space: canonical encoding stability, put-codec roundtrips, block
-digest sensitivity, commit-tracker monotonicity, and fence partitioning.
+broad input space: canonical encoding stability, put-codec roundtrips, the
+key scan and the key-map path of the read-proof verifier, block digest
+sensitivity, commit-tracker monotonicity, and fence partitioning.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.encoding import canonical_encode
-from repro.common.errors import SerializationError
+from repro.common.errors import ProofVerificationError, SerializationError
 from repro.common.identifiers import OperationId, OperationKind, client_id, edge_id
 from repro.core.commit import CommitTracker
 from repro.crypto.hashing import digest_value
@@ -21,9 +22,16 @@ from repro.log.entry import EntryBody, LogEntry
 from repro.log.proofs import CommitPhase
 from repro.lsm.compaction import newest_versions
 from repro.lsm.records import KVRecord
+from repro.lsmerkle.read_proof import (
+    GetProof,
+    LevelZeroEvidence,
+    key_maps_for,
+    verify_get_proof,
+)
 from repro.lsmerkle.codec import (
     decode_put,
     encode_put,
+    key_map,
     is_put_payload,
     record_sequence,
     records_from_block,
@@ -134,6 +142,49 @@ class TestKeyScanProperties:
             # A block carrying the records memo is read through it.
             records_from_block(block)
             assert records_with_key(block, key) == expected[1]
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.lists(_scan_payload, max_size=8), min_size=1, max_size=4),
+        st.sampled_from(_SCAN_KEYS + ("absent",)),
+    )
+    def test_the_key_map_path_answers_as_the_scan(self, blocks, key):
+        blocks = [
+            build_block(
+                EDGE,
+                number,
+                [
+                    LogEntry(EntryBody(ALICE, sequence, payload, 0.5 + sequence))
+                    for sequence, payload in enumerate(payloads)
+                ],
+                created_at=1.0,
+            )
+            for number, payloads in enumerate(blocks)
+        ]
+        for block in blocks:
+            assert _outcome(lambda: key_map(block).get(key, ())) == _outcome(
+                lambda: records_with_key(block, key)
+            )
+            assert getattr(block, "_records_cache", None) is None  # attaches none
+        # A reader holds only blocks that verified, so only the well-formed
+        # ones have maps; the verifier answers those from them and scans
+        # the rest, with the same verdict as a scan of every block.
+        held = [block for block in blocks if _outcome(lambda: key_map(block))[0] == "records"]
+        proof = GetProof(
+            key=key,
+            level_zero=tuple(LevelZeroEvidence(block=block) for block in blocks),
+            level_pages=(),
+            signed_root=None,
+        )
+
+        def verdict(key_maps):
+            try:
+                return verify_get_proof(KeyRegistry(), None, EDGE, key, proof, key_maps=key_maps)
+            except ProofVerificationError as exc:
+                return str(exc)
+
+        assert verdict(key_maps_for(held)) == verdict(None)
 
 
 class TestEncodingProperties:
