@@ -11,17 +11,18 @@ survivor is a check no test has seen fail.  Stdlib ``ast`` only; no
     python benchmarks/mutation_census.py
     python benchmarks/mutation_census.py --output mutation_census.md
 
-It covers the read verifier against its proof tests, the chaos invariants
-against the chaos scenarios, the storage codec against the strictness
-tests, the frame decoder against the strictness and live-harness tests,
-the log proofs against the log-layer and batch-certification tests, the
-cloud's merge check against the merge-proof and malicious-edge tests, and
-the signature schemes against their tests and the batch-certification
-tests (``TARGETS``; a module may name several test files).  Each target
-first runs unmutated; a target whose test files fail as they stand is
-reported and skipped.  The exit status is 0
-unless a target could not be run at all: survivors are findings, not
-failures.
+It covers the read verifier against its proof tests, the put codec the
+verifier reads level-0 blocks through against its unit and property
+tests, the chaos invariants against the chaos scenarios, the storage
+codec against the strictness tests, the frame decoder against the
+strictness and live-harness tests, the log proofs against the log-layer
+and batch-certification tests, the cloud's merge check against the
+merge-proof and malicious-edge tests, and the signature schemes against
+their tests and the batch-certification tests (``TARGETS``; a module may
+name several test files).  Each target first runs unmutated; a target
+whose test files fail as they stand is reported and skipped.  The exit
+status is 0 unless a target could not be run at all: survivors are
+findings, not failures.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: killed when any of the module's test files fails with it disabled.
 TARGETS = (
     ("src/repro/lsmerkle/read_proof.py", ("tests/test_lsmerkle_proofs_merge.py",)),
+    (
+        "src/repro/lsmerkle/codec.py",
+        ("tests/test_lsmerkle_codec_mlsm.py", "tests/test_property_based.py"),
+    ),
     ("src/repro/faults/invariants.py", ("tests/test_chaos_scenarios.py",)),
     ("src/repro/storage/codec.py", ("tests/test_codec_strictness.py",)),
     (

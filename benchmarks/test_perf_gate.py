@@ -118,12 +118,11 @@ class TestCompare:
         added or deleted in one place and not the others fails here without
         running the suite.  Everything gates except the wall-clock open-loop
         put p99 (parked by ROADMAP until a capacity-relative row replaces
-        it), ``get_serve`` (an edge answering a repeat get), recorded
-        without gating in the change that added it, and ``get_receive`` /
-        ``get_receive_cold``, re-pointed in that change at the client's key
-        maps; the other receive rows (``append_echo_receive``,
-        ``merge_outcome_receive``, ``merge_request_receive``) gate, as do
-        the rows that time real nodes."""
+        it) and ``get_receive_cold``, whose verifier stopped scanning each
+        new block for the key before building its key map in the change
+        that left it here; ``get_serve`` and ``get_receive`` (an edge
+        answering and a client receiving a repeat get) gate, as do the
+        other receive rows and the rows that time real nodes."""
 
         import pathlib
 
@@ -134,9 +133,8 @@ class TestCompare:
         full = str(root / "benchmarks" / "BENCH_hotpath_full.json")
         rows = {bench.__name__[len("bench_"):] for bench in BENCHMARKS}
         assert set(load_results(quick)) == set(load_results(full)) == rows
-        fresh = {"get_serve", "get_receive", "get_receive_cold"}
-        assert load_non_gating(quick) == {"live_put_p99"} | fresh
-        assert load_non_gating(full) == fresh
+        assert load_non_gating(quick) == {"live_put_p99", "get_receive_cold"}
+        assert load_non_gating(full) == {"get_receive_cold"}
 
 
 class TestCli:

@@ -52,12 +52,7 @@ from ..lsm.page import build_page
 from ..lsm.records import KVRecord
 from ..lsmerkle.merge import CloudIndexMirror
 from ..lsmerkle.mlsm import MerkleizedLSM, sign_global_root
-from ..lsmerkle.read_proof import (
-    KeyMaps,
-    build_get_proof,
-    key_maps_for,
-    verify_get_proof,
-)
+from ..lsmerkle.read_proof import KeyMaps, build_get_proof, verify_get_proof
 from ..merkle.tree import MerkleTree
 from ..sim.environment import local_environment
 from ..sim.rng import DeterministicRng
@@ -635,14 +630,14 @@ def _get_receive(name: str, rng: random.Random, quick: bool, cold: bool) -> Benc
     between merges.  The receiver decodes with a client's held set
     (:class:`~repro.storage.codec.HeldSet`) and, as a client does, holds
     the proof's level-0 blocks under ``("get", edge)`` once it verifies,
-    keeping their key maps (:func:`~repro.lsmerkle.read_proof.key_maps_for`).
-    Warm, every block is the one the previous receive decoded, digested and
-    held, and the verifier answers it from its key map; *cold*, the
-    receiver releases that hold and its maps before each receive, so every
-    block decodes strictly, is digested and scanned for the key, and its
-    map is built after it verifies — the first get after a merge.  The
-    first two receives, which compile the decoders and index the held
-    blocks, are not timed.
+    keeping the key maps the verifier returns
+    (:attr:`~repro.lsmerkle.read_proof.VerifiedGet.key_maps`).  Warm, every
+    block is the one the previous receive decoded, digested and held, and
+    the verifier answers it from its key map; *cold*, the receiver
+    releases that hold and its maps before each receive, so every block
+    decodes strictly, is digested and has its key map built by the
+    verifier — the first get after a merge.  The first two receives, which
+    compile the decoders and index the held blocks, are not timed.
     """
 
     from ..common.identifiers import OperationId
@@ -706,9 +701,8 @@ def _get_receive(name: str, rng: random.Random, quick: bool, cold: bool) -> Benc
             registry, cloud, edge, key, received.proof, key_maps=maps
         )
         assert verified.found and verified.record.key == key
-        blocks = [item.block for item in received.proof.level_zero]
-        held.hold(("get", edge), blocks)
-        maps = key_maps_for(blocks, maps)
+        held.hold(("get", edge), [item.block for item in received.proof.level_zero])
+        maps = verified.key_maps
 
     def run() -> None:
         for _ in range(receives):

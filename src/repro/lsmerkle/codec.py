@@ -102,51 +102,33 @@ def records_from_block(block: Block, memoize: bool = True) -> tuple[KVRecord, ..
     Blocks are immutable and the edge derives the same level-0 pages from
     them until a merge consumes them, so the decoded records are memoized
     on the block instance until :func:`forget_records` releases them.
-    ``memoize=False`` (the cloud's merge check) reads a memo the block
-    carries but attaches none: on the simulator a block a node receives is
-    the sender's own object, and a memo attached after the sender released
-    its own would outlive the merge.  A read-proof verifier looks for one
-    key and calls :func:`records_with_key` instead, which decodes (and
-    checks) every put entry the same way, attaches nothing either, and
-    builds only that key's records.
+    ``memoize=False`` (the cloud's merge check, a read-proof verifier's
+    :func:`key_map`) reads a memo the block carries but attaches none: on
+    the simulator a block a node receives is the sender's own object, and
+    a memo attached after the sender released its own would outlive the
+    merge.
     """
 
     cached = getattr(block, _RECORDS_ATTR, None)
     if cached is not None:
         return cached
-    result = _put_records(block, None)
+    result = _put_records(block)
     if memoize:
         object.__setattr__(block, _RECORDS_ATTR, result)
     return result
 
 
-def records_with_key(block: Block, key: str) -> tuple[KVRecord, ...]:
-    """``records_from_block(block, memoize=False)`` filtered by *key*.
-
-    Every put entry's key is decoded with :func:`decode_put`'s checks, so a
-    truncated or non-UTF-8 put raises exactly what it raises there; only
-    the records of other keys are never built.  A block too long for the
-    sequence numbering takes the unfiltered path, which raises on its first
-    put beyond the stride.  Like ``memoize=False``, it attaches nothing to
-    the block: a client that reads the same blocks again keeps their
-    :func:`key_map` itself (:mod:`repro.nodes.client`).
-    """
-
-    cached = getattr(block, _RECORDS_ATTR, None)
-    if cached is None and len(block.entries) <= SEQUENCE_STRIDE:
-        return _put_records(block, key)
-    records = cached if cached is not None else _put_records(block, None)
-    return tuple(record for record in records if record.key == key)
-
-
 def key_map(block: Block) -> dict[str, tuple[KVRecord, ...]]:
-    """``records_from_block(block, memoize=False)`` grouped by key.
+    """``records_from_block(block, memoize=False)`` grouped by key, each
+    key's records in block order.
 
-    ``key_map(block).get(key, ())`` is ``records_with_key(block, key)`` for
-    every key, in the same order, and building the map raises exactly where
-    :func:`records_with_key` raises (a malformed put, a block beyond the
-    sequence stride), since both decode every put entry's key with the
-    same checks.  Like it, the map attaches nothing to the block.
+    The one way a read-proof verifier reads a level-0 block
+    (:func:`~repro.lsmerkle.read_proof.verify_get_proof`): building the map
+    decodes every put entry's key with :func:`decode_put`'s checks, so a
+    truncated or non-UTF-8 put, or a block beyond the sequence stride,
+    raises :class:`SerializationError` as there.  Like ``memoize=False``,
+    it attaches nothing to the block: a client that reads the same blocks
+    again keeps the maps itself (:mod:`repro.nodes.client`).
     """
 
     grouped: dict[str, list[KVRecord]] = {}
@@ -155,8 +137,8 @@ def key_map(block: Block) -> dict[str, tuple[KVRecord, ...]]:
     return {key: tuple(records) for key, records in grouped.items()}
 
 
-def _put_records(block: Block, key: Optional[str]) -> tuple[KVRecord, ...]:
-    """The put records of *block*, only those of *key* unless it is None."""
+def _put_records(block: Block) -> tuple[KVRecord, ...]:
+    """The put records of *block*, in entry order."""
 
     records: list[KVRecord] = []
     for index, entry in enumerate(block.entries):
@@ -164,31 +146,35 @@ def _put_records(block: Block, key: Optional[str]) -> tuple[KVRecord, ...]:
         payload = body.payload
         if not payload.startswith(_PUT_PREFIX):
             continue
-        found, key_end = _put_key(payload)
-        if key is None or found == key:
-            records.append(
-                KVRecord(
-                    key=found,
-                    sequence=record_sequence(block.block_id, index),
-                    value=payload[key_end:],
-                    written_at=body.produced_at,
-                )
+        key, key_end = _put_key(payload)
+        records.append(
+            KVRecord(
+                key=key,
+                sequence=record_sequence(block.block_id, index),
+                value=payload[key_end:],
+                written_at=body.produced_at,
             )
+        )
     return tuple(records)
 
 
 def keep_text(block: Block) -> None:
-    """Memoize *block*'s canonical text on it as its fragment memo.
+    """Memoize *block*'s canonical text on it as its fragment memo, in place
+    of the memos of its parts.
 
     The edge calls this on a block it formed that enters level 0: every
     ``AppendBatchResponse`` echo, ``GetResponse`` and level-0
     ``MergeRequest`` that sends the block then joins this one string
-    instead of walking its entries.  The text is read without memoizing
-    anything beneath it (:func:`~repro.common.encoding.flat_text`), so it
-    is the only copy the block adds; :func:`forget_records` drops it.
+    instead of walking its entries.  The block's digest, which hashes its
+    entries' bodies and signatures, is cached first; after that no frame
+    or check reads the memos of its entries, bodies or signatures, so they
+    are dropped and the block's text is the one copy of it the block
+    keeps.  :func:`forget_records` drops that too.
     """
 
+    block.digest()
     object.__setattr__(block, FRAGMENT_ATTR, flat_text(block))
+    _forget_part_texts(block)
 
 
 def forget_records(block: Block) -> None:
@@ -206,6 +192,13 @@ def forget_records(block: Block) -> None:
     for attr in (_RECORDS_ATTR, FRAGMENT_ATTR):
         if getattr(block, attr, None) is not None:
             object.__delattr__(block, attr)
+    _forget_part_texts(block)
+
+
+def _forget_part_texts(block: Block) -> None:
+    """Drop the canonical-text memos of *block*'s entries, bodies and
+    signatures."""
+
     for entry in block.entries:
         for part in (entry, entry.body, entry.signature):
             if getattr(part, FRAGMENT_ATTR, None) is not None:

@@ -18,7 +18,7 @@ upgrades to Phase II when the block proofs arrive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..common.errors import ProofVerificationError, SerializationError
@@ -29,7 +29,7 @@ from ..log.proofs import BlockProof, CommitPhase
 from ..lsm.page import Page
 from ..lsm.records import KVRecord
 from ..merkle.tree import InclusionProof
-from .codec import key_map, records_with_key
+from .codec import key_map
 from .mlsm import MerkleizedLSM, SignedGlobalRoot, empty_level_root
 
 
@@ -94,6 +94,12 @@ class GetProof:
         )
 
 
+#: ``id(block) -> (block, key_map(block))``: the key maps of the level-0
+#: blocks of a verified get (:attr:`VerifiedGet.key_maps`).  Each entry
+#: keeps its block alive, so a mapped id is that very block.
+KeyMaps = dict[int, tuple[Block, dict[str, tuple[KVRecord, ...]]]]
+
+
 @dataclass(frozen=True)
 class VerifiedGet:
     """Result of verifying a get proof at the client."""
@@ -108,24 +114,9 @@ class VerifiedGet:
     #: consistency (Section V-D alternative) reject responses whose version
     #: is older than one they have already observed.
     root_version: Optional[int] = None
-
-
-#: ``id(block) -> (block, key_map(block))``: the key maps a reader keeps for
-#: level-0 blocks it verified before (:func:`key_maps_for`).
-KeyMaps = dict[int, tuple[Block, dict[str, tuple[KVRecord, ...]]]]
-
-
-def key_maps_for(blocks: Sequence[Block], previous: Optional[KeyMaps] = None) -> KeyMaps:
-    """The key map (:func:`~repro.lsmerkle.codec.key_map`) of every block of
-    *blocks*, taking *previous*'s for a block it already maps, so each
-    block's map is built once however many gets repeat it.  Each entry
-    keeps its block alive, so an id *previous* maps is that very block."""
-
-    previous = previous or {}
-    return {
-        id(block): previous.get(id(block)) or (block, key_map(block))
-        for block in blocks
-    }
+    #: The key map of every level-0 block of the proof, for the reader to
+    #: pass back as the next get's *key_maps* (:func:`verify_get_proof`).
+    key_maps: KeyMaps = field(default_factory=dict, compare=False, repr=False)
 
 
 # ----------------------------------------------------------------------
@@ -304,11 +295,14 @@ def verify_get_proof(
     evidence rather than trusting any value field in the response; the caller
     compares the derived record with the value the edge claimed.
 
-    *key_maps* are the maps of level-0 blocks the caller verified before: a
-    level-0 block that is one of those very objects is answered from its
-    map, which gives exactly what :func:`records_with_key` gives; any other
-    block is scanned.  Every block's digest, writer and proof are checked
-    either way.
+    Every level-0 block is read through its key map
+    (:func:`~repro.lsmerkle.codec.key_map`): *key_maps* are the maps a
+    previous verification returned, and a block that is one of those very
+    objects is answered from its map; any other block's map is built here.
+    Every block's digest, writer and proof are checked either way.  The
+    result carries the maps of this proof's level-0 blocks, which a reader
+    passes back on its next get; a proof that fails verification returns
+    none.
     """
 
     if proof.key != key:
@@ -325,19 +319,21 @@ def verify_get_proof(
 
     # Newest version present in level 0, derived from the blocks themselves.
     level_zero_best: Optional[KVRecord] = None
+    previous = key_maps or {}
+    maps: KeyMaps = {}
     for item in proof.level_zero:
-        mapped = key_maps.get(id(item.block)) if key_maps else None
-        if mapped is not None and mapped[0] is item.block:
-            records = mapped[1].get(key, ())
-        else:
+        block = item.block
+        mapped = previous.get(id(block))
+        if mapped is None or mapped[0] is not block:
             try:
-                records = records_with_key(item.block, key)
+                mapped = (block, key_map(block))
             except SerializationError as exc:
                 # An honest edge refuses a malformed put at admission.
                 raise ProofVerificationError(
                     f"level-0 block {item.block_id} holds a malformed put: {exc}"
                 ) from exc
-        for record in records:
+        maps[id(block)] = mapped
+        for record in mapped[1].get(key, ()):
             if level_zero_best is None or record.is_newer_than(level_zero_best):
                 level_zero_best = record
 
@@ -385,4 +381,5 @@ def verify_get_proof(
         uncertified_block_ids=uncertified,
         root_timestamp=root_timestamp,
         root_version=root_version,
+        key_maps=maps,
     )

@@ -33,13 +33,14 @@ Retention:
   read from.
 * ``_key_maps`` (edge → :data:`~repro.lsmerkle.read_proof.KeyMaps`): for
   every block held under ``("get", edge)``, a map from key to that block's
-  put records, built once when the block is first held
-  (:func:`~repro.lsmerkle.read_proof.key_maps_for`), so a repeat get
-  answers each held block with one lookup instead of decoding every put's
-  key.  Replaced with the hold, so it covers exactly the held blocks: a
-  root-only proof empties it, a failed get leaves it.  One record per put
-  of a held block (on the simulator the edge's own records, which its
-  level-0 pages already keep).
+  put records, built once by the verifier when the block first arrives
+  and handed back with its verdict
+  (:attr:`~repro.lsmerkle.read_proof.VerifiedGet.key_maps`), so a repeat
+  get answers each held block with one lookup instead of decoding every
+  put's key.  Replaced with the hold, so it covers exactly the held
+  blocks: a root-only proof empties it, a failed get leaves it.  One
+  record per put of a held block (on the simulator the edge's own
+  records, which its level-0 pages already keep).
 * ``tracker`` (:class:`CommitTracker`): every operation's record, with its
   receipt and proof — the client's dispute evidence and the figures' raw
   latencies.  Kept forever; a driver that only needs percentiles could
@@ -68,7 +69,7 @@ from ..crypto.hashing import digest_value
 from ..log.entry import make_entry
 from ..log.proofs import CommitPhase, PhaseOneReceipt
 from ..lsmerkle.codec import encode_put, malformed_put
-from ..lsmerkle.read_proof import KeyMaps, key_maps_for, verify_get_proof
+from ..lsmerkle.read_proof import KeyMaps, verify_get_proof
 from ..messages.kv_messages import GetRequest, GetResponse
 from ..messages.log_messages import (
     AppendBatchRequest,
@@ -652,11 +653,10 @@ class Client(TableDispatchNode):
             self._last_root_versions[version_key] = verified.root_version
 
         # Verified: every get from this edge until a merge repeats these.
-        blocks = [item.block for item in response.proof.level_zero]
-        self.held.hold(("get", expected_edge), blocks)
-        self._key_maps[expected_edge] = key_maps_for(
-            blocks, self._key_maps.get(expected_edge)
+        self.held.hold(
+            ("get", expected_edge), [item.block for item in response.proof.level_zero]
         )
+        self._key_maps[expected_edge] = verified.key_maps
         record.details["value"] = derived_value
         record.details["found"] = verified.found
         # Global sequence of the proven record (block id × stride + index):

@@ -46,22 +46,22 @@ Retention, per partition:
   protection, one entry per put.  Kept forever today; a per-producer
   high-water mark plus the out-of-order set above it would do.
 * The records memo (:func:`~repro.lsmerkle.codec.records_from_block` on a
-  block) and the canonical-text memos of its entries, bodies and
-  signatures: level-0 pages and the read proofs over level-0 blocks decode
-  each block once; the body and signature memos are the text the block
-  digest hashed (the decoder's spans, or the signer's text on the
-  simulator).  Kept while the block backs level 0; installing the merge
-  that consumed it releases them
+  block): level-0 pages and the read proofs over level-0 blocks decode
+  each block once.  Kept while the block backs level 0; installing the
+  merge that consumed it releases it
   (:func:`~repro.lsmerkle.codec.forget_records`), and so does a replica's
-  shipment install for the blocks it leaves out of level 0, so a merged
-  block keeps only what was signed and its digest.  The cloud and proof
+  shipment install for the blocks it leaves out of level 0, together with
+  any canonical-text memo of the block or its parts, so a merged block
+  keeps only what was signed and its digest.  The cloud and proof
   verifiers decode without memoizing; the cloud's own hold is the merged
   pages' records, never blocks (:mod:`repro.nodes.cloud`).
 * The block memo (:func:`~repro.lsmerkle.codec.keep_text`): a block this
   edge forms that enters level 0 keeps its own canonical text, so its
   append echoes, every get and its level-0 merge send it as one string
-  instead of re-walking its entries.  One copy of the block's text per
-  level-0 block (≈62 KB for 100 puts of 100 B), set in
+  instead of re-walking its entries.  Its digest is cached first and the
+  memos of its entries, bodies and signatures (the decoder's spans, or
+  the signer's text on the simulator) are dropped, so the block holds one
+  copy of its text (≈62 KB for 100 puts of 100 B), set in
   :meth:`EdgeNode._form_block` and released with the records memo by the
   same :func:`~repro.lsmerkle.codec.forget_records`.  A block recovered
   from disk or shipped to a replica carries none and is sent entry by

@@ -25,7 +25,7 @@ from typing import Optional
 from ..common.identifiers import BlockId, NodeId, ShardId
 from ..crypto.hashing import digest_value
 from ..log.entry import LogEntry, make_entry
-from ..lsmerkle.codec import decode_put, is_put_payload
+from ..lsmerkle.codec import decode_put, is_put_payload, malformed_put
 from ..messages.txn_messages import (
     TXN_ABORT,
     TXN_COMMIT,
@@ -164,10 +164,10 @@ class TxnParticipantRole:
     ) -> Optional[str]:
         """Why the prepare cannot be staged, or ``None`` when it can.
 
-        Every entry must be a coordinator-produced put whose ``(key, value
-        digest)`` matches the signed write summary, and every key must
-        belong to the prepared shard — a write smuggled onto the wrong
-        shard would escape that shard's decision record.
+        Every entry must be a coordinator-produced, decodable put whose
+        ``(key, value digest)`` matches the signed write summary, and every
+        key must belong to the prepared shard — a write smuggled onto the
+        wrong shard would escape that shard's decision record.
 
         Two self-protection rules guard the *edge* against a malicious
         coordinator's dispute machinery: the coordinator-signed
@@ -187,6 +187,8 @@ class TxnParticipantRole:
                 return "entries not produced by the coordinator"
             if not is_put_payload(entry.payload):
                 return "non-put payload in a transactional write"
+            if malformed_put(entry.payload):
+                return "malformed put in a transactional write"
             key, value = decode_put(entry.payload)
             if key != write.key or digest_value(value) != write.value_digest:
                 return "write-set-mismatch"

@@ -146,8 +146,8 @@ def test_merged_blocks_keep_only_what_was_signed(long_put_run):
     # A block outside level 0 is never sent again by a get or a merge, so
     # neither it nor any entry, body or signature of it keeps its canonical
     # text; a level-0 block keeps its own, which gets and merges send as
-    # one string, and the bodies and signatures the block digest hashed
-    # keep theirs.
+    # one string, and only that: its digest is cached, so no part of it
+    # keeps a text beside the block's.
     system, _per_put = long_put_run
     edge = system.edge()
     level_zero = set(edge.level_zero_blocks)
@@ -162,11 +162,11 @@ def test_merged_blocks_keep_only_what_was_signed(long_put_run):
 
     for record in edge.log:
         block = record.block
+        assert not any(memos(block, lambda e: (e, e.body, e.signature)))
+        assert getattr(block, "_digest_cache", None) is not None
         if block.block_id in level_zero:
-            assert all(memos(block, lambda e: (e.body, e.signature)))
             assert getattr(block, FRAGMENT_ATTR) == reference_encode(block).decode()
         else:
-            assert not any(memos(block, lambda e: (e, e.body, e.signature)))
             assert getattr(block, FRAGMENT_ATTR, None) is None
 
 
@@ -546,7 +546,8 @@ class TestHeldSets:
         for _ in range(2):
             self.read(system, edge)
         held = self.ids(reader.held.objects())
-        maps = dict(reader._key_maps[edge.node_id])
+        kept = reader._key_maps[edge.node_id]
+        maps = dict(kept)
         assert len(held) == 2 and self.mapped(reader) == held
         self.settle(system, reader, 2)
         # Three gets whose honest answers are withheld and forged: a level-0
@@ -589,5 +590,5 @@ class TestHeldSets:
             operation = reader.operation(response.statement.operation_id)
             assert operation.phase is CommitPhase.FAILED
             assert self.ids(reader.held.objects()) == held
-            assert reader._key_maps[edge.node_id] == maps
+            assert reader._key_maps[edge.node_id] is kept and kept == maps
         assert "malformed put" in reader.operation(third.statement.operation_id).failure_reason

@@ -7,8 +7,9 @@ against a participant crash before the decision, coordinator abandonment
 (edge-side timeout abort), a tampered prepare receipt (provable dispute), a
 transaction racing a shard handoff, duplicate decisions (idempotent
 absorption), an abort-ignoring participant serving staged state (provable
-dispute from the serve), the redirect-cap semantics of the shard-aware
-client, and the self-contained transaction dispute judge.
+dispute from the serve), a prepare carrying a malformed put (a typed
+refusal), the redirect-cap semantics of the shard-aware client, and the
+self-contained transaction dispute judge.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.common.config import (
 from repro.common.identifiers import OperationId, client_id, edge_id
 from repro.crypto.hashing import digest_value
 from repro.crypto.signatures import KeyRegistry
+from repro.log.entry import make_entry
 from repro.log.proofs import CommitPhase
 from repro.messages.log_messages import AppendBatchRequest
 from repro.messages.shard_messages import NotOwnerRedirect, NotOwnerStatement
@@ -37,6 +39,7 @@ from repro.messages.txn_messages import (
     TxnId,
     TxnPrepareReceipt,
     TxnPrepareReceiptStatement,
+    TxnPrepareRejection,
     TxnPrepareRequest,
     TxnPrepareStatement,
     TxnWrite,
@@ -619,6 +622,60 @@ class TestRetryAfterAbort:
         assert client.stats["staged_serve_detections"] == 0
         assert client.stats["txn_disputes_sent"] == 0
         assert not system.cloud.ledger.is_punished(honest_owner)
+
+
+# ----------------------------------------------------------------------
+# A malformed transactional put is refused, not decoded
+# ----------------------------------------------------------------------
+class TestMalformedPrepare:
+    def test_a_put_with_a_cut_key_is_refused_with_a_reason(self):
+        """A coordinator-signed prepare whose entry has the put prefix but a
+        key length past its end is voted down like any other invalid write
+        set: the participant answers with a typed rejection and stages
+        nothing, instead of raising out of its handler."""
+
+        system = build_fleet()
+        client = system.clients[0]
+        registry = system.env.registry
+        shard = 0
+        edge = system.edge_by_id(system.shard_owner(shard))
+        now = system.env.now()
+        txn_id = TxnId(coordinator=client.node_id, sequence=999)
+        statement = TxnPrepareStatement(
+            coordinator=client.node_id,
+            txn_id=txn_id,
+            shard_id=shard,
+            writes=(TxnWrite(key="k", value_digest=digest_value(b"")),),
+            participant_shards=(shard,),
+            staged_floor=0,
+            issued_at=now,
+        )
+        payload = b"kvput\x00" + (500).to_bytes(4, "big") + b"k"
+        request = TxnPrepareRequest(
+            statement=statement,
+            signature=registry.sign(client.node_id, statement),
+            operation_id=OperationId(client=client.node_id, sequence=999),
+            entries=(make_entry(registry, client.node_id, 999, payload, now),),
+        )
+        rejections = []
+
+        def record_rejections(src, dst, message):
+            if isinstance(message, TxnPrepareRejection):
+                rejections.append((src, dst, message))
+            return True
+
+        system.env.network.add_send_hook("test:rejections", record_rejections)
+        system.env.send(client.node_id, edge.node_id, request)
+        system.run_for(0.5)
+
+        assert [(src, dst) for src, dst, _m in rejections] == [
+            (edge.node_id, client.node_id)
+        ]
+        rejection = rejections[0][2]
+        assert rejection.txn_id == txn_id and rejection.shard_id == shard
+        assert rejection.reason == "malformed put in a transactional write"
+        assert edge.stats["txn_prepare_rejections"] == 1
+        assert txn_id not in edge.shard_state(shard).staged_txns
 
 
 # ----------------------------------------------------------------------

@@ -270,15 +270,15 @@ class TestHeldSetLive:
     def test_frames_of_memoized_blocks_are_the_reference_encoding(self, monkeypatch):
         """Over real sockets, the append echoes and get answers an edge
         frames from the blocks it memoized are byte for byte the memo-free
-        reference encoding of their envelopes, and a repeat get neither
-        builds a key map nor scans a block: the client answers each held
-        block from the map it built when it first held the block."""
+        reference encoding of their envelopes, and a repeat get builds no
+        key map: the client answers each held block from the map the
+        verifier built when the block first arrived."""
 
         config = SystemConfig.paper_default().with_overrides(
             logging=LoggingConfig(block_size=4),
             lsmerkle=LSMerkleConfig(level_thresholds=(4, 10, 100)),
         )
-        framed, built, scanned = [], [], []
+        framed, built = [], []
 
         def recording_frame(sender, message):
             frame = encode_frame(sender, message)
@@ -290,14 +290,9 @@ class TestHeldSetLive:
             built.append(block)
             return key_map(block)
 
-        def counting_scan(block, key):
-            scanned.append(block)
-            return records_with_key(block, key)
-
-        key_map, records_with_key = read_proof.key_map, read_proof.records_with_key
+        key_map = read_proof.key_map
         monkeypatch.setattr(transport, "encode_frame", recording_frame)
         monkeypatch.setattr(read_proof, "key_map", counting_key_map)
-        monkeypatch.setattr(read_proof, "records_with_key", counting_scan)
 
         async def scenario():
             async with LiveFleet(config=config, num_edges=1, num_clients=1) as fleet:
@@ -312,9 +307,9 @@ class TestHeldSetLive:
                 for batch in range(3):
                     await settle(client.put_batch([(f"k{batch}-{i}", b"v") for i in range(4)]))
                 await settle(client.get("k0-0"))
-                assert len(built) == len(scanned) == 3
+                assert len(built) == 3
                 await settle(client.get("k1-2"))
-                assert len(built) == len(scanned) == 3
+                assert len(built) == 3
                 assert fleet.env.failures == []
 
                 kinds = [type(message) for _sender, message, _frame in framed]

@@ -16,10 +16,10 @@ from repro.lsmerkle.codec import (
     decode_put,
     encode_put,
     is_put_payload,
+    key_map,
     page_from_block,
     record_sequence,
     records_from_block,
-    records_with_key,
 )
 from repro.lsmerkle.mlsm import (
     MerkleizedLSM,
@@ -61,6 +61,12 @@ class TestPutCodec:
         assert not is_put_payload(b"just a log entry")
         with pytest.raises(SerializationError):
             decode_put(b"just a log entry")
+        # Laid out as a put but for its prefix: only the prefix check
+        # refuses it, where the text above also has no decodable key.
+        lookalike = b"kvpux\x00" + (1).to_bytes(4, "big") + b"kv"
+        assert not is_put_payload(lookalike)
+        with pytest.raises(SerializationError, match="does not encode a put"):
+            decode_put(lookalike)
 
     def test_truncated_payload_rejected(self):
         payload = encode_put("key", b"value")
@@ -100,14 +106,14 @@ class TestPageFromBlock:
         records = records_from_block(block)
         assert len(records) == 1 and records[0].key == "k"
 
-    def test_key_scan_reads_a_records_memo_and_attaches_none(self, registry):
+    def test_key_map_reads_a_records_memo_and_attaches_none(self, registry):
         block = put_block(registry, 4, [("k", b"1"), ("j", b"2"), ("k", b"3")])
-        assert [r.value for r in records_with_key(block, "k")] == [b"1", b"3"]
+        assert [r.value for r in key_map(block).get("k", ())] == [b"1", b"3"]
         assert getattr(block, "_records_cache", None) is None
         # A block that carries the memo is answered from it.
         memo = (KVRecord("k", 7, b"memo"), KVRecord("j", 8, b"other"))
         object.__setattr__(block, "_records_cache", memo)
-        assert records_with_key(block, "k") == memo[:1]
+        assert key_map(block).get("k", ()) == memo[:1]
 
     def test_pure_logging_block_has_no_page(self, registry):
         entries = [make_entry(registry, ALICE, 0, b"log only", 1.0)]

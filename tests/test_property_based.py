@@ -2,7 +2,7 @@
 
 These complement the example-based unit tests by checking invariants over a
 broad input space: canonical encoding stability, put-codec roundtrips, the
-key scan and the key-map path of the read-proof verifier, block digest
+key maps the read-proof verifier reads level-0 blocks through, block digest
 sensitivity, commit-tracker monotonicity, and fence partitioning.
 """
 
@@ -22,12 +22,7 @@ from repro.log.entry import EntryBody, LogEntry
 from repro.log.proofs import CommitPhase
 from repro.lsm.compaction import newest_versions
 from repro.lsm.records import KVRecord
-from repro.lsmerkle.read_proof import (
-    GetProof,
-    LevelZeroEvidence,
-    key_maps_for,
-    verify_get_proof,
-)
+from repro.lsmerkle.read_proof import GetProof, LevelZeroEvidence, verify_get_proof
 from repro.lsmerkle.codec import (
     decode_put,
     encode_put,
@@ -35,7 +30,6 @@ from repro.lsmerkle.codec import (
     is_put_payload,
     record_sequence,
     records_from_block,
-    records_with_key,
 )
 
 ALICE = client_id("alice")
@@ -65,7 +59,7 @@ class TestCodecProperties:
             assert encode_put(key, a) != encode_put(key, b)
 
 
-#: A few keys, so a scan finds some and skips others.
+#: A few keys, so a block maps some and not others.
 _SCAN_KEYS = ("k", "k2", "é", "")
 _PREFIX = encode_put("", b"")[:6]
 _scan_payload = st.one_of(
@@ -121,10 +115,10 @@ def _outcome(read):
         return "raises", type(exc)
 
 
-class TestKeyScanProperties:
+class TestKeyMapProperties:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_scan_payload, max_size=12), st.sampled_from(_SCAN_KEYS + ("absent",)))
-    def test_scan_equals_filtered_records(self, payloads, key):
+    def test_key_map_equals_filtered_records(self, payloads, key):
         entries = [
             LogEntry(EntryBody(ALICE, sequence, payload, 0.5 + sequence))
             for sequence, payload in enumerate(payloads)
@@ -133,7 +127,7 @@ class TestKeyScanProperties:
         expected = _outcome(
             lambda: tuple(r for r in _reference_records(block) if r.key == key)
         )
-        assert _outcome(lambda: records_with_key(block, key)) == expected
+        assert _outcome(lambda: key_map(block).get(key, ())) == expected
         assert _outcome(
             lambda: tuple(r for r in records_from_block(block, memoize=False) if r.key == key)
         ) == expected
@@ -141,15 +135,14 @@ class TestKeyScanProperties:
         if expected[0] == "records":
             # A block carrying the records memo is read through it.
             records_from_block(block)
-            assert records_with_key(block, key) == expected[1]
-
+            assert key_map(block).get(key, ()) == expected[1]
 
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(st.lists(_scan_payload, max_size=8), min_size=1, max_size=4),
         st.sampled_from(_SCAN_KEYS + ("absent",)),
     )
-    def test_the_key_map_path_answers_as_the_scan(self, blocks, key):
+    def test_earlier_maps_give_the_verdict_and_maps_of_none(self, blocks, key):
         blocks = [
             build_block(
                 EDGE,
@@ -162,15 +155,15 @@ class TestKeyScanProperties:
             )
             for number, payloads in enumerate(blocks)
         ]
-        for block in blocks:
-            assert _outcome(lambda: key_map(block).get(key, ())) == _outcome(
-                lambda: records_with_key(block, key)
-            )
-            assert getattr(block, "_records_cache", None) is None  # attaches none
-        # A reader holds only blocks that verified, so only the well-formed
-        # ones have maps; the verifier answers those from them and scans
-        # the rest, with the same verdict as a scan of every block.
-        held = [block for block in blocks if _outcome(lambda: key_map(block))[0] == "records"]
+        # A reader holds only blocks that verified, so only well-formed ones
+        # have maps (here every other one); the verifier answers those from
+        # them and builds the rest, with the same verdict and the same maps
+        # as a verifier given none.
+        earlier = {
+            id(block): (block, key_map(block))
+            for block in blocks[::2]
+            if _outcome(lambda: key_map(block))[0] == "records"
+        }
         proof = GetProof(
             key=key,
             level_zero=tuple(LevelZeroEvidence(block=block) for block in blocks),
@@ -184,7 +177,18 @@ class TestKeyScanProperties:
             except ProofVerificationError as exc:
                 return str(exc)
 
-        assert verdict(key_maps_for(held)) == verdict(None)
+        fresh, reused = verdict(None), verdict(earlier)
+        assert reused == fresh
+        assert all(getattr(block, "_records_cache", None) is None for block in blocks)
+        if isinstance(fresh, str):
+            return
+        assert list(reused.key_maps) == list(fresh.key_maps) == [id(b) for b in blocks]
+        for block in blocks:
+            mapped_block, mapped = reused.key_maps[id(block)]
+            assert mapped_block is block and fresh.key_maps[id(block)][0] is block
+            if id(block) in earlier:
+                assert mapped is earlier[id(block)][1]  # answered from it
+            assert mapped == fresh.key_maps[id(block)][1]
 
 
 class TestEncodingProperties:
