@@ -118,11 +118,11 @@ class TestCompare:
         added or deleted in one place and not the others fails here without
         running the suite.  Everything gates except the wall-clock open-loop
         put p99 (parked by ROADMAP until a capacity-relative row replaces
-        it) and ``get_receive_cold``, whose verifier stopped scanning each
-        new block for the key before building its key map in the change
-        that left it here; ``get_serve`` and ``get_receive`` (an edge
-        answering and a client receiving a repeat get) gate, as do the
-        other receive rows and the rows that time real nodes."""
+        it) and ``frame_transfer``, new with the transport's frame
+        receiver, which enters through ``non_gating``; ``get_receive_cold``
+        (a client's first get after a merge), ``get_serve`` and
+        ``get_receive`` gate, as do the other receive rows and the rows
+        that time real nodes."""
 
         import pathlib
 
@@ -133,8 +133,8 @@ class TestCompare:
         full = str(root / "benchmarks" / "BENCH_hotpath_full.json")
         rows = {bench.__name__[len("bench_"):] for bench in BENCHMARKS}
         assert set(load_results(quick)) == set(load_results(full)) == rows
-        assert load_non_gating(quick) == {"live_put_p99", "get_receive_cold"}
-        assert load_non_gating(full) == {"get_receive_cold"}
+        assert load_non_gating(quick) == {"live_put_p99", "frame_transfer"}
+        assert load_non_gating(full) == {"frame_transfer"}
 
 
 class TestCli:

@@ -10,8 +10,9 @@ fleet runs: fleets are built and preloaded on ``local_environment`` as
 set-up, one per repeat, and the timed region is the row's ``drive(fleet)``
 plus the fleet's event loop up to the protocol outcome, which must be
 reached.  No row signs, verifies or routes anything itself, so a change to
-the node code a row is named for moves that row.  ``live_put_p99`` is the
-one wall-clock row (an asyncio fleet over sockets).
+the node code a row is named for moves that row.  Two rows run on real
+sockets: ``frame_transfer`` (one hop of the asyncio transport) and
+``live_put_p99`` (an asyncio fleet under open-loop load).
 
 Results are written as ``BENCH_hotpath.json``, whose git history is the
 trajectory ``benchmarks/check_perf_regression.py`` gates against.  Run via
@@ -619,6 +620,90 @@ def bench_frame_roundtrip(rng: random.Random, quick: bool) -> BenchResult:
 
     run()  # the decoders of these classes compile on first use
     return _time_repeats("frame_roundtrip", run, num_responses, repeats)
+
+
+def bench_frame_transfer(rng: random.Random, quick: bool) -> BenchResult:
+    """An append-sized and a get-sized frame across a real socket.
+
+    Two endpoints of a started :class:`~repro.service.AsyncioTransport`
+    on unix sockets; each transfer sends a ≈64 KB and a ≈0.68 MB
+    ``AppendBatchResponse`` from one to the other and waits for each to
+    be delivered, so the timed region runs from ``send`` (framing) through
+    the link pump's write and the receiver's read to the decoded message.
+    Both blocks keep their canonical text, as an edge's level-0 blocks do,
+    so framing joins one string per block; the receiver holds both, as a
+    client holds the level-0 blocks of its last get, so the decoder hands
+    them back.  The row times the hop, not a block walk or a strict
+    decode (``append_echo_receive`` and ``get_receive_cold`` time those).  Reported as transfers (one frame of
+    each size) per second.
+    """
+
+    import asyncio
+
+    from ..common.identifiers import OperationId
+    from ..lsmerkle.codec import keep_text
+    from ..messages import AppendBatchResponse
+    from ..service import AsyncioTransport
+    from ..storage.codec import HeldSet
+
+    class Endpoint:
+        region = None
+
+        def __init__(self, name: str) -> None:
+            self.node_id = edge_id(name)
+            self.held = HeldSet()
+            self.arrived: Any = None
+
+        def deliver(self, sender, message) -> None:
+            self.arrived.set_result(message)
+
+    registry, _cloud, edge = _certification_registry()
+    client = client_id("bench-client")
+    [small] = _make_blocks(rng, 1, 150)
+    [large] = _make_blocks(rng, 1, 1600)
+    # Block ids tell the two apart in the receiver's hold.
+    blocks = [small, build_block(edge, 1, large.entries, created_at=1.0)]
+    for block in blocks:
+        keep_text(block)
+    messages = [
+        AppendBatchResponse(
+            edge=edge,
+            operation_id=OperationId(client=client, sequence=index),
+            block_id=block.block_id,
+            receipt=issue_phase_one_receipt(registry, edge, block, block.created_at),
+            block=block,
+        )
+        for index, block in enumerate(blocks)
+    ]
+    source, sink = Endpoint("bench-source"), Endpoint("bench-sink")
+    sink.held.hold("blocks", blocks)
+    transfers = 10 if quick else 30
+    repeats = 5 if quick else 10
+
+    async def transfer(count: int) -> None:
+        for _ in range(count):
+            for message in messages:
+                sink.arrived = loop.create_future()
+                transport.send(source.node_id, sink.node_id, message)
+                await sink.arrived
+
+    loop = asyncio.new_event_loop()
+    transport = AsyncioTransport()
+    transport.register(source)
+    transport.register(sink)
+    try:
+        loop.run_until_complete(transport.start())
+        # Connects the link, compiles the decoders and indexes the hold.
+        loop.run_until_complete(transfer(2))
+        return _time_repeats(
+            "frame_transfer",
+            lambda: loop.run_until_complete(transfer(transfers)),
+            transfers,
+            repeats,
+        )
+    finally:
+        loop.run_until_complete(transport.stop())
+        loop.close()
 
 
 def _get_receive(name: str, rng: random.Random, quick: bool, cold: bool) -> BenchResult:
@@ -1306,6 +1391,7 @@ BENCHMARKS = (
     bench_obs_overhead,
     bench_replica_read,
     bench_frame_roundtrip,
+    bench_frame_transfer,
     bench_get_receive,
     bench_get_receive_cold,
     bench_get_serve,

@@ -10,7 +10,8 @@ and proof produced live verifies exactly as its simulated twin does.
 
 Layers:
 
-* :mod:`repro.service.framing` — length-prefixed frames around codec records;
+* :mod:`repro.service.framing` — length-prefixed frames around codec records,
+  and :class:`FrameReceiver`, which reads each one off a socket;
 * :mod:`repro.service.transport` — :class:`AsyncioTransport`, sockets +
   per-link FIFO writer pumps, a :class:`repro.transport.BaseTransport`;
 * :mod:`repro.service.runtime` — :class:`LiveEnvironment`, the wall-clock
@@ -20,7 +21,7 @@ Layers:
   clients wired like :class:`repro.core.system.WedgeChainSystem` but live.
 """
 
-from .framing import FrameError, MAX_FRAME_BYTES, encode_frame, read_frame
+from .framing import FrameError, FrameReceiver, MAX_FRAME_BYTES, encode_frame
 from .harness import LiveFleet, LiveFleetStats
 from .runtime import LiveEnvironment, LiveTimerHandle
 from .transport import AsyncioTransport
@@ -28,11 +29,11 @@ from .transport import AsyncioTransport
 __all__ = [
     "AsyncioTransport",
     "FrameError",
+    "FrameReceiver",
     "LiveEnvironment",
     "LiveFleet",
     "LiveFleetStats",
     "LiveTimerHandle",
     "MAX_FRAME_BYTES",
     "encode_frame",
-    "read_frame",
 ]

@@ -8,6 +8,19 @@ FIFO delivery matches the simulator's single uplink lane.  ``send`` itself
 is synchronous — node handlers run inside the event loop and never await —
 which is what lets the exact same protocol code drive both substrates.
 
+Each pump asks for a :data:`SEND_BUFFER_BYTES` send buffer on its socket,
+so a frame up to that size (a merge request or a get response included)
+leaves in one ``send``; the kernel caps the request at
+``net.core.wmem_max``.  Each server connection is read by a
+:class:`~repro.service.framing.FrameReceiver`, which reads such a frame's
+payload in one socket read, straight into the buffer the decoder reads.
+A bad frame ends that connection's deliveries (the sender reads EOF); a
+reader or pump that fails for any other reason is recorded through the
+endpoint's ``fail``, as a crashed handler is.  A pump whose socket fails
+leaves the link table, so the next send on that link reconnects; the
+frames still queued behind the failure are counted in
+:attr:`AsyncioTransport.frames_lost`.
+
 Where the boundary fixes the semantics they are not mirrored from
 :class:`repro.sim.network.SimNetwork` but inherited, with it, from
 :class:`repro.transport.BaseTransport` (registration, named hooks, the
@@ -29,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import socket
 import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
@@ -36,12 +50,20 @@ from typing import Any, Dict, Optional, Tuple
 from ..common.errors import TransportError
 from ..common.identifiers import NodeId
 from ..transport import BaseTransport, NetworkEndpoint
-from .framing import FrameError, encode_frame, read_frame
+from .framing import FrameReceiver, encode_frame
 
 #: How long a writer pump keeps retrying to reach a destination server
 #: before declaring the link broken.
 _CONNECT_TIMEOUT_S = 5.0
 _CONNECT_RETRY_S = 0.02
+
+#: The send buffer each pump asks for, so a multi-megabyte frame leaves in
+#: one ``send`` rather than trickling out as the receiver drains it.  The
+#: kernel caps the request at ``net.core.wmem_max`` — 4 MiB on the Linux
+#: host the e2e benchmark numbers were taken on — and doubles what it
+#: grants for its own bookkeeping; under a smaller cap a large frame takes
+#: more sends.
+SEND_BUFFER_BYTES = 4 * 1024 * 1024
 
 
 @dataclass
@@ -71,7 +93,7 @@ class AsyncioTransport(BaseTransport):
         self._addresses: Dict[NodeId, Any] = {}
         self._servers: Dict[NodeId, asyncio.AbstractServer] = {}
         self._links: Dict[Tuple[NodeId, NodeId], _Link] = {}
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._receivers: set[FrameReceiver] = set()
         self._started = False
         self._stopping = False
         #: Real framed bytes written to sockets (prefix + payload); the
@@ -79,6 +101,9 @@ class AsyncioTransport(BaseTransport):
         #: with the simulator's accounting.
         self.frames_sent = 0
         self.frame_bytes_sent = 0
+        #: Frames counted in ``frames_sent`` that were still queued on a
+        #: link when its pump failed, and so never reached a socket.
+        self.frames_lost = 0
 
     # ------------------------------------------------------------------
     # Registration and lifecycle
@@ -97,21 +122,22 @@ class AsyncioTransport(BaseTransport):
         if self._mode == "unix" and self._socket_dir is None:
             self._socket_dir = tempfile.mkdtemp(prefix="wedge-fleet-")
             self._owns_socket_dir = True
+        loop = asyncio.get_running_loop()
         for index, (node_id, endpoint) in enumerate(self._nodes.items()):
-            handler = self._make_connection_handler(endpoint)
+            factory = self._receiver_factory(endpoint)
             if self._mode == "unix":
                 path = os.path.join(self._socket_dir, f"n{index}.sock")
-                server = await asyncio.start_unix_server(handler, path=path)
+                server = await loop.create_unix_server(factory, path=path)
                 self._addresses[node_id] = path
             else:
-                server = await asyncio.start_server(handler, host=self._host, port=0)
+                server = await loop.create_server(factory, host=self._host, port=0)
                 port = server.sockets[0].getsockname()[1]
                 self._addresses[node_id] = (self._host, port)
             self._servers[node_id] = server
         self._started = True
 
     async def stop(self) -> None:
-        """Tear down pumps, servers, and (owned) socket paths."""
+        """Tear down pumps, receivers, servers, and (owned) socket paths."""
 
         self._stopping = True
         for link in self._links.values():
@@ -124,14 +150,11 @@ class AsyncioTransport(BaseTransport):
                 except (asyncio.CancelledError, Exception):
                     pass
         self._links.clear()
-        for task in tuple(self._conn_tasks):
-            task.cancel()
-        for task in tuple(self._conn_tasks):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        self._conn_tasks.clear()
+        for receiver in tuple(self._receivers):
+            receiver.transport.close()
+        # Closed transports report their loss on the next loop pass.
+        await asyncio.sleep(0)
+        self._receivers.clear()
         for server in self._servers.values():
             server.close()
         for server in self._servers.values():
@@ -191,7 +214,7 @@ class AsyncioTransport(BaseTransport):
         if link is None:
             link = _Link(queue=asyncio.Queue())
             link.task = asyncio.get_running_loop().create_task(
-                self._pump(src_id, dst_id, link.queue),
+                self._pump(src_id, dst_id, link),
                 name=f"pump:{src_id}->{dst_id}",
             )
             self._links[(src_id, dst_id)] = link
@@ -219,19 +242,24 @@ class AsyncioTransport(BaseTransport):
                 await asyncio.sleep(_CONNECT_RETRY_S)
 
     async def _pump(
-        self, src_id: NodeId, dst_id: NodeId, queue: asyncio.Queue
+        self, src_id: NodeId, dst_id: NodeId, link: _Link
     ) -> None:
         """Write queued frames to the destination's server, in order."""
 
         writer = None
         try:
             _, writer = await self._connect(dst_id)
+            sock = writer.get_extra_info("socket")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, SEND_BUFFER_BYTES)
             while True:
-                frame = await queue.get()
+                frame = await link.queue.get()
                 writer.write(frame)
                 await writer.drain()
-        except (asyncio.CancelledError, OSError, ConnectionError):
+        except asyncio.CancelledError:
             pass
+        except (OSError, ConnectionError) as exc:
+            if not self._stopping:
+                self._link_failed(src_id, dst_id, link, exc)
         finally:
             if writer is not None:
                 writer.close()
@@ -240,39 +268,35 @@ class AsyncioTransport(BaseTransport):
                 except (OSError, ConnectionError):
                     pass
 
+    def _link_failed(
+        self, src_id: NodeId, dst_id: NodeId, link: _Link, exc: Exception
+    ) -> None:
+        """A dead link is loud, not quiet: the source records the failure,
+        the frames stuck behind it are counted, and the next send on the
+        pair opens a new link."""
+
+        del self._links[(src_id, dst_id)]
+        self.frames_lost += link.queue.qsize()
+        fail = getattr(self._nodes.get(src_id), "fail", None)
+        if fail is None:
+            raise exc
+        fail(exc)
+
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
-    def _make_connection_handler(self, endpoint: NetworkEndpoint):
+    def _receiver_factory(self, endpoint: NetworkEndpoint):
         # What the receiving node holds, for its decoder to hand back.
         held = getattr(endpoint, "held", None)
+        # A reader that crashes must be loud, not a link that goes quiet:
+        # the endpoint records it as it records a crashed handler.
+        fail = getattr(endpoint, "fail", None)
 
-        async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-            task = asyncio.current_task()
-            self._conn_tasks.add(task)
-            try:
-                while True:
-                    decoded = await read_frame(reader, held)
-                    if decoded is None:
-                        break
-                    sender, message = decoded
-                    if endpoint.node_id in self._offline:
-                        # The destination crashed while this was in flight.
-                        self.stats.dropped_deliveries += 1
-                        continue
-                    endpoint.deliver(sender, message)
-            except (FrameError, asyncio.CancelledError, ConnectionError):
-                pass
-            except Exception as exc:
-                # A reader that crashes must be loud, not a link that goes
-                # quiet: the endpoint records it as it records a crashed
-                # handler, and the link is dropped as for a bad frame.
-                fail = getattr(endpoint, "fail", None)
-                if fail is None:
-                    raise
-                fail(exc)
-            finally:
-                self._conn_tasks.discard(task)
-                writer.close()
+        def deliver(sender: NodeId, message: Any) -> None:
+            if endpoint.node_id in self._offline:
+                # The destination crashed while this was in flight.
+                self.stats.dropped_deliveries += 1
+                return
+            endpoint.deliver(sender, message)
 
-        return handle
+        return lambda: FrameReceiver(deliver, held, fail, self._receivers)

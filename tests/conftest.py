@@ -50,6 +50,21 @@ def local_system(small_config):
     )
 
 
+def feed_receiver(receiver, data: bytes, cuts=()) -> None:
+    """Feed *data* to a :class:`repro.service.FrameReceiver` as the event
+    loop does: fill each buffer it hands out, in reads that also end at
+    every offset in *cuts*, until the data runs out or the stream ends."""
+
+    start = 0
+    for end in (*sorted(cuts), len(data)):
+        while start < end and receiver.error is None:
+            buffer = receiver.get_buffer(-1)
+            size = min(len(buffer), end - start)
+            buffer[:size] = data[start : start + size]
+            receiver.buffer_updated(size)
+            start += size
+
+
 def make_signed_entries(registry: KeyRegistry, producer, count: int, start: int = 0):
     """Helper used across tests: *count* signed entries from one producer."""
 

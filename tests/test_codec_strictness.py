@@ -48,12 +48,13 @@ from repro.messages import AppendBatchResponse, BlockProofMessage, GetResponse
 from repro.messages.kv_messages import GetResponseStatement
 from repro.messages.log_messages import CertifyStatement
 from repro.nodes.variants import FullDataCertifyRequest
-from repro.service import FrameError, encode_frame, framing, read_frame
+from repro.service import FrameError, FrameReceiver, encode_frame, framing
 from repro.service.framing import decode_payload
 from repro.service.transport import AsyncioTransport
 from repro.storage import codec
 from repro.storage.codec import HeldSet, decode_record, encode_record
 from test_wire_codec_roundtrip import assert_memos_sound
+from tests.conftest import feed_receiver
 
 EDGE = edge_id("strict-edge")
 CLIENT = client_id("strict-client")
@@ -800,19 +801,16 @@ class _Endpoint:
 
 class TestLivePath:
     def test_a_non_canonical_frame_is_a_frame_error(self):
-        async def scenario():
-            response = _response()
-            good = encode_frame(EDGE, response)
-            payload = good[4:].replace(b'"block_id":4', b'"block_id": 4', 1)
-            reader = asyncio.StreamReader()
-            reader.feed_data(good + struct.pack(">I", len(payload)) + payload)
-            reader.feed_eof()
-            sender, message = await read_frame(reader)
-            assert sender == EDGE and message == response
-            with pytest.raises(FrameError, match="undecodable"):
-                await read_frame(reader)
-
-        run_async(scenario())
+        response = _response()
+        good = encode_frame(EDGE, response)
+        payload = good[4:].replace(b'"block_id":4', b'"block_id": 4', 1)
+        delivered = []
+        receiver = FrameReceiver(lambda *frame: delivered.append(frame))
+        feed_receiver(receiver, good + struct.pack(">I", len(payload)) + payload)
+        [(sender, message)] = delivered
+        assert sender == EDGE and message == response
+        with pytest.raises(FrameError, match="undecodable"):
+            raise receiver.error
 
     def test_a_hostile_frame_drops_the_connection_and_delivers_nothing(self):
         async def scenario():

@@ -12,17 +12,24 @@ of hanging the suite.
 from __future__ import annotations
 
 import asyncio
+import functools
 import gc
 import struct
+import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.config import LoggingConfig, LSMerkleConfig, SystemConfig
 from repro.common.encoding import FRAGMENT_ATTR, reference_encode
 from repro.common.errors import SimulationError, TransportError
 from repro.common.identifiers import client_id, edge_id
-from repro.log.proofs import CommitPhase
+from repro.crypto.signatures import KeyRegistry
+from repro.log.block import build_block
+from repro.log.entry import make_entry
+from repro.log.proofs import CommitPhase, issue_phase_one_receipt
 from repro.lsmerkle import read_proof
 from repro.messages import (
     AppendBatchRequest,
@@ -36,14 +43,15 @@ from repro.common.identifiers import OperationId
 from repro.core.system import SystemStats
 from repro.service import (
     FrameError,
+    FrameReceiver,
     LiveFleet,
     MAX_FRAME_BYTES,
     encode_frame,
-    read_frame,
 )
 from repro.service import framing, transport
 from repro.service.framing import decode_payload
 from repro.storage.codec import encode_record
+from tests.conftest import feed_receiver
 
 #: Hard wall-clock cap for any single async test body.
 _TEST_TIMEOUT_S = 30.0
@@ -54,6 +62,20 @@ def run_async(coroutine):
         return await asyncio.wait_for(coroutine, timeout=_TEST_TIMEOUT_S)
 
     return asyncio.run(capped())
+
+
+def receive_frames(data: bytes, eof: bool = True, cuts=()) -> list:
+    """What a :class:`FrameReceiver` delivers from *data* read in chunks
+    that end at *cuts*; the error that ended the stream, raised."""
+
+    delivered: list = []
+    receiver = FrameReceiver(lambda sender, message: delivered.append((sender, message)))
+    feed_receiver(receiver, data, cuts)
+    if eof:
+        receiver.eof_received()
+    if receiver.error is not None:
+        raise receiver.error
+    return delivered
 
 
 def _sample_message():
@@ -76,49 +98,133 @@ class TestFraming:
         assert decoded_sender == sender
         assert decoded_message == message
 
-    def test_read_frame_clean_eof(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_eof()
-            assert await read_frame(reader) is None
+    def test_receiver_clean_eof(self):
+        assert receive_frames(b"") == []
 
-        run_async(scenario())
+    def test_receiver_truncated_payload_is_loud(self):
+        frame = encode_frame(edge_id("t"), _sample_message())
+        # drop the tail mid-payload
+        with pytest.raises(FrameError, match="mid-frame"):
+            receive_frames(frame[:-3])
 
-    def test_read_frame_truncated_payload_is_loud(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            frame = encode_frame(edge_id("t"), _sample_message())
-            reader.feed_data(frame[:-3])  # drop the tail mid-payload
-            reader.feed_eof()
-            with pytest.raises(FrameError, match="mid-frame"):
-                await read_frame(reader)
+    def test_receiver_truncated_prefix_is_loud(self):
+        with pytest.raises(FrameError, match="mid-length-prefix"):
+            receive_frames(b"\x00\x00")
 
-        run_async(scenario())
-
-    def test_read_frame_truncated_prefix_is_loud(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(b"\x00\x00")
-            reader.feed_eof()
-            with pytest.raises(FrameError, match="mid-length-prefix"):
-                await read_frame(reader)
-
-        run_async(scenario())
-
-    def test_read_frame_rejects_oversize_length(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(struct.pack(">I", MAX_FRAME_BYTES + 1))
-            with pytest.raises(FrameError, match="exceeds cap"):
-                await read_frame(reader)
-
-        run_async(scenario())
+    def test_receiver_rejects_oversize_length(self):
+        with pytest.raises(FrameError, match="exceeds cap"):
+            receive_frames(struct.pack(">I", MAX_FRAME_BYTES + 1), eof=False)
 
     def test_malformed_envelope_is_loud(self):
         from repro.storage.codec import encode_record
 
         with pytest.raises(FrameError, match="envelope"):
             decode_payload(encode_record({"only": "half"}))
+
+
+@functools.lru_cache(maxsize=None)
+def _stream_pool() -> tuple:
+    """``(sender, message, frame)`` for a small request, an append-sized
+    (≈64 KB) and a get-sized (≈0.68 MB) acknowledgement."""
+
+    edge, client = edge_id("pool-edge"), client_id("pool-client")
+    registry = KeyRegistry("hmac")
+    registry.register(edge)
+    registry.register(client)
+
+    def acknowledgement(block_id: int, payload_bytes: int) -> AppendBatchResponse:
+        entries = [
+            make_entry(registry, client, sequence, bytes([sequence]) * payload_bytes, 0.5)
+            for sequence in range(100)
+        ]
+        block = build_block(edge, block_id, entries, created_at=1.0)
+        return AppendBatchResponse(
+            edge=edge,
+            operation_id=OperationId(client=client, sequence=block_id),
+            block_id=block_id,
+            receipt=issue_phase_one_receipt(registry, edge, block, issued_at=2.0),
+            block=block,
+        )
+
+    pool = (
+        (client, _sample_message()),
+        (edge, acknowledgement(1, 122)),
+        (edge, acknowledgement(2, 3195)),
+    )
+    return tuple((sender, message, encode_frame(sender, message)) for sender, message in pool)
+
+
+@st.composite
+def _split_streams(draw):
+    """Frames from the pool in any order, and cut points anywhere in their
+    concatenation, with a run of 1-byte reads somewhere."""
+
+    order = draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
+    stream = b"".join(_stream_pool()[index][2] for index in order)
+    cuts = draw(st.lists(st.integers(0, len(stream)), max_size=30))
+    start = draw(st.integers(0, len(stream)))
+    cuts += range(start, min(start + draw(st.integers(0, 16)), len(stream)))
+    return order, stream, cuts
+
+
+class TestFrameReceiver:
+    def test_the_pool_has_append_and_get_sized_frames(self):
+        sizes = [len(frame) for _sender, _message, frame in _stream_pool()]
+        assert sizes[0] < 1000 and 60_000 < sizes[1] < 70_000
+        assert 650_000 < sizes[2] < 720_000
+
+    @settings(max_examples=40, deadline=None)
+    @given(_split_streams())
+    def test_any_split_delivers_what_whole_frames_do(self, split):
+        order, stream, cuts = split
+        whole = [(sender, message) for sender, message, _ in _stream_pool()]
+        assert receive_frames(stream, cuts=cuts) == [whole[index] for index in order]
+
+    def test_eof_at_a_frame_boundary_delivers_nothing_more(self):
+        sender, message, frame = _stream_pool()[0]
+        assert receive_frames(frame + frame) == [(sender, message)] * 2
+
+    def test_a_zero_length_payload_is_refused(self):
+        with pytest.raises(FrameError, match="empty frame payload"):
+            receive_frames(struct.pack(">I", 0))
+
+    def test_an_oversize_prefix_is_refused_before_any_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FrameError, match="exceeds cap"):
+                receive_frames(struct.pack(">I", MAX_FRAME_BYTES + 1), eof=False)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+
+    def test_eof_after_a_prefix_is_mid_frame(self):
+        with pytest.raises(FrameError, match=r"mid-frame \(0/"):
+            receive_frames(encode_frame(edge_id("t"), _sample_message())[:4])
+
+    def test_nothing_is_delivered_after_a_bad_frame(self):
+        sender, message, frame = _stream_pool()[0]
+        delivered = []
+        receiver = FrameReceiver(lambda *received: delivered.append(received))
+        feed_receiver(receiver, frame + struct.pack(">I", 0) + frame)
+        receiver.eof_received()
+        assert delivered == [(sender, message)]
+        assert isinstance(receiver.error, FrameError)
+
+    def test_a_crash_goes_to_fail_and_ends_the_stream(self):
+        _sender, _message, frame = _stream_pool()[0]
+
+        def crashing(sender, message):
+            raise TypeError("planted in deliver")
+
+        failures = []
+        receiver = FrameReceiver(crashing, fail=failures.append)
+        feed_receiver(receiver, frame + frame)
+        assert [str(exc) for exc in failures] == ["planted in deliver"]
+        assert receiver.error is failures[0]
+        # Without a fail to record it, the crash is raised.
+        with pytest.raises(TypeError, match="planted"):
+            feed_receiver(FrameReceiver(crashing), frame)
 
 
 class TestLiveFleetSmoke:
@@ -655,6 +761,104 @@ class TestTransportSemantics:
                     fleet.env.transport.node(edge_id("never-registered"))
 
         run_async(scenario())
+
+
+class _Node:
+    """A bare transport endpoint that records what reaches it."""
+
+    def __init__(self, name: str) -> None:
+        self.node_id = edge_id(name)
+        self.region = None
+        self.delivered: list = []
+        self.failures: list = []
+
+    def deliver(self, sender, message) -> None:
+        self.delivered.append((sender, message))
+
+    def fail(self, exc: Exception) -> None:
+        self.failures.append(exc)
+
+
+async def _until(condition, timeout_s: float = 5.0) -> None:
+    deadline = asyncio.get_running_loop().time() + timeout_s
+    while not condition():
+        assert asyncio.get_running_loop().time() < deadline, "condition never held"
+        await asyncio.sleep(0.005)
+
+
+def _socket_scenario(body):
+    """Run *body(transport, a, b)* on a started two-node transport."""
+
+    async def scenario():
+        a, b = _Node("a"), _Node("b")
+        link = transport.AsyncioTransport()
+        link.register(a)
+        link.register(b)
+        await link.start()
+        try:
+            await body(link, a, b)
+        finally:
+            await link.stop()
+
+    run_async(scenario())
+
+
+class TestTransportSockets:
+    def test_a_frame_for_an_offline_node_is_dropped_and_counted(self):
+        async def body(link, a, b):
+            message = _sample_message()
+            link.send(a.node_id, b.node_id, message)
+            await _until(lambda: len(b.delivered) == 1)
+            link.set_offline(b.node_id)
+            link.send(a.node_id, b.node_id, message)
+            await _until(lambda: link.stats.dropped_deliveries == 1)
+            assert b.delivered == [(a.node_id, message)]
+            assert a.failures == b.failures == []
+
+        _socket_scenario(body)
+
+    def test_stop_with_a_frame_half_received(self):
+        seen = []
+
+        async def body(link, a, b):
+            frame = encode_frame(a.node_id, _sample_message())
+            _reader, writer = await asyncio.open_unix_connection(
+                path=link.address_of(b.node_id)
+            )
+            writer.write(frame[: len(frame) // 2])
+            await writer.drain()
+            await _until(lambda: any(r._filled for r in link._receivers))
+            seen.extend((b, *link._receivers))
+            writer.close()
+
+        _socket_scenario(body)
+        # stop() closed the receiver mid-frame: it is disconnected, and
+        # nothing was delivered or recorded.
+        b, receiver = seen
+        assert receiver.transport is None and receiver.error is None
+        assert b.delivered == [] and b.failures == []
+
+    def test_a_dead_link_is_recorded_and_the_next_send_reconnects(self):
+        async def body(link, a, b):
+            message = _sample_message()
+            link.send(a.node_id, b.node_id, message)
+            await _until(lambda: len(b.delivered) == 1)
+            # The destination's side of the connection goes away.
+            for receiver in tuple(link._receivers):
+                receiver.transport.close()
+            await _until(lambda: not link._receivers)
+            for _ in range(3):
+                link.send(a.node_id, b.node_id, message)
+            await _until(lambda: a.failures != [])
+            assert isinstance(a.failures[0], (OSError, ConnectionError))
+            assert (a.node_id, b.node_id) not in link._links
+            assert link.frames_lost == 2
+            # The next send opens a new link and arrives.
+            link.send(a.node_id, b.node_id, message)
+            await _until(lambda: len(b.delivered) == 2)
+            assert len(a.failures) == 1 and b.failures == []
+
+        _socket_scenario(body)
 
 
 class TestLiveEnvironmentTimers:
